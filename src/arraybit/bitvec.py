@@ -14,26 +14,33 @@ literal).  Two vectors are therefore equal iff their word sequences are
 equal.  Logical operations walk the compressed runs of both operands and
 never expand fills.
 
+Kernels: group g is bits 63g .. 63g + 62, first bit least significant.
+Packing copies the bits 63 to a row into a zero-filled (groups, 64)
+boolean array, and one little-endian ``np.packbits`` turns each row into
+one word.  Unpacking runs ``np.unpackbits`` over the 8 bytes of each word,
+row-wise with ``count=63``.  Decoding a vector with no fill word unpacks
+its words directly, with no run expansion.
+
 Serialized form (``to_bytes``): little-endian header
 ``{logical_length: u64, word_count: u64}`` followed by the words.
+``from_bytes`` reads the words as a view into the caller's buffer.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DataError, InputError
 
 GROUP_BITS = 63
 _ONES = np.uint64((1 << 63) - 1)  # all 63 payload bits set
 _FILL_FLAG = np.uint64(1 << 63)
 _FILL_VALUE = np.uint64(1 << 62)
 _LEN_MASK = np.uint64((1 << 62) - 1)
-
-# byte offset / bit shift of each of the 8 groups inside a 63-byte block
-_LANES = [divmod(GROUP_BITS * k, 8) for k in range(8)]
+_HEADER = struct.Struct("<QQ")  # logical length, word count
 
 _OPS = {
     "and": np.bitwise_and,
@@ -45,68 +52,51 @@ _OPS = {
 def _pack_groups(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean array into 63-bit groups (uint64, high bit clear).
 
-    Works blockwise: 63 bytes of little-endian packed bits hold exactly
-    eight 63-bit groups, so each group lane is a strided unaligned load.
+    Group g is row g of a zero-padded (groups, 64) boolean array whose
+    first 63 columns are bits[63 g : 63 g + 63]; one little-endian
+    ``np.packbits`` turns each row into one word.
     """
     n = bits.size
     ngroups = -(-n // GROUP_BITS)
     if ngroups == 0:
         return np.empty(0, np.uint64)
-    packed = np.packbits(np.ascontiguousarray(bits), bitorder="little")
-    nblocks = -(-ngroups // 8)
-    buf = np.zeros(nblocks * 63 + 9, np.uint8)
-    buf[: packed.size] = packed
-    out = np.empty(nblocks * 8, np.uint64)
-    starts = np.arange(nblocks) * 63
-    for k, (off, shift) in enumerate(_LANES):
-        idx = (starts + off)[:, None] + np.arange(8)
-        lane = buf[idx].view("<u8").ravel() >> np.uint64(shift)
-        if shift > 1:
-            spill = buf[starts + off + 8].astype(np.uint64)
-            lane |= spill << np.uint64(64 - shift)
-        out[k::8] = lane & _ONES
-    return out[:ngroups]
+    rows = np.zeros((ngroups, 64), bool)
+    full, rest = divmod(n, GROUP_BITS)
+    rows[:full, :GROUP_BITS] = bits[: full * GROUP_BITS].reshape(full, GROUP_BITS)
+    if rest:
+        rows[full, :rest] = bits[full * GROUP_BITS :]
+    return np.packbits(rows, bitorder="little").view("<u8").astype(np.uint64, copy=False)
 
 
 def _unpack_groups(groups: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of :func:`_pack_groups`; returns a boolean array of nbits."""
+    """Inverse of :func:`_pack_groups`; returns a fresh boolean array of nbits."""
     if nbits == 0:
         return np.empty(0, bool)
-    ngroups = groups.size
-    nblocks = -(-ngroups // 8)
-    padded = np.zeros(nblocks * 8, np.uint64)
-    padded[:ngroups] = groups
-    buf = np.zeros(nblocks * 63 + 9, np.uint8)
-    starts = np.arange(nblocks) * 63
-    for k, (off, shift) in enumerate(_LANES):
-        lane = padded[k::8]
-        lo = (lane << np.uint64(shift)).astype("<u8")
-        idx = (starts + off)[:, None] + np.arange(8)
-        buf[idx] |= lo.view(np.uint8).reshape(-1, 8)
-        if shift > 1:
-            buf[starts + off + 8] |= (lane >> np.uint64(64 - shift)).astype(np.uint8)
-    nbytes = -(-nbits // 8)
-    return np.unpackbits(buf[:nbytes], count=nbits, bitorder="little").astype(bool)
+    octets = np.ascontiguousarray(groups, "<u8").view(np.uint8).reshape(-1, 8)
+    rows = np.unpackbits(octets, axis=1, count=GROUP_BITS, bitorder="little")
+    return rows.reshape(-1)[:nbits].view(bool)
 
 
 def _compress_segments(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Build canonical words from (payload, group-run-length) segments."""
+    """Build canonical words from (payload, group-run-length) segments.
+
+    Only all-zero and all-one payloads merge into fills.  Any other payload
+    comes from one literal group (length 1) and stays one word, even next to
+    an equal one.
+    """
     if values.size == 0:
         return np.empty(0, np.uint64)
-    changed = np.empty(values.size, bool)
-    changed[0] = True
-    np.not_equal(values[1:], values[:-1], out=changed[1:])
-    starts = np.flatnonzero(changed)
-    run_vals = values[starts]
+    uniform = (values == 0) | (values == _ONES)
+    starts = np.empty(values.size, bool)
+    starts[0] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    starts[1:] |= ~uniform[1:]
+    starts = np.flatnonzero(starts)
+    words = values[starts]
     run_lens = np.add.reduceat(lengths, starts)
-    uniform = (run_vals == 0) | (run_vals == _ONES)
-    is_fill = uniform & (run_lens >= 2)
-    counts = np.where(is_fill, 1, run_lens)
-    words = np.repeat(run_vals, counts)
-    offsets = np.cumsum(counts) - counts
-    fills = _FILL_FLAG | np.where(run_vals == _ONES, _FILL_VALUE, np.uint64(0))
-    fills = fills | run_lens.astype(np.uint64)
-    words[offsets[is_fill]] = fills[is_fill]
+    fill = uniform[starts] & (run_lens >= 2)
+    if fill.any():
+        words[fill] = _FILL_FLAG | (words[fill] & _FILL_VALUE) | run_lens[fill].astype(np.uint64)
     return words
 
 
@@ -192,8 +182,10 @@ class BitVector:
         return self._words.size
 
     def to_dense(self) -> np.ndarray:
-        counts, payload = _decode(self._words)
-        groups = np.repeat(payload, counts)
+        groups = self._words
+        if groups.size and groups.max() >= _FILL_FLAG:
+            counts, payload = _decode(groups)
+            groups = np.repeat(payload, counts)
         return _unpack_groups(groups, self._n)
 
     def to_positions(self) -> np.ndarray:
@@ -238,14 +230,29 @@ class BitVector:
     # -- serialization ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        header = np.array([self._n, self._words.size], "<u8").tobytes()
-        return header + self._words.astype("<u8").tobytes()
+        header = _HEADER.pack(self._n, self._words.size)
+        return header + self._words.astype("<u8", copy=False).tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["BitVector", int]:
-        n, nwords = np.frombuffer(data, "<u8", count=2, offset=offset)
-        words = np.frombuffer(data, "<u8", count=int(nwords), offset=offset + 16)
-        return cls(int(n), words.astype(np.uint64)), offset + 16 + int(nwords) * 8
+    def from_bytes(cls, data, offset: int = 0) -> tuple["BitVector", int]:
+        """Read one vector at `offset` of `data`; returns it and the end offset.
+
+        The words are a read-only view into `data`, not a copy.
+        """
+        try:
+            n, nwords = _HEADER.unpack_from(data, offset)
+        except struct.error as exc:
+            raise DataError(f"corrupt bitvector header: {exc}") from None
+        start = offset + _HEADER.size
+        end = start + 8 * nwords
+        if nwords > -(-n // GROUP_BITS) or end > len(data):
+            raise DataError(
+                f"corrupt bitvector at byte {offset}: {nwords} words for {n} bits"
+                f" in {len(data) - start} bytes"
+            )
+        words = np.frombuffer(data, "<u8", count=nwords, offset=start)
+        words.flags.writeable = False
+        return cls(n, words), end
 
 
 def logical(op: str, a: BitVector, b: BitVector) -> BitVector:

@@ -24,7 +24,13 @@ _DTYPES = {"float64": np.float64, "int64": np.int64}
 
 @dataclass
 class QueryStats:
-    """Operational counters collected while answering a query."""
+    """Operational counters collected while answering a query.
+
+    bitmap_fetches counts bitmaps fetched for bin spans, and
+    candidate_bitmap_fetches those fetched only to isolate the boundary bins
+    of the candidate check.  Leaf resolution decodes each bitmap of a leaf
+    at most once per query and counts only that decode.
+    """
 
     nodes_evaluated: int = 0
     bitmap_fetches: int = 0
@@ -389,18 +395,41 @@ class BinnedBitmapIndex:
             ANDNOT=lambda x, y: x.andnot(y),
         )
 
-    def bins_dense(self, a: int, b: int, ebm_dense, stats=None, candidate=False) -> np.ndarray:
+    def decoder(self, stats=None):
+        """A `decode(j, candidate)` that turns bitmap j into a read-only
+        boolean array, decoding each bitmap at most once.
+
+        A first decode counts as a bitmap fetch, or as a candidate fetch when
+        `candidate` is set; handing back an already decoded bitmap is free.
+        """
+        decoded = {}
+
+        def decode(j: int, candidate: bool = False) -> np.ndarray:
+            bits = decoded.get(j)
+            if bits is None:
+                bits = decoded[j] = self.bitmaps[j].to_dense()
+                bits.flags.writeable = False
+                if stats is not None:
+                    if candidate:
+                        stats.candidate_bitmap_fetches += 1
+                    else:
+                        stats.bitmap_fetches += 1
+            return bits
+
+        return decode
+
+    def bins_dense(self, a: int, b: int, ebm_dense, decode, candidate=False) -> np.ndarray:
         """Dense-domain twin of :meth:`bins_bitmap` for short leaf vectors.
 
-        The result is always a fresh array the caller owns: `ebm_dense` is
-        typically a view of the chunk's non-empty mask and is only read.
+        `decode` comes from :meth:`decoder`.  The result may be a decoded
+        bitmap or `ebm_dense` itself, so callers only read it.
         """
         if a > b:
             return np.zeros(self.length, bool)
         return self._combine(
             a, b,
-            get=lambda j: self._get(j, stats, candidate).to_dense(),
-            ebm=lambda: ebm_dense.copy(),
+            get=lambda j: decode(j, candidate),
+            ebm=lambda: ebm_dense,
             AND=np.logical_and,
             OR=np.logical_or,
             ANDNOT=lambda x, y: x & ~y,
@@ -409,10 +438,12 @@ class BinnedBitmapIndex:
     def _query_bins(self, lo: float, hi: float):
         """Bin span of [lo, hi] plus the boundary bins needing verification."""
         k = self.nbins
-        if hi < self.amin or lo > self.amax:
+        amin, amax = self.amin, self.amax
+        if hi < amin or lo > amax:
             return None
-        lo_bin = 0 if lo <= self.amin else int(self.binning.bin_of(lo))
-        hi_bin = k - 1 if hi >= self.amax else int(self.binning.bin_of(hi))
+        bounds = self.binning.boundaries
+        lo_bin = 0 if lo <= amin else min(int(np.searchsorted(bounds, lo, "right")) - 1, k - 1)
+        hi_bin = k - 1 if hi >= amax else min(int(np.searchsorted(bounds, hi, "right")) - 1, k - 1)
         cand_bins = []
         if not lo <= self.span_lo[lo_bin]:
             cand_bins.append(lo_bin)
@@ -435,18 +466,22 @@ class BinnedBitmapIndex:
             cand = cand | self.bins_bitmap(j, j, stats, candidate=True)
         return span.andnot(cand), cand
 
-    def range_query_dense(self, lo: float, hi: float, ebm_dense, stats=None):
-        """Dense-domain twin of :meth:`range_query`."""
+    def range_query_dense(self, lo: float, hi: float, ebm_dense, decode):
+        """Dense-domain twin of :meth:`range_query`; `decode` comes from
+        :meth:`decoder`.  Either part is None when it is empty; both may be
+        shared with `decode`'s bitmaps and are only to be read."""
         plan = self._query_bins(lo, hi)
         if plan is None:
-            return np.zeros(self.length, bool), None
+            return None, None
         lo_bin, hi_bin, cand_bins = plan
-        span = self.bins_dense(lo_bin, hi_bin, ebm_dense, stats)
+        span = self.bins_dense(lo_bin, hi_bin, ebm_dense, decode)
         if not cand_bins:
             return span, None
-        cand = self.bins_dense(cand_bins[0], cand_bins[0], ebm_dense, stats, candidate=True)
+        if lo_bin == hi_bin:  # the span is its one candidate bin
+            return None, span
+        cand = self.bins_dense(cand_bins[0], cand_bins[0], ebm_dense, decode, candidate=True)
         for j in cand_bins[1:]:
-            cand |= self.bins_dense(j, j, ebm_dense, stats, candidate=True)
+            cand = cand | self.bins_dense(j, j, ebm_dense, decode, candidate=True)
         return span & ~cand, cand
 
     def size_bytes(self) -> int:
@@ -503,9 +538,10 @@ def leaf_query(
     (lo, hi) value runs: one run for a range query, one per value (or per
     stretch of consecutive integers) for a membership query.  Interior bins
     of each run contribute without touching raw values; the boundary bins
-    are verified cell by cell (the candidate check).  dim_ranges are
-    chunk-local inclusive (lo, hi) per dimension.  The chunk's arrays are
-    only read.
+    are verified cell by cell (the candidate check).  Each bitmap of the
+    leaf is decoded at most once per call, however many runs use it.
+    dim_ranges are chunk-local inclusive (lo, hi) per dimension.  The
+    chunk's arrays are only read.
     """
     runs = [(lo, hi) for lo, hi in runs if hi >= leaf.amin and lo <= leaf.amax]
     if not runs:
@@ -516,10 +552,13 @@ def leaf_query(
             stats.candidate_checks += chunk.nonempty_count
     else:
         ebm_dense = chunk.nonempty.reshape(-1)
-        result = cand = None
+        decode = leaf.decoder(stats)
+        result = np.zeros(chunk.cell_count, bool)
+        cand = None
         for lo, hi in runs:
-            certain, maybe = leaf.range_query_dense(lo, hi, ebm_dense, stats)
-            result = certain if result is None else (result | certain)
+            certain, maybe = leaf.range_query_dense(lo, hi, ebm_dense, decode)
+            if certain is not None:
+                result |= certain
             if maybe is not None:
                 cand = maybe if cand is None else (cand | maybe)
         if cand is not None:

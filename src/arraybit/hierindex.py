@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import Binning, merge_bins_iterative
+from .bitvec import BitVector
 from .chunkstore import (
     ArraySchema,
     BinnedBitmapIndex,
@@ -190,6 +191,25 @@ class TreeNode:
         return self._intervals(self.al_bounds, self.al_masks)
 
 
+def _child_cdf(bounds: np.ndarray, cb: Binning) -> np.ndarray:
+    """A child's cumulative weight at each bound, each bin's weight spread
+    evenly over the bin.
+
+    np.interp's slope (weight / width) overflows to inf on a subnormally
+    narrow bin, so points it leaves non-finite are placed by their fraction
+    of the bin instead.
+    """
+    cum = np.concatenate(([0.0], np.cumsum(cb.weights)))
+    cdf = np.interp(bounds, cb.boundaries, cum)
+    bad = ~np.isfinite(cdf)
+    if bad.any():
+        x = bounds[bad]
+        j = np.clip(np.searchsorted(cb.boundaries, x, side="right") - 1, 0, cb.nbins - 1)
+        lo, hi = cb.boundaries[j], cb.boundaries[j + 1]
+        cdf[bad] = cum[j] + cb.weights[j] * np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    return cdf
+
+
 def build_internal_node(
     children: list, level: int, coords: tuple, fanout: Fanout, bins: int
 ) -> TreeNode:
@@ -226,8 +246,7 @@ def build_internal_node(
                 j = min(int(np.searchsorted(bounds, cb.lo, side="right")) - 1, bounds.size - 2)
                 weights[j] += cb.total_weight
             else:
-                cdf = np.interp(bounds, cb.boundaries, np.concatenate(([0.0], np.cumsum(cb.weights))))
-                weights += np.diff(cdf)
+                weights += np.diff(_child_cdf(bounds, cb))
         binning = merge_bins_iterative(Binning(bounds, weights), bins)
 
     rb = binning.boundaries
@@ -458,7 +477,7 @@ class Index:
         bits = self.fanout.bits
         slot_bits = self.fanout.slot_bits
         groups: dict = {}
-        for z, node in below.items():
+        for z, node in sorted(below.items()):  # children in z order, as append does
             groups.setdefault(z >> slot_bits, []).append((z & ((1 << slot_bits) - 1), node))
         out = {}
         for pz, members in groups.items():
@@ -695,8 +714,6 @@ class Index:
 
     @staticmethod
     def _unpack_leaf(buf, pos, ndim) -> tuple:
-        from .bitvec import BitVector
-
         z = struct.unpack_from("<Q", buf, pos)[0]
         pos += 8
         coords = struct.unpack_from("<" + "Q" * ndim, buf, pos)
@@ -722,18 +739,12 @@ class Index:
         pos += (nb - 1) * 8
         span_hi = np.frombuffer(buf, "<f8", nb - 1, pos).copy()
         pos += (nb - 1) * 8
-        ln = struct.unpack_from("<I", buf, pos)[0]
-        pos += 4
-        ebm, _ = BitVector.from_bytes(buf[pos : pos + ln])
-        pos += ln
+        ebm, pos = _unpack_bitvector(buf, pos)
         nbm = struct.unpack_from("<H", buf, pos)[0]
         pos += 2
         bitmaps = []
         for _ in range(nbm):
-            ln = struct.unpack_from("<I", buf, pos)[0]
-            pos += 4
-            bm, _ = BitVector.from_bytes(buf[pos : pos + ln])
-            pos += ln
+            bm, pos = _unpack_bitvector(buf, pos)
             bitmaps.append(bm)
         idx = BinnedBitmapIndex(Binning(boundaries, weights), enc, bitmaps, span_lo, span_hi, ebm)
         return LeafEntry(tuple(coords), z, tuple(extent), idx), pos
@@ -741,8 +752,23 @@ class Index:
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
         buf = Path(path).read_bytes()
+        try:
+            idx = cls._parse(buf)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        # a short buffer, bad JSON, a bad field or an unknown id in a record
+        except (struct.error, ValueError, json.JSONDecodeError, KeyError, IndexError,
+                TypeError, OverflowError) as exc:
+            raise DataError(f"{path}: truncated or corrupt index ({exc})") from None
+        if store is not None and store.schema.shape != idx.schema.shape:
+            raise DataError("store shape does not match the index schema")
+        idx.store = store
+        return idx
+
+    @classmethod
+    def _parse(cls, buf: bytes) -> "Index":
         if buf[:4] != _MAGIC:
-            raise DataError(f"{path} is not an index file")
+            raise DataError("not an index file")
         version = struct.unpack_from("<I", buf, 4)[0]
         if version != _VERSION:
             raise DataError(f"unsupported index version {version}")
@@ -768,7 +794,7 @@ class Index:
             pos += struct.calcsize("<IBQQQ")
         fo = Fanout(params["fanout_per_dim"], schema.ndim) if params["fanout_per_dim"] else None
         idx = cls(
-            schema, store, fo, params["bins"], params["e"], params["leaf_encoding"],
+            schema, None, fo, params["bins"], params["e"], params["leaf_encoding"],
             params["dense_levels"], [],
         )
         idx.attribute = params["attribute"]
@@ -777,6 +803,8 @@ class Index:
         depth = nlevels - 1
         levels = []
         for level, kind, count, offset, size in directory:
+            if offset + size > len(buf):
+                raise DataError(f"level {level} runs past the end of the file")
             nodes = {}
             p = offset
             for _ in range(count):
@@ -787,11 +815,21 @@ class Index:
                     node, p = cls._unpack_node(buf, p, level, ndim, mask_bytes, fo)
                     node.coords = zorder_decode(node.z, ndim, fo.bits * (depth - level))
                     nodes[node.z] = node
+            if p != offset + size:
+                raise DataError(f"level {level} ends at byte {p}, not {offset + size}")
             levels.append(idx._storage_for(level, depth, nodes))
         idx.levels = levels
-        if store is not None and store.schema.shape != schema.shape:
-            raise DataError("store shape does not match the index schema")
         return idx
+
+
+def _unpack_bitvector(buf, pos) -> tuple:
+    """One length-prefixed bitvector read in place from the file buffer."""
+    ln = struct.unpack_from("<I", buf, pos)[0]
+    pos += 4
+    vec, end = BitVector.from_bytes(buf, pos)
+    if end != pos + ln:
+        raise DataError(f"bitvector at byte {pos} does not fit its {ln}-byte record")
+    return vec, end
 
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,

@@ -10,7 +10,8 @@ from arraybit.bitvec import (
     count_ones,
     logical,
 )
-from arraybit.errors import InputError
+from arraybit.errors import DataError, InputError
+from testutil import reference_bitvector_bytes
 
 
 def random_bits(rng, n, style=None):
@@ -176,3 +177,57 @@ def test_results_are_canonical(seed, n):
     out = logical("or", BitVector.from_dense(a), BitVector.from_dense(b))
     assert is_canonical(out)
     assert is_canonical(complement(out))
+
+
+# lengths at the edges of a group and of a 4096-bit leaf bitmap
+_CODEC_LENGTHS = sorted(
+    {0, 1, 2} | {m * k + d for m in (63, 4096) for k in (1, 2, 3) for d in (-1, 0, 1)}
+)
+
+
+def pattern_bits(rng, n, pattern):
+    if pattern == "zeros":
+        return np.zeros(n, bool)
+    if pattern == "ones":
+        return np.ones(n, bool)
+    if pattern == "sparse":
+        return rng.random(n) < 0.01
+    out = np.zeros(n, bool)  # clustered: a few runs of set bits
+    for _ in range(int(rng.integers(1, 6))):
+        start = int(rng.integers(0, max(n, 1)))
+        out[start : start + int(rng.integers(1, 400))] = True
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.sampled_from(_CODEC_LENGTHS),
+    pattern=st.sampled_from(["zeros", "ones", "sparse", "clustered"]),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.integers(0, 24),
+)
+def test_codec_matches_reference_encoder(n, pattern, seed, offset):
+    bits = pattern_bits(np.random.default_rng(seed), n, pattern)
+    v = BitVector.from_dense(bits)
+    raw = v.to_bytes()
+    assert raw == reference_bitvector_bytes(bits)
+    dense = v.to_dense()
+    assert dense.dtype == bool and np.array_equal(dense, bits)
+    # read back in place from the middle of a larger buffer
+    buf = bytes(range(offset)) + raw + b"\xff" * 8
+    w, end = BitVector.from_bytes(buf, offset)
+    assert end == offset + len(raw)
+    assert w == v
+    assert not w._words.flags.writeable
+    assert n == 0 or np.shares_memory(w._words, np.frombuffer(buf, np.uint8))
+    assert np.array_equal(w.to_dense(), bits)
+    assert logical("or", w, v) == v
+    assert w.andnot(v) == BitVector.zeros(n)
+    assert complement(w).count_ones() == n - int(bits.sum())
+
+
+def test_from_bytes_rejects_truncated_input():
+    raw = BitVector.from_dense(np.arange(200) % 3 == 0).to_bytes()
+    for cut in (0, 10, 16, len(raw) - 1):
+        with pytest.raises(DataError):
+            BitVector.from_bytes(raw[:cut])

@@ -214,6 +214,39 @@ def test_leaf_query_matches_bruteforce(encoding):
         assert np.array_equal(got.to_dense(), want), (encoding, trial)
 
 
+@pytest.mark.parametrize("runs_of", ["value", "two_values"])
+def test_leaf_query_decodes_each_bitmap_once(monkeypatch, runs_of):
+    """A single-value membership on a 64x64 store with 16x16 `range` leaves:
+    each leaf decodes at most two bitmaps, none of them twice."""
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=(64, 64)) * 50
+    store = ChunkStore.from_dense(schema_2d((64, 64), (16, 16)), {"a": vals})
+    v = float(vals[5, 40])
+    runs = [(v, v)] if runs_of == "value" else [(v, v), (v + 1e-9, v + 1e-9)]
+    decoded = []
+    to_dense = BitVector.to_dense
+    monkeypatch.setattr(BitVector, "to_dense", lambda bv: decoded.append(id(bv)) or to_dense(bv))
+    hits = fetches = candidate_fetches = 0
+    for chunk in store.iter_chunks():
+        leaf = build_leaf_index(chunk, "a", 16, "range")
+        assert isinstance(leaf, BinnedBitmapIndex)
+        decoded.clear()
+        stats = QueryStats()
+        got = leaf_query(chunk, leaf, "a", runs, [None, None], store, stats)
+        assert len(decoded) <= 2
+        assert len(set(decoded)) == len(decoded)  # no bitmap decoded twice
+        assert stats.bitmap_fetches + stats.candidate_bitmap_fetches == len(decoded)
+        want = chunk.values_flat("a") == v
+        assert np.array_equal(to_dense(got), want)
+        hits += int(want.sum())
+        fetches += stats.bitmap_fetches
+        candidate_fetches += stats.candidate_bitmap_fetches
+    assert hits == 1
+    # the span of (v, v) is its one candidate bin: decoded once, as the span
+    assert candidate_fetches == 0
+    assert fetches <= 32
+
+
 def test_leaf_query_full_range_returns_empty_mask():
     rng = np.random.default_rng(4)
     vals = rng.random((8, 8))

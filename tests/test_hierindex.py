@@ -1,10 +1,15 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arraybit.binning import Binning
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
-from arraybit.errors import InputError
+from arraybit.cli import main
+from arraybit.datagen import SumGaussSpec, generate_store
+from arraybit.errors import DataError, InputError
 from arraybit.hierindex import (
     DimensionBitmaps,
     Fanout,
@@ -306,3 +311,99 @@ def test_append_collision_rejected():
     idx = build_index(store, fanout=16)
     with pytest.raises(InputError):
         idx.append(store)
+
+
+def _slabs(store, rows):
+    """The store cut along d0 into grid-aligned slabs of `rows` cells."""
+    sch = store.schema
+    cs = sch.chunk_shape[0]
+    out = []
+    for lo in range(0, sch.shape[0], rows):
+        hi = min(lo + rows, sch.shape[0])
+        chunks = {c: ch for c, ch in store.chunks.items() if lo // cs <= c[0] < -(-hi // cs)}
+        out.append(ChunkStore(sch.with_extents((hi,) + sch.shape[1:]), chunks))
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, chunk, rows, fanout, encoding",
+    [
+        ((64, 48), (4, 4), 16, 16, "range"),
+        ((16, 8, 8, 8), (2, 2, 2, 2), 4, 16, "interval"),
+    ],
+)
+def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fanout, encoding):
+    rng = np.random.default_rng(17)
+    vals = rng.gamma(2.0, 10.0, size=shape)
+    vals[rng.random(shape) < 0.2] = np.nan
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", "float64"),), chunk)
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    kw = dict(fanout=fanout, bins=8, leaf_encoding=encoding, e=1)
+    first, *rest = _slabs(store, rows)
+    assert rest
+    appended = build_index(first, **kw)
+    for slab in rest:
+        appended.append(slab)
+    full = build_index(store, **kw)
+    assert full.depth >= 2
+    assert appended.serialize() == full.serialize()
+
+
+def test_subnormal_bin_widths_give_finite_node_weights():
+    # far from every bump the field underflows to subnormal values, so leaf
+    # bins a few 1e-320 wide; np.interp's slope overflowed on them
+    spec = SumGaussSpec((128, 128), gaussians=4, seed=3, threshold=0)
+    store = generate_store(spec, (16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        idx = build_index(store)
+    widths = [np.diff(e.binning.boundaries) for _, e in idx.levels[0].items() if e.binning]
+    assert min(w.min() for w in widths) < np.finfo(float).tiny  # the pathology is present
+    for level in idx.levels[1:]:
+        for _, node in level.items():
+            assert np.isfinite(node.binning.weights).all()
+            assert node.binning.total_weight == pytest.approx(node.count)
+
+
+def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
+    narrow = dummy_children(0.0, 1.0, 240)
+    narrow.binning = Binning(np.array([0.0, 5e-320, 1e-310, 1.0]), np.array([208.0, 16.0, 16.0]))
+    other = dummy_children(2e-320, 2.0, 8)
+    node = build_internal_node([(0, narrow), (1, other)], 1, (0,), Fanout(2, 1), bins=16)
+    assert np.isfinite(node.binning.weights).all()
+    assert node.binning.total_weight == pytest.approx(248.0)
+
+
+def _index_file(tmp_path):
+    store = grid_store((32, 32), (8, 8), seed=2)
+    idx = build_index(store, fanout=4, bins=8, leaf_encoding="range")
+    path = tmp_path / "whole.abix"
+    idx.save(path)
+    return store, idx, path.read_bytes()
+
+
+def test_truncated_index_fails_with_data_error(tmp_path):
+    store, idx, raw = _index_file(tmp_path)
+    meta_len = struct.unpack_from("<Q", raw, 8)[0]
+    directory = 16 + meta_len + 4
+    level0_offset = struct.unpack_from("<IBQQQ", raw, directory)[3]
+    level1_offset = struct.unpack_from("<IBQQQ", raw, directory + 29)[3]
+    leaf = next(iter(idx.levels[0].items()))[1].leaf
+    bitmap = leaf.bitmaps[0].to_bytes()
+    at = raw.index(bitmap, level0_offset)
+    cuts = {
+        "header": 6,
+        "metadata": 16 + meta_len // 2,
+        "directory": directory + 10,
+        "leaf": level0_offset + 20,
+        "bitmap": at + 16 + 4,
+        "node": level1_offset + 40,
+        "last byte": len(raw) - 1,
+    }
+    assert Index.load(tmp_path / "whole.abix", store=store).node_count() == idx.node_count()
+    for where, cut in cuts.items():
+        path = tmp_path / f"cut-{cut}.abix"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError):
+            Index.load(path, store=store)
+        assert main(["query", "--index", str(path), "--where", ""]) == 2, where

@@ -1,5 +1,7 @@
 """Shared helpers for building randomized stores, indexes and queries."""
 
+import struct
+
 import numpy as np
 
 from arraybit.chunkstore import ArraySchema, ChunkStore
@@ -86,3 +88,36 @@ def region_cells_satisfy(store, attribute, region, query):
 def assert_strictly_increasing(trace):
     for a, b in zip(trace, trace[1:]):
         assert b > a, f"trace not strictly increasing: {a} -> {b}"
+
+
+def reference_bitvector_bytes(bits) -> bytes:
+    """Plain-Python encoder of the layout documented in `arraybit.bitvec`.
+
+    Bit i goes to bit i % 63 of group i // 63.  A run of two or more equal
+    all-zero or all-one groups becomes one fill word (bit 63 set, bit 62 the
+    fill value, bits 0..61 the run length); every other group is a literal
+    word.  The header is the bit count and the word count, little-endian
+    u64 each.
+    """
+    bits = [bool(b) for b in bits]
+    groups = []
+    for start in range(0, len(bits), 63):
+        word = 0
+        for k, bit in enumerate(bits[start : start + 63]):
+            if bit:
+                word |= 1 << k
+        groups.append(word)
+    ones = (1 << 63) - 1
+    words = []
+    i = 0
+    while i < len(groups):
+        run = 1
+        while i + run < len(groups) and groups[i + run] == groups[i]:
+            run += 1
+        if groups[i] in (0, ones) and run >= 2:
+            words.append(1 << 63 | (1 << 62 if groups[i] == ones else 0) | run)
+            i += run
+        else:
+            words.append(groups[i])
+            i += 1
+    return struct.pack(f"<QQ{len(words)}Q", len(bits), len(words), *words)
