@@ -195,10 +195,6 @@ class BitVector:
         counts, payload = _decode(self._words)
         return int(np.bitwise_count(payload).astype(np.int64) @ counts)
 
-    def any(self) -> bool:
-        counts, payload = _decode(self._words)
-        return bool((payload != 0).any())
-
     # -- operators ----------------------------------------------------
 
     def __and__(self, other: "BitVector") -> "BitVector":

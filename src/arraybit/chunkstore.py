@@ -111,9 +111,6 @@ class ArraySchema:
             return self.empty_values.get(name, float("nan"))
         return self.empty_values[name]
 
-    def ravel(self, coords: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index(tuple(np.asarray(coords).T), self.shape)
-
     def with_extents(self, extents) -> "ArraySchema":
         dims = tuple((n, e) for (n, _), e in zip(self.dims, extents))
         return ArraySchema(dims, self.attributes, self.chunk_shape, dict(self.empty_values))
@@ -249,9 +246,6 @@ class ChunkStore:
             got = (coord >= lo) & (coord <= hi)
             self._slabs[key] = got
         return got
-
-    def slab(self, shape: tuple, dim: int, lo: int, hi: int) -> BitVector:
-        return BitVector.from_dense(self.slab_dense(shape, dim, lo, hi))
 
 
 def _nonempty_mask(block, typ, sentinel):
@@ -531,8 +525,8 @@ def leaf_query(
     dim_ranges,
     store: ChunkStore,
     stats: QueryStats | None = None,
-) -> BitVector:
-    """Exact matching cells of one chunk.
+) -> np.ndarray:
+    """Exact matching cells of one chunk, as a fresh flat boolean array.
 
     runs are the attribute constraint as sorted, disjoint inclusive
     (lo, hi) value runs: one run for a range query, one per value (or per
@@ -545,7 +539,7 @@ def leaf_query(
     """
     runs = [(lo, hi) for lo, hi in runs if hi >= leaf.amin and lo <= leaf.amax]
     if not runs:
-        return BitVector.zeros(chunk.cell_count)
+        return np.zeros(chunk.cell_count, bool)
     if isinstance(leaf, PlainLeaf):
         result = chunk.nonempty.reshape(-1) & in_runs(chunk.values_flat(attr), runs)
         if stats is not None:
@@ -574,7 +568,7 @@ def leaf_query(
         if lo <= 0 and hi >= chunk.shape[d] - 1:
             continue
         result &= store.slab_dense(chunk.shape, d, max(lo, 0), min(hi, chunk.shape[d] - 1))
-    return BitVector.from_dense(result)
+    return result
 
 
 # ---------------------------------------------------------------------------

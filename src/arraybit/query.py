@@ -6,7 +6,8 @@ A query is answered in a single descent: at every node six child masks are
 derived (partial/complete for the attribute, the dimensions, and their
 combination).  Complete children are taken whole without touching cell
 data; partial children are descended and, at the leaves, resolved exactly
-with candidate checks against raw values.
+with candidate checks against raw values into a flat boolean array over
+the chunk's cells, which stays the leaf's only form until cell ids.
 
 The attribute constraint is a list of sorted, disjoint value runs: a range
 query is one run, a membership query one run per value (consecutive
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
+from math import prod
 
 import numpy as np
 
@@ -91,48 +93,50 @@ class CompleteRegion:
 
 
 class ResultSet:
-    """Complete regions plus exact per-chunk hit vectors."""
+    """Complete regions plus, per partial chunk, the flat boolean array of
+    its hits in row-major cell order, as leaf resolution returned it."""
 
     def __init__(self, schema: ArraySchema):
         self.schema = schema
         self.complete: list[CompleteRegion] = []
-        self.partial: dict = {}  # chunk coords -> BitVector
+        self.partial: dict = {}  # chunk coords -> flat boolean hits
 
     @property
     def count(self) -> int:
         return sum(r.count for r in self.complete) + sum(
-            bv.count_ones() for bv in self.partial.values()
+            int(np.count_nonzero(hits)) for hits in self.partial.values()
         )
 
-    def _chunk_ids(self, chunk, positions: np.ndarray) -> np.ndarray:
-        local = np.unravel_index(positions, chunk.shape)
-        coords = tuple(l + o for l, o in zip(local, chunk.offsets))
-        return np.ravel_multi_index(coords, self.schema.shape)
-
     def cell_ids(self, store: ChunkStore) -> np.ndarray:
-        """All matching cells as sorted global row-major ids."""
-        parts = []
+        """All matching cells as global row-major ids, strictly increasing.
+
+        Each piece (a complete chunk's non-empty mask, a partial chunk's
+        hits) is copied into one boolean array over the pieces' bounding
+        box; row-major order in the box is global order, so no sort.
+        """
+        pieces = [(store.chunks[coords], hits) for coords, hits in self.partial.items()]
         cs = self.schema.chunk_shape
         for region in self.complete:
-            ranges = [
-                range(lo // c, hi // c + 1) for (lo, hi), c in zip(region.extent, cs)
-            ]
-            for coords in itertools.product(*ranges):
+            grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(region.extent, cs))
+            for coords in itertools.product(*grid):
                 chunk = store.chunks.get(coords)
-                if chunk is None:
-                    continue
-                pos = np.flatnonzero(chunk.nonempty.reshape(-1))
-                parts.append(self._chunk_ids(chunk, pos))
-        for coords, bv in self.partial.items():
-            chunk = store.chunks[coords]
-            parts.append(self._chunk_ids(chunk, bv.to_positions()))
-        if not parts:
+                if chunk is not None:
+                    pieces.append((chunk, chunk.nonempty))
+        if not pieces:
             return np.empty(0, np.int64)
-        return np.sort(np.concatenate(parts)).astype(np.int64)
-
-    def coordinates(self, store: ChunkStore) -> np.ndarray:
-        ids = self.cell_ids(store)
-        return np.stack(np.unravel_index(ids, self.schema.shape), axis=1)
+        lo = np.min([c.offsets for c, _ in pieces], axis=0)
+        box = np.zeros(np.max([np.add(c.offsets, c.shape) for c, _ in pieces], axis=0) - lo, bool)
+        for c, block in pieces:
+            at = tuple(slice(o - l, o - l + s) for o, l, s in zip(c.offsets, lo, c.shape))
+            box[at] = block.reshape(c.shape)
+        ids = np.flatnonzero(box)
+        shape = self.schema.shape
+        out = ids + int(np.ravel_multi_index(tuple(lo), shape))
+        for d in range(len(shape) - 1):  # the array cells the box skips per step along d
+            gap = prod(shape[d + 1:]) - box.shape[d + 1] * prod(shape[d + 2:])
+            if gap:
+                out += ids // prod(box.shape[d + 1:]) * gap
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,8 @@ class ResultSet:
 
 def normalize(raw: RawQuery, schema: ArraySchema, attr_bounds=None) -> Query:
     """Fill missing constraints to a complete query over all dimensions."""
+    if raw.dim_values:  # not part of a Query: refused rather than dropped
+        raise InputError("dimension value sets need expand_dim_memberships first")
     names = schema.dim_names
     for name in raw.dims:
         if name not in names:
@@ -430,7 +436,7 @@ def estimate(index: Index, query, level_budget: int,
         if kind == "complete":
             lo += node.count
         elif kind == "leaf":
-            lo += _resolve_leaf(index, node, query, runs, stats).count_ones()
+            lo += int(np.count_nonzero(_resolve_leaf(index, node, query, runs, stats)))
         else:
             frontier += node.count
     return lo, lo + frontier

@@ -1,0 +1,46 @@
+"""The benchmark under perfbench/ wraps package functions by name and
+measures their results; these checks keep that contract in tier-1, so a
+rename or a return-type change fails here rather than in a benchmark run."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from arraybit.query import RawQuery, execute
+from testutil import random_index
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    originals = {}
+    for owner, attr, name, _ in tracing.TARGETS:
+        assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is gone"
+        originals[owner, attr] = vars(owner)[attr]
+
+    store, idx = random_index(np.random.default_rng(2), (32, 32), (4, 4), 0.3, fanout=16)
+    root = idx.root
+    raw = RawQuery(attr_lo=root.amin, attr_hi=(root.amin + root.amax) / 2,
+                   dims={"d0": (3, 20)})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.qid = 0
+        rs = execute(idx, raw)
+        ids = rs.cell_ids(store)
+    finally:
+        tracer.uninstall()
+    for (owner, attr), fn in originals.items():
+        assert vars(owner)[attr] is fn
+
+    table = tracer.table()
+    leaf = table.select("chunkstore.leaf_query", [0])
+    assert leaf.any()
+    assert set(table.work[leaf].tolist()) <= {0, 1}
+    assert table.work[leaf].sum() == len(rs.partial)
+    assert table.count("query.cell_ids", [0]) == 1
+    assert table.count("bitvec.from_dense", [0]) == 0  # nothing encoded by a query
+    assert ids.size == rs.count > 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arraybit.baseline import full_scan
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
@@ -62,6 +63,32 @@ def test_expand_dim_memberships(schema2d):
     raw = RawQuery(dim_values={"d1": (2, 3, 4, 9)})
     out = expand_dim_memberships(raw, schema2d)
     assert [r.dims["d1"] for r in out] == [(2, 4), (9, 9)]
+
+
+def test_dimension_value_sets_are_refused_not_dropped():
+    # normalize used to drop dim_values, so a library caller got the answer
+    # of the query without them; the rewrite is expand_dim_memberships
+    store, idx = make_index(seed=3, fanout=64)
+    root = idx.root
+    mid = (root.amin + root.amax) / 2
+    raw = RawQuery(attr_lo=root.amin, attr_hi=mid, dim_values={"d1": (2, 3, 9)})
+    member = RawQuery(values=(float(store.dense("a")[0, 2]),), dim_values={"d1": (2,)})
+    calls = [
+        lambda: normalize(raw, store.schema),
+        lambda: execute(idx, raw),
+        lambda: membership(idx, member),
+        lambda: estimate(idx, raw, idx.depth),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="expand_dim_memberships"):
+            call()
+    parts = [execute(idx, r).cell_ids(store) for r in expand_dim_memberships(raw, store.schema)]
+    got = np.sort(np.concatenate(parts))
+    vals = store.dense("a")
+    cols = np.zeros(vals.shape, bool)
+    cols[:, [2, 3, 9]] = True
+    want = np.flatnonzero(cols & (vals >= root.amin) & (vals <= mid))
+    assert want.size and np.array_equal(got, want)
 
 
 def make_index(seed=0, shape=(32, 32), chunk=(4, 4), sparsity=0.0, **kw):
@@ -340,6 +367,15 @@ def test_estimate_membership_sandwich_and_monotone():
         assert prev_lo == exact == prev_hi  # meets the oracle at full depth
 
 
+def _freeze(store):
+    """Make every chunk array of `store` read-only; returns the store."""
+    for chunk in store.chunks.values():
+        chunk.nonempty.flags.writeable = False
+        for arr in chunk.values.values():
+            arr.flags.writeable = False
+    return store
+
+
 def _frozen_store(rng):
     """A 256x256 store with binned, constant and plain leaves, all read-only."""
     vals = rng.normal(size=(256, 256)) * 50.0
@@ -347,12 +383,7 @@ def _frozen_store(rng):
     vals[0:4, 224:229] = rng.normal(size=(4, 5))  # 20 live cells: a PlainLeaf
     vals[32:64, 224:256] = 7.0  # one bin spans the whole leaf
     sch = ArraySchema((("d0", 256), ("d1", 256)), (("a", "float64"),), (32, 32))
-    store = ChunkStore.from_dense(sch, {"a": vals})
-    for chunk in store.chunks.values():
-        chunk.nonempty.flags.writeable = False
-        for arr in chunk.values.values():
-            arr.flags.writeable = False
-    return store
+    return _freeze(ChunkStore.from_dense(sch, {"a": vals}))
 
 
 @pytest.mark.parametrize("encoding", ["equality", "range", "interval"])
@@ -415,3 +446,77 @@ def test_estimate_negative_budget():
     store, idx = make_index(fanout=64)
     with pytest.raises(InputError):
         estimate(idx, RawQuery(), -1)
+
+
+def _random_frozen_store(rng, ndim, dtype, empty):
+    """A small read-only store whose extents are not multiples of the chunk,
+    so edge chunks are clipped.  `empty` is the share of empty cells, or
+    "chunks" to leave every other chunk of the grid wholly empty."""
+    chunk = tuple(int(c) for c in rng.integers(2, 5, ndim))
+    shape = tuple(int(c * rng.integers(2, 5) + rng.integers(1, c)) for c in chunk)
+    if dtype == "float64":
+        vals, sentinel = rng.normal(size=shape) * 50.0, np.nan
+    else:
+        vals, sentinel = rng.integers(0, 12, size=shape), -1
+    if empty == "chunks":
+        grid = np.indices(shape) // np.reshape(chunk, (-1,) + (1,) * ndim)
+        vals[grid.sum(axis=0) % 2 == 1] = sentinel
+    else:
+        vals[rng.random(shape) < empty] = sentinel
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", dtype),),
+                      chunk, {} if dtype == "float64" else {"a": -1})
+    return _freeze(ChunkStore.from_dense(sch, {"a": vals}))
+
+
+def _slab_store(store, rows):
+    """The chunks of `store` in its first `rows` cells along d0."""
+    sch = store.schema
+    chunks = {c: ch for c, ch in store.chunks.items() if c[0] * sch.chunk_shape[0] < rows}
+    return ChunkStore(sch.with_extents((rows,) + sch.shape[1:]), chunks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(1, 3),
+    dtype=st.sampled_from(["float64", "int64"]),
+    encoding=st.sampled_from(["equality", "range", "interval"]),
+    empty=st.sampled_from([0.0, 0.4, "chunks"]),
+    appended=st.booleans(),
+)
+@example(seed=0, ndim=2, dtype="float64", encoding="range", empty=0.0, appended=False)
+@example(seed=1, ndim=3, dtype="int64", encoding="equality", empty="chunks", appended=True)
+def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, encoding,
+                                                          empty, appended):
+    rng = np.random.default_rng(seed)
+    store = _random_frozen_store(rng, ndim, dtype, empty)
+    sch = store.schema
+    kw = dict(fanout=2**ndim, bins=4, leaf_encoding=encoding, e=1)
+    if appended:
+        idx = build_index(_slab_store(store, sch.chunk_shape[0]), **kw)
+        idx.append(ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[0] > 0}))
+    else:
+        idx = build_index(store, **kw)
+    root = idx.root
+    if root is None:
+        return
+    live = np.concatenate([c.values_flat("a")[c.nonempty.reshape(-1)]
+                           for c in store.chunks.values()])
+    # whole chunks before a cut through the second chunk along d0: complete
+    # regions next to partial chunks
+    mixed = RawQuery(dims={"d0": (0, sch.chunk_shape[0])})
+    raws = [mixed, RawQuery(values=tuple(rng.choice(live, 3)), dims=dict(mixed.dims))]
+    raws += [random_raw_query(rng, sch, root.amin, root.amax) for _ in range(6)]
+    raws.append(random_raw_query(rng, sch, root.amin, root.amax, kind="membership"))
+    for raw in raws:
+        q = normalize(raw, sch, (root.amin, root.amax))
+        rs = execute(idx, q)
+        got = rs.cell_ids(store)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, full_scan(store, "a", q))
+        assert (np.diff(got) > 0).all()
+        assert rs.count == got.size
+        assert estimate(idx, q, idx.depth) == (got.size, got.size)
+        if raw is mixed and empty == 0.0:
+            assert rs.complete and rs.partial
+
