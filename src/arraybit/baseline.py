@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitvec import BitVector
 from .chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, QueryStats
 from .errors import InputError
 from .query import Query, value_runs
@@ -70,10 +69,8 @@ class DimsAttsIndex:
         self.encoding = encoding
         self.values = store.dense(self.attribute).reshape(-1)
         nonempty = store.nonempty_dense().reshape(-1)
-        self.ebm = BitVector.from_dense(nonempty)
-        self.attr_index = BinnedBitmapIndex.build(
-            self.values, nonempty, bins, encoding, ebm=self.ebm
-        )
+        self.attr_index = BinnedBitmapIndex.build(self.values, nonempty, bins, encoding)
+        self.ebm = self.attr_index.ebm
         self.dim_columns = []
         self.dim_indexes = []
         every = np.ones(self.values.size, bool)

@@ -31,11 +31,11 @@ class Binning:
         object.__setattr__(self, "weights", w)
         if w.size != b.size - 1:
             raise InputError("weights length must equal bin count")
-        diffs = np.diff(b)
+        # compared, not subtracted: inf - inf is NaN
         if b.size == 2:
-            if diffs[0] < 0:
+            if b[1] < b[0]:
                 raise InputError("boundaries must be nondecreasing")
-        elif not (diffs > 0).all():
+        elif not (b[1:] > b[:-1]).all():
             raise InputError("boundaries must be strictly increasing")
 
     @property
@@ -76,41 +76,89 @@ def equi_width(lo: float, hi: float, k: int) -> Binning:
     return Binning(np.linspace(lo, hi, k + 1))
 
 
-def equi_depth_exact(values, counts, k: int) -> Binning:
-    """Equi-depth bins from an exact (value, count) histogram.
+def equi_depth_exact(values, counts, k: int, starts=None) -> tuple:
+    """Equi-depth bins from exact (value, count) histograms.
+
+    `values` holds one or more histograms back to back, each sorted and
+    unique; `starts` gives the index where each begins (one histogram by
+    default).  Counts are positive integers.  Returns one Binning per
+    histogram, and the edges of all their bins in order: bin b holds
+    values[edges[b] : edges[b + 1]].
 
     Fewer distinct values than k collapses to one bin per distinct value.
-    Cut points are midpoints between adjacent distinct values, so a single
-    value's population is never split.
+    Otherwise cut j of k - 1 falls after the first value whose cumulative
+    count reaches total * j / k.  Boundaries are the midpoints between the
+    values either side of each cut, so a single value's population is never
+    split.  Midpoints of adjacent floats can round onto an endpoint: equal
+    ones are kept once, ones not strictly inside the histogram's range are
+    dropped, and a value equal to a midpoint belongs to the bin above it,
+    which can leave the bin below it empty.
     """
     values = np.asarray(values, np.float64)
-    counts = np.asarray(counts, np.float64)
+    counts = np.asarray(counts)
     if values.size == 0:
         raise InputError("empty histogram")
     if k < 1:
         raise InputError("bin count must be >= 1")
-    if values.size > 1 and not (np.diff(values) > 0).all():
+    if counts.shape != values.shape:
+        raise InputError("values and counts must have one length")
+    cnt = counts.astype(np.int64, copy=False)
+    if (counts.dtype.kind == "f" and not (cnt == counts).all()) or not (cnt >= 1).all():
+        raise InputError("histogram counts must be positive integers")
+    starts = np.zeros(1, np.int64) if starts is None else np.asarray(starts, np.int64)
+    ends = np.append(starts[1:], values.size)
+    m = ends - starts
+    if starts[0] != 0 or not (m >= 1).all():
+        raise InputError("every histogram needs at least one value")
+    ordered = values[1:] > values[:-1]
+    ordered[starts[1:] - 1] = True
+    if not ordered.all():
         raise InputError("histogram values must be sorted and unique")
-    m = values.size
-    if m == 1:
-        return Binning(np.array([values[0], values[0]]), counts.copy())
-    if m <= k:
-        cuts = np.arange(1, m)  # one bin per value
-    else:
-        cum = np.cumsum(counts)
-        targets = cum[-1] * np.arange(1, k) / k
-        cuts = np.searchsorted(cum, targets, side="left") + 1
-        cuts = np.unique(np.clip(cuts, 1, m - 1))
-    # midpoints of adjacent floats can collide after rounding; keep only
-    # strictly increasing interior boundaries and recount
-    mids = np.unique((values[cuts - 1] + values[cuts]) / 2.0)
-    mids = mids[(mids > values[0]) & (mids < values[-1])]
-    boundaries = np.concatenate(([values[0]], mids, [values[-1]]))
-    binning = Binning(boundaries)
-    weights = np.bincount(
-        binning.bin_of(values), weights=counts, minlength=binning.nbins
-    )
-    return Binning(boundaries, weights)
+    cum = np.zeros(values.size + 1, np.int64)
+    np.cumsum(cnt, out=cum[1:])
+
+    # cuts: before every value but the first of a small histogram, and at
+    # k - 1 positions of a large one.  Cumulative counts are integers, so
+    # reaching the float target t is reaching ceil(t); the search runs over
+    # the running count of all histograms, each target offset by the count
+    # before its histogram.
+    few = np.flatnonzero(m <= k)
+    size = m[few] - 1
+    cuts = [np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - starts[few] - 1, size)]
+    many = np.flatnonzero(m > k)
+    if many.size:
+        base = cum[starts[many]]
+        targets = (cum[ends[many]] - base).astype(np.float64)[:, None] * np.arange(1, k) / k
+        need = np.ceil(targets).astype(np.int64) + base[:, None]
+        at = np.searchsorted(cum, need.ravel(), side="left")  # one past the value reaching it
+        cuts.append(np.minimum(at, np.repeat(ends[many] - 1, k - 1)))
+    cuts = np.unique(np.concatenate(cuts))
+    seg = np.searchsorted(starts, cuts, side="right") - 1
+    mids = (values[cuts - 1] + values[cuts]) / 2.0
+    keep = (mids > values[starts[seg]]) & (mids < values[ends[seg] - 1])
+    keep[1:] &= (mids[1:] != mids[:-1]) | (seg[1:] != seg[:-1])
+    cuts, mids, seg = cuts[keep], mids[keep], seg[keep]
+
+    # bins and boundaries of histogram h sit after those of the histograms
+    # before it: its first value, then its kept midpoints, then its last
+    nseg = starts.size
+    nbins = 1 + np.bincount(seg, minlength=nseg)
+    first_bin = np.cumsum(nbins) - nbins
+    edges = np.empty(int(nbins.sum()) + 1, np.int64)
+    edges[first_bin] = starts
+    edges[seg + 1 + np.arange(seg.size)] = cuts - (mids == values[cuts - 1])
+    edges[-1] = values.size
+    weights = np.diff(cum[edges]).astype(np.float64)
+    bounds = np.empty(edges.size - 1 + nseg)
+    lead = first_bin + np.arange(nseg)
+    bounds[lead] = values[starts]
+    bounds[lead + nbins] = values[ends - 1]
+    bounds[2 * seg + 1 + np.arange(seg.size)] = mids
+    binnings = [
+        Binning(bounds[a : a + n + 1], weights[b : b + n])
+        for a, b, n in zip(lead.tolist(), first_bin.tolist(), nbins.tolist())
+    ]
+    return binnings, edges
 
 
 def merged_weight(source: Binning, lo: float, hi: float) -> float:

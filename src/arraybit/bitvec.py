@@ -15,10 +15,12 @@ equal.  Logical operations walk the compressed runs of both operands and
 never expand fills.
 
 Kernels: group g is bits 63g .. 63g + 62, first bit least significant.
-Packing copies the bits 63 to a row into a zero-filled (groups, 64)
-boolean array, and one little-endian ``np.packbits`` turns each row into
-one word.  Unpacking runs ``np.unpackbits`` over the 8 bytes of each word,
-row-wise with ``count=63``.  Decoding a vector with no fill word unpacks
+Packing runs one little-endian ``np.packbits`` over the bits and cuts the
+packed 64-bit words into 63-bit groups with shifts.  ``from_dense``
+encodes many equal-length vectors at once: one pack over all of them and
+one compress pass whose runs stop at each vector's first group.
+Unpacking runs ``np.unpackbits`` over the 8 bytes of each word, row-wise
+with ``count=63``.  Decoding a vector with no fill word unpacks
 its words directly, with no run expansion.
 
 Serialized form (``to_bytes``): little-endian header
@@ -50,22 +52,20 @@ _OPS = {
 
 
 def _pack_groups(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean array into 63-bit groups (uint64, high bit clear).
+    """Pack each row of a 2-d boolean array into 63-bit groups.
 
-    Group g is row g of a zero-padded (groups, 64) boolean array whose
-    first 63 columns are bits[63 g : 63 g + 63]; one little-endian
-    ``np.packbits`` turns each row into one word.
+    Returns a (rows, groups) uint64 array, high bits clear.  Each row is
+    packed little-endian into 64-bit words, one spare zero word after it,
+    and group g is the 63 bits from bit 63 g on: the top of word 63 g // 64
+    joined to the bottom of the next.
     """
-    n = bits.size
+    nrows, n = bits.shape
     ngroups = -(-n // GROUP_BITS)
-    if ngroups == 0:
-        return np.empty(0, np.uint64)
-    rows = np.zeros((ngroups, 64), bool)
-    full, rest = divmod(n, GROUP_BITS)
-    rows[:full, :GROUP_BITS] = bits[: full * GROUP_BITS].reshape(full, GROUP_BITS)
-    if rest:
-        rows[full, :rest] = bits[full * GROUP_BITS :]
-    return np.packbits(rows, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    raw = np.zeros((nrows, 8 * (n // 64 + 2)), np.uint8)
+    raw[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    words = raw.view("<u8").astype(np.uint64, copy=False)
+    q, r = np.divmod(GROUP_BITS * np.arange(ngroups, dtype=np.uint64), np.uint64(64))
+    return ((words[:, q] >> r) | (words[:, q + 1] << (np.uint64(64) - r))) & _ONES
 
 
 def _unpack_groups(groups: np.ndarray, nbits: int) -> np.ndarray:
@@ -77,27 +77,35 @@ def _unpack_groups(groups: np.ndarray, nbits: int) -> np.ndarray:
     return rows.reshape(-1)[:nbits].view(bool)
 
 
-def _compress_segments(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _compress_segments(values: np.ndarray, lengths: np.ndarray | None, row_groups: int = 0):
     """Build canonical words from (payload, group-run-length) segments.
 
     Only all-zero and all-one payloads merge into fills.  Any other payload
     comes from one literal group (length 1) and stays one word, even next to
-    an equal one.
+    an equal one.  No `lengths` means one group per segment.  With
+    `row_groups`, `values` holds rows of that many groups each and no run
+    crosses a row start.  Returns the words and the index of the segment
+    each word starts at.
     """
     if values.size == 0:
-        return np.empty(0, np.uint64)
+        return np.empty(0, np.uint64), np.empty(0, np.int64)
     uniform = (values == 0) | (values == _ONES)
     starts = np.empty(values.size, bool)
     starts[0] = True
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     starts[1:] |= ~uniform[1:]
+    if row_groups:
+        starts[::row_groups] = True
     starts = np.flatnonzero(starts)
     words = values[starts]
-    run_lens = np.add.reduceat(lengths, starts)
+    if lengths is None:
+        run_lens = np.diff(starts, append=values.size)
+    else:
+        run_lens = np.add.reduceat(lengths, starts)
     fill = uniform[starts] & (run_lens >= 2)
     if fill.any():
         words[fill] = _FILL_FLAG | (words[fill] & _FILL_VALUE) | run_lens[fill].astype(np.uint64)
-    return words
+    return words, starts
 
 
 def _decode(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +153,21 @@ class BitVector:
         return cls(length, np.array(words, np.uint64))
 
     @classmethod
-    def from_dense(cls, bits: np.ndarray) -> "BitVector":
+    def from_dense(cls, bits: np.ndarray):
+        """One vector from a 1-d boolean array; from a 2-d one, a list of
+        vectors, one per row, all packed and compressed in one pass."""
         bits = np.asarray(bits, bool)
-        if bits.ndim != 1:
-            raise InputError("from_dense expects a 1-d boolean array")
-        groups = _pack_groups(bits)
-        lens = np.ones(groups.size, np.int64)
-        return cls(bits.size, _compress_segments(groups, lens))
+        if bits.ndim not in (1, 2):
+            raise InputError("from_dense expects a 1-d or 2-d boolean array")
+        rows = np.atleast_2d(bits)
+        groups = _pack_groups(rows)
+        nrows, ngroups = groups.shape
+        flat = groups.reshape(-1)
+        words, starts = _compress_segments(flat, None, ngroups)
+        ends = np.searchsorted(starts, np.arange(1, nrows + 1) * ngroups).tolist()
+        n = rows.shape[1]
+        vecs = [cls(n, words[a:b]) for a, b in zip([0] + ends, ends)]
+        return vecs[0] if bits.ndim == 1 else vecs
 
     @classmethod
     def from_positions(cls, positions: Iterable[int], length: int) -> "BitVector":
@@ -272,7 +288,7 @@ def logical(op: str, a: BitVector, b: BitVector) -> BitVector:
         except KeyError:
             raise InputError(f"unknown logical op: {op!r}") from None
     lens = np.diff(ends, prepend=0)
-    return BitVector(a._n, _compress_segments(merged, lens))
+    return BitVector(a._n, _compress_segments(merged, lens)[0])
 
 
 def complement(a: BitVector) -> BitVector:

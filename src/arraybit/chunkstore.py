@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import Binning, equi_depth_exact
+from .binning import equi_depth_exact
 from .bitvec import BitVector
 from .errors import DataError, InputError
 
@@ -148,7 +148,7 @@ def chunk_shape_at(schema: ArraySchema, coords) -> tuple:
 class Chunk:
     """One grid tile: row-major attribute payloads plus the non-empty mask."""
 
-    __slots__ = ("coords", "offsets", "shape", "values", "nonempty", "_ebm", "nonempty_count")
+    __slots__ = ("coords", "offsets", "shape", "values", "nonempty", "nonempty_count")
 
     def __init__(self, coords, offsets, shape, values, nonempty):
         self.coords = tuple(coords)
@@ -157,13 +157,6 @@ class Chunk:
         self.values = values
         self.nonempty = nonempty
         self.nonempty_count = int(nonempty.sum())
-        self._ebm = None
-
-    @property
-    def empty_mask(self) -> BitVector:
-        if self._ebm is None:
-            self._ebm = BitVector.from_dense(self.nonempty.reshape(-1))
-        return self._ebm
 
     @property
     def cell_count(self) -> int:
@@ -259,6 +252,19 @@ def _nonempty_mask(block, typ, sentinel):
 # ---------------------------------------------------------------------------
 # binned bitmap index (shared by chunk leaves and the linearized baseline)
 
+# one pass of the leaf builder sorts at most this many cells and encodes at
+# most this many dense bitmap bits; a single row may exceed it
+_BATCH_CELLS = 1 << 20
+
+# the bitmaps of a leaf with k bins, as two slices (lo, hi) of its k + 1
+# planes (see BinnedBitmapIndex.build_rows): bitmap i is plane lo[i] XOR
+# plane hi[i], the cells of bins lo[i] to hi[i] - 1
+_WINDOWS = {
+    "equality": lambda k: (slice(0, k), slice(1, k + 1)),
+    "range": lambda k: (slice(0, 1), slice(1, k)),
+    "interval": lambda k: (slice(0, -(-k // 2)), slice(-(-k // 2), 2 * -(-k // 2))),
+}
+
 
 class BinnedBitmapIndex:
     """Equi-depth binned bitmaps over one value column in a fixed cell order.
@@ -296,37 +302,83 @@ class BinnedBitmapIndex:
         return self.binning.nbins
 
     @classmethod
-    def build(cls, values: np.ndarray, nonempty: np.ndarray, bins: int, encoding: str,
-              ebm: BitVector | None = None) -> "BinnedBitmapIndex":
-        if encoding not in ("equality", "range", "interval"):
+    def build(cls, values: np.ndarray, nonempty: np.ndarray, bins: int,
+              encoding: str) -> "BinnedBitmapIndex":
+        """Index one value column over its non-empty cells."""
+        return cls.build_rows(values[None], nonempty[None], bins, encoding)[0]
+
+    @classmethod
+    def build_rows(cls, values: np.ndarray, nonempty: np.ndarray, bins: int,
+                   encoding: str) -> list:
+        """Index each row of a (rows, cells) value array over its non-empty
+        cells, every row in one pass: one sort, one binning over all the
+        rows' histograms and one encode of all their bitmaps.  Integer
+        values are binned as float64.
+        """
+        if encoding not in _WINDOWS:
             raise InputError(f"unknown encoding {encoding!r}")
-        live = values[nonempty]
-        if live.size == 0:
+        nrows, ncells = values.shape
+        live = nonempty.sum(axis=1)
+        if not live.all():
             raise InputError("cannot index an all-empty column")
-        uticks, ucounts = np.unique(live, return_counts=True)
-        binning = equi_depth_exact(uticks, ucounts, bins)
-        k = binning.nbins
-        ubins = binning.bin_of(uticks)
-        span_lo = np.full(k, np.inf)
-        span_hi = np.full(k, -np.inf)
-        np.minimum.at(span_lo, ubins, uticks)
-        np.maximum.at(span_hi, ubins, uticks)
-        binidx = np.full(values.shape, -1, np.int64)
-        binidx[nonempty] = binning.bin_of(live)
-        if ebm is None:
-            ebm = BitVector.from_dense(nonempty)
-        bitmaps = []
-        if encoding == "equality":
-            for j in range(k):
-                bitmaps.append(BitVector.from_dense(binidx == j))
-        elif encoding == "range":
-            for j in range(k - 1):
-                bitmaps.append(BitVector.from_dense((binidx >= 0) & (binidx <= j)))
-        else:
-            m = -(-k // 2)
-            for s in range(m):
-                bitmaps.append(BitVector.from_dense((binidx >= s) & (binidx <= s + m - 1)))
-        return cls(binning, encoding, bitmaps, span_lo, span_hi, ebm)
+        # empties become NaN, which sorts last and compares false
+        cells = np.where(nonempty, values, np.nan)
+        ordered = np.sort(cells, axis=1)
+        if np.isnan(ordered[np.arange(nrows), live - 1]).any():
+            raise InputError("cannot index NaN values")
+
+        # each row's histogram: its distinct values and their counts
+        first = np.empty((nrows, ncells), bool)
+        first[:, 0] = True
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+        first &= np.arange(ncells) < live[:, None]
+        at = np.flatnonzero(first)  # flat position of each distinct value
+        row_start = np.searchsorted(at, np.arange(nrows) * ncells)
+        # a value's run ends at the next distinct value or its row's last live cell
+        stop = np.append(at[1:], 0)
+        stop[np.append(row_start[1:], at.size) - 1] = np.arange(nrows) * ncells + live
+        uniq = ordered.reshape(-1)[at]
+        binnings, edges = equi_depth_exact(uniq, stop - at, bins, row_start)
+
+        # a bin's span runs from its first distinct value to its last; an
+        # empty bin keeps (inf, -inf).  A row's last bin is never empty.
+        filled = edges[1:] > edges[:-1]
+        span_lo = np.where(filled, uniq[edges[:-1]], np.inf)
+        span_hi = np.where(filled, uniq[edges[1:] - 1], -np.inf)
+
+        # bitmaps: bin j holds the cells x with t_j <= x < t_j+1, where t_0
+        # is -inf, t_k is NaN (so the top bin keeps a live +inf) and the
+        # others are the kept midpoints.  With plane j = (x >= t_j), the
+        # cells of bins [lo, hi] are plane lo XOR plane hi + 1, and the
+        # non-empty mask, bins [0, k - 1], comes first.  Rows with one bin
+        # count share their planes' layout and are encoded together.
+        nbins = np.array([b.nbins for b in binnings])
+        first_bin = np.cumsum(nbins) - nbins
+        vecs = [None] * nrows
+        for k in np.unique(nbins).tolist():
+            rows = np.flatnonzero(nbins == k)
+            lo, hi = _WINDOWS[encoding](k)
+            cuts = np.empty((rows.size, k + 1))
+            cuts[:, 0] = -np.inf
+            cuts[:, 1:k] = [binnings[r].boundaries[1:-1] for r in rows.tolist()]
+            cuts[:, k] = np.nan
+            step = max(1, _BATCH_CELLS // (ncells * (k + 1)))
+            for a in range(0, rows.size, step):
+                part = rows[a : a + step]
+                planes = cells[part, None, :] >= cuts[a : a + step, :, None]
+                bits = np.empty((part.size, 1 + len(range(k + 1)[hi]), ncells), bool)
+                bits[:, 0] = nonempty[part]
+                np.bitwise_xor(planes[:, lo], planes[:, hi], out=bits[:, 1:])
+                got = BitVector.from_dense(bits.reshape(-1, ncells))
+                for i, r in enumerate(part.tolist()):
+                    vecs[r] = got[i * bits.shape[1] : (i + 1) * bits.shape[1]]
+
+        leaves = []
+        for r, (binning, fb) in enumerate(zip(binnings, first_bin.tolist())):
+            k = binning.nbins
+            leaves.append(cls(binning, encoding, vecs[r][1:], span_lo[fb : fb + k],
+                              span_hi[fb : fb + k], vecs[r][0]))
+        return leaves
 
     # -- bin-range evaluation ------------------------------------------
 
@@ -496,17 +548,31 @@ class PlainLeaf:
     binning = None
 
 
-def build_leaf_index(chunk: Chunk, attr: str, bins: int, encoding: str, e: int = 4):
-    """Index one chunk, or fall back to a plain value list below e*bins cells."""
-    if chunk.nonempty_count == 0:
-        return None
-    vals = chunk.values_flat(attr)
-    live = vals[chunk.nonempty.reshape(-1)]
-    if chunk.nonempty_count < e * bins:
-        return PlainLeaf(float(live.min()), float(live.max()), chunk.nonempty_count)
-    return BinnedBitmapIndex.build(
-        vals, chunk.nonempty.reshape(-1), bins, encoding, ebm=chunk.empty_mask
-    )
+def build_leaf_index(chunks, attr: str, bins: int, encoding: str, e: int = 4) -> list:
+    """The leaf of each chunk, in order: None for a chunk with no non-empty
+    cell, a plain value list below e*bins non-empty cells, else its binned
+    bitmap index.  Chunks of one cell count are indexed together, up to
+    _BATCH_CELLS cells per pass."""
+    leaves = [None] * len(chunks)
+    by_size: dict = {}
+    for i, chunk in enumerate(chunks):
+        n = chunk.nonempty_count
+        if n == 0:
+            continue
+        if n < e * bins:
+            live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
+            leaves[i] = PlainLeaf(float(live.min()), float(live.max()), n)
+        else:
+            by_size.setdefault(chunk.nonempty.size, []).append(i)
+    for ncells, members in by_size.items():
+        step = max(1, _BATCH_CELLS // ncells)
+        for a in range(0, len(members), step):
+            part = members[a : a + step]
+            values = np.stack([chunks[i].values_flat(attr) for i in part])
+            nonempty = np.stack([chunks[i].nonempty.reshape(-1) for i in part])
+            for i, leaf in zip(part, BinnedBitmapIndex.build_rows(values, nonempty, bins, encoding)):
+                leaves[i] = leaf
+    return leaves
 
 
 def in_runs(vals: np.ndarray, runs) -> np.ndarray:

@@ -213,7 +213,7 @@ def _cmd_query(args) -> int:
             ids = rs.cell_ids(idx.store)
             coords = np.stack(np.unravel_index(ids, idx.schema.shape), axis=1)
             for row, cid in zip(coords, ids):
-                print(",".join(map(str, row)) + f",{attr[cid]!r}")
+                print(",".join(map(str, row)) + f",{attr[cid].item()!r}")
     return 0
 
 

@@ -174,40 +174,108 @@ class TreeNode:
         over_alive_strict = self.child_mask if j < 0 else self.al_masks[j]
         return self.child_mask & ~over_alive_strict
 
-    def _intervals(self, bounds, masks) -> list:
-        rb = self.binning.boundaries
-        out = []
-        for j in range(1, len(bounds)):
-            k = int(np.searchsorted(rb, bounds[j]))
-            out.append(((float(rb[k - 1]), float(bounds[j])), masks[j]))
-        return out
 
-    def r_plus_intervals(self) -> list:
-        """Merged intervals in which children are added, with their masks."""
-        return self._intervals(self.sp_bounds, self.sp_masks)
+def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
+    """Bin weights over `bounds`: each child's bin weights spread evenly
+    over its bins (a point-mass child's weight lands in the one bin holding
+    it), summed per bin in child order.
 
-    def r_minus_intervals(self) -> list:
-        """Merged intervals in which children stop, with the survivors' masks."""
-        return self._intervals(self.al_bounds, self.al_masks)
-
-
-def _child_cdf(bounds: np.ndarray, cb: Binning) -> np.ndarray:
-    """A child's cumulative weight at each bound, each bin's weight spread
-    evenly over the bin.
-
-    np.interp's slope (weight / width) overflows to inf on a subnormally
-    narrow bin, so points it leaves non-finite are placed by their fraction
-    of the bin instead.
+    A child's cumulative weight at a bound is `np.interp` over its bin
+    edges, evaluated for every (child, bound) pair at once with the same
+    arithmetic.  Its slope (weight / width) overflows to inf on a
+    subnormally narrow bin, so points left non-finite are placed by their
+    fraction of the bin instead.  Only bounds inside a child's range can
+    move its cumulative weight; every other term is an exact zero and is
+    skipped, which leaves each sum unchanged.
     """
-    cum = np.concatenate(([0.0], np.cumsum(cb.weights)))
-    cdf = np.interp(bounds, cb.boundaries, cum)
-    bad = ~np.isfinite(cdf)
-    if bad.any():
-        x = bounds[bad]
-        j = np.clip(np.searchsorted(cb.boundaries, x, side="right") - 1, 0, cb.nbins - 1)
-        lo, hi = cb.boundaries[j], cb.boundaries[j + 1]
-        cdf[bad] = cum[j] + cb.weights[j] * np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-    return cdf
+    edges, wts = [], []
+    for c in nodes:
+        cb = getattr(c, "binning", None)
+        if cb is None:
+            edges.append(np.array([c.amin, c.amax]))
+            wts.append(np.array([float(c.count)]))
+        else:
+            edges.append(cb.boundaries)
+            wts.append(cb.weights)
+    sizes = np.array([w.size for w in wts])
+    xp = np.concatenate(edges)
+    xoff = np.cumsum(sizes + 1) - (sizes + 1)
+    woff = xoff - np.arange(sizes.size)
+    w = np.concatenate(wts)
+    padded = np.zeros((sizes.size, sizes.max()))
+    padded[np.arange(sizes.max()) < sizes[:, None]] = w
+    fp = np.zeros((sizes.size, sizes.max() + 1))
+    np.cumsum(padded, axis=1, out=fp[:, 1:])  # each child's own running sum
+    fp = fp[np.arange(sizes.max() + 1) <= sizes[:, None]]
+    lo, hi = xp[xoff], xp[xoff + sizes]
+    point = lo == hi
+
+    # (child, bound) pairs from the last bound <= the child's min to the
+    # first bound >= its max
+    spread = np.flatnonzero(~point)
+    i0 = np.maximum(np.searchsorted(bounds, lo[spread], side="right") - 1, 0)
+    i1 = np.minimum(np.searchsorted(bounds, hi[spread], side="left"), bounds.size - 1)
+    n = i1 - i0 + 1
+    pc = np.repeat(spread, n)
+    pi = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - i0, n)
+    x = bounds[pi]
+    # each pair's bin j in its child: a search over all children's edges,
+    # as ranks offset by child so that the keys are one sorted array
+    ranks = np.unique(np.concatenate((xp, bounds)))
+    owner = np.repeat(np.arange(sizes.size), sizes + 1)
+    keys = owner * ranks.size + np.searchsorted(ranks, xp)
+    at = np.searchsorted(keys, pc * ranks.size + np.searchsorted(ranks, x), side="right")
+    j = np.clip(at - 1 - xoff[pc], 0, sizes[pc] - 1)
+    xj, xj1 = xp[xoff[pc] + j], xp[xoff[pc] + j + 1]
+    yj, yj1 = fp[xoff[pc] + j], fp[xoff[pc] + j + 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # np.interp's steps: the slope form, its retries when that is NaN,
+        # then exact values at an edge and outside the child's range
+        slope = (yj1 - yj) / (xj1 - xj)
+        cdf = slope * (x - xj) + yj
+        retry = np.isnan(cdf)
+        cdf[retry] = (slope * (x - xj1) + yj1)[retry]
+        flat = np.isnan(cdf) & (yj == yj1)
+        cdf[flat] = yj[flat]
+        cdf = np.where(x == xj, yj, cdf)
+        cdf = np.where(x <= lo[pc], 0.0, np.where(x >= hi[pc], fp[xoff[pc] + sizes[pc]], cdf))
+        bad = ~np.isfinite(cdf)
+        if bad.any():
+            frac = np.clip((x[bad] - xj[bad]) / (xj1[bad] - xj[bad]), 0.0, 1.0)
+            cdf[bad] = yj[bad] + w[woff[pc[bad]] + j[bad]] * frac
+    same = pc[1:] == pc[:-1]
+    child = pc[:-1][same]
+    slot = pi[:-1][same]
+    term = (cdf[1:] - cdf[:-1])[same]
+
+    mass = np.flatnonzero(point)
+    if mass.size:
+        child = np.concatenate((child, mass))
+        slot = np.concatenate((slot, np.minimum(
+            np.searchsorted(bounds, lo[mass], side="right") - 1, bounds.size - 2)))
+        term = np.concatenate((term, [float(wts[c].sum()) for c in mass.tolist()]))
+        order = np.argsort(child, kind="stable")
+        slot, term = slot[order], term[order]
+    weights = np.zeros(bounds.size - 1)
+    np.add.at(weights, slot, term)  # one term at a time, in child order
+    return weights
+
+
+def _range_table(rb: np.ndarray, hit: np.ndarray, slots: np.ndarray, total: int):
+    """Boundaries where the set of hit children changes, with those sets as
+    child-slot masks; hit is (boundaries, children)."""
+    keep = np.ones(rb.size, bool)
+    keep[1:] = (hit[1:] != hit[:-1]).any(axis=1)
+    return rb[keep], _slot_masks(hit[keep], slots, total)
+
+
+def _slot_masks(hit: np.ndarray, slots: np.ndarray, total: int) -> list:
+    """Each row of a (rows, children) boolean array as an int with bit
+    `slots[i]` set where column i is."""
+    dense = np.zeros((hit.shape[0], total), bool)
+    dense[:, slots] = hit
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def build_internal_node(
@@ -220,53 +288,23 @@ def build_internal_node(
     """
     if not children:
         raise InputError("an internal node needs at least one child")
-    ndim = fanout.ndim
-    mins = np.array([c.amin for _, c in children])
-    maxs = np.array([c.amax for _, c in children])
     slots = np.array([s for s, _ in children])
-    child_mask = 0
-    for s in slots:
-        child_mask |= 1 << int(s)
-    extent = tuple(
-        (min(c.extent[d][0] for _, c in children), max(c.extent[d][1] for _, c in children))
-        for d in range(ndim)
-    )
-    count = int(sum(c.count for _, c in children))
+    nodes = [c for _, c in children]
+    mins = np.array([c.amin for c in nodes])
+    maxs = np.array([c.amax for c in nodes])
+    ext = np.array([c.extent for c in nodes]).reshape(len(nodes), fanout.ndim, 2)
+    extent = tuple(zip(ext[:, :, 0].min(axis=0).tolist(), ext[:, :, 1].max(axis=0).tolist()))
+    count = int(sum(c.count for c in nodes))
 
     bounds = np.unique(np.concatenate((mins, maxs)))
     if bounds.size == 1:
         binning = Binning(np.array([bounds[0], bounds[0]]), np.array([float(count)]))
     else:
-        weights = np.zeros(bounds.size - 1)
-        for _, child in children:
-            cb = getattr(child, "binning", None)
-            if cb is None:
-                cb = Binning(np.array([child.amin, child.amax]), np.array([float(child.count)]))
-            if cb.lo == cb.hi:  # point mass: assign to exactly one interval
-                j = min(int(np.searchsorted(bounds, cb.lo, side="right")) - 1, bounds.size - 2)
-                weights[j] += cb.total_weight
-            else:
-                weights += np.diff(_child_cdf(bounds, cb))
-        binning = merge_bins_iterative(Binning(bounds, weights), bins)
+        binning = merge_bins_iterative(Binning(bounds, _spread_weights(bounds, nodes)), bins)
 
     rb = binning.boundaries
-    sp_bounds, sp_masks = [], []
-    al_bounds, al_masks = [], []
-    for b in rb:
-        started = 0
-        alive = 0
-        for (s, _), mn, mx in zip(children, mins, maxs):
-            if mn <= b:
-                started |= 1 << int(s)
-            if mx >= b:
-                alive |= 1 << int(s)
-        if not sp_masks or started != sp_masks[-1]:
-            sp_bounds.append(float(b))
-            sp_masks.append(started)
-        if not al_masks or alive != al_masks[-1]:
-            al_bounds.append(float(b))
-            al_masks.append(alive)
-
+    sp_bounds, sp_masks = _range_table(rb, mins[None, :] <= rb[:, None], slots, fanout.total)
+    al_bounds, al_masks = _range_table(rb, maxs[None, :] >= rb[:, None], slots, fanout.total)
     return TreeNode(
         level=level,
         z=0,  # assigned by the builder, which knows the level's bit width
@@ -275,11 +313,11 @@ def build_internal_node(
         amin=float(mins.min()),
         amax=float(maxs.max()),
         count=count,
-        child_mask=child_mask,
+        child_mask=_slot_masks(np.ones((1, slots.size), bool), slots, fanout.total)[0],
         binning=binning,
-        sp_bounds=np.array(sp_bounds),
+        sp_bounds=sp_bounds,
         sp_masks=sp_masks,
-        al_bounds=np.array(al_bounds),
+        al_bounds=al_bounds,
         al_masks=al_masks,
     )
 
@@ -373,9 +411,11 @@ class _BlockLevel:
 class Index:
     """A built tree over a chunk store, navigable by (level, z-index)."""
 
-    def __init__(self, schema, store, fanout, bins, e, leaf_encoding, dense_levels, levels):
+    def __init__(self, schema, store, attribute, fanout, bins, e, leaf_encoding, dense_levels,
+                 levels):
         self.schema = schema
         self.store = store
+        self.attribute = attribute
         self.fanout = fanout
         self.bins = bins
         self.e = e
@@ -430,8 +470,7 @@ class Index:
         if fanout is None:
             fanout = 64 if ndim <= 3 else 256
         fo = Fanout.from_total(fanout, ndim)
-        idx = cls(schema, store, fo, bins, e, leaf_encoding, dense_levels, [])
-        idx.attribute = attribute
+        idx = cls(schema, store, attribute, fo, bins, e, leaf_encoding, dense_levels, [])
         if store.chunks:
             idx._rebuild_all()
         return idx
@@ -454,8 +493,9 @@ class Index:
         depth = self._tree_depth()
         bits = self.fanout.bits
         leaves = {}
-        for chunk in self.store.iter_chunks():
-            leaf = build_leaf_index(chunk, self.attribute, self.bins, self.leaf_encoding, self.e)
+        chunks = list(self.store.iter_chunks())
+        built = build_leaf_index(chunks, self.attribute, self.bins, self.leaf_encoding, self.e)
+        for chunk, leaf in zip(chunks, built):
             if leaf is None:
                 continue
             z = zorder_encode(chunk.coords, bits * depth)
@@ -534,13 +574,13 @@ class Index:
         while len(level_nodes) < depth + 1:
             level_nodes.append({})
         affected = set()
-        for coords in sorted(additions.chunks):
-            chunk = additions.chunks[coords]
-            leaf = build_leaf_index(chunk, self.attribute, self.bins, self.leaf_encoding, self.e)
+        chunks = [additions.chunks[coords] for coords in sorted(additions.chunks)]
+        built = build_leaf_index(chunks, self.attribute, self.bins, self.leaf_encoding, self.e)
+        for chunk, leaf in zip(chunks, built):
             if leaf is None:
                 continue
-            z = zorder_encode(coords, bits * depth)
-            level_nodes[0][z] = LeafEntry(coords, z, chunk.extent, leaf)
+            z = zorder_encode(chunk.coords, bits * depth)
+            level_nodes[0][z] = LeafEntry(chunk.coords, z, chunk.extent, leaf)
             affected.add(z >> slot_bits)
 
         for level in range(1, depth + 1):
@@ -590,7 +630,7 @@ class Index:
                 },
             },
             "params": {
-                "attribute": getattr(self, "attribute", self.schema.attributes[0][0]),
+                "attribute": self.attribute,
                 "bins": self.bins,
                 "e": self.e,
                 "leaf_encoding": self.leaf_encoding,
@@ -639,7 +679,7 @@ class Index:
         return bytes(out)
 
     @staticmethod
-    def _unpack_node(buf, pos, level, ndim, mask_bytes, fanout) -> tuple:
+    def _unpack_node(buf, pos, level, ndim, mask_bytes) -> tuple:
         z = struct.unpack_from("<Q", buf, pos)[0]
         pos += 8
         extent = []
@@ -685,7 +725,8 @@ class Index:
         )
         return node, pos
 
-    def _pack_leaf(self, z, entry: LeafEntry, ndim) -> bytes:
+    @staticmethod
+    def _pack_leaf(z, entry: LeafEntry, ndim) -> bytes:
         out = bytearray()
         out += struct.pack("<Q", z)
         for c in entry.coords:
@@ -794,10 +835,9 @@ class Index:
             pos += struct.calcsize("<IBQQQ")
         fo = Fanout(params["fanout_per_dim"], schema.ndim) if params["fanout_per_dim"] else None
         idx = cls(
-            schema, None, fo, params["bins"], params["e"], params["leaf_encoding"],
-            params["dense_levels"], [],
+            schema, None, params["attribute"], fo, params["bins"], params["e"],
+            params["leaf_encoding"], params["dense_levels"], [],
         )
-        idx.attribute = params["attribute"]
         mask_bytes = -(-fo.total // 8) if fo else 1
         ndim = schema.ndim
         depth = nlevels - 1
@@ -812,7 +852,7 @@ class Index:
                     entry, p = cls._unpack_leaf(buf, p, ndim)
                     nodes[entry.z] = entry
                 else:
-                    node, p = cls._unpack_node(buf, p, level, ndim, mask_bytes, fo)
+                    node, p = cls._unpack_node(buf, p, level, ndim, mask_bytes)
                     node.coords = zorder_decode(node.z, ndim, fo.bits * (depth - level))
                     nodes[node.z] = node
             if p != offset + size:
@@ -837,7 +877,3 @@ def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | N
                 dense_levels: int = 2) -> Index:
     """Build the full tree bottom-up over a chunk store."""
     return Index.build(store, attribute, fanout, bins, leaf_encoding, e, dense_levels)
-
-
-def precompute_dimension_bitmaps(fanout: Fanout) -> DimensionBitmaps:
-    return DimensionBitmaps(fanout)

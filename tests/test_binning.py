@@ -87,29 +87,31 @@ def test_equi_width_degenerate():
 
 
 def test_equi_depth_uniform():
-    b = equi_depth_exact(np.arange(16.0), np.full(16, 3.0), 4)
+    (b,), _ = equi_depth_exact(np.arange(16.0), np.full(16, 3.0), 4)
     assert b.nbins == 4
     assert np.allclose(b.weights, 12.0)
 
 
 def test_equi_depth_single_value():
-    b = equi_depth_exact([5.0], [9.0], 8)
+    (b,), _ = equi_depth_exact([5.0], [9.0], 8)
     assert b.nbins == 1
     assert b.lo == b.hi == 5.0
     assert b.total_weight == 9.0
 
 
 def test_equi_depth_low_cardinality():
-    b = equi_depth_exact([1.0, 2.0, 5.0], [4, 4, 4], 8)
+    (b,), edges = equi_depth_exact([1.0, 2.0, 5.0], [4, 4, 4], 8)
     assert b.nbins == 3
     assert np.array_equal(b.bin_of([1.0, 2.0, 5.0]), [0, 1, 2])
+    assert np.array_equal(edges, [0, 1, 2, 3])
 
 
 def test_equi_depth_zipf_balance():
     rng = np.random.default_rng(11)
     values = np.arange(1.0, 10_001.0)
     counts = np.floor(10_000.0 / values) + rng.integers(0, 3, size=10_000)
-    b = equi_depth_exact(values, counts, 16)
+    (b,), edges = equi_depth_exact(values, counts, 16)
+    assert np.array_equal(np.repeat(np.arange(b.nbins), np.diff(edges)), b.bin_of(values))
     quota = counts.sum() / 16
     heavy = counts.max() > quota
     if not heavy:

@@ -148,7 +148,7 @@ def test_build_leaf_index_threshold():
     vals = np.full((4, 4), np.nan)
     vals[0, :3] = [1.0, 2.0, 3.0]
     store = store_from(vals)
-    leaf = build_leaf_index(store.chunks[(0, 0)], "a", bins=4, encoding="interval", e=4)
+    leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, encoding="interval", e=4)[0]
     assert isinstance(leaf, PlainLeaf)
     assert leaf.count == 3 and leaf.amin == 1.0 and leaf.amax == 3.0
 
@@ -157,10 +157,10 @@ def test_build_leaf_index_constant_chunk():
     vals = np.full((4, 4), 7.0)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index(chunk, "a", bins=8, encoding="interval", e=1)
+    leaf = build_leaf_index([chunk], "a", bins=8, encoding="interval", e=1)[0]
     assert leaf.nbins == 1
     assert len(leaf.bitmaps) == 1
-    assert leaf.bitmaps[0] == chunk.empty_mask
+    assert leaf.bitmaps[0] == BitVector.from_dense(chunk.nonempty.reshape(-1))
 
 
 def test_equality_bitmaps_partition_the_chunk():
@@ -169,14 +169,14 @@ def test_equality_bitmaps_partition_the_chunk():
     vals[rng.random((8, 8)) < 0.2] = np.nan
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index(chunk, "a", bins=8, encoding="equality", e=1)
+    leaf = build_leaf_index([chunk], "a", bins=8, encoding="equality", e=1)[0]
     union = BitVector.zeros(chunk.cell_count)
     running = 0
     for bm in leaf.bitmaps:
         assert (bm & union).count_ones() == 0  # pairwise disjoint
         union = union | bm
         running += bm.count_ones()
-    assert union == chunk.empty_mask
+    assert union == BitVector.from_dense(chunk.nonempty.reshape(-1))
     assert running == chunk.nonempty_count
 
 
@@ -194,7 +194,7 @@ def test_leaf_query_matches_bruteforce(encoding):
         if not store.chunks:
             continue
         chunk = store.chunks[(0, 0)]
-        leaf = build_leaf_index(chunk, "a", bins=4, encoding=encoding, e=1)
+        leaf = build_leaf_index([chunk], "a", bins=4, encoding=encoding, e=1)[0]
         lo, hi = np.sort(rng.normal(size=2) * 10)
         dims = []
         for d in range(2):
@@ -229,7 +229,7 @@ def test_leaf_query_decodes_each_bitmap_once(monkeypatch, runs_of):
     monkeypatch.setattr(BitVector, "to_dense", lambda bv: decoded.append(id(bv)) or to_dense(bv))
     hits = fetches = candidate_fetches = 0
     for chunk in store.iter_chunks():
-        leaf = build_leaf_index(chunk, "a", 16, "range")
+        leaf = build_leaf_index([chunk], "a", 16, "range")[0]
         assert isinstance(leaf, BinnedBitmapIndex)
         decoded.clear()
         stats = QueryStats()
@@ -254,7 +254,7 @@ def test_leaf_query_full_range_returns_empty_mask():
     vals[0, 0] = np.nan
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index(chunk, "a", 8, "interval", e=1)
+    leaf = build_leaf_index([chunk], "a", 8, "interval", e=1)[0]
     stats = QueryStats()
     got = leaf_query(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], store, stats)
     assert np.array_equal(got, chunk.nonempty.reshape(-1))
@@ -265,7 +265,7 @@ def test_leaf_query_disjoint_range():
     vals = np.arange(16.0).reshape(4, 4)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index(chunk, "a", 4, "range", e=1)
+    leaf = build_leaf_index([chunk], "a", 4, "range", e=1)[0]
     got = leaf_query(chunk, leaf, "a", [(100.0, 200.0)], [None, None], store)
     assert np.array_equal(got, np.zeros(chunk.cell_count, bool))
 

@@ -94,6 +94,23 @@ def test_query_expand_prints_cells(tmp_path, capsys):
     assert cells[0].startswith("2,1,")
 
 
+@pytest.mark.parametrize("typ", ["float64", "int64"])
+def test_query_expand_prints_plain_numbers(tmp_path, capsys, typ):
+    rng = np.random.default_rng(3)
+    vals = rng.random((8, 8)) if typ == "float64" else rng.integers(0, 50, (8, 8))
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", typ),), (4, 4),
+                      {"a": -1} if typ == "int64" else {})
+    head = tmp_path / "arr.json"
+    write_raw(head, sch, {"a": vals})
+    idx = tmp_path / "arr.abix"
+    main(["build", "--data", str(head), "--index", str(idx), "--params", "bins=4", "fanout=16"])
+    capsys.readouterr()
+    rc = main(["query", "--index", str(idx), "--data", str(head),
+               "--where", "d0 = 5 and d1 = 6", "--expand"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"5,6,{vals[5, 6].item()!r}"
+
+
 def test_append_then_query_equals_fresh_build(tmp_path, capsys):
     rng = np.random.default_rng(5)
     sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))

@@ -14,12 +14,13 @@ from arraybit.hierindex import (
     DimensionBitmaps,
     Fanout,
     Index,
+    _spread_weights,
     build_index,
     build_internal_node,
-    precompute_dimension_bitmaps,
     zorder_decode,
     zorder_encode,
 )
+from testutil import reference_spread_weights
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ def test_zorder_roundtrip(seed, ndim, bits):
 
 
 def test_dimension_bitmaps_small():
-    dbm = precompute_dimension_bitmaps(Fanout(2, 2))
+    dbm = DimensionBitmaps(Fanout(2, 2))
     assert dbm.partial[0][0] == 0b0101  # children with x-slot 0
     assert dbm.partial[0][1] == 0b1010
     assert dbm.begin[0][0] == 0b1111  # every coordinate >= 0
@@ -98,15 +99,20 @@ def test_double_range_encoding_reference_layout(dummy_children):
         (3, Child(5.0, 8.0, 20)),
     ]
     node = build_internal_node(children, 1, (0,), Fanout(4, 1), bins=3)
-    assert np.array_equal(node.binning.boundaries, [1.0, 3.0, 6.0, 8.0])
-    rplus = node.r_plus_intervals()
-    assert [iv for iv, _ in rplus] == [(1.0, 3.0), (3.0, 6.0)]
-    assert rplus[0][1] == 0b0101
-    assert rplus[1][1] == 0b1111
-    rminus = node.r_minus_intervals()
-    assert [iv for iv, _ in rminus] == [(3.0, 6.0), (6.0, 8.0)]
-    assert rminus[0][1] == 0b1011  # third child (max 3) no longer alive
-    assert rminus[1][1] == 0b1000
+    rb = node.binning.boundaries
+    assert np.array_equal(rb, [1.0, 3.0, 6.0, 8.0])
+    # started table: the first child at 1, then the third in [1,3), the
+    # other two in [3,6); the merged interval of each entry ends at its bound
+    assert np.array_equal(node.sp_bounds, [1.0, 3.0, 6.0])
+    assert node.sp_masks == [0b0001, 0b0101, 0b1111]
+    prev = rb[np.searchsorted(rb, node.sp_bounds[1:]) - 1]
+    assert list(zip(prev, node.sp_bounds[1:])) == [(1.0, 3.0), (3.0, 6.0)]
+    # alive table: every child at 1, the third (max 3) stops in (3,6], the
+    # first two in (6,8]
+    assert np.array_equal(node.al_bounds, [1.0, 6.0, 8.0])
+    assert node.al_masks == [0b1111, 0b1011, 0b1000]
+    prev = rb[np.searchsorted(rb, node.al_bounds[1:]) - 1]
+    assert list(zip(prev, node.al_bounds[1:])) == [(3.0, 6.0), (6.0, 8.0)]
 
 
 def test_single_child_node(dummy_children):
@@ -372,6 +378,47 @@ def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
     node = build_internal_node([(0, narrow), (1, other)], 1, (0,), Fanout(2, 1), bins=16)
     assert np.isfinite(node.binning.weights).all()
     assert node.binning.total_weight == pytest.approx(248.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nchildren=st.integers(1, 40),
+       scale=st.sampled_from([1.0, 1e-3, 1e6, 1e-318]))
+def test_spread_weights_match_child_by_child_reference(seed, nchildren, scale):
+    """Every (child, bound) pair at once gives the bytes of one np.interp
+    per child added in child order, point masses and subnormal bins too."""
+
+    class Child:
+        def __init__(self, amin, amax, count):
+            self.amin, self.amax, self.count = amin, amax, count
+            self.binning = None
+
+    rng = np.random.default_rng(seed)
+    children = []
+    for _ in range(nchildren):
+        kind = int(rng.integers(0, 3))
+        lo = float(rng.normal() * scale)
+        if kind == 0:  # a point mass
+            children.append(Child(lo, lo, int(rng.integers(1, 50))))
+            continue
+        edges = np.unique(lo + np.abs(rng.normal(size=int(rng.integers(2, 18)))) * scale)
+        if edges.size < 2:
+            edges = np.array([lo, np.nextafter(lo, np.inf)])
+        child = Child(float(edges[0]), float(edges[-1]), 0)
+        if kind == 2:  # a binned child
+            w = rng.integers(0, 30, size=edges.size - 1).astype(float)
+            child.binning = Binning(edges, w)
+            child.count = int(w.sum())
+        else:  # a plain child, one bin [min, max]
+            child.count = int(rng.integers(1, 50))
+        children.append(child)
+    bounds = np.unique([v for c in children for v in (c.amin, c.amax)])
+    if bounds.size < 2:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference's own fallback
+        want = reference_spread_weights(bounds, children)
+    got = _spread_weights(bounds, children)
+    assert got.tobytes() == want.tobytes()
 
 
 def _index_file(tmp_path):

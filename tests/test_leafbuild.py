@@ -1,0 +1,100 @@
+"""The batched leaf builder against the per-chunk reference in testutil.
+
+Every leaf `build_leaf_index` returns must serialize to the same bytes as
+the leaf the reference builds from that chunk alone.  Stores mix clipped
+edge chunks, empty cells, constant chunks, low-cardinality chunks and
+values that stress the cuts: adjacent floats (whose midpoint rounds onto
+one of them), subnormals and a live infinity.  Zero is drawn only as +0.0:
+-0.0 equals it, and which of the two a sort keeps first is not fixed.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from arraybit import chunkstore
+from arraybit.bitvec import BitVector
+from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, build_leaf_index
+from arraybit.hierindex import Index, LeafEntry
+from testutil import reference_binned, reference_leaf
+
+
+def _leaf_bytes(chunk, leaf, ndim) -> bytes:
+    return Index._pack_leaf(0, LeafEntry(chunk.coords, 0, chunk.extent, leaf), ndim)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
+special = st.sampled_from([0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-310, 1.0, 1e300])
+
+
+@st.composite
+def value_pool(draw, integer: bool):
+    """The distinct values a store draws its cells from."""
+    if integer:
+        return np.array(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=40)), np.int64)
+    base = draw(st.lists(st.one_of(finite, special), min_size=1, max_size=30))
+    pool = []
+    for v in base:
+        pool.append(v)
+        for _ in range(draw(st.integers(0, 3))):  # a run of adjacent floats
+            pool.append(float(np.nextafter(pool[-1], np.inf)))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from([np.inf, -np.inf])))
+    return np.array(pool)
+
+
+@st.composite
+def stores(draw):
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(ndim))
+    chunk = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
+    integer = draw(st.booleans())
+    pool = draw(value_pool(integer))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = pool[rng.integers(0, pool.size, size=shape)]
+    if draw(st.booleans()):  # one constant block
+        vals[tuple(slice(0, c) for c in chunk)] = pool[0]
+    empty = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    typ = "int64" if integer else "float64"
+    vals[empty] = -1 if integer else np.nan
+    schema = ArraySchema(
+        tuple((f"d{i}", e) for i, e in enumerate(shape)),
+        (("a", typ),),
+        chunk,
+        {"a": -1} if integer else {},
+    )
+    return ChunkStore.from_dense(schema, {"a": vals})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    store=stores(),
+    bins=st.integers(1, 20),
+    encoding=st.sampled_from(["equality", "range", "interval"]),
+    e=st.integers(1, 4),
+    batch=st.sampled_from([1, 50, 1 << 20]),
+)
+def test_batched_leaves_match_per_chunk_reference(store, bins, encoding, e, batch):
+    chunks = list(store.iter_chunks())
+    with mock.patch.object(chunkstore, "_BATCH_CELLS", batch):
+        leaves = build_leaf_index(chunks, "a", bins, encoding, e)
+    assert len(leaves) == len(chunks)
+    ndim = store.schema.ndim
+    for chunk, leaf in zip(chunks, leaves):
+        want = reference_leaf(chunk, "a", bins, encoding, e)
+        assert _leaf_bytes(chunk, leaf, ndim) == _leaf_bytes(chunk, want, ndim), chunk.coords
+
+
+def test_one_column_build_matches_reference():
+    rng = np.random.default_rng(12)
+    vals = np.round(rng.normal(size=5000) * 30.0, 1)
+    nonempty = rng.random(5000) < 0.8
+    for encoding in ("equality", "range", "interval"):
+        got = BinnedBitmapIndex.build(vals, nonempty, 16, encoding)
+        want = reference_binned(vals, nonempty, 16, encoding)
+        assert got.binning == want.binning
+        assert np.array_equal(got.span_lo, want.span_lo)
+        assert np.array_equal(got.span_hi, want.span_hi)
+        assert got.ebm == want.ebm == BitVector.from_dense(nonempty)
+        assert got.bitmaps == want.bitmaps
