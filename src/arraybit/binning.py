@@ -183,13 +183,20 @@ def wsse(binning: Binning, target_total: float | None = None, bins: int | None =
 
 
 def _initial_equi_width_selection(boundaries: np.ndarray, bins: int) -> np.ndarray:
-    """Pick bins+1 distinct source boundaries nearest an equal-width grid."""
+    """Pick bins+1 distinct source boundaries nearest an equal-width grid.
+
+    The grid runs between the first and last finite boundaries; an infinite
+    first or last boundary stays the grid's end.
+    """
     nb = boundaries.size - 1
-    targets = np.linspace(boundaries[0], boundaries[-1], bins + 1)
+    finite = boundaries[np.isfinite(boundaries)]
+    targets = np.linspace(finite[0], finite[-1], bins + 1)
+    targets[0], targets[-1] = boundaries[0], boundaries[-1]
     chosen: list[int] = []
     used = np.zeros(nb + 1, bool)
     for t in targets:
-        idx = int(np.argmin(np.where(used, np.inf, np.abs(boundaries - t))))
+        dist = np.abs(np.subtract(boundaries, t, where=boundaries != t, out=np.zeros(nb + 1)))
+        idx = int(np.argmin(np.where(used, np.inf, dist)))
         used[idx] = True
         chosen.append(idx)
     return np.array(sorted(chosen))

@@ -787,7 +787,10 @@ class Index:
         for _ in range(nbm):
             bm, pos = _unpack_bitvector(buf, pos)
             bitmaps.append(bm)
-        idx = BinnedBitmapIndex(Binning(boundaries, weights), enc, bitmaps, span_lo, span_hi, ebm)
+        if count > len(ebm):
+            raise DataError(f"leaf {z} counts {count} cells in a {len(ebm)}-cell chunk")
+        idx = BinnedBitmapIndex(Binning(boundaries, weights), enc, bitmaps, span_lo, span_hi, ebm,
+                                count)
         return LeafEntry(tuple(coords), z, tuple(extent), idx), pos
 
     @classmethod

@@ -13,6 +13,7 @@ from arraybit.chunkstore import (
     delocate,
     ingest_csv,
     leaf_query,
+    leaf_query_bitmaps,
     load_store,
     locate,
     write_raw,
@@ -91,6 +92,50 @@ def test_clipped_boundary_chunks():
     assert store.chunks[(1, 2)].shape == (3, 2)
     assert store.chunks[(0, 0)].shape == (4, 4)
     assert np.array_equal(store.dense("a"), vals)
+
+
+def test_chunk_arrays_are_read_only_and_owned():
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=(16, 12)) * 10.0
+    vals[rng.random(vals.shape) < 0.2] = np.nan
+    vals[0:4, 8:12] = np.nan
+    vals[0, 8:11] = [1.0, 2.0, 3.0]  # a plain leaf
+    source = vals.copy()
+    sch = ArraySchema((("d0", 16), ("d1", 12)), (("a", "float64"),), (4, 4))
+    store = ChunkStore.from_dense(sch, {"a": source})
+    source[:] = 0.0  # the store holds copies of its input
+    assert np.array_equal(store.dense("a"), vals, equal_nan=True)
+    for chunk in store.chunks.values():
+        for arr in (chunk.values["a"], chunk.nonempty, chunk.values_flat("a"),
+                    chunk.nonempty.reshape(-1)):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    # build, append, every query kind and estimate only read the store
+    from arraybit.baseline import full_scan
+    from arraybit.hierindex import build_index
+    from arraybit.query import RawQuery, estimate, execute, membership, normalize
+
+    first = ChunkStore(sch.with_extents((8, 12)),
+                       {c: ch for c, ch in store.chunks.items() if c[0] < 2})
+    idx = build_index(first, fanout=4, bins=4, leaf_encoding="interval", e=1)
+    idx.append(ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[0] >= 2}))
+    assert {type(e.leaf).__name__ for _, e in idx.levels[0].items()} == {
+        "PlainLeaf", "BinnedBitmapIndex"}
+    live = vals[~np.isnan(vals)]
+    raws = [
+        RawQuery(attr_lo=-5.0, attr_hi=8.0, dims={"d0": (1, 13)}),
+        RawQuery(values=(2.0, float(live[3]), float(live[40])), dims={"d1": (2, 10)}),
+        RawQuery(dims={"d1": (3, 9)}),
+    ]
+    for raw in raws:
+        q = normalize(raw, sch, (idx.root.amin, idx.root.amax))
+        want = full_scan(store, "a", q)
+        run = membership if q.values else execute
+        assert np.array_equal(run(idx, q).cell_ids(store), want)
+        assert estimate(idx, q, idx.depth) == (want.size, want.size)
+        lo, hi = estimate(idx, q, 0)
+        assert lo <= want.size <= hi
 
 
 def test_slab_cached_and_correct():
@@ -201,7 +246,8 @@ def test_leaf_query_matches_bruteforce(encoding):
             dlo = int(rng.integers(0, shape[d]))
             dhi = int(rng.integers(dlo, shape[d]))
             dims.append((dlo, dhi))
-        got = leaf_query(chunk, leaf, "a", [(lo, hi)], dims, store, QueryStats())
+        assert isinstance(leaf, BinnedBitmapIndex)
+        got = leaf_query_bitmaps(chunk, leaf, "a", [(lo, hi)], dims, store, QueryStats())
         flat = vals.reshape(-1)
         coords = np.indices(shape).reshape(2, -1)
         want = (
@@ -213,6 +259,7 @@ def test_leaf_query_matches_bruteforce(encoding):
         )
         assert got.dtype == bool and got.shape == (chunk.cell_count,)
         assert np.array_equal(got, want), (encoding, trial)
+        assert np.array_equal(leaf_query(chunk, leaf, "a", [(lo, hi)], dims, store), want)
 
 
 @pytest.mark.parametrize("runs_of", ["value", "two_values"])
@@ -233,7 +280,7 @@ def test_leaf_query_decodes_each_bitmap_once(monkeypatch, runs_of):
         assert isinstance(leaf, BinnedBitmapIndex)
         decoded.clear()
         stats = QueryStats()
-        got = leaf_query(chunk, leaf, "a", runs, [None, None], store, stats)
+        got = leaf_query_bitmaps(chunk, leaf, "a", runs, [None, None], store, stats)
         assert len(decoded) <= 2
         assert len(set(decoded)) == len(decoded)  # no bitmap decoded twice
         assert stats.bitmap_fetches + stats.candidate_bitmap_fetches == len(decoded)

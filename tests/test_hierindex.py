@@ -454,3 +454,39 @@ def test_truncated_index_fails_with_data_error(tmp_path):
         with pytest.raises(DataError):
             Index.load(path, store=store)
         assert main(["query", "--index", str(path), "--where", ""]) == 2, where
+
+
+def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
+    # a binned leaf takes its non-empty count from the file, not from its
+    # bitmap; a count the chunk cannot hold is refused
+    store, idx, raw = _index_file(tmp_path)
+    meta_len = struct.unpack_from("<Q", raw, 8)[0]
+    level0 = struct.unpack_from("<IBQQQ", raw, 16 + meta_len + 4)[3]
+    kind_at = level0 + 8 + 8 * 2 + 16 * 2  # after z, coords and extent
+    kind, _, _, count = struct.unpack_from("<BddQ", raw, kind_at)
+    leaf = next(iter(idx.levels[0].items()))[1].leaf
+    assert kind == 1 and count == leaf.count == leaf.length == 64
+    for bad, ok in ((64, True), (65, False)):
+        path = tmp_path / f"count-{bad}.abix"
+        path.write_bytes(raw[:kind_at + 17] + struct.pack("<Q", bad) + raw[kind_at + 25:])
+        if ok:
+            assert Index.load(path, store=store).serialize() == raw
+        else:
+            with pytest.raises(DataError, match="counts 65 cells"):
+                Index.load(path, store=store)
+
+
+def test_infinite_cell_gives_finite_root_weights():
+    # the equal-width start of the root's bin merge runs between its finite
+    # source boundaries; a live +inf is the last boundary, not a target
+    vals = np.random.default_rng(0).normal(size=(32, 32))
+    vals[5, 7] = np.inf
+    sch = ArraySchema((("d0", 32), ("d1", 32)), (("a", "float64"),), (8, 8))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        idx = build_index(store, fanout=16, bins=8)
+    root = idx.root
+    assert root.amax == np.inf and root.binning.boundaries[-1] == np.inf
+    assert np.isfinite(root.binning.weights).all()
+    assert root.binning.total_weight == pytest.approx(root.count) and root.count == 1024

@@ -1,0 +1,179 @@
+"""Leaf resolution: the box scan of `leaf_query` and the bitmap resolver
+it replaced, against a numpy brute force."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from arraybit.chunkstore import (
+    ArraySchema,
+    ChunkStore,
+    PlainLeaf,
+    QueryStats,
+    build_leaf_index,
+    leaf_query,
+    leaf_query_bitmaps,
+)
+from arraybit.query import value_runs
+
+SENTINEL = 7  # the int64 empty value; "narrow" data has live values either side
+
+
+def _store(rng, ndim, dtype, values):
+    """A store over a random shape whose edge chunks are clipped.
+
+    `values` picks the int64 data: "narrow" levels 0-20 (the sentinel 7 lies
+    between live values), "wide" ones spread far beyond a chunk's cell
+    count, "big" ones near 2^53.
+    """
+    chunk = tuple(int(c) for c in rng.integers(2, 7, ndim))
+    shape = tuple(int(c * rng.integers(1, 3) + rng.integers(0, c)) for c in chunk)
+    if dtype == "float64":
+        vals = np.round(rng.normal(size=shape) * 10.0, int(rng.integers(0, 3)))
+        vals[rng.random(shape) < 0.3] = np.nan
+        empty = {}
+    else:
+        if values == "narrow":
+            vals = rng.integers(0, 21, size=shape)
+        elif values == "wide":
+            vals = rng.integers(-10**6, 10**6, size=shape)
+        else:
+            vals = 2**53 - rng.integers(0, 40, size=shape)
+        vals[vals == SENTINEL] = SENTINEL + 1
+        vals[rng.random(shape) < 0.3] = SENTINEL
+        empty = {"a": SENTINEL}
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", dtype),),
+                      chunk, empty)
+    return ChunkStore.from_dense(sch, {"a": vals})
+
+
+def _runs(rng, live, dtype, kind):
+    """A single run, or the runs of a value set of live values, absent
+    values and (on int64) non-integral ones."""
+    if kind == "run":
+        lo, hi = np.sort(rng.choice(live, 2))
+        lo = -np.inf if rng.random() < 0.2 else float(lo) - float(rng.random() < 0.5) * 0.5
+        hi = np.inf if rng.random() < 0.2 else float(hi)
+        return [(lo, hi)]
+    picks = [float(v) for v in rng.choice(live, int(rng.integers(1, 7)))]
+    picks.append(float(np.max(live)) + 3.0)
+    if dtype == "int64":
+        picks += [float(v) + 0.5 for v in rng.choice(live, 2)]
+        picks += [float(v) + 1.0 for v in picks[:2]]  # neighbours coalesce into stretches
+    return list(value_runs(picks, dtype == "int64"))
+
+
+def _box(rng, shape):
+    """Chunk-local ranges meeting the chunk, some reaching past its edges."""
+    out = []
+    for s in shape:
+        r = rng.random()
+        if r < 0.2:
+            out.append(None)
+        elif r < 0.4:
+            out.append((-int(rng.integers(0, 3)), s - 1 + int(rng.integers(0, 3))))
+        else:
+            lo = int(rng.integers(-2, s))
+            out.append((lo, int(rng.integers(max(lo, 0), s + 2))))
+    return out
+
+
+def _brute(chunk, runs, box):
+    vals = chunk.values["a"]
+    hit = np.zeros(vals.shape, bool)
+    for lo, hi in runs:
+        hit |= (vals >= lo) & (vals <= hi)
+    hit &= chunk.nonempty
+    for d, rng in enumerate(box):
+        if rng is not None:
+            at = np.arange(chunk.shape[d]).reshape([-1 if i == d else 1 for i in range(hit.ndim)])
+            hit &= (at >= rng[0]) & (at <= rng[1])
+    return hit.reshape(-1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(1, 3),
+    dtype=st.sampled_from(["float64", "int64"]),
+    values=st.sampled_from(["narrow", "wide", "big"]),
+    encoding=st.sampled_from(["equality", "range", "interval"]),
+    bins=st.sampled_from([1, 2, 4, 8]),
+    kind=st.sampled_from(["run", "set"]),
+    plain=st.booleans(),
+)
+@example(seed=0, ndim=2, dtype="int64", values="narrow", encoding="equality", bins=4,
+         kind="set", plain=False)
+@example(seed=1, ndim=3, dtype="int64", values="wide", encoding="interval", bins=8,
+         kind="set", plain=False)
+@example(seed=2, ndim=1, dtype="float64", values="narrow", encoding="range", bins=4,
+         kind="set", plain=True)
+def test_resolvers_match_brute_force(seed, ndim, dtype, values, encoding, bins, kind, plain):
+    rng = np.random.default_rng(seed)
+    store = _store(rng, ndim, dtype, values)
+    chunks = list(store.iter_chunks())
+    # e large enough makes every leaf plain
+    leaves = build_leaf_index(chunks, "a", bins, encoding, e=10**6 if plain else 1)
+    for chunk, leaf in zip(chunks, leaves):
+        live = chunk.values["a"][chunk.nonempty]
+        for _ in range(4):
+            runs = _runs(rng, live, dtype, kind)
+            box = _box(rng, chunk.shape)
+            want = _brute(chunk, runs, box)
+            stats = QueryStats()
+            got = leaf_query(chunk, leaf, "a", runs, box, store, stats)
+            assert got.dtype == bool and got.shape == (chunk.cell_count,)
+            assert np.array_equal(got, want)
+            assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
+            if not isinstance(leaf, PlainLeaf):
+                assert np.array_equal(leaf_query_bitmaps(chunk, leaf, "a", runs, box, store), want)
+
+
+def _float_chunk(shape, seed=0):
+    vals = np.random.default_rng(seed).normal(size=shape) * 10.0
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", "float64"),),
+                      shape)
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    return store, store.chunks[(0,) * len(shape)]
+
+
+def test_leaf_query_scans_without_reading_bitmaps():
+    store, chunk = _float_chunk((16, 16, 16))
+    leaf = build_leaf_index([chunk], "a", 16, "range")[0]
+    runs = [(leaf.amin, float(leaf.span_hi[3]))]  # one bitmap for the resolver
+    stats = QueryStats()
+    got = leaf_query(chunk, leaf, "a", runs, [None] * 3, store, stats)
+    assert stats.leaves_scanned == 1
+    assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
+    assert stats.candidate_checks == chunk.nonempty_count
+    assert np.array_equal(got, leaf_query_bitmaps(chunk, leaf, "a", runs, [None] * 3, store))
+
+
+def test_covering_and_missing_runs_read_nothing():
+    store, chunk = _float_chunk((64, 64))
+    leaf = build_leaf_index([chunk], "a", 16, "interval")[0]
+    box = [(3, 40), (10, 70)]
+    for runs, want in [
+        ([(leaf.amin - 1.0, leaf.amax)], _brute(chunk, [(-np.inf, np.inf)], box)),
+        ([(leaf.amax + 1.0, leaf.amax + 2.0)], np.zeros(chunk.cell_count, bool)),
+    ]:
+        stats = QueryStats()
+        assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, store, stats), want)
+        assert stats == QueryStats()
+
+
+def test_plain_leaf_scans_its_box():
+    vals = np.full((8, 8), np.nan)
+    vals[1:3, 2:6] = np.arange(8.0).reshape(2, 4)
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (8, 8))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    chunk = store.chunks[(0, 0)]
+    leaf = build_leaf_index([chunk], "a", 4, "range")[0]
+    assert isinstance(leaf, PlainLeaf)
+    runs = [(1.0, 2.0), (5.0, 6.0)]
+    box = [(2, 7), None]
+    stats = QueryStats()
+    got = leaf_query(chunk, leaf, "a", runs, box, store, stats)
+    assert np.array_equal(got, _brute(chunk, runs, box))
+    assert int(got.sum()) == 2  # 5.0 and 6.0 in row 2
+    assert stats.leaves_scanned == 1 and stats.candidate_checks == 4  # the box's live cells
+

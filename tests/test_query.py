@@ -12,7 +12,6 @@ from arraybit.query import (
     dimension_match,
     estimate,
     eval_node,
-    eval_node_full,
     execute,
     expand_dim_memberships,
     membership,
@@ -119,8 +118,8 @@ def test_eval_node_masks_disjoint():
     for _ in range(50):
         raw = random_raw_query(rng, store.schema, root.amin, root.amax)
         q = normalize(raw, store.schema, (root.amin, root.amax))
-        bm = eval_node_full(root, q, idx)
-        assert bm.p_star & bm.c_star == 0
+        p_star, c_star = eval_node(root, q, idx)
+        assert p_star & c_star == 0
 
 
 def test_dimension_match_full_cover_and_single_child():
@@ -367,29 +366,22 @@ def test_estimate_membership_sandwich_and_monotone():
         assert prev_lo == exact == prev_hi  # meets the oracle at full depth
 
 
-def _freeze(store):
-    """Make every chunk array of `store` read-only; returns the store."""
-    for chunk in store.chunks.values():
-        chunk.nonempty.flags.writeable = False
-        for arr in chunk.values.values():
-            arr.flags.writeable = False
-    return store
-
-
 def _frozen_store(rng):
-    """A 256x256 store with binned, constant and plain leaves, all read-only."""
+    """A 256x256 store with binned, constant and plain leaves; a chunk's
+    arrays are read-only."""
     vals = rng.normal(size=(256, 256)) * 50.0
     vals[0:32, 224:256] = np.nan
     vals[0:4, 224:229] = rng.normal(size=(4, 5))  # 20 live cells: a PlainLeaf
     vals[32:64, 224:256] = 7.0  # one bin spans the whole leaf
     sch = ArraySchema((("d0", 256), ("d1", 256)), (("a", "float64"),), (32, 32))
-    return _freeze(ChunkStore.from_dense(sch, {"a": vals}))
+    return ChunkStore.from_dense(sch, {"a": vals})
 
 
 @pytest.mark.parametrize("encoding", ["equality", "range", "interval"])
 def test_queries_never_write_to_the_store(encoding):
-    # a query must only read chunk arrays: on a frozen store any write
-    # through a view raises instead of silently corrupting the oracle
+    # a query must only read chunk arrays: the store's arrays are
+    # read-only, so any write through a view raises instead of silently
+    # corrupting the oracle
     rng = np.random.default_rng(16)
     store = _frozen_store(rng)
     idx = build_index(store, fanout=16, bins=16, leaf_encoding=encoding)
@@ -449,9 +441,10 @@ def test_estimate_negative_budget():
 
 
 def _random_frozen_store(rng, ndim, dtype, empty):
-    """A small read-only store whose extents are not multiples of the chunk,
-    so edge chunks are clipped.  `empty` is the share of empty cells, or
-    "chunks" to leave every other chunk of the grid wholly empty."""
+    """A small store (read-only, as every store is) whose extents are not
+    multiples of the chunk, so edge chunks are clipped.  `empty` is the
+    share of empty cells, or "chunks" to leave every other chunk of the
+    grid wholly empty."""
     chunk = tuple(int(c) for c in rng.integers(2, 5, ndim))
     shape = tuple(int(c * rng.integers(2, 5) + rng.integers(1, c)) for c in chunk)
     if dtype == "float64":
@@ -465,7 +458,7 @@ def _random_frozen_store(rng, ndim, dtype, empty):
         vals[rng.random(shape) < empty] = sentinel
     sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", dtype),),
                       chunk, {} if dtype == "float64" else {"a": -1})
-    return _freeze(ChunkStore.from_dense(sch, {"a": vals}))
+    return ChunkStore.from_dense(sch, {"a": vals})
 
 
 def _slab_store(store, rows):

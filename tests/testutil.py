@@ -178,7 +178,8 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
         windows = [(s, s + m - 1) for s in range(m)]
     bitmaps = [_reference_vector((binidx >= lo) & (binidx <= hi)) for lo, hi in windows]
     ebm = _reference_vector(nonempty)
-    return BinnedBitmapIndex(binning, encoding, bitmaps, span_lo, span_hi, ebm)
+    return BinnedBitmapIndex(binning, encoding, bitmaps, span_lo, span_hi, ebm,
+                             int(nonempty.sum()))
 
 
 def reference_leaf(chunk, attr: str, bins: int, encoding: str, e: int = 4):
