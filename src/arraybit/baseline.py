@@ -16,7 +16,7 @@ from .chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, QueryStats
 from .errors import InputError
 from .query import Query, value_runs
 
-__all__ = ["full_scan", "DimsAttsIndex", "dimsatts_query", "dimension_column"]
+__all__ = ["full_scan", "DimsAttsIndex", "dimension_column"]
 
 
 def full_scan(store: ChunkStore, attribute: str, query: Query) -> np.ndarray:
@@ -127,8 +127,3 @@ class DimsAttsIndex:
                 return np.empty(0, np.int64)
             return np.sort(np.concatenate(parts)).astype(np.int64)
         return self._range_ids(query, stats)
-
-
-def dimsatts_query(index: DimsAttsIndex, query: Query,
-                   stats: QueryStats | None = None) -> np.ndarray:
-    return index.query(query, stats)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDomainError, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,6 @@ class Binning:
         return np.array_equal(self.boundaries, other.boundaries) and np.array_equal(
             self.weights, other.weights
         )
-
-
-def equi_width(lo: float, hi: float, k: int) -> Binning:
-    """k equal-width bins spanning [lo, hi]; weights start at zero."""
-    if k < 1:
-        raise InputError("bin count must be >= 1")
-    if not lo < hi:
-        raise DegenerateDomainError(f"degenerate domain [{lo}, {hi}]")
-    return Binning(np.linspace(lo, hi, k + 1))
 
 
 def equi_depth_exact(values, counts, k: int, starts=None) -> tuple:
@@ -159,18 +150,6 @@ def equi_depth_exact(values, counts, k: int, starts=None) -> tuple:
         for a, b, n in zip(lead.tolist(), first_bin.tolist(), nbins.tolist())
     ]
     return binnings, edges
-
-
-def merged_weight(source: Binning, lo: float, hi: float) -> float:
-    """Weight of [lo, hi] assuming uniform value distribution inside bins."""
-    b = source.boundaries
-    w = source.weights
-    if source.nbins == 1 and b[0] == b[1]:
-        return float(w[0]) if lo <= b[0] <= hi else 0.0
-    width = np.diff(b)
-    overlap = np.minimum(hi, b[1:]) - np.maximum(lo, b[:-1])
-    frac = np.clip(overlap, 0.0, None) / width
-    return float(frac @ w)
 
 
 def wsse(binning: Binning, target_total: float | None = None, bins: int | None = None) -> float:

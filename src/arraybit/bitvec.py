@@ -31,7 +31,6 @@ Serialized form (``to_bytes``): little-endian header
 from __future__ import annotations
 
 import struct
-from typing import Iterable
 
 import numpy as np
 
@@ -168,21 +167,6 @@ class BitVector:
         n = rows.shape[1]
         vecs = [cls(n, words[a:b]) for a, b in zip([0] + ends, ends)]
         return vecs[0] if bits.ndim == 1 else vecs
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int], length: int) -> "BitVector":
-        pos = np.asarray(list(positions) if not hasattr(positions, "__len__") else positions,
-                         dtype=np.int64).ravel()
-        if pos.size:
-            if pos.min() < 0:
-                raise InputError("bit position is negative")
-            if pos.max() >= length:
-                raise InputError(
-                    f"bit position {int(pos.max())} out of range for length {length}"
-                )
-        dense = np.zeros(length, bool)
-        dense[pos] = True
-        return cls.from_dense(dense)
 
     # -- introspection ------------------------------------------------
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arraybit.baseline import DimsAttsIndex, dimension_column, dimsatts_query, full_scan
+from arraybit.baseline import DimsAttsIndex, dimension_column, full_scan
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
 from arraybit.hierindex import build_index
@@ -66,7 +66,7 @@ def test_three_way_agreement(shape, chunk, sparsity):
         q = normalize(raw, store.schema, (root.amin, root.amax))
         want = full_scan(store, "a", q)
         got_tree = execute(idx, q).cell_ids(store)
-        got_dims = dimsatts_query(dims, q)
+        got_dims = dims.query(q)
         assert np.array_equal(got_tree, want)
         assert np.array_equal(got_dims, want)
 

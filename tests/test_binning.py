@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 from arraybit.binning import (
     Binning,
     equi_depth_exact,
-    equi_width,
     merge_bins_iterative,
-    merged_weight,
     wsse,
 )
 from arraybit.errors import DegenerateDomainError, InputError
+from testutil import equi_width, merged_weight
 
 
 def reference_merge(source: Binning, bins: int):

@@ -11,7 +11,7 @@ from arraybit.bitvec import (
     logical,
 )
 from arraybit.errors import DataError, InputError
-from testutil import reference_bitvector_bytes
+from testutil import bitvector_from_positions, reference_bitvector_bytes
 
 
 def random_bits(rng, n, style=None):
@@ -42,14 +42,14 @@ def is_canonical(v: BitVector) -> bool:
 
 
 def test_from_positions_empty():
-    v = BitVector.from_positions([], 8)
+    v = bitvector_from_positions([], 8)
     assert v.count_ones() == 0
     assert len(v) == 8
 
 
 def test_from_positions_rendering():
     # bits 0 and 2 of a 4-bit vector read "0101" with bit 0 rightmost
-    v = BitVector.from_positions([0, 2], 4)
+    v = bitvector_from_positions([0, 2], 4)
     dense = v.to_dense()
     text = "".join("1" if b else "0" for b in dense[::-1])
     assert text == "0101"
@@ -57,15 +57,15 @@ def test_from_positions_rendering():
 
 def test_from_positions_out_of_range():
     with pytest.raises(InputError):
-        BitVector.from_positions([4], 4)
+        bitvector_from_positions([4], 4)
     with pytest.raises(InputError):
-        BitVector.from_positions([-1], 4)
+        bitvector_from_positions([-1], 4)
 
 
 def test_positions_roundtrip_large():
     rng = np.random.default_rng(7)
     pos = np.unique(rng.integers(0, 10**6, size=1000))
-    v = BitVector.from_positions(pos, 10**6)
+    v = bitvector_from_positions(pos, 10**6)
     assert np.array_equal(v.to_positions(), pos)
     assert v.count_ones() == pos.size
 
@@ -147,7 +147,7 @@ def test_serialization_roundtrip():
 
 
 def test_serialization_is_little_endian_and_stable():
-    v = BitVector.from_positions([0, 2], 4)
+    v = bitvector_from_positions([0, 2], 4)
     raw = v.to_bytes()
     assert raw[:8] == (4).to_bytes(8, "little")
     assert raw[8:16] == (1).to_bytes(8, "little")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,25 @@ def _gen(tmp_path, shape="32x32", seed=3, threshold="0.00001"):
     ])
     assert rc == 0
     return head
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--threshold", "nan", "threshold"),
+    ("--cov-min", "nan", "cov_min"),
+    ("--cov-max", "nan", "cov_max"),
+    ("--cov-max", "0", "cov_max"),
+    ("--cov-max", "-2", "cov_max"),
+])
+def test_gen_rejects_bad_generator_parameters(tmp_path, capsys, flag, value, name):
+    head = tmp_path / "arr.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["gen", "--out", str(head), "--shape", "8x8", "--gaussians", "2",
+                   "--seed", "1", flag, value])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not head.exists()
 
 
 def test_gen_build_query_estimate(tmp_path, capsys):

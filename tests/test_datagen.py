@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arraybit.chunkstore import load_store
 from arraybit.datagen import (
+    _BLOCK_CELLS,
     SumGaussSpec,
     field_values,
     gaussian_params,
@@ -11,6 +15,7 @@ from arraybit.datagen import (
     generate_store,
 )
 from arraybit.errors import InputError
+from testutil import reference_field_values
 
 
 def test_mode_value_identity_covariance():
@@ -97,3 +102,68 @@ def test_bad_spec():
         SumGaussSpec(shape=(4, 4), gaussians=0, seed=0)
     with pytest.raises(InputError):
         SumGaussSpec(shape=(0,), gaussians=1, seed=0)
+    with pytest.raises(InputError):
+        SumGaussSpec(shape=(), gaussians=1, seed=0)
+    for bad in ({"threshold": np.nan}, {"cov_min": np.nan}, {"cov_max": np.nan},
+                {"cov_max": 0.0}, {"cov_max": -1.0}):
+        with pytest.raises(InputError, match=next(iter(bad))):
+            SumGaussSpec(shape=(4, 4), gaussians=1, seed=0, **bad)
+
+
+# Shapes past one block: a d0 extent of 1 with a large inner size, rows that
+# do not divide into whole blocks, and rows above `_BLOCK_CELLS` cells, so
+# each block is one row.
+_BLOCKED_SHAPES = [(1, 300, 301), (700, 131), (3, 70000), (5, 23, 29, 31), (1,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.lists(st.integers(1, 9), min_size=1, max_size=5).map(tuple),
+        st.sampled_from(_BLOCKED_SHAPES),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    gaussians=st.integers(1, 4),
+    full=st.booleans(),
+    far=st.booleans(),
+)
+def test_field_values_bit_identical_to_reference(shape, seed, gaussians, full, far):
+    d = len(shape)
+    mus, sigmas = gaussian_params(SumGaussSpec(shape=shape, gaussians=gaussians, seed=seed))
+    if not full:
+        sigmas = sigmas * np.eye(d)  # diagonal: every cross term is exactly 0
+    if far:
+        # q / 2 is 712.5 at the origin and grows from there: every cell of
+        # this bump underflows to a subnormal or to 0
+        mus[0] = np.zeros(d)
+        mus[0][0] = -75.5
+        sigmas[0] = 4.0 * np.eye(d)
+    got = field_values(mus, sigmas, shape)
+    want = reference_field_values(mus, sigmas, shape)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_bit_identity_cases_reach_their_edges():
+    # some shape spans several blocks with a short last one, some has rows
+    # above `_BLOCK_CELLS` cells
+    inner = [int(np.prod(s[1:])) for s in _BLOCKED_SHAPES]
+    rows = [max(1, _BLOCK_CELLS // n) for n in inner]
+    assert any(s[0] > r and s[0] % r for s, r in zip(_BLOCKED_SHAPES, rows))
+    assert any(n > _BLOCK_CELLS for n in inner)
+    # the far bump alone gives subnormals and zeros
+    vals = field_values(np.array([[-75.5, 0.0]]), 4.0 * np.eye(2)[None], (9, 9))
+    tiny = np.finfo(np.float64).tiny
+    assert vals.max() < tiny and (vals > 0).any() and (vals == 0).any()
+
+
+def test_field_values_peak_memory_is_output_plus_a_block():
+    shape = (1024, 1024)
+    mus, sigmas = gaussian_params(SumGaussSpec(shape=shape, gaussians=4, seed=11))
+    assert (sigmas[:, 0, 1] != 0).all()  # full covariances: no term skipped
+    tracemalloc.start()
+    try:
+        out = field_values(mus, sigmas, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20

@@ -7,6 +7,7 @@ import numpy as np
 from arraybit.binning import Binning
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, PlainLeaf
+from arraybit.errors import DegenerateDomainError, InputError
 from arraybit.hierindex import build_index
 from arraybit.query import RawQuery
 
@@ -129,6 +130,27 @@ def reference_bitvector_bytes(bits) -> bytes:
 # per-chunk reference of the batched leaf builder
 
 
+def equi_width(lo: float, hi: float, k: int) -> Binning:
+    """k equal-width bins spanning [lo, hi]; weights start at zero."""
+    if k < 1:
+        raise InputError("bin count must be >= 1")
+    if not lo < hi:
+        raise DegenerateDomainError(f"degenerate domain [{lo}, {hi}]")
+    return Binning(np.linspace(lo, hi, k + 1))
+
+
+def merged_weight(source: Binning, lo: float, hi: float) -> float:
+    """Weight of [lo, hi] assuming uniform value distribution inside bins."""
+    b = source.boundaries
+    w = source.weights
+    if source.nbins == 1 and b[0] == b[1]:
+        return float(w[0]) if lo <= b[0] <= hi else 0.0
+    width = np.diff(b)
+    overlap = np.minimum(hi, b[1:]) - np.maximum(lo, b[:-1])
+    frac = np.clip(overlap, 0.0, None) / width
+    return float(frac @ w)
+
+
 def reference_equi_depth(values, counts, k: int) -> Binning:
     """Equi-depth bins of one (value, count) histogram, one value at a time
     in float arithmetic: the definition `equi_depth_exact` must match."""
@@ -150,6 +172,21 @@ def reference_equi_depth(values, counts, k: int) -> Binning:
     binning = Binning(boundaries)
     weights = np.bincount(binning.bin_of(values), weights=counts, minlength=binning.nbins)
     return Binning(boundaries, weights)
+
+
+def bitvector_from_positions(positions, length: int) -> BitVector:
+    """The vector of `length` bits with exactly `positions` set."""
+    pos = np.asarray(positions, dtype=np.int64).ravel()
+    if pos.size:
+        if pos.min() < 0:
+            raise InputError("bit position is negative")
+        if pos.max() >= length:
+            raise InputError(
+                f"bit position {int(pos.max())} out of range for length {length}"
+            )
+    dense = np.zeros(length, bool)
+    dense[pos] = True
+    return BitVector.from_dense(dense)
 
 
 def _reference_vector(bits) -> BitVector:
@@ -219,3 +256,29 @@ def reference_spread_weights(bounds, children) -> np.ndarray:
             cdf[bad] = cum[j] + cb.weights[j] * np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         weights += np.diff(cdf)
     return weights
+
+
+# ---------------------------------------------------------------------------
+# whole-grid reference of the blocked Gaussian field
+
+
+def reference_field_values(mus, sigmas, shape) -> np.ndarray:
+    """The density sum evaluated term by term on whole-grid arrays: the
+    bits `datagen.field_values` must reproduce."""
+    d = len(shape)
+    out = np.zeros(shape)
+    axes = [
+        np.arange(shape[k]).reshape([-1 if j == k else 1 for j in range(d)])
+        for k in range(d)
+    ]
+    for mu, sigma in zip(mus, sigmas):
+        inv = np.linalg.inv(sigma)
+        norm = (2.0 * np.pi) ** (-d / 2.0) * np.linalg.det(sigma) ** -0.5
+        q = np.zeros(shape)
+        diffs = [axes[k] - mu[k] for k in range(d)]
+        for j in range(d):
+            q = q + inv[j, j] * diffs[j] * diffs[j]
+            for k in range(j + 1, d):
+                q = q + 2.0 * inv[j, k] * diffs[j] * diffs[k]
+        out += norm * np.exp(-q / 2.0)
+    return out
