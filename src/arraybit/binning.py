@@ -38,6 +38,15 @@ class Binning:
         elif not (b[1:] > b[:-1]).all():
             raise InputError("boundaries must be strictly increasing")
 
+    @classmethod
+    def prevalidated(cls, boundaries: np.ndarray, weights: np.ndarray) -> "Binning":
+        """A binning over float64 arrays that the caller has already checked
+        as `__post_init__` would; a saved index checks a whole level at once."""
+        binning = cls.__new__(cls)
+        object.__setattr__(binning, "boundaries", boundaries)
+        object.__setattr__(binning, "weights", weights)
+        return binning
+
     @property
     def nbins(self) -> int:
         return self.boundaries.size - 1
@@ -53,11 +62,6 @@ class Binning:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    def bin_of(self, values) -> np.ndarray:
-        """Bin index per value; values equal to the max land in the last bin."""
-        idx = np.searchsorted(self.boundaries, np.asarray(values), side="right") - 1
-        return np.clip(idx, 0, self.nbins - 1)
 
     def __eq__(self, other):
         if not isinstance(other, Binning):

@@ -26,6 +26,9 @@ its words directly, with no run expansion.
 Serialized form (``to_bytes``): little-endian header
 ``{logical_length: u64, word_count: u64}`` followed by the words.
 ``from_bytes`` reads the words as a view into the caller's buffer.
+Vectors of one known length can also be stored back to back as bare words
+(``words``) and cut apart again by ``split``, which needs no header: a
+vector ends at the word where its groups add up to the length.
 """
 
 from __future__ import annotations
@@ -181,6 +184,11 @@ class BitVector:
     def word_count(self) -> int:
         return self._words.size
 
+    @property
+    def words(self) -> np.ndarray:
+        """The compressed words; only to be read."""
+        return self._words
+
     def to_dense(self) -> np.ndarray:
         groups = self._words
         if groups.size and groups.max() >= _FILL_FLAG:
@@ -249,6 +257,21 @@ class BitVector:
         words = np.frombuffer(data, "<u8", count=nwords, offset=start)
         words.flags.writeable = False
         return cls(n, words), end
+
+    @classmethod
+    def split(cls, words: np.ndarray, length: int, count: int) -> list:
+        """`count` vectors of `length` bits each from their words stored back
+        to back, as views into `words`.  Raises DataError unless the words
+        hold exactly that many vectors' groups, each ending on a word."""
+        ngroups = -(-length // GROUP_BITS)
+        is_fill = words >= _FILL_FLAG
+        ends = np.cumsum(np.where(is_fill, (words & _LEN_MASK).astype(np.int64), 1))
+        want = ngroups * np.arange(1, count + 1)
+        cut = np.searchsorted(ends, want)
+        if (cut[-1] != words.size - 1 or not (ends[np.minimum(cut, words.size - 1)] == want).all()):
+            raise DataError(f"{words.size} words do not hold {count} vectors of {length} bits")
+        bounds = [0] + (cut + 1).tolist()
+        return [cls(length, words[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def logical(op: str, a: BitVector, b: BitVector) -> BitVector:

@@ -27,7 +27,8 @@ _DTYPES = {"float64": np.float64, "int64": np.int64}
 class QueryStats:
     """Operational counters collected while answering a query.
 
-    bitmap_fetches counts bitmaps fetched for bin spans, and
+    nodes_fetched counts the tree nodes the descent fetched, leaves
+    included.  bitmap_fetches counts bitmaps fetched for bin spans, and
     candidate_bitmap_fetches those fetched only to isolate the boundary bins
     of the candidate check; the bitmap resolver of a leaf decodes each of
     its bitmaps at most once per query and counts only that decode.
@@ -39,17 +40,11 @@ class QueryStats:
     """
 
     nodes_evaluated: int = 0
+    nodes_fetched: int = 0
     bitmap_fetches: int = 0
     candidate_bitmap_fetches: int = 0
     candidate_checks: int = 0
     leaves_scanned: int = 0
-    blocks_read: int = 0
-    _blocks: set = field(default_factory=set, repr=False)
-
-    def touch_block(self, key) -> None:
-        if key not in self._blocks:
-            self._blocks.add(key)
-            self.blocks_read += 1
 
 
 @dataclass(frozen=True)
@@ -280,6 +275,11 @@ _WINDOWS = {
 }
 
 
+def bitmap_count(encoding: str, k: int) -> int:
+    """Bitmaps of a leaf with k bins in `encoding`, its non-empty mask aside."""
+    return len(range(k + 1)[_WINDOWS[encoding](k)[1]])
+
+
 class BinnedBitmapIndex:
     """Equi-depth binned bitmaps over one value column in a fixed cell order.
 
@@ -289,24 +289,58 @@ class BinnedBitmapIndex:
                 non-empty mask itself)
       interval  sliding windows of ceil(|B|/2) consecutive bins,
                 ceil(|B|/2) bitmaps; any contiguous bin range is two fetches
+
+    A leaf read from a saved index keeps its bitmaps as `stored`, an object
+    whose `vectors(length, count)` decodes them (see `hierindex`); `ebm` and
+    `bitmaps` decode them on first use.  A built leaf has no `stored`.
     """
 
-    __slots__ = ("binning", "encoding", "bitmaps", "span_lo", "span_hi", "ebm", "length", "count",
-                 "amin", "amax")
+    __slots__ = ("binning", "encoding", "span_lo", "span_hi", "length", "count", "amin", "amax",
+                 "stored", "_ebm", "_bitmaps")
 
     def __init__(self, binning, encoding, bitmaps, span_lo, span_hi, ebm, count: int):
         """`count` is the number of set bits of `ebm`, the non-empty cells,
         which the builder and the loader already know."""
+        self._set(binning, encoding, span_lo, span_hi, count, len(ebm), None)
+        self._ebm = ebm
+        self._bitmaps = bitmaps
+
+    @classmethod
+    def from_stored(cls, binning, encoding, span_lo, span_hi, count: int, length: int,
+                    stored) -> "BinnedBitmapIndex":
+        """A leaf of `length` cells whose bitmaps stay in `stored` until used."""
+        leaf = cls.__new__(cls)
+        leaf._set(binning, encoding, span_lo, span_hi, count, length, stored)
+        leaf._ebm = leaf._bitmaps = None
+        return leaf
+
+    def _set(self, binning, encoding, span_lo, span_hi, count, length, stored):
         self.binning = binning
         self.encoding = encoding
-        self.bitmaps = bitmaps
         self.span_lo = span_lo
         self.span_hi = span_hi
-        self.ebm = ebm
-        self.length = len(ebm)
+        self.length = length
         self.count = count
         self.amin = float(span_lo[0])
         self.amax = float(span_hi[-1])
+        self.stored = stored
+
+    def _decode_stored(self) -> None:
+        vecs = self.stored.vectors(self.length, 1 + bitmap_count(self.encoding, self.nbins))
+        self._ebm, self._bitmaps = vecs[0], vecs[1:]
+
+    @property
+    def ebm(self):
+        """The non-empty mask as a bitvector."""
+        if self._ebm is None:
+            self._decode_stored()
+        return self._ebm
+
+    @property
+    def bitmaps(self) -> list:
+        if self._bitmaps is None:
+            self._decode_stored()
+        return self._bitmaps
 
     @property
     def nbins(self) -> int:
@@ -377,7 +411,7 @@ class BinnedBitmapIndex:
             for a in range(0, rows.size, step):
                 part = rows[a : a + step]
                 planes = cells[part, None, :] >= cuts[a : a + step, :, None]
-                bits = np.empty((part.size, 1 + len(range(k + 1)[hi]), ncells), bool)
+                bits = np.empty((part.size, 1 + bitmap_count(encoding, k), ncells), bool)
                 bits[:, 0] = nonempty[part]
                 np.bitwise_xor(planes[:, lo], planes[:, hi], out=bits[:, 1:])
                 got = BitVector.from_dense(bits.reshape(-1, ncells))
@@ -828,40 +862,3 @@ def load_store(header_path, chunk_shape=None) -> ChunkStore:
                 raise DataError(f"{path}: expected {np.prod(shape)} cells, got {raw.size}")
             data[name][sl] = raw.reshape(shape)
     return ChunkStore.from_dense(schema, data)
-
-
-def ingest_csv(path, schema: ArraySchema) -> ChunkStore:
-    """Load `d_1,...,d_n,a_1,...,a_m` lines (header row optional)."""
-    path = Path(path)
-    ncoords = schema.ndim
-    names = [n for n, _ in schema.attributes]
-    data = {
-        name: np.full(schema.shape, schema.empty_value(name), _DTYPES[typ])
-        for name, typ in schema.attributes
-    }
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and not _is_number(parts[0]):
-                continue  # header row
-            if len(parts) != ncoords + len(names):
-                raise DataError(f"{path}:{lineno}: expected {ncoords + len(names)} fields")
-            try:
-                cell = tuple(int(p) for p in parts[:ncoords])
-                for name, raw in zip(names, parts[ncoords:]):
-                    if raw != "":
-                        data[name][cell] = float(raw)
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return ChunkStore.from_dense(schema, data)
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, datagen
-from .chunkstore import ArraySchema, QueryStats, load_store, read_header
+from .chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, read_header
 from .errors import ArrayBitError, DataError, InputError, InternalError
 from .hierindex import Index, build_index
 from .query import RawQuery, estimate, execute, expand_dim_memberships, normalize
@@ -34,7 +34,7 @@ from .query import RawQuery, estimate, execute, expand_dim_memberships, normaliz
 _TERM_RE = re.compile(
     r"^\s*(\w+)\s*(<=|>=|==|=|<|>|in)\s*(.+?)\s*$", re.IGNORECASE
 )
-_BENCH_CSV_VERSION = "arraybit-bench-v1"
+_BENCH_CSV_VERSION = "arraybit-bench-v2"
 
 
 def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery:
@@ -139,9 +139,7 @@ def _build_kwargs(params: dict) -> dict:
         kw["leaf_encoding"] = params["encoding"]
     if "e" in params:
         kw["e"] = int(params["e"])
-    if "dense_levels" in params:
-        kw["dense_levels"] = int(params["dense_levels"])
-    known = {"bins", "fanout", "encoding", "e", "dense_levels", "chunk"}
+    known = {"bins", "fanout", "encoding", "e", "chunk"}
     unknown = set(params) - known
     if unknown:
         raise InputError(f"unknown --params keys: {sorted(unknown)}")
@@ -181,8 +179,10 @@ def _cmd_build(args) -> int:
 
 
 def _load_for_query(args) -> Index:
-    store = load_store(args.data) if args.data else None
-    return Index.load(args.index, store=store)
+    idx = Index.load(args.index)
+    if args.data:
+        idx.attach(load_store(args.data, chunk_shape=idx.schema.chunk_shape))
+    return idx
 
 
 def _parse_cli_query(idx: Index, text: str) -> list:
@@ -202,7 +202,7 @@ def _cmd_query(args) -> int:
     print(f"complete_regions {regions}")
     print(f"partial_chunks {partial}")
     print(
-        f"stats nodes={stats.nodes_evaluated} blocks={stats.blocks_read} "
+        f"stats nodes={stats.nodes_evaluated} fetched={stats.nodes_fetched} "
         f"bitmaps={stats.bitmap_fetches} candidates={stats.candidate_checks}"
     )
     if args.expand:
@@ -231,18 +231,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_append(args) -> int:
-    store = load_store(args.data)
     idx = Index.load(args.index)
-    existing = {entry.coords for _, entry in idx.levels[0].items()} if idx.levels else set()
+    store = load_store(args.data, chunk_shape=idx.schema.chunk_shape)
+    existing = {entry.coords for entry in idx.levels[0].values()} if idx.levels else set()
     missing = existing - set(store.chunks)
     if missing:
         raise DataError(f"data no longer covers indexed chunks: {sorted(missing)[:3]}")
-    from .chunkstore import ChunkStore
-
     additions = ChunkStore(
         store.schema, {c: ch for c, ch in store.chunks.items() if c not in existing}
     )
-    idx.store = ChunkStore(idx.schema, {c: store.chunks[c] for c in existing})
+    idx.attach(ChunkStore(idx.schema, {c: store.chunks[c] for c in existing}))
     idx.append(additions)
     out = args.out or args.index
     idx.save(out)
@@ -307,7 +305,7 @@ def _cmd_bench(args) -> int:
                     "query": text,
                     "hit_ratio": count / total if total else 0.0,
                     "wall_time_s": f"{elapsed:.6f}",
-                    "blocks_read": stats.blocks_read,
+                    "nodes_fetched": stats.nodes_fetched,
                     "bitmaps_fetched": stats.bitmap_fetches + stats.candidate_bitmap_fetches,
                     "candidate_checks": stats.candidate_checks,
                     "result_count": count,
@@ -356,7 +354,7 @@ def _make_parser() -> argparse.ArgumentParser:
     b.add_argument("--index", required=True)
     b.add_argument("--attribute", default=None)
     b.add_argument("--params", nargs="*", metavar="KEY=VALUE",
-                   help="bins, fanout, encoding, e, dense_levels, chunk")
+                   help="bins, fanout, encoding, e, chunk")
     b.set_defaults(func=_cmd_build)
 
     q = sub.add_parser("query", help="run a query against an index")

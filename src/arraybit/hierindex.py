@@ -4,13 +4,57 @@ internal nodes, precomputed dimension bitmaps, persistence and appending.
 Node-level bitmaps have exactly F bits (one per child slot) and are kept
 uncompressed as plain integers; compressed bitvectors appear only at the
 chunk/cell granularity.  Node identity is (level, z-index); parent and
-child indices are pure bit arithmetic on the z-index.
+child indices are pure bit arithmetic on the z-index.  Each level is one
+dict {z: node}.
+
+Saved format, version 2.  Integers and floats are little-endian; every
+table column starts on a multiple of 8 bytes.
+
+  preamble   32 bytes: b"ABIX", u32 version, u32 crc, u32 levels,
+             u64 metadata length, u64 offset of the bitmap section
+  directory  per level, leaves first: u64 nodes, u64 table offset,
+             u64 table size
+  metadata   JSON: the schema and the build parameters
+  tables     one run of columns per level, n rows each:
+               every level   z u64[n], extent u64[n, ndim, 2] (inclusive
+                             lo, hi per dimension), amin f64[n],
+                             amax f64[n], count u64[n]
+               leaves        kind u8[n] (0 plain, else 1 + encoding id),
+                             bins u32[n] (k, 0 when plain), bin floats
+                             f64: every binned leaf's k + 1 boundaries,
+                             then their k weights, k span_lo, k span_hi;
+                             bitmap offsets u64[b + 1] into the bitmap
+                             section and bitmap CRC32 u32[b], for the b
+                             binned leaves
+               internal      sizes u32[n, 3] (bins, sp rows, al rows; see
+                             `TreeNode`), child masks u8[n, ceil(F/8)],
+                             bin floats f64: boundaries, weights,
+                             sp_bounds, al_bounds; range masks
+                             u8[rows, ceil(F/8)]: every sp mask, then every al
+                             mask
+  bitmaps    per binned leaf, the words of its non-empty mask and of its
+             bitmaps back to back, with no header (`BitVector.split`)
+
+crc is the CRC32 of bytes 0-7 and of bytes 12 up to the bitmap section:
+the preamble, the directory, the metadata and every table.  Leaf
+coordinates come from z.
+
+`Index.load` checks the CRC, reads every column with `np.frombuffer`,
+checks each level with vectorized tests (increasing z, extents inside the
+array, a leaf's extent that of its chunk, counts of 1 to the extent's
+cells, increasing bin boundaries per segment, bitmap offsets in range)
+and builds every node eagerly.  A leaf keeps only the byte range of its
+bitmaps and their CRC32: `ebm` and `bitmaps` check and decode them on
+first use, and `serialize` copies them unchanged.  Version-1 files,
+records of one node each, are walked into the same columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,9 +72,12 @@ from .chunkstore import (
 from .errors import DataError, InputError, InternalError
 
 _MAGIC = b"ABIX"
-_VERSION = 1
+_VERSION = 2
 _ENCODING_IDS = {"equality": 0, "range": 1, "interval": 2}
 _ENCODING_NAMES = {v: k for k, v in _ENCODING_IDS.items()}
+# magic, version, crc, levels, metadata length, bitmap section offset
+_PREAMBLE = struct.Struct("<4sIIIQQ")
+_DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +136,16 @@ def zorder_decode(z: int, ndim: int, bits: int) -> tuple:
     return tuple(coords)
 
 
+def zorder_decode_many(z: np.ndarray, ndim: int, bits: int) -> np.ndarray:
+    """:func:`zorder_decode` of every z-index of an array, as (n, ndim) int64."""
+    z = z.astype(np.int64)
+    coords = np.zeros((z.size, ndim), np.int64)
+    for t in range(bits):
+        for d in range(ndim):
+            coords[:, d] |= (z >> (t * ndim + d) & 1) << t
+    return coords
+
+
 class DimensionBitmaps:
     """Precomputed child-slot masks for dimension constraints.
 
@@ -99,19 +156,13 @@ class DimensionBitmaps:
 
     def __init__(self, fanout: Fanout):
         self.fanout = fanout
-        fd, n = fanout.per_dim, fanout.ndim
-        self.partial = [[0] * fd for _ in range(n)]
-        self.begin = [[0] * fd for _ in range(n)]
-        self.end = [[0] * fd for _ in range(n)]
-        for slot in range(fanout.total):
-            coords = zorder_decode(slot, n, fanout.bits)
-            for d, c in enumerate(coords):
-                self.partial[d][c] |= 1 << slot
-                for b in range(fd):
-                    if c >= b:
-                        self.begin[d][b] |= 1 << slot
-                    if c <= b:
-                        self.end[d][b] |= 1 << slot
+        fd, n, total = fanout.per_dim, fanout.ndim, fanout.total
+        slots = np.arange(total)
+        coords = zorder_decode_many(slots, n, fanout.bits)
+        b = np.arange(fd)[:, None]
+        self.partial = [_slot_masks(coords[:, d] == b, slots, total) for d in range(n)]
+        self.begin = [_slot_masks(coords[:, d] >= b, slots, total) for d in range(n)]
+        self.end = [_slot_masks(coords[:, d] <= b, slots, total) for d in range(n)]
 
     def bucket_range(self, d: int, lo: int, hi: int) -> int:
         """Mask of children whose d-bucket lies in [lo, hi]."""
@@ -349,70 +400,17 @@ class LeafEntry:
 
 
 # ---------------------------------------------------------------------------
-# per-level storage
-
-
-class _DenseLevel:
-    """Dense vector over the padded z-space; one block per level."""
-
-    kind = "dense"
-
-    def __init__(self, nodes: dict, zspace: int):
-        self.zspace = zspace
-        self.vec = [None] * zspace
-        for z, node in nodes.items():
-            self.vec[z] = node
-        self.count = len(nodes)
-
-    def get(self, z: int):
-        return self.vec[z] if 0 <= z < self.zspace else None
-
-    def block_id(self, z: int) -> int:
-        return 0
-
-    def items(self):
-        return ((z, n) for z, n in enumerate(self.vec) if n is not None)
-
-
-class _BlockLevel:
-    """Sorted z keys grouped into runs of consecutive indices."""
-
-    kind = "blocks"
-
-    def __init__(self, nodes: dict, zspace: int):
-        self.zspace = zspace
-        self.zs = np.array(sorted(nodes), dtype=np.int64)
-        self.nodes = [nodes[int(z)] for z in self.zs]
-        self.count = len(self.nodes)
-        if self.count:
-            breaks = np.flatnonzero(np.diff(self.zs) != 1) + 1
-            self.run_starts = np.concatenate(([0], breaks))
-        else:
-            self.run_starts = np.array([0])
-
-    def get(self, z: int):
-        i = int(np.searchsorted(self.zs, z))
-        if i < self.count and self.zs[i] == z:
-            return self.nodes[i]
-        return None
-
-    def block_id(self, z: int) -> int:
-        i = int(np.searchsorted(self.zs, z))
-        return int(np.searchsorted(self.run_starts, i, side="right")) - 1
-
-    def items(self):
-        return zip((int(z) for z in self.zs), self.nodes)
-
-
-# ---------------------------------------------------------------------------
 # the index
 
 
 class Index:
-    """A built tree over a chunk store, navigable by (level, z-index)."""
+    """A built tree over a chunk store, navigable by (level, z-index).
 
-    def __init__(self, schema, store, attribute, fanout, bins, e, leaf_encoding, dense_levels,
-                 levels):
+    `levels[l]` holds the level-l nodes (0 = leaves) as a dict {z: node} in
+    increasing z.
+    """
+
+    def __init__(self, schema, store, attribute, fanout, bins, e, leaf_encoding, levels):
         self.schema = schema
         self.store = store
         self.attribute = attribute
@@ -420,8 +418,7 @@ class Index:
         self.bins = bins
         self.e = e
         self.leaf_encoding = leaf_encoding
-        self.dense_levels = dense_levels
-        self.levels = levels  # list of storages, index = level (0 = leaves)
+        self.levels = levels
         self.dimbitmaps = DimensionBitmaps(fanout) if fanout else None
 
     @property
@@ -434,17 +431,16 @@ class Index:
         return self.levels[-1].get(0) if self.levels else None
 
     def fetch(self, level: int, z: int, stats=None, trace=None):
-        storage = self.levels[level]
-        node = storage.get(z)
+        node = self.levels[level].get(z)
         if node is not None:
             if stats is not None:
-                stats.touch_block((level, storage.block_id(z)))
+                stats.nodes_fetched += 1
             if trace is not None:
                 trace.append((self.depth - level, z))
         return node
 
     def node_count(self) -> int:
-        return sum(s.count for s in self.levels)
+        return sum(len(nodes) for nodes in self.levels)
 
     def child_span(self, level: int) -> tuple:
         """Cell extent per dimension of one child of a level-`level` node."""
@@ -461,8 +457,7 @@ class Index:
 
     @classmethod
     def build(cls, store: ChunkStore, attribute: str | None = None, fanout: int | None = None,
-              bins: int = 16, leaf_encoding: str = "interval", e: int = 4,
-              dense_levels: int = 2) -> "Index":
+              bins: int = 16, leaf_encoding: str = "interval", e: int = 4) -> "Index":
         schema = store.schema
         attribute = attribute or schema.attributes[0][0]
         schema.attr_type(attribute)  # validate
@@ -470,7 +465,7 @@ class Index:
         if fanout is None:
             fanout = 64 if ndim <= 3 else 256
         fo = Fanout.from_total(fanout, ndim)
-        idx = cls(schema, store, attribute, fo, bins, e, leaf_encoding, dense_levels, [])
+        idx = cls(schema, store, attribute, fo, bins, e, leaf_encoding, [])
         if store.chunks:
             idx._rebuild_all()
         return idx
@@ -482,12 +477,6 @@ class Index:
         while any(-(-g // fd**depth) > 1 for g in grid):
             depth += 1
         return depth
-
-    def _storage_for(self, level: int, depth: int, nodes: dict):
-        zspace = self.fanout.total ** (depth - level)
-        if depth - level < self.dense_levels:
-            return _DenseLevel(nodes, zspace)
-        return _BlockLevel(nodes, zspace)
 
     def _rebuild_all(self) -> None:
         depth = self._tree_depth()
@@ -507,10 +496,7 @@ class Index:
             )
         if len(level_nodes[-1]) != 1:
             raise InternalError("tree did not converge to a single root")
-        self.levels = [
-            self._storage_for(level, depth, nodes)
-            for level, nodes in enumerate(level_nodes)
-        ]
+        self.levels = [dict(sorted(nodes.items())) for nodes in level_nodes]
 
     def _build_level(self, level: int, depth: int, below: dict) -> dict:
         """Group level-1 nodes into their parents."""
@@ -570,7 +556,7 @@ class Index:
         bits = self.fanout.bits
         slot_bits = self.fanout.slot_bits
 
-        level_nodes = [dict(storage.items()) for storage in self.levels]
+        level_nodes = [dict(nodes) for nodes in self.levels]
         while len(level_nodes) < depth + 1:
             level_nodes.append({})
         affected = set()
@@ -604,19 +590,18 @@ class Index:
             affected = rebuilt
         if len(level_nodes[depth]) != 1:
             raise InternalError("append did not converge to a single root")
-        self.levels = [
-            self._storage_for(level, depth, nodes)
-            for level, nodes in enumerate(level_nodes)
-        ]
+        self.levels = [dict(sorted(nodes.items())) for nodes in level_nodes]
 
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
         Path(path).write_bytes(self.serialize())
 
+    def _mask_bytes(self) -> int:
+        return -(-self.fanout.total // 8) if self.fanout else 1
+
     def serialize(self) -> bytes:
-        ndim = self.schema.ndim
-        mask_bytes = -(-self.fanout.total // 8) if self.fanout else 1
+        """The index in the saved format of version 2 (module docstring)."""
         meta = {
             "schema": {
                 "dims": [list(d) for d in self.schema.dims],
@@ -634,193 +619,95 @@ class Index:
                 "bins": self.bins,
                 "e": self.e,
                 "leaf_encoding": self.leaf_encoding,
-                "dense_levels": self.dense_levels,
                 "fanout_per_dim": self.fanout.per_dim if self.fanout else 0,
             },
         }
         meta_b = json.dumps(meta).encode()
-        payloads = []
-        directory = []
-        for level, storage in enumerate(self.levels):
-            buf = bytearray()
-            for z, node in storage.items():
-                if level == 0:
-                    buf += self._pack_leaf(z, node, ndim)
-                else:
-                    buf += self._pack_node(z, node, ndim, mask_bytes)
-            payloads.append(bytes(buf))
-            directory.append((level, 0 if storage.kind == "dense" else 1, storage.count))
-        head = bytearray()
-        head += _MAGIC + struct.pack("<I", _VERSION)
-        head += struct.pack("<Q", len(meta_b)) + meta_b
-        head += struct.pack("<I", len(self.levels))
-        offset = len(head) + len(self.levels) * struct.calcsize("<IBQQQ")
-        for (level, kind, count), payload in zip(directory, payloads):
-            head += struct.pack("<IBQQQ", level, kind, count, offset, len(payload))
-            offset += len(payload)
-        return bytes(head) + b"".join(payloads)
-
-    @staticmethod
-    def _pack_node(z, node: TreeNode, ndim, mask_bytes) -> bytes:
-        out = bytearray()
-        out += struct.pack("<Q", z)
-        for lo, hi in node.extent:
-            out += struct.pack("<QQ", lo, hi)
-        out += struct.pack("<ddQ", node.amin, node.amax, node.count)
-        out += node.child_mask.to_bytes(mask_bytes, "little")
-        nb = node.binning.boundaries.size
-        out += struct.pack("<H", nb)
-        out += node.binning.boundaries.astype("<f8").tobytes()
-        out += node.binning.weights.astype("<f8").tobytes()
-        for bounds, masks in ((node.sp_bounds, node.sp_masks), (node.al_bounds, node.al_masks)):
-            out += struct.pack("<H", len(masks))
-            for b, m in zip(bounds, masks):
-                out += struct.pack("<d", b) + m.to_bytes(mask_bytes, "little")
-        return bytes(out)
-
-    @staticmethod
-    def _unpack_node(buf, pos, level, ndim, mask_bytes) -> tuple:
-        z = struct.unpack_from("<Q", buf, pos)[0]
-        pos += 8
-        extent = []
-        for _ in range(ndim):
-            lo, hi = struct.unpack_from("<QQ", buf, pos)
-            extent.append((lo, hi))
-            pos += 16
-        amin, amax, count = struct.unpack_from("<ddQ", buf, pos)
-        pos += 24
-        child_mask = int.from_bytes(buf[pos : pos + mask_bytes], "little")
-        pos += mask_bytes
-        nb = struct.unpack_from("<H", buf, pos)[0]
-        pos += 2
-        boundaries = np.frombuffer(buf, "<f8", nb, pos).copy()
-        pos += nb * 8
-        weights = np.frombuffer(buf, "<f8", nb - 1, pos).copy()
-        pos += (nb - 1) * 8
-        tables = []
-        for _ in range(2):
-            cnt = struct.unpack_from("<H", buf, pos)[0]
-            pos += 2
-            bounds, masks = [], []
-            for _ in range(cnt):
-                bounds.append(struct.unpack_from("<d", buf, pos)[0])
-                pos += 8
-                masks.append(int.from_bytes(buf[pos : pos + mask_bytes], "little"))
-                pos += mask_bytes
-            tables.append((np.array(bounds), masks))
-        node = TreeNode(
-            level=level,
-            z=z,
-            coords=(),
-            extent=tuple(extent),
-            amin=amin,
-            amax=amax,
-            count=count,
-            child_mask=child_mask,
-            binning=Binning(boundaries, weights),
-            sp_bounds=tables[0][0],
-            sp_masks=tables[0][1],
-            al_bounds=tables[1][0],
-            al_masks=tables[1][1],
-        )
-        return node, pos
+        ndim = self.schema.ndim
+        tables, bitmaps = [], []
+        for level, nodes in enumerate(self.levels):
+            if level == 0:
+                table, bitmaps = _leaf_tables(list(nodes.items()), ndim)
+            else:
+                table = _node_tables(list(nodes.items()), ndim, self._mask_bytes())
+            tables.append(table)
+        head = _PREAMBLE.size + _DIRECTORY.size * len(tables) + len(meta_b)
+        offset = head + -head % 8
+        directory = bytearray()
+        for nodes, table in zip(self.levels, tables):
+            directory += _DIRECTORY.pack(len(nodes), offset, len(table))
+            offset += len(table)
+        rest = (struct.pack("<IQQ", len(tables), len(meta_b), offset) + directory + meta_b
+                + bytes(-head % 8))
+        lead = _MAGIC + struct.pack("<I", _VERSION)
+        crc = zlib.crc32(rest, zlib.crc32(lead))
+        for table in tables:
+            crc = zlib.crc32(table, crc)
+        return b"".join([lead, struct.pack("<I", crc), rest, *tables, *bitmaps])
 
     @staticmethod
     def _pack_leaf(z, entry: LeafEntry, ndim) -> bytes:
-        out = bytearray()
-        out += struct.pack("<Q", z)
-        for c in entry.coords:
-            out += struct.pack("<Q", c)
-        for lo, hi in entry.extent:
-            out += struct.pack("<QQ", lo, hi)
-        leaf = entry.leaf
-        if isinstance(leaf, PlainLeaf):
-            out += struct.pack("<BddQ", 0, leaf.amin, leaf.amax, leaf.count)
-            return bytes(out)
-        out += struct.pack("<BddQ", 1, leaf.amin, leaf.amax, leaf.count)
-        out += struct.pack("<B", _ENCODING_IDS[leaf.encoding])
-        nb = leaf.binning.boundaries.size
-        out += struct.pack("<H", nb)
-        out += leaf.binning.boundaries.astype("<f8").tobytes()
-        out += leaf.binning.weights.astype("<f8").tobytes()
-        out += leaf.span_lo.astype("<f8").tobytes()
-        out += leaf.span_hi.astype("<f8").tobytes()
-        ebm = leaf.ebm.to_bytes()
-        out += struct.pack("<I", len(ebm)) + ebm
-        out += struct.pack("<H", len(leaf.bitmaps))
-        for bm in leaf.bitmaps:
-            raw = bm.to_bytes()
-            out += struct.pack("<I", len(raw)) + raw
-        return bytes(out)
-
-    @staticmethod
-    def _unpack_leaf(buf, pos, ndim) -> tuple:
-        z = struct.unpack_from("<Q", buf, pos)[0]
-        pos += 8
-        coords = struct.unpack_from("<" + "Q" * ndim, buf, pos)
-        pos += 8 * ndim
-        extent = []
-        for _ in range(ndim):
-            lo, hi = struct.unpack_from("<QQ", buf, pos)
-            extent.append((lo, hi))
-            pos += 16
-        kind, amin, amax, count = struct.unpack_from("<BddQ", buf, pos)
-        pos += struct.calcsize("<BddQ")
-        if kind == 0:
-            return LeafEntry(tuple(coords), z, tuple(extent), PlainLeaf(amin, amax, count)), pos
-        enc = _ENCODING_NAMES[struct.unpack_from("<B", buf, pos)[0]]
-        pos += 1
-        nb = struct.unpack_from("<H", buf, pos)[0]
-        pos += 2
-        boundaries = np.frombuffer(buf, "<f8", nb, pos).copy()
-        pos += nb * 8
-        weights = np.frombuffer(buf, "<f8", nb - 1, pos).copy()
-        pos += (nb - 1) * 8
-        span_lo = np.frombuffer(buf, "<f8", nb - 1, pos).copy()
-        pos += (nb - 1) * 8
-        span_hi = np.frombuffer(buf, "<f8", nb - 1, pos).copy()
-        pos += (nb - 1) * 8
-        ebm, pos = _unpack_bitvector(buf, pos)
-        nbm = struct.unpack_from("<H", buf, pos)[0]
-        pos += 2
-        bitmaps = []
-        for _ in range(nbm):
-            bm, pos = _unpack_bitvector(buf, pos)
-            bitmaps.append(bm)
-        if count > len(ebm):
-            raise DataError(f"leaf {z} counts {count} cells in a {len(ebm)}-cell chunk")
-        idx = BinnedBitmapIndex(Binning(boundaries, weights), enc, bitmaps, span_lo, span_hi, ebm,
-                                count)
-        return LeafEntry(tuple(coords), z, tuple(extent), idx), pos
+        """Canonical bytes of one leaf: its saved tables and bitmaps as a
+        one-leaf level."""
+        table, bitmaps = _leaf_tables([(z, entry)], ndim)
+        return table + b"".join(bitmaps)
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
+        """Read a saved index (version 1 or 2), then :meth:`attach` `store`."""
         buf = Path(path).read_bytes()
         try:
             idx = cls._parse(buf)
+            if store is not None:
+                idx.attach(store)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
         # a short buffer, bad JSON, a bad field or an unknown id in a record
         except (struct.error, ValueError, json.JSONDecodeError, KeyError, IndexError,
                 TypeError, OverflowError) as exc:
             raise DataError(f"{path}: truncated or corrupt index ({exc})") from None
-        if store is not None and store.schema.shape != idx.schema.shape:
-            raise DataError("store shape does not match the index schema")
-        idx.store = store
         return idx
+
+    def attach(self, store: ChunkStore) -> None:
+        """Answer queries from `store`.  DataError unless its shape is the
+        index's and its non-empty chunks, with their non-empty cell counts,
+        are exactly the leaves and the leaf counts: data that changed since
+        the index was built would give wrong answers."""
+        if store.schema.shape != self.schema.shape:
+            raise DataError("store shape does not match the index schema")
+        grid, ndim = self.schema.chunk_grid, self.schema.ndim
+        counts = np.fromiter((c.nonempty_count for c in store.chunks.values()), np.int64,
+                             len(store.chunks))
+        coords = np.fromiter(itertools.chain.from_iterable(store.chunks), np.int64,
+                             counts.size * ndim).reshape(-1, ndim)
+        live = counts > 0
+        leaves = self.levels[0] if self.levels else {}
+        z = np.fromiter(leaves, np.uint64, len(leaves))
+        have = _by_chunk(coords[live], counts[live], grid)
+        want = _by_chunk(zorder_decode_many(z, ndim, self.fanout.bits * self.depth),
+                         np.fromiter((e.leaf.count for e in leaves.values()), np.int64, z.size),
+                         grid)
+        if have is None or not np.array_equal(have[0], want[0]):
+            raise DataError(f"the data's {int(live.sum())} non-empty chunks are not the "
+                            f"index's {z.size} leaves")
+        bad = np.flatnonzero(have[1] != want[1])
+        if bad.size:
+            at = tuple(int(c) for c in np.unravel_index(have[0][bad[0]], grid))
+            raise DataError(f"chunk {at} has {have[1][bad[0]]} non-empty cells, its leaf "
+                            f"{want[1][bad[0]]}")
+        self.store = store
 
     @classmethod
     def _parse(cls, buf: bytes) -> "Index":
         if buf[:4] != _MAGIC:
             raise DataError("not an index file")
         version = struct.unpack_from("<I", buf, 4)[0]
-        if version != _VERSION:
+        if version == 2:
+            meta, columns, section = _read_v2(buf)
+        elif version == 1:
+            meta, columns, section = _walk_v1(buf)
+        else:
             raise DataError(f"unsupported index version {version}")
-        pos = 8
-        meta_len = struct.unpack_from("<Q", buf, pos)[0]
-        pos += 8
-        meta = json.loads(buf[pos : pos + meta_len])
-        pos += meta_len
         sch = meta["schema"]
         empty = {k: (float("nan") if v is None else v) for k, v in sch["empty"].items()}
         schema = ArraySchema(
@@ -830,43 +717,457 @@ class Index:
             empty,
         )
         params = meta["params"]
-        nlevels = struct.unpack_from("<I", buf, pos)[0]
-        pos += 4
-        directory = []
-        for _ in range(nlevels):
-            directory.append(struct.unpack_from("<IBQQQ", buf, pos))
-            pos += struct.calcsize("<IBQQQ")
         fo = Fanout(params["fanout_per_dim"], schema.ndim) if params["fanout_per_dim"] else None
-        idx = cls(
-            schema, None, params["attribute"], fo, params["bins"], params["e"],
-            params["leaf_encoding"], params["dense_levels"], [],
-        )
-        mask_bytes = -(-fo.total // 8) if fo else 1
-        ndim = schema.ndim
-        depth = nlevels - 1
-        levels = []
-        for level, kind, count, offset, size in directory:
-            if offset + size > len(buf):
-                raise DataError(f"level {level} runs past the end of the file")
-            nodes = {}
-            p = offset
-            for _ in range(count):
-                if level == 0:
-                    entry, p = cls._unpack_leaf(buf, p, ndim)
-                    nodes[entry.z] = entry
-                else:
-                    node, p = cls._unpack_node(buf, p, level, ndim, mask_bytes)
-                    node.coords = zorder_decode(node.z, ndim, fo.bits * (depth - level))
-                    nodes[node.z] = node
-            if p != offset + size:
-                raise DataError(f"level {level} ends at byte {p}, not {offset + size}")
-            levels.append(idx._storage_for(level, depth, nodes))
-        idx.levels = levels
+        idx = cls(schema, None, params["attribute"], fo, params["bins"], params["e"],
+                  params["leaf_encoding"], [])
+        depth = len(columns) - 1
+        idx.levels = [
+            idx._leaves(cols, depth, section) if level == 0 else idx._nodes(level, cols, depth)
+            for level, cols in enumerate(columns)
+        ]
         return idx
 
 
+    # -- building the levels of a saved index from their columns ----------
+
+    def _check_common(self, level: int, depth: int, cols: dict) -> np.ndarray:
+        """Checks of the columns every level has; returns the cells of each
+        node's extent."""
+        z, ext, count = cols["z"], cols["extent"], cols["count"]
+        where = f"level {level}"
+        lo, hi = ext[:, :, 0], ext[:, :, 1]
+        _require(z.size > 0, where, "has no nodes")
+        _require(not (z[1:] <= z[:-1]).any(), where, "z-indices do not increase")
+        _require(int(z[-1]) < self.fanout.total ** (depth - level), where, "z-index out of range")
+        _require(not (lo > hi).any() and not (hi >= np.array(self.schema.shape)).any(), where,
+                 "extent outside the array")
+        cells = np.prod(hi - lo + 1, axis=1)
+        bad = np.flatnonzero((count < 1) | (count > cells))
+        if bad.size:
+            i = bad[0]
+            raise DataError(f"{where}: node {z[i]} counts {count[i]} cells in a "
+                            f"{cells[i]}-cell extent")
+        _require(not (cols["amin"] > cols["amax"]).any(), where, "amin above amax")
+        return cells
+
+    def _leaves(self, cols: dict, depth: int, section: memoryview) -> dict:
+        """The leaf level; `section` is the bitmap section its offsets index."""
+        cells = self._check_common(0, depth, cols)
+        z, ext, kind, nbins = cols["z"], cols["extent"], cols["kind"], cols["nbins"]
+        coords = zorder_decode_many(z, self.schema.ndim, self.fanout.bits * depth)
+        cs, shape = np.array(self.schema.chunk_shape), np.array(self.schema.shape)
+        _require((ext[:, :, 0] == coords * cs).all()
+                 and (ext[:, :, 1] == np.minimum(coords * cs + cs, shape) - 1).all(),
+                 "level 0", "a leaf's extent is not its chunk's")
+        binned = kind > 0
+        _require(not (kind > len(_ENCODING_IDS)).any() and ((nbins > 0) == binned).all(),
+                 "level 0", "bad leaf kind or bin count")
+        k = nbins[binned].astype(np.int64)
+        bounds, weights, span_lo, span_hi = _split(cols["floats"], k + 1, k, k, k)
+        bo, wo = np.cumsum(k + 1) - (k + 1), np.cumsum(k) - k
+        _require(_segments_increase(bounds, k + 1, k > 1), "level 0",
+                 "bin boundaries do not increase")
+        _require((cols["amin"][binned] == span_lo[wo]).all()
+                 and (cols["amax"][binned] == span_hi[wo + k - 1]).all(),
+                 "level 0", "amin or amax is not that of the bins")
+        offsets, crcs = cols["offsets"], cols["crcs"]
+        steps = np.diff(offsets)
+        _require(offsets[0] == 0 and offsets[-1] == len(section) and (steps > 0).all()
+                 and not (steps % 8).any(), "level 0", "bad bitmap offsets")
+
+        amin, amax = cols["amin"].tolist(), cols["amax"].tolist()
+        count, cells = cols["count"].tolist(), cells.tolist()
+        encoding = [None] + [_ENCODING_NAMES[i] for i in range(len(_ENCODING_NAMES))]
+        binned_at = iter(zip(bo.tolist(), wo.tolist(), k.tolist(), offsets[:-1].tolist(),
+                             offsets[1:].tolist(), crcs.tolist()))
+        entries = {}
+        for zi, kd, c, e, lo, hi, n, size in zip(
+                z.tolist(), kind.tolist(), map(tuple, coords.tolist()),
+                (tuple(map(tuple, e)) for e in ext.tolist()), amin, amax, count, cells):
+            if kd == 0:
+                leaf = PlainLeaf(lo, hi, n)
+            else:
+                b, w, nb, start, end, crc = next(binned_at)
+                leaf = BinnedBitmapIndex.from_stored(
+                    Binning.prevalidated(bounds[b : b + nb + 1], weights[w : w + nb]),
+                    encoding[kd], span_lo[w : w + nb], span_hi[w : w + nb], n, size,
+                    _LeafBitmaps(section, start, end, crc))
+            entries[zi] = LeafEntry(c, zi, e, leaf)
+        return entries
+
+    def _nodes(self, level: int, cols: dict, depth: int) -> dict:
+        """Internal level `level`."""
+        self._check_common(level, depth, cols)
+        where = f"level {level}"
+        nb, nsp, nal = (col.astype(np.int64) for col in cols["sizes"].T)
+        _require((nb > 0).all() and (nsp > 0).all() and (nal > 0).all(), where, "empty table")
+        bounds, weights, sp_bounds, al_bounds = _split(cols["floats"], nb + 1, nb, nsp, nal)
+        _require(_segments_increase(bounds, nb + 1, nb > 1)
+                 and _segments_increase(sp_bounds, nsp, nsp > 0)
+                 and _segments_increase(al_bounds, nal, nal > 0), where,
+                 "bin boundaries do not increase")
+        mb = self._mask_bytes()
+        child = _masks(cols["child"], mb)
+        masks = _masks(cols["masks"], mb)
+        sp_masks, al_masks = masks[: int(nsp.sum())], masks[int(nsp.sum()) :]
+        z = cols["z"].tolist()
+        coords = map(tuple, zorder_decode_many(cols["z"], self.schema.ndim,
+                                               self.fanout.bits * (depth - level)).tolist())
+        ext = (tuple(map(tuple, e)) for e in cols["extent"].tolist())
+        bo, wo = np.cumsum(nb + 1) - (nb + 1), np.cumsum(nb) - nb
+        so, ao = np.cumsum(nsp) - nsp, np.cumsum(nal) - nal
+        nodes = {}
+        for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
+                                                      cols["amax"].tolist(),
+                                                      cols["count"].tolist())):
+            b, w, s, a = int(bo[i]), int(wo[i]), int(so[i]), int(ao[i])
+            nodes[zi] = TreeNode(
+                level=level, z=zi, coords=c, extent=e, amin=lo, amax=hi, count=n,
+                child_mask=child[i],
+                binning=Binning.prevalidated(bounds[b : b + nb[i] + 1], weights[w : w + nb[i]]),
+                sp_bounds=sp_bounds[s : s + nsp[i]], sp_masks=sp_masks[s : s + nsp[i]],
+                al_bounds=al_bounds[a : a + nal[i]], al_masks=al_masks[a : a + nal[i]],
+            )
+        return nodes
+
+
+def _by_chunk(coords: np.ndarray, counts: np.ndarray, grid: tuple):
+    """(row-major chunk ids in increasing order, counts in that order), or
+    None when a chunk lies outside the grid."""
+    if not ((coords >= 0) & (coords < grid)).all():
+        return None
+    ids = np.ravel_multi_index(coords.T, grid)
+    order = np.argsort(ids)
+    return ids[order], counts[order]
+
+
+def _require(ok, where: str, what: str) -> None:
+    if not ok:
+        raise DataError(f"{where}: {what}")
+
+
+def _split(values: np.ndarray, *sizes) -> list:
+    """`values` cut into consecutive parts holding sizes[0].sum(),
+    sizes[1].sum(), ... values; DataError if they do not add up."""
+    ends = np.cumsum([int(s.sum()) for s in sizes])
+    if ends[-1] != values.size:
+        raise DataError(f"{values.size} bin floats where the bin counts give {ends[-1]}")
+    return np.split(values, ends[:-1])
+
+
+def _segments_increase(values: np.ndarray, sizes: np.ndarray, strict: np.ndarray) -> bool:
+    """Whether each of the back-to-back segments of `values`, of lengths
+    `sizes`, increases: strictly where `strict`, else never decreasing.
+    NaN fails both."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    inner = owner[1:] == owner[:-1]
+    a, b = values[:-1][inner], values[1:][inner]
+    return bool(np.where(strict[owner[1:][inner]], b > a, b >= a).all())
+
+
+def _masks(raw: np.ndarray, mb: int) -> list:
+    """Child-slot masks stored as `mb` little-endian bytes each, as ints."""
+    data = raw.tobytes()
+    return [int.from_bytes(data[i : i + mb], "little") for i in range(0, len(data), mb)]
+
+
+class _LeafBitmaps:
+    """One leaf's saved bitmaps: a byte range of the bitmap section, holding
+    the words of its non-empty mask and of each bitmap back to back, and
+    their CRC32."""
+
+    __slots__ = ("section", "start", "end", "crc")
+
+    def __init__(self, section: memoryview, start: int, end: int, crc: int):
+        self.section = section
+        self.start = start
+        self.end = end
+        self.crc = crc
+
+    def raw(self) -> memoryview:
+        return self.section[self.start : self.end]
+
+    def vectors(self, length: int, count: int) -> list:
+        """The `count` vectors of `length` bits, checked against the CRC32."""
+        raw = self.raw()
+        if zlib.crc32(raw) != self.crc:
+            raise DataError(f"leaf bitmaps at bitmap-section byte {self.start} fail their CRC32")
+        words = np.frombuffer(raw, "<u8")
+        return BitVector.split(words, length, count)
+
+
+# ---------------------------------------------------------------------------
+# saved format: writing
+
+
+def _columns(*arrays) -> bytes:
+    """Arrays back to back, each padded to a multiple of 8 bytes."""
+    out = bytearray()
+    for a in arrays:
+        out += np.ascontiguousarray(a).tobytes()
+        out += bytes(-len(out) % 8)
+    return bytes(out)
+
+
+def _common_columns(items: list, ndim: int) -> list:
+    return [
+        np.array([z for z, _ in items], "<u8"),
+        np.array([n.extent for _, n in items], "<u8").reshape(len(items), ndim, 2),
+        np.array([n.amin for _, n in items], "<f8"),
+        np.array([n.amax for _, n in items], "<f8"),
+        np.array([n.count for _, n in items], "<u8"),
+    ]
+
+
+def _floats(*parts) -> np.ndarray:
+    """Lists of float arrays joined in order as one float64 column."""
+    return np.concatenate([np.empty(0)] + [a for part in parts for a in part]).astype("<f8")
+
+
+def _leaf_tables(items: list, ndim: int) -> tuple:
+    """The tables of a leaf level and the bitmap bytes of each binned leaf.
+    A leaf read from a file gives back its saved bytes unchanged."""
+    kind, nbins, bitmaps, crcs = [], [], [], []
+    floats = ([], [], [], [])
+    for _, entry in items:
+        leaf = entry.leaf
+        if isinstance(leaf, PlainLeaf):
+            kind.append(0)
+            nbins.append(0)
+            continue
+        kind.append(1 + _ENCODING_IDS[leaf.encoding])
+        nbins.append(leaf.nbins)
+        for part, a in zip(floats, (leaf.binning.boundaries, leaf.binning.weights,
+                                    leaf.span_lo, leaf.span_hi)):
+            part.append(a)
+        if leaf.stored is not None:
+            raw, crc = leaf.stored.raw(), leaf.stored.crc
+        else:
+            vecs = (leaf.ebm, *leaf.bitmaps)
+            raw = np.concatenate([v.words for v in vecs]).astype("<u8").tobytes()
+            crc = zlib.crc32(raw)
+        bitmaps.append(raw)
+        crcs.append(crc)
+    offsets = np.cumsum([0] + [len(b) for b in bitmaps]).astype("<u8")
+    table = _columns(*_common_columns(items, ndim), np.array(kind, "u1"),
+                     np.array(nbins, "<u4"), _floats(*floats), offsets, np.array(crcs, "<u4"))
+    return table, bitmaps
+
+
+def _node_tables(items: list, ndim: int, mb: int) -> bytes:
+    """The tables of an internal level."""
+    sizes = np.array([(n.binning.nbins, len(n.sp_masks), len(n.al_masks)) for _, n in items],
+                     "<u4")
+    child = b"".join(n.child_mask.to_bytes(mb, "little") for _, n in items)
+    masks = b"".join(m.to_bytes(mb, "little") for table in ("sp_masks", "al_masks")
+                     for _, n in items for m in getattr(n, table))
+    floats = _floats([n.binning.boundaries for _, n in items],
+                     [n.binning.weights for _, n in items],
+                     [n.sp_bounds for _, n in items], [n.al_bounds for _, n in items])
+    return _columns(*_common_columns(items, ndim), sizes, np.frombuffer(child, "u1"), floats,
+                    np.frombuffer(masks, "u1"))
+
+
+# ---------------------------------------------------------------------------
+# saved format: reading
+
+
+class _Cursor:
+    """Reads the columns of one level's tables in order, each padded to a
+    multiple of 8 bytes, as read-only views of the file buffer."""
+
+    def __init__(self, buf, start: int, end: int, where: str):
+        self.buf, self.pos, self.end, self.where = buf, start, end, where
+
+    def take(self, dtype: str, count: int) -> np.ndarray:
+        size = np.dtype(dtype).itemsize * count
+        _require(0 <= count and self.pos + size <= self.end, self.where,
+                 "tables run past their end")
+        out = np.frombuffer(self.buf, dtype, count, self.pos)
+        self.pos += size + -size % 8
+        return out
+
+    def done(self) -> None:
+        _require(self.pos == self.end, self.where, f"tables end at byte {self.pos}, not {self.end}")
+
+
+def _read_v2(buf: bytes) -> tuple:
+    """(metadata, columns per level, bitmap section) of a version-2 file."""
+    _, _, crc, nlevels, meta_len, bitmaps_at = _PREAMBLE.unpack_from(buf)
+    view = memoryview(buf)
+    if bitmaps_at > len(buf) or zlib.crc32(view[12:bitmaps_at], zlib.crc32(view[:8])) != crc:
+        raise DataError("header or tables fail their CRC32")
+    pos = _PREAMBLE.size + _DIRECTORY.size * nlevels
+    directory = [_DIRECTORY.unpack_from(buf, _PREAMBLE.size + _DIRECTORY.size * i)
+                 for i in range(nlevels)]
+    meta = json.loads(bytes(view[pos : pos + meta_len]))
+    ndim = len(meta["schema"]["dims"])
+    fd = meta["params"]["fanout_per_dim"]
+    mb = -(-(fd**ndim) // 8)
+    columns = []
+    for level, (n, start, size) in enumerate(directory):
+        cur = _Cursor(buf, start, min(start + size, bitmaps_at), f"level {level}")
+        cols = {
+            "z": cur.take("<u8", n),
+            "extent": cur.take("<u8", n * ndim * 2).reshape(n, ndim, 2),
+            "amin": cur.take("<f8", n),
+            "amax": cur.take("<f8", n),
+            "count": cur.take("<u8", n),
+        }
+        if level == 0:
+            cols["kind"] = cur.take("u1", n)
+            cols["nbins"] = cur.take("<u4", n)
+            k = cols["nbins"].astype(np.int64)
+            binned = int(np.count_nonzero(k))
+            cols["floats"] = cur.take("<f8", 4 * int(k.sum()) + binned)
+            cols["offsets"] = cur.take("<u8", binned + 1)
+            cols["crcs"] = cur.take("<u4", binned)
+        else:
+            cols["sizes"] = cur.take("<u4", 3 * n).reshape(n, 3)
+            nb, nsp, nal = (int(c.astype(np.int64).sum()) for c in cols["sizes"].T)
+            cols["child"] = cur.take("u1", n * mb)
+            cols["floats"] = cur.take("<f8", 2 * nb + n + nsp + nal)
+            cols["masks"] = cur.take("u1", (nsp + nal) * mb)
+        cur.done()
+        columns.append(cols)
+    return meta, columns, view[bitmaps_at:]
+
+
+def _walk_v1(buf: bytes) -> tuple:
+    """(metadata, columns per level, bitmap section) of a version-1 file,
+    whose levels are records walked one at a time; each leaf's bitmaps are
+    read with their headers and their words gathered into a bitmap section
+    laid out as version 2 lays it out."""
+    pos = 8
+    meta_len = struct.unpack_from("<Q", buf, pos)[0]
+    pos += 8
+    meta = json.loads(buf[pos : pos + meta_len])
+    pos += meta_len
+    nlevels = struct.unpack_from("<I", buf, pos)[0]
+    pos += 4
+    directory = []
+    for _ in range(nlevels):
+        directory.append(struct.unpack_from("<IBQQQ", buf, pos))
+        pos += struct.calcsize("<IBQQQ")
+    ndim = len(meta["schema"]["dims"])
+    fd = meta["params"]["fanout_per_dim"]
+    mb = -(-(fd**ndim) // 8)
+    section = bytearray()
+    columns = []
+    for level, _, count, offset, size in directory:
+        if offset + size > len(buf):
+            raise DataError(f"level {level} runs past the end of the file")
+        rec = {key: [] for key in ("z", "extent", "amin", "amax", "count", "kind", "nbins",
+                                   "sizes", "child", "sp_masks", "al_masks", "offsets", "crcs")}
+        floats = ([], [], [], [])
+        walk = _walk_v1_leaf if level == 0 else _walk_v1_node
+        p = offset
+        for _ in range(count):
+            p = walk(buf, p, ndim, mb, rec, floats, section)
+        if p != offset + size:
+            raise DataError(f"level {level} ends at byte {p}, not {offset + size}")
+        cols = {
+            "z": np.array(rec["z"], np.uint64),
+            "extent": np.array(rec["extent"], np.uint64).reshape(count, ndim, 2),
+            "amin": np.array(rec["amin"], np.float64),
+            "amax": np.array(rec["amax"], np.float64),
+            "count": np.array(rec["count"], np.uint64),
+            "floats": _floats(*floats),
+        }
+        if level == 0:
+            cols["kind"] = np.array(rec["kind"], np.uint8)
+            cols["nbins"] = np.array(rec["nbins"], np.uint32)
+            cols["offsets"] = np.array([0] + rec["offsets"], np.uint64)
+            cols["crcs"] = np.array(rec["crcs"], np.uint32)
+        else:
+            cols["sizes"] = np.array(rec["sizes"], np.uint32).reshape(count, 3)
+            cols["child"] = np.frombuffer(b"".join(rec["child"]), np.uint8)
+            cols["masks"] = np.frombuffer(b"".join(rec["sp_masks"] + rec["al_masks"]), np.uint8)
+        columns.append(cols)
+    return meta, columns, memoryview(bytes(section))
+
+
+def _walk_v1_common(buf, pos: int, ndim: int, rec: dict, coords: bool) -> int:
+    rec["z"].append(struct.unpack_from("<Q", buf, pos)[0])
+    pos += 8 + 8 * ndim * coords
+    rec["extent"].append(struct.unpack_from(f"<{2 * ndim}Q", buf, pos))
+    return pos + 16 * ndim
+
+
+def _walk_v1_leaf(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple,
+                  section: bytearray) -> int:
+    pos = _walk_v1_common(buf, pos, ndim, rec, True)
+    kind, amin, amax, count = struct.unpack_from("<BddQ", buf, pos)
+    pos += struct.calcsize("<BddQ")
+    rec["amin"].append(amin)
+    rec["amax"].append(amax)
+    rec["count"].append(count)
+    if kind == 0:
+        rec["kind"].append(0)
+        rec["nbins"].append(0)
+        return pos
+    enc, nb = struct.unpack_from("<BH", buf, pos)
+    pos += 3
+    if nb < 2:
+        raise DataError(f"leaf {rec['z'][-1]} has {nb} bin boundaries")
+    rec["kind"].append(1 + enc)
+    rec["nbins"].append(nb - 1)
+    for part, n in zip(floats, (nb, nb - 1, nb - 1, nb - 1)):
+        part.append(np.frombuffer(buf, "<f8", n, pos))
+        pos += 8 * n
+    ext = rec["extent"][-1]
+    cells = int(np.prod(np.subtract(ext[1::2], ext[0::2]) + 1))
+    ebm, pos = _unpack_bitvector(buf, pos)
+    nbm = struct.unpack_from("<H", buf, pos)[0]
+    pos += 2
+    vecs = [ebm]
+    for _ in range(nbm):
+        vec, pos = _unpack_bitvector(buf, pos)
+        vecs.append(vec)
+    if any(len(v) != cells for v in vecs):
+        raise DataError(f"leaf {rec['z'][-1]} has bitmaps of another length than its "
+                        f"{cells}-cell chunk")
+    raw = np.concatenate([v.words for v in vecs]).astype("<u8").tobytes()
+    section += raw
+    rec["offsets"].append(len(section))
+    rec["crcs"].append(zlib.crc32(raw))
+    return pos
+
+
+def _walk_v1_node(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple,
+                  section: bytearray) -> int:
+    pos = _walk_v1_common(buf, pos, ndim, rec, False)
+    amin, amax, count = struct.unpack_from("<ddQ", buf, pos)
+    pos += 24
+    rec["amin"].append(amin)
+    rec["amax"].append(amax)
+    rec["count"].append(count)
+    rec["child"].append(buf[pos : pos + mb])
+    pos += mb
+    nb = struct.unpack_from("<H", buf, pos)[0]
+    pos += 2
+    if nb < 2:
+        raise DataError(f"node {rec['z'][-1]} has {nb} bin boundaries")
+    for part, n in zip(floats, (nb, nb - 1)):
+        part.append(np.frombuffer(buf, "<f8", n, pos))
+        pos += 8 * n
+    rows = []
+    for part, masks in zip(floats[2:], (rec["sp_masks"], rec["al_masks"])):
+        cnt = struct.unpack_from("<H", buf, pos)[0]
+        pos += 2
+        rows.append(cnt)
+        bounds = []
+        for _ in range(cnt):
+            bounds.append(struct.unpack_from("<d", buf, pos)[0])
+            masks.append(buf[pos + 8 : pos + 8 + mb])
+            pos += 8 + mb
+        part.append(np.array(bounds))
+    rec["sizes"].append((nb - 1, *rows))
+    return pos
+
+
 def _unpack_bitvector(buf, pos) -> tuple:
-    """One length-prefixed bitvector read in place from the file buffer."""
+    """One length-prefixed version-1 bitvector read in place from the file buffer."""
     ln = struct.unpack_from("<I", buf, pos)[0]
     pos += 4
     vec, end = BitVector.from_bytes(buf, pos)
@@ -876,7 +1177,6 @@ def _unpack_bitvector(buf, pos) -> tuple:
 
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,
-                bins: int = 16, leaf_encoding: str = "interval", e: int = 4,
-                dense_levels: int = 2) -> Index:
+                bins: int = 16, leaf_encoding: str = "interval", e: int = 4) -> Index:
     """Build the full tree bottom-up over a chunk store."""
-    return Index.build(store, attribute, fanout, bins, leaf_encoding, e, dense_levels)
+    return Index.build(store, attribute, fanout, bins, leaf_encoding, e)

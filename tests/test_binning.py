@@ -9,7 +9,7 @@ from arraybit.binning import (
     wsse,
 )
 from arraybit.errors import DegenerateDomainError, InputError
-from testutil import equi_width, merged_weight
+from testutil import bin_of, equi_width, merged_weight
 
 
 def reference_merge(source: Binning, bins: int):
@@ -101,7 +101,7 @@ def test_equi_depth_single_value():
 def test_equi_depth_low_cardinality():
     (b,), edges = equi_depth_exact([1.0, 2.0, 5.0], [4, 4, 4], 8)
     assert b.nbins == 3
-    assert np.array_equal(b.bin_of([1.0, 2.0, 5.0]), [0, 1, 2])
+    assert np.array_equal(bin_of(b, [1.0, 2.0, 5.0]), [0, 1, 2])
     assert np.array_equal(edges, [0, 1, 2, 3])
 
 
@@ -110,13 +110,13 @@ def test_equi_depth_zipf_balance():
     values = np.arange(1.0, 10_001.0)
     counts = np.floor(10_000.0 / values) + rng.integers(0, 3, size=10_000)
     (b,), edges = equi_depth_exact(values, counts, 16)
-    assert np.array_equal(np.repeat(np.arange(b.nbins), np.diff(edges)), b.bin_of(values))
+    assert np.array_equal(np.repeat(np.arange(b.nbins), np.diff(edges)), bin_of(b, values))
     quota = counts.sum() / 16
     heavy = counts.max() > quota
     if not heavy:
         assert b.weights.max() <= 2 * b.weights.min()
     # weights must agree with an exact recount over the histogram
-    idx = b.bin_of(values)
+    idx = bin_of(b, values)
     recount = np.bincount(idx, weights=counts, minlength=b.nbins)
     assert np.allclose(recount, b.weights)
 

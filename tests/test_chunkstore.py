@@ -11,7 +11,6 @@ from arraybit.chunkstore import (
     QueryStats,
     build_leaf_index,
     delocate,
-    ingest_csv,
     leaf_query,
     leaf_query_bitmaps,
     load_store,
@@ -19,6 +18,7 @@ from arraybit.chunkstore import (
     write_raw,
 )
 from arraybit.errors import DataError, InputError
+from testutil import bin_of, ingest_csv
 
 
 def schema_2d(extents=(8, 8), chunk=(4, 4)):
@@ -165,7 +165,7 @@ def test_bins_bitmap_matches_equality_oracle(encoding, k):
     idx = BinnedBitmapIndex.build(vals, nonempty, k, encoding)
     kk = idx.nbins
     binidx = np.full(n, -1)
-    binidx[nonempty] = idx.binning.bin_of(vals[nonempty])
+    binidx[nonempty] = bin_of(idx.binning, vals[nonempty])
     for a in range(kk):
         for b in range(a, kk):
             stats = QueryStats()

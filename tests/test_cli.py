@@ -161,6 +161,24 @@ def test_append_then_query_equals_fresh_build(tmp_path, capsys):
     assert count == 4 * 8  # rows 6..9 over 8 columns, all non-empty
 
 
+def test_query_and_append_refuse_stale_data(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))
+    vals = rng.random((8, 8))
+    head = tmp_path / "arr.json"
+    write_raw(head, sch, {"a": vals})
+    idx = tmp_path / "arr.abix"
+    assert main(["build", "--data", str(head), "--index", str(idx)]) == 0
+    vals[5, 6] = np.nan  # chunk (1, 1) loses one cell
+    stale = tmp_path / "stale.json"
+    write_raw(stale, sch, {"a": vals})
+    assert main(["query", "--index", str(idx), "--data", str(head)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--index", str(idx), "--data", str(stale)]) == 2
+    assert "chunk (1, 1) has 15 non-empty cells, its leaf 16" in capsys.readouterr().err
+    assert main(["append", "--index", str(idx), "--data", str(stale)]) == 2
+
+
 def test_bench_writes_csv_with_agreement(tmp_path):
     head = _gen(tmp_path, shape="32x32", threshold="0.0001")
     workload = tmp_path / "queries.txt"
@@ -174,7 +192,7 @@ def test_bench_writes_csv_with_agreement(tmp_path):
                "--out", str(out), "--repeat", "1", "--params", "bins=8", "fanout=16"])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "# arraybit-bench-v1"
+    assert lines[0] == "# arraybit-bench-v2"
     sizes = {l.split(",")[1]: int(l.split(",")[2]) for l in lines if l.startswith("# index_size")}
     assert sizes["arraybit"] > 0 and sizes["dimsatts"] > 0
     import csv as csvmod

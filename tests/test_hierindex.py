@@ -1,12 +1,13 @@
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arraybit.binning import Binning
-from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
+from arraybit.chunkstore import ArraySchema, Chunk, ChunkStore, QueryStats
 from arraybit.cli import main
 from arraybit.datagen import SumGaussSpec, generate_store
 from arraybit.errors import DataError, InputError
@@ -191,8 +192,8 @@ def test_build_two_levels_64x64():
     store = grid_store((64, 64), (8, 8))
     idx = build_index(store, fanout=64)
     assert idx.depth == 1  # 64 leaves + one root level
-    assert idx.levels[0].count == 64
-    assert idx.levels[1].count == 1
+    assert len(idx.levels[0]) == 64
+    assert len(idx.levels[1]) == 1
     root = idx.root
     assert root.extent == ((0, 63), (0, 63))
     assert root.count == 64 * 64
@@ -225,9 +226,9 @@ def test_sparse_tree_node_count():
     store = ChunkStore.from_dense(sch, {"a": vals})
     idx = build_index(store, fanout=64)
     nonempty_coords = {tuple(c) for c in np.argwhere(keep)}
-    assert idx.levels[0].count == len(nonempty_coords)
+    assert len(idx.levels[0]) == len(nonempty_coords)
     parents = {(y // 8, x // 8) for y, x in nonempty_coords}
-    assert idx.levels[1].count == len(parents)
+    assert len(idx.levels[1]) == len(parents)
     total_expected = len(nonempty_coords) + len(parents) + 1
     assert idx.node_count() == total_expected
 
@@ -239,7 +240,7 @@ def test_clipped_extents():
     assert idx.depth == 2
 
 
-def test_fetch_trace_and_blocks():
+def test_fetch_trace_and_nodes_fetched():
     store = grid_store((64, 64), (8, 8))
     idx = build_index(store, fanout=64)
     stats = QueryStats()
@@ -247,9 +248,11 @@ def test_fetch_trace_and_blocks():
     root = idx.fetch(1, 0, stats, trace)
     assert root is idx.root
     assert trace == [(0, 0)]
-    assert stats.blocks_read == 1
+    assert stats.nodes_fetched == 1
     idx.fetch(1, 0, stats, trace)
-    assert stats.blocks_read == 1  # same block touched once
+    assert stats.nodes_fetched == 2  # every fetch counts
+    assert idx.fetch(0, 64, stats, trace) is None  # no such node: not counted
+    assert stats.nodes_fetched == 2 and len(trace) == 2
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -429,24 +432,34 @@ def _index_file(tmp_path):
     return store, idx, path.read_bytes()
 
 
+def _sections(raw: bytes) -> dict:
+    """(start, end) of each section of a version-2 index file."""
+    _, version, _, nlevels, meta_len, bitmaps_at = struct.unpack_from("<4sIIIQQ", raw)
+    assert version == 2
+    meta_at = 32 + 24 * nlevels
+    out = {"preamble": (0, 32), "directory": (32, meta_at),
+           "metadata": (meta_at, meta_at + meta_len)}
+    for level in range(nlevels):
+        _, offset, size = struct.unpack_from("<QQQ", raw, 32 + 24 * level)
+        out[f"level {level} tables"] = (offset, offset + size)
+    out["bitmaps"] = (bitmaps_at, len(raw))
+    return out
+
+
+def _with_crc(raw: bytes) -> bytes:
+    """`raw` with its header CRC made to match its content again."""
+    bitmaps_at = struct.unpack_from("<Q", raw, 24)[0]
+    crc = zlib.crc32(raw[12:bitmaps_at], zlib.crc32(raw[:8]))
+    return raw[:8] + struct.pack("<I", crc) + raw[12:]
+
+
 def test_truncated_index_fails_with_data_error(tmp_path):
     store, idx, raw = _index_file(tmp_path)
-    meta_len = struct.unpack_from("<Q", raw, 8)[0]
-    directory = 16 + meta_len + 4
-    level0_offset = struct.unpack_from("<IBQQQ", raw, directory)[3]
-    level1_offset = struct.unpack_from("<IBQQQ", raw, directory + 29)[3]
-    leaf = next(iter(idx.levels[0].items()))[1].leaf
-    bitmap = leaf.bitmaps[0].to_bytes()
-    at = raw.index(bitmap, level0_offset)
-    cuts = {
-        "header": 6,
-        "metadata": 16 + meta_len // 2,
-        "directory": directory + 10,
-        "leaf": level0_offset + 20,
-        "bitmap": at + 16 + 4,
-        "node": level1_offset + 40,
-        "last byte": len(raw) - 1,
-    }
+    sections = _sections(raw)
+    assert len(sections) == 7  # three levels
+    cuts = {"header": 6, "last byte": len(raw) - 1}
+    for name, (start, end) in sections.items():
+        cuts[name] = (start + end) // 2
     assert Index.load(tmp_path / "whole.abix", store=store).node_count() == idx.node_count()
     for where, cut in cuts.items():
         path = tmp_path / f"cut-{cut}.abix"
@@ -456,24 +469,73 @@ def test_truncated_index_fails_with_data_error(tmp_path):
         assert main(["query", "--index", str(path), "--where", ""]) == 2, where
 
 
+def test_flipped_byte_fails_with_data_error(tmp_path):
+    # the header CRC covers everything before the bitmap section; a leaf's
+    # bitmaps are checked against their own CRC when first decoded
+    store, idx, raw = _index_file(tmp_path)
+    for name, (start, end) in _sections(raw).items():
+        for at in (start, (start + end) // 2, end - 1):
+            bad = bytearray(raw)
+            bad[at] ^= 0x10
+            path = tmp_path / f"flip-{at}.abix"
+            path.write_bytes(bytes(bad))
+            if name != "bitmaps":
+                with pytest.raises(DataError):
+                    Index.load(path, store=store)
+                assert main(["query", "--index", str(path), "--where", ""]) == 2, name
+                continue
+            loaded = Index.load(path, store=store)
+            assert loaded.serialize() == bytes(bad)  # copied, not decoded
+            failed = 0
+            for _, entry in loaded.levels[0].items():
+                try:
+                    entry.leaf.bitmaps
+                except DataError as exc:
+                    assert "CRC32" in str(exc)
+                    failed += 1
+            assert failed == 1
+
+
 def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
     # a binned leaf takes its non-empty count from the file, not from its
     # bitmap; a count the chunk cannot hold is refused
     store, idx, raw = _index_file(tmp_path)
-    meta_len = struct.unpack_from("<Q", raw, 8)[0]
-    level0 = struct.unpack_from("<IBQQQ", raw, 16 + meta_len + 4)[3]
-    kind_at = level0 + 8 + 8 * 2 + 16 * 2  # after z, coords and extent
-    kind, _, _, count = struct.unpack_from("<BddQ", raw, kind_at)
-    leaf = next(iter(idx.levels[0].items()))[1].leaf
-    assert kind == 1 and count == leaf.count == leaf.length == 64
+    start, _ = _sections(raw)["level 0 tables"]
+    n = len(idx.levels[0])
+    count_at = start + 8 * n + 32 * n + 16 * n  # after z, extent, amin and amax
+    leaf = next(iter(idx.levels[0].values())).leaf
+    assert struct.unpack_from("<Q", raw, count_at)[0] == leaf.count == leaf.length == 64
     for bad, ok in ((64, True), (65, False)):
         path = tmp_path / f"count-{bad}.abix"
-        path.write_bytes(raw[:kind_at + 17] + struct.pack("<Q", bad) + raw[kind_at + 25:])
+        path.write_bytes(_with_crc(raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]))
         if ok:
             assert Index.load(path, store=store).serialize() == raw
         else:
             with pytest.raises(DataError, match="counts 65 cells"):
-                Index.load(path, store=store)
+                Index.load(path)
+
+
+def test_stale_data_is_refused(tmp_path):
+    store, idx, raw = _index_file(tmp_path)
+    path = tmp_path / "whole.abix"
+    chunk = store.chunks[(1, 2)]
+    values = chunk.values["a"].copy()
+    values[3, 4] = np.nan  # the chunk loses one cell
+    nonempty = chunk.nonempty.copy()
+    nonempty[3, 4] = False
+    lost = ChunkStore(store.schema, dict(store.chunks))
+    lost.chunks[(1, 2)] = Chunk(chunk.coords, chunk.offsets, chunk.shape, {"a": values},
+                                nonempty)
+    with pytest.raises(DataError, match=r"chunk \(1, 2\) has 63 non-empty cells, its leaf 64"):
+        Index.load(path, store=lost)
+    fewer = ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c != (1, 2)})
+    with pytest.raises(DataError, match="15 non-empty chunks are not the index's 16 leaves"):
+        Index.load(path, store=fewer)
+    moved = dict(store.chunks)
+    moved[(9, 9)] = moved.pop((1, 2))
+    with pytest.raises(DataError, match="16 non-empty chunks are not the index's 16 leaves"):
+        Index.load(path, store=ChunkStore(store.schema, moved))
+    assert Index.load(path, store=store).node_count() == idx.node_count()
 
 
 def test_infinite_cell_gives_finite_root_weights():

@@ -4,15 +4,24 @@ Each case builds a small seeded index and compares the SHA-256 of
 `Index.serialize()` with a recorded digest, so a build change that moves a
 single saved byte fails here.  A deliberate format change updates the
 digests together with `_VERSION` in `hierindex`.
+
+`fixtures/v1_<case>.idx` hold the same three indexes in the version-1
+format, written before version 2 replaced it; they must keep loading and
+answering like a fresh build.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore
-from arraybit.hierindex import build_index
+from arraybit.hierindex import Index, build_index
+from arraybit.query import RawQuery, estimate, execute, membership
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _schema(shape, chunk, typ="float64", empty=None):
@@ -55,13 +64,76 @@ def interval_4d_appended():
     return idx
 
 
-@pytest.mark.parametrize(
-    "make, digest",
-    [
-        (range_2d, "b1dee37d36b96f8f93b2b2f341be4b0713a94bbac7d990f4fd9288dd0512ab82"),
-        (equality_3d_int, "7c08b1d77013adfcf9e386c87bb462b6d92ffcb90ec8804bd07fad2e8f41d731"),
-        (interval_4d_appended, "35e246973f2f7b80a2dbcf2efb1a017f98721a7ecc4e9e7ecdb91e7b1e066104"),
-    ],
-)
-def test_serialized_bytes_are_pinned(make, digest):
-    assert hashlib.sha256(make().serialize()).hexdigest() == digest
+CASES = [range_2d, equality_3d_int, interval_4d_appended]
+
+
+PINS = {
+    range_2d: "12c59e0b6abc763ebff8335b5e2bf59a1c929044d0a02925846b1c4b4b9ac64a",
+    equality_3d_int: "08a29dbe4443c7d66afdd1b781b0c4a20e808ce67757c2f5d066412998d21118",
+    interval_4d_appended: "eb727ffdf6885e8c774dc8f2716e50de94bd93ab7354bd5d9f7758839a6be3df",
+}
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_serialized_bytes_are_pinned(make):
+    assert hashlib.sha256(make().serialize()).hexdigest() == PINS[make]
+
+
+def _queries(idx):
+    """A few range, one-sided and value-set queries over the index's data."""
+    root = idx.root
+    lo, hi = root.amin, root.amax
+    mid = (lo + hi) / 2
+    ext = idx.schema.shape
+    values = idx.store.dense("a")[idx.store.nonempty_dense()]
+    return [
+        RawQuery(),
+        RawQuery(attr_lo=mid),
+        RawQuery(attr_lo=lo + (hi - lo) / 4, attr_hi=mid, dims={"d0": (1, ext[0] - 2)}),
+        RawQuery(attr_hi=mid, dims={"d1": (ext[1] // 3, ext[1] // 2)}),
+        RawQuery(values=tuple(np.unique(values)[::7].tolist())),
+    ]
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_version_1_fixture_answers_like_a_fresh_build(make):
+    fresh = make()
+    old = Index.load(FIXTURES / f"v1_{make.__name__}.idx", store=fresh.store)
+    assert old.serialize() == fresh.serialize()
+    for raw in _queries(fresh):
+        run = membership if raw.values is not None else execute
+        assert np.array_equal(run(old, raw).cell_ids(old.store),
+                              run(fresh, raw).cell_ids(fresh.store))
+        for budget in range(fresh.depth + 1):
+            assert estimate(old, raw, budget) == estimate(fresh, raw, budget)
+    for (z, a), (_, b) in zip(fresh.levels[0].items(), old.levels[0].items()):
+        if hasattr(a.leaf, "bitmaps"):
+            assert b.leaf.ebm == a.leaf.ebm and b.leaf.bitmaps == a.leaf.bitmaps
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_load_builds_no_bitvector_and_saves_the_same_bytes(make, tmp_path, monkeypatch):
+    fresh = make()
+    path = tmp_path / "index.abix"
+    fresh.save(path)
+    made = []
+    init = BitVector.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(BitVector, "__init__", counted)
+    loaded = Index.load(path, store=fresh.store)
+    assert not made
+    assert loaded.serialize() == path.read_bytes()
+    assert not made
+    for (_, a), (_, b) in zip(fresh.levels[0].items(), loaded.levels[0].items()):
+        if hasattr(a.leaf, "bitmaps"):
+            assert b.leaf.bitmaps == a.leaf.bitmaps and b.leaf.ebm == a.leaf.ebm
+    assert made  # decoded on first use
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_version_2_is_smaller_than_version_1(make):
+    assert len(make().serialize()) < (FIXTURES / f"v1_{make.__name__}.idx").stat().st_size

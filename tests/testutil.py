@@ -1,15 +1,60 @@
 """Shared helpers for building randomized stores, indexes and queries."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from arraybit.binning import Binning
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, PlainLeaf
-from arraybit.errors import DegenerateDomainError, InputError
+from arraybit.errors import DataError, DegenerateDomainError, InputError
 from arraybit.hierindex import build_index
 from arraybit.query import RawQuery
+
+
+def bin_of(binning: Binning, values) -> np.ndarray:
+    """Bin index per value; values equal to the max land in the last bin."""
+    idx = np.searchsorted(binning.boundaries, np.asarray(values), side="right") - 1
+    return np.clip(idx, 0, binning.nbins - 1)
+
+
+def ingest_csv(path, schema: ArraySchema) -> ChunkStore:
+    """Load `d_1,...,d_n,a_1,...,a_m` lines (header row optional)."""
+    path = Path(path)
+    ncoords = schema.ndim
+    names = [n for n, _ in schema.attributes]
+    data = {
+        name: np.full(schema.shape, schema.empty_value(name),
+                      np.float64 if typ == "float64" else np.int64)
+        for name, typ in schema.attributes
+    }
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if lineno == 1 and not _is_number(parts[0]):
+                continue  # header row
+            if len(parts) != ncoords + len(names):
+                raise DataError(f"{path}:{lineno}: expected {ncoords + len(names)} fields")
+            try:
+                cell = tuple(int(p) for p in parts[:ncoords])
+                for name, raw in zip(names, parts[ncoords:]):
+                    if raw != "":
+                        data[name][cell] = float(raw)
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return ChunkStore.from_dense(schema, data)
+
+
+def _is_number(s: str) -> bool:
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
 
 
 def random_store(rng, shape, chunk, sparsity=0.0, attr="a"):
@@ -170,7 +215,7 @@ def reference_equi_depth(values, counts, k: int) -> Binning:
     mids = mids[(mids > values[0]) & (mids < values[-1])]
     boundaries = np.concatenate(([values[0]], mids, [values[-1]]))
     binning = Binning(boundaries)
-    weights = np.bincount(binning.bin_of(values), weights=counts, minlength=binning.nbins)
+    weights = np.bincount(bin_of(binning, values), weights=counts, minlength=binning.nbins)
     return Binning(boundaries, weights)
 
 
@@ -199,13 +244,13 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
     uticks, ucounts = np.unique(live, return_counts=True)
     binning = reference_equi_depth(uticks, ucounts, bins)
     k = binning.nbins
-    ubins = binning.bin_of(uticks)
+    ubins = bin_of(binning, uticks)
     span_lo = np.full(k, np.inf)
     span_hi = np.full(k, -np.inf)
     np.minimum.at(span_lo, ubins, uticks)
     np.maximum.at(span_hi, ubins, uticks)
     binidx = np.full(values.shape, -1, np.int64)
-    binidx[nonempty] = binning.bin_of(live)
+    binidx[nonempty] = bin_of(binning, live)
     if encoding == "equality":
         windows = [(j, j) for j in range(k)]
     elif encoding == "range":
