@@ -18,7 +18,8 @@ Kernels: group g is bits 63g .. 63g + 62, first bit least significant.
 Packing runs one little-endian ``np.packbits`` over the bits and cuts the
 packed 64-bit words into 63-bit groups with shifts.  ``from_dense``
 encodes many equal-length vectors at once: one pack over all of them and
-one compress pass whose runs stop at each vector's first group.
+one compress pass whose runs stop at each vector's first group, giving
+their words back to back.
 Unpacking runs ``np.unpackbits`` over the 8 bytes of each word, row-wise
 with ``count=63``.  Decoding a vector with no fill word unpacks
 its words directly, with no run expansion.
@@ -156,20 +157,20 @@ class BitVector:
 
     @classmethod
     def from_dense(cls, bits: np.ndarray):
-        """One vector from a 1-d boolean array; from a 2-d one, a list of
-        vectors, one per row, all packed and compressed in one pass."""
+        """One vector from a 1-d boolean array.  From a 2-d one, every row
+        packed and compressed in one pass: the words of all the rows' vectors
+        back to back, and the index one past each row's last word (rows of
+        one length need no header to be cut apart, see `split`)."""
         bits = np.asarray(bits, bool)
         if bits.ndim not in (1, 2):
             raise InputError("from_dense expects a 1-d or 2-d boolean array")
         rows = np.atleast_2d(bits)
         groups = _pack_groups(rows)
         nrows, ngroups = groups.shape
-        flat = groups.reshape(-1)
-        words, starts = _compress_segments(flat, None, ngroups)
-        ends = np.searchsorted(starts, np.arange(1, nrows + 1) * ngroups).tolist()
-        n = rows.shape[1]
-        vecs = [cls(n, words[a:b]) for a, b in zip([0] + ends, ends)]
-        return vecs[0] if bits.ndim == 1 else vecs
+        words, starts = _compress_segments(groups.reshape(-1), None, ngroups)
+        if bits.ndim == 1:
+            return cls(rows.shape[1], words)
+        return words, np.searchsorted(starts, np.arange(1, nrows + 1) * ngroups)
 
     # -- introspection ------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -280,6 +281,38 @@ def bitmap_count(encoding: str, k: int) -> int:
     return len(range(k + 1)[_WINDOWS[encoding](k)[1]])
 
 
+class LeafWords:
+    """The words of a leaf's non-empty mask and of its bitmaps, back to back
+    with no header (`BitVector.split` cuts them apart): the slice
+    [start, end) of a word array shared by many leaves, the encoder's output
+    for a built batch or the bitmap section of a saved index.  A saved
+    leaf's words carry their CRC32, checked when they are first decoded; a
+    built leaf's CRC32 is computed when it is asked for."""
+
+    __slots__ = ("array", "start", "end", "saved_crc")
+
+    def __init__(self, array: np.ndarray, start: int, end: int, saved_crc: int | None = None):
+        self.array = array
+        self.start = start
+        self.end = end
+        self.saved_crc = saved_crc
+
+    def raw(self) -> np.ndarray:
+        """The words as little-endian u8, only to be read."""
+        return self.array[self.start : self.end].astype("<u8", copy=False)
+
+    def crc(self) -> int:
+        return zlib.crc32(self.raw()) if self.saved_crc is None else self.saved_crc
+
+    def vectors(self, length: int, count: int) -> list:
+        """The `count` vectors of `length` bits."""
+        raw = self.raw()
+        if self.saved_crc is not None and zlib.crc32(raw) != self.saved_crc:
+            raise DataError(f"leaf bitmaps at bitmap-section byte {8 * self.start} fail their "
+                            "CRC32")
+        return BitVector.split(raw, length, count)
+
+
 class BinnedBitmapIndex:
     """Equi-depth binned bitmaps over one value column in a fixed cell order.
 
@@ -290,31 +323,18 @@ class BinnedBitmapIndex:
       interval  sliding windows of ceil(|B|/2) consecutive bins,
                 ceil(|B|/2) bitmaps; any contiguous bin range is two fetches
 
-    A leaf read from a saved index keeps its bitmaps as `stored`, an object
-    whose `vectors(length, count)` decodes them (see `hierindex`); `ebm` and
-    `bitmaps` decode them on first use.  A built leaf has no `stored`.
+    A leaf keeps its non-empty mask and bitmaps as `words`, a `LeafWords`
+    (its batch's encoded words when built, its bytes of the bitmap section
+    when read from a saved index); `ebm` and `bitmaps` decode them on
+    first use.
     """
 
     __slots__ = ("binning", "encoding", "span_lo", "span_hi", "length", "count", "amin", "amax",
-                 "stored", "_ebm", "_bitmaps")
+                 "words", "_ebm", "_bitmaps")
 
-    def __init__(self, binning, encoding, bitmaps, span_lo, span_hi, ebm, count: int):
-        """`count` is the number of set bits of `ebm`, the non-empty cells,
-        which the builder and the loader already know."""
-        self._set(binning, encoding, span_lo, span_hi, count, len(ebm), None)
-        self._ebm = ebm
-        self._bitmaps = bitmaps
-
-    @classmethod
-    def from_stored(cls, binning, encoding, span_lo, span_hi, count: int, length: int,
-                    stored) -> "BinnedBitmapIndex":
-        """A leaf of `length` cells whose bitmaps stay in `stored` until used."""
-        leaf = cls.__new__(cls)
-        leaf._set(binning, encoding, span_lo, span_hi, count, length, stored)
-        leaf._ebm = leaf._bitmaps = None
-        return leaf
-
-    def _set(self, binning, encoding, span_lo, span_hi, count, length, stored):
+    def __init__(self, binning, encoding, span_lo, span_hi, count: int, length: int,
+                 words: LeafWords):
+        """A leaf of `length` cells, `count` of them non-empty."""
         self.binning = binning
         self.encoding = encoding
         self.span_lo = span_lo
@@ -323,23 +343,24 @@ class BinnedBitmapIndex:
         self.count = count
         self.amin = float(span_lo[0])
         self.amax = float(span_hi[-1])
-        self.stored = stored
+        self.words = words
+        self._ebm = self._bitmaps = None
 
-    def _decode_stored(self) -> None:
-        vecs = self.stored.vectors(self.length, 1 + bitmap_count(self.encoding, self.nbins))
+    def _decode(self) -> None:
+        vecs = self.words.vectors(self.length, 1 + bitmap_count(self.encoding, self.nbins))
         self._ebm, self._bitmaps = vecs[0], vecs[1:]
 
     @property
     def ebm(self):
         """The non-empty mask as a bitvector."""
         if self._ebm is None:
-            self._decode_stored()
+            self._decode()
         return self._ebm
 
     @property
     def bitmaps(self) -> list:
         if self._bitmaps is None:
-            self._decode_stored()
+            self._decode()
         return self._bitmaps
 
     @property
@@ -356,9 +377,12 @@ class BinnedBitmapIndex:
     def build_rows(cls, values: np.ndarray, nonempty: np.ndarray, bins: int,
                    encoding: str) -> list:
         """Index each row of a (rows, cells) value array over its non-empty
-        cells, every row in one pass: one sort, one binning over all the
-        rows' histograms and one encode of all their bitmaps.  Integer
-        values are binned as float64.
+        cells, every row in one pass.  Integer values are binned as float64.
+
+        Passes: one sort of all the rows; the equi-depth cuts read off the
+        sorted rows by `equi_depth_exact`; then, per bin count, one
+        comparison of the cells with the cuts and one encode of all the
+        rows' bitmaps.  Each leaf keeps its slice of the encoded words.
         """
         if encoding not in _WINDOWS:
             raise InputError(f"unknown encoding {encoding!r}")
@@ -371,25 +395,7 @@ class BinnedBitmapIndex:
         ordered = np.sort(cells, axis=1)
         if np.isnan(ordered[np.arange(nrows), live - 1]).any():
             raise InputError("cannot index NaN values")
-
-        # each row's histogram: its distinct values and their counts
-        first = np.empty((nrows, ncells), bool)
-        first[:, 0] = True
-        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
-        first &= np.arange(ncells) < live[:, None]
-        at = np.flatnonzero(first)  # flat position of each distinct value
-        row_start = np.searchsorted(at, np.arange(nrows) * ncells)
-        # a value's run ends at the next distinct value or its row's last live cell
-        stop = np.append(at[1:], 0)
-        stop[np.append(row_start[1:], at.size) - 1] = np.arange(nrows) * ncells + live
-        uniq = ordered.reshape(-1)[at]
-        binnings, edges = equi_depth_exact(uniq, stop - at, bins, row_start)
-
-        # a bin's span runs from its first distinct value to its last; an
-        # empty bin keeps (inf, -inf).  A row's last bin is never empty.
-        filled = edges[1:] > edges[:-1]
-        span_lo = np.where(filled, uniq[edges[:-1]], np.inf)
-        span_hi = np.where(filled, uniq[edges[1:] - 1], -np.inf)
+        binnings, span_lo, span_hi = equi_depth_exact(ordered, live, bins)
 
         # bitmaps: bin j holds the cells x with t_j <= x < t_j+1, where t_0
         # is -inf, t_k is NaN (so the top bin keeps a live +inf) and the
@@ -398,11 +404,12 @@ class BinnedBitmapIndex:
         # non-empty mask, bins [0, k - 1], comes first.  Rows with one bin
         # count share their planes' layout and are encoded together.
         nbins = np.array([b.nbins for b in binnings])
-        first_bin = np.cumsum(nbins) - nbins
-        vecs = [None] * nrows
+        first_bin = (np.cumsum(nbins) - nbins).tolist()
+        leaves = [None] * nrows
         for k in np.unique(nbins).tolist():
             rows = np.flatnonzero(nbins == k)
             lo, hi = _WINDOWS[encoding](k)
+            nvec = 1 + bitmap_count(encoding, k)
             cuts = np.empty((rows.size, k + 1))
             cuts[:, 0] = -np.inf
             cuts[:, 1:k] = [binnings[r].boundaries[1:-1] for r in rows.tolist()]
@@ -411,18 +418,16 @@ class BinnedBitmapIndex:
             for a in range(0, rows.size, step):
                 part = rows[a : a + step]
                 planes = cells[part, None, :] >= cuts[a : a + step, :, None]
-                bits = np.empty((part.size, 1 + bitmap_count(encoding, k), ncells), bool)
+                bits = np.empty((part.size, nvec, ncells), bool)
                 bits[:, 0] = nonempty[part]
                 np.bitwise_xor(planes[:, lo], planes[:, hi], out=bits[:, 1:])
-                got = BitVector.from_dense(bits.reshape(-1, ncells))
+                words, ends = BitVector.from_dense(bits.reshape(-1, ncells))
+                ends = [0] + ends[nvec - 1 :: nvec].tolist()
                 for i, r in enumerate(part.tolist()):
-                    vecs[r] = got[i * bits.shape[1] : (i + 1) * bits.shape[1]]
-
-        leaves = []
-        for r, (binning, fb, n) in enumerate(zip(binnings, first_bin.tolist(), live.tolist())):
-            k = binning.nbins
-            leaves.append(cls(binning, encoding, vecs[r][1:], span_lo[fb : fb + k],
-                              span_hi[fb : fb + k], vecs[r][0], n))
+                    fb = first_bin[r]
+                    leaves[r] = cls(binnings[r], encoding, span_lo[fb : fb + k],
+                                    span_hi[fb : fb + k], int(live[r]), ncells,
+                                    LeafWords(words, ends[i], ends[i + 1]))
         return leaves
 
     # -- bin-range evaluation ------------------------------------------

@@ -43,9 +43,10 @@ coordinates come from z.
 checks each level with vectorized tests (increasing z, extents inside the
 array, a leaf's extent that of its chunk, counts of 1 to the extent's
 cells, increasing bin boundaries per segment, bitmap offsets in range)
-and builds every node eagerly.  A leaf keeps only the byte range of its
-bitmaps and their CRC32: `ebm` and `bitmaps` check and decode them on
-first use, and `serialize` copies them unchanged.  Version-1 files,
+and builds every node eagerly.  A leaf keeps only its words of the
+bitmap section and their CRC32 (a `LeafWords`, the form a built leaf
+keeps its encoded words in too): `ebm` and `bitmaps` check and decode
+them on first use, and `serialize` copies them unchanged.  Version-1 files,
 records of one node each, are walked into the same columns.
 """
 
@@ -66,6 +67,7 @@ from .chunkstore import (
     ArraySchema,
     BinnedBitmapIndex,
     ChunkStore,
+    LeafWords,
     PlainLeaf,
     build_leaf_index,
 )
@@ -238,6 +240,11 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
     fraction of the bin instead.  Only bounds inside a child's range can
     move its cumulative weight; every other term is an exact zero and is
     skipped, which leaves each sum unchanged.
+
+    Passes: one search places every child's edges among the bounds, and
+    one more finds each pair's bin among its child's edges; the terms are
+    summed per bin by `np.bincount`, one at a time in child order as
+    ``np.add.at`` would, so appended and full builds sum alike.
     """
     edges, wts = [], []
     for c in nodes:
@@ -267,21 +274,25 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
     i0 = np.maximum(np.searchsorted(bounds, lo[spread], side="right") - 1, 0)
     i1 = np.minimum(np.searchsorted(bounds, hi[spread], side="left"), bounds.size - 1)
     n = i1 - i0 + 1
+    last = np.cumsum(n) - 1
     pc = np.repeat(spread, n)
-    pi = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - i0, n)
+    pi = np.arange(n.sum()) - np.repeat(last + 1 - n - i0, n)
     x = bounds[pi]
-    # each pair's bin j in its child: a search over all children's edges,
-    # as ranks offset by child so that the keys are one sorted array
-    ranks = np.unique(np.concatenate((xp, bounds)))
+    # each pair's bin j in its child: the child's edges at or below bound i
+    # are those whose first bound at or above them is at most i, counted by
+    # one search over every child's edges, keyed by child
+    stride = bounds.size + 1
     owner = np.repeat(np.arange(sizes.size), sizes + 1)
-    keys = owner * ranks.size + np.searchsorted(ranks, xp)
-    at = np.searchsorted(keys, pc * ranks.size + np.searchsorted(ranks, x), side="right")
-    j = np.clip(at - 1 - xoff[pc], 0, sizes[pc] - 1)
-    xj, xj1 = xp[xoff[pc] + j], xp[xoff[pc] + j + 1]
-    yj, yj1 = fp[xoff[pc] + j], fp[xoff[pc] + j + 1]
+    keys = owner * stride + np.searchsorted(bounds, xp)
+    at = np.searchsorted(keys, pc * stride + pi, side="right") - xoff[pc]
+    j = np.minimum(np.maximum(at - 1, 0), sizes[pc] - 1)
+    g = xoff[pc] + j
+    xj, xj1 = xp[g], xp[g + 1]
+    yj, yj1 = fp[g], fp[g + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # np.interp's steps: the slope form, its retries when that is NaN,
-        # then exact values at an edge and outside the child's range
+        # then exact values at an edge and outside the child's range, which
+        # only a child's first and last pair are
         slope = (yj1 - yj) / (xj1 - xj)
         cdf = slope * (x - xj) + yj
         retry = np.isnan(cdf)
@@ -289,7 +300,8 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
         flat = np.isnan(cdf) & (yj == yj1)
         cdf[flat] = yj[flat]
         cdf = np.where(x == xj, yj, cdf)
-        cdf = np.where(x <= lo[pc], 0.0, np.where(x >= hi[pc], fp[xoff[pc] + sizes[pc]], cdf))
+        cdf[last + 1 - n] = 0.0
+        cdf[last] = fp[xoff[spread] + sizes[spread]]
         bad = ~np.isfinite(cdf)
         if bad.any():
             frac = np.clip((x[bad] - xj[bad]) / (xj1[bad] - xj[bad]), 0.0, 1.0)
@@ -307,9 +319,8 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
         term = np.concatenate((term, [float(wts[c].sum()) for c in mass.tolist()]))
         order = np.argsort(child, kind="stable")
         slot, term = slot[order], term[order]
-    weights = np.zeros(bounds.size - 1)
-    np.add.at(weights, slot, term)  # one term at a time, in child order
-    return weights
+    # one term at a time, in child order
+    return np.bincount(slot, weights=term, minlength=bounds.size - 1)
 
 
 def _range_table(rb: np.ndarray, hit: np.ndarray, slots: np.ndarray, total: int):
@@ -343,7 +354,9 @@ def build_internal_node(
     nodes = [c for _, c in children]
     mins = np.array([c.amin for c in nodes])
     maxs = np.array([c.amax for c in nodes])
-    ext = np.array([c.extent for c in nodes]).reshape(len(nodes), fanout.ndim, 2)
+    flat = itertools.chain.from_iterable
+    ext = np.fromiter(flat(flat(c.extent for c in nodes)), np.int64,
+                      len(nodes) * fanout.ndim * 2).reshape(len(nodes), fanout.ndim, 2)
     extent = tuple(zip(ext[:, :, 0].min(axis=0).tolist(), ext[:, :, 1].max(axis=0).tolist()))
     count = int(sum(c.count for c in nodes))
 
@@ -498,13 +511,16 @@ class Index:
             raise InternalError("tree did not converge to a single root")
         self.levels = [dict(sorted(nodes.items())) for nodes in level_nodes]
 
-    def _build_level(self, level: int, depth: int, below: dict) -> dict:
-        """Group level-1 nodes into their parents."""
+    def _build_level(self, level: int, depth: int, below: dict, parents=None) -> dict:
+        """The level-`level` parents of the nodes in `below`, the level under
+        them: all of them, or only those whose z is in `parents`."""
         bits = self.fanout.bits
         slot_bits = self.fanout.slot_bits
         groups: dict = {}
-        for z, node in sorted(below.items()):  # children in z order, as append does
-            groups.setdefault(z >> slot_bits, []).append((z & ((1 << slot_bits) - 1), node))
+        for z, node in sorted(below.items()):  # children in z order
+            pz = z >> slot_bits
+            if parents is None or pz in parents:
+                groups.setdefault(pz, []).append((z & ((1 << slot_bits) - 1), node))
         out = {}
         for pz, members in groups.items():
             coords = zorder_decode(pz, self.fanout.ndim, bits * (depth - level))
@@ -570,24 +586,10 @@ class Index:
             affected.add(z >> slot_bits)
 
         for level in range(1, depth + 1):
-            if level > old_depth:
-                affected = set(z >> slot_bits for z in level_nodes[level - 1])
-            rebuilt = set()
-            for pz in sorted(affected):
-                members = [
-                    (cz & ((1 << slot_bits) - 1), level_nodes[level - 1][cz])
-                    for cz in range(pz << slot_bits, (pz + 1) << slot_bits)
-                    if cz in level_nodes[level - 1]
-                ]
-                if not members:
-                    level_nodes[level].pop(pz, None)
-                    continue
-                coords = zorder_decode(pz, self.fanout.ndim, bits * (depth - level))
-                node = build_internal_node(members, level, coords, self.fanout, self.bins)
-                node.z = pz
-                level_nodes[level][pz] = node
-                rebuilt.add(pz >> slot_bits)
-            affected = rebuilt
+            rebuilt = self._build_level(level, depth, level_nodes[level - 1],
+                                        None if level > old_depth else affected)
+            level_nodes[level].update(rebuilt)
+            affected = {pz >> slot_bits for pz in rebuilt}
         if len(level_nodes[depth]) != 1:
             raise InternalError("append did not converge to a single root")
         self.levels = [dict(sorted(nodes.items())) for nodes in level_nodes]
@@ -774,6 +776,8 @@ class Index:
         steps = np.diff(offsets)
         _require(offsets[0] == 0 and offsets[-1] == len(section) and (steps > 0).all()
                  and not (steps % 8).any(), "level 0", "bad bitmap offsets")
+        words = np.frombuffer(section, "<u8")
+        offsets = offsets // 8
 
         amin, amax = cols["amin"].tolist(), cols["amax"].tolist()
         count, cells = cols["count"].tolist(), cells.tolist()
@@ -788,10 +792,10 @@ class Index:
                 leaf = PlainLeaf(lo, hi, n)
             else:
                 b, w, nb, start, end, crc = next(binned_at)
-                leaf = BinnedBitmapIndex.from_stored(
+                leaf = BinnedBitmapIndex(
                     Binning.prevalidated(bounds[b : b + nb + 1], weights[w : w + nb]),
                     encoding[kd], span_lo[w : w + nb], span_hi[w : w + nb], n, size,
-                    _LeafBitmaps(section, start, end, crc))
+                    LeafWords(words, start, end, crc))
             entries[zi] = LeafEntry(c, zi, e, leaf)
         return entries
 
@@ -871,31 +875,6 @@ def _masks(raw: np.ndarray, mb: int) -> list:
     return [int.from_bytes(data[i : i + mb], "little") for i in range(0, len(data), mb)]
 
 
-class _LeafBitmaps:
-    """One leaf's saved bitmaps: a byte range of the bitmap section, holding
-    the words of its non-empty mask and of each bitmap back to back, and
-    their CRC32."""
-
-    __slots__ = ("section", "start", "end", "crc")
-
-    def __init__(self, section: memoryview, start: int, end: int, crc: int):
-        self.section = section
-        self.start = start
-        self.end = end
-        self.crc = crc
-
-    def raw(self) -> memoryview:
-        return self.section[self.start : self.end]
-
-    def vectors(self, length: int, count: int) -> list:
-        """The `count` vectors of `length` bits, checked against the CRC32."""
-        raw = self.raw()
-        if zlib.crc32(raw) != self.crc:
-            raise DataError(f"leaf bitmaps at bitmap-section byte {self.start} fail their CRC32")
-        words = np.frombuffer(raw, "<u8")
-        return BitVector.split(words, length, count)
-
-
 # ---------------------------------------------------------------------------
 # saved format: writing
 
@@ -925,7 +904,7 @@ def _floats(*parts) -> np.ndarray:
 
 
 def _leaf_tables(items: list, ndim: int) -> tuple:
-    """The tables of a leaf level and the bitmap bytes of each binned leaf.
+    """The tables of a leaf level and the bitmap words of each binned leaf.
     A leaf read from a file gives back its saved bytes unchanged."""
     kind, nbins, bitmaps, crcs = [], [], [], []
     floats = ([], [], [], [])
@@ -940,15 +919,9 @@ def _leaf_tables(items: list, ndim: int) -> tuple:
         for part, a in zip(floats, (leaf.binning.boundaries, leaf.binning.weights,
                                     leaf.span_lo, leaf.span_hi)):
             part.append(a)
-        if leaf.stored is not None:
-            raw, crc = leaf.stored.raw(), leaf.stored.crc
-        else:
-            vecs = (leaf.ebm, *leaf.bitmaps)
-            raw = np.concatenate([v.words for v in vecs]).astype("<u8").tobytes()
-            crc = zlib.crc32(raw)
-        bitmaps.append(raw)
-        crcs.append(crc)
-    offsets = np.cumsum([0] + [len(b) for b in bitmaps]).astype("<u8")
+        bitmaps.append(leaf.words.raw())
+        crcs.append(leaf.words.crc())
+    offsets = np.cumsum([0] + [b.nbytes for b in bitmaps]).astype("<u8")
     table = _columns(*_common_columns(items, ndim), np.array(kind, "u1"),
                      np.array(nbins, "<u4"), _floats(*floats), offsets, np.array(crcs, "<u4"))
     return table, bitmaps

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+from arraybit import hierindex
+from arraybit.chunkstore import ChunkStore
 from arraybit.query import RawQuery, execute
-from testutil import random_index
+from testutil import random_index, random_store
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +46,36 @@ def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
     assert table.count("query.cell_ids", [0]) == 1
     assert table.count("bitvec.from_dense", [0]) == 0  # nothing encoded by a query
     assert ids.size == rs.count > 0
+
+
+WRITE_LAYERS = (
+    "chunkstore.build_leaf_index",
+    "binning.equi_depth_exact",
+    "binning.merge_bins_iterative",
+    "hierindex.build_internal_node",
+    "bitvec.from_dense",
+)
+
+
+def test_build_and_append_record_a_span_in_every_write_layer(monkeypatch):
+    # each name feeds a per-layer metric; a build path that went round the
+    # traced function would read zero there, not fail
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    store = random_store(np.random.default_rng(4), (64, 32), (8, 8), 0.2)
+    first = ChunkStore(store.schema.with_extents((32, 32)),
+                       {c: ch for c, ch in store.chunks.items() if c[0] < 4})
+    rest = ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c[0] >= 4})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        idx = hierindex.build_index(first, fanout=16, bins=4)
+        built = tracer.table()
+        idx.append(rest)
+        appended = tracer.table()
+    finally:
+        tracer.uninstall()
+    for name in WRITE_LAYERS:
+        after_build = built.count(name, [tracing.SETUP])
+        assert after_build > 0, name
+        assert appended.count(name, [tracing.SETUP]) > after_build, name

@@ -9,7 +9,14 @@ from arraybit.binning import (
     wsse,
 )
 from arraybit.errors import DegenerateDomainError, InputError
-from testutil import bin_of, equi_width, merged_weight
+from testutil import (
+    bin_of,
+    equi_width,
+    merged_weight,
+    reference_bins,
+    reference_merge_bins_iterative,
+    value_pool,
+)
 
 
 def reference_merge(source: Binning, bins: int):
@@ -85,32 +92,41 @@ def test_equi_width_degenerate():
         equi_width(1.0, 1.0, 4)
 
 
+def _cells(values, counts) -> np.ndarray:
+    """The sorted cells of a (value, count) histogram."""
+    return np.repeat(np.asarray(values, np.float64), np.asarray(counts, np.int64))
+
+
 def test_equi_depth_uniform():
-    (b,), _ = equi_depth_exact(np.arange(16.0), np.full(16, 3.0), 4)
+    cells = _cells(np.arange(16.0), np.full(16, 3))
+    (b,), _, _ = equi_depth_exact(cells[None], [cells.size], 4)
     assert b.nbins == 4
     assert np.allclose(b.weights, 12.0)
 
 
 def test_equi_depth_single_value():
-    (b,), _ = equi_depth_exact([5.0], [9.0], 8)
+    (b,), _, _ = equi_depth_exact(_cells([5.0], [9])[None], [9], 8)
     assert b.nbins == 1
     assert b.lo == b.hi == 5.0
     assert b.total_weight == 9.0
 
 
 def test_equi_depth_low_cardinality():
-    (b,), edges = equi_depth_exact([1.0, 2.0, 5.0], [4, 4, 4], 8)
+    (b,), span_lo, span_hi = equi_depth_exact(_cells([1.0, 2.0, 5.0], [4, 4, 4])[None], [12], 8)
     assert b.nbins == 3
     assert np.array_equal(bin_of(b, [1.0, 2.0, 5.0]), [0, 1, 2])
-    assert np.array_equal(edges, [0, 1, 2, 3])
+    assert np.array_equal(b.weights, [4, 4, 4])
+    assert np.array_equal(span_lo, [1.0, 2.0, 5.0]) and np.array_equal(span_hi, span_lo)
 
 
 def test_equi_depth_zipf_balance():
     rng = np.random.default_rng(11)
     values = np.arange(1.0, 10_001.0)
     counts = np.floor(10_000.0 / values) + rng.integers(0, 3, size=10_000)
-    (b,), edges = equi_depth_exact(values, counts, 16)
-    assert np.array_equal(np.repeat(np.arange(b.nbins), np.diff(edges)), bin_of(b, values))
+    cells = _cells(values, counts)
+    (b,), _, _ = equi_depth_exact(cells[None], [cells.size], 16)
+    assert np.array_equal(np.repeat(np.arange(b.nbins), b.weights.astype(np.int64)),
+                          bin_of(b, cells))
     quota = counts.sum() / 16
     heavy = counts.max() > quota
     if not heavy:
@@ -200,3 +216,143 @@ def test_figure_layout_merge_is_stable():
     out = merge_bins_iterative(b, 3, trace=trace)
     assert np.array_equal(out.boundaries, [1.0, 3.0, 6.0, 8.0])
     assert len(trace) == 1
+
+
+# ---------------------------------------------------------------------------
+# the cut finder on sorted rows against the per-histogram reference
+
+
+def _sorted_rows(rows) -> tuple:
+    """Rows sorted and padded with NaN to one length, and their live counts."""
+    ordered = np.full((len(rows), max(len(r) for r in rows)), np.nan)
+    for i, row in enumerate(rows):
+        ordered[i, : len(row)] = np.sort(row)
+    return ordered, np.array([len(r) for r in rows])
+
+
+def _assert_cuts_match_reference(rows, k):
+    binnings, span_lo, span_hi = equi_depth_exact(*_sorted_rows(rows), k)
+    at = 0
+    for row, got in zip(rows, binnings):
+        want, lo, hi = reference_bins(np.asarray(row, np.float64), k)
+        n = got.nbins
+        assert got.boundaries.tobytes() == want.boundaries.tobytes(), (row, k)
+        assert got.weights.tobytes() == want.weights.tobytes(), (row, k)
+        assert span_lo[at : at + n].tobytes() == lo.tobytes(), (row, k)
+        assert span_hi[at : at + n].tobytes() == hi.tobytes(), (row, k)
+        at += n
+    assert at == span_lo.size == span_hi.size
+
+
+def test_cut_finder_matches_reference_on_edge_rows():
+    up = float(np.nextafter(1.0, np.inf))
+    assert (1.0 + up) / 2.0 == 1.0  # their midpoint rounds onto the lower value
+    rows = [
+        [1, 1, 2, 3, 3, 3, 4, 4],  # exactly k = 4 distinct values
+        [1, 2, 2, 3, 4, 5, 5, 5],  # k + 1
+        [0, 1, 2, 5, 5, 5, 5, 5, 5, 7, 8, 9],  # one run straddles two targets
+        [0.5] * 3 + [1.0] * 3 + [up] * 3 + [2.0] * 3,
+        [1, 2, 3, 4, 5, np.inf, np.inf, np.inf],
+        [-np.inf, 1, 2, 3, 4, 5, 6],
+        [7.0] * 5,
+        [3.0],
+    ]
+    for k in (1, 2, 3, 4, 5, 8):
+        _assert_cuts_match_reference(rows, k)
+
+
+def test_span_ends_at_the_first_cell_of_the_last_run():
+    # -0.0 equals 0.0 and a sort keeps either first: the span takes the
+    # first, as the per-value histogram did
+    ordered = np.array([[-1.0, 0.0, -0.0], [-1.0, -0.0, 0.0]])
+    _, _, span_hi = equi_depth_exact(ordered, [3, 3], 4)
+    assert np.signbit(span_hi).tolist() == [True, False, True, True]
+
+
+@st.composite
+def value_rows(draw):
+    """A few rows of cells drawn from one float pool (see `value_pool`)."""
+    pool = draw(value_pool(False))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    return [pool[rng.integers(0, pool.size, n)] for n in sizes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=value_rows(), k=st.integers(1, 20))
+def test_cut_finder_matches_reference(rows, k):
+    _assert_cuts_match_reference(rows, k)
+
+
+# ---------------------------------------------------------------------------
+# the bin merge against the merge as first written
+
+
+@st.composite
+def merge_sources(draw):
+    """A source binning a little or a lot finer than `bins`: spacings with
+    ties, ±inf ends and zero-weight bins."""
+    bins = draw(st.integers(1, 24))
+    nb = bins + draw(st.one_of(st.integers(1, 3), st.integers(4, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["grid", "normal", "clustered"]))
+    if style == "grid":  # equal distances to the equal-width points
+        bounds = np.arange(nb + 1) * draw(st.sampled_from([1.0, 0.5, 1e-3, 3.0]))
+    elif style == "normal":
+        bounds = np.unique(rng.normal(size=nb + 1) * 100.0)
+    else:
+        bounds = np.cumsum(rng.exponential(size=nb + 1) ** 3)
+    ends = draw(st.sampled_from(["", "lo", "hi", "both"]))
+    if ends in ("lo", "both"):
+        bounds[0] = -np.inf
+    if ends in ("hi", "both"):
+        bounds[-1] = np.inf
+    bounds = np.unique(bounds)
+    if draw(st.booleans()):
+        weights = rng.integers(0, 20, bounds.size - 1).astype(np.float64)
+    else:
+        weights = rng.random(bounds.size - 1) * 100.0
+    if draw(st.booleans()):  # its square overflows: the gains of splits in its bin are NaN
+        weights[rng.integers(weights.size)] = 2e154
+    weights[rng.random(weights.size) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    return Binning(bounds, weights), bins
+
+
+def test_merge_start_breaks_rounded_distance_ties_low():
+    # grid point 1.0 is 1.0 from both 1e-17 and 2e-17 once rounded; the
+    # start takes the lower boundary, the first at the least distance
+    source = Binning(np.array([-1.0, 1e-17, 2e-17, 2.5, 3.0]), np.array([1.0, 5.0, 1.0, 1.0]))
+    got_trace, want_trace = [], []
+    got = merge_bins_iterative(source, 2, got_trace)
+    want = reference_merge_bins_iterative(source, 2, want_trace)
+    assert got_trace[0] == want_trace[0] == (1 - 4.0) ** 2 + (7 - 4.0) ** 2
+    assert got == want
+
+
+def test_merge_start_matches_when_the_grid_overflows():
+    # finite ends 2e308 apart: the equal-width grid is inf inside, so no
+    # boundary but inf is a finite distance away; the first written start
+    # then took a boundary twice, and its merge failed or not as here
+    source = Binning(np.array([-1e308, -1.0, 0.0, 1.0, 5.0, 1e308, np.inf]), np.ones(6))
+    for bins in (2, 3, 4, 5):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = reference_merge_bins_iterative(source, bins)
+            except InputError:
+                with pytest.raises(InputError):
+                    merge_bins_iterative(source, bins)
+                continue
+            assert merge_bins_iterative(source, bins) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=merge_sources())
+def test_merge_matches_first_written_merge_bit_for_bit(case):
+    source, bins = case
+    got_trace, want_trace = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = merge_bins_iterative(source, bins, got_trace)
+        want = reference_merge_bins_iterative(source, bins, want_trace)
+    assert got.boundaries.tobytes() == want.boundaries.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.array(got_trace).tobytes() == np.array(want_trace).tobytes()

@@ -17,31 +17,11 @@ from arraybit import chunkstore
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, build_leaf_index
 from arraybit.hierindex import Index, LeafEntry
-from testutil import reference_binned, reference_leaf
+from testutil import reference_binned, reference_leaf, value_pool
 
 
 def _leaf_bytes(chunk, leaf, ndim) -> bytes:
     return Index._pack_leaf(0, LeafEntry(chunk.coords, 0, chunk.extent, leaf), ndim)
-
-
-finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
-special = st.sampled_from([0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-310, 1.0, 1e300])
-
-
-@st.composite
-def value_pool(draw, integer: bool):
-    """The distinct values a store draws its cells from."""
-    if integer:
-        return np.array(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=40)), np.int64)
-    base = draw(st.lists(st.one_of(finite, special), min_size=1, max_size=30))
-    pool = []
-    for v in base:
-        pool.append(v)
-        for _ in range(draw(st.integers(0, 3))):  # a run of adjacent floats
-            pool.append(float(np.nextafter(pool[-1], np.inf)))
-    if draw(st.booleans()):
-        pool.append(draw(st.sampled_from([np.inf, -np.inf])))
-    return np.array(pool)
 
 
 @st.composite

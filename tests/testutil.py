@@ -4,10 +4,17 @@ import struct
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from arraybit.binning import Binning
+from arraybit.binning import Binning, wsse
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, PlainLeaf
+from arraybit.chunkstore import (
+    ArraySchema,
+    BinnedBitmapIndex,
+    ChunkStore,
+    LeafWords,
+    PlainLeaf,
+)
 from arraybit.errors import DataError, DegenerateDomainError, InputError
 from arraybit.hierindex import build_index
 from arraybit.query import RawQuery
@@ -174,6 +181,25 @@ def reference_bitvector_bytes(bits) -> bytes:
 # ---------------------------------------------------------------------------
 # per-chunk reference of the batched leaf builder
 
+_finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
+_special = st.sampled_from([0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-310, 1.0, 1e300])
+
+
+@st.composite
+def value_pool(draw, integer: bool):
+    """The distinct values a store draws its cells from."""
+    if integer:
+        return np.array(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=40)), np.int64)
+    base = draw(st.lists(st.one_of(_finite, _special), min_size=1, max_size=30))
+    pool = []
+    for v in base:
+        pool.append(v)
+        for _ in range(draw(st.integers(0, 3))):  # a run of adjacent floats
+            pool.append(float(np.nextafter(pool[-1], np.inf)))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from([np.inf, -np.inf])))
+    return np.array(pool)
+
 
 def equi_width(lo: float, hi: float, k: int) -> Binning:
     """k equal-width bins spanning [lo, hi]; weights start at zero."""
@@ -238,9 +264,10 @@ def _reference_vector(bits) -> BitVector:
     return BitVector.from_bytes(reference_bitvector_bytes(bits))[0]
 
 
-def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmapIndex:
-    """One column indexed bitmap by bitmap, each encoded on its own."""
-    live = values[nonempty]
+def reference_bins(live, bins: int) -> tuple:
+    """The equi-depth binning of one column's live values, from their
+    (value, count) histogram, and the least and greatest value of each bin:
+    (inf, -inf) for an empty one."""
     uticks, ucounts = np.unique(live, return_counts=True)
     binning = reference_equi_depth(uticks, ucounts, bins)
     k = binning.nbins
@@ -249,6 +276,14 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
     span_hi = np.full(k, -np.inf)
     np.minimum.at(span_lo, ubins, uticks)
     np.maximum.at(span_hi, ubins, uticks)
+    return binning, span_lo, span_hi
+
+
+def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmapIndex:
+    """One column indexed bitmap by bitmap, each encoded on its own."""
+    live = values[nonempty]
+    binning, span_lo, span_hi = reference_bins(live, bins)
+    k = binning.nbins
     binidx = np.full(values.shape, -1, np.int64)
     binidx[nonempty] = bin_of(binning, live)
     if encoding == "equality":
@@ -258,10 +293,11 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
     else:
         m = -(-k // 2)
         windows = [(s, s + m - 1) for s in range(m)]
-    bitmaps = [_reference_vector((binidx >= lo) & (binidx <= hi)) for lo, hi in windows]
-    ebm = _reference_vector(nonempty)
-    return BinnedBitmapIndex(binning, encoding, bitmaps, span_lo, span_hi, ebm,
-                             int(nonempty.sum()))
+    vecs = [_reference_vector(nonempty)]
+    vecs += [_reference_vector((binidx >= lo) & (binidx <= hi)) for lo, hi in windows]
+    words = np.concatenate([v.words for v in vecs])
+    return BinnedBitmapIndex(binning, encoding, span_lo, span_hi, int(nonempty.sum()),
+                             values.size, LeafWords(words, 0, words.size))
 
 
 def reference_leaf(chunk, attr: str, bins: int, encoding: str, e: int = 4):
@@ -275,6 +311,98 @@ def reference_leaf(chunk, attr: str, bins: int, encoding: str, e: int = 4):
     if chunk.nonempty_count < e * bins:
         return PlainLeaf(float(live.min()), float(live.max()), chunk.nonempty_count)
     return reference_binned(vals, nonempty, bins, encoding)
+
+
+def _reference_initial_selection(boundaries: np.ndarray, bins: int) -> np.ndarray:
+    """Pick bins+1 distinct source boundaries nearest an equal-width grid.
+
+    The grid runs between the first and last finite boundaries; an infinite
+    first or last boundary stays the grid's end.
+    """
+    nb = boundaries.size - 1
+    finite = boundaries[np.isfinite(boundaries)]
+    targets = np.linspace(finite[0], finite[-1], bins + 1)
+    targets[0], targets[-1] = boundaries[0], boundaries[-1]
+    chosen: list[int] = []
+    used = np.zeros(nb + 1, bool)
+    for t in targets:
+        dist = np.abs(np.subtract(boundaries, t, where=boundaries != t, out=np.zeros(nb + 1)))
+        idx = int(np.argmin(np.where(used, np.inf, dist)))
+        used[idx] = True
+        chosen.append(idx)
+    return np.array(sorted(chosen))
+
+
+def reference_merge_bins_iterative(source: Binning, bins: int, trace: list | None = None):
+    """`merge_bins_iterative` as first written, one full-array pass per
+    grid point of the equal-width start and a set difference per step: the
+    boundaries, weights and trace the package must reproduce bit for bit.
+
+    Select an approximately equi-depth subset of the source boundaries.
+
+    Starts from an equal-width selection, then repeatedly performs the most
+    beneficial bin split together with the cheapest disjoint merge while the
+    weighted sum square error strictly decreases.  Each accepted step keeps
+    the bin count constant, so the result has exactly min(bins, |source|)
+    bins and its boundaries are a subset of the source boundaries.
+    """
+    nb = source.nbins
+    if nb <= bins:
+        if trace is not None:
+            trace.append(wsse(source))
+        return source
+    cumw = np.concatenate(([0.0], np.cumsum(source.weights)))
+    total = cumw[-1]
+    share = total / bins
+    bounds = source.boundaries
+
+    sel = _reference_initial_selection(bounds, bins)
+
+    def sel_weights(s):
+        return np.diff(cumw[s])
+
+    def err(w):
+        return (w - share) ** 2
+
+    cur = float(err(sel_weights(sel)).sum())
+    if trace is not None:
+        trace.append(cur)
+
+    max_iters = 10 * nb
+    for _ in range(max_iters):
+        w = sel_weights(sel)
+        # candidate splits: every unselected source boundary, evaluated in place
+        cand = np.setdiff1d(np.arange(nb + 1), sel, assume_unique=True)
+        if cand.size == 0:
+            break
+        owner = np.searchsorted(sel, cand) - 1  # bin each cut falls into
+        w1 = cumw[cand] - cumw[sel[owner]]
+        w2 = w[owner] - w1
+        d_split = err(w1) + err(w2) - err(w[owner])
+        best = np.lexsort((bounds[cand], d_split))[0]  # ties: lower boundary value
+        split_cut = cand[best]
+        split_bin = owner[best]
+        split_gain = d_split[best]
+
+        # candidate merges: adjacent selected pairs not touching the split bin
+        pair = np.arange(bins - 1)
+        pair = pair[(pair != split_bin) & (pair + 1 != split_bin)]
+        if pair.size == 0:
+            break
+        d_merge = err(w[pair] + w[pair + 1]) - err(w[pair]) - err(w[pair + 1])
+        bestm = np.lexsort((bounds[sel[pair + 1]], d_merge))[0]
+        merge_pair = pair[bestm]
+        merge_cost = d_merge[bestm]
+
+        new = cur + float(split_gain + merge_cost)
+        if not new < cur:  # accept only a strict improvement
+            break
+        sel = np.sort(np.concatenate((np.delete(sel, merge_pair + 1), [split_cut])))
+        cur = new
+        if trace is not None:
+            trace.append(cur)
+
+    return Binning(bounds[sel], sel_weights(sel))
 
 
 def reference_spread_weights(bounds, children) -> np.ndarray:
