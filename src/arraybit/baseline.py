@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, QueryStats
-from .errors import InputError
+from .chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, QueryStats, in_runs
 from .query import Query, value_runs
 
 __all__ = ["full_scan", "DimsAttsIndex", "dimension_column"]
@@ -34,11 +33,14 @@ def full_scan(store: ChunkStore, attribute: str, query: Query) -> np.ndarray:
             mask &= np.isin(vals, values)
         else:
             mask &= (vals >= query.attr_lo) & (vals <= query.attr_hi)
-        for d, (qlo, qhi) in enumerate(query.dim_ranges):
+        for d, runs in enumerate(query.dim_ranges):
             idx = np.arange(chunk.shape[d]) + chunk.offsets[d]
+            keep = np.zeros(idx.size, bool)
+            for qlo, qhi in runs:
+                keep |= (idx >= qlo) & (idx <= qhi)
             shape = [1] * schema.ndim
             shape[d] = -1
-            mask &= ((idx >= qlo) & (idx <= qhi)).reshape(shape)
+            mask &= keep.reshape(shape)
         pos = np.flatnonzero(mask.reshape(-1))
         if pos.size:
             local = np.unravel_index(pos, chunk.shape)
@@ -87,43 +89,38 @@ class DimsAttsIndex:
             n += col.nbytes + idx.size_bytes()
         return n
 
-    def _range_ids(self, query: Query, stats: QueryStats | None) -> np.ndarray:
-        n = self.values.size
-        certain = None
-        possible = None
-        pairs = [(self.attr_index, query.attr_lo, query.attr_hi, None)]
-        for d, (qlo, qhi) in enumerate(query.dim_ranges):
-            pairs.append((self.dim_indexes[d], float(qlo), float(qhi), d))
-        for idx, lo, hi, _ in pairs:
-            cert, cand = idx.range_query(lo, hi, stats)
-            poss = cert | cand
+    def query(self, query: Query, stats: QueryStats | None = None) -> np.ndarray:
+        """Exact matching cells as sorted global row-major ids.
+
+        Each constraint (the attribute and every dimension) is a list of
+        runs; its certain and possible cells are ORed over its runs with
+        one `range_query` each, and the constraints are ANDed.  Cells that
+        are possible but not certain are checked against the stored values.
+        """
+        if query.values is None:
+            attr_runs = ((query.attr_lo, query.attr_hi),)
+        else:
+            attr_runs = value_runs(query.values, self.schema.attr_type(self.attribute) == "int64")
+        constraints = [(self.attr_index, attr_runs, self.values)]
+        constraints += zip(self.dim_indexes, query.dim_ranges, self.dim_columns)
+        if not all(runs for _, runs, _ in constraints):  # a constraint meets no cell
+            return np.empty(0, np.int64)
+        certain = possible = None
+        for idx, runs, _ in constraints:
+            cert = poss = None
+            for lo, hi in runs:
+                c, cand = idx.range_query(float(lo), float(hi), stats)
+                cert = c if cert is None else (cert | c)
+                poss = (c | cand) if poss is None else (poss | c | cand)
             certain = cert if certain is None else (certain & cert)
             possible = poss if possible is None else (possible & poss)
-        candidates = possible.andnot(certain)
         hits = [certain.to_positions()]
-        pos = candidates.to_positions()
+        pos = possible.andnot(certain).to_positions()
         if pos.size:
             if stats is not None:
                 stats.candidate_checks += pos.size
             ok = np.ones(pos.size, bool)
-            vals = self.values[pos]
-            ok &= (vals >= query.attr_lo) & (vals <= query.attr_hi)
-            for d, (qlo, qhi) in enumerate(query.dim_ranges):
-                col = self.dim_columns[d][pos]
-                ok &= (col >= qlo) & (col <= qhi)
+            for _, runs, column in constraints:
+                ok &= in_runs(column[pos], runs)
             hits.append(pos[ok])
         return np.sort(np.concatenate(hits)).astype(np.int64)
-
-    def query(self, query: Query, stats: QueryStats | None = None) -> np.ndarray:
-        """Exact matching cells as sorted global row-major ids."""
-        if query.values is not None:
-            is_int = self.schema.attr_type(self.attribute) == "int64"
-            runs = value_runs(query.values, is_int)
-            parts = [
-                self._range_ids(Query(lo, hi, query.dim_ranges, None), stats)
-                for lo, hi in runs
-            ]
-            if not parts:
-                return np.empty(0, np.int64)
-            return np.sort(np.concatenate(parts)).astype(np.int64)
-        return self._range_ids(query, stats)

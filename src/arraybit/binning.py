@@ -8,6 +8,7 @@ degenerate single-value case; otherwise boundaries are strictly increasing.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,7 +204,9 @@ def _initial_equi_width_selection(boundaries: np.ndarray, bins: int) -> np.ndarr
     """Pick bins+1 distinct source boundaries nearest an equal-width grid.
 
     The grid runs between the first and last finite boundaries; an infinite
-    first or last boundary stays the grid's end.  Each grid point in turn
+    first or last boundary stays the grid's end.  When those finite ends are
+    more than the float range apart, the grid is built between the halved
+    ends and doubled, so that it stays finite.  Each grid point in turn
     takes the unused boundary at the least distance, the lowest index on a
     tie.  Rounded distances never rise towards the point from either side,
     so that boundary is the first unused one below or above the point's
@@ -213,7 +216,10 @@ def _initial_equi_width_selection(boundaries: np.ndarray, bins: int) -> np.ndarr
     """
     nb = boundaries.size - 1
     finite = boundaries[np.isfinite(boundaries)]
-    targets = np.linspace(finite[0], finite[-1], bins + 1)
+    if math.isfinite(float(finite[-1]) - float(finite[0])):
+        targets = np.linspace(finite[0], finite[-1], bins + 1)
+    else:
+        targets = np.linspace(finite[0] / 2, finite[-1] / 2, bins + 1) * 2
     targets[0], targets[-1] = boundaries[0], boundaries[-1]
     bounds = boundaries.tolist()
     used = np.zeros(nb + 1, bool)

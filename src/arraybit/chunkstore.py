@@ -637,13 +637,26 @@ def _overlapping(runs, leaf) -> list:
     return [(lo, hi) for lo, hi in runs if hi >= leaf.amin and lo <= leaf.amax]
 
 
-def _box(chunk: Chunk, dim_ranges) -> tuple:
-    """The chunk-local query box, one slice per dimension."""
-    box = []
-    for rng, s in zip(dim_ranges, chunk.shape):
-        lo, hi = (0, s - 1) if rng is None else (max(rng[0], 0), min(rng[1], s - 1))
+def _box(chunk: Chunk, dim_runs) -> tuple:
+    """The chunk-local box from the first run's low to the last run's high
+    end per dimension, clipped to the chunk, and the box's non-empty cells
+    that lie in the runs: a 1-D slab mask is ANDed only for a dimension
+    with more than one run."""
+    box, slabs = [], []
+    for d, (runs, o, s) in enumerate(zip(dim_runs, chunk.offsets, chunk.shape)):
+        lo, hi = (0, s - 1) if runs is None else (runs[0][0] - o, runs[-1][1] - o)
+        lo, hi = max(lo, 0), min(hi, s - 1)
         box.append(slice(lo, max(hi + 1, lo)))
-    return tuple(box)
+        if runs is not None and len(runs) > 1:
+            slab = np.zeros(max(hi + 1 - lo, 0), bool)
+            for a, b in runs:
+                slab[max(a - o - lo, 0) : max(b + 1 - o - lo, 0)] = True
+            slabs.append(slab.reshape([-1 if i == d else 1 for i in range(len(chunk.shape))]))
+    box = tuple(box)
+    nonempty = chunk.nonempty[box]
+    for slab in slabs:
+        nonempty = nonempty & slab
+    return box, nonempty
 
 
 def _int_base(leaf, vals: np.ndarray, cell_count: int):
@@ -682,7 +695,7 @@ def _match_runs(vals: np.ndarray, runs, leaf, cell_count: int) -> np.ndarray:
     return lut.take(vals - base, mode="clip")
 
 
-def leaf_query_bitmaps(chunk: Chunk, leaf: BinnedBitmapIndex, attr: str, runs, dim_ranges,
+def leaf_query_bitmaps(chunk: Chunk, leaf: BinnedBitmapIndex, attr: str, runs, dim_runs,
                        store: ChunkStore, stats: QueryStats | None = None) -> np.ndarray:
     """Exact matching cells of one chunk, as a fresh flat boolean array,
     from the binned bitmaps of its leaf plus a candidate check: the
@@ -692,8 +705,8 @@ def leaf_query_bitmaps(chunk: Chunk, leaf: BinnedBitmapIndex, attr: str, runs, d
     Interior bins of each run contribute without touching raw values; the
     boundary bins are verified cell by cell.  Each bitmap of the leaf is
     decoded at most once per call, however many runs use it.  The
-    dimension ranges are applied last, as cached slab masks of `store`.
-    Arguments are those of :func:`leaf_query`.
+    dimension runs are applied last, as cached slab masks of `store`.
+    Other arguments are those of :func:`leaf_query`.
     """
     ebm_dense = chunk.nonempty.reshape(-1)
     decode = leaf.decoder(stats)
@@ -711,13 +724,13 @@ def leaf_query_bitmaps(chunk: Chunk, leaf: BinnedBitmapIndex, attr: str, runs, d
         if stats is not None:
             stats.candidate_checks += pos.size
         result[pos[ok]] = True
-    for d, rng in enumerate(dim_ranges):
-        if rng is None:
+    for d, (runs, o, s) in enumerate(zip(dim_runs, chunk.offsets, chunk.shape)):
+        if runs is None:
             continue
-        lo, hi = rng
-        if lo <= 0 and hi >= chunk.shape[d] - 1:
-            continue
-        result &= store.slab_dense(chunk.shape, d, max(lo, 0), min(hi, chunk.shape[d] - 1))
+        slab = np.zeros(chunk.cell_count, bool)
+        for lo, hi in runs:
+            slab |= store.slab_dense(chunk.shape, d, max(lo - o, 0), min(hi - o, s - 1))
+        result &= slab
     return result
 
 
@@ -726,26 +739,29 @@ def leaf_query(
     leaf,
     attr: str,
     runs,
-    dim_ranges,
-    store: ChunkStore,
+    dim_runs,
     stats: QueryStats | None = None,
 ) -> np.ndarray:
     """Exact matching cells of one chunk, as a fresh flat boolean array.
 
     runs are the attribute constraint as sorted, disjoint inclusive
     (lo, hi) value runs: one run for a range query, one per value (or per
-    stretch of consecutive integers) for a membership query.  dim_ranges
-    are chunk-local inclusive (lo, hi) per dimension (None for the whole
-    extent).  The chunk's arrays are only read.
+    stretch of consecutive integers) for a membership query.  dim_runs
+    hold per dimension the sorted, disjoint inclusive (lo, hi) index runs
+    in array coordinates, which may reach past the chunk (None for the
+    chunk's whole extent); the chunk's offsets make them local.  The
+    chunk's arrays are only read.
 
     Runs that miss [amin, amax] of the leaf are dropped; with none left the
-    answer is empty, and a run covering [amin, amax] answers with the
-    non-empty cells of the box.  Otherwise the values in the box are
+    answer is empty.  The box spans the dimension runs (see :func:`_box`);
+    a dimension with more than one run also masks the box by a 1-D slab.
+    A run covering [amin, amax] answers with the non-empty cells of the
+    box in the dimension runs.  Otherwise the values in the box are
     scanned: one run by two comparisons, several by a lookup table over
     [amin, amax] or by :func:`in_runs` (see :func:`_match_runs`), and the
-    hits are written into the box of a fresh zero array.  The box's
-    non-empty cells count as `candidate_checks`.  No bitmap is read and
-    `store` is not used.
+    hits are written into the box of a fresh zero array.  The non-empty
+    cells of the box in the dimension runs count as `candidate_checks`.
+    No bitmap is read.
 
     Why a scan and not :func:`leaf_query_bitmaps`, which decodes bitmaps
     of the whole leaf: on one 2-D float64 chunk of 4096 cells with 16
@@ -758,8 +774,7 @@ def leaf_query(
     runs = _overlapping(runs, leaf)
     if not runs:
         return np.zeros(chunk.cell_count, bool)
-    box = _box(chunk, dim_ranges)
-    nonempty = chunk.nonempty[box]
+    box, nonempty = _box(chunk, dim_runs)
     out = np.zeros(chunk.shape, bool)
     if any(lo <= leaf.amin and leaf.amax <= hi for lo, hi in runs):
         out[box] = nonempty

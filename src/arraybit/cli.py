@@ -8,7 +8,10 @@ dimensions:
 Supported forms per term: `name op number` with op in  <=, >=, <, >, =, ==;
 `name in [lo, hi]` for inclusive ranges; `name in {v1, v2, ...}` for
 membership.  Bounds are inclusive; strict < and > are converted at the
-parser (integer step for dimensions, one float ulp for the attribute).
+parser by one float ulp.  Dimension bounds round inwards to whole indices
+and a dimension set keeps its integral members (`query.normalize`).  A
+query, dimension sets included, is answered by one descent of the index,
+and `query --expand` prints the matching cells in global row-major order.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 internal invariant
 violation.
@@ -29,7 +32,7 @@ from . import baseline, datagen
 from .chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, read_header
 from .errors import ArrayBitError, DataError, InputError, InternalError
 from .hierindex import Index, build_index
-from .query import RawQuery, estimate, execute, expand_dim_memberships, normalize
+from .query import RawQuery, estimate, execute, normalize
 
 _TERM_RE = re.compile(
     r"^\s*(\w+)\s*(<=|>=|==|=|<|>|in)\s*(.+?)\s*$", re.IGNORECASE
@@ -60,7 +63,7 @@ def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery
                 lo, hi = values
                 _narrow(raw, name, is_dim, lo, hi)
             elif is_dim:
-                raw.dim_values.setdefault(name, set()).update(int(v) for v in values)
+                raw.dim_values.setdefault(name, set()).update(values)
             else:
                 had = set(raw.values or ())
                 raw.values = tuple(sorted(had | set(values)))
@@ -76,11 +79,9 @@ def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery
         elif op == ">=":
             _narrow(raw, name, is_dim, num, None)
         elif op == "<":
-            hi = num - 1 if is_dim else np.nextafter(num, -np.inf)
-            _narrow(raw, name, is_dim, None, hi)
+            _narrow(raw, name, is_dim, None, np.nextafter(num, -np.inf))
         else:
-            lo = num + 1 if is_dim else np.nextafter(num, np.inf)
-            _narrow(raw, name, is_dim, lo, None)
+            _narrow(raw, name, is_dim, np.nextafter(num, np.inf), None)
     return raw
 
 
@@ -100,16 +101,13 @@ def _parse_set_or_range(rhs: str):
 
 
 def _narrow(raw: RawQuery, name: str, is_dim: bool, lo, hi) -> None:
+    cur_lo, cur_hi = raw.dims.get(name, (None, None)) if is_dim else (raw.attr_lo, raw.attr_hi)
+    lo = cur_lo if lo is None else lo if cur_lo is None else max(lo, cur_lo)
+    hi = cur_hi if hi is None else hi if cur_hi is None else min(hi, cur_hi)
     if is_dim:
-        cur = raw.dims.get(name, (None, None))
-        lo2 = cur[0] if lo is None else max(int(lo), cur[0] if cur[0] is not None else int(lo))
-        hi2 = cur[1] if hi is None else min(int(hi), cur[1] if cur[1] is not None else int(hi))
-        raw.dims[name] = (lo2, hi2)
+        raw.dims[name] = (lo, hi)
     else:
-        if lo is not None:
-            raw.attr_lo = lo if raw.attr_lo is None else max(raw.attr_lo, lo)
-        if hi is not None:
-            raw.attr_hi = hi if raw.attr_hi is None else min(raw.attr_hi, hi)
+        raw.attr_lo, raw.attr_hi = lo, hi
 
 
 def _parse_shape(text: str) -> tuple:
@@ -185,22 +183,13 @@ def _load_for_query(args) -> Index:
     return idx
 
 
-def _parse_cli_query(idx: Index, text: str) -> list:
-    raw = parse_query_text(text or "", idx.schema, idx.attribute)
-    return expand_dim_memberships(raw, idx.schema)
-
-
 def _cmd_query(args) -> int:
     idx = _load_for_query(args)
     stats = QueryStats()
-    raws = _parse_cli_query(idx, args.where)
-    results = [execute(idx, raw, stats) for raw in raws]
-    count = sum(r.count for r in results)
-    regions = sum(len(r.complete) for r in results)
-    partial = sum(len(r.partial) for r in results)
-    print(f"count {count}")
-    print(f"complete_regions {regions}")
-    print(f"partial_chunks {partial}")
+    rs = execute(idx, parse_query_text(args.where, idx.schema, idx.attribute), stats)
+    print(f"count {rs.count}")
+    print(f"complete_regions {len(rs.complete)}")
+    print(f"partial_chunks {len(rs.partial)}")
     print(
         f"stats nodes={stats.nodes_evaluated} fetched={stats.nodes_fetched} "
         f"bitmaps={stats.bitmap_fetches} candidates={stats.candidate_checks}"
@@ -209,22 +198,16 @@ def _cmd_query(args) -> int:
         if idx.store is None:
             raise DataError("--expand needs --data to read cell values")
         attr = idx.store.dense(idx.attribute).reshape(-1)
-        for rs in results:
-            ids = rs.cell_ids(idx.store)
-            coords = np.stack(np.unravel_index(ids, idx.schema.shape), axis=1)
-            for row, cid in zip(coords, ids):
-                print(",".join(map(str, row)) + f",{attr[cid].item()!r}")
+        ids = rs.cell_ids(idx.store)
+        coords = np.stack(np.unravel_index(ids, idx.schema.shape), axis=1)
+        for row, cid in zip(coords, ids):
+            print(",".join(map(str, row)) + f",{attr[cid].item()!r}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     idx = _load_for_query(args)
-    raws = _parse_cli_query(idx, args.where)
-    lo = hi = 0
-    for raw in raws:
-        a, b = estimate(idx, raw, args.levels)
-        lo += a
-        hi += b
+    lo, hi = estimate(idx, parse_query_text(args.where, idx.schema, idx.attribute), args.levels)
     print(f"min {lo}")
     print(f"max {hi}")
     return 0
@@ -279,25 +262,17 @@ def _cmd_bench(args) -> int:
 
     rows = []
     for text in queries:
-        raw = parse_query_text(text, store.schema, attribute)
-        raws = expand_dim_memberships(raw, store.schema)
+        q = normalize(parse_query_text(text, store.schema, attribute), store.schema)
         for engine in engines:
-            stats = QueryStats()
-            count = 0
             start = time.perf_counter()
             for _ in range(args.repeat):
-                count = 0
                 stats = QueryStats()
-                for r in raws:
-                    if engine == "arraybit":
-                        count += execute(idx, r, stats).count
-                    else:
-                        root_bounds = None
-                        q = normalize(r, store.schema, root_bounds)
-                        if engine == "dimsatts":
-                            count += dims.query(q, stats).size
-                        else:
-                            count += baseline.full_scan(store, attribute, q).size
+                if engine == "arraybit":
+                    count = execute(idx, q, stats).count
+                elif engine == "dimsatts":
+                    count = dims.query(q, stats).size
+                else:
+                    count = baseline.full_scan(store, attribute, q).size
             elapsed = (time.perf_counter() - start) / args.repeat
             rows.append(
                 {

@@ -15,16 +15,20 @@ than decoding one bitmap.  Internal nodes are matched from their bitmaps.
 
 The attribute constraint is a list of sorted, disjoint value runs: a range
 query is one run, a membership query one run per value (consecutive
-integers of an integer attribute coalesce).  Range, membership and
-estimate queries all share the same descent over those runs.
+integers of an integer attribute coalesce).  Each dimension's constraint
+is likewise a tuple of sorted, disjoint integer index runs: a range is one
+run, a dimension value set such as `d1 in {2, 5}` one run per stretch of
+consecutive indices.  Range, membership, dimension-set and estimate
+queries all share the same descent over those runs, and their cells come
+out in global row-major order.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
-from math import prod
+from dataclasses import dataclass, field
+from math import ceil, floor, prod
 
 import numpy as np
 
@@ -47,7 +51,6 @@ __all__ = [
     "execute",
     "membership",
     "estimate",
-    "expand_dim_memberships",
     "QueryStats",
 ]
 
@@ -60,16 +63,21 @@ class RawQuery:
     attr_hi: float | None = None
     dims: dict = field(default_factory=dict)  # name -> (lo | None, hi | None)
     values: tuple | None = None  # attribute membership set
-    dim_values: dict = field(default_factory=dict)  # name -> value set
+    dim_values: dict = field(default_factory=dict)  # name -> index value set
 
 
 @dataclass(frozen=True)
 class Query:
-    """A complete query: every dimension constrained, inclusive bounds."""
+    """A complete query: every dimension constrained, inclusive bounds.
+
+    dim_ranges holds, per dimension in schema order, a tuple of sorted,
+    disjoint and non-adjacent inclusive integer (lo, hi) runs; a dimension
+    with no run matches no cell.
+    """
 
     attr_lo: float
     attr_hi: float
-    dim_ranges: tuple  # ((lo, hi), ...) in schema dimension order
+    dim_ranges: tuple  # (((lo, hi), ...), ...) in schema dimension order
     values: tuple | None = None
 
 
@@ -135,11 +143,16 @@ class ResultSet:
 
 
 def normalize(raw: RawQuery, schema: ArraySchema, attr_bounds=None) -> Query:
-    """Fill missing constraints to a complete query over all dimensions."""
-    if raw.dim_values:  # not part of a Query: refused rather than dropped
-        raise InputError("dimension value sets need expand_dim_memberships first")
+    """Fill missing constraints to a complete query over all dimensions.
+
+    A dimension's bounds round inwards to whole indices (a low bound up, a
+    high bound down) and clip to its extent; a value set keeps its integral
+    members within those bounds, consecutive ones coalesced into runs.  A
+    dimension left with no index has no runs, and the query matches no
+    cell.
+    """
     names = schema.dim_names
-    for name in raw.dims:
+    for name in itertools.chain(raw.dims, raw.dim_values):
         if name not in names:
             raise InputError(f"unknown dimension {name!r}")
     lo_default = attr_bounds[0] if attr_bounds else -np.inf
@@ -159,37 +172,15 @@ def normalize(raw: RawQuery, schema: ArraySchema, attr_bounds=None) -> Query:
     ranges = []
     for name, extent in schema.dims:
         lo, hi = raw.dims.get(name, (None, None))
-        lo = 0 if lo is None else max(int(lo), 0)
-        hi = extent - 1 if hi is None else min(int(hi), extent - 1)
-        if lo > hi:
-            raise InputError(f"empty range for dimension {name!r}")
-        ranges.append((lo, hi))
+        lo = 0 if lo is None else max(lo, 0)  # a NaN bound stays NaN and meets no index
+        hi = extent - 1 if hi is None else min(hi, extent - 1)
+        if name in raw.dim_values:
+            members = [v for v in raw.dim_values[name] if lo <= v <= hi and float(v).is_integer()]
+            runs = tuple((int(a), int(b)) for a, b in value_runs(members, True))
+        else:
+            runs = ((ceil(lo), floor(hi)),) if lo <= hi else ()
+        ranges.append(runs if runs and runs[0][0] <= runs[0][1] else ())
     return Query(attr_lo, attr_hi, tuple(ranges), values)
-
-
-def expand_dim_memberships(raw: RawQuery, schema: ArraySchema) -> list[RawQuery]:
-    """Rewrite dimension value sets into per-run range queries."""
-    if not raw.dim_values:
-        return [raw]
-    per_dim = []
-    for name, vals in raw.dim_values.items():
-        if name not in schema.dim_names:
-            raise InputError(f"unknown dimension {name!r}")
-        vals = sorted(set(int(v) for v in vals))
-        runs = []
-        for v in vals:
-            if runs and v == runs[-1][1] + 1:
-                runs[-1] = (runs[-1][0], v)
-            else:
-                runs.append((v, v))
-        per_dim.append((name, runs))
-    out = []
-    for combo in itertools.product(*(runs for _, runs in per_dim)):
-        dims = dict(raw.dims)
-        for (name, _), rng in zip(per_dim, combo):
-            dims[name] = rng
-        out.append(replace(raw, dims=dims, dim_values={}))
-    return out
 
 
 def value_runs(values, integral: bool) -> tuple:
@@ -251,29 +242,34 @@ def runs_match(node, runs) -> tuple:
 
 
 def dimension_match(node, query: Query, dimbm, index: Index) -> tuple:
-    """Child masks (partial, complete) for all dimension ranges.
+    """Child masks (partial, complete) for all dimension runs.
 
-    A bound cutting strictly inside a child slab flags the whole slab as
-    partial; bucket-range lookups collect the covered children.  A bound at
-    a clipped child's actual border still demotes that child from complete
-    to partial (the lookup sees only bucket geometry), which is harmless
-    because partial children are verified downstream.
+    Per dimension, the children whose buckets meet a run within the node's
+    extent are ORed over the runs, and a run bound cutting strictly inside
+    a child slab flags the whole slab as partial; runs that miss the extent
+    are skipped.  A bound at a clipped child's actual border still demotes
+    that child from complete to partial (the lookup sees only bucket
+    geometry), which is harmless because partial children are verified
+    downstream.
     """
-    ndim = index.fanout.ndim
     span = index.child_span(node.level)
     origin = index.node_origin(node.level, node.coords)
     p = 0
     c = node.child_mask
-    for d in range(ndim):
-        qlo, qhi = query.dim_ranges[d]
+    for d, runs in enumerate(query.dim_ranges):
         dlo, dhi = node.extent[d]
-        if qlo > dlo and (qlo - origin[d]) % span[d] != 0:
-            p |= dimbm.partial[d][(qlo - origin[d]) // span[d]]
-        if qhi < dhi and (qhi - origin[d] + 1) % span[d] != 0:
-            p |= dimbm.partial[d][(qhi - origin[d]) // span[d]]
-        b_lo = (max(qlo, dlo) - origin[d]) // span[d]
-        b_hi = (min(qhi, dhi) - origin[d]) // span[d]
-        c &= dimbm.bucket_range(d, b_lo, b_hi)
+        o, s = origin[d], span[d]
+        partial = dimbm.partial[d]
+        c_d = 0
+        for qlo, qhi in runs:
+            if qhi < dlo or qlo > dhi:
+                continue
+            if qlo > dlo and (qlo - o) % s != 0:
+                p |= partial[(qlo - o) // s]
+            if qhi < dhi and (qhi - o + 1) % s != 0:
+                p |= partial[(qhi - o) // s]
+            c_d |= dimbm.bucket_range(d, (max(qlo, dlo) - o) // s, (min(qhi, dhi) - o) // s)
+        c &= c_d
     p &= c
     c &= ~p
     return p, c
@@ -308,19 +304,25 @@ def eval_node(node, query: Query, index: Index, stats: QueryStats | None = None,
 def _node_disjoint(node, query: Query, runs) -> bool:
     if not any(hi >= node.amin and lo <= node.amax for lo, hi in runs):
         return True
-    return any(
-        qhi < dlo or qlo > dhi
-        for (qlo, qhi), (dlo, dhi) in zip(query.dim_ranges, node.extent)
-    )
+    for dim_runs, (dlo, dhi) in zip(query.dim_ranges, node.extent):
+        for qlo, qhi in dim_runs:
+            if qhi >= dlo and qlo <= dhi:
+                break
+        else:  # no run of this dimension meets the node
+            return True
+    return False
 
 
 def _node_complete(node, query: Query, runs) -> bool:
     if not any(lo <= node.amin and node.amax <= hi for lo, hi in runs):
         return False
-    return all(
-        qlo <= dlo and dhi <= qhi
-        for (qlo, qhi), (dlo, dhi) in zip(query.dim_ranges, node.extent)
-    )
+    for dim_runs, (dlo, dhi) in zip(query.dim_ranges, node.extent):
+        for qlo, qhi in dim_runs:
+            if qlo <= dlo and dhi <= qhi:
+                break
+        else:  # no run of this dimension covers the node
+            return False
+    return True
 
 
 def _iter_slots(mask: int):
@@ -343,11 +345,7 @@ def _resolve_leaf(index: Index, entry: LeafEntry, query: Query, runs, stats):
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
     chunk = store.chunks[entry.coords]
-    local = [
-        (qlo - off, qhi - off)
-        for (qlo, qhi), off in zip(query.dim_ranges, chunk.offsets)
-    ]
-    return leaf_query(chunk, entry.leaf, index.attribute, runs, local, store, stats)
+    return leaf_query(chunk, entry.leaf, index.attribute, runs, query.dim_ranges, stats)
 
 
 def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=None):

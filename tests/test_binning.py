@@ -8,7 +8,11 @@ from arraybit.binning import (
     merge_bins_iterative,
     wsse,
 )
-from arraybit.errors import DegenerateDomainError, InputError
+from arraybit.baseline import full_scan
+from arraybit.chunkstore import ArraySchema, ChunkStore
+from arraybit.errors import DegenerateDomainError
+from arraybit.hierindex import build_index
+from arraybit.query import RawQuery, estimate, execute, normalize
 from testutil import (
     bin_of,
     equi_width,
@@ -330,19 +334,31 @@ def test_merge_start_breaks_rounded_distance_ties_low():
 
 
 def test_merge_start_matches_when_the_grid_overflows():
-    # finite ends 2e308 apart: the equal-width grid is inf inside, so no
-    # boundary but inf is a finite distance away; the first written start
-    # then took a boundary twice, and its merge failed or not as here
+    # finite ends 2e308 apart: an equal-width grid between them is inf
+    # inside, so the start is built between the halved ends and doubled
     source = Binning(np.array([-1e308, -1.0, 0.0, 1.0, 5.0, 1e308, np.inf]), np.ones(6))
-    for bins in (2, 3, 4, 5):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                want = reference_merge_bins_iterative(source, bins)
-            except InputError:
-                with pytest.raises(InputError):
-                    merge_bins_iterative(source, bins)
-                continue
-            assert merge_bins_iterative(source, bins) == want
+    for bins in range(2, 9):
+        got = merge_bins_iterative(source, bins)
+        assert (np.diff(got.boundaries) > 0).all()
+        assert got.boundaries[0] == -1e308 and got.boundaries[-1] == np.inf
+        assert got.weights.sum() == source.weights.sum()
+
+
+@pytest.mark.parametrize("bins", [2, 4, 6, 8])
+def test_build_over_a_float_range_wide_field_matches_full_scan(bins):
+    rng = np.random.default_rng(0)
+    vals = rng.normal(size=(32, 32))
+    vals[3, 4], vals[20, 30] = -1e308, 1e308
+    sch = ArraySchema((("d0", 32), ("d1", 32)), (("a", "float64"),), (8, 8))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    idx = build_index(store, fanout=16, bins=bins)
+    for raw in [RawQuery(attr_lo=0.0), RawQuery(attr_hi=-1.0, dims={"d0": (2, 10)}),
+                RawQuery(attr_lo=1e300), RawQuery(attr_lo=-0.5, attr_hi=0.5,
+                                                  dim_values={"d1": {1, 2, 30}})]:
+        q = normalize(raw, sch)
+        want = full_scan(store, "a", q)
+        assert np.array_equal(execute(idx, q).cell_ids(store), want)
+        assert estimate(idx, q, idx.depth) == (want.size, want.size)
 
 
 @settings(max_examples=300, deadline=None)

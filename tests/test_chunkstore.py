@@ -245,7 +245,7 @@ def test_leaf_query_matches_bruteforce(encoding):
         for d in range(2):
             dlo = int(rng.integers(0, shape[d]))
             dhi = int(rng.integers(dlo, shape[d]))
-            dims.append((dlo, dhi))
+            dims.append(((dlo, dhi),))
         assert isinstance(leaf, BinnedBitmapIndex)
         got = leaf_query_bitmaps(chunk, leaf, "a", [(lo, hi)], dims, store, QueryStats())
         flat = vals.reshape(-1)
@@ -254,12 +254,12 @@ def test_leaf_query_matches_bruteforce(encoding):
             ~np.isnan(flat)
             & (flat >= lo)
             & (flat <= hi)
-            & (coords[0] >= dims[0][0]) & (coords[0] <= dims[0][1])
-            & (coords[1] >= dims[1][0]) & (coords[1] <= dims[1][1])
+            & (coords[0] >= dims[0][0][0]) & (coords[0] <= dims[0][0][1])
+            & (coords[1] >= dims[1][0][0]) & (coords[1] <= dims[1][0][1])
         )
         assert got.dtype == bool and got.shape == (chunk.cell_count,)
         assert np.array_equal(got, want), (encoding, trial)
-        assert np.array_equal(leaf_query(chunk, leaf, "a", [(lo, hi)], dims, store), want)
+        assert np.array_equal(leaf_query(chunk, leaf, "a", [(lo, hi)], dims), want)
 
 
 @pytest.mark.parametrize("runs_of", ["value", "two_values"])
@@ -303,7 +303,7 @@ def test_leaf_query_full_range_returns_empty_mask():
     chunk = store.chunks[(0, 0)]
     leaf = build_leaf_index([chunk], "a", 8, "interval", e=1)[0]
     stats = QueryStats()
-    got = leaf_query(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], store, stats)
+    got = leaf_query(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], stats)
     assert np.array_equal(got, chunk.nonempty.reshape(-1))
     assert stats.bitmap_fetches == 0  # whole span needs no encoded bitmaps
 
@@ -313,7 +313,7 @@ def test_leaf_query_disjoint_range():
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
     leaf = build_leaf_index([chunk], "a", 4, "range", e=1)[0]
-    got = leaf_query(chunk, leaf, "a", [(100.0, 200.0)], [None, None], store)
+    got = leaf_query(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
     assert np.array_equal(got, np.zeros(chunk.cell_count, bool))
 
 

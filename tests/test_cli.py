@@ -6,6 +6,7 @@ import pytest
 from arraybit.chunkstore import ArraySchema, load_store, write_raw
 from arraybit.cli import main, parse_query_text
 from arraybit.errors import InputError
+from arraybit.query import normalize
 
 
 @pytest.fixture
@@ -17,7 +18,8 @@ def test_parse_mixed_query(schema):
     raw = parse_query_text("where a >= 30 and d0 in [50, 60] and d1 < 14", schema, "a")
     assert raw.attr_lo == 30.0 and raw.attr_hi is None
     assert raw.dims["d0"] == (50, 60)
-    assert raw.dims["d1"] == (None, 13)
+    assert raw.dims["d1"] == (None, np.nextafter(14, -np.inf))
+    assert normalize(raw, schema).dim_ranges == (((50, 60),), ((0, 13),))
 
 
 def test_parse_strict_attribute_bound(schema):
@@ -115,6 +117,56 @@ def test_query_expand_prints_cells(tmp_path, capsys):
     assert cells[0].startswith("2,1,")
 
 
+def _one_empty_8x8(tmp_path):
+    """An 8x8 store with 63 non-empty cells in 4x4 chunks, and its index."""
+    vals = np.random.default_rng(8).random((8, 8))
+    vals[7, 7] = np.nan
+    head = tmp_path / "arr.json"
+    write_raw(head, ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4)), {"a": vals})
+    idx = tmp_path / "arr.abix"
+    assert main(["build", "--data", str(head), "--index", str(idx), "--params", "fanout=4"]) == 0
+    return vals, head, idx
+
+
+def test_query_expand_prints_dimension_sets_in_row_major_order(tmp_path, capsys):
+    vals, head, idx = _one_empty_8x8(tmp_path)
+    capsys.readouterr()
+    rc = main(["query", "--index", str(idx), "--data", str(head),
+               "--where", "d1 in {6, 1, 2} and d0 in [1, 3] and a >= 0.2", "--expand"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = [f"{r},{c},{vals[r, c].item()!r}" for r in (1, 2, 3) for c in (1, 2, 6)
+            if vals[r, c] >= 0.2]
+    assert lines[0] == f"count {len(want)}"
+    assert lines[4:] == want
+
+
+def test_estimate_of_dimension_sets_stays_within_the_non_empty_total(tmp_path, capsys):
+    vals, head, idx = _one_empty_8x8(tmp_path)
+    where = "d1 in {2, 5} and d0 in {1,3,6}"
+    exact = int(np.isfinite(vals[[1, 3, 6]][:, [2, 5]]).sum())
+    for levels in range(3):
+        capsys.readouterr()
+        assert main(["estimate", "--index", str(idx), "--data", str(head),
+                     "--levels", str(levels), "--where", where]) == 0
+        lo, hi = (int(l.split()[1]) for l in capsys.readouterr().out.splitlines())
+        assert lo <= exact <= hi <= 63
+        if levels == 0:
+            assert hi == 63  # the root, once
+
+
+def test_fractional_dimension_bounds(tmp_path, capsys):
+    head = _gen(tmp_path, shape="32x32", threshold="0")
+    idx = tmp_path / "arr.abix"
+    assert main(["build", "--data", str(head), "--index", str(idx)]) == 0
+    for where, want in [("d0 >= 2.5", 928), ("d0 < 2.5", 96), ("d0 > 2.5", 928),
+                        ("d0 <= 2.5", 96), ("d0 in {2.5, 4}", 32), ("d0 in [1.5, 3.5]", 64),
+                        ("d0 = 2.5", 0), ("d0 in {2.5}", 0), ("d0 = 2", 32)]:
+        capsys.readouterr()
+        assert main(["query", "--index", str(idx), "--data", str(head), "--where", where]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"count {want}", where
+
+
 @pytest.mark.parametrize("typ", ["float64", "int64"])
 def test_query_expand_prints_plain_numbers(tmp_path, capsys, typ):
     rng = np.random.default_rng(3)
@@ -186,6 +238,7 @@ def test_bench_writes_csv_with_agreement(tmp_path):
         "# two smoke queries\n"
         "where a >= 0.001 and d0 in [4, 27]\n"
         "d1 <= 15\n"
+        "d1 in {5, 6, 7, 9} and d0 in {1, 3} and a >= 0.001\n"
     )
     out = tmp_path / "report.csv"
     rc = main(["bench", "--data", str(head), "--workload", str(workload),
@@ -198,12 +251,16 @@ def test_bench_writes_csv_with_agreement(tmp_path):
     import csv as csvmod
 
     rows = list(csvmod.DictReader(l for l in lines if not l.startswith("#")))
-    assert len(rows) == 6
+    assert len(rows) == 9
     by_query = {}
     for row in rows:
         by_query.setdefault(row["query"], {})[row["engine"]] = int(row["result_count"])
     for counts in by_query.values():
         assert counts["arraybit"] == counts["fullscan"] == counts["dimsatts"]
+    vals = load_store(head).dense("a")
+    want = int((vals[[1, 3]][:, [5, 6, 7, 9]] >= 0.001).sum())
+    got = by_query["d1 in {5, 6, 7, 9} and d0 in {1, 3} and a >= 0.001"]["arraybit"]
+    assert want and got == want
 
 
 def test_exit_codes(tmp_path):

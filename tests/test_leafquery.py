@@ -62,19 +62,27 @@ def _runs(rng, live, dtype, kind):
     return list(value_runs(picks, dtype == "int64"))
 
 
-def _box(rng, shape):
-    """Chunk-local ranges meeting the chunk, some reaching past its edges."""
+def _box(rng, chunk):
+    """Dimension runs in array coordinates, some reaching past the chunk's
+    edges: None, one run meeting the chunk, or the stretches of a random
+    set of indices (sorted runs with gaps, possibly none inside the chunk)."""
     out = []
-    for s in shape:
+    for s in chunk.shape:
         r = rng.random()
         if r < 0.2:
             out.append(None)
         elif r < 0.4:
-            out.append((-int(rng.integers(0, 3)), s - 1 + int(rng.integers(0, 3))))
-        else:
+            out.append(((-int(rng.integers(0, 3)), s - 1 + int(rng.integers(0, 3))),))
+        elif r < 0.7:
             lo = int(rng.integers(-2, s))
-            out.append((lo, int(rng.integers(max(lo, 0), s + 2))))
-    return out
+            out.append(((lo, int(rng.integers(max(lo, 0), s + 2))),))
+        else:
+            at = np.flatnonzero(rng.random(s + 4) < 0.5) - 2
+            if not at.size:
+                at = np.array([0])
+            ends = np.flatnonzero(np.diff(at) > 1)
+            out.append(tuple(zip(at[np.r_[0, ends + 1]].tolist(), at[np.r_[ends, -1]].tolist())))
+    return [runs and tuple((a + o, b + o) for a, b in runs) for runs, o in zip(out, chunk.offsets)]
 
 
 def _brute(chunk, runs, box):
@@ -83,10 +91,11 @@ def _brute(chunk, runs, box):
     for lo, hi in runs:
         hit |= (vals >= lo) & (vals <= hi)
     hit &= chunk.nonempty
-    for d, rng in enumerate(box):
-        if rng is not None:
-            at = np.arange(chunk.shape[d]).reshape([-1 if i == d else 1 for i in range(hit.ndim)])
-            hit &= (at >= rng[0]) & (at <= rng[1])
+    for d, dim_runs in enumerate(box):
+        if dim_runs is not None:
+            at = np.arange(chunk.shape[d]) + chunk.offsets[d]
+            at = at.reshape([-1 if i == d else 1 for i in range(hit.ndim)])
+            hit &= np.logical_or.reduce([(at >= lo) & (at <= hi) for lo, hi in dim_runs])
     return hit.reshape(-1)
 
 
@@ -117,10 +126,10 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, encoding, bins, 
         live = chunk.values["a"][chunk.nonempty]
         for _ in range(4):
             runs = _runs(rng, live, dtype, kind)
-            box = _box(rng, chunk.shape)
+            box = _box(rng, chunk)
             want = _brute(chunk, runs, box)
             stats = QueryStats()
-            got = leaf_query(chunk, leaf, "a", runs, box, store, stats)
+            got = leaf_query(chunk, leaf, "a", runs, box, stats)
             assert got.dtype == bool and got.shape == (chunk.cell_count,)
             assert np.array_equal(got, want)
             assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
@@ -141,7 +150,7 @@ def test_leaf_query_scans_without_reading_bitmaps():
     leaf = build_leaf_index([chunk], "a", 16, "range")[0]
     runs = [(leaf.amin, float(leaf.span_hi[3]))]  # one bitmap for the resolver
     stats = QueryStats()
-    got = leaf_query(chunk, leaf, "a", runs, [None] * 3, store, stats)
+    got = leaf_query(chunk, leaf, "a", runs, [None] * 3, stats)
     assert stats.leaves_scanned == 1
     assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
     assert stats.candidate_checks == chunk.nonempty_count
@@ -151,13 +160,13 @@ def test_leaf_query_scans_without_reading_bitmaps():
 def test_covering_and_missing_runs_read_nothing():
     store, chunk = _float_chunk((64, 64))
     leaf = build_leaf_index([chunk], "a", 16, "interval")[0]
-    box = [(3, 40), (10, 70)]
+    box = [((3, 40),), ((10, 70),)]
     for runs, want in [
         ([(leaf.amin - 1.0, leaf.amax)], _brute(chunk, [(-np.inf, np.inf)], box)),
         ([(leaf.amax + 1.0, leaf.amax + 2.0)], np.zeros(chunk.cell_count, bool)),
     ]:
         stats = QueryStats()
-        assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, store, stats), want)
+        assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, stats), want)
         assert stats == QueryStats()
 
 
@@ -170,9 +179,9 @@ def test_plain_leaf_scans_its_box():
     leaf = build_leaf_index([chunk], "a", 4, "range")[0]
     assert isinstance(leaf, PlainLeaf)
     runs = [(1.0, 2.0), (5.0, 6.0)]
-    box = [(2, 7), None]
+    box = [((2, 7),), None]
     stats = QueryStats()
-    got = leaf_query(chunk, leaf, "a", runs, box, store, stats)
+    got = leaf_query(chunk, leaf, "a", runs, box, stats)
     assert np.array_equal(got, _brute(chunk, runs, box))
     assert int(got.sum()) == 2  # 5.0 and 6.0 in row 2
     assert stats.leaves_scanned == 1 and stats.candidate_checks == 4  # the box's live cells

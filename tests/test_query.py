@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arraybit.baseline import full_scan
+from arraybit.baseline import DimsAttsIndex, full_scan
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
 from arraybit.errors import InputError
 from arraybit.hierindex import build_index
@@ -13,12 +13,12 @@ from arraybit.query import (
     estimate,
     eval_node,
     execute,
-    expand_dim_memberships,
     membership,
     normalize,
 )
 from testutil import (
     assert_strictly_increasing,
+    random_dim_set,
     random_index,
     random_raw_query,
     random_store,
@@ -33,7 +33,7 @@ def schema2d():
 
 def test_normalize_fills_dims(schema2d):
     q = normalize(RawQuery(attr_lo=1.0, attr_hi=2.0), schema2d)
-    assert q.dim_ranges == ((0, 15), (0, 15))
+    assert q.dim_ranges == (((0, 15),), ((0, 15),))
 
 
 def test_normalize_one_sided(schema2d):
@@ -58,36 +58,75 @@ def test_normalize_rejects_inverted(schema2d):
         normalize(RawQuery(attr_lo=5.0, attr_hi=1.0), schema2d)
 
 
-def test_expand_dim_memberships(schema2d):
-    raw = RawQuery(dim_values={"d1": (2, 3, 4, 9)})
-    out = expand_dim_memberships(raw, schema2d)
-    assert [r.dims["d1"] for r in out] == [(2, 4), (9, 9)]
+def test_normalize_dimension_sets_to_runs(schema2d):
+    q = normalize(RawQuery(dims={"d0": (3, 12)}, dim_values={"d1": (9, 2, 3, 4, 40)}), schema2d)
+    assert q.dim_ranges == (((3, 12),), ((2, 4), (9, 9)))
+    # a range and a set on one dimension intersect
+    q = normalize(RawQuery(dims={"d1": (3, 9)}, dim_values={"d1": {1, 3, 4, 9, 10}}), schema2d)
+    assert q.dim_ranges[1] == ((3, 4), (9, 9))
+    with pytest.raises(InputError):
+        normalize(RawQuery(dim_values={"bogus": {1}}), schema2d)
+    assert normalize(RawQuery(dim_values={"d0": {16, 20}}), schema2d).dim_ranges[0] == ()
 
 
-def test_dimension_value_sets_are_refused_not_dropped():
-    # normalize used to drop dim_values, so a library caller got the answer
-    # of the query without them; the rewrite is expand_dim_memberships
+def test_fractional_dimension_bounds_round_inwards(schema2d):
+    def runs(**dims):
+        return normalize(RawQuery(dims=dims), schema2d).dim_ranges[0]
+
+    assert runs(d0=(2.5, None)) == ((3, 15),)
+    assert runs(d0=(None, 2.5)) == ((0, 2),)
+    assert runs(d0=(-0.5, 14.9)) == ((0, 14),)
+    assert runs(d0=(-np.inf, np.inf)) == ((0, 15),)
+    for empty in [(2.5, 2.5), (2.2, 2.8), (np.nan, 3), (20, None), (5, 3)]:
+        assert runs(d0=empty) == ()  # no index: the query matches no cell
+    sets = normalize(RawQuery(dim_values={"d0": {2.5, 4.0, 5, np.nan}}), schema2d)
+    assert sets.dim_ranges[0] == ((4, 5),)
+    assert normalize(RawQuery(dim_values={"d0": {2.5}}), schema2d).dim_ranges[0] == ()
+
+
+def test_one_descent_equals_the_union_of_the_box_queries():
     store, idx = make_index(seed=3, fanout=64)
     root = idx.root
     mid = (root.amin + root.amax) / 2
-    raw = RawQuery(attr_lo=root.amin, attr_hi=mid, dim_values={"d1": (2, 3, 9)})
-    member = RawQuery(values=(float(store.dense("a")[0, 2]),), dim_values={"d1": (2,)})
-    calls = [
-        lambda: normalize(raw, store.schema),
-        lambda: execute(idx, raw),
-        lambda: membership(idx, member),
-        lambda: estimate(idx, raw, idx.depth),
+    raw = RawQuery(attr_lo=root.amin, attr_hi=mid, dim_values={"d1": (2, 3, 4, 9, 30)},
+                   dims={"d0": (5, 27)})
+    q = normalize(raw, store.schema)
+    assert q.dim_ranges[1] == ((2, 4), (9, 9), (30, 30))
+    trace = []
+    got = execute(idx, q, trace=trace).cell_ids(store)
+    assert trace[0] == (0, 0)
+    assert_strictly_increasing(trace)  # one traversal
+    parts = [
+        execute(idx, RawQuery(attr_lo=root.amin, attr_hi=mid, dims={"d0": (5, 27), "d1": r}))
+        .cell_ids(store)
+        for r in q.dim_ranges[1]
     ]
-    for call in calls:
-        with pytest.raises(InputError, match="expand_dim_memberships"):
-            call()
-    parts = [execute(idx, r).cell_ids(store) for r in expand_dim_memberships(raw, store.schema)]
-    got = np.sort(np.concatenate(parts))
+    assert got.size and np.array_equal(got, np.sort(np.concatenate(parts)))
+
+
+def test_dimension_value_sets_match_the_oracle():
+    store, idx = make_index(seed=3, fanout=64)
+    root = idx.root
+    mid = (root.amin + root.amax) / 2
     vals = store.dense("a")
     cols = np.zeros(vals.shape, bool)
     cols[:, [2, 3, 9]] = True
+    raw = RawQuery(attr_lo=root.amin, attr_hi=mid, dim_values={"d1": (2, 3, 9)})
     want = np.flatnonzero(cols & (vals >= root.amin) & (vals <= mid))
-    assert want.size and np.array_equal(got, want)
+    v = float(vals[0, 2])
+    member = RawQuery(values=(v,), dim_values={"d1": (2,)})
+    want_member = np.flatnonzero(cols & (vals == v) & (np.arange(32) == 2))
+    q = normalize(raw, store.schema)
+    assert want.size and np.array_equal(full_scan(store, "a", q), want)
+    assert np.array_equal(execute(idx, raw).cell_ids(store), want)
+    assert np.array_equal(DimsAttsIndex(store, "a").query(q), want)
+    assert estimate(idx, raw, idx.depth) == (want.size, want.size)
+    assert np.array_equal(membership(idx, member).cell_ids(store), want_member)
+    # a set with no index in the extent matches no cell
+    none = normalize(RawQuery(dims={"d0": (2, 9)}, dim_values={"d1": {32, 40, 2.5}}), store.schema)
+    assert execute(idx, none).count == 0
+    assert estimate(idx, none, 0) == (0, 0)
+    assert full_scan(store, "a", none).size == DimsAttsIndex(store, "a").query(none).size == 0
 
 
 def make_index(seed=0, shape=(32, 32), chunk=(4, 4), sparsity=0.0, **kw):
@@ -98,7 +137,7 @@ def make_index(seed=0, shape=(32, 32), chunk=(4, 4), sparsity=0.0, **kw):
 def test_eval_node_query_covering_everything():
     store, idx = make_index(fanout=64)
     root = idx.root
-    q = Query(root.amin, root.amax, ((0, 31), (0, 31)))
+    q = Query(root.amin, root.amax, (((0, 31),), ((0, 31),)))
     p_star, c_star = eval_node(root, q, idx)
     assert c_star == root.child_mask
     assert p_star == 0
@@ -107,7 +146,7 @@ def test_eval_node_query_covering_everything():
 def test_eval_node_disjoint_attr():
     store, idx = make_index(fanout=64)
     root = idx.root
-    q = Query(root.amax + 1, root.amax + 2, ((0, 31), (0, 31)))
+    q = Query(root.amax + 1, root.amax + 2, (((0, 31),), ((0, 31),)))
     assert eval_node(root, q, idx) == (0, 0)
 
 
@@ -125,10 +164,10 @@ def test_eval_node_masks_disjoint():
 def test_dimension_match_full_cover_and_single_child():
     store, idx = make_index(fanout=64)  # 8x8 chunk grid, one root, F_d = 8
     root = idx.root
-    full = Query(root.amin, root.amax, ((0, 31), (0, 31)))
+    full = Query(root.amin, root.amax, (((0, 31),), ((0, 31),)))
     p, c = dimension_match(root, full, idx.dimbitmaps, idx)
     assert p == 0 and c == root.child_mask
-    one = Query(root.amin, root.amax, ((4, 7), (8, 11)))  # exactly chunk (1, 2)
+    one = Query(root.amin, root.amax, (((4, 7),), ((8, 11),)))  # exactly chunk (1, 2)
     p, c = dimension_match(root, one, idx.dimbitmaps, idx)
     assert p == 0
     from arraybit.hierindex import zorder_encode
@@ -148,13 +187,18 @@ def test_dimension_match_known_false_negative():
     store = ChunkStore.from_dense(sch, {"a": vals})
     idx = build_index(store, fanout=16)
     root = idx.root
-    q = Query(root.amin, root.amax, ((0, 7), (0, 7)))
+    q = Query(root.amin, root.amax, (((0, 7),), ((0, 7),)))
     p, c = dimension_match(root, q, idx.dimbitmaps, idx)
     assert p & 0b01  # slot (0, 0): fully covered yet flagged partial
     assert not (c & 0b01)
     rs = execute(idx, q)
     want = full_scan(store, "a", q)
     assert np.array_equal(rs.cell_ids(store), want)
+
+
+def _meets(dim_ranges, extent):
+    return all(any(qlo <= hi and qhi >= lo for qlo, qhi in runs)
+               for runs, (lo, hi) in zip(dim_ranges, extent))
 
 
 def test_dimension_match_against_child_extents():
@@ -165,7 +209,7 @@ def test_dimension_match_against_child_extents():
             for _ in range(10):
                 raw = random_raw_query(rng, store.schema, node.amin, node.amax)
                 q = normalize(raw, store.schema)
-                if any(qhi < lo or qlo > hi for (qlo, qhi), (lo, hi) in zip(q.dim_ranges, node.extent)):
+                if not _meets(q.dim_ranges, node.extent):
                     continue
                 p, c = dimension_match(node, q, idx.dimbitmaps, idx)
                 slot_bits = idx.fanout.slot_bits
@@ -173,13 +217,10 @@ def test_dimension_match_against_child_extents():
                     if not (node.child_mask >> slot) & 1:
                         continue
                     child = idx.fetch(level - 1, (z << slot_bits) | slot)
-                    inter = all(
-                        qlo <= hi and qhi >= lo
-                        for (qlo, qhi), (lo, hi) in zip(q.dim_ranges, child.extent)
-                    )
+                    inter = _meets(q.dim_ranges, child.extent)
                     inside = all(
-                        qlo <= lo and hi <= qhi
-                        for (qlo, qhi), (lo, hi) in zip(q.dim_ranges, child.extent)
+                        any(qlo <= lo and hi <= qhi for qlo, qhi in runs)
+                        for runs, (lo, hi) in zip(q.dim_ranges, child.extent)
                     )
                     got_c = bool((c >> slot) & 1)
                     got_p = bool((p >> slot) & 1)
@@ -191,7 +232,7 @@ def test_dimension_match_against_child_extents():
 
 def test_execute_empty_result():
     store, idx = make_index(fanout=64)
-    q = Query(idx.root.amax + 10, idx.root.amax + 20, ((0, 31), (0, 31)))
+    q = Query(idx.root.amax + 10, idx.root.amax + 20, (((0, 31),), ((0, 31),)))
     rs = execute(idx, q)
     assert rs.count == 0
     assert rs.cell_ids(store).size == 0
@@ -308,7 +349,7 @@ def test_membership_matches_oracle():
 
 def test_membership_empty_set():
     store, idx = make_index(fanout=16)
-    assert membership(idx, Query(0.0, 0.0, ((0, 31), (0, 31)), ())).count == 0
+    assert membership(idx, Query(0.0, 0.0, (((0, 31),), ((0, 31),)), ())).count == 0
 
 
 def _live_values(store):
@@ -429,7 +470,7 @@ def test_estimate_sandwich_and_monotone():
 def test_estimate_budget_zero_partial_root():
     store, idx = make_index(seed=12, fanout=64)
     root = idx.root
-    q = Query(root.amin, (root.amin + root.amax) / 2, ((0, 31), (0, 31)))
+    q = Query(root.amin, (root.amin + root.amax) / 2, (((0, 31),), ((0, 31),)))
     lo, hi = estimate(idx, q, 0)
     assert lo == 0 and hi == root.count
 
@@ -513,3 +554,68 @@ def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, enc
         if raw is mixed and empty == 0.0:
             assert rs.complete and rs.partial
 
+
+
+def _numpy_ids(store, raw):
+    """Sorted global row-major ids of the cells matching `raw`, from a numpy
+    mask over the dense array; the dimension constraints are integral."""
+    vals = store.dense("a")
+    mask = store.nonempty_dense()
+    if raw.values is not None:
+        mask &= np.isin(vals, np.asarray(raw.values))
+    else:
+        if raw.attr_lo is not None:
+            mask &= vals >= raw.attr_lo
+        if raw.attr_hi is not None:
+            mask &= vals <= raw.attr_hi
+    for d, (name, extent) in enumerate(store.schema.dims):
+        at = np.arange(extent).reshape([-1 if i == d else 1 for i in range(vals.ndim)])
+        lo, hi = raw.dims.get(name, (None, None))
+        mask &= (at >= (0 if lo is None else lo)) & (at <= (extent if hi is None else hi))
+        if name in raw.dim_values:
+            mask &= np.isin(at, sorted(raw.dim_values[name]))
+    return np.flatnonzero(mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(2, 3),
+    dtype=st.sampled_from(["float64", "int64"]),
+    encoding=st.sampled_from(["equality", "range", "interval"]),
+    empty=st.sampled_from([0.4, "chunks"]),
+    kind=st.sampled_from(["mixed", "membership"]),
+)
+@example(seed=0, ndim=2, dtype="float64", encoding="range", empty=0.4, kind="mixed")
+@example(seed=1, ndim=3, dtype="int64", encoding="equality", empty="chunks", kind="membership")
+def test_dimension_sets_match_a_numpy_mask(seed, ndim, dtype, encoding, empty, kind):
+    rng = np.random.default_rng(seed)
+    store = _random_frozen_store(rng, ndim, dtype, empty)
+    sch = store.schema
+    idx = build_index(store, fanout=2**ndim, bins=4, leaf_encoding=encoding, e=1)
+    root = idx.root
+    if root is None:
+        return
+    dims = DimsAttsIndex(store, "a", bins=8)
+    total = store.nonempty_total()
+    live = _live_values(store)
+    for _ in range(4):
+        raw = random_raw_query(rng, sch, root.amin, root.amax, kind)
+        if kind == "membership":
+            picks = rng.choice(live, size=int(rng.integers(1, 5)))
+            raw.values = tuple(float(v) for v in picks) + (float(root.amax) + 1.0,)
+        if not raw.dim_values:  # at least one dimension set per query
+            name, extent = sch.dims[int(rng.integers(ndim))]
+            raw.dims.pop(name, None)
+            raw.dim_values[name] = random_dim_set(rng, extent)
+        want = _numpy_ids(store, raw)
+        q = normalize(raw, sch, (root.amin, root.amax))
+        assert np.array_equal(execute(idx, q).cell_ids(store), want)
+        if kind == "membership":
+            assert np.array_equal(membership(idx, q).cell_ids(store), want)
+        assert np.array_equal(full_scan(store, "a", q), want)
+        assert np.array_equal(dims.query(q), want)
+        for budget in range(idx.depth):
+            lo, hi = estimate(idx, q, budget)
+            assert lo <= want.size <= hi <= total
+        assert estimate(idx, q, idx.depth) == (want.size, want.size)

@@ -82,8 +82,21 @@ def random_index(rng, shape, chunk, sparsity=0.0, **kw):
     return store, build_index(store, **kw)
 
 
+def random_dim_set(rng, extent):
+    """A dimension value set of 1-4 random stretches of 1-3 indices, at
+    times with a member past the extent."""
+    out = set()
+    for _ in range(int(rng.integers(1, 5))):
+        a = int(rng.integers(0, extent))
+        out.update(range(a, min(a + int(rng.integers(1, 4)), extent)))
+    if rng.random() < 0.2:
+        out.add(extent + int(rng.integers(0, 3)))
+    return out
+
+
 def random_raw_query(rng, schema, amin, amax, kind="mixed"):
-    """A plausible query; `kind` picks range / one-sided / membership."""
+    """A plausible query; `kind` picks range / one-sided / membership for
+    the attribute.  A dimension gets a range, a value set or nothing."""
     raw = RawQuery()
     span = amax - amin
     if kind == "membership":
@@ -101,10 +114,13 @@ def random_raw_query(rng, schema, amin, amax, kind="mixed"):
             raw.attr_hi = hi
         # style 3: no attribute constraint
     for name, extent in schema.dims:
-        if rng.random() < 0.7:
+        r = rng.random()
+        if r < 0.5:
             a = int(rng.integers(0, extent))
             b = int(rng.integers(a, extent))
             raw.dims[name] = (a, b)
+        elif r < 0.7:
+            raw.dim_values[name] = random_dim_set(rng, extent)
     return raw
 
 
@@ -126,12 +142,13 @@ def region_cells_satisfy(store, attribute, region, query):
                 return False
         elif not ((vals >= query.attr_lo) & (vals <= query.attr_hi)).all():
             return False
-        for d, (qlo, qhi) in enumerate(query.dim_ranges):
-            lo, hi = chunk.offsets[d], chunk.offsets[d] + chunk.shape[d] - 1
+        for d, runs in enumerate(query.dim_ranges):
             idx = np.arange(chunk.shape[d]) + chunk.offsets[d]
             shape = [1] * store.schema.ndim
             shape[d] = -1
-            covered = (idx >= qlo) & (idx <= qhi)
+            covered = np.zeros(idx.size, bool)
+            for qlo, qhi in runs:
+                covered |= (idx >= qlo) & (idx <= qhi)
             if not covered.all():
                 # cells outside the dim range must all be empty
                 outside = chunk.nonempty & ~covered.reshape(shape)
