@@ -5,7 +5,10 @@ The baseline materializes one integer auxiliary column per dimension over
 the row-major linearized array and bitmap-indexes each column plus the
 attribute.  Candidate checks read the stored auxiliary columns, and those
 columns count toward the index size, exactly as a relational bitmap engine
-would pay for them.
+would pay for them.  It is the source paper's comparator, and the only
+index here that keeps bitmaps over cells: the tree's leaves keep none
+(see `chunkstore`), so a size ratio of the two compares a tree without
+leaf bitmaps with a bitmap index.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ class DimsAttsIndex:
         self.values = store.dense(self.attribute).reshape(-1)
         nonempty = store.nonempty_dense().reshape(-1)
         self.attr_index = BinnedBitmapIndex.build(self.values, nonempty, bins, encoding)
-        self.ebm = self.attr_index.ebm
         self.dim_columns = []
         self.dim_indexes = []
         every = np.ones(self.values.size, bool)
@@ -84,7 +86,9 @@ class DimsAttsIndex:
             )
 
     def size_bytes(self) -> int:
-        n = self.attr_index.size_bytes() + len(self.ebm.to_bytes())
+        """The attribute's index (its non-empty mask included), and each
+        dimension's auxiliary column and index."""
+        n = self.attr_index.size_bytes()
         for col, idx in zip(self.dim_columns, self.dim_indexes):
             n += col.nbytes + idx.size_bytes()
         return n

@@ -16,10 +16,7 @@ never expand fills.
 
 Kernels: group g is bits 63g .. 63g + 62, first bit least significant.
 Packing runs one little-endian ``np.packbits`` over the bits and cuts the
-packed 64-bit words into 63-bit groups with shifts.  ``from_dense``
-encodes many equal-length vectors at once: one pack over all of them and
-one compress pass whose runs stop at each vector's first group, giving
-their words back to back.
+packed 64-bit words into 63-bit groups with shifts.
 Unpacking runs ``np.unpackbits`` over the 8 bytes of each word, row-wise
 with ``count=63``.  Decoding a vector with no fill word unpacks
 its words directly, with no run expansion.
@@ -27,9 +24,6 @@ its words directly, with no run expansion.
 Serialized form (``to_bytes``): little-endian header
 ``{logical_length: u64, word_count: u64}`` followed by the words.
 ``from_bytes`` reads the words as a view into the caller's buffer.
-Vectors of one known length can also be stored back to back as bare words
-(``words``) and cut apart again by ``split``, which needs no header: a
-vector ends at the word where its groups add up to the length.
 """
 
 from __future__ import annotations
@@ -55,20 +49,20 @@ _OPS = {
 
 
 def _pack_groups(bits: np.ndarray) -> np.ndarray:
-    """Pack each row of a 2-d boolean array into 63-bit groups.
+    """Pack a 1-d boolean array into 63-bit groups.
 
-    Returns a (rows, groups) uint64 array, high bits clear.  Each row is
-    packed little-endian into 64-bit words, one spare zero word after it,
-    and group g is the 63 bits from bit 63 g on: the top of word 63 g // 64
+    Returns a uint64 array, high bits clear.  The bits are packed
+    little-endian into 64-bit words, one spare zero word after them, and
+    group g is the 63 bits from bit 63 g on: the top of word 63 g // 64
     joined to the bottom of the next.
     """
-    nrows, n = bits.shape
+    n = bits.size
     ngroups = -(-n // GROUP_BITS)
-    raw = np.zeros((nrows, 8 * (n // 64 + 2)), np.uint8)
-    raw[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    raw = np.zeros(8 * (n // 64 + 2), np.uint8)
+    raw[: -(-n // 8)] = np.packbits(bits, bitorder="little")
     words = raw.view("<u8").astype(np.uint64, copy=False)
     q, r = np.divmod(GROUP_BITS * np.arange(ngroups, dtype=np.uint64), np.uint64(64))
-    return ((words[:, q] >> r) | (words[:, q + 1] << (np.uint64(64) - r))) & _ONES
+    return ((words[q] >> r) | (words[q + 1] << (np.uint64(64) - r))) & _ONES
 
 
 def _unpack_groups(groups: np.ndarray, nbits: int) -> np.ndarray:
@@ -80,25 +74,20 @@ def _unpack_groups(groups: np.ndarray, nbits: int) -> np.ndarray:
     return rows.reshape(-1)[:nbits].view(bool)
 
 
-def _compress_segments(values: np.ndarray, lengths: np.ndarray | None, row_groups: int = 0):
+def _compress_segments(values: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
     """Build canonical words from (payload, group-run-length) segments.
 
     Only all-zero and all-one payloads merge into fills.  Any other payload
     comes from one literal group (length 1) and stays one word, even next to
-    an equal one.  No `lengths` means one group per segment.  With
-    `row_groups`, `values` holds rows of that many groups each and no run
-    crosses a row start.  Returns the words and the index of the segment
-    each word starts at.
+    an equal one.  No `lengths` means one group per segment.
     """
     if values.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
+        return np.empty(0, np.uint64)
     uniform = (values == 0) | (values == _ONES)
     starts = np.empty(values.size, bool)
     starts[0] = True
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     starts[1:] |= ~uniform[1:]
-    if row_groups:
-        starts[::row_groups] = True
     starts = np.flatnonzero(starts)
     words = values[starts]
     if lengths is None:
@@ -108,7 +97,7 @@ def _compress_segments(values: np.ndarray, lengths: np.ndarray | None, row_group
     fill = uniform[starts] & (run_lens >= 2)
     if fill.any():
         words[fill] = _FILL_FLAG | (words[fill] & _FILL_VALUE) | run_lens[fill].astype(np.uint64)
-    return words, starts
+    return words
 
 
 def _decode(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,21 +145,12 @@ class BitVector:
         return cls(length, np.array(words, np.uint64))
 
     @classmethod
-    def from_dense(cls, bits: np.ndarray):
-        """One vector from a 1-d boolean array.  From a 2-d one, every row
-        packed and compressed in one pass: the words of all the rows' vectors
-        back to back, and the index one past each row's last word (rows of
-        one length need no header to be cut apart, see `split`)."""
+    def from_dense(cls, bits: np.ndarray) -> "BitVector":
+        """One vector from a 1-d boolean array."""
         bits = np.asarray(bits, bool)
-        if bits.ndim not in (1, 2):
-            raise InputError("from_dense expects a 1-d or 2-d boolean array")
-        rows = np.atleast_2d(bits)
-        groups = _pack_groups(rows)
-        nrows, ngroups = groups.shape
-        words, starts = _compress_segments(groups.reshape(-1), None, ngroups)
-        if bits.ndim == 1:
-            return cls(rows.shape[1], words)
-        return words, np.searchsorted(starts, np.arange(1, nrows + 1) * ngroups)
+        if bits.ndim != 1:
+            raise InputError("from_dense expects a 1-d boolean array")
+        return cls(bits.size, _compress_segments(_pack_groups(bits), None))
 
     # -- introspection ------------------------------------------------
 
@@ -259,21 +239,6 @@ class BitVector:
         words.flags.writeable = False
         return cls(n, words), end
 
-    @classmethod
-    def split(cls, words: np.ndarray, length: int, count: int) -> list:
-        """`count` vectors of `length` bits each from their words stored back
-        to back, as views into `words`.  Raises DataError unless the words
-        hold exactly that many vectors' groups, each ending on a word."""
-        ngroups = -(-length // GROUP_BITS)
-        is_fill = words >= _FILL_FLAG
-        ends = np.cumsum(np.where(is_fill, (words & _LEN_MASK).astype(np.int64), 1))
-        want = ngroups * np.arange(1, count + 1)
-        cut = np.searchsorted(ends, want)
-        if (cut[-1] != words.size - 1 or not (ends[np.minimum(cut, words.size - 1)] == want).all()):
-            raise DataError(f"{words.size} words do not hold {count} vectors of {length} bits")
-        bounds = [0] + (cut + 1).tolist()
-        return [cls(length, words[a:b]) for a, b in zip(bounds, bounds[1:])]
-
 
 def logical(op: str, a: BitVector, b: BitVector) -> BitVector:
     """Apply a bitwise op to two equal-length vectors, run by run."""
@@ -296,7 +261,7 @@ def logical(op: str, a: BitVector, b: BitVector) -> BitVector:
         except KeyError:
             raise InputError(f"unknown logical op: {op!r}") from None
     lens = np.diff(ends, prepend=0)
-    return BitVector(a._n, _compress_segments(merged, lens)[0])
+    return BitVector(a._n, _compress_segments(merged, lens))
 
 
 def complement(a: BitVector) -> BitVector:

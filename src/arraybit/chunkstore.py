@@ -1,5 +1,14 @@
-"""Array data model: schema, regular grid chunking, ingestion and the
-per-chunk binned bitmap index used at the leaves.
+"""Array data model: schema, regular grid chunking, ingestion, the leaf
+of each chunk and its exact resolution, and the binned bitmap index of the
+linearized baseline.
+
+A chunk's leaf is its value range, its non-empty count and, above a size
+threshold, the equi-depth binning of its values, which feeds its parent's
+merged bins.  Unlike the source paper's leaves it holds no bitmaps: the
+paper's leaf bitmaps spare reading cell values from disk, while here every
+chunk is resident and a partial leaf is resolved by a scan of the query's
+box in its chunk (:func:`leaf_query`).  Bitmaps over cells remain only in
+:class:`BinnedBitmapIndex`, the dims-as-attributes comparator's index.
 
 Cells are laid out row-major inside each chunk; boundary chunks are clipped
 by the global shape.  Empty cells are NaN for float attributes and a
@@ -11,13 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .binning import equi_depth_exact
+from .binning import Binning, equi_depth_exact
 from .bitvec import BitVector
 from .errors import DataError, InputError
 
@@ -29,15 +38,15 @@ class QueryStats:
     """Operational counters collected while answering a query.
 
     nodes_fetched counts the tree nodes the descent fetched, leaves
-    included.  bitmap_fetches counts bitmaps fetched for bin spans, and
-    candidate_bitmap_fetches those fetched only to isolate the boundary bins
-    of the candidate check; the bitmap resolver of a leaf decodes each of
-    its bitmaps at most once per query and counts only that decode.
-    leaves_scanned counts the partial leaves that :func:`leaf_query`
-    resolved by a scan of the query's box, every one whose runs neither
-    miss nor cover it.  candidate_checks counts the cells whose value was
-    compared: the candidates of the bitmap resolver and every non-empty
-    cell of a scanned box.
+    included.  leaves_scanned counts the partial leaves that
+    :func:`leaf_query` resolved by a scan of the query's box, every one
+    whose runs neither miss nor cover it.  candidate_checks counts the
+    cells whose value was compared: every non-empty cell of a scanned box,
+    and the candidates of `baseline.DimsAttsIndex`.  Bitmap fetches come
+    only from that baseline, whose queries read bitmaps: bitmap_fetches
+    counts those fetched for bin spans, and candidate_bitmap_fetches those
+    fetched only to isolate the boundary bins of the candidate check.  The
+    tree's queries fetch none.
     """
 
     nodes_evaluated: int = 0
@@ -185,7 +194,6 @@ class ChunkStore:
     def __init__(self, schema: ArraySchema, chunks: dict):
         self.schema = schema
         self.chunks = chunks
-        self._slabs: dict = {}
 
     @classmethod
     def from_dense(cls, schema: ArraySchema, data: dict) -> "ChunkStore":
@@ -235,21 +243,6 @@ class ChunkStore:
             out[sl] = chunk.nonempty
         return out
 
-    def slab_dense(self, shape: tuple, dim: int, lo: int, hi: int) -> np.ndarray:
-        """Cells of a chunk of `shape` whose dim-coordinate lies in [lo, hi].
-
-        Identical for every chunk of the same (clipped) shape, so cached.
-        """
-        key = (shape, dim, lo, hi)
-        got = self._slabs.get(key)
-        if got is None:
-            n = int(np.prod(shape))
-            stride = int(np.prod(shape[dim + 1 :]))
-            coord = (np.arange(n) // stride) % shape[dim]
-            got = (coord >= lo) & (coord <= hi)
-            self._slabs[key] = got
-        return got
-
 
 def _nonempty_mask(block, typ, sentinel):
     if typ == "float64":
@@ -260,61 +253,86 @@ def _nonempty_mask(block, typ, sentinel):
 
 
 # ---------------------------------------------------------------------------
-# binned bitmap index (shared by chunk leaves and the linearized baseline)
+# chunk leaves, and the binned bitmap index of the linearized baseline
 
-# one pass of the leaf builder sorts at most this many cells and encodes at
-# most this many dense bitmap bits; a single row may exceed it
+# one pass of the leaf builder sorts at most this many cells; a single row
+# may exceed it
 _BATCH_CELLS = 1 << 20
 
-# the bitmaps of a leaf with k bins, as two slices (lo, hi) of its k + 1
-# planes (see BinnedBitmapIndex.build_rows): bitmap i is plane lo[i] XOR
-# plane hi[i], the cells of bins lo[i] to hi[i] - 1
-_WINDOWS = {
-    "equality": lambda k: (slice(0, k), slice(1, k + 1)),
-    "range": lambda k: (slice(0, 1), slice(1, k)),
-    "interval": lambda k: (slice(0, -(-k // 2)), slice(-(-k // 2), 2 * -(-k // 2))),
-}
+
+class Leaf(NamedTuple):
+    """One chunk's leaf: the least and greatest non-empty value, the
+    non-empty cell count, and the equi-depth binning of the values, None
+    for a plain leaf.  The binning's bins and weights feed the parent's
+    merged bins; the leaf keeps no bitmaps, since a query scans the
+    resident chunk itself (:func:`leaf_query`)."""
+
+    amin: float
+    amax: float
+    count: int
+    binning: Binning | None = None
 
 
-def bitmap_count(encoding: str, k: int) -> int:
-    """Bitmaps of a leaf with k bins in `encoding`, its non-empty mask aside."""
-    return len(range(k + 1)[_WINDOWS[encoding](k)[1]])
+def _bin_rows(cells: np.ndarray, live: np.ndarray, bins: int) -> tuple:
+    """:func:`equi_depth_exact` of each row of a (rows, cells) array whose
+    empty cells are NaN (they sort last); `live` counts each row's
+    non-empty cells."""
+    if not live.all():
+        raise InputError("cannot index an all-empty column")
+    ordered = np.sort(cells, axis=1)
+    if np.isnan(ordered[np.arange(live.size), live - 1]).any():
+        raise InputError("cannot index NaN values")
+    return equi_depth_exact(ordered, live, bins)
 
 
-class LeafWords:
-    """The words of a leaf's non-empty mask and of its bitmaps, back to back
-    with no header (`BitVector.split` cuts them apart): the slice
-    [start, end) of a word array shared by many leaves, the encoder's output
-    for a built batch or the bitmap section of a saved index.  A saved
-    leaf's words carry their CRC32, checked when they are first decoded; a
-    built leaf's CRC32 is computed when it is asked for."""
+def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
+    """The leaf of each chunk, in order: None for a chunk with no non-empty
+    cell, a plain `Leaf` below e*bins non-empty cells, else a `Leaf` with
+    the equi-depth binning of its values (integers binned as float64).
+    Chunks of one cell count are binned together, one sort per pass of up
+    to _BATCH_CELLS cells."""
+    leaves = [None] * len(chunks)
+    by_size: dict = {}
+    for i, chunk in enumerate(chunks):
+        n = chunk.nonempty_count
+        if n == 0:
+            continue
+        if n < e * bins:
+            live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
+            leaves[i] = Leaf(float(live.min()), float(live.max()), n)
+        else:
+            by_size.setdefault(chunk.nonempty.size, []).append(i)
+    for ncells, members in by_size.items():
+        step = max(1, _BATCH_CELLS // ncells)
+        for a in range(0, len(members), step):
+            part = members[a : a + step]
+            values = np.stack([chunks[i].values_flat(attr) for i in part])
+            nonempty = np.stack([chunks[i].nonempty.reshape(-1) for i in part])
+            binnings, _, _ = _bin_rows(np.where(nonempty, values, np.nan),
+                                       nonempty.sum(axis=1), bins)
+            for i, binning in zip(part, binnings):
+                bounds = binning.boundaries
+                leaves[i] = Leaf(float(bounds[0]), float(bounds[-1]), chunks[i].nonempty_count,
+                                 binning)
+    return leaves
 
-    __slots__ = ("array", "start", "end", "saved_crc")
 
-    def __init__(self, array: np.ndarray, start: int, end: int, saved_crc: int | None = None):
-        self.array = array
-        self.start = start
-        self.end = end
-        self.saved_crc = saved_crc
-
-    def raw(self) -> np.ndarray:
-        """The words as little-endian u8, only to be read."""
-        return self.array[self.start : self.end].astype("<u8", copy=False)
-
-    def crc(self) -> int:
-        return zlib.crc32(self.raw()) if self.saved_crc is None else self.saved_crc
-
-    def vectors(self, length: int, count: int) -> list:
-        """The `count` vectors of `length` bits."""
-        raw = self.raw()
-        if self.saved_crc is not None and zlib.crc32(raw) != self.saved_crc:
-            raise DataError(f"leaf bitmaps at bitmap-section byte {8 * self.start} fail their "
-                            "CRC32")
-        return BitVector.split(raw, length, count)
+def _windows(encoding: str, k: int) -> list:
+    """The bins [a, b) of each bitmap of a column with k bins."""
+    if encoding == "equality":
+        return [(j, j + 1) for j in range(k)]
+    if encoding == "range":
+        return [(0, j) for j in range(1, k)]
+    if encoding == "interval":
+        m = -(-k // 2)
+        return [(s, s + m) for s in range(m)]
+    raise InputError(f"unknown encoding {encoding!r}")
 
 
 class BinnedBitmapIndex:
-    """Equi-depth binned bitmaps over one value column in a fixed cell order.
+    """Equi-depth binned bitmaps over one value column in a fixed cell
+    order: the attribute and dimension indexes of the linearized baseline
+    (`baseline.DimsAttsIndex`).
 
     Encodings:
       equality  one bitmap per bin (|B| bitmaps)
@@ -323,45 +341,22 @@ class BinnedBitmapIndex:
       interval  sliding windows of ceil(|B|/2) consecutive bins,
                 ceil(|B|/2) bitmaps; any contiguous bin range is two fetches
 
-    A leaf keeps its non-empty mask and bitmaps as `words`, a `LeafWords`
-    (its batch's encoded words when built, its bytes of the bitmap section
-    when read from a saved index); `ebm` and `bitmaps` decode them on
-    first use.
+    `ebm` is the non-empty mask and `bitmaps` the encoded bitmaps.
     """
 
-    __slots__ = ("binning", "encoding", "span_lo", "span_hi", "length", "count", "amin", "amax",
-                 "words", "_ebm", "_bitmaps")
+    __slots__ = ("binning", "encoding", "span_lo", "span_hi", "length", "amin", "amax", "ebm",
+                 "bitmaps")
 
-    def __init__(self, binning, encoding, span_lo, span_hi, count: int, length: int,
-                 words: LeafWords):
-        """A leaf of `length` cells, `count` of them non-empty."""
+    def __init__(self, binning, encoding, span_lo, span_hi, ebm: BitVector, bitmaps: list):
         self.binning = binning
         self.encoding = encoding
         self.span_lo = span_lo
         self.span_hi = span_hi
-        self.length = length
-        self.count = count
+        self.length = len(ebm)
         self.amin = float(span_lo[0])
         self.amax = float(span_hi[-1])
-        self.words = words
-        self._ebm = self._bitmaps = None
-
-    def _decode(self) -> None:
-        vecs = self.words.vectors(self.length, 1 + bitmap_count(self.encoding, self.nbins))
-        self._ebm, self._bitmaps = vecs[0], vecs[1:]
-
-    @property
-    def ebm(self):
-        """The non-empty mask as a bitvector."""
-        if self._ebm is None:
-            self._decode()
-        return self._ebm
-
-    @property
-    def bitmaps(self) -> list:
-        if self._bitmaps is None:
-            self._decode()
-        return self._bitmaps
+        self.ebm = ebm
+        self.bitmaps = bitmaps
 
     @property
     def nbins(self) -> int:
@@ -370,65 +365,22 @@ class BinnedBitmapIndex:
     @classmethod
     def build(cls, values: np.ndarray, nonempty: np.ndarray, bins: int,
               encoding: str) -> "BinnedBitmapIndex":
-        """Index one value column over its non-empty cells."""
-        return cls.build_rows(values[None], nonempty[None], bins, encoding)[0]
+        """Index one value column over its non-empty cells; integer values
+        are binned as float64.
 
-    @classmethod
-    def build_rows(cls, values: np.ndarray, nonempty: np.ndarray, bins: int,
-                   encoding: str) -> list:
-        """Index each row of a (rows, cells) value array over its non-empty
-        cells, every row in one pass.  Integer values are binned as float64.
-
-        Passes: one sort of all the rows; the equi-depth cuts read off the
-        sorted rows by `equi_depth_exact`; then, per bin count, one
-        comparison of the cells with the cuts and one encode of all the
-        rows' bitmaps.  Each leaf keeps its slice of the encoded words.
+        Bin j holds the cells x with t_j <= x < t_j+1, where t_0 is -inf,
+        t_k is +inf inclusive and the others are the binning's inner
+        boundaries.  Each cell's bin is found once, and each bitmap is its
+        bin range compared with that and encoded on its own.
         """
-        if encoding not in _WINDOWS:
-            raise InputError(f"unknown encoding {encoding!r}")
-        nrows, ncells = values.shape
-        live = nonempty.sum(axis=1)
-        if not live.all():
-            raise InputError("cannot index an all-empty column")
-        # empties become NaN, which sorts last and compares false
         cells = np.where(nonempty, values, np.nan)
-        ordered = np.sort(cells, axis=1)
-        if np.isnan(ordered[np.arange(nrows), live - 1]).any():
-            raise InputError("cannot index NaN values")
-        binnings, span_lo, span_hi = equi_depth_exact(ordered, live, bins)
-
-        # bitmaps: bin j holds the cells x with t_j <= x < t_j+1, where t_0
-        # is -inf, t_k is NaN (so the top bin keeps a live +inf) and the
-        # others are the kept midpoints.  With plane j = (x >= t_j), the
-        # cells of bins [lo, hi] are plane lo XOR plane hi + 1, and the
-        # non-empty mask, bins [0, k - 1], comes first.  Rows with one bin
-        # count share their planes' layout and are encoded together.
-        nbins = np.array([b.nbins for b in binnings])
-        first_bin = (np.cumsum(nbins) - nbins).tolist()
-        leaves = [None] * nrows
-        for k in np.unique(nbins).tolist():
-            rows = np.flatnonzero(nbins == k)
-            lo, hi = _WINDOWS[encoding](k)
-            nvec = 1 + bitmap_count(encoding, k)
-            cuts = np.empty((rows.size, k + 1))
-            cuts[:, 0] = -np.inf
-            cuts[:, 1:k] = [binnings[r].boundaries[1:-1] for r in rows.tolist()]
-            cuts[:, k] = np.nan
-            step = max(1, _BATCH_CELLS // (ncells * (k + 1)))
-            for a in range(0, rows.size, step):
-                part = rows[a : a + step]
-                planes = cells[part, None, :] >= cuts[a : a + step, :, None]
-                bits = np.empty((part.size, nvec, ncells), bool)
-                bits[:, 0] = nonempty[part]
-                np.bitwise_xor(planes[:, lo], planes[:, hi], out=bits[:, 1:])
-                words, ends = BitVector.from_dense(bits.reshape(-1, ncells))
-                ends = [0] + ends[nvec - 1 :: nvec].tolist()
-                for i, r in enumerate(part.tolist()):
-                    fb = first_bin[r]
-                    leaves[r] = cls(binnings[r], encoding, span_lo[fb : fb + k],
-                                    span_hi[fb : fb + k], int(live[r]), ncells,
-                                    LeafWords(words, ends[i], ends[i + 1]))
-        return leaves
+        (binning,), span_lo, span_hi = _bin_rows(
+            cells[None], np.array([np.count_nonzero(nonempty)]), bins)
+        at = np.searchsorted(binning.boundaries[1:-1], cells, side="right")
+        at[~nonempty] = -1
+        windows = _windows(encoding, binning.nbins)
+        bitmaps = [BitVector.from_dense((at >= a) & (at < b)) for a, b in windows]
+        return cls(binning, encoding, span_lo, span_hi, BitVector.from_dense(nonempty), bitmaps)
 
     # -- bin-range evaluation ------------------------------------------
 
@@ -440,103 +392,57 @@ class BinnedBitmapIndex:
                 stats.bitmap_fetches += 1
         return self.bitmaps[j]
 
-    def _combine(self, a: int, b: int, get, ebm, AND, OR, ANDNOT):
-        """Bin range [a, b] as a combination of at most two fetched bitmaps
-        (plus the non-empty mask), independent of the bitmap domain."""
+    def bins_bitmap(self, a: int, b: int, stats=None, candidate=False) -> BitVector:
+        """Cells whose bin lies in [a, b]: at most two fetched bitmaps (plus
+        the non-empty mask), except equality."""
+        if a > b:
+            return BitVector.zeros(self.length)
         k = self.nbins
         if a == 0 and b == k - 1:
-            return ebm()
+            return self.ebm
+
+        def get(j):
+            return self._get(j, stats, candidate)
+
         if self.encoding == "equality":
             out = get(a)
             for j in range(a + 1, b + 1):
-                out = OR(out, get(j))
+                out = out | get(j)
             return out
         if self.encoding == "range":
-            hi = ebm() if b == k - 1 else get(b)
-            return hi if a == 0 else ANDNOT(hi, get(a - 1))
+            hi = self.ebm if b == k - 1 else get(b)
+            return hi if a == 0 else hi.andnot(get(a - 1))
         # interval windows: W_s covers bins [s, s + m - 1]
         m = -(-k // 2)
 
         def prefix(p):  # bins [0, p], p < k - 1
             if p <= m - 2:
-                return ANDNOT(get(0), get(p + 1))
+                return get(0).andnot(get(p + 1))
             if p == m - 1:
                 return get(0)
-            return OR(get(0), get(p + 1 - m))
+            return get(0) | get(p + 1 - m)
 
         if a == 0:
             return prefix(b)
         if b == k - 1:
-            return ANDNOT(ebm(), prefix(a - 1))
+            return self.ebm.andnot(prefix(a - 1))
         if b - a + 1 > m:
-            return OR(get(a), get(b + 1 - m))
+            return get(a) | get(b + 1 - m)
         if b <= m - 2:
-            return ANDNOT(get(a), get(b + 1))
+            return get(a).andnot(get(b + 1))
         if b == m - 1:
-            return AND(get(a), get(0))
+            return get(a) & get(0)
         if a >= m:
-            return ANDNOT(get(b + 1 - m), get(a - m))
-        return AND(get(a), get(b + 1 - m))
+            return get(b + 1 - m).andnot(get(a - m))
+        return get(a) & get(b + 1 - m)
 
-    def bins_bitmap(self, a: int, b: int, stats=None, candidate=False) -> BitVector:
-        """Cells whose bin lies in [a, b]; at most two fetches except equality."""
-        if a > b:
-            return BitVector.zeros(self.length)
-        return self._combine(
-            a, b,
-            get=lambda j: self._get(j, stats, candidate),
-            ebm=lambda: self.ebm,
-            AND=lambda x, y: x & y,
-            OR=lambda x, y: x | y,
-            ANDNOT=lambda x, y: x.andnot(y),
-        )
-
-    def decoder(self, stats=None):
-        """A `decode(j, candidate)` that turns bitmap j into a read-only
-        boolean array, decoding each bitmap at most once.
-
-        A first decode counts as a bitmap fetch, or as a candidate fetch when
-        `candidate` is set; handing back an already decoded bitmap is free.
-        """
-        decoded = {}
-
-        def decode(j: int, candidate: bool = False) -> np.ndarray:
-            bits = decoded.get(j)
-            if bits is None:
-                bits = decoded[j] = self.bitmaps[j].to_dense()
-                bits.flags.writeable = False
-                if stats is not None:
-                    if candidate:
-                        stats.candidate_bitmap_fetches += 1
-                    else:
-                        stats.bitmap_fetches += 1
-            return bits
-
-        return decode
-
-    def bins_dense(self, a: int, b: int, ebm_dense, decode, candidate=False) -> np.ndarray:
-        """Dense-domain twin of :meth:`bins_bitmap` for short leaf vectors.
-
-        `decode` comes from :meth:`decoder`.  The result may be a decoded
-        bitmap or `ebm_dense` itself, so callers only read it.
-        """
-        if a > b:
-            return np.zeros(self.length, bool)
-        return self._combine(
-            a, b,
-            get=lambda j: decode(j, candidate),
-            ebm=lambda: ebm_dense,
-            AND=np.logical_and,
-            OR=np.logical_or,
-            ANDNOT=lambda x, y: x & ~y,
-        )
-
-    def _query_bins(self, lo: float, hi: float):
-        """Bin span of [lo, hi] plus the boundary bins needing verification."""
+    def range_query(self, lo: float, hi: float, stats=None):
+        """Split [lo, hi] into (certain hits, candidate cells to verify)."""
         k = self.nbins
         amin, amax = self.amin, self.amax
         if hi < amin or lo > amax:
-            return None
+            zeros = BitVector.zeros(self.length)
+            return zeros, zeros
         bounds = self.binning.boundaries
         lo_bin = 0 if lo <= amin else min(int(np.searchsorted(bounds, lo, "right")) - 1, k - 1)
         hi_bin = k - 1 if hi >= amax else min(int(np.searchsorted(bounds, hi, "right")) - 1, k - 1)
@@ -545,15 +451,6 @@ class BinnedBitmapIndex:
             cand_bins.append(lo_bin)
         if not hi >= self.span_hi[hi_bin] and hi_bin not in cand_bins:
             cand_bins.append(hi_bin)
-        return lo_bin, hi_bin, cand_bins
-
-    def range_query(self, lo: float, hi: float, stats=None):
-        """Split [lo, hi] into (certain hits, candidate cells to verify)."""
-        plan = self._query_bins(lo, hi)
-        if plan is None:
-            zeros = BitVector.zeros(self.length)
-            return zeros, zeros
-        lo_bin, hi_bin, cand_bins = plan
         span = self.bins_bitmap(lo_bin, hi_bin, stats)
         if not cand_bins:
             return span, BitVector.zeros(self.length)
@@ -562,67 +459,12 @@ class BinnedBitmapIndex:
             cand = cand | self.bins_bitmap(j, j, stats, candidate=True)
         return span.andnot(cand), cand
 
-    def range_query_dense(self, lo: float, hi: float, ebm_dense, decode):
-        """Dense-domain twin of :meth:`range_query`; `decode` comes from
-        :meth:`decoder`.  Either part is None when it is empty; both may be
-        shared with `decode`'s bitmaps and are only to be read."""
-        plan = self._query_bins(lo, hi)
-        if plan is None:
-            return None, None
-        lo_bin, hi_bin, cand_bins = plan
-        span = self.bins_dense(lo_bin, hi_bin, ebm_dense, decode)
-        if not cand_bins:
-            return span, None
-        if lo_bin == hi_bin:  # the span is its one candidate bin
-            return None, span
-        cand = self.bins_dense(cand_bins[0], cand_bins[0], ebm_dense, decode, candidate=True)
-        for j in cand_bins[1:]:
-            cand = cand | self.bins_dense(j, j, ebm_dense, decode, candidate=True)
-        return span & ~cand, cand
-
     def size_bytes(self) -> int:
         n = len(self.ebm.to_bytes())
         n += sum(len(b.to_bytes()) for b in self.bitmaps)
         n += self.binning.boundaries.nbytes + self.binning.weights.nbytes
         n += self.span_lo.nbytes + self.span_hi.nbytes
         return n
-
-
-@dataclass(frozen=True)
-class PlainLeaf:
-    """Marker for chunks too small to index; queries scan the raw values."""
-
-    amin: float
-    amax: float
-    count: int
-    binning = None
-
-
-def build_leaf_index(chunks, attr: str, bins: int, encoding: str, e: int = 4) -> list:
-    """The leaf of each chunk, in order: None for a chunk with no non-empty
-    cell, a plain value list below e*bins non-empty cells, else its binned
-    bitmap index.  Chunks of one cell count are indexed together, up to
-    _BATCH_CELLS cells per pass."""
-    leaves = [None] * len(chunks)
-    by_size: dict = {}
-    for i, chunk in enumerate(chunks):
-        n = chunk.nonempty_count
-        if n == 0:
-            continue
-        if n < e * bins:
-            live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
-            leaves[i] = PlainLeaf(float(live.min()), float(live.max()), n)
-        else:
-            by_size.setdefault(chunk.nonempty.size, []).append(i)
-    for ncells, members in by_size.items():
-        step = max(1, _BATCH_CELLS // ncells)
-        for a in range(0, len(members), step):
-            part = members[a : a + step]
-            values = np.stack([chunks[i].values_flat(attr) for i in part])
-            nonempty = np.stack([chunks[i].nonempty.reshape(-1) for i in part])
-            for i, leaf in zip(part, BinnedBitmapIndex.build_rows(values, nonempty, bins, encoding)):
-                leaves[i] = leaf
-    return leaves
 
 
 def in_runs(vals: np.ndarray, runs) -> np.ndarray:
@@ -695,44 +537,6 @@ def _match_runs(vals: np.ndarray, runs, leaf, cell_count: int) -> np.ndarray:
     return lut.take(vals - base, mode="clip")
 
 
-def leaf_query_bitmaps(chunk: Chunk, leaf: BinnedBitmapIndex, attr: str, runs, dim_runs,
-                       store: ChunkStore, stats: QueryStats | None = None) -> np.ndarray:
-    """Exact matching cells of one chunk, as a fresh flat boolean array,
-    from the binned bitmaps of its leaf plus a candidate check: the
-    resolution of the source paper, which queries no longer take (see
-    :func:`leaf_query`) and the tests keep as a reference.
-
-    Interior bins of each run contribute without touching raw values; the
-    boundary bins are verified cell by cell.  Each bitmap of the leaf is
-    decoded at most once per call, however many runs use it.  The
-    dimension runs are applied last, as cached slab masks of `store`.
-    Other arguments are those of :func:`leaf_query`.
-    """
-    ebm_dense = chunk.nonempty.reshape(-1)
-    decode = leaf.decoder(stats)
-    result = np.zeros(chunk.cell_count, bool)
-    cand = None
-    for lo, hi in runs:
-        certain, maybe = leaf.range_query_dense(lo, hi, ebm_dense, decode)
-        if certain is not None:
-            result |= certain
-        if maybe is not None:
-            cand = maybe if cand is None else (cand | maybe)
-    if cand is not None:
-        pos = np.flatnonzero(cand & ~result)
-        ok = _match_runs(chunk.values_flat(attr)[pos], runs, leaf, chunk.cell_count)
-        if stats is not None:
-            stats.candidate_checks += pos.size
-        result[pos[ok]] = True
-    for d, (runs, o, s) in enumerate(zip(dim_runs, chunk.offsets, chunk.shape)):
-        if runs is None:
-            continue
-        slab = np.zeros(chunk.cell_count, bool)
-        for lo, hi in runs:
-            slab |= store.slab_dense(chunk.shape, d, max(lo - o, 0), min(hi - o, s - 1))
-        result &= slab
-    return result
-
 
 def leaf_query(
     chunk: Chunk,
@@ -763,13 +567,14 @@ def leaf_query(
     cells of the box in the dimension runs count as `candidate_checks`.
     No bitmap is read.
 
-    Why a scan and not :func:`leaf_query_bitmaps`, which decodes bitmaps
-    of the whole leaf: on one 2-D float64 chunk of 4096 cells with 16
-    bins, the whole chunk in the box (best of 10, a 2-CPU x86-64 host),
-    one run took 22-24 us from one decoded bitmap, 34-38 us from two and
-    about 14 us by the scan, and every leaf of the `perfbench` workloads
-    has 4096 cells.  At 1048576 cells one decode (544-728 us) beats the
-    scan (about 1100 us), but no workload has leaves that large.
+    Leaves hold no bitmaps to resolve from: the source paper's leaf
+    bitmaps spare reading cell values from disk, and here every chunk is
+    resident.  On one 2-D float64 chunk of 4096 cells with 16 bins, the
+    whole chunk in the box (best of 10, a 2-CPU x86-64 host), one run took
+    22-24 us from one decoded bitmap, 34-38 us from two and about 14 us by
+    the scan; a whole bitmap resolver (span and candidate bitmaps, their
+    ANDs and the candidate check) lost to the scan at every chunk size from
+    64x64 to 1024x1024 cells.
     """
     runs = _overlapping(runs, leaf)
     if not runs:

@@ -133,11 +133,9 @@ def _build_kwargs(params: dict) -> dict:
         kw["bins"] = int(params["bins"])
     if "fanout" in params:
         kw["fanout"] = int(params["fanout"])
-    if "encoding" in params:
-        kw["leaf_encoding"] = params["encoding"]
     if "e" in params:
         kw["e"] = int(params["e"])
-    known = {"bins", "fanout", "encoding", "e", "chunk"}
+    known = {"bins", "fanout", "e", "chunk"}
     unknown = set(params) - known
     if unknown:
         raise InputError(f"unknown --params keys: {sorted(unknown)}")
@@ -236,6 +234,8 @@ def _cmd_bench(args) -> int:
     unknown = set(engines) - {"arraybit", "dimsatts", "fullscan"}
     if unknown:
         raise InputError(f"unknown engines: {sorted(unknown)}")
+    if args.repeat < 1:
+        raise InputError(f"--repeat must be at least 1, got {args.repeat}")
     params = _parse_params(args.params)
     chunk = _parse_shape(params["chunk"]) if "chunk" in params else None
     store = load_store(args.data, chunk_shape=chunk)
@@ -329,7 +329,7 @@ def _make_parser() -> argparse.ArgumentParser:
     b.add_argument("--index", required=True)
     b.add_argument("--attribute", default=None)
     b.add_argument("--params", nargs="*", metavar="KEY=VALUE",
-                   help="bins, fanout, encoding, e, chunk")
+                   help="bins, fanout, e, chunk")
     b.set_defaults(func=_cmd_build)
 
     q = sub.add_parser("query", help="run a query against an index")

@@ -2,16 +2,17 @@
 internal nodes, precomputed dimension bitmaps, persistence and appending.
 
 Node-level bitmaps have exactly F bits (one per child slot) and are kept
-uncompressed as plain integers; compressed bitvectors appear only at the
-chunk/cell granularity.  Node identity is (level, z-index); parent and
-child indices are pure bit arithmetic on the z-index.  Each level is one
-dict {z: node}.
+uncompressed as plain integers.  Leaves hold no bitmaps over cells: a leaf
+is its chunk's value range, count and equi-depth binning, since every chunk
+is resident and a query scans it (`chunkstore.leaf_query`).  Node identity
+is (level, z-index); parent and child indices are pure bit arithmetic on
+the z-index.  Each level is one dict {z: node}.
 
-Saved format, version 2.  Integers and floats are little-endian; every
+Saved format, version 3.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
 
-  preamble   32 bytes: b"ABIX", u32 version, u32 crc, u32 levels,
-             u64 metadata length, u64 offset of the bitmap section
+  preamble   24 bytes: b"ABIX", u32 version, u32 crc, u32 levels,
+             u64 metadata length
   directory  per level, leaves first: u64 nodes, u64 table offset,
              u64 table size
   metadata   JSON: the schema and the build parameters
@@ -19,35 +20,30 @@ table column starts on a multiple of 8 bytes.
                every level   z u64[n], extent u64[n, ndim, 2] (inclusive
                              lo, hi per dimension), amin f64[n],
                              amax f64[n], count u64[n]
-               leaves        kind u8[n] (0 plain, else 1 + encoding id),
-                             bins u32[n] (k, 0 when plain), bin floats
-                             f64: every binned leaf's k + 1 boundaries,
-                             then their k weights, k span_lo, k span_hi;
-                             bitmap offsets u64[b + 1] into the bitmap
-                             section and bitmap CRC32 u32[b], for the b
-                             binned leaves
+               leaves        bins u32[n] (k, 0 for a plain leaf), bin
+                             floats f64: every binned leaf's k + 1
+                             boundaries, then their k weights
                internal      sizes u32[n, 3] (bins, sp rows, al rows; see
                              `TreeNode`), child masks u8[n, ceil(F/8)],
                              bin floats f64: boundaries, weights,
                              sp_bounds, al_bounds; range masks
                              u8[rows, ceil(F/8)]: every sp mask, then every al
                              mask
-  bitmaps    per binned leaf, the words of its non-empty mask and of its
-             bitmaps back to back, with no header (`BitVector.split`)
 
-crc is the CRC32 of bytes 0-7 and of bytes 12 up to the bitmap section:
-the preamble, the directory, the metadata and every table.  Leaf
+crc is the CRC32 of bytes 0-7 and of bytes 12 to the end of the file.  Leaf
 coordinates come from z.
 
 `Index.load` checks the CRC, reads every column with `np.frombuffer`,
 checks each level with vectorized tests (increasing z, extents inside the
 array, a leaf's extent that of its chunk, counts of 1 to the extent's
-cells, increasing bin boundaries per segment, bitmap offsets in range)
-and builds every node eagerly.  A leaf keeps only its words of the
-bitmap section and their CRC32 (a `LeafWords`, the form a built leaf
-keeps its encoded words in too): `ebm` and `bitmaps` check and decode
-them on first use, and `serialize` copies them unchanged.  Version-1 files,
-records of one node each, are walked into the same columns.
+cells, increasing bin boundaries per segment, a binned leaf's amin and
+amax its first and last boundary) and builds every node eagerly.
+
+Older files still load.  Version 2 has the same tables plus, for leaves, a
+kind column, bin spans and per-leaf offsets and CRC32s into a bitmap
+section after the tables; version 1 is records of one node each, walked
+into the same columns.  Their leaf bitmaps are checked (version 2 against
+its CRC32s) or walked, then dropped.  `serialize` always writes version 3.
 """
 
 from __future__ import annotations
@@ -63,22 +59,15 @@ import numpy as np
 
 from .binning import Binning, merge_bins_iterative
 from .bitvec import BitVector
-from .chunkstore import (
-    ArraySchema,
-    BinnedBitmapIndex,
-    ChunkStore,
-    LeafWords,
-    PlainLeaf,
-    build_leaf_index,
-)
+from .chunkstore import ArraySchema, ChunkStore, Leaf, build_leaf_index
 from .errors import DataError, InputError, InternalError
 
 _MAGIC = b"ABIX"
-_VERSION = 2
-_ENCODING_IDS = {"equality": 0, "range": 1, "interval": 2}
-_ENCODING_NAMES = {v: k for k, v in _ENCODING_IDS.items()}
-# magic, version, crc, levels, metadata length, bitmap section offset
-_PREAMBLE = struct.Struct("<4sIIIQQ")
+_VERSION = 3
+# magic, version, crc, levels, metadata length
+_PREAMBLE = struct.Struct("<4sIIIQ")
+# version 2 adds the offset of its bitmap section
+_PREAMBLE_V2 = struct.Struct("<4sIIIQQ")
 _DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
 
 
@@ -388,12 +377,12 @@ def build_internal_node(
 
 @dataclass
 class LeafEntry:
-    """Level-0 record: one chunk's extent and its (possibly plain) index."""
+    """Level-0 record: one chunk's extent and its leaf."""
 
     coords: tuple
     z: int
     extent: tuple
-    leaf: object  # BinnedBitmapIndex | PlainLeaf
+    leaf: Leaf
 
     @property
     def amin(self) -> float:
@@ -409,7 +398,7 @@ class LeafEntry:
 
     @property
     def binning(self):
-        return getattr(self.leaf, "binning", None)
+        return self.leaf.binning
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +412,13 @@ class Index:
     increasing z.
     """
 
-    def __init__(self, schema, store, attribute, fanout, bins, e, leaf_encoding, levels):
+    def __init__(self, schema, store, attribute, fanout, bins, e, levels):
         self.schema = schema
         self.store = store
         self.attribute = attribute
         self.fanout = fanout
         self.bins = bins
         self.e = e
-        self.leaf_encoding = leaf_encoding
         self.levels = levels
         self.dimbitmaps = DimensionBitmaps(fanout) if fanout else None
 
@@ -470,7 +458,7 @@ class Index:
 
     @classmethod
     def build(cls, store: ChunkStore, attribute: str | None = None, fanout: int | None = None,
-              bins: int = 16, leaf_encoding: str = "interval", e: int = 4) -> "Index":
+              bins: int = 16, e: int = 4) -> "Index":
         schema = store.schema
         attribute = attribute or schema.attributes[0][0]
         schema.attr_type(attribute)  # validate
@@ -478,7 +466,7 @@ class Index:
         if fanout is None:
             fanout = 64 if ndim <= 3 else 256
         fo = Fanout.from_total(fanout, ndim)
-        idx = cls(schema, store, attribute, fo, bins, e, leaf_encoding, [])
+        idx = cls(schema, store, attribute, fo, bins, e, [])
         if store.chunks:
             idx._rebuild_all()
         return idx
@@ -496,7 +484,7 @@ class Index:
         bits = self.fanout.bits
         leaves = {}
         chunks = list(self.store.iter_chunks())
-        built = build_leaf_index(chunks, self.attribute, self.bins, self.leaf_encoding, self.e)
+        built = build_leaf_index(chunks, self.attribute, self.bins, self.e)
         for chunk, leaf in zip(chunks, built):
             if leaf is None:
                 continue
@@ -577,7 +565,7 @@ class Index:
             level_nodes.append({})
         affected = set()
         chunks = [additions.chunks[coords] for coords in sorted(additions.chunks)]
-        built = build_leaf_index(chunks, self.attribute, self.bins, self.leaf_encoding, self.e)
+        built = build_leaf_index(chunks, self.attribute, self.bins, self.e)
         for chunk, leaf in zip(chunks, built):
             if leaf is None:
                 continue
@@ -603,7 +591,7 @@ class Index:
         return -(-self.fanout.total // 8) if self.fanout else 1
 
     def serialize(self) -> bytes:
-        """The index in the saved format of version 2 (module docstring)."""
+        """The index in the saved format of version 3 (module docstring)."""
         meta = {
             "schema": {
                 "dims": [list(d) for d in self.schema.dims],
@@ -620,43 +608,35 @@ class Index:
                 "attribute": self.attribute,
                 "bins": self.bins,
                 "e": self.e,
-                "leaf_encoding": self.leaf_encoding,
                 "fanout_per_dim": self.fanout.per_dim if self.fanout else 0,
             },
         }
         meta_b = json.dumps(meta).encode()
         ndim = self.schema.ndim
-        tables, bitmaps = [], []
-        for level, nodes in enumerate(self.levels):
-            if level == 0:
-                table, bitmaps = _leaf_tables(list(nodes.items()), ndim)
-            else:
-                table = _node_tables(list(nodes.items()), ndim, self._mask_bytes())
-            tables.append(table)
+        tables = [_leaf_tables(list(nodes.items()), ndim) if level == 0
+                  else _node_tables(list(nodes.items()), ndim, self._mask_bytes())
+                  for level, nodes in enumerate(self.levels)]
         head = _PREAMBLE.size + _DIRECTORY.size * len(tables) + len(meta_b)
         offset = head + -head % 8
         directory = bytearray()
         for nodes, table in zip(self.levels, tables):
             directory += _DIRECTORY.pack(len(nodes), offset, len(table))
             offset += len(table)
-        rest = (struct.pack("<IQQ", len(tables), len(meta_b), offset) + directory + meta_b
-                + bytes(-head % 8))
+        rest = struct.pack("<IQ", len(tables), len(meta_b)) + directory + meta_b + bytes(-head % 8)
         lead = _MAGIC + struct.pack("<I", _VERSION)
         crc = zlib.crc32(rest, zlib.crc32(lead))
         for table in tables:
             crc = zlib.crc32(table, crc)
-        return b"".join([lead, struct.pack("<I", crc), rest, *tables, *bitmaps])
+        return b"".join([lead, struct.pack("<I", crc), rest, *tables])
 
     @staticmethod
     def _pack_leaf(z, entry: LeafEntry, ndim) -> bytes:
-        """Canonical bytes of one leaf: its saved tables and bitmaps as a
-        one-leaf level."""
-        table, bitmaps = _leaf_tables([(z, entry)], ndim)
-        return table + b"".join(bitmaps)
+        """Canonical bytes of one leaf: its saved tables as a one-leaf level."""
+        return _leaf_tables([(z, entry)], ndim)
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
-        """Read a saved index (version 1 or 2), then :meth:`attach` `store`."""
+        """Read a saved index (version 1, 2 or 3), then :meth:`attach` `store`."""
         buf = Path(path).read_bytes()
         try:
             idx = cls._parse(buf)
@@ -704,10 +684,10 @@ class Index:
         if buf[:4] != _MAGIC:
             raise DataError("not an index file")
         version = struct.unpack_from("<I", buf, 4)[0]
-        if version == 2:
-            meta, columns, section = _read_v2(buf)
+        if version in (2, 3):
+            meta, columns = _read_tables(buf, version)
         elif version == 1:
-            meta, columns, section = _walk_v1(buf)
+            meta, columns = _walk_v1(buf)
         else:
             raise DataError(f"unsupported index version {version}")
         sch = meta["schema"]
@@ -720,21 +700,18 @@ class Index:
         )
         params = meta["params"]
         fo = Fanout(params["fanout_per_dim"], schema.ndim) if params["fanout_per_dim"] else None
-        idx = cls(schema, None, params["attribute"], fo, params["bins"], params["e"],
-                  params["leaf_encoding"], [])
+        idx = cls(schema, None, params["attribute"], fo, params["bins"], params["e"], [])
         depth = len(columns) - 1
         idx.levels = [
-            idx._leaves(cols, depth, section) if level == 0 else idx._nodes(level, cols, depth)
+            idx._leaves(cols, depth) if level == 0 else idx._nodes(level, cols, depth)
             for level, cols in enumerate(columns)
         ]
         return idx
 
-
     # -- building the levels of a saved index from their columns ----------
 
-    def _check_common(self, level: int, depth: int, cols: dict) -> np.ndarray:
-        """Checks of the columns every level has; returns the cells of each
-        node's extent."""
+    def _check_common(self, level: int, depth: int, cols: dict) -> None:
+        """Checks of the columns every level has."""
         z, ext, count = cols["z"], cols["extent"], cols["count"]
         where = f"level {level}"
         lo, hi = ext[:, :, 0], ext[:, :, 1]
@@ -750,53 +727,34 @@ class Index:
             raise DataError(f"{where}: node {z[i]} counts {count[i]} cells in a "
                             f"{cells[i]}-cell extent")
         _require(not (cols["amin"] > cols["amax"]).any(), where, "amin above amax")
-        return cells
 
-    def _leaves(self, cols: dict, depth: int, section: memoryview) -> dict:
-        """The leaf level; `section` is the bitmap section its offsets index."""
-        cells = self._check_common(0, depth, cols)
-        z, ext, kind, nbins = cols["z"], cols["extent"], cols["kind"], cols["nbins"]
+    def _leaves(self, cols: dict, depth: int) -> dict:
+        """The leaf level."""
+        self._check_common(0, depth, cols)
+        z, ext, nbins = cols["z"], cols["extent"], cols["nbins"]
         coords = zorder_decode_many(z, self.schema.ndim, self.fanout.bits * depth)
         cs, shape = np.array(self.schema.chunk_shape), np.array(self.schema.shape)
         _require((ext[:, :, 0] == coords * cs).all()
                  and (ext[:, :, 1] == np.minimum(coords * cs + cs, shape) - 1).all(),
                  "level 0", "a leaf's extent is not its chunk's")
-        binned = kind > 0
-        _require(not (kind > len(_ENCODING_IDS)).any() and ((nbins > 0) == binned).all(),
-                 "level 0", "bad leaf kind or bin count")
+        binned = nbins > 0
         k = nbins[binned].astype(np.int64)
-        bounds, weights, span_lo, span_hi = _split(cols["floats"], k + 1, k, k, k)
+        bounds, weights = _split(cols["floats"], k + 1, k)
         bo, wo = np.cumsum(k + 1) - (k + 1), np.cumsum(k) - k
         _require(_segments_increase(bounds, k + 1, k > 1), "level 0",
                  "bin boundaries do not increase")
-        _require((cols["amin"][binned] == span_lo[wo]).all()
-                 and (cols["amax"][binned] == span_hi[wo + k - 1]).all(),
+        _require((cols["amin"][binned] == bounds[bo]).all()
+                 and (cols["amax"][binned] == bounds[bo + k]).all(),
                  "level 0", "amin or amax is not that of the bins")
-        offsets, crcs = cols["offsets"], cols["crcs"]
-        steps = np.diff(offsets)
-        _require(offsets[0] == 0 and offsets[-1] == len(section) and (steps > 0).all()
-                 and not (steps % 8).any(), "level 0", "bad bitmap offsets")
-        words = np.frombuffer(section, "<u8")
-        offsets = offsets // 8
 
-        amin, amax = cols["amin"].tolist(), cols["amax"].tolist()
-        count, cells = cols["count"].tolist(), cells.tolist()
-        encoding = [None] + [_ENCODING_NAMES[i] for i in range(len(_ENCODING_NAMES))]
-        binned_at = iter(zip(bo.tolist(), wo.tolist(), k.tolist(), offsets[:-1].tolist(),
-                             offsets[1:].tolist(), crcs.tolist()))
+        binnings = iter([Binning.prevalidated(bounds[b : b + n + 1], weights[w : w + n])
+                         for b, w, n in zip(bo.tolist(), wo.tolist(), k.tolist())])
         entries = {}
-        for zi, kd, c, e, lo, hi, n, size in zip(
-                z.tolist(), kind.tolist(), map(tuple, coords.tolist()),
-                (tuple(map(tuple, e)) for e in ext.tolist()), amin, amax, count, cells):
-            if kd == 0:
-                leaf = PlainLeaf(lo, hi, n)
-            else:
-                b, w, nb, start, end, crc = next(binned_at)
-                leaf = BinnedBitmapIndex(
-                    Binning.prevalidated(bounds[b : b + nb + 1], weights[w : w + nb]),
-                    encoding[kd], span_lo[w : w + nb], span_hi[w : w + nb], n, size,
-                    LeafWords(words, start, end, crc))
-            entries[zi] = LeafEntry(c, zi, e, leaf)
+        for zi, nb, c, e, lo, hi, n in zip(
+                z.tolist(), nbins.tolist(), map(tuple, coords.tolist()),
+                (tuple(map(tuple, e)) for e in ext.tolist()), cols["amin"].tolist(),
+                cols["amax"].tolist(), cols["count"].tolist()):
+            entries[zi] = LeafEntry(c, zi, e, Leaf(lo, hi, n, next(binnings) if nb else None))
         return entries
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
@@ -903,28 +861,13 @@ def _floats(*parts) -> np.ndarray:
     return np.concatenate([np.empty(0)] + [a for part in parts for a in part]).astype("<f8")
 
 
-def _leaf_tables(items: list, ndim: int) -> tuple:
-    """The tables of a leaf level and the bitmap words of each binned leaf.
-    A leaf read from a file gives back its saved bytes unchanged."""
-    kind, nbins, bitmaps, crcs = [], [], [], []
-    floats = ([], [], [], [])
-    for _, entry in items:
-        leaf = entry.leaf
-        if isinstance(leaf, PlainLeaf):
-            kind.append(0)
-            nbins.append(0)
-            continue
-        kind.append(1 + _ENCODING_IDS[leaf.encoding])
-        nbins.append(leaf.nbins)
-        for part, a in zip(floats, (leaf.binning.boundaries, leaf.binning.weights,
-                                    leaf.span_lo, leaf.span_hi)):
-            part.append(a)
-        bitmaps.append(leaf.words.raw())
-        crcs.append(leaf.words.crc())
-    offsets = np.cumsum([0] + [b.nbytes for b in bitmaps]).astype("<u8")
-    table = _columns(*_common_columns(items, ndim), np.array(kind, "u1"),
-                     np.array(nbins, "<u4"), _floats(*floats), offsets, np.array(crcs, "<u4"))
-    return table, bitmaps
+def _leaf_tables(items: list, ndim: int) -> bytes:
+    """The tables of a leaf level."""
+    binnings = [entry.leaf.binning for _, entry in items if entry.leaf.binning is not None]
+    nbins = np.array([0 if entry.leaf.binning is None else entry.leaf.binning.nbins
+                      for _, entry in items], "<u4")
+    return _columns(*_common_columns(items, ndim), nbins,
+                    _floats([b.boundaries for b in binnings], [b.weights for b in binnings]))
 
 
 def _node_tables(items: list, ndim: int, mb: int) -> bytes:
@@ -964,22 +907,28 @@ class _Cursor:
         _require(self.pos == self.end, self.where, f"tables end at byte {self.pos}, not {self.end}")
 
 
-def _read_v2(buf: bytes) -> tuple:
-    """(metadata, columns per level, bitmap section) of a version-2 file."""
-    _, _, crc, nlevels, meta_len, bitmaps_at = _PREAMBLE.unpack_from(buf)
+def _read_tables(buf: bytes, version: int) -> tuple:
+    """(metadata, columns per level) of a version-2 or version-3 file.  A
+    version-2 file's leaf kinds and bitmaps are checked and its bin spans
+    skipped; none of them is kept."""
+    if version == 2:
+        _, _, crc, nlevels, meta_len, end = _PREAMBLE_V2.unpack_from(buf)
+        head = _PREAMBLE_V2.size
+    else:
+        _, _, crc, nlevels, meta_len = _PREAMBLE.unpack_from(buf)
+        head, end = _PREAMBLE.size, len(buf)
     view = memoryview(buf)
-    if bitmaps_at > len(buf) or zlib.crc32(view[12:bitmaps_at], zlib.crc32(view[:8])) != crc:
+    if end > len(buf) or zlib.crc32(view[12:end], zlib.crc32(view[:8])) != crc:
         raise DataError("header or tables fail their CRC32")
-    pos = _PREAMBLE.size + _DIRECTORY.size * nlevels
-    directory = [_DIRECTORY.unpack_from(buf, _PREAMBLE.size + _DIRECTORY.size * i)
-                 for i in range(nlevels)]
+    pos = head + _DIRECTORY.size * nlevels
+    directory = [_DIRECTORY.unpack_from(buf, head + _DIRECTORY.size * i) for i in range(nlevels)]
     meta = json.loads(bytes(view[pos : pos + meta_len]))
     ndim = len(meta["schema"]["dims"])
     fd = meta["params"]["fanout_per_dim"]
     mb = -(-(fd**ndim) // 8)
     columns = []
     for level, (n, start, size) in enumerate(directory):
-        cur = _Cursor(buf, start, min(start + size, bitmaps_at), f"level {level}")
+        cur = _Cursor(buf, start, min(start + size, end), f"level {level}")
         cols = {
             "z": cur.take("<u8", n),
             "extent": cur.take("<u8", n * ndim * 2).reshape(n, ndim, 2),
@@ -988,13 +937,17 @@ def _read_v2(buf: bytes) -> tuple:
             "count": cur.take("<u8", n),
         }
         if level == 0:
-            cols["kind"] = cur.take("u1", n)
+            kind = cur.take("u1", n) if version == 2 else None
             cols["nbins"] = cur.take("<u4", n)
             k = cols["nbins"].astype(np.int64)
             binned = int(np.count_nonzero(k))
-            cols["floats"] = cur.take("<f8", 4 * int(k.sum()) + binned)
-            cols["offsets"] = cur.take("<u8", binned + 1)
-            cols["crcs"] = cur.take("<u4", binned)
+            floats = 2 * int(k.sum()) + binned
+            if version == 2:  # boundaries and weights come first, then the spans
+                cols["floats"] = cur.take("<f8", floats + 2 * int(k.sum()))[:floats]
+                _check_v2_bitmaps(kind, k, cur.take("<u8", binned + 1), cur.take("<u4", binned),
+                                  view[end:])
+            else:
+                cols["floats"] = cur.take("<f8", floats)
         else:
             cols["sizes"] = cur.take("<u4", 3 * n).reshape(n, 3)
             nb, nsp, nal = (int(c.astype(np.int64).sum()) for c in cols["sizes"].T)
@@ -1003,14 +956,29 @@ def _read_v2(buf: bytes) -> tuple:
             cols["masks"] = cur.take("u1", (nsp + nal) * mb)
         cur.done()
         columns.append(cols)
-    return meta, columns, view[bitmaps_at:]
+    return meta, columns
+
+
+def _check_v2_bitmaps(kind: np.ndarray, nbins: np.ndarray, offsets: np.ndarray,
+                      crcs: np.ndarray, section: memoryview) -> None:
+    """Checks of a version-2 leaf level: each leaf's kind (0 plain, else 1
+    + the id of one of three encodings) agrees with its bin count, and each
+    binned leaf's words in the bitmap section match their CRC32."""
+    _require(not (kind > 3).any() and ((nbins > 0) == (kind > 0)).all(), "level 0",
+             "bad leaf kind or bin count")
+    steps = np.diff(offsets)
+    _require(offsets[0] == 0 and offsets[-1] == len(section) and (steps > 0).all()
+             and not (steps % 8).any(), "level 0", "bad bitmap offsets")
+    for start, stop, crc in zip(offsets[:-1].tolist(), offsets[1:].tolist(), crcs.tolist()):
+        if zlib.crc32(section[start:stop]) != crc:
+            raise DataError(f"leaf bitmaps at bitmap-section byte {start} fail their CRC32")
 
 
 def _walk_v1(buf: bytes) -> tuple:
-    """(metadata, columns per level, bitmap section) of a version-1 file,
-    whose levels are records walked one at a time; each leaf's bitmaps are
-    read with their headers and their words gathered into a bitmap section
-    laid out as version 2 lays it out."""
+    """(metadata, columns per level) of a version-1 file, whose levels are
+    records walked one at a time; each leaf's bin spans are skipped and its
+    bitmaps are read with their headers, checked for their length, and
+    dropped."""
     pos = 8
     meta_len = struct.unpack_from("<Q", buf, pos)[0]
     pos += 8
@@ -1025,18 +993,17 @@ def _walk_v1(buf: bytes) -> tuple:
     ndim = len(meta["schema"]["dims"])
     fd = meta["params"]["fanout_per_dim"]
     mb = -(-(fd**ndim) // 8)
-    section = bytearray()
     columns = []
     for level, _, count, offset, size in directory:
         if offset + size > len(buf):
             raise DataError(f"level {level} runs past the end of the file")
-        rec = {key: [] for key in ("z", "extent", "amin", "amax", "count", "kind", "nbins",
-                                   "sizes", "child", "sp_masks", "al_masks", "offsets", "crcs")}
+        rec = {key: [] for key in ("z", "extent", "amin", "amax", "count", "nbins", "sizes",
+                                   "child", "sp_masks", "al_masks")}
         floats = ([], [], [], [])
         walk = _walk_v1_leaf if level == 0 else _walk_v1_node
         p = offset
         for _ in range(count):
-            p = walk(buf, p, ndim, mb, rec, floats, section)
+            p = walk(buf, p, ndim, mb, rec, floats)
         if p != offset + size:
             raise DataError(f"level {level} ends at byte {p}, not {offset + size}")
         cols = {
@@ -1048,16 +1015,13 @@ def _walk_v1(buf: bytes) -> tuple:
             "floats": _floats(*floats),
         }
         if level == 0:
-            cols["kind"] = np.array(rec["kind"], np.uint8)
             cols["nbins"] = np.array(rec["nbins"], np.uint32)
-            cols["offsets"] = np.array([0] + rec["offsets"], np.uint64)
-            cols["crcs"] = np.array(rec["crcs"], np.uint32)
         else:
             cols["sizes"] = np.array(rec["sizes"], np.uint32).reshape(count, 3)
             cols["child"] = np.frombuffer(b"".join(rec["child"]), np.uint8)
             cols["masks"] = np.frombuffer(b"".join(rec["sp_masks"] + rec["al_masks"]), np.uint8)
         columns.append(cols)
-    return meta, columns, memoryview(bytes(section))
+    return meta, columns
 
 
 def _walk_v1_common(buf, pos: int, ndim: int, rec: dict, coords: bool) -> int:
@@ -1067,8 +1031,7 @@ def _walk_v1_common(buf, pos: int, ndim: int, rec: dict, coords: bool) -> int:
     return pos + 16 * ndim
 
 
-def _walk_v1_leaf(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple,
-                  section: bytearray) -> int:
+def _walk_v1_leaf(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple) -> int:
     pos = _walk_v1_common(buf, pos, ndim, rec, True)
     kind, amin, amax, count = struct.unpack_from("<BddQ", buf, pos)
     pos += struct.calcsize("<BddQ")
@@ -1076,18 +1039,17 @@ def _walk_v1_leaf(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple,
     rec["amax"].append(amax)
     rec["count"].append(count)
     if kind == 0:
-        rec["kind"].append(0)
         rec["nbins"].append(0)
         return pos
     enc, nb = struct.unpack_from("<BH", buf, pos)
     pos += 3
-    if nb < 2:
-        raise DataError(f"leaf {rec['z'][-1]} has {nb} bin boundaries")
-    rec["kind"].append(1 + enc)
+    if nb < 2 or enc > 2:
+        raise DataError(f"leaf {rec['z'][-1]} has encoding {enc} and {nb} bin boundaries")
     rec["nbins"].append(nb - 1)
-    for part, n in zip(floats, (nb, nb - 1, nb - 1, nb - 1)):
+    for part, n in zip(floats, (nb, nb - 1)):
         part.append(np.frombuffer(buf, "<f8", n, pos))
         pos += 8 * n
+    pos += 16 * (nb - 1)  # the bins' span_lo and span_hi
     ext = rec["extent"][-1]
     cells = int(np.prod(np.subtract(ext[1::2], ext[0::2]) + 1))
     ebm, pos = _unpack_bitvector(buf, pos)
@@ -1100,15 +1062,10 @@ def _walk_v1_leaf(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple,
     if any(len(v) != cells for v in vecs):
         raise DataError(f"leaf {rec['z'][-1]} has bitmaps of another length than its "
                         f"{cells}-cell chunk")
-    raw = np.concatenate([v.words for v in vecs]).astype("<u8").tobytes()
-    section += raw
-    rec["offsets"].append(len(section))
-    rec["crcs"].append(zlib.crc32(raw))
     return pos
 
 
-def _walk_v1_node(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple,
-                  section: bytearray) -> int:
+def _walk_v1_node(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple) -> int:
     pos = _walk_v1_common(buf, pos, ndim, rec, False)
     amin, amax, count = struct.unpack_from("<ddQ", buf, pos)
     pos += 24
@@ -1150,6 +1107,8 @@ def _unpack_bitvector(buf, pos) -> tuple:
 
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,
-                bins: int = 16, leaf_encoding: str = "interval", e: int = 4) -> Index:
-    """Build the full tree bottom-up over a chunk store."""
-    return Index.build(store, attribute, fanout, bins, leaf_encoding, e)
+                bins: int = 16, leaf_encoding: str | None = None, e: int = 4) -> Index:
+    """Build the full tree bottom-up over a chunk store.  `leaf_encoding`
+    is ignored: leaves hold no bitmaps, so no encoding shapes the tree; it
+    is accepted for callers written when it did."""
+    return Index.build(store, attribute, fanout, bins, e)

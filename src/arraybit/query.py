@@ -9,9 +9,10 @@ Complete children are taken whole without touching cell data; partial
 children are descended and, at the leaves, resolved exactly into a flat
 boolean array over the chunk's cells, which stays the leaf's only form
 until cell ids.  A partial leaf is resolved by a scan of the values in
-the query's box of its chunk (`chunkstore.leaf_query`), not by its binned
-bitmaps: on the 4096-cell chunks of the benchmark the scan costs less
-than decoding one bitmap.  Internal nodes are matched from their bitmaps.
+the query's box of its chunk (`chunkstore.leaf_query`); leaves hold no
+bitmaps, since every chunk is resident, and on the 4096-cell chunks of the
+benchmark the scan costs less than decoding one bitmap would.  Internal
+nodes are matched from their child-slot bitmaps.
 
 The attribute constraint is a list of sorted, disjoint value runs: a range
 query is one run, a membership query one run per value (consecutive

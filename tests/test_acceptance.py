@@ -39,22 +39,22 @@ ARRAYS = [
     # key, shape, chunk, gen kwargs, build kwargs
     ("2d-dense", (1024, 1024), (32, 32),
      dict(gaussians=8, seed=11, threshold=0.0, cov_min=(1024 / 16) ** 2, cov_max=(1024 / 5) ** 2),
-     dict(fanout=64, leaf_encoding="range")),
+     dict(fanout=64)),
     ("2d-sparse", (1000, 1024), (32, 32),
      dict(gaussians=16, seed=12, threshold=1e-4),
-     dict(fanout=64, leaf_encoding="interval")),
+     dict(fanout=64)),
     ("3d-dense", (128, 128, 128), (16, 16, 16),
      dict(gaussians=6, seed=13, threshold=0.0, cov_min=(128 / 8) ** 2, cov_max=(128 / 4) ** 2),
-     dict(fanout=64, leaf_encoding="interval")),
+     dict(fanout=64)),
     ("3d-sparse", (128, 128, 128), (16, 16, 16),
      dict(gaussians=10, seed=14, threshold=1e-5),
-     dict(fanout=64, leaf_encoding="equality")),
+     dict(fanout=64)),
     ("4d-dense", (32, 32, 32, 32), (4, 4, 4, 4),
      dict(gaussians=5, seed=15, threshold=0.0, cov_min=(32 / 8) ** 2, cov_max=(32 / 4) ** 2),
-     dict(fanout=256, leaf_encoding="range")),
+     dict(fanout=256)),
     ("4d-sparse", (32, 32, 32, 32), (4, 4, 4, 4),
      dict(gaussians=8, seed=16, threshold=3e-6),
-     dict(fanout=256, leaf_encoding="interval")),
+     dict(fanout=256)),
 ]
 
 
@@ -281,7 +281,7 @@ def bench128():
         (("d0", shape[0]), ("d1", shape[1])), (("a", "float64"),), (128, 128)
     )
     store = ChunkStore.from_dense(schema, {"a": vals})
-    idx = build_index(store, fanout=64, bins=16, leaf_encoding="range")
+    idx = build_index(store, fanout=64, bins=16)
     dims = DimsAttsIndex(store, "a", bins=32, encoding="range")
 
     box = vals[1024:3072, 1024:3072]

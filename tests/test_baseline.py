@@ -102,6 +102,19 @@ def test_dimsatts_size_includes_aux_columns():
     assert aux == 2 * 32 * 32 * 8
 
 
+def test_dimsatts_size_is_the_sum_of_its_parts():
+    # every bitvector, the attribute's non-empty mask included, counts once
+    rng = np.random.default_rng(3)
+    store = random_store(rng, (32, 32), (8, 8), 0.3)
+    idx = DimsAttsIndex(store, "a", bins=8)
+    want = sum(col.nbytes for col in idx.dim_columns)
+    for bitmaps in (idx.attr_index, *idx.dim_indexes):
+        want += sum(len(v.to_bytes()) for v in (bitmaps.ebm, *bitmaps.bitmaps))
+        want += sum(a.nbytes for a in (bitmaps.binning.boundaries, bitmaps.binning.weights,
+                                       bitmaps.span_lo, bitmaps.span_hi))
+    assert idx.size_bytes() == want
+
+
 def test_dimsatts_counts_candidate_checks():
     rng = np.random.default_rng(4)
     store = random_store(rng, (16, 16), (4, 4))

@@ -53,7 +53,6 @@ WRITE_LAYERS = (
     "binning.equi_depth_exact",
     "binning.merge_bins_iterative",
     "hierindex.build_internal_node",
-    "bitvec.from_dense",
 )
 
 
@@ -79,3 +78,30 @@ def test_build_and_append_record_a_span_in_every_write_layer(monkeypatch):
         after_build = built.count(name, [tracing.SETUP])
         assert after_build > 0, name
         assert appended.count(name, [tracing.SETUP]) > after_build, name
+    # leaves hold no bitmaps: a tree build or append encodes none
+    assert appended.count("bitvec.from_dense", [tracing.SETUP]) == 0
+
+
+def test_appended_workload_trees_match_a_full_build(monkeypatch):
+    # every workload scaled small, built with the set-up's own keywords
+    # (leaf_encoding included); the comparison packs every leaf with
+    # Index._pack_leaf(z, entry, ndim)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    for name, spec in workloads.SPECS.items():
+        spec = workloads.scaled(spec, 4)
+        store = ChunkStore.from_dense(workloads.schema_of(spec),
+                                      {"a": workloads.make_dense(spec, 3)})
+        params = dict(fanout=spec.fanout, bins=spec.bins, leaf_encoding=spec.encoding)
+        first, *rest = workloads.slab_stores(spec, store)
+        assert rest, name
+        appended = hierindex.build_index(first, **params)
+        for slab in rest:
+            appended.append(slab)
+        full = hierindex.build_index(store, **params)
+        assert checks.tree_difference(appended, full) is None, name
+        # and the packed leaves tell one moved leaf minimum apart
+        entry = next(iter(appended.levels[0].values()))
+        entry.leaf = entry.leaf._replace(amin=entry.leaf.amin - 1.0)
+        assert "leaf bytes differ" in checks.tree_difference(appended, full), name

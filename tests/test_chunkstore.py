@@ -7,12 +7,11 @@ from arraybit.chunkstore import (
     ArraySchema,
     BinnedBitmapIndex,
     ChunkStore,
-    PlainLeaf,
+    Leaf,
     QueryStats,
     build_leaf_index,
     delocate,
     leaf_query,
-    leaf_query_bitmaps,
     load_store,
     locate,
     write_raw,
@@ -118,10 +117,10 @@ def test_chunk_arrays_are_read_only_and_owned():
 
     first = ChunkStore(sch.with_extents((8, 12)),
                        {c: ch for c, ch in store.chunks.items() if c[0] < 2})
-    idx = build_index(first, fanout=4, bins=4, leaf_encoding="interval", e=1)
+    idx = build_index(first, fanout=4, bins=4, e=1)
     idx.append(ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[0] >= 2}))
-    assert {type(e.leaf).__name__ for _, e in idx.levels[0].items()} == {
-        "PlainLeaf", "BinnedBitmapIndex"}
+    # plain and binned leaves
+    assert {e.binning is None for _, e in idx.levels[0].items()} == {True, False}
     live = vals[~np.isnan(vals)]
     raws = [
         RawQuery(attr_lo=-5.0, attr_hi=8.0, dims={"d0": (1, 13)}),
@@ -136,17 +135,6 @@ def test_chunk_arrays_are_read_only_and_owned():
         assert estimate(idx, q, idx.depth) == (want.size, want.size)
         lo, hi = estimate(idx, q, 0)
         assert lo <= want.size <= hi
-
-
-def test_slab_cached_and_correct():
-    store = store_from(np.ones((8, 8)))
-    s1 = store.slab_dense((4, 4), 0, 1, 2)
-    s2 = store.slab_dense((4, 4), 0, 1, 2)
-    assert s1 is s2
-    dense = s1.reshape(4, 4)
-    expect = np.zeros((4, 4), bool)
-    expect[1:3, :] = True
-    assert np.array_equal(dense, expect)
 
 
 class _Stats(QueryStats):
@@ -193,19 +181,23 @@ def test_build_leaf_index_threshold():
     vals = np.full((4, 4), np.nan)
     vals[0, :3] = [1.0, 2.0, 3.0]
     store = store_from(vals)
-    leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, encoding="interval", e=4)[0]
-    assert isinstance(leaf, PlainLeaf)
-    assert leaf.count == 3 and leaf.amin == 1.0 and leaf.amax == 3.0
+    leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, e=4)[0]
+    assert leaf == Leaf(1.0, 3.0, 3) and leaf.binning is None
 
 
 def test_build_leaf_index_constant_chunk():
     vals = np.full((4, 4), 7.0)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", bins=8, encoding="interval", e=1)[0]
-    assert leaf.nbins == 1
-    assert len(leaf.bitmaps) == 1
-    assert leaf.bitmaps[0] == BitVector.from_dense(chunk.nonempty.reshape(-1))
+    leaf = build_leaf_index([chunk], "a", bins=8, e=1)[0]
+    assert (leaf.amin, leaf.amax, leaf.count) == (7.0, 7.0, 16)
+    assert leaf.binning.boundaries.tolist() == [7.0, 7.0]
+    assert leaf.binning.weights.tolist() == [16.0]
+    # the baseline's bitmaps of a constant column: one window, every cell
+    nonempty = chunk.nonempty.reshape(-1)
+    idx = BinnedBitmapIndex.build(chunk.values_flat("a"), nonempty, 8, "interval")
+    assert idx.nbins == 1
+    assert idx.bitmaps == [BitVector.from_dense(nonempty)]
 
 
 def test_equality_bitmaps_partition_the_chunk():
@@ -214,10 +206,12 @@ def test_equality_bitmaps_partition_the_chunk():
     vals[rng.random((8, 8)) < 0.2] = np.nan
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", bins=8, encoding="equality", e=1)[0]
+    nonempty = chunk.nonempty.reshape(-1)
+    idx = BinnedBitmapIndex.build(chunk.values_flat("a"), nonempty, 8, "equality")
+    assert idx.nbins == 8
     union = BitVector.zeros(chunk.cell_count)
     running = 0
-    for bm in leaf.bitmaps:
+    for bm in idx.bitmaps:
         assert (bm & union).count_ones() == 0  # pairwise disjoint
         union = union | bm
         running += bm.count_ones()
@@ -227,6 +221,9 @@ def test_equality_bitmaps_partition_the_chunk():
 
 @pytest.mark.parametrize("encoding", ["equality", "range", "interval"])
 def test_leaf_query_matches_bruteforce(encoding):
+    """`leaf_query` equals a numpy mask; the baseline's bitmaps in
+    `encoding`, built over the same chunk, bracket it: their certain cells
+    are hits, and every hit is certain or a candidate."""
     rng = np.random.default_rng(3)
     for trial in range(25):
         shape = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
@@ -239,15 +236,15 @@ def test_leaf_query_matches_bruteforce(encoding):
         if not store.chunks:
             continue
         chunk = store.chunks[(0, 0)]
-        leaf = build_leaf_index([chunk], "a", bins=4, encoding=encoding, e=1)[0]
+        leaf = build_leaf_index([chunk], "a", bins=4, e=1)[0]
+        assert leaf.binning is not None
         lo, hi = np.sort(rng.normal(size=2) * 10)
         dims = []
         for d in range(2):
             dlo = int(rng.integers(0, shape[d]))
             dhi = int(rng.integers(dlo, shape[d]))
             dims.append(((dlo, dhi),))
-        assert isinstance(leaf, BinnedBitmapIndex)
-        got = leaf_query_bitmaps(chunk, leaf, "a", [(lo, hi)], dims, store, QueryStats())
+        got = leaf_query(chunk, leaf, "a", [(lo, hi)], dims, QueryStats())
         flat = vals.reshape(-1)
         coords = np.indices(shape).reshape(2, -1)
         want = (
@@ -258,41 +255,13 @@ def test_leaf_query_matches_bruteforce(encoding):
             & (coords[1] >= dims[1][0][0]) & (coords[1] <= dims[1][0][1])
         )
         assert got.dtype == bool and got.shape == (chunk.cell_count,)
-        assert np.array_equal(got, want), (encoding, trial)
-        assert np.array_equal(leaf_query(chunk, leaf, "a", [(lo, hi)], dims), want)
-
-
-@pytest.mark.parametrize("runs_of", ["value", "two_values"])
-def test_leaf_query_decodes_each_bitmap_once(monkeypatch, runs_of):
-    """A single-value membership on a 64x64 store with 16x16 `range` leaves:
-    each leaf decodes at most two bitmaps, none of them twice."""
-    rng = np.random.default_rng(11)
-    vals = rng.normal(size=(64, 64)) * 50
-    store = ChunkStore.from_dense(schema_2d((64, 64), (16, 16)), {"a": vals})
-    v = float(vals[5, 40])
-    runs = [(v, v)] if runs_of == "value" else [(v, v), (v + 1e-9, v + 1e-9)]
-    decoded = []
-    to_dense = BitVector.to_dense
-    monkeypatch.setattr(BitVector, "to_dense", lambda bv: decoded.append(id(bv)) or to_dense(bv))
-    hits = fetches = candidate_fetches = 0
-    for chunk in store.iter_chunks():
-        leaf = build_leaf_index([chunk], "a", 16, "range")[0]
-        assert isinstance(leaf, BinnedBitmapIndex)
-        decoded.clear()
-        stats = QueryStats()
-        got = leaf_query_bitmaps(chunk, leaf, "a", runs, [None, None], store, stats)
-        assert len(decoded) <= 2
-        assert len(set(decoded)) == len(decoded)  # no bitmap decoded twice
-        assert stats.bitmap_fetches + stats.candidate_bitmap_fetches == len(decoded)
-        want = chunk.values_flat("a") == v
-        assert np.array_equal(got, want)
-        hits += int(want.sum())
-        fetches += stats.bitmap_fetches
-        candidate_fetches += stats.candidate_bitmap_fetches
-    assert hits == 1
-    # the span of (v, v) is its one candidate bin: decoded once, as the span
-    assert candidate_fetches == 0
-    assert fetches <= 32
+        assert np.array_equal(got, want), trial
+        nonempty = ~np.isnan(flat)
+        bitmaps = BinnedBitmapIndex.build(flat, nonempty, 4, encoding)
+        certain, cand = (v.to_dense() for v in bitmaps.range_query(lo, hi))
+        in_range = nonempty & (flat >= lo) & (flat <= hi)
+        assert not (certain & ~in_range).any(), (encoding, trial)
+        assert not (in_range & ~(certain | cand)).any(), (encoding, trial)
 
 
 def test_leaf_query_full_range_returns_empty_mask():
@@ -301,18 +270,18 @@ def test_leaf_query_full_range_returns_empty_mask():
     vals[0, 0] = np.nan
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 8, "interval", e=1)[0]
+    leaf = build_leaf_index([chunk], "a", 8, e=1)[0]
     stats = QueryStats()
     got = leaf_query(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], stats)
     assert np.array_equal(got, chunk.nonempty.reshape(-1))
-    assert stats.bitmap_fetches == 0  # whole span needs no encoded bitmaps
+    assert stats == QueryStats()  # a covering run compares no value
 
 
 def test_leaf_query_disjoint_range():
     vals = np.arange(16.0).reshape(4, 4)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 4, "range", e=1)[0]
+    leaf = build_leaf_index([chunk], "a", 4, e=1)[0]
     got = leaf_query(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
     assert np.array_equal(got, np.zeros(chunk.cell_count, bool))
 

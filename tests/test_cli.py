@@ -84,7 +84,7 @@ def test_gen_build_query_estimate(tmp_path, capsys):
     head = _gen(tmp_path)
     idx = tmp_path / "arr.abix"
     rc = main(["build", "--data", str(head), "--index", str(idx),
-               "--params", "bins=8", "fanout=16", "encoding=range"])
+               "--params", "bins=8", "fanout=16"])
     assert rc == 0
     capsys.readouterr()
 
@@ -261,6 +261,19 @@ def test_bench_writes_csv_with_agreement(tmp_path):
     want = int((vals[[1, 3]][:, [5, 6, 7, 9]] >= 0.001).sum())
     got = by_query["d1 in {5, 6, 7, 9} and d0 in {1, 3} and a >= 0.001"]["arraybit"]
     assert want and got == want
+
+
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_rejects_a_repeat_below_one(tmp_path, capsys, repeat):
+    head = _gen(tmp_path, shape="16x16")
+    workload = tmp_path / "queries.txt"
+    workload.write_text("a >= 0.001\n")
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--data", str(head), "--workload", str(workload), "--out", str(out),
+               "--repeat", repeat])
+    assert rc == 1
+    assert "--repeat" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path):

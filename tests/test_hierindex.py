@@ -335,19 +335,19 @@ def _slabs(store, rows):
 
 
 @pytest.mark.parametrize(
-    "shape, chunk, rows, fanout, encoding",
+    "shape, chunk, rows, fanout",
     [
-        ((64, 48), (4, 4), 16, 16, "range"),
-        ((16, 8, 8, 8), (2, 2, 2, 2), 4, 16, "interval"),
+        ((64, 48), (4, 4), 16, 16),
+        ((16, 8, 8, 8), (2, 2, 2, 2), 4, 16),
     ],
 )
-def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fanout, encoding):
+def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fanout):
     rng = np.random.default_rng(17)
     vals = rng.gamma(2.0, 10.0, size=shape)
     vals[rng.random(shape) < 0.2] = np.nan
     sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", "float64"),), chunk)
     store = ChunkStore.from_dense(sch, {"a": vals})
-    kw = dict(fanout=fanout, bins=8, leaf_encoding=encoding, e=1)
+    kw = dict(fanout=fanout, bins=8, e=1)
     first, *rest = _slabs(store, rows)
     assert rest
     appended = build_index(first, **kw)
@@ -426,85 +426,76 @@ def test_spread_weights_match_child_by_child_reference(seed, nchildren, scale):
 
 def _index_file(tmp_path):
     store = grid_store((32, 32), (8, 8), seed=2)
-    idx = build_index(store, fanout=4, bins=8, leaf_encoding="range")
+    idx = build_index(store, fanout=4, bins=8)
     path = tmp_path / "whole.abix"
     idx.save(path)
     return store, idx, path.read_bytes()
 
 
 def _sections(raw: bytes) -> dict:
-    """(start, end) of each section of a version-2 index file."""
-    _, version, _, nlevels, meta_len, bitmaps_at = struct.unpack_from("<4sIIIQQ", raw)
-    assert version == 2
-    meta_at = 32 + 24 * nlevels
-    out = {"preamble": (0, 32), "directory": (32, meta_at),
+    """(start, end) of each section of a version-3 index file."""
+    _, version, _, nlevels, meta_len = struct.unpack_from("<4sIIIQ", raw)
+    assert version == 3
+    meta_at = 24 + 24 * nlevels
+    out = {"preamble": (0, 24), "directory": (24, meta_at),
            "metadata": (meta_at, meta_at + meta_len)}
     for level in range(nlevels):
-        _, offset, size = struct.unpack_from("<QQQ", raw, 32 + 24 * level)
+        _, offset, size = struct.unpack_from("<QQQ", raw, 24 + 24 * level)
         out[f"level {level} tables"] = (offset, offset + size)
-    out["bitmaps"] = (bitmaps_at, len(raw))
+    assert offset + size == len(raw)  # no section after the tables
     return out
 
 
 def _with_crc(raw: bytes) -> bytes:
     """`raw` with its header CRC made to match its content again."""
-    bitmaps_at = struct.unpack_from("<Q", raw, 24)[0]
-    crc = zlib.crc32(raw[12:bitmaps_at], zlib.crc32(raw[:8]))
+    crc = zlib.crc32(raw[12:], zlib.crc32(raw[:8]))
     return raw[:8] + struct.pack("<I", crc) + raw[12:]
 
 
 def test_truncated_index_fails_with_data_error(tmp_path):
+    # the header CRC covers the whole file, so every cut fails
     store, idx, raw = _index_file(tmp_path)
     sections = _sections(raw)
-    assert len(sections) == 7  # three levels
-    cuts = {"header": 6, "last byte": len(raw) - 1}
-    for name, (start, end) in sections.items():
-        cuts[name] = (start + end) // 2
+    assert len(sections) == 6  # three levels
     assert Index.load(tmp_path / "whole.abix", store=store).node_count() == idx.node_count()
-    for where, cut in cuts.items():
-        path = tmp_path / f"cut-{cut}.abix"
+    path = tmp_path / "cut.abix"
+    for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(DataError):
             Index.load(path, store=store)
+    for where, (start, end) in sections.items():
+        path.write_bytes(raw[: (start + end) // 2])
         assert main(["query", "--index", str(path), "--where", ""]) == 2, where
 
 
 def test_flipped_byte_fails_with_data_error(tmp_path):
-    # the header CRC covers everything before the bitmap section; a leaf's
-    # bitmaps are checked against their own CRC when first decoded
+    # the header CRC covers the whole file, so every flipped byte fails
     store, idx, raw = _index_file(tmp_path)
+    assert Index.load(tmp_path / "whole.abix", store=store).serialize() == raw
+    path = tmp_path / "flip.abix"
+    for at in range(len(raw)):
+        bad = bytearray(raw)
+        bad[at] ^= 0x10
+        path.write_bytes(bytes(bad))
+        with pytest.raises(DataError):
+            Index.load(path, store=store)
     for name, (start, end) in _sections(raw).items():
-        for at in (start, (start + end) // 2, end - 1):
-            bad = bytearray(raw)
-            bad[at] ^= 0x10
-            path = tmp_path / f"flip-{at}.abix"
-            path.write_bytes(bytes(bad))
-            if name != "bitmaps":
-                with pytest.raises(DataError):
-                    Index.load(path, store=store)
-                assert main(["query", "--index", str(path), "--where", ""]) == 2, name
-                continue
-            loaded = Index.load(path, store=store)
-            assert loaded.serialize() == bytes(bad)  # copied, not decoded
-            failed = 0
-            for _, entry in loaded.levels[0].items():
-                try:
-                    entry.leaf.bitmaps
-                except DataError as exc:
-                    assert "CRC32" in str(exc)
-                    failed += 1
-            assert failed == 1
+        bad = bytearray(raw)
+        bad[(start + end) // 2] ^= 0x10
+        path.write_bytes(bytes(bad))
+        assert main(["query", "--index", str(path), "--where", ""]) == 2, name
 
 
 def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
-    # a binned leaf takes its non-empty count from the file, not from its
-    # bitmap; a count the chunk cannot hold is refused
+    # a leaf's non-empty count comes from the file; a count the chunk
+    # cannot hold is refused
     store, idx, raw = _index_file(tmp_path)
     start, _ = _sections(raw)["level 0 tables"]
     n = len(idx.levels[0])
     count_at = start + 8 * n + 32 * n + 16 * n  # after z, extent, amin and amax
-    leaf = next(iter(idx.levels[0].values())).leaf
-    assert struct.unpack_from("<Q", raw, count_at)[0] == leaf.count == leaf.length == 64
+    entry = next(iter(idx.levels[0].values()))
+    cells = store.chunks[entry.coords].cell_count
+    assert struct.unpack_from("<Q", raw, count_at)[0] == entry.count == cells == 64
     for bad, ok in ((64, True), (65, False)):
         path = tmp_path / f"count-{bad}.abix"
         path.write_bytes(_with_crc(raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]))

@@ -1,5 +1,5 @@
-"""Leaf resolution: the box scan of `leaf_query` and the bitmap resolver
-it replaced, against a numpy brute force."""
+"""Leaf resolution: the box scan of `leaf_query`, against a numpy brute
+force."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -7,11 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from arraybit.chunkstore import (
     ArraySchema,
     ChunkStore,
-    PlainLeaf,
     QueryStats,
     build_leaf_index,
     leaf_query,
-    leaf_query_bitmaps,
 )
 from arraybit.query import value_runs
 
@@ -105,23 +103,19 @@ def _brute(chunk, runs, box):
     ndim=st.integers(1, 3),
     dtype=st.sampled_from(["float64", "int64"]),
     values=st.sampled_from(["narrow", "wide", "big"]),
-    encoding=st.sampled_from(["equality", "range", "interval"]),
     bins=st.sampled_from([1, 2, 4, 8]),
     kind=st.sampled_from(["run", "set"]),
     plain=st.booleans(),
 )
-@example(seed=0, ndim=2, dtype="int64", values="narrow", encoding="equality", bins=4,
-         kind="set", plain=False)
-@example(seed=1, ndim=3, dtype="int64", values="wide", encoding="interval", bins=8,
-         kind="set", plain=False)
-@example(seed=2, ndim=1, dtype="float64", values="narrow", encoding="range", bins=4,
-         kind="set", plain=True)
-def test_resolvers_match_brute_force(seed, ndim, dtype, values, encoding, bins, kind, plain):
+@example(seed=0, ndim=2, dtype="int64", values="narrow", bins=4, kind="set", plain=False)
+@example(seed=1, ndim=3, dtype="int64", values="wide", bins=8, kind="set", plain=False)
+@example(seed=2, ndim=1, dtype="float64", values="narrow", bins=4, kind="set", plain=True)
+def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plain):
     rng = np.random.default_rng(seed)
     store = _store(rng, ndim, dtype, values)
     chunks = list(store.iter_chunks())
     # e large enough makes every leaf plain
-    leaves = build_leaf_index(chunks, "a", bins, encoding, e=10**6 if plain else 1)
+    leaves = build_leaf_index(chunks, "a", bins, e=10**6 if plain else 1)
     for chunk, leaf in zip(chunks, leaves):
         live = chunk.values["a"][chunk.nonempty]
         for _ in range(4):
@@ -133,8 +127,6 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, encoding, bins, 
             assert got.dtype == bool and got.shape == (chunk.cell_count,)
             assert np.array_equal(got, want)
             assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
-            if not isinstance(leaf, PlainLeaf):
-                assert np.array_equal(leaf_query_bitmaps(chunk, leaf, "a", runs, box, store), want)
 
 
 def _float_chunk(shape, seed=0):
@@ -147,19 +139,19 @@ def _float_chunk(shape, seed=0):
 
 def test_leaf_query_scans_without_reading_bitmaps():
     store, chunk = _float_chunk((16, 16, 16))
-    leaf = build_leaf_index([chunk], "a", 16, "range")[0]
-    runs = [(leaf.amin, float(leaf.span_hi[3]))]  # one bitmap for the resolver
+    leaf = build_leaf_index([chunk], "a", 16)[0]
+    runs = [(leaf.amin, float(leaf.binning.boundaries[4]))]  # the lowest four bins
     stats = QueryStats()
     got = leaf_query(chunk, leaf, "a", runs, [None] * 3, stats)
     assert stats.leaves_scanned == 1
     assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
     assert stats.candidate_checks == chunk.nonempty_count
-    assert np.array_equal(got, leaf_query_bitmaps(chunk, leaf, "a", runs, [None] * 3, store))
+    assert np.array_equal(got, _brute(chunk, runs, [None] * 3))
 
 
 def test_covering_and_missing_runs_read_nothing():
     store, chunk = _float_chunk((64, 64))
-    leaf = build_leaf_index([chunk], "a", 16, "interval")[0]
+    leaf = build_leaf_index([chunk], "a", 16)[0]
     box = [((3, 40),), ((10, 70),)]
     for runs, want in [
         ([(leaf.amin - 1.0, leaf.amax)], _brute(chunk, [(-np.inf, np.inf)], box)),
@@ -176,8 +168,8 @@ def test_plain_leaf_scans_its_box():
     sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (8, 8))
     store = ChunkStore.from_dense(sch, {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 4, "range")[0]
-    assert isinstance(leaf, PlainLeaf)
+    leaf = build_leaf_index([chunk], "a", 4)[0]
+    assert leaf.binning is None
     runs = [(1.0, 2.0), (5.0, 6.0)]
     box = [((2, 7),), None]
     stats = QueryStats()

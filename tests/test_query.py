@@ -412,7 +412,7 @@ def _frozen_store(rng):
     arrays are read-only."""
     vals = rng.normal(size=(256, 256)) * 50.0
     vals[0:32, 224:256] = np.nan
-    vals[0:4, 224:229] = rng.normal(size=(4, 5))  # 20 live cells: a PlainLeaf
+    vals[0:4, 224:229] = rng.normal(size=(4, 5))  # 20 live cells: a plain leaf
     vals[32:64, 224:256] = 7.0  # one bin spans the whole leaf
     sch = ArraySchema((("d0", 256), ("d1", 256)), (("a", "float64"),), (32, 32))
     return ChunkStore.from_dense(sch, {"a": vals})
@@ -422,12 +422,12 @@ def _frozen_store(rng):
 def test_queries_never_write_to_the_store(encoding):
     # a query must only read chunk arrays: the store's arrays are
     # read-only, so any write through a view raises instead of silently
-    # corrupting the oracle
+    # corrupting the oracle; the tree and the baseline in `encoding` alike
     rng = np.random.default_rng(16)
     store = _frozen_store(rng)
-    idx = build_index(store, fanout=16, bins=16, leaf_encoding=encoding)
-    leaf_kinds = {type(entry.leaf).__name__ for _, entry in idx.levels[0].items()}
-    assert leaf_kinds == {"PlainLeaf", "BinnedBitmapIndex"}
+    idx = build_index(store, fanout=16, bins=16)
+    assert {entry.binning is None for _, entry in idx.levels[0].items()} == {True, False}
+    dims = DimsAttsIndex(store, "a", bins=16, encoding=encoding)
     total = store.nonempty_total()
     root = idx.root
     live = _live_values(store)
@@ -441,6 +441,7 @@ def test_queries_never_write_to_the_store(encoding):
         q = normalize(raw, store.schema, (root.amin, root.amax))
         want = full_scan(store, "a", q)
         assert np.array_equal(execute(idx, q).cell_ids(store), want)
+        assert np.array_equal(dims.query(q), want)
         for budget in range(idx.depth + 1):
             lo, hi = estimate(idx, q, budget)
             assert lo <= want.size <= hi
@@ -514,18 +515,16 @@ def _slab_store(store, rows):
     seed=st.integers(0, 2**32 - 1),
     ndim=st.integers(1, 3),
     dtype=st.sampled_from(["float64", "int64"]),
-    encoding=st.sampled_from(["equality", "range", "interval"]),
     empty=st.sampled_from([0.0, 0.4, "chunks"]),
     appended=st.booleans(),
 )
-@example(seed=0, ndim=2, dtype="float64", encoding="range", empty=0.0, appended=False)
-@example(seed=1, ndim=3, dtype="int64", encoding="equality", empty="chunks", appended=True)
-def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, encoding,
-                                                          empty, appended):
+@example(seed=0, ndim=2, dtype="float64", empty=0.0, appended=False)
+@example(seed=1, ndim=3, dtype="int64", empty="chunks", appended=True)
+def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, empty, appended):
     rng = np.random.default_rng(seed)
     store = _random_frozen_store(rng, ndim, dtype, empty)
     sch = store.schema
-    kw = dict(fanout=2**ndim, bins=4, leaf_encoding=encoding, e=1)
+    kw = dict(fanout=2**ndim, bins=4, e=1)
     if appended:
         idx = build_index(_slab_store(store, sch.chunk_shape[0]), **kw)
         idx.append(ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[0] > 0}))
@@ -582,17 +581,16 @@ def _numpy_ids(store, raw):
     seed=st.integers(0, 2**32 - 1),
     ndim=st.integers(2, 3),
     dtype=st.sampled_from(["float64", "int64"]),
-    encoding=st.sampled_from(["equality", "range", "interval"]),
     empty=st.sampled_from([0.4, "chunks"]),
     kind=st.sampled_from(["mixed", "membership"]),
 )
-@example(seed=0, ndim=2, dtype="float64", encoding="range", empty=0.4, kind="mixed")
-@example(seed=1, ndim=3, dtype="int64", encoding="equality", empty="chunks", kind="membership")
-def test_dimension_sets_match_a_numpy_mask(seed, ndim, dtype, encoding, empty, kind):
+@example(seed=0, ndim=2, dtype="float64", empty=0.4, kind="mixed")
+@example(seed=1, ndim=3, dtype="int64", empty="chunks", kind="membership")
+def test_dimension_sets_match_a_numpy_mask(seed, ndim, dtype, empty, kind):
     rng = np.random.default_rng(seed)
     store = _random_frozen_store(rng, ndim, dtype, empty)
     sch = store.schema
-    idx = build_index(store, fanout=2**ndim, bins=4, leaf_encoding=encoding, e=1)
+    idx = build_index(store, fanout=2**ndim, bins=4, e=1)
     root = idx.root
     if root is None:
         return

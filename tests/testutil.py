@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from arraybit.binning import Binning, wsse
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import (
-    ArraySchema,
-    BinnedBitmapIndex,
-    ChunkStore,
-    LeafWords,
-    PlainLeaf,
-)
+from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, Leaf
 from arraybit.errors import DataError, DegenerateDomainError, InputError
 from arraybit.hierindex import build_index
 from arraybit.query import RawQuery
@@ -310,24 +304,22 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
     else:
         m = -(-k // 2)
         windows = [(s, s + m - 1) for s in range(m)]
-    vecs = [_reference_vector(nonempty)]
-    vecs += [_reference_vector((binidx >= lo) & (binidx <= hi)) for lo, hi in windows]
-    words = np.concatenate([v.words for v in vecs])
-    return BinnedBitmapIndex(binning, encoding, span_lo, span_hi, int(nonempty.sum()),
-                             values.size, LeafWords(words, 0, words.size))
+    bitmaps = [_reference_vector((binidx >= lo) & (binidx <= hi)) for lo, hi in windows]
+    return BinnedBitmapIndex(binning, encoding, span_lo, span_hi, _reference_vector(nonempty),
+                             bitmaps)
 
 
-def reference_leaf(chunk, attr: str, bins: int, encoding: str, e: int = 4):
-    """The leaf of one chunk: None when empty, a PlainLeaf below e*bins
-    non-empty cells, else its binned bitmap index."""
+def reference_leaf(chunk, attr: str, bins: int, e: int = 4):
+    """The leaf of one chunk: None when empty, a plain `Leaf` below e*bins
+    non-empty cells, else a `Leaf` with the reference binning, its amin and
+    amax the least and greatest value of its bins."""
     if chunk.nonempty_count == 0:
         return None
-    vals = chunk.values_flat(attr)
-    nonempty = chunk.nonempty.reshape(-1)
-    live = vals[nonempty]
+    live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
     if chunk.nonempty_count < e * bins:
-        return PlainLeaf(float(live.min()), float(live.max()), chunk.nonempty_count)
-    return reference_binned(vals, nonempty, bins, encoding)
+        return Leaf(float(live.min()), float(live.max()), chunk.nonempty_count)
+    binning, span_lo, span_hi = reference_bins(live, bins)
+    return Leaf(float(span_lo[0]), float(span_hi[-1]), chunk.nonempty_count, binning)
 
 
 def _reference_initial_selection(boundaries: np.ndarray, bins: int) -> np.ndarray:
