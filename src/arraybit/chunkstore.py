@@ -2,7 +2,8 @@
 of each chunk and its exact resolution, and the binned bitmap index of the
 linearized baseline.
 
-A chunk's leaf is its value range, its non-empty count and, above a size
+A chunk's leaf is the index tree's level-0 node: the chunk's coordinates
+and extent, its value range, its non-empty count and, above a size
 threshold, the equi-depth binning of its values, which feeds its parent's
 merged bins.  Unlike the source paper's leaves it holds no bitmaps: the
 paper's leaf bitmaps spare reading cell values from disk, while here every
@@ -261,12 +262,16 @@ _BATCH_CELLS = 1 << 20
 
 
 class Leaf(NamedTuple):
-    """One chunk's leaf: the least and greatest non-empty value, the
-    non-empty cell count, and the equi-depth binning of the values, None
-    for a plain leaf.  The binning's bins and weights feed the parent's
-    merged bins; the leaf keeps no bitmaps, since a query scans the
-    resident chunk itself (:func:`leaf_query`)."""
+    """One chunk's leaf, the level-0 node of the index tree: the chunk's
+    grid coordinates and global cell extent ((lo, hi) per dimension), the
+    least and greatest non-empty value, the non-empty cell count, and the
+    equi-depth binning of the values, None for a plain leaf.  The binning's
+    bins and weights feed the parent's merged bins; the leaf keeps no
+    bitmaps, since a query scans the resident chunk itself
+    (:func:`leaf_query`)."""
 
+    coords: tuple
+    extent: tuple
     amin: float
     amax: float
     count: int
@@ -299,7 +304,7 @@ def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
             continue
         if n < e * bins:
             live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
-            leaves[i] = Leaf(float(live.min()), float(live.max()), n)
+            leaves[i] = Leaf(chunk.coords, chunk.extent, float(live.min()), float(live.max()), n)
         else:
             by_size.setdefault(chunk.nonempty.size, []).append(i)
     for ncells, members in by_size.items():
@@ -311,9 +316,9 @@ def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
             binnings, _, _ = _bin_rows(np.where(nonempty, values, np.nan),
                                        nonempty.sum(axis=1), bins)
             for i, binning in zip(part, binnings):
-                bounds = binning.boundaries
-                leaves[i] = Leaf(float(bounds[0]), float(bounds[-1]), chunks[i].nonempty_count,
-                                 binning)
+                c, bounds = chunks[i], binning.boundaries
+                leaves[i] = Leaf(c.coords, c.extent, float(bounds[0]), float(bounds[-1]),
+                                 c.nonempty_count, binning)
     return leaves
 
 

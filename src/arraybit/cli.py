@@ -190,7 +190,7 @@ def _cmd_query(args) -> int:
     print(f"partial_chunks {len(rs.partial)}")
     print(
         f"stats nodes={stats.nodes_evaluated} fetched={stats.nodes_fetched} "
-        f"bitmaps={stats.bitmap_fetches} candidates={stats.candidate_checks}"
+        f"scanned={stats.leaves_scanned} candidates={stats.candidate_checks}"
     )
     if args.expand:
         if idx.store is None:

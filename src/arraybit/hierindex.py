@@ -2,11 +2,17 @@
 internal nodes, precomputed dimension bitmaps, persistence and appending.
 
 Node-level bitmaps have exactly F bits (one per child slot) and are kept
-uncompressed as plain integers.  Leaves hold no bitmaps over cells: a leaf
-is its chunk's value range, count and equi-depth binning, since every chunk
-is resident and a query scans it (`chunkstore.leaf_query`).  Node identity
-is (level, z-index); parent and child indices are pure bit arithmetic on
-the z-index.  Each level is one dict {z: node}.
+uncompressed as plain integers.  A leaf is its chunk's `chunkstore.Leaf`
+itself: coordinates, extent, value range, count and equi-depth binning.  It
+holds no bitmaps over cells, since every chunk is resident and a query
+scans it (`chunkstore.leaf_query`).  Node identity is (level, z-index);
+parent and child indices are pure bit arithmetic on the z-index.  Each
+level is one dict {z: node}.
+
+A tree is only ever grown: `Index._grow` adds the leaves of some chunks and
+rebuilds their ancestors, or every level when the tree got deeper.
+`build_index` grows an empty tree by every chunk of a store, and
+`Index.append` grows a tree by the chunks it is given.
 
 Saved format, version 3.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
@@ -104,31 +110,28 @@ class Fanout:
         return self.bits * self.ndim
 
 
-def zorder_encode(coords, bits: int) -> int:
-    """Interleave coordinates; dimension 0 takes the least significant slot."""
-    z = 0
-    n = len(coords)
-    for d, c in enumerate(coords):
-        c = int(c)
-        if c < 0 or c >= (1 << bits):
-            raise InputError(f"coordinate {c} does not fit in {bits} bits")
-        for t in range(bits):
-            if c >> t & 1:
-                z |= 1 << (t * n + d)
+def zorder_encode_many(coords: np.ndarray, bits: int) -> np.ndarray:
+    """The z-index of each row of an (n, ndim) array of coordinates, as
+    int64: their bits interleaved, dimension 0 in the least significant
+    slot.  InputError for a coordinate that does not fit in `bits` bits, or
+    for a z-index longer than 63 bits."""
+    coords = np.asarray(coords, np.int64)
+    ndim = coords.shape[1]
+    if bits * ndim > 63:
+        raise InputError(f"{ndim} coordinates of {bits} bits exceed a 63-bit z-index")
+    bad = (coords < 0) | (coords >= 1 << bits)
+    if bad.any():
+        raise InputError(f"coordinate {int(coords[bad][0])} does not fit in {bits} bits")
+    z = np.zeros(coords.shape[0], np.int64)
+    for t in range(bits):
+        for d in range(ndim):
+            z |= (coords[:, d] >> t & 1) << (t * ndim + d)
     return z
 
 
-def zorder_decode(z: int, ndim: int, bits: int) -> tuple:
-    coords = [0] * ndim
-    for t in range(bits):
-        for d in range(ndim):
-            if z >> (t * ndim + d) & 1:
-                coords[d] |= 1 << t
-    return tuple(coords)
-
-
 def zorder_decode_many(z: np.ndarray, ndim: int, bits: int) -> np.ndarray:
-    """:func:`zorder_decode` of every z-index of an array, as (n, ndim) int64."""
+    """The coordinates of every z-index of an array, as (n, ndim) int64:
+    the inverse of :func:`zorder_encode_many`."""
     z = z.astype(np.int64)
     coords = np.zeros((z.size, ndim), np.int64)
     for t in range(bits):
@@ -375,32 +378,6 @@ def build_internal_node(
     )
 
 
-@dataclass
-class LeafEntry:
-    """Level-0 record: one chunk's extent and its leaf."""
-
-    coords: tuple
-    z: int
-    extent: tuple
-    leaf: Leaf
-
-    @property
-    def amin(self) -> float:
-        return self.leaf.amin
-
-    @property
-    def amax(self) -> float:
-        return self.leaf.amax
-
-    @property
-    def count(self) -> int:
-        return self.leaf.count
-
-    @property
-    def binning(self):
-        return self.leaf.binning
-
-
 # ---------------------------------------------------------------------------
 # the index
 
@@ -408,8 +385,8 @@ class LeafEntry:
 class Index:
     """A built tree over a chunk store, navigable by (level, z-index).
 
-    `levels[l]` holds the level-l nodes (0 = leaves) as a dict {z: node} in
-    increasing z.
+    `levels[l]` holds the level-l nodes as a dict {z: node} in increasing
+    z: `Leaf` records at level 0, `TreeNode`s above.
     """
 
     def __init__(self, schema, store, attribute, fanout, bins, e, levels):
@@ -420,7 +397,7 @@ class Index:
         self.bins = bins
         self.e = e
         self.levels = levels
-        self.dimbitmaps = DimensionBitmaps(fanout) if fanout else None
+        self.dimbitmaps = DimensionBitmaps(fanout)
 
     @property
     def depth(self) -> int:
@@ -456,21 +433,6 @@ class Index:
 
     # -- construction ---------------------------------------------------
 
-    @classmethod
-    def build(cls, store: ChunkStore, attribute: str | None = None, fanout: int | None = None,
-              bins: int = 16, e: int = 4) -> "Index":
-        schema = store.schema
-        attribute = attribute or schema.attributes[0][0]
-        schema.attr_type(attribute)  # validate
-        ndim = schema.ndim
-        if fanout is None:
-            fanout = 64 if ndim <= 3 else 256
-        fo = Fanout.from_total(fanout, ndim)
-        idx = cls(schema, store, attribute, fo, bins, e, [])
-        if store.chunks:
-            idx._rebuild_all()
-        return idx
-
     def _tree_depth(self) -> int:
         grid = self.schema.chunk_grid
         fd = self.fanout.per_dim
@@ -479,40 +441,48 @@ class Index:
             depth += 1
         return depth
 
-    def _rebuild_all(self) -> None:
-        depth = self._tree_depth()
-        bits = self.fanout.bits
-        leaves = {}
-        chunks = list(self.store.iter_chunks())
-        built = build_leaf_index(chunks, self.attribute, self.bins, self.e)
-        for chunk, leaf in zip(chunks, built):
-            if leaf is None:
-                continue
-            z = zorder_encode(chunk.coords, bits * depth)
-            leaves[z] = LeafEntry(chunk.coords, z, chunk.extent, leaf)
-        level_nodes = [leaves]
+    def _grow(self, chunks: list, schema: ArraySchema) -> None:
+        """Add the leaves of `chunks`, none of them in the tree yet, under
+        `schema`, which covers them and the tree, then rebuild their
+        ancestors, or every level above the old root's when the tree got
+        deeper.  On an empty tree this is the whole build."""
+        fo = self.fanout
+        leaves = [leaf for leaf in build_leaf_index(chunks, self.attribute, self.bins, self.e)
+                  if leaf is not None]
+        self.schema = schema
+        old_depth, depth = self.depth, self._tree_depth()
+        coords = np.array([leaf.coords for leaf in leaves], np.int64).reshape(-1, fo.ndim)
+        z = zorder_encode_many(coords, fo.bits * depth).tolist()
+        levels = [dict(nodes) for nodes in self.levels]
+        levels += [{} for _ in range(depth + 1 - len(levels))]
+        levels[0].update(zip(z, leaves))
+        if not levels[0]:
+            self.levels = []
+            return
+        affected = {zi >> fo.slot_bits for zi in z}
         for level in range(1, depth + 1):
-            level_nodes.append(
-                self._build_level(level, depth, level_nodes[level - 1])
-            )
-        if len(level_nodes[-1]) != 1:
-            raise InternalError("tree did not converge to a single root")
-        self.levels = [dict(sorted(nodes.items())) for nodes in level_nodes]
+            rebuilt = self._build_level(level, depth, levels[level - 1],
+                                        None if level > old_depth else affected)
+            levels[level].update(rebuilt)
+            affected = {pz >> fo.slot_bits for pz in rebuilt}
+        if len(levels[depth]) != 1:
+            raise InternalError("the tree did not converge to a single root")
+        self.levels = [dict(sorted(nodes.items())) for nodes in levels]
 
     def _build_level(self, level: int, depth: int, below: dict, parents=None) -> dict:
         """The level-`level` parents of the nodes in `below`, the level under
         them: all of them, or only those whose z is in `parents`."""
-        bits = self.fanout.bits
-        slot_bits = self.fanout.slot_bits
+        fo = self.fanout
         groups: dict = {}
         for z, node in sorted(below.items()):  # children in z order
-            pz = z >> slot_bits
+            pz = z >> fo.slot_bits
             if parents is None or pz in parents:
-                groups.setdefault(pz, []).append((z & ((1 << slot_bits) - 1), node))
+                groups.setdefault(pz, []).append((z & ((1 << fo.slot_bits) - 1), node))
+        coords = zorder_decode_many(np.fromiter(groups, np.int64, len(groups)), fo.ndim,
+                                    fo.bits * (depth - level))
         out = {}
-        for pz, members in groups.items():
-            coords = zorder_decode(pz, self.fanout.ndim, bits * (depth - level))
-            node = build_internal_node(members, level, coords, self.fanout, self.bins)
+        for (pz, members), c in zip(groups.items(), map(tuple, coords.tolist())):
+            node = build_internal_node(members, level, c, fo, self.bins)
             node.z = pz
             out[pz] = node
         return out
@@ -520,7 +490,8 @@ class Index:
     # -- appending --------------------------------------------------------
 
     def append(self, additions: ChunkStore) -> None:
-        """Merge grid-aligned new chunks and rebuild the affected ancestors."""
+        """Grow the tree by grid-aligned new chunks (see :meth:`_grow`); an
+        attached store takes them in too."""
         new_schema = additions.schema
         if new_schema.chunk_shape != self.schema.chunk_shape:
             raise InputError("appended data must use the same chunk shape")
@@ -539,48 +510,16 @@ class Index:
                 raise InputError(
                     f"extension along {old_name!r} is not aligned to the chunk grid"
                 )
-        overlap = set(additions.chunks) & set(self.store.chunks if self.store else {})
+        have = {leaf.coords for leaf in self.levels[0].values()} if self.levels else set()
+        overlap = sorted(c for c in additions.chunks if c in have)
         if overlap:
-            raise InputError(f"appended chunks collide with existing ones: {sorted(overlap)[:3]}")
+            raise InputError(f"appended chunks collide with existing ones: {overlap[:3]}")
 
         merged_extents = tuple(max(a, b) for (_, a), (_, b) in zip(self.schema.dims, new_schema.dims))
-        self.schema = self.schema.with_extents(merged_extents)
-        if self.store is None or not self.store.chunks:
-            chunks = dict(additions.chunks)
-            self.store = ChunkStore(self.schema, chunks)
-            self._rebuild_all()
-            return
-        chunks = dict(self.store.chunks)
-        chunks.update(additions.chunks)
-        self.store = ChunkStore(self.schema, chunks)
-        self.store.schema = self.schema
-
-        old_depth = self.depth
-        depth = self._tree_depth()
-        bits = self.fanout.bits
-        slot_bits = self.fanout.slot_bits
-
-        level_nodes = [dict(nodes) for nodes in self.levels]
-        while len(level_nodes) < depth + 1:
-            level_nodes.append({})
-        affected = set()
-        chunks = [additions.chunks[coords] for coords in sorted(additions.chunks)]
-        built = build_leaf_index(chunks, self.attribute, self.bins, self.e)
-        for chunk, leaf in zip(chunks, built):
-            if leaf is None:
-                continue
-            z = zorder_encode(chunk.coords, bits * depth)
-            level_nodes[0][z] = LeafEntry(chunk.coords, z, chunk.extent, leaf)
-            affected.add(z >> slot_bits)
-
-        for level in range(1, depth + 1):
-            rebuilt = self._build_level(level, depth, level_nodes[level - 1],
-                                        None if level > old_depth else affected)
-            level_nodes[level].update(rebuilt)
-            affected = {pz >> slot_bits for pz in rebuilt}
-        if len(level_nodes[depth]) != 1:
-            raise InternalError("append did not converge to a single root")
-        self.levels = [dict(sorted(nodes.items())) for nodes in level_nodes]
+        self._grow([additions.chunks[c] for c in sorted(additions.chunks)],
+                   self.schema.with_extents(merged_extents))
+        if self.store is not None:
+            self.store = ChunkStore(self.schema, {**self.store.chunks, **additions.chunks})
 
     # -- persistence -------------------------------------------------------
 
@@ -588,7 +527,7 @@ class Index:
         Path(path).write_bytes(self.serialize())
 
     def _mask_bytes(self) -> int:
-        return -(-self.fanout.total // 8) if self.fanout else 1
+        return -(-self.fanout.total // 8)
 
     def serialize(self) -> bytes:
         """The index in the saved format of version 3 (module docstring)."""
@@ -608,7 +547,7 @@ class Index:
                 "attribute": self.attribute,
                 "bins": self.bins,
                 "e": self.e,
-                "fanout_per_dim": self.fanout.per_dim if self.fanout else 0,
+                "fanout_per_dim": self.fanout.per_dim,
             },
         }
         meta_b = json.dumps(meta).encode()
@@ -630,9 +569,9 @@ class Index:
         return b"".join([lead, struct.pack("<I", crc), rest, *tables])
 
     @staticmethod
-    def _pack_leaf(z, entry: LeafEntry, ndim) -> bytes:
+    def _pack_leaf(z, leaf: Leaf, ndim) -> bytes:
         """Canonical bytes of one leaf: its saved tables as a one-leaf level."""
-        return _leaf_tables([(z, entry)], ndim)
+        return _leaf_tables([(z, leaf)], ndim)
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
@@ -667,7 +606,7 @@ class Index:
         z = np.fromiter(leaves, np.uint64, len(leaves))
         have = _by_chunk(coords[live], counts[live], grid)
         want = _by_chunk(zorder_decode_many(z, ndim, self.fanout.bits * self.depth),
-                         np.fromiter((e.leaf.count for e in leaves.values()), np.int64, z.size),
+                         np.fromiter((leaf.count for leaf in leaves.values()), np.int64, z.size),
                          grid)
         if have is None or not np.array_equal(have[0], want[0]):
             raise DataError(f"the data's {int(live.sum())} non-empty chunks are not the "
@@ -699,8 +638,8 @@ class Index:
             empty,
         )
         params = meta["params"]
-        fo = Fanout(params["fanout_per_dim"], schema.ndim) if params["fanout_per_dim"] else None
-        idx = cls(schema, None, params["attribute"], fo, params["bins"], params["e"], [])
+        idx = cls(schema, None, params["attribute"], Fanout(params["fanout_per_dim"], schema.ndim),
+                  params["bins"], params["e"], [])
         depth = len(columns) - 1
         idx.levels = [
             idx._leaves(cols, depth) if level == 0 else idx._nodes(level, cols, depth)
@@ -749,13 +688,11 @@ class Index:
 
         binnings = iter([Binning.prevalidated(bounds[b : b + n + 1], weights[w : w + n])
                          for b, w, n in zip(bo.tolist(), wo.tolist(), k.tolist())])
-        entries = {}
-        for zi, nb, c, e, lo, hi, n in zip(
-                z.tolist(), nbins.tolist(), map(tuple, coords.tolist()),
-                (tuple(map(tuple, e)) for e in ext.tolist()), cols["amin"].tolist(),
-                cols["amax"].tolist(), cols["count"].tolist()):
-            entries[zi] = LeafEntry(c, zi, e, Leaf(lo, hi, n, next(binnings) if nb else None))
-        return entries
+        return {zi: Leaf(c, e, lo, hi, n, next(binnings) if nb else None)
+                for zi, nb, c, e, lo, hi, n in zip(
+                    z.tolist(), nbins.tolist(), map(tuple, coords.tolist()),
+                    (tuple(map(tuple, e)) for e in ext.tolist()), cols["amin"].tolist(),
+                    cols["amax"].tolist(), cols["count"].tolist())}
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
         """Internal level `level`."""
@@ -863,9 +800,9 @@ def _floats(*parts) -> np.ndarray:
 
 def _leaf_tables(items: list, ndim: int) -> bytes:
     """The tables of a leaf level."""
-    binnings = [entry.leaf.binning for _, entry in items if entry.leaf.binning is not None]
-    nbins = np.array([0 if entry.leaf.binning is None else entry.leaf.binning.nbins
-                      for _, entry in items], "<u4")
+    binnings = [leaf.binning for _, leaf in items if leaf.binning is not None]
+    nbins = np.array([0 if leaf.binning is None else leaf.binning.nbins for _, leaf in items],
+                     "<u4")
     return _columns(*_common_columns(items, ndim), nbins,
                     _floats([b.boundaries for b in binnings], [b.weights for b in binnings]))
 
@@ -907,6 +844,23 @@ class _Cursor:
         _require(self.pos == self.end, self.where, f"tables end at byte {self.pos}, not {self.end}")
 
 
+def _read_meta(raw: bytes) -> dict:
+    """The metadata JSON of a saved index; DataError unless the indexed
+    attribute is one of the schema's, fanout_per_dim a power of two >= 2,
+    and bins and e integers >= 1."""
+    meta = json.loads(raw)
+    params = meta["params"]
+    _require(params["attribute"] in [n for n, _ in meta["schema"]["attributes"]], "metadata",
+             f"attribute {params['attribute']!r} is not in the schema")
+    fd = params["fanout_per_dim"]
+    _require(type(fd) is int and fd >= 2 and fd & (fd - 1) == 0, "metadata",
+             f"fanout_per_dim {fd!r} is not a power of two >= 2")
+    for key in ("bins", "e"):
+        _require(type(params[key]) is int and params[key] >= 1, "metadata",
+                 f"{key} {params[key]!r} is not an integer >= 1")
+    return meta
+
+
 def _read_tables(buf: bytes, version: int) -> tuple:
     """(metadata, columns per level) of a version-2 or version-3 file.  A
     version-2 file's leaf kinds and bitmaps are checked and its bin spans
@@ -922,7 +876,7 @@ def _read_tables(buf: bytes, version: int) -> tuple:
         raise DataError("header or tables fail their CRC32")
     pos = head + _DIRECTORY.size * nlevels
     directory = [_DIRECTORY.unpack_from(buf, head + _DIRECTORY.size * i) for i in range(nlevels)]
-    meta = json.loads(bytes(view[pos : pos + meta_len]))
+    meta = _read_meta(bytes(view[pos : pos + meta_len]))
     ndim = len(meta["schema"]["dims"])
     fd = meta["params"]["fanout_per_dim"]
     mb = -(-(fd**ndim) // 8)
@@ -982,7 +936,7 @@ def _walk_v1(buf: bytes) -> tuple:
     pos = 8
     meta_len = struct.unpack_from("<Q", buf, pos)[0]
     pos += 8
-    meta = json.loads(buf[pos : pos + meta_len])
+    meta = _read_meta(buf[pos : pos + meta_len])
     pos += meta_len
     nlevels = struct.unpack_from("<I", buf, pos)[0]
     pos += 4
@@ -1108,7 +1062,16 @@ def _unpack_bitvector(buf, pos) -> tuple:
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,
                 bins: int = 16, leaf_encoding: str | None = None, e: int = 4) -> Index:
-    """Build the full tree bottom-up over a chunk store.  `leaf_encoding`
-    is ignored: leaves hold no bitmaps, so no encoding shapes the tree; it
-    is accepted for callers written when it did."""
-    return Index.build(store, attribute, fanout, bins, e)
+    """Build the tree over a chunk store: an empty tree grown by every chunk
+    (:meth:`Index._grow`).  `fanout` is the children per node, by default
+    64 up to three dimensions and 256 above.  `leaf_encoding` is ignored:
+    leaves hold no bitmaps, so no encoding shapes the tree; it is accepted
+    for callers written when it did."""
+    schema = store.schema
+    attribute = attribute or schema.attributes[0][0]
+    schema.attr_type(attribute)  # validate
+    if fanout is None:
+        fanout = 64 if schema.ndim <= 3 else 256
+    idx = Index(schema, store, attribute, Fanout.from_total(fanout, schema.ndim), bins, e, [])
+    idx._grow(list(store.iter_chunks()), schema)
+    return idx

@@ -33,9 +33,9 @@ from math import ceil, floor, prod
 
 import numpy as np
 
-from .chunkstore import ArraySchema, ChunkStore, QueryStats, leaf_query
+from .chunkstore import ArraySchema, ChunkStore, Leaf, QueryStats, leaf_query
 from .errors import DataError, InputError
-from .hierindex import Index, LeafEntry
+from .hierindex import Index
 
 __all__ = [
     "RawQuery",
@@ -341,12 +341,12 @@ def _prepare(index: Index, query) -> Query:
     return query
 
 
-def _resolve_leaf(index: Index, entry: LeafEntry, query: Query, runs, stats):
+def _resolve_leaf(index: Index, leaf: Leaf, query: Query, runs, stats):
     store = index.store
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
-    chunk = store.chunks[entry.coords]
-    return leaf_query(chunk, entry.leaf, index.attribute, runs, query.dim_ranges, stats)
+    chunk = store.chunks[leaf.coords]
+    return leaf_query(chunk, leaf, index.attribute, runs, query.dim_ranges, stats)
 
 
 def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=None):

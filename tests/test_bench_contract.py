@@ -78,6 +78,9 @@ def test_build_and_append_record_a_span_in_every_write_layer(monkeypatch):
         after_build = built.count(name, [tracing.SETUP])
         assert after_build > 0, name
         assert appended.count(name, [tracing.SETUP]) > after_build, name
+    # a build grows an empty tree without going through the public append
+    assert built.count("hierindex.append", [tracing.SETUP]) == 0
+    assert appended.count("hierindex.append", [tracing.SETUP]) == 1
     # leaves hold no bitmaps: a tree build or append encodes none
     assert appended.count("bitvec.from_dense", [tracing.SETUP]) == 0
 
@@ -85,7 +88,7 @@ def test_build_and_append_record_a_span_in_every_write_layer(monkeypatch):
 def test_appended_workload_trees_match_a_full_build(monkeypatch):
     # every workload scaled small, built with the set-up's own keywords
     # (leaf_encoding included); the comparison packs every leaf with
-    # Index._pack_leaf(z, entry, ndim)
+    # Index._pack_leaf(z, leaf, ndim)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     checks = importlib.import_module("checks")
@@ -102,6 +105,7 @@ def test_appended_workload_trees_match_a_full_build(monkeypatch):
         full = hierindex.build_index(store, **params)
         assert checks.tree_difference(appended, full) is None, name
         # and the packed leaves tell one moved leaf minimum apart
-        entry = next(iter(appended.levels[0].values()))
-        entry.leaf = entry.leaf._replace(amin=entry.leaf.amin - 1.0)
+        leaves = appended.levels[0]
+        z, leaf = next(iter(leaves.items()))
+        leaves[z] = leaf._replace(amin=leaf.amin - 1.0)
         assert "leaf bytes differ" in checks.tree_difference(appended, full), name

@@ -182,7 +182,7 @@ def test_build_leaf_index_threshold():
     vals[0, :3] = [1.0, 2.0, 3.0]
     store = store_from(vals)
     leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, e=4)[0]
-    assert leaf == Leaf(1.0, 3.0, 3) and leaf.binning is None
+    assert leaf == Leaf((0, 0), ((0, 3), (0, 3)), 1.0, 3.0, 3) and leaf.binning is None
 
 
 def test_build_leaf_index_constant_chunk():

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from arraybit.chunkstore import ArraySchema, load_store, write_raw
+from arraybit.chunkstore import ArraySchema, QueryStats, load_store, write_raw
 from arraybit.cli import main, parse_query_text
 from arraybit.errors import InputError
-from arraybit.query import normalize
+from arraybit.hierindex import Index
+from arraybit.query import execute, normalize
 
 
 @pytest.fixture
@@ -101,6 +102,24 @@ def test_gen_build_query_estimate(tmp_path, capsys):
     lo = int(out.splitlines()[0].split()[1])
     hi = int(out.splitlines()[1].split()[1])
     assert lo <= count <= hi
+
+
+def test_query_stats_line_reports_the_counters_of_execute(tmp_path, capsys):
+    head = _gen(tmp_path)
+    idx = tmp_path / "arr.abix"
+    assert main(["build", "--data", str(head), "--index", str(idx),
+                 "--params", "bins=8", "fanout=16"]) == 0
+    loaded = Index.load(idx, store=load_store(head))
+    root = loaded.root
+    where = f"a >= {(root.amin + root.amax) / 4} and d0 in [3, 27]"
+    stats = QueryStats()
+    execute(loaded, parse_query_text(where, loaded.schema, loaded.attribute), stats)
+    assert stats.leaves_scanned > 0 and stats.candidate_checks > 0
+    capsys.readouterr()
+    assert main(["query", "--index", str(idx), "--data", str(head), "--where", where]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("stats ")]
+    assert lines == [f"stats nodes={stats.nodes_evaluated} fetched={stats.nodes_fetched} "
+                     f"scanned={stats.leaves_scanned} candidates={stats.candidate_checks}"]
 
 
 def test_query_expand_prints_cells(tmp_path, capsys):

@@ -18,10 +18,11 @@ from arraybit.hierindex import (
     _spread_weights,
     build_index,
     build_internal_node,
-    zorder_decode,
-    zorder_encode,
+    zorder_decode_many,
+    zorder_encode_many,
 )
-from testutil import reference_spread_weights
+from arraybit.query import RawQuery, execute
+from testutil import reference_spread_weights, zorder_decode, zorder_encode
 
 
 @pytest.fixture
@@ -53,11 +54,18 @@ def test_zorder_2d_convention():
     assert zorder_encode((1, 0), 3) == 1
     assert zorder_encode((0, 1), 3) == 2
     assert zorder_encode((1, 1), 3) == 3
+    corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert zorder_encode_many(corners, 3).tolist() == [0, 1, 2, 3]
 
 
 def test_zorder_overflow():
     with pytest.raises(InputError):
         zorder_encode((8,), 3)
+    for bad in ([[8]], [[-1]], [[0, 0], [3, 8]]):
+        with pytest.raises(InputError):
+            zorder_encode_many(np.array(bad), 3)
+    with pytest.raises(InputError):  # more than 63 bits of z-index
+        zorder_encode_many(np.zeros((1, 8), np.int64), 8)
 
 
 @settings(max_examples=80, deadline=None)
@@ -67,6 +75,26 @@ def test_zorder_roundtrip(seed, ndim, bits):
     coords = tuple(int(rng.integers(0, 1 << bits)) for _ in range(ndim))
     z = zorder_encode(coords, bits)
     assert zorder_decode(z, ndim, bits) == coords
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), ndim=st.integers(1, 4), bits=st.integers(1, 8),
+       n=st.integers(0, 20))
+def test_zorder_array_codec_matches_scalar_reference(seed, ndim, bits, n):
+    rng = np.random.default_rng(seed)
+    top = (1 << bits) - 1
+    coords = np.vstack((rng.integers(0, top + 1, size=(n, ndim)), np.zeros((1, ndim), np.int64),
+                        np.full((1, ndim), top)))
+    z = zorder_encode_many(coords, bits)
+    assert z.tolist() == [zorder_encode(tuple(c), bits) for c in coords.tolist()]
+    assert [tuple(c) for c in zorder_decode_many(z, ndim, bits).tolist()] == \
+        [zorder_decode(zi, ndim, bits) for zi in z.tolist()]
+    over = coords.copy()
+    over[-1, int(rng.integers(0, ndim))] = top + 1 + int(rng.integers(0, 3))
+    with pytest.raises(InputError):
+        zorder_encode(tuple(over[-1].tolist()), bits)
+    with pytest.raises(InputError):
+        zorder_encode_many(over, bits)
 
 
 def test_dimension_bitmaps_small():
@@ -274,7 +302,7 @@ def test_save_load_roundtrip(tmp_path):
     assert r1.al_masks == r2.al_masks
     for (z1, l1), (z2, l2) in zip(idx.levels[0].items(), loaded.levels[0].items()):
         assert z1 == z2
-        assert type(l1.leaf) is type(l2.leaf)
+        assert type(l1) is type(l2)
         assert l1.extent == l2.extent
 
 
@@ -356,6 +384,48 @@ def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fano
     full = build_index(store, **kw)
     assert full.depth >= 2
     assert appended.serialize() == full.serialize()
+
+
+def test_append_onto_an_empty_build_is_byte_identical_to_full_build():
+    store = grid_store((24, 20), (4, 4), seed=3)
+    idx = build_index(ChunkStore(store.schema, {}), fanout=16, bins=8)
+    assert idx.levels == [] and idx.root is None
+    idx.append(store)
+    assert idx.serialize() == build_index(store, fanout=16, bins=8).serialize()
+
+
+def _two_slab_index(tmp_path):
+    """A 32x16 array in 8x8 chunks, its index over rows 0-15 saved and
+    loaded without a store, the two slabs, and the whole store."""
+    sch = ArraySchema((("d0", 32), ("d1", 16)), (("a", "float64"),), (8, 8))
+    store = ChunkStore.from_dense(sch, {"a": np.random.default_rng(0).random((32, 16))})
+    first, rest = _slabs(store, 16)
+    build_index(first, fanout=4, bins=8).save(tmp_path / "first.abix")
+    return Index.load(tmp_path / "first.abix"), first, rest, store
+
+
+def test_store_less_append_keeps_the_loaded_leaves(tmp_path):
+    idx, _, rest, store = _two_slab_index(tmp_path)
+    idx.append(rest)
+    full = build_index(store, fanout=4, bins=8)
+    assert len(idx.levels[0]) == 8 and idx.root.count == 512
+    assert idx.serialize() == full.serialize()
+    assert idx.store is None  # no store until one is attached
+    idx.attach(store)
+    raw = RawQuery(attr_lo=0.25, attr_hi=0.5, dims={"d0": (5, 27)})
+    assert np.array_equal(execute(idx, raw).cell_ids(store), execute(full, raw).cell_ids(store))
+
+
+def test_store_less_append_rejects_chunks_the_leaves_hold(tmp_path):
+    idx, first, rest, store = _two_slab_index(tmp_path)
+    before = idx.serialize()
+    for again in (first, store):
+        with pytest.raises(InputError, match="collide"):
+            idx.append(again)
+    assert idx.serialize() == before and idx.schema == first.schema
+    idx.append(rest)
+    with pytest.raises(InputError, match="collide"):
+        idx.append(rest)
 
 
 def test_subnormal_bin_widths_give_finite_node_weights():

@@ -170,7 +170,7 @@ def test_dimension_match_full_cover_and_single_child():
     one = Query(root.amin, root.amax, (((4, 7),), ((8, 11),)))  # exactly chunk (1, 2)
     p, c = dimension_match(root, one, idx.dimbitmaps, idx)
     assert p == 0
-    from arraybit.hierindex import zorder_encode
+    from testutil import zorder_encode
 
     assert c == 1 << zorder_encode((1, 2), 3)
 

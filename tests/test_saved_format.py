@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, ChunkStore
+from arraybit.chunkstore import ArraySchema, ChunkStore, load_store, write_raw
 from arraybit.cli import main
 from arraybit.errors import DataError
-from arraybit.hierindex import Index, build_index
+from arraybit.hierindex import Fanout, Index, build_index
 from arraybit.query import RawQuery, estimate, execute, membership
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -170,3 +170,23 @@ def test_version_3_is_smaller_than_versions_1_and_2(make):
     size = len(make().serialize())
     for version in (1, 2):
         assert size < (FIXTURES / f"v{version}_{make.__name__}.idx").stat().st_size
+
+
+@pytest.mark.parametrize("field, value", [
+    ("attribute", "b"), ("fanout", -2), ("fanout", 3), ("fanout", 1), ("bins", "x"),
+    ("bins", 0), ("bins", 2.5), ("e", 0), ("e", True),
+])
+def test_bad_metadata_under_a_valid_crc_fails_with_data_error(field, value, tmp_path, capsys):
+    vals = np.random.default_rng(5).random((16, 8))
+    schema = _schema(vals.shape, (4, 4))
+    head = tmp_path / "arr.json"
+    write_raw(head, schema, {"a": vals})
+    idx = build_index(load_store(head), fanout=4, bins=4)
+    setattr(idx, field, Fanout(value, schema.ndim) if field == "fanout" else value)
+    path = tmp_path / "bad.abix"
+    path.write_bytes(idx.serialize())  # the CRC covers the bad field
+    with pytest.raises(DataError, match="metadata"):
+        Index.load(path)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--data", str(head), "--where", "b >= 0"]) == 2
+    assert "metadata" in capsys.readouterr().err

@@ -190,6 +190,33 @@ def reference_bitvector_bytes(bits) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# scalar reference of the array Z-order codec
+
+
+def zorder_encode(coords, bits: int) -> int:
+    """Interleave coordinates; dimension 0 takes the least significant slot."""
+    z = 0
+    n = len(coords)
+    for d, c in enumerate(coords):
+        c = int(c)
+        if c < 0 or c >= (1 << bits):
+            raise InputError(f"coordinate {c} does not fit in {bits} bits")
+        for t in range(bits):
+            if c >> t & 1:
+                z |= 1 << (t * n + d)
+    return z
+
+
+def zorder_decode(z: int, ndim: int, bits: int) -> tuple:
+    coords = [0] * ndim
+    for t in range(bits):
+        for d in range(ndim):
+            if z >> (t * ndim + d) & 1:
+                coords[d] |= 1 << t
+    return tuple(coords)
+
+
+# ---------------------------------------------------------------------------
 # per-chunk reference of the batched leaf builder
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
@@ -317,9 +344,11 @@ def reference_leaf(chunk, attr: str, bins: int, e: int = 4):
         return None
     live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
     if chunk.nonempty_count < e * bins:
-        return Leaf(float(live.min()), float(live.max()), chunk.nonempty_count)
+        return Leaf(chunk.coords, chunk.extent, float(live.min()), float(live.max()),
+                    chunk.nonempty_count)
     binning, span_lo, span_hi = reference_bins(live, bins)
-    return Leaf(float(span_lo[0]), float(span_hi[-1]), chunk.nonempty_count, binning)
+    return Leaf(chunk.coords, chunk.extent, float(span_lo[0]), float(span_hi[-1]),
+                chunk.nonempty_count, binning)
 
 
 def _reference_initial_selection(boundaries: np.ndarray, bins: int) -> np.ndarray:
