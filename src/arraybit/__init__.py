@@ -1,24 +1,7 @@
 """Hierarchical bitmap indexing for chunked multidimensional arrays."""
 
-from .bitvec import BitVector, complement, count_ones, logical
-from .errors import (
-    ArrayBitError,
-    DataError,
-    DegenerateDomainError,
-    InputError,
-    InternalError,
-)
+from .errors import ArrayBitError, DataError, InputError, InternalError
 
-__all__ = [
-    "ArrayBitError",
-    "BitVector",
-    "DataError",
-    "DegenerateDomainError",
-    "InputError",
-    "InternalError",
-    "complement",
-    "count_ones",
-    "logical",
-]
+__all__ = ["ArrayBitError", "DataError", "InputError", "InternalError"]
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +21,14 @@ class Binning:
     """Ordered bin boundaries plus per-bin weight estimates."""
 
     boundaries: np.ndarray  # float64, nbins + 1
-    weights: np.ndarray = field(default=None)  # float64, nbins
+    weights: np.ndarray  # float64, nbins
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, np.float64)
         object.__setattr__(self, "boundaries", b)
         if b.size < 2:
             raise InputError("a binning needs at least two boundaries")
-        w = self.weights
-        w = np.zeros(b.size - 1) if w is None else np.asarray(w, np.float64)
+        w = np.asarray(self.weights, np.float64)
         object.__setattr__(self, "weights", w)
         if w.size != b.size - 1:
             raise InputError("weights length must equal bin count")
@@ -52,18 +51,6 @@ class Binning:
     @property
     def nbins(self) -> int:
         return self.boundaries.size - 1
-
-    @property
-    def lo(self) -> float:
-        return float(self.boundaries[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.boundaries[-1])
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
     def __eq__(self, other):
         if not isinstance(other, Binning):

@@ -1,5 +1,11 @@
 """Run-length compressed bitvectors with word-aligned logical operations.
 
+The dims-as-attributes comparator (`baseline.DimsAttsIndex`) keeps its
+bitmaps in this form and answers a range from them with AND, OR and
+AND-NOT only; a version-1 saved index holds leaf bitmaps in it, read by
+``from_bytes`` and then dropped.  The index tree itself keeps no bitmaps
+over cells.
+
 Physical layout: a vector is a sequence of 64-bit words over 63-bit bit
 groups.  Bit index i is the i-th least significant logical bit; group
 g = i // 63 holds it at payload bit i % 63.
@@ -44,7 +50,6 @@ _HEADER = struct.Struct("<QQ")  # logical length, word count
 _OPS = {
     "and": np.bitwise_and,
     "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
 }
 
 
@@ -133,18 +138,6 @@ class BitVector:
         return cls(length, words)
 
     @classmethod
-    def ones(cls, length: int) -> "BitVector":
-        ngroups, rest = divmod(length, GROUP_BITS)
-        words = []
-        if ngroups == 1:
-            words.append(_ONES)
-        elif ngroups > 1:
-            words.append(_FILL_FLAG | _FILL_VALUE | np.uint64(ngroups))
-        if rest:
-            words.append(np.uint64((1 << rest) - 1))
-        return cls(length, np.array(words, np.uint64))
-
-    @classmethod
     def from_dense(cls, bits: np.ndarray) -> "BitVector":
         """One vector from a 1-d boolean array."""
         bits = np.asarray(bits, bool)
@@ -154,21 +147,12 @@ class BitVector:
 
     # -- introspection ------------------------------------------------
 
-    @property
-    def logical_length(self) -> int:
-        return self._n
-
     def __len__(self) -> int:
         return self._n
 
     @property
     def word_count(self) -> int:
         return self._words.size
-
-    @property
-    def words(self) -> np.ndarray:
-        """The compressed words; only to be read."""
-        return self._words
 
     def to_dense(self) -> np.ndarray:
         groups = self._words
@@ -192,22 +176,13 @@ class BitVector:
     def __or__(self, other: "BitVector") -> "BitVector":
         return logical("or", self, other)
 
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        return logical("xor", self, other)
-
     def andnot(self, other: "BitVector") -> "BitVector":
         return logical("andnot", self, other)
-
-    def __invert__(self) -> "BitVector":
-        return complement(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
         return self._n == other._n and np.array_equal(self._words, other._words)
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._words.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitVector(len={self._n}, words={self.word_count}, ones={self.count_ones()})"
@@ -241,7 +216,7 @@ class BitVector:
 
 
 def logical(op: str, a: BitVector, b: BitVector) -> BitVector:
-    """Apply a bitwise op to two equal-length vectors, run by run."""
+    """Apply "and", "or" or "andnot" to two equal-length vectors, run by run."""
     if a._n != b._n:
         raise InputError(f"length mismatch: {a._n} != {b._n}")
     if a._n == 0:
@@ -263,11 +238,3 @@ def logical(op: str, a: BitVector, b: BitVector) -> BitVector:
     lens = np.diff(ends, prepend=0)
     return BitVector(a._n, _compress_segments(merged, lens))
 
-
-def complement(a: BitVector) -> BitVector:
-    """Flip every bit below the logical length; padding bits stay zero."""
-    return logical("xor", a, BitVector.ones(a._n))
-
-
-def count_ones(a: BitVector) -> int:
-    return a.count_ones()

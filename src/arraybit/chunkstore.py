@@ -129,27 +129,6 @@ class ArraySchema:
         return ArraySchema(dims, self.attributes, self.chunk_shape, dict(self.empty_values))
 
 
-def locate(schema: ArraySchema, cell) -> tuple:
-    """Map a global cell to (chunk grid coords, local row-major offset)."""
-    cell = tuple(int(c) for c in cell)
-    if len(cell) != schema.ndim:
-        raise InputError("cell rank mismatch")
-    for c, e in zip(cell, schema.shape):
-        if not 0 <= c < e:
-            raise InputError(f"cell {cell} outside array extents {schema.shape}")
-    coords = tuple(c // s for c, s in zip(cell, schema.chunk_shape))
-    shape = chunk_shape_at(schema, coords)
-    local = tuple(c - g * s for c, g, s in zip(cell, coords, schema.chunk_shape))
-    return coords, int(np.ravel_multi_index(local, shape))
-
-
-def delocate(schema: ArraySchema, coords, offset: int) -> tuple:
-    """Inverse of :func:`locate`."""
-    shape = chunk_shape_at(schema, coords)
-    local = np.unravel_index(offset, shape)
-    return tuple(int(g * s + l) for g, s, l in zip(coords, schema.chunk_shape, local))
-
-
 def chunk_shape_at(schema: ArraySchema, coords) -> tuple:
     """Chunk shape at a grid position, clipped by the global shape."""
     return tuple(
@@ -606,30 +585,37 @@ def write_raw(header_path, schema: ArraySchema, data: dict, origin=None) -> None
     """Write one block of dense row-major data plus its sidecar header.
 
     If the header already exists, the block is appended and extents grow to
-    cover it; otherwise a fresh single-block header is written.
+    cover it; otherwise a fresh single-block header is written.  InputError,
+    before any file is written, for a header of other dimensions or
+    attributes, or a block at an origin the header already lists, whose
+    files it would overwrite.
     """
     header_path = Path(header_path)
     origin = tuple(int(o) for o in (origin or (0,) * schema.ndim))
-    shape = tuple(next(iter(data.values())).shape)
+    arrays = {name: np.ascontiguousarray(data[name], dtype=_DTYPES[typ])
+              for name, typ in schema.attributes}
+    shape = next(iter(arrays.values())).shape
+    if any(arr.shape != shape for arr in arrays.values()):
+        raise InputError("all attribute blocks must share one shape")
+    head = None
+    if header_path.exists():
+        held, blocks = read_header(header_path)
+        if held.dim_names != schema.dim_names or held.attributes != schema.attributes:
+            raise InputError(f"{header_path} holds an array of other dimensions or attributes")
+        if any(tuple(b["origin"]) == origin for b in blocks):
+            raise InputError(f"{header_path} already holds a block at origin {list(origin)}")
+        head = json.loads(header_path.read_text())
     stem = header_path.stem + "".join(f"_{o}" for o in origin)
     files = {}
     for name, typ in schema.attributes:
         fname = f"{stem}.{name}.bin"
-        arr = np.ascontiguousarray(data[name], dtype=_DTYPES[typ])
-        if tuple(arr.shape) != shape:
-            raise InputError("all attribute blocks must share one shape")
-        arr.astype("<f8" if typ == "float64" else "<i8").tofile(header_path.parent / fname)
+        arr = arrays[name].astype("<f8" if typ == "float64" else "<i8")
+        arr.tofile(header_path.parent / fname)
         files[name] = fname
     block = {"origin": list(origin), "shape": list(shape), "files": files}
-    if header_path.exists():
-        head = json.loads(header_path.read_text())
+    if head is not None:
         head["blocks"].append(block)
-        head["dims"] = [
-            [n, max(e, o + s)]
-            for (n, e), o, s in zip(
-                ((n, e) for n, e in head["dims"]), origin, shape
-            )
-        ]
+        head["dims"] = [[n, max(e, o + s)] for (n, e), o, s in zip(head["dims"], origin, shape)]
     else:
         empty = {
             name: (None if typ == "float64" and np.isnan(schema.empty_value(name))
@@ -647,25 +633,75 @@ def write_raw(header_path, schema: ArraySchema, data: dict, origin=None) -> None
     header_path.write_text(json.dumps(head, indent=1))
 
 
+def _ints(value, n: int | None = None) -> bool:
+    """Whether a JSON value is a list of integers (of length n if given)."""
+    return (isinstance(value, list) and (n is None or len(value) == n)
+            and all(type(v) is int for v in value))
+
+
+def _pairs(value, second: type) -> bool:
+    """Whether a JSON value is a list of [name, value] pairs."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is second
+        for p in value)
+
+
+_HEADER_FIELDS = (
+    ("dims", lambda v: _pairs(v, int), "a list of [name, extent] pairs"),
+    ("attributes", lambda v: _pairs(v, str), "a list of [name, type] pairs"),
+    ("chunk_shape", _ints, "a list of integers"),
+    ("blocks", lambda v: isinstance(v, list) and all(isinstance(b, dict) for b in v),
+     "a list of blocks"),
+)
+
+
 def read_header(header_path) -> tuple:
-    """Parse a sidecar header; returns (schema, blocks)."""
+    """Parse a sidecar header; returns (schema, blocks), every block with
+    its origin.  DataError, naming the field, for a field that is missing
+    or of the wrong form, a schema the fields do not make, or a block whose
+    rank is not the array's or that reaches past its extents."""
     header_path = Path(header_path)
     try:
         head = json.loads(header_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read header {header_path}: {exc}") from exc
-    if head.get("format") != "arraybit-raw-v1":
+    if not isinstance(head, dict) or head.get("format") != "arraybit-raw-v1":
         raise DataError(f"{header_path} is not an arraybit raw header")
-    empty = {
-        k: (float("nan") if v is None else v) for k, v in head.get("empty", {}).items()
-    }
-    schema = ArraySchema(
-        tuple((n, e) for n, e in head["dims"]),
-        tuple((n, t) for n, t in head["attributes"]),
-        tuple(head["chunk_shape"]),
-        empty,
-    )
-    return schema, head["blocks"]
+    for key, ok, form in _HEADER_FIELDS:
+        if key not in head:
+            raise DataError(f"{header_path}: header field {key!r} is missing")
+        if not ok(head[key]):
+            raise DataError(f"{header_path}: header field {key!r} is not {form}")
+    empty = head.get("empty", {})
+    if not isinstance(empty, dict) or not all(
+            v is None or type(v) in (int, float) for v in empty.values()):
+        raise DataError(f"{header_path}: header field 'empty' is not a map to numbers or null")
+    try:
+        schema = ArraySchema(
+            tuple(map(tuple, head["dims"])),
+            tuple(map(tuple, head["attributes"])),
+            tuple(head["chunk_shape"]),
+            {k: (float("nan") if v is None else v) for k, v in empty.items()},
+        )
+    except InputError as exc:
+        raise DataError(f"{header_path}: header schema: {exc}") from None
+    blocks = []
+    for i, block in enumerate(head["blocks"]):
+        origin, shape = block.get("origin", [0] * schema.ndim), block.get("shape")
+        for key, value in (("origin", origin), ("shape", shape)):
+            if not _ints(value, schema.ndim):
+                raise DataError(f"{header_path}: blocks[{i}].{key} is missing or not "
+                                f"{schema.ndim} integers")
+        files = block.get("files")
+        if not isinstance(files, dict) or not all(
+                isinstance(files.get(name), str) for name, _ in schema.attributes):
+            raise DataError(f"{header_path}: blocks[{i}].files does not name a file for "
+                            "every attribute")
+        if any(o < 0 or s < 0 or o + s > e for o, s, e in zip(origin, shape, schema.shape)):
+            raise DataError(f"{header_path}: blocks[{i}] at origin {origin} of shape {shape} "
+                            f"reaches past the extents {list(schema.shape)}")
+        blocks.append({**block, "origin": origin})
+    return schema, blocks
 
 
 def load_store(header_path, chunk_shape=None) -> ChunkStore:
@@ -679,8 +715,7 @@ def load_store(header_path, chunk_shape=None) -> ChunkStore:
         for name, typ in schema.attributes
     }
     for block in blocks:
-        origin = tuple(block.get("origin", (0,) * schema.ndim))
-        shape = tuple(block["shape"])
+        origin, shape = block["origin"], block["shape"]
         sl = tuple(slice(o, o + s) for o, s in zip(origin, shape))
         for name, typ in schema.attributes:
             path = header_path.parent / block["files"][name]

@@ -128,17 +128,17 @@ def _parse_params(pairs) -> dict:
 
 
 def _build_kwargs(params: dict) -> dict:
-    kw = {}
-    if "bins" in params:
-        kw["bins"] = int(params["bins"])
-    if "fanout" in params:
-        kw["fanout"] = int(params["fanout"])
-    if "e" in params:
-        kw["e"] = int(params["e"])
-    known = {"bins", "fanout", "e", "chunk"}
-    unknown = set(params) - known
+    unknown = set(params) - {"bins", "fanout", "e", "chunk"}
     if unknown:
         raise InputError(f"unknown --params keys: {sorted(unknown)}")
+    kw = {}
+    for key in ("bins", "fanout", "e"):
+        if key in params:
+            try:
+                kw[key] = int(params[key])
+            except ValueError:
+                raise InputError(
+                    f"--params {key} expects an integer, got {params[key]!r}") from None
     return kw
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunkstore import ArraySchema, ChunkStore, write_raw
+from .chunkstore import ArraySchema, write_raw
 from .errors import InputError
 
 _PD_RETRIES = 8
@@ -135,16 +135,6 @@ def generate_dense(spec: SumGaussSpec) -> np.ndarray:
     if spec.threshold > 0:
         vals[vals < spec.threshold] = np.nan
     return vals
-
-
-def generate_store(spec: SumGaussSpec, chunk_shape) -> ChunkStore:
-    """Generate and chunk in one step; all-empty tiles are dropped."""
-    schema = ArraySchema(
-        tuple((f"d{i}", e) for i, e in enumerate(spec.shape)),
-        (("a", "float64"),),
-        tuple(chunk_shape),
-    )
-    return ChunkStore.from_dense(schema, {"a": generate_dense(spec)})
 
 
 def generate(spec: SumGaussSpec, header_path, chunk_shape=None) -> None:

@@ -9,10 +9,6 @@ class InputError(ArrayBitError, ValueError):
     """A caller violated an operation's precondition."""
 
 
-class DegenerateDomainError(InputError):
-    """Attribute domain collapsed to a single value; caller should fall back."""
-
-
 class DataError(ArrayBitError):
     """Malformed or inconsistent data/index files."""
 

@@ -213,11 +213,7 @@ class TreeNode:
 
     def max_le_under(self, a: float) -> int:
         """Subset of children whose max is <= a."""
-        if a >= self.amax:
-            return self.child_mask
-        j = int(np.searchsorted(self.al_bounds, a, side="right")) - 1
-        over_alive_strict = self.child_mask if j < 0 else self.al_masks[j]
-        return self.child_mask & ~over_alive_strict
+        return self.child_mask if a >= self.amax else self.child_mask & ~self.alive_over(a)
 
 
 def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
@@ -592,30 +588,26 @@ class Index:
     def attach(self, store: ChunkStore) -> None:
         """Answer queries from `store`.  DataError unless its shape is the
         index's and its non-empty chunks, with their non-empty cell counts,
-        are exactly the leaves and the leaf counts: data that changed since
-        the index was built would give wrong answers."""
+        are exactly the leaves' coordinates and counts: data that changed
+        since the index was built would give wrong answers.  Each leaf looks
+        up its chunk: building a dict of chunk counts per side instead left
+        the range-2d queries after a load 3-5% slower (paired perfbench
+        runs on a shared 2-CPU x86-64 host)."""
         if store.schema.shape != self.schema.shape:
             raise DataError("store shape does not match the index schema")
-        grid, ndim = self.schema.chunk_grid, self.schema.ndim
-        counts = np.fromiter((c.nonempty_count for c in store.chunks.values()), np.int64,
-                             len(store.chunks))
-        coords = np.fromiter(itertools.chain.from_iterable(store.chunks), np.int64,
-                             counts.size * ndim).reshape(-1, ndim)
-        live = counts > 0
-        leaves = self.levels[0] if self.levels else {}
-        z = np.fromiter(leaves, np.uint64, len(leaves))
-        have = _by_chunk(coords[live], counts[live], grid)
-        want = _by_chunk(zorder_decode_many(z, ndim, self.fanout.bits * self.depth),
-                         np.fromiter((leaf.count for leaf in leaves.values()), np.int64, z.size),
-                         grid)
-        if have is None or not np.array_equal(have[0], want[0]):
-            raise DataError(f"the data's {int(live.sum())} non-empty chunks are not the "
-                            f"index's {z.size} leaves")
-        bad = np.flatnonzero(have[1] != want[1])
-        if bad.size:
-            at = tuple(int(c) for c in np.unravel_index(have[0][bad[0]], grid))
-            raise DataError(f"chunk {at} has {have[1][bad[0]]} non-empty cells, its leaf "
-                            f"{want[1][bad[0]]}")
+        chunks = store.chunks
+        leaves = self.levels[0].values() if self.levels else ()
+        live = sum(1 for chunk in chunks.values() if chunk.nonempty_count)
+        # as many non-empty chunks as leaves, each leaf's among them
+        if live != len(leaves) or not all(
+                leaf.coords in chunks and chunks[leaf.coords].nonempty_count for leaf in leaves):
+            raise DataError(f"the data's {live} non-empty chunks are not the "
+                            f"index's {len(leaves)} leaves")
+        bad = [(leaf.coords, chunks[leaf.coords].nonempty_count, leaf.count) for leaf in leaves
+               if chunks[leaf.coords].nonempty_count != leaf.count]
+        if bad:
+            at, have, want = min(bad)
+            raise DataError(f"chunk {at} has {have} non-empty cells, its leaf {want}")
         self.store = store
 
     @classmethod
@@ -728,16 +720,6 @@ class Index:
                 al_bounds=al_bounds[a : a + nal[i]], al_masks=al_masks[a : a + nal[i]],
             )
         return nodes
-
-
-def _by_chunk(coords: np.ndarray, counts: np.ndarray, grid: tuple):
-    """(row-major chunk ids in increasing order, counts in that order), or
-    None when a chunk lies outside the grid."""
-    if not ((coords >= 0) & (coords < grid)).all():
-        return None
-    ids = np.ravel_multi_index(coords.T, grid)
-    order = np.argsort(ids)
-    return ids[order], counts[order]
 
 
 def _require(ok, where: str, what: str) -> None:
@@ -856,9 +838,14 @@ def _read_meta(raw: bytes) -> dict:
     _require(type(fd) is int and fd >= 2 and fd & (fd - 1) == 0, "metadata",
              f"fanout_per_dim {fd!r} is not a power of two >= 2")
     for key in ("bins", "e"):
-        _require(type(params[key]) is int and params[key] >= 1, "metadata",
+        _require(_count_param(params[key]), "metadata",
                  f"{key} {params[key]!r} is not an integer >= 1")
     return meta
+
+
+def _count_param(value) -> bool:
+    """Whether a bins or e parameter is an int >= 1; bools are refused."""
+    return type(value) is int and value >= 1
 
 
 def _read_tables(buf: bytes, version: int) -> tuple:
@@ -1066,10 +1053,14 @@ def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | N
     (:meth:`Index._grow`).  `fanout` is the children per node, by default
     64 up to three dimensions and 256 above.  `leaf_encoding` is ignored:
     leaves hold no bitmaps, so no encoding shapes the tree; it is accepted
-    for callers written when it did."""
+    for callers written when it did.  InputError unless `bins` and `e` are
+    ints >= 1 (bools refused), the rule a load applies to saved ones."""
     schema = store.schema
     attribute = attribute or schema.attributes[0][0]
     schema.attr_type(attribute)  # validate
+    for key, value in (("bins", bins), ("e", e)):
+        if not _count_param(value):
+            raise InputError(f"{key} {value!r} is not an integer >= 1")
     if fanout is None:
         fanout = 64 if schema.ndim <= 3 else 256
     idx = Index(schema, store, attribute, Fanout.from_total(fanout, schema.ndim), bins, e, [])

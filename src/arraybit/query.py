@@ -276,21 +276,19 @@ def dimension_match(node, query: Query, dimbm, index: Index) -> tuple:
     return p, c
 
 
-def eval_node(node, query: Query, index: Index, stats: QueryStats | None = None,
-              runs=None) -> tuple:
+def eval_node(node, query: Query, index: Index, runs,
+              stats: QueryStats | None = None) -> tuple:
     """Combined (partial, complete) child masks for one node: complete
     children are complete for the attribute and the dimensions, partial
     ones overlap both and are not complete.
 
-    `runs` are the query's attribute runs (:func:`attribute_runs`); a
-    descent passes them in so they are derived once per query.
+    `runs` are the query's attribute runs (:func:`attribute_runs`), derived
+    once per query.  A node that no run, or no run of some dimension,
+    meets gets (0, 0): :func:`runs_match` then keeps no child, or
+    :func:`dimension_match` none along that dimension.
     """
     if stats is not None:
         stats.nodes_evaluated += 1
-    if runs is None:
-        runs = attribute_runs(index, query)
-    if _node_disjoint(node, query, runs):
-        return 0, 0
     p, c = runs_match(node, runs)
     p_dim, c_dim = dimension_match(node, query, index.dimbitmaps, index)
     c_star = c & c_dim & node.child_mask
@@ -375,7 +373,7 @@ def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=No
         elif d >= budget:
             yield "frontier", level, z, node
         else:
-            p_star, c_star = eval_node(node, query, index, stats, runs)
+            p_star, c_star = eval_node(node, query, index, runs, stats)
             base = z << slot_bits
             for slot in _iter_slots(p_star | c_star):
                 queue.append((level - 1, base | slot, bool(c_star >> slot & 1)))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import (
@@ -10,10 +9,8 @@ from arraybit.chunkstore import (
     Leaf,
     QueryStats,
     build_leaf_index,
-    delocate,
     leaf_query,
     load_store,
-    locate,
     write_raw,
 )
 from arraybit.errors import DataError, InputError
@@ -36,36 +33,6 @@ def store_from(values):
         chunk_shape=tuple(min(4, e) for e in values.shape),
     )
     return ChunkStore.from_dense(sch, {"a": values})
-
-
-def test_locate_basics():
-    sch = schema_2d()
-    assert locate(sch, (0, 0)) == ((0, 0), 0)
-    assert locate(sch, (5, 2)) == ((1, 0), 6)
-
-
-def test_locate_bounds():
-    sch = schema_2d()
-    with pytest.raises(InputError):
-        locate(sch, (8, 0))
-    with pytest.raises(InputError):
-        locate(sch, (0, -1))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_locate_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    extents = tuple(int(rng.integers(1, 30)) for _ in range(int(rng.integers(1, 4))))
-    chunk = tuple(int(rng.integers(1, 9)) for _ in extents)
-    sch = ArraySchema(
-        dims=tuple((f"d{i}", e) for i, e in enumerate(extents)),
-        attributes=(("a", "float64"),),
-        chunk_shape=chunk,
-    )
-    cell = tuple(int(rng.integers(0, e)) for e in extents)
-    coords, off = locate(sch, cell)
-    assert delocate(sch, coords, off) == cell
 
 
 def test_schema_requires_int_sentinel():

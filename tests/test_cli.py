@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -303,3 +304,81 @@ def test_exit_codes(tmp_path):
     assert main(["build", "--data", str(head), "--index", str(idx)]) == 0
     assert main(["query", "--index", str(idx), "--where", "nope > 3"]) == 1
     assert main(["nonsense"]) == 1
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def _drop(*keys):
+    def change(head):
+        part = head
+        for key in keys[:-1]:
+            part = part[key]
+        del part[keys[-1]]
+    return change
+
+
+def _put(value, *keys):
+    def change(head):
+        part = head
+        for key in keys[:-1]:
+            part = part[key]
+        part[keys[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("change, field", [
+    (_drop("blocks", 0, "files"), "blocks[0].files"),
+    (_drop("blocks", 0, "shape"), "blocks[0].shape"),
+    (_drop("dims"), "'dims'"),
+    (_put("d0 d1", "dims"), "'dims'"),
+    (_put([20, 0], "blocks", 0, "origin"), "blocks[0]"),
+    (_put([8], "chunk_shape"), "chunk_shape"),
+    (_put([["a", "float32"]], "attributes"), "attribute type"),
+])
+def test_build_refuses_a_malformed_raw_header(tmp_path, capsys, change, field):
+    head = _gen(tmp_path)
+    raw = json.loads(head.read_text())
+    change(raw)
+    head.write_text(json.dumps(raw))
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(["build", "--data", str(head), "--index", str(tmp_path / "x.abix")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arraybit: ") and field in err and "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("param", ["e=0", "e=-3", "bins=0", "bins=abc", "fanout=x", "e=1.5"])
+def test_build_refuses_parameters_a_load_refuses(tmp_path, capsys, param):
+    head = _gen(tmp_path)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    rc = main(["build", "--data", str(head), "--index", str(tmp_path / "x.abix"),
+               "--params", param])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("arraybit: ") and param.split("=")[0] in err
+    assert "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
+def test_gen_onto_an_existing_header_keeps_its_data(tmp_path, capsys):
+    head = _gen(tmp_path, shape="32x32")
+    before = _files(tmp_path)
+    capsys.readouterr()
+    rc = main(["gen", "--out", str(head), "--shape", "64x64", "--gaussians", "4",
+               "--seed", "3", "--chunk", "8x8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("arraybit: ") and "origin [0, 0]" in err
+    assert _files(tmp_path) == before
+    assert main(["build", "--data", str(head), "--index", str(tmp_path / "x.abix")]) == 0
+    # a block at a new origin is still appended
+    sch = ArraySchema((("d0", 8), ("d1", 32)), (("a", "float64"),), (8, 8))
+    write_raw(head, sch, {"a": np.ones((8, 32))}, origin=(32, 0))
+    assert load_store(head).schema.shape == (40, 32)
+    with pytest.raises(InputError, match="other dimensions or attributes"):
+        write_raw(head, ArraySchema((("x", 8),), (("a", "float64"),), (8,)),
+                  {"a": np.ones(8)}, origin=(40,))

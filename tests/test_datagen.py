@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arraybit.chunkstore import load_store
+from arraybit.chunkstore import ArraySchema, ChunkStore, load_store
 from arraybit.datagen import (
     _BLOCK_CELLS,
     SumGaussSpec,
@@ -12,7 +12,6 @@ from arraybit.datagen import (
     gaussian_params,
     generate,
     generate_dense,
-    generate_store,
 )
 from arraybit.errors import InputError
 from testutil import reference_field_values
@@ -30,7 +29,8 @@ def test_mode_value_identity_covariance():
 
 def test_threshold_above_max_empties_everything():
     spec = SumGaussSpec(shape=(16, 16), gaussians=2, seed=1, threshold=1e9)
-    store = generate_store(spec, (4, 4))
+    schema = ArraySchema((("d0", 16), ("d1", 16)), (("a", "float64"),), (4, 4))
+    store = ChunkStore.from_dense(schema, {"a": generate_dense(spec)})
     assert not store.chunks
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arraybit.binning import Binning
 from arraybit.chunkstore import ArraySchema, Chunk, ChunkStore, QueryStats
 from arraybit.cli import main
-from arraybit.datagen import SumGaussSpec, generate_store
+from arraybit.datagen import SumGaussSpec, generate_dense
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import (
     DimensionBitmaps,
@@ -242,6 +242,16 @@ def test_build_empty_store():
     assert idx.root is None
 
 
+@pytest.mark.parametrize("kw", [dict(bins=0), dict(e=0), dict(e=-3), dict(bins=True),
+                                dict(e=2.0), dict(bins="8"), dict(bins=np.int64(8))])
+def test_build_refuses_parameters_a_load_refuses(kw):
+    # the rule _read_meta applies to a saved index, also for a tree with no leaf
+    sch = ArraySchema((("d0", 8),), (("a", "float64"),), (4,))
+    for vals in (np.full(8, np.nan), np.arange(8.0)):
+        with pytest.raises(InputError, match="is not an integer >= 1"):
+            build_index(ChunkStore.from_dense(sch, {"a": vals}), **kw)
+
+
 def test_sparse_tree_node_count():
     # only chunks and their z-prefix ancestors materialize
     shape, chunk = (64, 64), (4, 4)
@@ -432,7 +442,8 @@ def test_subnormal_bin_widths_give_finite_node_weights():
     # far from every bump the field underflows to subnormal values, so leaf
     # bins a few 1e-320 wide; np.interp's slope overflowed on them
     spec = SumGaussSpec((128, 128), gaussians=4, seed=3, threshold=0)
-    store = generate_store(spec, (16, 16))
+    schema = ArraySchema((("d0", 128), ("d1", 128)), (("a", "float64"),), (16, 16))
+    store = ChunkStore.from_dense(schema, {"a": generate_dense(spec)})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         idx = build_index(store)
@@ -441,7 +452,7 @@ def test_subnormal_bin_widths_give_finite_node_weights():
     for level in idx.levels[1:]:
         for _, node in level.items():
             assert np.isfinite(node.binning.weights).all()
-            assert node.binning.total_weight == pytest.approx(node.count)
+            assert node.binning.weights.sum() == pytest.approx(node.count)
 
 
 def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
@@ -450,7 +461,7 @@ def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
     other = dummy_children(2e-320, 2.0, 8)
     node = build_internal_node([(0, narrow), (1, other)], 1, (0,), Fanout(2, 1), bins=16)
     assert np.isfinite(node.binning.weights).all()
-    assert node.binning.total_weight == pytest.approx(248.0)
+    assert node.binning.weights.sum() == pytest.approx(248.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -596,6 +607,11 @@ def test_stale_data_is_refused(tmp_path):
     moved[(9, 9)] = moved.pop((1, 2))
     with pytest.raises(DataError, match="16 non-empty chunks are not the index's 16 leaves"):
         Index.load(path, store=ChunkStore(store.schema, moved))
+    # the moved chunk leaves an empty one behind at the leaf's coordinates
+    moved[(1, 2)] = Chunk(chunk.coords, chunk.offsets, chunk.shape,
+                          {"a": np.full(chunk.shape, np.nan)}, np.zeros(chunk.shape, bool))
+    with pytest.raises(DataError, match="16 non-empty chunks are not the index's 16 leaves"):
+        Index.load(path, store=ChunkStore(store.schema, moved))
     assert Index.load(path, store=store).node_count() == idx.node_count()
 
 
@@ -612,4 +628,4 @@ def test_infinite_cell_gives_finite_root_weights():
     root = idx.root
     assert root.amax == np.inf and root.binning.boundaries[-1] == np.inf
     assert np.isfinite(root.binning.weights).all()
-    assert root.binning.total_weight == pytest.approx(root.count) and root.count == 1024
+    assert root.binning.weights.sum() == pytest.approx(root.count) and root.count == 1024

@@ -9,6 +9,7 @@ from arraybit.hierindex import build_index
 from arraybit.query import (
     Query,
     RawQuery,
+    attribute_runs,
     dimension_match,
     estimate,
     eval_node,
@@ -138,7 +139,7 @@ def test_eval_node_query_covering_everything():
     store, idx = make_index(fanout=64)
     root = idx.root
     q = Query(root.amin, root.amax, (((0, 31),), ((0, 31),)))
-    p_star, c_star = eval_node(root, q, idx)
+    p_star, c_star = eval_node(root, q, idx, attribute_runs(idx, q))
     assert c_star == root.child_mask
     assert p_star == 0
 
@@ -147,7 +148,16 @@ def test_eval_node_disjoint_attr():
     store, idx = make_index(fanout=64)
     root = idx.root
     q = Query(root.amax + 1, root.amax + 2, (((0, 31),), ((0, 31),)))
-    assert eval_node(root, q, idx) == (0, 0)
+    assert eval_node(root, q, idx, attribute_runs(idx, q)) == (0, 0)
+
+
+def test_eval_node_disjoint_dimension():
+    # no run of d1 meets the node: dimension_match keeps no child along d1
+    store, idx = make_index(fanout=64)
+    root = idx.root
+    for d1 in (((40, 50),), ((-9, -1), (32, 40)), ()):
+        q = Query(root.amin, root.amax, (((0, 31),), d1))
+        assert eval_node(root, q, idx, attribute_runs(idx, q)) == (0, 0)
 
 
 def test_eval_node_masks_disjoint():
@@ -157,7 +167,7 @@ def test_eval_node_masks_disjoint():
     for _ in range(50):
         raw = random_raw_query(rng, store.schema, root.amin, root.amax)
         q = normalize(raw, store.schema, (root.amin, root.amax))
-        p_star, c_star = eval_node(root, q, idx)
+        p_star, c_star = eval_node(root, q, idx, attribute_runs(idx, q))
         assert p_star & c_star == 0
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from arraybit.binning import Binning, wsse
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, Leaf
-from arraybit.errors import DataError, DegenerateDomainError, InputError
+from arraybit.errors import DataError, InputError
 from arraybit.hierindex import build_index
 from arraybit.query import RawQuery
 
@@ -244,8 +244,8 @@ def equi_width(lo: float, hi: float, k: int) -> Binning:
     if k < 1:
         raise InputError("bin count must be >= 1")
     if not lo < hi:
-        raise DegenerateDomainError(f"degenerate domain [{lo}, {hi}]")
-    return Binning(np.linspace(lo, hi, k + 1))
+        raise InputError(f"degenerate domain [{lo}, {hi}]")
+    return Binning(np.linspace(lo, hi, k + 1), np.zeros(k))
 
 
 def merged_weight(source: Binning, lo: float, hi: float) -> float:
@@ -278,7 +278,7 @@ def reference_equi_depth(values, counts, k: int) -> Binning:
     mids = np.unique((values[cuts - 1] + values[cuts]) / 2.0)
     mids = mids[(mids > values[0]) & (mids < values[-1])]
     boundaries = np.concatenate(([values[0]], mids, [values[-1]]))
-    binning = Binning(boundaries)
+    binning = Binning(boundaries, np.zeros(boundaries.size - 1))
     weights = np.bincount(bin_of(binning, values), weights=counts, minlength=binning.nbins)
     return Binning(boundaries, weights)
 
@@ -453,9 +453,10 @@ def reference_spread_weights(bounds, children) -> np.ndarray:
         cb = getattr(child, "binning", None)
         if cb is None:
             cb = Binning(np.array([child.amin, child.amax]), np.array([float(child.count)]))
-        if cb.lo == cb.hi:
-            j = min(int(np.searchsorted(bounds, cb.lo, side="right")) - 1, bounds.size - 2)
-            weights[j] += cb.total_weight
+        if cb.boundaries[0] == cb.boundaries[-1]:
+            j = min(int(np.searchsorted(bounds, cb.boundaries[0], side="right")) - 1,
+                    bounds.size - 2)
+            weights[j] += float(cb.weights.sum())
             continue
         cum = np.concatenate(([0.0], np.cumsum(cb.weights)))
         cdf = np.interp(bounds, cb.boundaries, cum)
