@@ -257,13 +257,12 @@ class Leaf(NamedTuple):
     binning: Binning | None = None
 
 
-def _bin_rows(cells: np.ndarray, live: np.ndarray, bins: int) -> tuple:
-    """:func:`equi_depth_exact` of each row of a (rows, cells) array whose
-    empty cells are NaN (they sort last); `live` counts each row's
-    non-empty cells."""
+def _bin_rows(ordered: np.ndarray, live: np.ndarray, bins: int) -> tuple:
+    """:func:`equi_depth_exact` of each row of a (rows, cells) array sorted
+    along its rows, whose empty cells are NaN (they sort last); `live`
+    counts each row's non-empty cells."""
     if not live.all():
         raise InputError("cannot index an all-empty column")
-    ordered = np.sort(cells, axis=1)
     if np.isnan(ordered[np.arange(live.size), live - 1]).any():
         raise InputError("cannot index NaN values")
     return equi_depth_exact(ordered, live, bins)
@@ -290,10 +289,13 @@ def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
         step = max(1, _BATCH_CELLS // ncells)
         for a in range(0, len(members), step):
             part = members[a : a + step]
-            values = np.stack([chunks[i].values_flat(attr) for i in part])
+            # the batch's one copy: stacked as float64, emptied to NaN and
+            # sorted in place
+            cells = np.stack([chunks[i].values_flat(attr) for i in part], dtype=np.float64)
             nonempty = np.stack([chunks[i].nonempty.reshape(-1) for i in part])
-            binnings, _, _ = _bin_rows(np.where(nonempty, values, np.nan),
-                                       nonempty.sum(axis=1), bins)
+            np.copyto(cells, np.nan, where=~nonempty)
+            cells.sort(axis=1)
+            binnings, _, _ = _bin_rows(cells, nonempty.sum(axis=1), bins)
             for i, binning in zip(part, binnings):
                 c, bounds = chunks[i], binning.boundaries
                 leaves[i] = Leaf(c.coords, c.extent, float(bounds[0]), float(bounds[-1]),
@@ -359,7 +361,7 @@ class BinnedBitmapIndex:
         """
         cells = np.where(nonempty, values, np.nan)
         (binning,), span_lo, span_hi = _bin_rows(
-            cells[None], np.array([np.count_nonzero(nonempty)]), bins)
+            np.sort(cells)[None], np.array([np.count_nonzero(nonempty)]), bins)
         at = np.searchsorted(binning.boundaries[1:-1], cells, side="right")
         at[~nonempty] = -1
         windows = _windows(encoding, binning.nbins)
@@ -467,17 +469,28 @@ def _box(chunk: Chunk, dim_runs) -> tuple:
     """The chunk-local box from the first run's low to the last run's high
     end per dimension, clipped to the chunk, and the box's non-empty cells
     that lie in the runs: a 1-D slab mask is ANDed only for a dimension
-    with more than one run."""
+    with more than one run.  (Plain comparisons, not min and max: this runs
+    once per resolved leaf.)"""
     box, slabs = [], []
-    for d, (runs, o, s) in enumerate(zip(dim_runs, chunk.offsets, chunk.shape)):
-        lo, hi = (0, s - 1) if runs is None else (runs[0][0] - o, runs[-1][1] - o)
-        lo, hi = max(lo, 0), min(hi, s - 1)
-        box.append(slice(lo, max(hi + 1, lo)))
-        if runs is not None and len(runs) > 1:
-            slab = np.zeros(max(hi + 1 - lo, 0), bool)
+    ndim = len(chunk.shape)
+    for runs, o, s in zip(dim_runs, chunk.offsets, chunk.shape):
+        if runs is None:
+            box.append(slice(0, s))
+            continue
+        lo, hi = runs[0][0] - o, runs[-1][1] + 1 - o
+        if lo < 0:
+            lo = 0
+        if hi > s:
+            hi = s
+        if hi < lo:
+            hi = lo
+        if len(runs) > 1:
+            slab = np.zeros(hi - lo, bool)
             for a, b in runs:
                 slab[max(a - o - lo, 0) : max(b + 1 - o - lo, 0)] = True
-            slabs.append(slab.reshape([-1 if i == d else 1 for i in range(len(chunk.shape))]))
+            d = len(box)
+            slabs.append(slab.reshape([-1 if i == d else 1 for i in range(ndim)]))
+        box.append(slice(lo, hi))
     box = tuple(box)
     nonempty = chunk.nonempty[box]
     for slab in slabs:
@@ -485,13 +498,31 @@ def _box(chunk: Chunk, dim_runs) -> tuple:
     return box, nonempty
 
 
-def _int_base(leaf, vals: np.ndarray, cell_count: int):
-    """amin of the leaf as an int, for an integer column whose [amin, amax]
-    is exact in float64 and holds at most `cell_count` integers; else None."""
-    amin, amax = leaf.amin, leaf.amax
-    if vals.dtype.kind == "i" and amax - amin + 1 <= cell_count and -2**53 <= amin and amax <= 2**53:
+def _int_base(amin: float, amax: float, cells: int):
+    """The integer at the first entry of a lookup table over [amin, amax]
+    of an integer column, or None when no table of at most `cells` entries
+    spans it exactly in float64.  The base is 0 when 0..amax fits, so the
+    values index the table unshifted; else amin."""
+    if 0 <= amin and amax < cells:
+        return 0
+    if amax - amin + 1 <= cells and -2**53 <= amin and amax <= 2**53:
         return int(amin)
     return None
+
+
+def _spans(runs, amin: float, amax: float, base: int) -> list:
+    """The integers of each run within [amin, amax], as inclusive offsets
+    from `base`; a run holding none gives a > b."""
+    return [(math.ceil(max(lo, amin)) - base, math.floor(min(hi, amax)) - base)
+            for lo, hi in runs]
+
+
+def _lut(spans, size: int) -> np.ndarray:
+    lut = np.zeros(size, bool)
+    for a, b in spans:
+        if a <= b:
+            lut[a : b + 1] = True
+    return lut
 
 
 def _match_runs(vals: np.ndarray, runs, leaf, cell_count: int) -> np.ndarray:
@@ -499,27 +530,43 @@ def _match_runs(vals: np.ndarray, runs, leaf, cell_count: int) -> np.ndarray:
     [amin, amax] of the leaf; others (empty cells) may match.
 
     One run takes two comparisons.  More runs take a lookup table over
-    [amin, amax] when :func:`_int_base` allows one, else :func:`in_runs`.
+    [amin, amax] when :func:`_int_base` allows one for the chunk's
+    `cell_count`, else :func:`in_runs`.
     """
-    base = _int_base(leaf, vals, cell_count)
+    amin, amax = leaf.amin, leaf.amax
+    base = _int_base(amin, amax, cell_count) if vals.dtype.kind == "i" else None
     if base is None:
         if len(runs) == 1:
             lo, hi = runs[0]
             return (vals >= lo) & (vals <= hi)
         return in_runs(vals, runs)
-    # the integers of each run within [amin, amax], as offsets from amin
-    amin, amax = leaf.amin, leaf.amax
-    spans = [(math.ceil(max(lo, amin)) - base, math.floor(min(hi, amax)) - base)
-             for lo, hi in runs]
+    spans = _spans(runs, amin, amax, base)
     if len(spans) == 1:  # integer bounds: the values are not converted to float
         a, b = spans[0]
         return (vals >= base + a) & (vals <= base + b)
-    lut = np.zeros(int(amax) - base + 1, bool)
-    for a, b in spans:
-        if a <= b:
-            lut[a : b + 1] = True
-    return lut.take(vals - base, mode="clip")
+    return _lut(spans, int(amax) - base + 1).take(vals - base if base else vals, mode="clip")
 
+
+def run_matcher(runs, integral: bool, amin: float, amax: float, cells: int):
+    """How the leaves of one query match their values against its runs: a
+    function of (values, the leaf's runs, leaf, chunk cell count) giving a
+    fresh mask, exact for the leaf's non-empty values.
+
+    For an integer column and two or more runs, one lookup table over the
+    column's [amin, amax], built here once, when :func:`_int_base` allows
+    one for `cells`, the cells the query scans at most; every leaf then
+    matches with one `take`.  Otherwise each leaf matches by its own rules
+    (:func:`_match_runs`).
+    """
+    base = _int_base(amin, amax, cells) if integral and len(runs) > 1 else None
+    if base is None:
+        return _match_runs
+    lut = _lut(_spans(runs, amin, amax, base), int(amax) - base + 1)
+
+    def match(vals, leaf_runs, leaf, cell_count):
+        return lut.take(vals - base if base else vals, mode="clip")
+
+    return match
 
 
 def leaf_query(
@@ -529,27 +576,31 @@ def leaf_query(
     runs,
     dim_runs,
     stats: QueryStats | None = None,
+    match=_match_runs,
 ) -> np.ndarray:
-    """Exact matching cells of one chunk, as a fresh flat boolean array.
+    """Exact matching cells of one chunk inside the query's box, as a
+    boolean array of the box's shape.
 
     runs are the attribute constraint as sorted, disjoint inclusive
     (lo, hi) value runs: one run for a range query, one per value (or per
     stretch of consecutive integers) for a membership query.  dim_runs
     hold per dimension the sorted, disjoint inclusive (lo, hi) index runs
     in array coordinates, which may reach past the chunk (None for the
-    chunk's whole extent); the chunk's offsets make them local.  The
-    chunk's arrays are only read.
+    chunk's whole extent); the chunk's offsets make them local.  The box
+    spans them, clipped to the chunk (see :func:`_box`), and a dimension
+    with more than one run also masks it by a 1-D slab.  The chunk's
+    arrays are only read: the answer is a fresh array, or for a leaf that
+    a run covers the box's non-empty mask, which may be a read-only view
+    of the chunk's.
 
-    Runs that miss [amin, amax] of the leaf are dropped; with none left the
-    answer is empty.  The box spans the dimension runs (see :func:`_box`);
-    a dimension with more than one run also masks the box by a 1-D slab.
-    A run covering [amin, amax] answers with the non-empty cells of the
-    box in the dimension runs.  Otherwise the values in the box are
-    scanned: one run by two comparisons, several by a lookup table over
-    [amin, amax] or by :func:`in_runs` (see :func:`_match_runs`), and the
-    hits are written into the box of a fresh zero array.  The non-empty
-    cells of the box in the dimension runs count as `candidate_checks`.
-    No bitmap is read.
+    Runs that miss [amin, amax] of the leaf are dropped; with none left no
+    cell hits.  A run covering [amin, amax] answers with the non-empty
+    cells of the box in the dimension runs.  Otherwise the values in the
+    box are scanned by `match`: per leaf, one run by two comparisons and
+    several by a lookup table over [amin, amax] or by :func:`in_runs` (see
+    :func:`_match_runs`), or one table for the whole query
+    (:func:`run_matcher`).  The non-empty cells of the box in the
+    dimension runs count as `candidate_checks`.  No bitmap is read.
 
     Leaves hold no bitmaps to resolve from: the source paper's leaf
     bitmaps spare reading cell values from disk, and here every chunk is
@@ -561,20 +612,17 @@ def leaf_query(
     64x64 to 1024x1024 cells.
     """
     runs = _overlapping(runs, leaf)
-    if not runs:
-        return np.zeros(chunk.cell_count, bool)
     box, nonempty = _box(chunk, dim_runs)
-    out = np.zeros(chunk.shape, bool)
+    if not runs:
+        return np.zeros(nonempty.shape, bool)
     if any(lo <= leaf.amin and leaf.amax <= hi for lo, hi in runs):
-        out[box] = nonempty
-        return out.reshape(-1)
-    hits = _match_runs(chunk.values[attr][box], runs, leaf, chunk.cell_count)
+        return nonempty
+    hits = match(chunk.values[attr][box], runs, leaf, chunk.cell_count)
     hits &= nonempty
-    out[box] = hits
     if stats is not None:
         stats.leaves_scanned += 1
         stats.candidate_checks += int(np.count_nonzero(nonempty))
-    return out.reshape(-1)
+    return hits
 
 
 # ---------------------------------------------------------------------------

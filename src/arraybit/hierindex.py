@@ -455,12 +455,13 @@ class Index:
         if not levels[0]:
             self.levels = []
             return
-        affected = {zi >> fo.slot_bits for zi in z}
+        bits = fo.slot_bits
+        affected = {zi >> bits for zi in z}
         for level in range(1, depth + 1):
             rebuilt = self._build_level(level, depth, levels[level - 1],
                                         None if level > old_depth else affected)
             levels[level].update(rebuilt)
-            affected = {pz >> fo.slot_bits for pz in rebuilt}
+            affected = {pz >> bits for pz in rebuilt}
         if len(levels[depth]) != 1:
             raise InternalError("the tree did not converge to a single root")
         self.levels = [dict(sorted(nodes.items())) for nodes in levels]
@@ -469,11 +470,13 @@ class Index:
         """The level-`level` parents of the nodes in `below`, the level under
         them: all of them, or only those whose z is in `parents`."""
         fo = self.fanout
+        bits = fo.slot_bits
+        slot = (1 << bits) - 1
         groups: dict = {}
         for z, node in sorted(below.items()):  # children in z order
-            pz = z >> fo.slot_bits
+            pz = z >> bits
             if parents is None or pz in parents:
-                groups.setdefault(pz, []).append((z & ((1 << fo.slot_bits) - 1), node))
+                groups.setdefault(pz, []).append((z & slot, node))
         coords = zorder_decode_many(np.fromiter(groups, np.int64, len(groups)), fo.ndim,
                                     fo.bits * (depth - level))
         out = {}

@@ -6,13 +6,17 @@ A query is answered in a single descent: at every node the children are
 matched as partial or complete for the attribute and for the dimensions,
 and the two combine into the children to take whole and those to descend.
 Complete children are taken whole without touching cell data; partial
-children are descended and, at the leaves, resolved exactly into a flat
-boolean array over the chunk's cells, which stays the leaf's only form
-until cell ids.  A partial leaf is resolved by a scan of the values in
-the query's box of its chunk (`chunkstore.leaf_query`); leaves hold no
-bitmaps, since every chunk is resident, and on the 4096-cell chunks of the
-benchmark the scan costs less than decoding one bitmap would.  Internal
-nodes are matched from their child-slot bitmaps.
+children are descended down to the leaves.  The partial leaves are then
+resolved exactly, straight into one boolean answer over the query's box
+(per dimension from the first run's low to the last run's high end,
+clipped to the array), which holds every complete region too; row-major
+order in that box is global order, so cell ids need no sort.  A partial
+leaf is resolved by a scan of the values in its chunk's part of the box
+(`chunkstore.leaf_query`), with the attribute runs matched by one matcher
+per query (`chunkstore.run_matcher`); leaves hold no bitmaps, since every
+chunk is resident, and on the 4096-cell chunks of the benchmark the scan
+costs less than decoding one bitmap would.  Internal nodes are matched
+from their child-slot bitmaps.
 
 The attribute constraint is a list of sorted, disjoint value runs: a range
 query is one run, a membership query one run per value (consecutive
@@ -33,7 +37,7 @@ from math import ceil, floor, prod
 
 import numpy as np
 
-from .chunkstore import ArraySchema, ChunkStore, Leaf, QueryStats, leaf_query
+from .chunkstore import ArraySchema, ChunkStore, QueryStats, leaf_query, run_matcher
 from .errors import DataError, InputError
 from .hierindex import Index
 
@@ -93,50 +97,67 @@ class CompleteRegion:
 
 
 class ResultSet:
-    """Complete regions plus, per partial chunk, the flat boolean array of
-    its hits in row-major cell order, as leaf resolution returned it."""
+    """Complete regions, plus the partial leaves' hits in one boolean
+    answer array.
+
+    `answer` covers the query's box at `origin` (see :func:`_resolve`),
+    and leaf resolution wrote each leaf's hits into it; it is None when no
+    leaf was resolved.  `partial` maps the coordinates of each partial
+    chunk with at least one hit to its hit count.
+    """
 
     def __init__(self, schema: ArraySchema):
         self.schema = schema
         self.complete: list[CompleteRegion] = []
-        self.partial: dict = {}  # chunk coords -> flat boolean hits
+        self.partial: dict = {}  # chunk coords -> hit count
+        self.origin: tuple | None = None
+        self.answer: np.ndarray | None = None
 
     @property
     def count(self) -> int:
-        return sum(r.count for r in self.complete) + sum(
-            int(np.count_nonzero(hits)) for hits in self.partial.values()
-        )
+        return sum(r.count for r in self.complete) + sum(self.partial.values())
 
     def cell_ids(self, store: ChunkStore) -> np.ndarray:
         """All matching cells as global row-major ids, strictly increasing.
 
-        Each piece (a complete chunk's non-empty mask, a partial chunk's
-        hits) is copied into one boolean array over the pieces' bounding
-        box; row-major order in the box is global order, so no sort.
+        The non-empty mask of every chunk under a complete region is
+        written into the answer, which holds them all (or into one over
+        those chunks' bounding box when no leaf was resolved); row-major
+        order in the box is global order, so one `np.flatnonzero` and no
+        sort.
         """
-        pieces = [(store.chunks[coords], hits) for coords, hits in self.partial.items()]
         cs = self.schema.chunk_shape
+        chunks = []
         for region in self.complete:
             grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(region.extent, cs))
             for coords in itertools.product(*grid):
                 chunk = store.chunks.get(coords)
                 if chunk is not None:
-                    pieces.append((chunk, chunk.nonempty))
-        if not pieces:
-            return np.empty(0, np.int64)
-        lo = np.min([c.offsets for c, _ in pieces], axis=0)
-        box = np.zeros(np.max([np.add(c.offsets, c.shape) for c, _ in pieces], axis=0) - lo, bool)
-        for c, block in pieces:
+                    chunks.append(chunk)
+        lo, box = self.origin, self.answer
+        if box is None:
+            if not chunks:
+                return np.empty(0, np.int64)
+            lo = np.min([c.offsets for c in chunks], axis=0)
+            box = np.zeros(np.max([np.add(c.offsets, c.shape) for c in chunks], axis=0) - lo,
+                           bool)
+        for c in chunks:
             at = tuple(slice(o - l, o - l + s) for o, l, s in zip(c.offsets, lo, c.shape))
-            box[at] = block.reshape(c.shape)
+            box[at] = c.nonempty
         ids = np.flatnonzero(box)
         shape = self.schema.shape
-        out = ids + int(np.ravel_multi_index(tuple(lo), shape))
-        for d in range(len(shape) - 1):  # the array cells the box skips per step along d
-            gap = prod(shape[d + 1:]) - box.shape[d + 1] * prod(shape[d + 2:])
+        for d in reversed(range(len(shape) - 1)):
+            # the ids already count the dimensions after d as the array
+            # does; a step along d spans `row` of them, `gap` fewer than
+            # the array's step
+            row = box.shape[d + 1] * prod(shape[d + 2:])
+            gap = prod(shape[d + 1:]) - row
             if gap:
-                out += ids // prod(box.shape[d + 1:]) * gap
-        return out
+                step = ids // row
+                step *= gap
+                ids += step
+        ids += int(np.ravel_multi_index(tuple(lo), shape))
+        return ids
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +360,38 @@ def _prepare(index: Index, query) -> Query:
     return query
 
 
-def _resolve_leaf(index: Index, leaf: Leaf, query: Query, runs, stats):
+def _resolve(index: Index, query: Query, runs, leaves: list, stats) -> tuple:
+    """Resolve the partial `leaves` into one boolean answer over the query's
+    box: per dimension from the first run's low to the last run's high
+    end, clipped to the array.  Returns (origin, answer, hit count per
+    chunk with a hit).
+
+    The box holds every complete region, whose extent some run covers per
+    dimension.  :func:`leaf_query` answers for a leaf's extent within the
+    box, and only a leaf with a hit is copied in.  The attribute runs are
+    matched by one matcher for all the leaves, sized by their chunks'
+    cells.
+    """
     store = index.store
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
-    chunk = store.chunks[leaf.coords]
-    return leaf_query(chunk, leaf, index.attribute, runs, query.dim_ranges, stats)
+    box = [(max(r[0][0], 0), min(r[-1][1], e - 1))
+           for r, e in zip(query.dim_ranges, index.schema.shape)]
+    origin = tuple(lo for lo, _ in box)
+    answer = np.zeros([hi + 1 - lo for lo, hi in box], bool)
+    root = index.root
+    match = run_matcher(runs, index.schema.attr_type(index.attribute) == "int64", root.amin,
+                        root.amax, len(leaves) * prod(index.schema.chunk_shape))
+    hits = {}
+    chunks, attr, dim_runs = store.chunks, index.attribute, query.dim_ranges
+    for leaf in leaves:
+        found = leaf_query(chunks[leaf.coords], leaf, attr, runs, dim_runs, stats, match)
+        n = np.count_nonzero(found)
+        if n:
+            answer[tuple([slice(max(a, lo) - lo, min(b, hi) + 1 - lo)
+                          for (a, b), (lo, hi) in zip(leaf.extent, box)])] = found
+            hits[leaf.coords] = int(n)
+    return origin, answer, hits
 
 
 def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=None):
@@ -385,13 +432,14 @@ def execute(index: Index, query, stats: QueryStats | None = None,
     query = _prepare(index, query)
     runs = attribute_runs(index, query)
     rs = ResultSet(index.schema)
+    leaves = []
     for kind, level, z, node in _descend(index, query, runs, index.depth, stats, trace):
         if kind == "complete":
             rs.complete.append(CompleteRegion(level, z, node.extent, node.count))
-            continue
-        hits = _resolve_leaf(index, node, query, runs, stats)
-        if hits.any():
-            rs.partial[node.coords] = hits
+        else:
+            leaves.append(node)
+    if leaves:
+        rs.origin, rs.answer, rs.partial = _resolve(index, query, runs, leaves, stats)
     return rs
 
 
@@ -417,11 +465,14 @@ def estimate(index: Index, query, level_budget: int,
     query = _prepare(index, query)
     runs = attribute_runs(index, query)
     lo = frontier = 0
+    leaves = []
     for kind, _, _, node in _descend(index, query, runs, level_budget, stats):
         if kind == "complete":
             lo += node.count
         elif kind == "leaf":
-            lo += int(np.count_nonzero(_resolve_leaf(index, node, query, runs, stats)))
+            leaves.append(node)
         else:
             frontier += node.count
+    if leaves:
+        lo += sum(_resolve(index, query, runs, leaves, stats)[2].values())
     return lo, lo + frontier

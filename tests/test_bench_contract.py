@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from arraybit import hierindex
+from arraybit import hierindex, query
+from arraybit.baseline import full_scan
 from arraybit.chunkstore import ChunkStore
 from arraybit.query import RawQuery, execute
 from testutil import random_index, random_store
@@ -25,27 +26,49 @@ def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
 
     store, idx = random_index(np.random.default_rng(2), (32, 32), (4, 4), 0.3, fanout=16)
     root = idx.root
-    raw = RawQuery(attr_lo=root.amin, attr_hi=(root.amin + root.amax) / 2,
-                   dims={"d0": (3, 20)})
+    mid = (root.amin + root.amax) / 2
+    raws = [
+        RawQuery(attr_lo=root.amin, attr_hi=mid, dims={"d0": (3, 20)}),
+        RawQuery(values=tuple(_live(store, (1, 1))[:2]) + (_live(store, (5, 2))[0],),
+                 dims={"d1": (0, 25)}),
+        RawQuery(attr_lo=mid, dim_values={"d0": {2, 3, 9, 17, 30}, "d1": {5, 6, 7, 20}}),
+        RawQuery(attr_hi=root.amax + 1.0, dims={"d0": (4, 11)}),  # complete regions only
+    ]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        tracer.qid = 0
-        rs = execute(idx, raw)
-        ids = rs.cell_ids(store)
+        answers = []
+        for qid, raw in enumerate(raws):
+            tracer.qid = qid
+            rs = execute(idx, raw)
+            answers.append((rs, rs.cell_ids(store)))
     finally:
         tracer.uninstall()
     for (owner, attr), fn in originals.items():
         assert vars(owner)[attr] is fn
 
     table = tracer.table()
-    leaf = table.select("chunkstore.leaf_query", [0])
-    assert leaf.any()
-    assert set(table.work[leaf].tolist()) <= {0, 1}
-    assert table.work[leaf].sum() == len(rs.partial)
-    assert table.count("query.cell_ids", [0]) == 1
-    assert table.count("bitvec.from_dense", [0]) == 0  # nothing encoded by a query
-    assert ids.size == rs.count > 0
+    assert all(rs.partial for rs, _ in answers[:3]) and answers[3][0].complete
+    for qid, (raw, (rs, ids)) in enumerate(zip(raws, answers)):
+        # one leaf span per partial leaf of the descent: query.leaves_resolved
+        # and query.leaf_yield_ratio count leaves
+        q = query.normalize(raw, idx.schema, (root.amin, root.amax))
+        kinds = [kind for kind, *_ in query._descend(idx, q, query.attribute_runs(idx, q),
+                                                     idx.depth)]
+        leaf = table.select("chunkstore.leaf_query", [qid])
+        assert leaf.sum() == kinds.count("leaf"), qid
+        assert set(table.work[leaf].tolist()) <= {0, 1}
+        assert table.work[leaf].sum() == len(rs.partial), qid
+        assert table.count("query.cell_ids", [qid]) == 1
+        assert table.count("bitvec.from_dense", [qid]) == 0  # nothing encoded by a query
+        assert ids.size == rs.count
+        assert np.array_equal(ids, full_scan(store, "a", q))
+    assert not table.select("chunkstore.leaf_query", [3]).any()
+
+
+def _live(store, coords) -> list:
+    chunk = store.chunks[coords]
+    return chunk.values["a"][chunk.nonempty].tolist()
 
 
 WRITE_LAYERS = (

@@ -221,8 +221,10 @@ def test_leaf_query_matches_bruteforce(encoding):
             & (coords[0] >= dims[0][0][0]) & (coords[0] <= dims[0][0][1])
             & (coords[1] >= dims[1][0][0]) & (coords[1] <= dims[1][0][1])
         )
-        assert got.dtype == bool and got.shape == (chunk.cell_count,)
-        assert np.array_equal(got, want), trial
+        box = tuple(slice(lo, hi + 1) for ((lo, hi),) in dims)
+        assert got.dtype == bool and got.shape == want.reshape(shape)[box].shape
+        assert np.array_equal(got, want.reshape(shape)[box]), trial
+        assert np.count_nonzero(got) == np.count_nonzero(want)  # no hit outside the box
         nonempty = ~np.isnan(flat)
         bitmaps = BinnedBitmapIndex.build(flat, nonempty, 4, encoding)
         certain, cand = (v.to_dense() for v in bitmaps.range_query(lo, hi))
@@ -240,7 +242,7 @@ def test_leaf_query_full_range_returns_empty_mask():
     leaf = build_leaf_index([chunk], "a", 8, e=1)[0]
     stats = QueryStats()
     got = leaf_query(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], stats)
-    assert np.array_equal(got, chunk.nonempty.reshape(-1))
+    assert np.array_equal(got, chunk.nonempty)
     assert stats == QueryStats()  # a covering run compares no value
 
 
@@ -250,7 +252,7 @@ def test_leaf_query_disjoint_range():
     chunk = store.chunks[(0, 0)]
     leaf = build_leaf_index([chunk], "a", 4, e=1)[0]
     got = leaf_query(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
-    assert np.array_equal(got, np.zeros(chunk.cell_count, bool))
+    assert np.array_equal(got, np.zeros(chunk.shape, bool))
 
 
 def test_raw_roundtrip(tmp_path):

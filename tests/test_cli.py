@@ -306,6 +306,23 @@ def test_exit_codes(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+def test_query_without_data_answers_only_from_the_tree(tmp_path, capsys):
+    head = _gen(tmp_path)
+    idx = tmp_path / "arr.abix"
+    assert main(["build", "--data", str(head), "--index", str(idx),
+                 "--params", "bins=8", "fanout=16"]) == 0
+    capsys.readouterr()
+    # the whole domain is the root, a complete region
+    assert main(["query", "--index", str(idx), "--where", ""]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [f"count {load_store(head).nonempty_total()}", "complete_regions 1",
+                       "partial_chunks 0"]
+    # a box that cuts chunks has partial leaves, which need the cells
+    assert main(["query", "--index", str(idx), "--where", "d0 in [3, 27]"]) == 2
+    err = capsys.readouterr().err
+    assert "no attached data store" in err and "Traceback" not in err
+
+
 def _files(path):
     return {p.name: p.read_bytes() for p in path.iterdir()}
 

@@ -1,5 +1,7 @@
 """Leaf resolution: the box scan of `leaf_query`, against a numpy brute
-force."""
+force over the whole chunk.  `leaf_query` answers with the hits inside the
+query's box, the span of the dimension runs clipped to the chunk; the
+brute force finds no hit outside it."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from arraybit.chunkstore import (
     QueryStats,
     build_leaf_index,
     leaf_query,
+    run_matcher,
 )
 from arraybit.query import value_runs
 
@@ -84,6 +87,7 @@ def _box(rng, chunk):
 
 
 def _brute(chunk, runs, box):
+    """The chunk's hits, in the chunk's shape."""
     vals = chunk.values["a"]
     hit = np.zeros(vals.shape, bool)
     for lo, hi in runs:
@@ -94,7 +98,20 @@ def _brute(chunk, runs, box):
             at = np.arange(chunk.shape[d]) + chunk.offsets[d]
             at = at.reshape([-1 if i == d else 1 for i in range(hit.ndim)])
             hit &= np.logical_or.reduce([(at >= lo) & (at <= hi) for lo, hi in dim_runs])
-    return hit.reshape(-1)
+    return hit
+
+
+def _in_box(chunk, want, box):
+    """`want` inside the query's box: per dimension from the first run's low
+    to the last run's high end, clipped to the chunk; no hit lies outside."""
+    sl = []
+    for dim_runs, o, s in zip(box, chunk.offsets, chunk.shape):
+        lo = 0 if dim_runs is None else min(max(dim_runs[0][0] - o, 0), s)
+        hi = s if dim_runs is None else min(max(dim_runs[-1][1] + 1 - o, lo), s)
+        sl.append(slice(lo, hi))
+    inside = want[tuple(sl)]
+    assert np.count_nonzero(inside) == np.count_nonzero(want)
+    return inside
 
 
 @settings(max_examples=120, deadline=None)
@@ -116,17 +133,24 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
     chunks = list(store.iter_chunks())
     # e large enough makes every leaf plain
     leaves = build_leaf_index(chunks, "a", bins, e=10**6 if plain else 1)
+    every = np.concatenate([c.values["a"][c.nonempty] for c in chunks])
     for chunk, leaf in zip(chunks, leaves):
         live = chunk.values["a"][chunk.nonempty]
         for _ in range(4):
             runs = _runs(rng, live, dtype, kind)
             box = _box(rng, chunk)
-            want = _brute(chunk, runs, box)
+            want = _in_box(chunk, _brute(chunk, runs, box), box)
             stats = QueryStats()
             got = leaf_query(chunk, leaf, "a", runs, box, stats)
-            assert got.dtype == bool and got.shape == (chunk.cell_count,)
+            assert got.dtype == bool and got.shape == want.shape
             assert np.array_equal(got, want)
             assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
+            # one matcher for a whole query over the store, with the store's
+            # value range and a table size limit both below and above it
+            for cells in (1, 10**7):
+                match = run_matcher(runs, dtype == "int64", float(every.min()),
+                                    float(every.max()), cells)
+                assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, None, match), want)
 
 
 def _float_chunk(shape, seed=0):
@@ -146,6 +170,7 @@ def test_leaf_query_scans_without_reading_bitmaps():
     assert stats.leaves_scanned == 1
     assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
     assert stats.candidate_checks == chunk.nonempty_count
+    assert got.shape == chunk.shape
     assert np.array_equal(got, _brute(chunk, runs, [None] * 3))
 
 
@@ -154,8 +179,8 @@ def test_covering_and_missing_runs_read_nothing():
     leaf = build_leaf_index([chunk], "a", 16)[0]
     box = [((3, 40),), ((10, 70),)]
     for runs, want in [
-        ([(leaf.amin - 1.0, leaf.amax)], _brute(chunk, [(-np.inf, np.inf)], box)),
-        ([(leaf.amax + 1.0, leaf.amax + 2.0)], np.zeros(chunk.cell_count, bool)),
+        ([(leaf.amin - 1.0, leaf.amax)], _brute(chunk, [(-np.inf, np.inf)], box)[3:41, 10:]),
+        ([(leaf.amax + 1.0, leaf.amax + 2.0)], np.zeros((38, 54), bool)),
     ]:
         stats = QueryStats()
         assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, stats), want)
@@ -174,7 +199,8 @@ def test_plain_leaf_scans_its_box():
     box = [((2, 7),), None]
     stats = QueryStats()
     got = leaf_query(chunk, leaf, "a", runs, box, stats)
-    assert np.array_equal(got, _brute(chunk, runs, box))
+    assert got.shape == (6, 8)  # rows 2-7
+    assert np.array_equal(got, _brute(chunk, runs, box)[2:])
     assert int(got.sum()) == 2  # 5.0 and 6.0 in row 2
     assert stats.leaves_scanned == 1 and stats.candidate_checks == 4  # the box's live cells
 

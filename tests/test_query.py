@@ -4,11 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from arraybit.baseline import DimsAttsIndex, full_scan
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
-from arraybit.errors import InputError
-from arraybit.hierindex import build_index
+from arraybit.errors import DataError, InputError
+from arraybit.hierindex import Index, build_index
 from arraybit.query import (
     Query,
     RawQuery,
+    ResultSet,
     attribute_runs,
     dimension_match,
     estimate,
@@ -17,6 +18,7 @@ from arraybit.query import (
     membership,
     normalize,
 )
+from arraybit.query import _descend
 from testutil import (
     assert_strictly_increasing,
     random_dim_set,
@@ -253,6 +255,29 @@ def test_execute_full_domain_is_complete_region():
     rs = execute(idx, RawQuery())
     assert rs.count == store.nonempty_total()
     assert len(rs.complete) == 1 and not rs.partial
+
+
+def test_a_loaded_index_without_a_store(tmp_path):
+    store, built = random_index(np.random.default_rng(2), (32, 32), (4, 4), 0.3, fanout=16)
+    built.save(tmp_path / "x.abix")
+    idx = Index.load(tmp_path / "x.abix")
+    assert idx.store is None
+    # the whole domain is one complete region: no cell is read
+    rs = execute(idx, RawQuery())
+    assert (rs.count, len(rs.complete), len(rs.partial)) == (698, 1, 0)
+    want = full_scan(store, "a", normalize(RawQuery(), store.schema))
+    assert want.size == 698 and np.array_equal(rs.cell_ids(store), want)
+    # a partial leaf needs the cells
+    root = idx.root
+    cut = RawQuery(attr_lo=root.amin, attr_hi=(root.amin + root.amax) / 2, dims={"d0": (3, 20)})
+    with pytest.raises(DataError, match="no attached data store"):
+        execute(idx, cut)
+    # an estimate that stops above the leaves reads no cell either
+    lo, hi = estimate(idx, cut, idx.depth - 1)
+    n = execute(built, cut).count
+    assert 0 <= lo <= n <= hi <= 698
+    with pytest.raises(DataError, match="no attached data store"):
+        estimate(idx, cut, idx.depth)
 
 
 def test_execute_empty_index():
@@ -563,6 +588,84 @@ def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, emp
         if raw is mixed and empty == 0.0:
             assert rs.complete and rs.partial
 
+
+
+def _complete_ids(store, rs):
+    """Ids of the non-empty cells inside the complete regions, from a mask
+    over the dense array."""
+    inside = np.zeros(store.schema.shape, bool)
+    for region in rs.complete:
+        inside[tuple(slice(lo, hi + 1) for lo, hi in region.extent)] = True
+    return np.flatnonzero(inside & store.nonempty_dense())
+
+
+def test_cell_ids_place_an_answer_box_anywhere_in_the_array():
+    # the id arithmetic alone: a random answer box at a random origin of a
+    # 1-4 dimensional array, against the ids of the same cells set in a
+    # whole-array mask
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        shape = tuple(int(e) for e in rng.integers(1, 7, int(rng.integers(1, 5))))
+        origin = tuple(int(rng.integers(0, e)) for e in shape)
+        sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)),
+                          (("a", "float64"),), shape)
+        rs = ResultSet(sch)
+        rs.origin = origin
+        rs.answer = rng.random([int(rng.integers(1, e - o + 1)) for e, o in zip(shape, origin)]) < 0.4
+        whole = np.zeros(shape, bool)
+        whole[tuple(slice(o, o + n) for o, n in zip(origin, rs.answer.shape))] = rs.answer
+        assert np.array_equal(rs.cell_ids(ChunkStore(sch, {})), np.flatnonzero(whole))
+
+
+@pytest.mark.parametrize("appended", [False, True])
+def test_answer_box_matches_full_scan(appended):
+    # a 10x11 array in 4x4 chunks: the last chunk row and column are
+    # clipped.  Every cell is 5.0 but for a few chunks: (0, 1) holds only 0
+    # and 10 and (1, 1) 5 and 10, so a run [4, 6] leaves both partial, the
+    # first without a hit, next to the complete others.
+    vals = np.full((10, 11), 5.0)
+    vals[0:4, 4:8] = np.where(np.arange(16).reshape(4, 4) % 2, 0.0, 10.0)
+    vals[4:8, 4:8] = np.where(np.arange(16).reshape(4, 4) % 3, 5.0, 10.0)
+    vals[8:10, 8:11] = [[4.0, np.nan, 6.0], [np.nan, 6.0, 4.0]]
+    vals[5, 0] = vals[9, 2] = np.nan
+    sch = ArraySchema((("d0", 10), ("d1", 11)), (("a", "float64"),), (4, 4))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    kw = dict(fanout=4, bins=2, e=1)
+    if appended:
+        idx = build_index(_slab_store(store, 4), **kw)
+        idx.append(ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[0] > 0}))
+    else:
+        idx = build_index(store, **kw)
+    raws = [
+        RawQuery(attr_lo=4.0, attr_hi=6.0),
+        # bounds that cut the grid's first and last chunks on both axes
+        RawQuery(attr_lo=4.0, attr_hi=6.0, dims={"d0": (1, 8), "d1": (2, 9)}),
+        RawQuery(attr_lo=-1.0, dims={"d0": (3, 9), "d1": (0, 4)}),
+        # value sets with runs in several chunks
+        RawQuery(attr_lo=4.0, attr_hi=6.0, dim_values={"d0": {1, 2, 9}, "d1": {0, 5, 6, 9, 10}}),
+        RawQuery(values=(0.0, 5.0), dim_values={"d1": {3, 4, 7, 8}}),
+        RawQuery(values=(10.0,), dims={"d0": (2, 6)}),
+        RawQuery(dim_values={"d0": {0, 4, 8}}),
+    ]
+    for raw in raws:
+        q = normalize(raw, sch)
+        rs = execute(idx, q)
+        ids = rs.cell_ids(store)
+        want = full_scan(store, "a", q)
+        assert np.array_equal(ids, want), raw
+        assert rs.count == ids.size
+        assert np.array_equal(rs.cell_ids(store), want)  # a second call gives the same
+        only = ResultSet(sch)
+        only.complete = rs.complete
+        assert np.array_equal(only.cell_ids(store), _complete_ids(store, rs)), raw
+    # the first query: complete regions, and partial leaves (0, 1) without a
+    # hit and (1, 1) with some
+    q = normalize(raws[0], sch)
+    resolved = {node.coords for kind, _, _, node in _descend(idx, q, attribute_runs(idx, q),
+                                                             idx.depth) if kind == "leaf"}
+    rs = execute(idx, q)
+    assert rs.complete and {(0, 1), (1, 1)} <= resolved
+    assert (0, 1) not in rs.partial and rs.partial[(1, 1)] == 10
 
 
 def _numpy_ids(store, raw):
