@@ -7,15 +7,17 @@ matched as partial or complete for the attribute and for the dimensions,
 and the two combine into the children to take whole and those to descend.
 Complete children are taken whole without touching cell data; partial
 children are descended down to the leaves.  The partial leaves are then
-resolved exactly, straight into one boolean answer over the query's box
-(per dimension from the first run's low to the last run's high end,
-clipped to the array), which holds every complete region too; row-major
-order in that box is global order, so cell ids need no sort.  A partial
-leaf is resolved by a scan of the values in its chunk's part of the box
-(`chunkstore.leaf_query`), with the attribute runs matched by one matcher
-per query (`chunkstore.run_matcher`); leaves hold no bitmaps, since every
-chunk is resident, and on the 4096-cell chunks of the benchmark the scan
-costs less than decoding one bitmap would.  Internal nodes are matched
+resolved exactly, straight into one boolean answer over the chunk-aligned
+cover of the query's box (per dimension from the first run's low to the
+last run's high end, clipped to the array), which holds every complete
+region too.  They are resolved in one batch per block of their chunks
+(`chunkstore.leaf_query`): the rows to scan are gathered and matched in
+one pass by the query's one matcher (`chunkstore.run_matcher`), masked by
+the dimension runs, and written into the answer in one assignment.
+Leaves hold no bitmaps, since every chunk is resident, and on the
+4096-cell chunks of the benchmark the scan costs less than decoding one
+bitmap would.  Cell ids crop the answer to the box once; row-major order
+in it is global order, so they need no sort.  Internal nodes are matched
 from their child-slot bitmaps.
 
 The attribute constraint is a list of sorted, disjoint value runs: a range
@@ -37,7 +39,16 @@ from math import ceil, floor, prod
 
 import numpy as np
 
-from .chunkstore import ArraySchema, ChunkStore, QueryStats, leaf_query, run_matcher
+from .chunkstore import (
+    ArraySchema,
+    ChunkStore,
+    Cover,
+    QueryStats,
+    by_block,
+    leaf_query,
+    put_rows,
+    run_matcher,
+)
 from .errors import DataError, InputError
 from .hierindex import Index
 
@@ -100,10 +111,12 @@ class ResultSet:
     """Complete regions, plus the partial leaves' hits in one boolean
     answer array.
 
-    `answer` covers the query's box at `origin` (see :func:`_resolve`),
-    and leaf resolution wrote each leaf's hits into it; it is None when no
-    leaf was resolved.  `partial` maps the coordinates of each partial
-    chunk with at least one hit to its hit count.
+    `answer` covers the chunk-aligned cover of the query's box at `origin`
+    (see :func:`_resolve`), and leaf resolution wrote each leaf's hits into
+    it; it is None when no leaf was resolved.  `box` is the query's box,
+    (lo, hi) per dimension, which holds every match; None for the whole
+    answer.  `partial` maps the coordinates of each partial chunk with at
+    least one hit to its hit count.
     """
 
     def __init__(self, schema: ArraySchema):
@@ -112,6 +125,7 @@ class ResultSet:
         self.partial: dict = {}  # chunk coords -> hit count
         self.origin: tuple | None = None
         self.answer: np.ndarray | None = None
+        self.box: tuple | None = None
 
     @property
     def count(self) -> int:
@@ -120,11 +134,11 @@ class ResultSet:
     def cell_ids(self, store: ChunkStore) -> np.ndarray:
         """All matching cells as global row-major ids, strictly increasing.
 
-        The non-empty mask of every chunk under a complete region is
-        written into the answer, which holds them all (or into one over
-        those chunks' bounding box when no leaf was resolved); row-major
-        order in the box is global order, so one `np.flatnonzero` and no
-        sort.
+        The non-empty rows of the chunks under the complete regions are
+        written into the answer, which covers them all (or into one over
+        those chunks' tiles when no leaf was resolved), one assignment per
+        block.  The answer is cropped to the box once; row-major order in
+        it is global order, so one `np.flatnonzero` and no sort.
         """
         cs = self.schema.chunk_shape
         chunks = []
@@ -134,22 +148,28 @@ class ResultSet:
                 chunk = store.chunks.get(coords)
                 if chunk is not None:
                     chunks.append(chunk)
-        lo, box = self.origin, self.answer
-        if box is None:
+        origin, answer = self.origin, self.answer
+        if answer is None:
             if not chunks:
                 return np.empty(0, np.int64)
-            lo = np.min([c.offsets for c in chunks], axis=0)
-            box = np.zeros(np.max([np.add(c.offsets, c.shape) for c in chunks], axis=0) - lo,
-                           bool)
-        for c in chunks:
-            at = tuple(slice(o - l, o - l + s) for o, l, s in zip(c.offsets, lo, c.shape))
-            box[at] = c.nonempty
+            grid = np.array([c.coords for c in chunks])
+            origin = grid.min(axis=0) * cs
+            answer = np.zeros((grid.max(axis=0) + 1) * cs - origin, bool)
+        first = np.floor_divide(origin, cs)
+        for block, members in by_block(chunks):
+            at = tuple((np.array([chunks[i].coords for i in members]) - first).T)
+            put_rows(answer, cs, at, block.nonempty[[chunks[i].row for i in members]], block.shape)
+        box, lo = answer, origin
+        if self.box is not None:
+            lo = [max(a, o) for (a, _), o in zip(self.box, origin)]
+            box = answer[tuple(slice(a - o, b + 1 - o)
+                               for a, (_, b), o in zip(lo, self.box, origin))]
         ids = np.flatnonzero(box)
         shape = self.schema.shape
         for d in reversed(range(len(shape) - 1)):
             # the ids already count the dimensions after d as the array
             # does; a step along d spans `row` of them, `gap` fewer than
-            # the array's step
+            # the array's step (negative where the box passes the edge)
             row = box.shape[d + 1] * prod(shape[d + 2:])
             gap = prod(shape[d + 1:]) - row
             if gap:
@@ -361,37 +381,65 @@ def _prepare(index: Index, query) -> Query:
 
 
 def _resolve(index: Index, query: Query, runs, leaves: list, stats) -> tuple:
-    """Resolve the partial `leaves` into one boolean answer over the query's
-    box: per dimension from the first run's low to the last run's high
-    end, clipped to the array.  Returns (origin, answer, hit count per
-    chunk with a hit).
+    """Resolve the partial `leaves` into one boolean answer over the
+    chunk-aligned cover of the query's box: per dimension the tiles from
+    the one holding the first run's low end to the one holding the last
+    run's high end, clipped to the array.  Returns (origin, answer, hit
+    count per chunk with a hit).
 
-    The box holds every complete region, whose extent some run covers per
-    dimension.  :func:`leaf_query` answers for a leaf's extent within the
-    box, and only a leaf with a hit is copied in.  The attribute runs are
-    matched by one matcher for all the leaves, sized by their chunks'
-    cells.
+    The cover holds every complete region, whose extent some run covers
+    per dimension.  The leaves are resolved in one batch per block of
+    their chunks (:func:`leaf_query`), each masked by the query's
+    dimension runs, so the answer holds no cell outside them.  The
+    attribute runs are matched by one matcher for all the leaves, sized by
+    their chunks' cells.
     """
     store = index.store
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
-    box = [(max(r[0][0], 0), min(r[-1][1], e - 1))
-           for r, e in zip(query.dim_ranges, index.schema.shape)]
-    origin = tuple(lo for lo, _ in box)
-    answer = np.zeros([hi + 1 - lo for lo, hi in box], bool)
+    schema = index.schema
+    cs = schema.chunk_shape
+    first, cover = _cover(query.dim_ranges, schema.shape, cs)
     root = index.root
-    match = run_matcher(runs, index.schema.attr_type(index.attribute) == "int64", root.amin,
-                        root.amax, len(leaves) * prod(index.schema.chunk_shape))
+    match = run_matcher(runs, schema.attr_type(index.attribute) == "int64", root.amin,
+                        root.amax, len(leaves) * prod(cs))
+    chunks = [store.chunks[leaf.coords] for leaf in leaves]
     hits = {}
-    chunks, attr, dim_runs = store.chunks, index.attribute, query.dim_ranges
-    for leaf in leaves:
-        found = leaf_query(chunks[leaf.coords], leaf, attr, runs, dim_runs, stats, match)
-        n = np.count_nonzero(found)
-        if n:
-            answer[tuple([slice(max(a, lo) - lo, min(b, hi) + 1 - lo)
-                          for (a, b), (lo, hi) in zip(leaf.extent, box)])] = found
-            hits[leaf.coords] = int(n)
-    return origin, answer, hits
+    for block, members in by_block(chunks):
+        batch = [leaves[i] for i in members]
+        rows = np.array([chunks[i].row for i in members])
+        at = tuple((np.array([leaf.coords for leaf in batch]) - first).T)
+        counts = leaf_query(block, rows, at, batch, index.attribute, runs, match, cover, stats)
+        for leaf, n in zip(batch, counts.tolist()):
+            if n:
+                hits[leaf.coords] = n
+    return tuple(g * c for g, c in zip(first, cs)), cover.answer, hits
+
+
+def _box(dim_ranges, extents) -> tuple:
+    """The query's box: per dimension from the first run's low to the last
+    run's high end, clipped to the array."""
+    return tuple((max(r[0][0], 0), min(r[-1][1], e - 1)) for r, e in zip(dim_ranges, extents))
+
+
+def _cover(dim_ranges, extents, chunk_shape) -> tuple:
+    """The chunk-aligned cover of the box of `dim_ranges` in an array of
+    `extents`: its first tile per dimension, and its :class:`Cover`, with a
+    zeroed answer and a window along a dimension that is None when its one
+    run holds every index of the array in the cover."""
+    first, shape, windows = [], [], []
+    for r, e, c, (lo, hi) in zip(dim_ranges, extents, chunk_shape, _box(dim_ranges, extents)):
+        first.append(lo // c)
+        shape.append((hi // c + 1 - lo // c) * c)
+        start = first[-1] * c
+        if len(r) == 1 and r[0][0] <= start and min(start + shape[-1], e) - 1 <= r[0][1]:
+            windows.append(None)
+            continue
+        window = np.zeros(shape[-1], bool)
+        for a, b in r:
+            window[max(a - start, 0) : max(b + 1 - start, 0)] = True
+        windows.append(window.reshape(-1, c))
+    return first, Cover(np.zeros(shape, bool), tuple(chunk_shape), tuple(windows))
 
 
 def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=None):
@@ -440,6 +488,8 @@ def execute(index: Index, query, stats: QueryStats | None = None,
             leaves.append(node)
     if leaves:
         rs.origin, rs.answer, rs.partial = _resolve(index, query, runs, leaves, stats)
+    if rs.complete or leaves:
+        rs.box = _box(query.dim_ranges, index.schema.shape)
     return rs
 
 

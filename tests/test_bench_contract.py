@@ -50,15 +50,18 @@ def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
     table = tracer.table()
     assert all(rs.partial for rs, _ in answers[:3]) and answers[3][0].complete
     for qid, (raw, (rs, ids)) in enumerate(zip(raws, answers)):
-        # one leaf span per partial leaf of the descent: query.leaves_resolved
-        # and query.leaf_yield_ratio count leaves
+        # one leaf span per block of the descent's partial leaves, its work
+        # whether the batch hit: query.leaves_resolved and
+        # query.leaf_yield_ratio count batches, not leaves
         q = query.normalize(raw, idx.schema, (root.amin, root.amax))
-        kinds = [kind for kind, *_ in query._descend(idx, q, query.attribute_runs(idx, q),
-                                                     idx.depth)]
+        blocks = {id(store.chunks[node.coords].block)
+                  for kind, _, _, node in query._descend(idx, q, query.attribute_runs(idx, q),
+                                                         idx.depth) if kind == "leaf"}
         leaf = table.select("chunkstore.leaf_query", [qid])
-        assert leaf.sum() == kinds.count("leaf"), qid
+        assert leaf.sum() == len(blocks), qid
         assert set(table.work[leaf].tolist()) <= {0, 1}
-        assert table.work[leaf].sum() == len(rs.partial), qid
+        hit = {id(store.chunks[coords].block) for coords in rs.partial}
+        assert table.work[leaf].sum() == len(hit), qid
         assert table.count("query.cell_ids", [qid]) == 1
         assert table.count("bitvec.from_dense", [qid]) == 0  # nothing encoded by a query
         assert ids.size == rs.count

@@ -9,12 +9,11 @@ from arraybit.chunkstore import (
     Leaf,
     QueryStats,
     build_leaf_index,
-    leaf_query,
     load_store,
     write_raw,
 )
 from arraybit.errors import DataError, InputError
-from testutil import bin_of, ingest_csv
+from testutil import bin_of, ingest_csv, resolve_leaf
 
 
 def schema_2d(extents=(8, 8), chunk=(4, 4)):
@@ -188,9 +187,9 @@ def test_equality_bitmaps_partition_the_chunk():
 
 @pytest.mark.parametrize("encoding", ["equality", "range", "interval"])
 def test_leaf_query_matches_bruteforce(encoding):
-    """`leaf_query` equals a numpy mask; the baseline's bitmaps in
-    `encoding`, built over the same chunk, bracket it: their certain cells
-    are hits, and every hit is certain or a candidate."""
+    """`leaf_query` on a one-leaf batch equals a numpy mask; the baseline's
+    bitmaps in `encoding`, built over the same chunk, bracket it: their
+    certain cells are hits, and every hit is certain or a candidate."""
     rng = np.random.default_rng(3)
     for trial in range(25):
         shape = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
@@ -211,7 +210,7 @@ def test_leaf_query_matches_bruteforce(encoding):
             dlo = int(rng.integers(0, shape[d]))
             dhi = int(rng.integers(dlo, shape[d]))
             dims.append(((dlo, dhi),))
-        got = leaf_query(chunk, leaf, "a", [(lo, hi)], dims, QueryStats())
+        got = resolve_leaf(chunk, leaf, "a", [(lo, hi)], dims, QueryStats())
         flat = vals.reshape(-1)
         coords = np.indices(shape).reshape(2, -1)
         want = (
@@ -241,7 +240,7 @@ def test_leaf_query_full_range_returns_empty_mask():
     chunk = store.chunks[(0, 0)]
     leaf = build_leaf_index([chunk], "a", 8, e=1)[0]
     stats = QueryStats()
-    got = leaf_query(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], stats)
+    got = resolve_leaf(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], stats)
     assert np.array_equal(got, chunk.nonempty)
     assert stats == QueryStats()  # a covering run compares no value
 
@@ -251,7 +250,7 @@ def test_leaf_query_disjoint_range():
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
     leaf = build_leaf_index([chunk], "a", 4, e=1)[0]
-    got = leaf_query(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
+    got = resolve_leaf(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
     assert np.array_equal(got, np.zeros(chunk.shape, bool))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arraybit.binning import Binning
-from arraybit.chunkstore import ArraySchema, Chunk, ChunkStore, QueryStats
+from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
 from arraybit.cli import main
 from arraybit.datagen import SumGaussSpec, generate_dense
 from arraybit.errors import DataError, InputError
@@ -22,7 +22,7 @@ from arraybit.hierindex import (
     zorder_encode_many,
 )
 from arraybit.query import RawQuery, execute
-from testutil import reference_spread_weights, zorder_decode, zorder_encode
+from testutil import lone_chunk, reference_spread_weights, zorder_decode, zorder_encode
 
 
 @pytest.fixture
@@ -596,8 +596,7 @@ def test_stale_data_is_refused(tmp_path):
     nonempty = chunk.nonempty.copy()
     nonempty[3, 4] = False
     lost = ChunkStore(store.schema, dict(store.chunks))
-    lost.chunks[(1, 2)] = Chunk(chunk.coords, chunk.offsets, chunk.shape, {"a": values},
-                                nonempty)
+    lost.chunks[(1, 2)] = lone_chunk(chunk.coords, chunk.offsets, {"a": values}, nonempty)
     with pytest.raises(DataError, match=r"chunk \(1, 2\) has 63 non-empty cells, its leaf 64"):
         Index.load(path, store=lost)
     fewer = ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c != (1, 2)})
@@ -608,8 +607,8 @@ def test_stale_data_is_refused(tmp_path):
     with pytest.raises(DataError, match="16 non-empty chunks are not the index's 16 leaves"):
         Index.load(path, store=ChunkStore(store.schema, moved))
     # the moved chunk leaves an empty one behind at the leaf's coordinates
-    moved[(1, 2)] = Chunk(chunk.coords, chunk.offsets, chunk.shape,
-                          {"a": np.full(chunk.shape, np.nan)}, np.zeros(chunk.shape, bool))
+    moved[(1, 2)] = lone_chunk(chunk.coords, chunk.offsets, {"a": np.full(chunk.shape, np.nan)},
+                               np.zeros(chunk.shape, bool))
     with pytest.raises(DataError, match="16 non-empty chunks are not the index's 16 leaves"):
         Index.load(path, store=ChunkStore(store.schema, moved))
     assert Index.load(path, store=store).node_count() == idx.node_count()

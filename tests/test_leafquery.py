@@ -1,7 +1,8 @@
-"""Leaf resolution: the box scan of `leaf_query`, against a numpy brute
-force over the whole chunk.  `leaf_query` answers with the hits inside the
-query's box, the span of the dimension runs clipped to the chunk; the
-brute force finds no hit outside it."""
+"""Leaf resolution: the batched scan of `leaf_query` over a one-leaf
+batch (`testutil.resolve_leaf`), against a numpy brute force over the
+whole chunk.  The leaf's hits are those inside the query's dimension runs,
+read back from the box they span, clipped to the chunk; the brute force
+finds no hit outside it."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -11,10 +12,10 @@ from arraybit.chunkstore import (
     ChunkStore,
     QueryStats,
     build_leaf_index,
-    leaf_query,
     run_matcher,
 )
 from arraybit.query import value_runs
+from testutil import resolve_leaf
 
 SENTINEL = 7  # the int64 empty value; "narrow" data has live values either side
 
@@ -131,6 +132,8 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
     rng = np.random.default_rng(seed)
     store = _store(rng, ndim, dtype, values)
     chunks = list(store.iter_chunks())
+    if not chunks:  # every cell empty (a 3-cell array at seed 82549979): no leaf
+        return
     # e large enough makes every leaf plain
     leaves = build_leaf_index(chunks, "a", bins, e=10**6 if plain else 1)
     every = np.concatenate([c.values["a"][c.nonempty] for c in chunks])
@@ -141,7 +144,7 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
             box = _box(rng, chunk)
             want = _in_box(chunk, _brute(chunk, runs, box), box)
             stats = QueryStats()
-            got = leaf_query(chunk, leaf, "a", runs, box, stats)
+            got = resolve_leaf(chunk, leaf, "a", runs, box, stats)
             assert got.dtype == bool and got.shape == want.shape
             assert np.array_equal(got, want)
             assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
@@ -150,7 +153,7 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
             for cells in (1, 10**7):
                 match = run_matcher(runs, dtype == "int64", float(every.min()),
                                     float(every.max()), cells)
-                assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, None, match), want)
+                assert np.array_equal(resolve_leaf(chunk, leaf, "a", runs, box, None, match), want)
 
 
 def _float_chunk(shape, seed=0):
@@ -166,7 +169,7 @@ def test_leaf_query_scans_without_reading_bitmaps():
     leaf = build_leaf_index([chunk], "a", 16)[0]
     runs = [(leaf.amin, float(leaf.binning.boundaries[4]))]  # the lowest four bins
     stats = QueryStats()
-    got = leaf_query(chunk, leaf, "a", runs, [None] * 3, stats)
+    got = resolve_leaf(chunk, leaf, "a", runs, [None] * 3, stats)
     assert stats.leaves_scanned == 1
     assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
     assert stats.candidate_checks == chunk.nonempty_count
@@ -183,7 +186,7 @@ def test_covering_and_missing_runs_read_nothing():
         ([(leaf.amax + 1.0, leaf.amax + 2.0)], np.zeros((38, 54), bool)),
     ]:
         stats = QueryStats()
-        assert np.array_equal(leaf_query(chunk, leaf, "a", runs, box, stats), want)
+        assert np.array_equal(resolve_leaf(chunk, leaf, "a", runs, box, stats), want)
         assert stats == QueryStats()
 
 
@@ -198,7 +201,7 @@ def test_plain_leaf_scans_its_box():
     runs = [(1.0, 2.0), (5.0, 6.0)]
     box = [((2, 7),), None]
     stats = QueryStats()
-    got = leaf_query(chunk, leaf, "a", runs, box, stats)
+    got = resolve_leaf(chunk, leaf, "a", runs, box, stats)
     assert got.shape == (6, 8)  # rows 2-7
     assert np.array_equal(got, _brute(chunk, runs, box)[2:])
     assert int(got.sum()) == 2  # 5.0 and 6.0 in row 2

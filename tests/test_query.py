@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,10 +23,12 @@ from arraybit.query import (
 from arraybit.query import _descend
 from testutil import (
     assert_strictly_increasing,
+    lone_chunk,
     random_dim_set,
     random_index,
     random_raw_query,
     random_store,
+    reference_leaf_stats,
     region_cells_satisfy,
 )
 
@@ -730,3 +734,143 @@ def test_dimension_sets_match_a_numpy_mask(seed, ndim, dtype, empty, kind):
             lo, hi = estimate(idx, q, budget)
             assert lo <= want.size <= hi <= total
         assert estimate(idx, q, idx.depth) == (want.size, want.size)
+
+
+def _several_blocks(rng, store, twin):
+    """A store over the same chunks as `store`, each taken at random from
+    `store`, from `twin` (a second chunking of the same data, whose blocks
+    are other arrays) or copied into a block of its own."""
+    chunks = {}
+    for coords, chunk in store.chunks.items():
+        pick = rng.integers(3)
+        if pick == 2:
+            chunk = lone_chunk(chunk.coords, chunk.offsets, chunk.values, chunk.nonempty)
+        chunks[coords] = twin.chunks[coords] if pick == 1 else chunk
+    return ChunkStore(store.schema, chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(1, 3),
+    dtype=st.sampled_from(["float64", "int64"]),
+    empty=st.sampled_from([0.0, 0.4, "chunks"]),
+    layout=st.sampled_from(["one", "subset", "appended", "attached"]),
+)
+@example(seed=0, ndim=2, dtype="int64", empty=0.4, layout="attached")
+@example(seed=1, ndim=3, dtype="float64", empty="chunks", layout="appended")
+@example(seed=2, ndim=4, dtype="int64", empty=0.0, layout="subset")
+def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout):
+    # clipped edge chunks; stores of one block per chunk shape, of a subset
+    # of another store's chunk views, grown by appends from another
+    # chunking of the data, or attached with chunks from several blocks
+    rng = np.random.default_rng(seed)
+    store = _random_frozen_store(rng, ndim, dtype, empty)
+    sch = store.schema
+    twin = ChunkStore.from_dense(sch, {"a": store.dense("a")})
+    kw = dict(fanout=2**ndim, bins=4, e=1)
+    if layout == "subset":
+        store = ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if rng.random() < 0.7})
+    if layout == "appended":
+        idx = build_index(_slab_store(store, sch.chunk_shape[0]), **kw)
+        idx.append(ChunkStore(sch, {c: ch for c, ch in twin.chunks.items() if c[0] > 0}))
+    else:
+        idx = build_index(store, **kw)
+    if layout == "attached":
+        idx.attach(_several_blocks(rng, store, twin))
+    root = idx.root
+    if root is None:
+        return
+    queried = idx.store
+    live = _live_values(store)
+    raws = [RawQuery(dims={"d0": (0, sch.chunk_shape[0])})]
+    raws += [random_raw_query(rng, sch, root.amin, root.amax) for _ in range(4)]
+    raws += [random_raw_query(rng, sch, root.amin, root.amax, kind="membership")]
+    # a value set of live values (integer stretches and a lookup table on
+    # int64) in a box and in dimension sets of several runs
+    picks = tuple(float(v) for v in rng.choice(live, 5))
+    raws += [RawQuery(values=picks, dims={"d0": (1, sch.shape[0] - 2)}),
+             RawQuery(values=picks, dim_values={n: random_dim_set(rng, e) for n, e in sch.dims})]
+    for raw in raws:
+        q = normalize(raw, sch, (root.amin, root.amax))
+        want = full_scan(store, "a", q)
+        rs = execute(idx, q)
+        assert np.array_equal(rs.cell_ids(queried), want), raw
+        assert rs.count == want.size
+        only = ResultSet(sch)
+        only.complete = rs.complete
+        for box in (None, rs.box):
+            only.box = box
+            assert np.array_equal(only.cell_ids(queried), _complete_ids(store, rs)), raw
+
+
+def test_query_stats_keep_their_per_leaf_definitions():
+    # leaves_scanned and candidate_checks count per leaf as the per-leaf
+    # resolver did (testutil.reference_leaf_stats), whatever the batches
+    rng = np.random.default_rng(23)
+    for ndim, dtype, empty in [(2, "float64", 0.3), (3, "int64", 0.4), (2, "int64", "chunks"),
+                               (1, "float64", 0.0)]:
+        store = _random_frozen_store(rng, ndim, dtype, empty)
+        sch = store.schema
+        idx = build_index(store, fanout=2**ndim, bins=4, e=1)
+        twin = ChunkStore.from_dense(sch, {"a": store.dense("a")})
+        idx.attach(_several_blocks(rng, store, twin))
+        root = idx.root
+        live = _live_values(store)
+        raws = [random_raw_query(rng, sch, root.amin, root.amax, kind)
+                for kind in ("mixed",) * 6 + ("membership",) * 2]
+        raws += [RawQuery(values=tuple(float(v) for v in rng.choice(live, 4)),
+                          dim_values={"d0": random_dim_set(rng, sch.shape[0])})]
+        scanned = 0
+        for raw in raws:
+            q = normalize(raw, sch, (root.amin, root.amax))
+            stats = QueryStats()
+            execute(idx, q, stats)
+            assert (stats.leaves_scanned, stats.candidate_checks) == reference_leaf_stats(idx, q)
+            scanned += stats.leaves_scanned
+        assert scanned
+
+
+def test_a_round_of_every_query_kind_leaves_blocks_and_views_unchanged():
+    rng = np.random.default_rng(24)
+    store = _random_frozen_store(rng, 3, "int64", 0.3)
+    sch = store.schema
+    twin = ChunkStore.from_dense(sch, {"a": store.dense("a")})
+    idx = build_index(_slab_store(store, sch.chunk_shape[0]), fanout=8, bins=4, e=1)
+    idx.append(ChunkStore(sch, {c: ch for c, ch in twin.chunks.items() if c[0] > 0}))
+    mixed = idx.store
+    blocks = {id(ch.block): ch.block for ch in mixed.chunks.values()}
+    assert len(blocks) > 1
+
+    def arrays():
+        for block in blocks.values():
+            yield from (*block.values.values(), block.nonempty, block.counts)
+        for chunk in mixed.chunks.values():
+            yield from (*chunk.values.values(), chunk.nonempty, chunk.values_flat("a"))
+
+    def digest():
+        return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays()]
+
+    before = digest()
+    root = idx.root
+    live = _live_values(store)
+    raws = [
+        RawQuery(attr_lo=float(live[2]), attr_hi=float(live[-3]), dims={"d1": (1, 7)}),
+        RawQuery(values=tuple(float(v) for v in live[::7]), dims={"d0": (0, 5)}),
+        RawQuery(attr_lo=root.amin, dim_values={"d0": {0, 3, 4, 9}, "d2": {1, 2, 6}}),
+        RawQuery(dims={"d0": (0, sch.chunk_shape[0] - 1)}),
+    ]
+    for raw in raws:
+        q = normalize(raw, sch, (root.amin, root.amax))
+        rs = (membership if q.values else execute)(idx, q)
+        rs.cell_ids(mixed)
+        only = ResultSet(sch)
+        only.complete = rs.complete
+        only.cell_ids(mixed)
+        for budget in range(idx.depth + 1):
+            estimate(idx, q, budget)
+    assert digest() == before
+    for arr in arrays():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[:1] = 0

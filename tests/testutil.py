@@ -8,10 +8,19 @@ from hypothesis import strategies as st
 
 from arraybit.binning import Binning, wsse
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, Leaf
+from arraybit.chunkstore import (
+    ArraySchema,
+    BinnedBitmapIndex,
+    Block,
+    Chunk,
+    ChunkStore,
+    Leaf,
+    leaf_query,
+    run_matcher,
+)
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import build_index
-from arraybit.query import RawQuery
+from arraybit.query import RawQuery, _cover, _descend, attribute_runs
 
 
 def bin_of(binning: Binning, values) -> np.ndarray:
@@ -56,6 +65,15 @@ def _is_number(s: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def lone_chunk(coords, offsets, values: dict, nonempty) -> Chunk:
+    """A chunk over a one-row block of its own, holding copies of `values`
+    and `nonempty` (arrays of the chunk's shape)."""
+    nonempty = np.array(nonempty, bool)
+    block = Block(nonempty.shape, {n: np.array(v).reshape(1, -1) for n, v in values.items()},
+                  nonempty.reshape(1, -1))
+    return Chunk(block, 0, coords, offsets)
 
 
 def random_store(rng, shape, chunk, sparsity=0.0, attr="a"):
@@ -349,6 +367,58 @@ def reference_leaf(chunk, attr: str, bins: int, e: int = 4):
     binning, span_lo, span_hi = reference_bins(live, bins)
     return Leaf(chunk.coords, chunk.extent, float(span_lo[0]), float(span_hi[-1]),
                 chunk.nonempty_count, binning)
+
+
+def resolve_leaf(chunk, leaf, attr: str, runs, dim_runs, stats=None, match=None):
+    """One leaf resolved alone by the batched `leaf_query`: the chunk's hits
+    inside the query's box (per dimension from the first run's low to the
+    last run's high end, clipped to the chunk), as an array of the box's
+    shape.  `dim_runs` are in array coordinates, None for the chunk's whole
+    extent.  The default matcher is the query's over the leaf's own value
+    range and cells."""
+    local, box = [], []
+    for r, o, s in zip(dim_runs, chunk.offsets, chunk.shape):
+        r = ((0, s - 1),) if r is None else tuple((a - o, b - o) for a, b in r)
+        local.append(tuple((max(a, 0), min(b, s - 1)) for a, b in r if b >= 0 and a < s))
+        lo = min(max(r[0][0], 0), s)
+        box.append(slice(lo, min(max(r[-1][1] + 1, lo), s)))
+    box = tuple(box)
+    if not all(local):
+        return np.zeros(chunk.nonempty[box].shape, bool)
+    if match is None:
+        match = run_matcher(runs, chunk.values_flat(attr).dtype.kind == "i", leaf.amin,
+                            leaf.amax, chunk.cell_count)
+    # the chunk as an array of one tile
+    _, cover = _cover(local, chunk.shape, chunk.shape)
+    at = tuple(np.zeros(1, np.intp) for _ in chunk.shape)
+    leaf_query(chunk.block, np.array([chunk.row]), at, [leaf], attr, runs, match, cover, stats)
+    return cover.answer[box]
+
+
+def reference_leaf_stats(index, query) -> tuple:
+    """(leaves_scanned, candidate_checks) of one query by their per-leaf
+    definitions: a partial leaf of the descent is scanned when some run
+    meets its [amin, amax] and none covers it, and a scanned leaf's
+    candidates are its chunk's non-empty cells inside the query's
+    dimension runs."""
+    runs = attribute_runs(index, query)
+    scanned = checks = 0
+    for kind, _, _, leaf in _descend(index, query, runs, index.depth):
+        meets = [(lo, hi) for lo, hi in runs if hi >= leaf.amin and lo <= leaf.amax]
+        if kind != "leaf" or not meets or any(lo <= leaf.amin and leaf.amax <= hi
+                                              for lo, hi in meets):
+            continue
+        chunk = index.store.chunks[leaf.coords]
+        inside = chunk.nonempty.copy()
+        for d, dim_runs in enumerate(query.dim_ranges):
+            at = np.arange(chunk.shape[d]) + chunk.offsets[d]
+            keep = np.zeros(at.size, bool)
+            for a, b in dim_runs:
+                keep |= (at >= a) & (at <= b)
+            inside &= keep.reshape([-1 if i == d else 1 for i in range(inside.ndim)])
+        scanned += 1
+        checks += int(np.count_nonzero(inside))
+    return scanned, checks
 
 
 def _reference_initial_selection(boundaries: np.ndarray, bins: int) -> np.ndarray:
