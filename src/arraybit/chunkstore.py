@@ -207,8 +207,11 @@ class ChunkStore:
 
         The tiles of one shape form one block, filled by one reshaped and
         transposed copy per attribute: the whole tiles in one, and each
-        shape of tiles clipped by the array's edge in another.  The blocks
-        are copies, so later writes to `data` leave the store unchanged.
+        shape of tiles clipped by the array's edge in another.  Where some
+        of those tiles hold no non-empty cell, the block keeps only the
+        others' rows, so the store holds no more than its chunks.  The
+        blocks are copies, so later writes to `data` leave the store
+        unchanged.
         """
         for name, _ in schema.attributes:
             if name not in data:
@@ -231,10 +234,15 @@ class ChunkStore:
                 vals[name] = rows = _tile_rows(data[name][sl], tiles, shape, _DTYPES[typ])
                 mask = _nonempty_mask(rows, typ, schema.empty_value(name))
                 nonempty = mask if nonempty is None else (nonempty | mask)
+            kept = np.flatnonzero(_row_counts(nonempty))
+            if not kept.size:
+                continue
+            if kept.size < len(nonempty):
+                vals = {name: v[kept] for name, v in vals.items()}
+                nonempty = nonempty[kept]
             block = Block(shape, vals, nonempty)
-            rows = np.flatnonzero(block.counts)
-            grid = np.stack(np.unravel_index(rows, tiles), axis=1) + first
-            for row, coords in zip(rows.tolist(), grid.tolist()):
+            grid = np.stack(np.unravel_index(kept, tiles), axis=1) + first
+            for row, coords in enumerate(grid.tolist()):
                 chunks.append(Chunk(block, row, coords, [g * c for g, c in zip(coords, cs)]))
         chunks.sort(key=lambda chunk: chunk.coords)
         return cls(schema, {chunk.coords: chunk for chunk in chunks})
@@ -263,13 +271,19 @@ class ChunkStore:
         return out
 
 
-def by_block(chunks) -> list:
-    """`chunks` grouped by their block: (block, positions in `chunks`) per
-    block, in order of first appearance."""
+def tile_batches(chunks, first) -> list:
+    """`chunks` grouped by their block, in order of first appearance: per
+    block (block, positions in `chunks`, the chunks' rows, their tile
+    positions counted from tile `first`, one index array per dimension)."""
     groups: dict = {}
     for i, chunk in enumerate(chunks):
         groups.setdefault(id(chunk.block), (chunk.block, []))[1].append(i)
-    return list(groups.values())
+    out = []
+    for block, members in groups.values():
+        rows = np.array([chunks[i].row for i in members], np.intp)
+        at = tuple((np.array([chunks[i].coords for i in members]) - first).T)
+        out.append((block, members, rows, at))
+    return out
 
 
 def _tile_rows(arr: np.ndarray, tiles, shape, dtype) -> np.ndarray:
@@ -344,9 +358,8 @@ def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
             leaves[i] = Leaf(chunk.coords, chunk.extent, float(live.min()), float(live.max()), n)
         else:
             binned.append(i)
-    for block, members in by_block([chunks[i] for i in binned]):
+    for block, members, rows, _ in tile_batches([chunks[i] for i in binned], 0):
         members = [binned[j] for j in members]
-        rows = np.array([chunks[i].row for i in members], np.intp)
         step = max(1, _BATCH_CELLS // block.nonempty.shape[1])
         for a in range(0, len(members), step):
             at = rows[a : a + step]
@@ -583,23 +596,14 @@ def run_matcher(runs, integral: bool, amin: float, amax: float, cells: int):
             return lambda vals: (vals >= a) & (vals <= b)
         base = _int_base(amin, amax, cells)
         if base is not None:
+            # an index past the table (an empty cell's sentinel) reads its
+            # first or last entry
             lut = _lut(_spans(runs, amin, amax, base), int(amax) - base + 1)
-            return lambda vals: _look_up(lut, vals - base if base else vals)
+            return lambda vals: lut.take(vals - base if base else vals, mode="clip")
     if len(runs) == 1:
         (lo, hi), = runs
         return lambda vals: (vals >= lo) & (vals <= hi)
     return lambda vals: in_runs(vals, runs)
-
-
-def _look_up(lut: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """`lut` at each of `at`; an index past the table (an empty cell's
-    sentinel) reads its first or last entry.  Plain indexing, a third
-    faster than a clipped `take`, serves whenever every index is in range
-    (a negative one in range reads from the end, which is harmless here)."""
-    try:
-        return lut[at]
-    except IndexError:
-        return lut.take(at, mode="clip")
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
@@ -614,14 +618,46 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
 class Cover(NamedTuple):
     """Where the partial leaves of one query are written: `answer`, a
     boolean array over the chunk-aligned cover of the query's box in tiles
-    of `chunk_shape`, and per dimension `windows`, the mask of the cover's
-    indices that the query's runs of that dimension hold, shaped (tiles,
-    tile extent), or None where they hold every index of the array in the
-    cover."""
+    of `chunk_shape`, whose first tile per dimension is `first`, and per
+    dimension `windows`, the mask of the cover's indices that the query's
+    runs of that dimension hold, shaped (tiles, tile extent), or None where
+    they hold every index of the array in the cover."""
 
     answer: np.ndarray
     chunk_shape: tuple
+    first: tuple
     windows: tuple
+
+    @property
+    def origin(self) -> tuple:
+        return tuple(g * c for g, c in zip(self.first, self.chunk_shape))
+
+
+def query_box(dim_ranges, extents) -> tuple:
+    """The box of a query's dimension runs: per dimension from the first
+    run's low to the last run's high end, clipped to the array."""
+    return tuple((max(r[0][0], 0), min(r[-1][1], e - 1)) for r, e in zip(dim_ranges, extents))
+
+
+def query_cover(dim_ranges, extents, chunk_shape) -> Cover:
+    """The chunk-aligned cover of the box of `dim_ranges` in an array of
+    `extents` (:func:`query_box`), with a zeroed answer and a window along
+    a dimension that is None when its one run holds every index of the
+    array in the cover."""
+    first, shape, windows = [], [], []
+    for r, e, c, (lo, hi) in zip(dim_ranges, extents, chunk_shape,
+                                 query_box(dim_ranges, extents)):
+        first.append(lo // c)
+        shape.append((hi // c + 1 - lo // c) * c)
+        start = first[-1] * c
+        if len(r) == 1 and r[0][0] <= start and min(start + shape[-1], e) - 1 <= r[0][1]:
+            windows.append(None)
+            continue
+        window = np.zeros(shape[-1], bool)
+        for a, b in r:
+            window[max(a - start, 0) : max(b + 1 - start, 0)] = True
+        windows.append(window.reshape(-1, c))
+    return Cover(np.zeros(shape, bool), tuple(chunk_shape), tuple(first), tuple(windows))
 
 
 def put_rows(answer: np.ndarray, chunk_shape, at: tuple, rows: np.ndarray, shape) -> None:
@@ -637,6 +673,25 @@ def put_rows(answer: np.ndarray, chunk_shape, at: tuple, rows: np.ndarray, shape
                        item, answer, 0,
                        tuple(c * s for c, s in zip(chunk_shape, steps)) + steps[:-1])
     tiles[at] = rows.view(item).reshape(-1, *shape[:-1])
+
+
+def chunks_cover(chunks, chunk_shape) -> Cover:
+    """A zeroed cover of the tiles from the least to the greatest grid
+    coordinates of `chunks`, with no windows."""
+    grid = np.array([c.coords for c in chunks])
+    first = grid.min(axis=0)
+    shape = (grid.max(axis=0) + 1 - first) * chunk_shape
+    return Cover(np.zeros(shape, bool), tuple(chunk_shape), tuple(first.tolist()),
+                 (None,) * len(chunk_shape))
+
+
+def put_chunks(answer: np.ndarray, chunk_shape, origin, chunks) -> None:
+    """Write the non-empty cells of `chunks` into a chunk-aligned answer at
+    `origin` in tiles of `chunk_shape`, one assignment per block
+    (:func:`put_rows`)."""
+    first = np.floor_divide(origin, chunk_shape)
+    for block, _, rows, at in tile_batches(chunks, first):
+        put_rows(answer, chunk_shape, at, block.nonempty[rows], block.shape)
 
 
 def _apply_windows(hits: np.ndarray, windows, where, shape) -> None:
@@ -667,23 +722,20 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
     that no run meets ([amin, amax] of the leaf) is left out and reads
     nothing.  A leaf that a run covers takes its row's non-empty cells,
     reading no value.  The others are scanned: their rows are gathered in
-    one call and matched in one pass, or, when they are at least half the
-    block's rows, the whole block is matched and their rows of the mask
-    gathered, which reads less than gathering the values first.  The
-    cover's windows are applied to each row, so a leaf's hits and count
-    are those inside the query's dimension runs; the non-empty cells of
-    the scanned rows inside them count as `candidate_checks`, and each
-    scanned leaf in `leaves_scanned`.  The rows with a hit are written
-    into the answer in one assignment.  The block is only read, and no
-    bitmap is.
+    one call and matched in one pass.  The cover's windows are applied to
+    each row, so a leaf's hits and count are those inside the query's
+    dimension runs; the non-empty cells of the scanned rows inside them
+    count as `candidate_checks`, and each scanned leaf in
+    `leaves_scanned`.  The rows with a hit are written into the answer in
+    one assignment.  The block is only read, and no bitmap is.
 
     Leaves hold no bitmaps to resolve from: the source paper's leaf
     bitmaps spare reading cell values from disk, and here every chunk is
     resident.  A batch costs a fixed few numpy calls plus a few passes per
     cell: on member-3d at seed 101 (about 157 partial leaves of 4096 cells
-    a value set, one block; a shared 2-CPU x86-64 host) a query's batch
-    took 1.8-2.0 ms, writes included, where one call per leaf had taken
-    2.8-3.2 ms and writing their hits into the answer about 1.4 ms more.
+    a value set, one block; a shared 2-CPU x86-64 host, one traced run) a
+    query's batches took 2.5 ms, writes into the answer included, where
+    one call per leaf had taken 3.6 ms without those writes.
     """
     los = np.array([lo for lo, _ in runs])[:, None]
     his = np.array([hi for _, hi in runs])[:, None]
@@ -706,11 +758,7 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
         if stats is not None:
             stats.leaves_scanned += n
             stats.candidate_checks += int(np.count_nonzero(hits[:n]))
-        vals = block.values[attr]
-        if 2 * n >= len(vals):
-            hits[:n] &= match(vals)[take[:n]]
-        else:
-            hits[:n] &= match(vals[take[:n]])
+        hits[:n] &= match(block.values[attr][take[:n]])
     counts[keep] = found = _row_counts(hits)
     hit = np.flatnonzero(found)
     if hit.size < keep.size:

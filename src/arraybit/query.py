@@ -42,12 +42,14 @@ import numpy as np
 from .chunkstore import (
     ArraySchema,
     ChunkStore,
-    Cover,
     QueryStats,
-    by_block,
+    chunks_cover,
     leaf_query,
-    put_rows,
+    put_chunks,
+    query_box,
+    query_cover,
     run_matcher,
+    tile_batches,
 )
 from .errors import DataError, InputError
 from .hierindex import Index
@@ -152,13 +154,9 @@ class ResultSet:
         if answer is None:
             if not chunks:
                 return np.empty(0, np.int64)
-            grid = np.array([c.coords for c in chunks])
-            origin = grid.min(axis=0) * cs
-            answer = np.zeros((grid.max(axis=0) + 1) * cs - origin, bool)
-        first = np.floor_divide(origin, cs)
-        for block, members in by_block(chunks):
-            at = tuple((np.array([chunks[i].coords for i in members]) - first).T)
-            put_rows(answer, cs, at, block.nonempty[[chunks[i].row for i in members]], block.shape)
+            cover = chunks_cover(chunks, cs)
+            origin, answer = cover.origin, cover.answer
+        put_chunks(answer, cs, origin, chunks)
         box, lo = answer, origin
         if self.box is not None:
             lo = [max(a, o) for (a, _), o in zip(self.box, origin)]
@@ -398,48 +396,19 @@ def _resolve(index: Index, query: Query, runs, leaves: list, stats) -> tuple:
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
     schema = index.schema
-    cs = schema.chunk_shape
-    first, cover = _cover(query.dim_ranges, schema.shape, cs)
+    cover = query_cover(query.dim_ranges, schema.shape, schema.chunk_shape)
     root = index.root
     match = run_matcher(runs, schema.attr_type(index.attribute) == "int64", root.amin,
-                        root.amax, len(leaves) * prod(cs))
+                        root.amax, len(leaves) * prod(schema.chunk_shape))
     chunks = [store.chunks[leaf.coords] for leaf in leaves]
     hits = {}
-    for block, members in by_block(chunks):
+    for block, members, rows, at in tile_batches(chunks, cover.first):
         batch = [leaves[i] for i in members]
-        rows = np.array([chunks[i].row for i in members])
-        at = tuple((np.array([leaf.coords for leaf in batch]) - first).T)
         counts = leaf_query(block, rows, at, batch, index.attribute, runs, match, cover, stats)
         for leaf, n in zip(batch, counts.tolist()):
             if n:
                 hits[leaf.coords] = n
-    return tuple(g * c for g, c in zip(first, cs)), cover.answer, hits
-
-
-def _box(dim_ranges, extents) -> tuple:
-    """The query's box: per dimension from the first run's low to the last
-    run's high end, clipped to the array."""
-    return tuple((max(r[0][0], 0), min(r[-1][1], e - 1)) for r, e in zip(dim_ranges, extents))
-
-
-def _cover(dim_ranges, extents, chunk_shape) -> tuple:
-    """The chunk-aligned cover of the box of `dim_ranges` in an array of
-    `extents`: its first tile per dimension, and its :class:`Cover`, with a
-    zeroed answer and a window along a dimension that is None when its one
-    run holds every index of the array in the cover."""
-    first, shape, windows = [], [], []
-    for r, e, c, (lo, hi) in zip(dim_ranges, extents, chunk_shape, _box(dim_ranges, extents)):
-        first.append(lo // c)
-        shape.append((hi // c + 1 - lo // c) * c)
-        start = first[-1] * c
-        if len(r) == 1 and r[0][0] <= start and min(start + shape[-1], e) - 1 <= r[0][1]:
-            windows.append(None)
-            continue
-        window = np.zeros(shape[-1], bool)
-        for a, b in r:
-            window[max(a - start, 0) : max(b + 1 - start, 0)] = True
-        windows.append(window.reshape(-1, c))
-    return first, Cover(np.zeros(shape, bool), tuple(chunk_shape), tuple(windows))
+    return cover.origin, cover.answer, hits
 
 
 def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=None):
@@ -489,7 +458,7 @@ def execute(index: Index, query, stats: QueryStats | None = None,
     if leaves:
         rs.origin, rs.answer, rs.partial = _resolve(index, query, runs, leaves, stats)
     if rs.complete or leaves:
-        rs.box = _box(query.dim_ranges, index.schema.shape)
+        rs.box = query_box(query.dim_ranges, index.schema.shape)
     return rs
 
 

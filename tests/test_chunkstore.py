@@ -50,6 +50,25 @@ def test_from_dense_omits_empty_chunks():
     assert store.nonempty_total() == 2
 
 
+def test_from_dense_blocks_keep_only_the_rows_of_non_empty_chunks():
+    # a 10x10 int64 array in 4x4 tiles: four tile shapes, and in each
+    # shape some tiles with no non-empty cell
+    vals = np.full((10, 10), -1, np.int64)
+    sch = ArraySchema((("d0", 10), ("d1", 10)), (("a", "int64"),), (4, 4), {"a": -1})
+    for cell in [(0, 0), (5, 6), (9, 1), (2, 9), (9, 9)]:
+        vals[cell] = 7
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    assert set(store.chunks) == {(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)}
+    blocks = {id(c.block): c.block for c in store.chunks.values()}.values()
+    assert sum(b.nonempty.shape[0] for b in blocks) == len(store.chunks)
+    for block in blocks:
+        assert block.values["a"].shape == block.nonempty.shape
+        assert block.counts.all()
+    for chunk in store.chunks.values():
+        assert chunk.block.counts[chunk.row] == chunk.nonempty_count == 1
+    assert np.array_equal(store.dense("a"), vals)
+
+
 def test_clipped_boundary_chunks():
     vals = np.arange(70.0).reshape(7, 10)
     sch = ArraySchema((("d0", 7), ("d1", 10)), (("a", "float64"),), (4, 4))

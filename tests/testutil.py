@@ -16,11 +16,12 @@ from arraybit.chunkstore import (
     ChunkStore,
     Leaf,
     leaf_query,
+    query_cover,
     run_matcher,
 )
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import build_index
-from arraybit.query import RawQuery, _cover, _descend, attribute_runs
+from arraybit.query import RawQuery, _descend, attribute_runs
 
 
 def bin_of(binning: Binning, values) -> np.ndarray:
@@ -389,7 +390,7 @@ def resolve_leaf(chunk, leaf, attr: str, runs, dim_runs, stats=None, match=None)
         match = run_matcher(runs, chunk.values_flat(attr).dtype.kind == "i", leaf.amin,
                             leaf.amax, chunk.cell_count)
     # the chunk as an array of one tile
-    _, cover = _cover(local, chunk.shape, chunk.shape)
+    cover = query_cover(local, chunk.shape, chunk.shape)
     at = tuple(np.zeros(1, np.intp) for _ in chunk.shape)
     leaf_query(chunk.block, np.array([chunk.row]), at, [leaf], attr, runs, match, cover, stats)
     return cover.answer[box]
