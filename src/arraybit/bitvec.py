@@ -2,9 +2,7 @@
 
 The dims-as-attributes comparator (`baseline.DimsAttsIndex`) keeps its
 bitmaps in this form and answers a range from them with AND, OR and
-AND-NOT only; a version-1 saved index holds leaf bitmaps in it, read by
-``from_bytes`` and then dropped.  The index tree itself keeps no bitmaps
-over cells.
+AND-NOT only.  The index tree itself keeps no bitmaps over cells.
 
 Physical layout: a vector is a sequence of 64-bit words over 63-bit bit
 groups.  Bit index i is the i-th least significant logical bit; group
@@ -28,8 +26,8 @@ with ``count=63``.  Decoding a vector with no fill word unpacks
 its words directly, with no run expansion.
 
 Serialized form (``to_bytes``): little-endian header
-``{logical_length: u64, word_count: u64}`` followed by the words.
-``from_bytes`` reads the words as a view into the caller's buffer.
+``{logical_length: u64, word_count: u64}`` followed by the words; the
+baseline counts its size.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import InputError
 
 GROUP_BITS = 63
 _ONES = np.uint64((1 << 63) - 1)  # all 63 payload bits set
@@ -192,27 +190,6 @@ class BitVector:
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(self._n, self._words.size)
         return header + self._words.astype("<u8", copy=False).tobytes()
-
-    @classmethod
-    def from_bytes(cls, data, offset: int = 0) -> tuple["BitVector", int]:
-        """Read one vector at `offset` of `data`; returns it and the end offset.
-
-        The words are a read-only view into `data`, not a copy.
-        """
-        try:
-            n, nwords = _HEADER.unpack_from(data, offset)
-        except struct.error as exc:
-            raise DataError(f"corrupt bitvector header: {exc}") from None
-        start = offset + _HEADER.size
-        end = start + 8 * nwords
-        if nwords > -(-n // GROUP_BITS) or end > len(data):
-            raise DataError(
-                f"corrupt bitvector at byte {offset}: {nwords} words for {n} bits"
-                f" in {len(data) - start} bytes"
-            )
-        words = np.frombuffer(data, "<u8", count=nwords, offset=start)
-        words.flags.writeable = False
-        return cls(n, words), end
 
 
 def logical(op: str, a: BitVector, b: BitVector) -> BitVector:

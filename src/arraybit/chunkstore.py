@@ -1,6 +1,5 @@
 """Array data model: schema, regular grid chunking, ingestion, the leaf
-of each chunk and the batched resolution of partial leaves, and the
-binned bitmap index of the linearized baseline.
+of each chunk and the batched resolution of partial leaves.
 
 A store keeps its chunks in blocks (:class:`Block`): the chunks of one
 shape are rows of one contiguous (chunks, cells) array per attribute, with
@@ -14,9 +13,7 @@ threshold, the equi-depth binning of its values, which feeds its parent's
 merged bins.  Unlike the source paper's leaves it holds no bitmaps: the
 paper's leaf bitmaps spare reading cell values from disk, while here every
 chunk is resident and the partial leaves of a query are resolved by one
-batched scan of their rows per block (:func:`leaf_query`).  Bitmaps over
-cells remain only in :class:`BinnedBitmapIndex`, the dims-as-attributes
-comparator's index.
+batched scan of their rows per block (:func:`leaf_query`).
 
 Cells are laid out row-major inside each chunk; boundary chunks are clipped
 by the global shape.  Empty cells are NaN for float attributes and a
@@ -36,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .binning import Binning, equi_depth_exact
-from .bitvec import BitVector
 from .errors import DataError, InputError
 
 _DTYPES = {"float64": np.float64, "int64": np.int64}
@@ -387,156 +383,6 @@ def _copy_rows(arr: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
     for a, b in zip(cuts, cuts[1:]):
         out[a:b] = arr[rows[a] : rows[b - 1] + 1]
     return out
-
-
-def _windows(encoding: str, k: int) -> list:
-    """The bins [a, b) of each bitmap of a column with k bins."""
-    if encoding == "equality":
-        return [(j, j + 1) for j in range(k)]
-    if encoding == "range":
-        return [(0, j) for j in range(1, k)]
-    if encoding == "interval":
-        m = -(-k // 2)
-        return [(s, s + m) for s in range(m)]
-    raise InputError(f"unknown encoding {encoding!r}")
-
-
-class BinnedBitmapIndex:
-    """Equi-depth binned bitmaps over one value column in a fixed cell
-    order: the attribute and dimension indexes of the linearized baseline
-    (`baseline.DimsAttsIndex`).
-
-    Encodings:
-      equality  one bitmap per bin (|B| bitmaps)
-      range     cumulative prefixes, |B|-1 bitmaps (the full prefix is the
-                non-empty mask itself)
-      interval  sliding windows of ceil(|B|/2) consecutive bins,
-                ceil(|B|/2) bitmaps; any contiguous bin range is two fetches
-
-    `ebm` is the non-empty mask and `bitmaps` the encoded bitmaps.
-    """
-
-    __slots__ = ("binning", "encoding", "span_lo", "span_hi", "length", "amin", "amax", "ebm",
-                 "bitmaps")
-
-    def __init__(self, binning, encoding, span_lo, span_hi, ebm: BitVector, bitmaps: list):
-        self.binning = binning
-        self.encoding = encoding
-        self.span_lo = span_lo
-        self.span_hi = span_hi
-        self.length = len(ebm)
-        self.amin = float(span_lo[0])
-        self.amax = float(span_hi[-1])
-        self.ebm = ebm
-        self.bitmaps = bitmaps
-
-    @property
-    def nbins(self) -> int:
-        return self.binning.nbins
-
-    @classmethod
-    def build(cls, values: np.ndarray, nonempty: np.ndarray, bins: int,
-              encoding: str) -> "BinnedBitmapIndex":
-        """Index one value column over its non-empty cells; integer values
-        are binned as float64.
-
-        Bin j holds the cells x with t_j <= x < t_j+1, where t_0 is -inf,
-        t_k is +inf inclusive and the others are the binning's inner
-        boundaries.  Each cell's bin is found once, and each bitmap is its
-        bin range compared with that and encoded on its own.
-        """
-        cells = np.where(nonempty, values, np.nan)
-        (binning,), span_lo, span_hi = _bin_rows(
-            np.sort(cells)[None], np.array([np.count_nonzero(nonempty)]), bins)
-        at = np.searchsorted(binning.boundaries[1:-1], cells, side="right")
-        at[~nonempty] = -1
-        windows = _windows(encoding, binning.nbins)
-        bitmaps = [BitVector.from_dense((at >= a) & (at < b)) for a, b in windows]
-        return cls(binning, encoding, span_lo, span_hi, BitVector.from_dense(nonempty), bitmaps)
-
-    # -- bin-range evaluation ------------------------------------------
-
-    def _get(self, j: int, stats, candidate: bool) -> BitVector:
-        if stats is not None:
-            if candidate:
-                stats.candidate_bitmap_fetches += 1
-            else:
-                stats.bitmap_fetches += 1
-        return self.bitmaps[j]
-
-    def bins_bitmap(self, a: int, b: int, stats=None, candidate=False) -> BitVector:
-        """Cells whose bin lies in [a, b]: at most two fetched bitmaps (plus
-        the non-empty mask), except equality."""
-        if a > b:
-            return BitVector.zeros(self.length)
-        k = self.nbins
-        if a == 0 and b == k - 1:
-            return self.ebm
-
-        def get(j):
-            return self._get(j, stats, candidate)
-
-        if self.encoding == "equality":
-            out = get(a)
-            for j in range(a + 1, b + 1):
-                out = out | get(j)
-            return out
-        if self.encoding == "range":
-            hi = self.ebm if b == k - 1 else get(b)
-            return hi if a == 0 else hi.andnot(get(a - 1))
-        # interval windows: W_s covers bins [s, s + m - 1]
-        m = -(-k // 2)
-
-        def prefix(p):  # bins [0, p], p < k - 1
-            if p <= m - 2:
-                return get(0).andnot(get(p + 1))
-            if p == m - 1:
-                return get(0)
-            return get(0) | get(p + 1 - m)
-
-        if a == 0:
-            return prefix(b)
-        if b == k - 1:
-            return self.ebm.andnot(prefix(a - 1))
-        if b - a + 1 > m:
-            return get(a) | get(b + 1 - m)
-        if b <= m - 2:
-            return get(a).andnot(get(b + 1))
-        if b == m - 1:
-            return get(a) & get(0)
-        if a >= m:
-            return get(b + 1 - m).andnot(get(a - m))
-        return get(a) & get(b + 1 - m)
-
-    def range_query(self, lo: float, hi: float, stats=None):
-        """Split [lo, hi] into (certain hits, candidate cells to verify)."""
-        k = self.nbins
-        amin, amax = self.amin, self.amax
-        if hi < amin or lo > amax:
-            zeros = BitVector.zeros(self.length)
-            return zeros, zeros
-        bounds = self.binning.boundaries
-        lo_bin = 0 if lo <= amin else min(int(np.searchsorted(bounds, lo, "right")) - 1, k - 1)
-        hi_bin = k - 1 if hi >= amax else min(int(np.searchsorted(bounds, hi, "right")) - 1, k - 1)
-        cand_bins = []
-        if not lo <= self.span_lo[lo_bin]:
-            cand_bins.append(lo_bin)
-        if not hi >= self.span_hi[hi_bin] and hi_bin not in cand_bins:
-            cand_bins.append(hi_bin)
-        span = self.bins_bitmap(lo_bin, hi_bin, stats)
-        if not cand_bins:
-            return span, BitVector.zeros(self.length)
-        cand = self.bins_bitmap(cand_bins[0], cand_bins[0], stats, candidate=True)
-        for j in cand_bins[1:]:
-            cand = cand | self.bins_bitmap(j, j, stats, candidate=True)
-        return span.andnot(cand), cand
-
-    def size_bytes(self) -> int:
-        n = len(self.ebm.to_bytes())
-        n += sum(len(b.to_bytes()) for b in self.bitmaps)
-        n += self.binning.boundaries.nbytes + self.binning.weights.nbytes
-        n += self.span_lo.nbytes + self.span_hi.nbytes
-        return n
 
 
 def in_runs(vals: np.ndarray, runs) -> np.ndarray:

@@ -39,17 +39,15 @@ table column starts on a multiple of 8 bytes.
 crc is the CRC32 of bytes 0-7 and of bytes 12 to the end of the file.  Leaf
 coordinates come from z.
 
-`Index.load` checks the CRC, reads every column with `np.frombuffer`,
-checks each level with vectorized tests (increasing z, extents inside the
-array, a leaf's extent that of its chunk, counts of 1 to the extent's
-cells, increasing bin boundaries per segment, a binned leaf's amin and
-amax its first and last boundary) and builds every node eagerly.
-
-Older files still load.  Version 2 has the same tables plus, for leaves, a
-kind column, bin spans and per-leaf offsets and CRC32s into a bitmap
-section after the tables; version 1 is records of one node each, walked
-into the same columns.  Their leaf bitmaps are checked (version 2 against
-its CRC32s) or walked, then dropped.  `serialize` always writes version 3.
+`Index.load` reads version 3 only: a file of another version fails with
+DataError, and is rebuilt from its data by `arraybit build`.  It checks the
+CRC, reads every column with `np.frombuffer`, checks each level with
+vectorized tests (increasing z, extents inside the array, a leaf's extent
+that of its chunk, counts of 1 to the extent's cells, increasing bin
+boundaries per segment, a binned leaf's amin and amax its first and last
+boundary), checks each level against the one above it (every node has its
+parent, whose child mask holds exactly the slots of its children) and
+builds every node eagerly.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from pathlib import Path
 import numpy as np
 
 from .binning import Binning, merge_bins_iterative
-from .bitvec import BitVector
 from .chunkstore import ArraySchema, ChunkStore, Leaf, build_leaf_index
 from .errors import DataError, InputError, InternalError
 
@@ -72,8 +69,6 @@ _MAGIC = b"ABIX"
 _VERSION = 3
 # magic, version, crc, levels, metadata length
 _PREAMBLE = struct.Struct("<4sIIIQ")
-# version 2 adds the offset of its bitmap section
-_PREAMBLE_V2 = struct.Struct("<4sIIIQQ")
 _DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
 
 
@@ -574,7 +569,7 @@ class Index:
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
-        """Read a saved index (version 1, 2 or 3), then :meth:`attach` `store`."""
+        """Read a saved index (version 3 only), then :meth:`attach` `store`."""
         buf = Path(path).read_bytes()
         try:
             idx = cls._parse(buf)
@@ -618,12 +613,10 @@ class Index:
         if buf[:4] != _MAGIC:
             raise DataError("not an index file")
         version = struct.unpack_from("<I", buf, 4)[0]
-        if version in (2, 3):
-            meta, columns = _read_tables(buf, version)
-        elif version == 1:
-            meta, columns = _walk_v1(buf)
-        else:
-            raise DataError(f"unsupported index version {version}")
+        if version != _VERSION:
+            raise DataError(f"index version {version} is not read, only version {_VERSION}: "
+                            f"rebuild the index with `arraybit build`")
+        meta, columns = _read_tables(buf)
         sch = meta["schema"]
         empty = {k: (float("nan") if v is None else v) for k, v in sch["empty"].items()}
         schema = ArraySchema(
@@ -636,6 +629,9 @@ class Index:
         idx = cls(schema, None, params["attribute"], Fanout(params["fanout_per_dim"], schema.ndim),
                   params["bins"], params["e"], [])
         depth = len(columns) - 1
+        for level, cols in enumerate(columns):
+            idx._check_common(level, depth, cols)
+        idx._check_links(columns)
         idx.levels = [
             idx._leaves(cols, depth) if level == 0 else idx._nodes(level, cols, depth)
             for level, cols in enumerate(columns)
@@ -662,9 +658,30 @@ class Index:
                             f"{cells[i]}-cell extent")
         _require(not (cols["amin"] > cols["amax"]).any(), where, "amin above amax")
 
+    def _check_links(self, columns: list) -> None:
+        """Checks of each level against the one above it: every node has its
+        parent there, and each parent's child mask holds exactly the slots
+        of its children."""
+        bits, mb = self.fanout.slot_bits, self._mask_bytes()
+        for level in range(1, len(columns)):
+            z, pz = columns[level - 1]["z"], columns[level]["z"]
+            up = z >> bits
+            at = np.minimum(np.searchsorted(pz, up), pz.size - 1)
+            orphan = np.flatnonzero(pz[at] != up)
+            if orphan.size:
+                i = orphan[0]
+                raise DataError(f"level {level - 1}: node {z[i]} has no parent {up[i]} "
+                                f"at level {level}")
+            slot = (z & ((1 << bits) - 1)).astype(np.int64)
+            want = np.zeros((pz.size, mb), np.uint8)
+            np.bitwise_or.at(want, (at, slot >> 3), (1 << (slot & 7)).astype(np.uint8))
+            bad = np.flatnonzero((want != columns[level]["child"].reshape(-1, mb)).any(axis=1))
+            if bad.size:
+                raise DataError(f"level {level}: node {pz[bad[0]]} has a child mask other "
+                                f"than the slots of its children")
+
     def _leaves(self, cols: dict, depth: int) -> dict:
         """The leaf level."""
-        self._check_common(0, depth, cols)
         z, ext, nbins = cols["z"], cols["extent"], cols["nbins"]
         coords = zorder_decode_many(z, self.schema.ndim, self.fanout.bits * depth)
         cs, shape = np.array(self.schema.chunk_shape), np.array(self.schema.shape)
@@ -691,7 +708,6 @@ class Index:
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
         """Internal level `level`."""
-        self._check_common(level, depth, cols)
         where = f"level {level}"
         nb, nsp, nal = (col.astype(np.int64) for col in cols["sizes"].T)
         _require((nb > 0).all() and (nsp > 0).all() and (nal > 0).all(), where, "empty table")
@@ -851,18 +867,12 @@ def _count_param(value) -> bool:
     return type(value) is int and value >= 1
 
 
-def _read_tables(buf: bytes, version: int) -> tuple:
-    """(metadata, columns per level) of a version-2 or version-3 file.  A
-    version-2 file's leaf kinds and bitmaps are checked and its bin spans
-    skipped; none of them is kept."""
-    if version == 2:
-        _, _, crc, nlevels, meta_len, end = _PREAMBLE_V2.unpack_from(buf)
-        head = _PREAMBLE_V2.size
-    else:
-        _, _, crc, nlevels, meta_len = _PREAMBLE.unpack_from(buf)
-        head, end = _PREAMBLE.size, len(buf)
+def _read_tables(buf: bytes) -> tuple:
+    """(metadata, columns per level) of a saved index."""
+    _, _, crc, nlevels, meta_len = _PREAMBLE.unpack_from(buf)
+    head = _PREAMBLE.size
     view = memoryview(buf)
-    if end > len(buf) or zlib.crc32(view[12:end], zlib.crc32(view[:8])) != crc:
+    if zlib.crc32(view[12:], zlib.crc32(view[:8])) != crc:
         raise DataError("header or tables fail their CRC32")
     pos = head + _DIRECTORY.size * nlevels
     directory = [_DIRECTORY.unpack_from(buf, head + _DIRECTORY.size * i) for i in range(nlevels)]
@@ -872,7 +882,7 @@ def _read_tables(buf: bytes, version: int) -> tuple:
     mb = -(-(fd**ndim) // 8)
     columns = []
     for level, (n, start, size) in enumerate(directory):
-        cur = _Cursor(buf, start, min(start + size, end), f"level {level}")
+        cur = _Cursor(buf, start, min(start + size, len(buf)), f"level {level}")
         cols = {
             "z": cur.take("<u8", n),
             "extent": cur.take("<u8", n * ndim * 2).reshape(n, ndim, 2),
@@ -881,17 +891,9 @@ def _read_tables(buf: bytes, version: int) -> tuple:
             "count": cur.take("<u8", n),
         }
         if level == 0:
-            kind = cur.take("u1", n) if version == 2 else None
             cols["nbins"] = cur.take("<u4", n)
             k = cols["nbins"].astype(np.int64)
-            binned = int(np.count_nonzero(k))
-            floats = 2 * int(k.sum()) + binned
-            if version == 2:  # boundaries and weights come first, then the spans
-                cols["floats"] = cur.take("<f8", floats + 2 * int(k.sum()))[:floats]
-                _check_v2_bitmaps(kind, k, cur.take("<u8", binned + 1), cur.take("<u4", binned),
-                                  view[end:])
-            else:
-                cols["floats"] = cur.take("<f8", floats)
+            cols["floats"] = cur.take("<f8", 2 * int(k.sum()) + int(np.count_nonzero(k)))
         else:
             cols["sizes"] = cur.take("<u4", 3 * n).reshape(n, 3)
             nb, nsp, nal = (int(c.astype(np.int64).sum()) for c in cols["sizes"].T)
@@ -901,153 +903,6 @@ def _read_tables(buf: bytes, version: int) -> tuple:
         cur.done()
         columns.append(cols)
     return meta, columns
-
-
-def _check_v2_bitmaps(kind: np.ndarray, nbins: np.ndarray, offsets: np.ndarray,
-                      crcs: np.ndarray, section: memoryview) -> None:
-    """Checks of a version-2 leaf level: each leaf's kind (0 plain, else 1
-    + the id of one of three encodings) agrees with its bin count, and each
-    binned leaf's words in the bitmap section match their CRC32."""
-    _require(not (kind > 3).any() and ((nbins > 0) == (kind > 0)).all(), "level 0",
-             "bad leaf kind or bin count")
-    steps = np.diff(offsets)
-    _require(offsets[0] == 0 and offsets[-1] == len(section) and (steps > 0).all()
-             and not (steps % 8).any(), "level 0", "bad bitmap offsets")
-    for start, stop, crc in zip(offsets[:-1].tolist(), offsets[1:].tolist(), crcs.tolist()):
-        if zlib.crc32(section[start:stop]) != crc:
-            raise DataError(f"leaf bitmaps at bitmap-section byte {start} fail their CRC32")
-
-
-def _walk_v1(buf: bytes) -> tuple:
-    """(metadata, columns per level) of a version-1 file, whose levels are
-    records walked one at a time; each leaf's bin spans are skipped and its
-    bitmaps are read with their headers, checked for their length, and
-    dropped."""
-    pos = 8
-    meta_len = struct.unpack_from("<Q", buf, pos)[0]
-    pos += 8
-    meta = _read_meta(buf[pos : pos + meta_len])
-    pos += meta_len
-    nlevels = struct.unpack_from("<I", buf, pos)[0]
-    pos += 4
-    directory = []
-    for _ in range(nlevels):
-        directory.append(struct.unpack_from("<IBQQQ", buf, pos))
-        pos += struct.calcsize("<IBQQQ")
-    ndim = len(meta["schema"]["dims"])
-    fd = meta["params"]["fanout_per_dim"]
-    mb = -(-(fd**ndim) // 8)
-    columns = []
-    for level, _, count, offset, size in directory:
-        if offset + size > len(buf):
-            raise DataError(f"level {level} runs past the end of the file")
-        rec = {key: [] for key in ("z", "extent", "amin", "amax", "count", "nbins", "sizes",
-                                   "child", "sp_masks", "al_masks")}
-        floats = ([], [], [], [])
-        walk = _walk_v1_leaf if level == 0 else _walk_v1_node
-        p = offset
-        for _ in range(count):
-            p = walk(buf, p, ndim, mb, rec, floats)
-        if p != offset + size:
-            raise DataError(f"level {level} ends at byte {p}, not {offset + size}")
-        cols = {
-            "z": np.array(rec["z"], np.uint64),
-            "extent": np.array(rec["extent"], np.uint64).reshape(count, ndim, 2),
-            "amin": np.array(rec["amin"], np.float64),
-            "amax": np.array(rec["amax"], np.float64),
-            "count": np.array(rec["count"], np.uint64),
-            "floats": _floats(*floats),
-        }
-        if level == 0:
-            cols["nbins"] = np.array(rec["nbins"], np.uint32)
-        else:
-            cols["sizes"] = np.array(rec["sizes"], np.uint32).reshape(count, 3)
-            cols["child"] = np.frombuffer(b"".join(rec["child"]), np.uint8)
-            cols["masks"] = np.frombuffer(b"".join(rec["sp_masks"] + rec["al_masks"]), np.uint8)
-        columns.append(cols)
-    return meta, columns
-
-
-def _walk_v1_common(buf, pos: int, ndim: int, rec: dict, coords: bool) -> int:
-    rec["z"].append(struct.unpack_from("<Q", buf, pos)[0])
-    pos += 8 + 8 * ndim * coords
-    rec["extent"].append(struct.unpack_from(f"<{2 * ndim}Q", buf, pos))
-    return pos + 16 * ndim
-
-
-def _walk_v1_leaf(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple) -> int:
-    pos = _walk_v1_common(buf, pos, ndim, rec, True)
-    kind, amin, amax, count = struct.unpack_from("<BddQ", buf, pos)
-    pos += struct.calcsize("<BddQ")
-    rec["amin"].append(amin)
-    rec["amax"].append(amax)
-    rec["count"].append(count)
-    if kind == 0:
-        rec["nbins"].append(0)
-        return pos
-    enc, nb = struct.unpack_from("<BH", buf, pos)
-    pos += 3
-    if nb < 2 or enc > 2:
-        raise DataError(f"leaf {rec['z'][-1]} has encoding {enc} and {nb} bin boundaries")
-    rec["nbins"].append(nb - 1)
-    for part, n in zip(floats, (nb, nb - 1)):
-        part.append(np.frombuffer(buf, "<f8", n, pos))
-        pos += 8 * n
-    pos += 16 * (nb - 1)  # the bins' span_lo and span_hi
-    ext = rec["extent"][-1]
-    cells = int(np.prod(np.subtract(ext[1::2], ext[0::2]) + 1))
-    ebm, pos = _unpack_bitvector(buf, pos)
-    nbm = struct.unpack_from("<H", buf, pos)[0]
-    pos += 2
-    vecs = [ebm]
-    for _ in range(nbm):
-        vec, pos = _unpack_bitvector(buf, pos)
-        vecs.append(vec)
-    if any(len(v) != cells for v in vecs):
-        raise DataError(f"leaf {rec['z'][-1]} has bitmaps of another length than its "
-                        f"{cells}-cell chunk")
-    return pos
-
-
-def _walk_v1_node(buf, pos: int, ndim: int, mb: int, rec: dict, floats: tuple) -> int:
-    pos = _walk_v1_common(buf, pos, ndim, rec, False)
-    amin, amax, count = struct.unpack_from("<ddQ", buf, pos)
-    pos += 24
-    rec["amin"].append(amin)
-    rec["amax"].append(amax)
-    rec["count"].append(count)
-    rec["child"].append(buf[pos : pos + mb])
-    pos += mb
-    nb = struct.unpack_from("<H", buf, pos)[0]
-    pos += 2
-    if nb < 2:
-        raise DataError(f"node {rec['z'][-1]} has {nb} bin boundaries")
-    for part, n in zip(floats, (nb, nb - 1)):
-        part.append(np.frombuffer(buf, "<f8", n, pos))
-        pos += 8 * n
-    rows = []
-    for part, masks in zip(floats[2:], (rec["sp_masks"], rec["al_masks"])):
-        cnt = struct.unpack_from("<H", buf, pos)[0]
-        pos += 2
-        rows.append(cnt)
-        bounds = []
-        for _ in range(cnt):
-            bounds.append(struct.unpack_from("<d", buf, pos)[0])
-            masks.append(buf[pos + 8 : pos + 8 + mb])
-            pos += 8 + mb
-        part.append(np.array(bounds))
-    rec["sizes"].append((nb - 1, *rows))
-    return pos
-
-
-def _unpack_bitvector(buf, pos) -> tuple:
-    """One length-prefixed version-1 bitvector read in place from the file buffer."""
-    ln = struct.unpack_from("<I", buf, pos)[0]
-    pos += 4
-    vec, end = BitVector.from_bytes(buf, pos)
-    if end != pos + ln:
-        raise DataError(f"bitvector at byte {pos} does not fit its {ln}-byte record")
-    return vec, end
 
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,

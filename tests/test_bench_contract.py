@@ -3,13 +3,17 @@ measures their results; these checks keep that contract in tier-1, so a
 rename or a return-type change fails here rather than in a benchmark run."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import arraybit
 from arraybit import hierindex, query
-from arraybit.baseline import full_scan
-from arraybit.chunkstore import ChunkStore
+from arraybit.baseline import DimsAttsIndex, full_scan
+from arraybit.chunkstore import ChunkStore, QueryStats
 from arraybit.query import RawQuery, execute
 from testutil import random_index, random_store
 
@@ -135,3 +139,40 @@ def test_appended_workload_trees_match_a_full_build(monkeypatch):
         z, leaf = next(iter(leaves.items()))
         leaves[z] = leaf._replace(amin=leaf.amin - 1.0)
         assert "leaf bytes differ" in checks.tree_difference(appended, full), name
+
+
+def test_names_the_runner_reads_outside_the_tracer():
+    # perfbench/runner.py passes these keywords and reads these counters
+    # and methods by name; a move of the bitmap code that drops one fails
+    # here, not in a benchmark run
+    store = random_store(np.random.default_rng(6), (32, 32), (8, 8), 0.2)
+    idx = hierindex.build_index(store, fanout=16, bins=4, leaf_encoding="interval")
+    root = idx.root
+    q = query.normalize(RawQuery(attr_lo=root.amin, attr_hi=(root.amin + root.amax) / 2,
+                                 dims={"d0": (3, 20)}),
+                        store.schema, (root.amin, root.amax))
+    for encoding in ("equality", "range", "interval"):
+        dims = DimsAttsIndex(store, "a", bins=4, encoding=encoding)
+        stats = QueryStats()
+        assert np.array_equal(dims.query(q, stats), full_scan(store, "a", q)), encoding
+        assert np.array_equal(dims.query(q), full_scan(store, "a", q)), encoding
+        assert stats.bitmap_fetches > 0, encoding
+        assert stats.candidate_bitmap_fetches >= 0 and stats.candidate_checks >= 0, encoding
+        assert dims.size_bytes() > 0
+    stats = QueryStats()
+    execute(idx, q, stats)
+    assert (stats.bitmap_fetches, stats.candidate_bitmap_fetches) == (0, 0)
+    assert stats.candidate_checks > 0
+
+
+def test_tree_modules_import_no_bitmap_codec():
+    # only the baseline and bitvec itself know the bitmap encoding
+    code = ("import sys\n"
+            "import arraybit.chunkstore, arraybit.hierindex, arraybit.query\n"
+            "print('arraybit.bitvec' in sys.modules)")
+    src = str(Path(arraybit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import (
     ArraySchema,
-    BinnedBitmapIndex,
     ChunkStore,
     Leaf,
     QueryStats,

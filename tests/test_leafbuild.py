@@ -15,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from arraybit import chunkstore
+from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, BinnedBitmapIndex, ChunkStore, build_leaf_index
+from arraybit.chunkstore import ArraySchema, ChunkStore, build_leaf_index
 from arraybit.hierindex import Index
 from testutil import reference_binned, reference_leaf, value_pool
 

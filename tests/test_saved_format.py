@@ -5,19 +5,18 @@ Each case builds a small seeded index and compares the SHA-256 of
 single saved byte fails here.  A deliberate format change updates the
 digests together with `_VERSION` in `hierindex`.
 
-`fixtures/v1_<case>.idx` and `fixtures/v2_<case>.idx` hold the same three
-indexes in the version-1 and version-2 formats, written before the next
-version replaced each; they must keep loading and answering like a fresh
-build.  Their leaf bitmaps are checked and dropped: a version-2 file's
-against their CRC32s, so a flipped byte there still fails.
+Only version 3 is read.  A file of another version, and a file whose
+levels disagree with each other (a node without its parent, a child mask
+other than the slots of its children), fail at load with DataError and,
+through the CLI, with exit status 2.
 """
 
 import hashlib
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore, load_store, write_raw
@@ -25,8 +24,6 @@ from arraybit.cli import main
 from arraybit.errors import DataError
 from arraybit.hierindex import Fanout, Index, build_index
 from arraybit.query import RawQuery, estimate, execute, membership
-
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _schema(shape, chunk, typ="float64", empty=None):
@@ -100,26 +97,13 @@ def _queries(idx):
     ]
 
 
-def _answers_like_a_fresh_build(make, version):
-    fresh = make()
-    old = Index.load(FIXTURES / f"v{version}_{make.__name__}.idx", store=fresh.store)
-    assert old.serialize() == fresh.serialize()
+def _answers_like(old, fresh):
     for raw in _queries(fresh):
         run = membership if raw.values is not None else execute
         assert np.array_equal(run(old, raw).cell_ids(old.store),
                               run(fresh, raw).cell_ids(fresh.store))
         for budget in range(fresh.depth + 1):
             assert estimate(old, raw, budget) == estimate(fresh, raw, budget)
-
-
-@pytest.mark.parametrize("make", CASES)
-def test_version_1_fixture_answers_like_a_fresh_build(make):
-    _answers_like_a_fresh_build(make, 1)
-
-
-@pytest.mark.parametrize("make", CASES)
-def test_version_2_fixture_answers_like_a_fresh_build(make):
-    _answers_like_a_fresh_build(make, 2)
 
 
 @pytest.mark.parametrize("make", CASES)
@@ -137,39 +121,84 @@ def test_load_builds_no_bitvector_and_saves_the_same_bytes(make, tmp_path, monke
     monkeypatch.setattr(BitVector, "__init__", counted)
     loaded = Index.load(path, store=fresh.store)
     assert loaded.serialize() == path.read_bytes()
-    # a version-2 file's bitmaps are checked by their CRC32s, not decoded
-    Index.load(FIXTURES / f"v2_{make.__name__}.idx", store=fresh.store)
     assert not made
+    _answers_like(loaded, fresh)
 
 
-def _v2_bitmap_section(raw: bytes) -> tuple:
-    """(start, end) of the bitmap section of a version-2 file."""
-    version, bitmaps_at = struct.unpack_from("<I", raw, 4)[0], struct.unpack_from("<Q", raw, 24)[0]
-    assert version == 2 and 0 < bitmaps_at < len(raw)
-    return bitmaps_at, len(raw)
+@pytest.mark.parametrize("version", [1, 2, 4])
+def test_other_versions_fail_with_data_error(version, tmp_path, capsys):
+    raw = bytearray(range_2d().serialize())
+    struct.pack_into("<I", raw, 4, version)
+    path = tmp_path / f"v{version}.abix"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"index version {version} .*`arraybit build`"):
+        Index.load(path)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--where", ""]) == 2
+    err = capsys.readouterr().err
+    assert f"version {version}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("make", CASES)
-def test_version_2_flipped_byte_fails_with_data_error(make, tmp_path):
-    # the header CRC covers all but the bitmap section, and each leaf's
-    # bitmaps are checked against their own CRC32 at load
-    raw = (FIXTURES / f"v2_{make.__name__}.idx").read_bytes()
-    start, end = _v2_bitmap_section(raw)
-    path = tmp_path / "flip.abix"
-    for at in sorted({8, 12, start // 2, start - 1, start, (start + end) // 2, end - 1}):
-        bad = bytearray(raw)
-        bad[at] ^= 0x10
-        path.write_bytes(bytes(bad))
-        with pytest.raises(DataError, match="CRC32"):
-            Index.load(path)
-        assert main(["query", "--index", str(path), "--where", ""]) == 2, at
+def _probe_index():
+    """A 64x64 float array in 8x8 chunks with fanout 4: four levels."""
+    vals = np.random.default_rng(7).random((64, 64))
+    return build_index(ChunkStore.from_dense(_schema(vals.shape, (8, 8)), {"a": vals}),
+                       fanout=4, bins=8)
 
 
-@pytest.mark.parametrize("make", CASES)
-def test_version_3_is_smaller_than_versions_1_and_2(make):
-    size = len(make().serialize())
-    for version in (1, 2):
-        assert size < (FIXTURES / f"v{version}_{make.__name__}.idx").stat().st_size
+def _leave_out_a_leaf(idx):
+    # a level-1 node's child mask and range masks leave out a leaf that is saved
+    z, node = next(iter(idx.levels[1].items()))
+    low = node.child_mask & -node.child_mask
+    node.child_mask &= ~low
+    node.sp_masks = [m & ~low for m in node.sp_masks]
+    node.al_masks = [m & ~low for m in node.al_masks]
+    return f"level 1: node {z} has a child mask"
+
+
+def _drop_a_leaf(idx):
+    # a level-1 node keeps the slot of a leaf that is not saved
+    del idx.levels[0][next(iter(idx.levels[0]))]
+    return "level 1: node 0 has a child mask"
+
+
+def _drop_a_node(idx):
+    # the leaves of a level-1 node that is not saved have no parent
+    del idx.levels[1][0]
+    return "level 0: node 0 has no parent 0 at level 1"
+
+
+@pytest.mark.parametrize("tamper", [_leave_out_a_leaf, _drop_a_leaf, _drop_a_node])
+def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
+    idx = _probe_index()
+    assert idx.depth == 3
+    where = tamper(idx)
+    path = tmp_path / "tampered.abix"
+    idx.save(path)  # the CRC covers the tampered tables
+    with pytest.raises(DataError, match=where):
+        Index.load(path, store=idx.store)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--where", "a in [0.1, 0.5]"]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+_PROBE = _probe_index().serialize()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_flipped_child_bit_or_dropped_node_fails_at_load(data):
+    idx = Index._parse(_PROBE)
+    level = data.draw(st.integers(0, idx.depth - 1))  # below the root
+    nodes = idx.levels[level]
+    z = data.draw(st.sampled_from(sorted(nodes)))
+    if level == 0 or data.draw(st.booleans()):
+        del nodes[z]
+    else:
+        nodes[z].child_mask ^= 1 << data.draw(st.integers(0, idx.fanout.total - 1))
+    with pytest.raises(DataError, match="level"):
+        Index._parse(idx.serialize())
 
 
 @pytest.mark.parametrize("field, value", [

@@ -7,10 +7,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from arraybit.binning import Binning, wsse
+from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import (
     ArraySchema,
-    BinnedBitmapIndex,
     Block,
     Chunk,
     ChunkStore,
@@ -317,8 +317,16 @@ def bitvector_from_positions(positions, length: int) -> BitVector:
     return BitVector.from_dense(dense)
 
 
+def bitvector_of_bytes(raw: bytes) -> BitVector:
+    """The vector whose `to_bytes` form is `raw`: its header's bit count and
+    the words after it, taken as they are."""
+    n, nwords = struct.unpack_from("<QQ", raw)
+    assert len(raw) == 16 + 8 * nwords
+    return BitVector(n, np.frombuffer(raw, "<u8", nwords, 16))
+
+
 def _reference_vector(bits) -> BitVector:
-    return BitVector.from_bytes(reference_bitvector_bytes(bits))[0]
+    return bitvector_of_bytes(reference_bitvector_bytes(bits))
 
 
 def reference_bins(live, bins: int) -> tuple:
