@@ -178,13 +178,10 @@ def equi_depth_exact(ordered: np.ndarray, live: np.ndarray, k: int) -> tuple:
     return binnings, span_lo, span_hi
 
 
-def wsse(binning: Binning, target_total: float | None = None, bins: int | None = None) -> float:
+def wsse(binning: Binning) -> float:
     """Weighted sum of squared deviations from the ideal equal share."""
     w = binning.weights
-    total = float(w.sum()) if target_total is None else float(target_total)
-    nb = binning.nbins if bins is None else bins
-    share = total / nb
-    return float(((w - share) ** 2).sum())
+    return float(((w - float(w.sum()) / binning.nbins) ** 2).sum())
 
 
 def _initial_equi_width_selection(boundaries: np.ndarray, bins: int) -> np.ndarray:

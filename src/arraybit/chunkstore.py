@@ -175,10 +175,6 @@ class Chunk:
         return self.block.nonempty[self.row].reshape(self.shape)
 
     @property
-    def cell_count(self) -> int:
-        return math.prod(self.shape)
-
-    @property
     def extent(self) -> tuple:
         return tuple((o, o + s - 1) for o, s in zip(self.offsets, self.shape))
 
@@ -521,23 +517,11 @@ def put_rows(answer: np.ndarray, chunk_shape, at: tuple, rows: np.ndarray, shape
     tiles[at] = rows.view(item).reshape(-1, *shape[:-1])
 
 
-def chunks_cover(chunks, chunk_shape) -> Cover:
-    """A zeroed cover of the tiles from the least to the greatest grid
-    coordinates of `chunks`, with no windows."""
-    grid = np.array([c.coords for c in chunks])
-    first = grid.min(axis=0)
-    shape = (grid.max(axis=0) + 1 - first) * chunk_shape
-    return Cover(np.zeros(shape, bool), tuple(chunk_shape), tuple(first.tolist()),
-                 (None,) * len(chunk_shape))
-
-
-def put_chunks(answer: np.ndarray, chunk_shape, origin, chunks) -> None:
-    """Write the non-empty cells of `chunks` into a chunk-aligned answer at
-    `origin` in tiles of `chunk_shape`, one assignment per block
-    (:func:`put_rows`)."""
-    first = np.floor_divide(origin, chunk_shape)
-    for block, _, rows, at in tile_batches(chunks, first):
-        put_rows(answer, chunk_shape, at, block.nonempty[rows], block.shape)
+def put_chunks(cover: Cover, chunks) -> None:
+    """Write the non-empty cells of `chunks` into `cover.answer`, one
+    assignment per block (:func:`put_rows`)."""
+    for block, _, rows, at in tile_batches(chunks, cover.first):
+        put_rows(cover.answer, cover.chunk_shape, at, block.nonempty[rows], block.shape)
 
 
 def _apply_windows(hits: np.ndarray, windows, where, shape) -> None:

@@ -41,13 +41,12 @@ coordinates come from z.
 
 `Index.load` reads version 3 only: a file of another version fails with
 DataError, and is rebuilt from its data by `arraybit build`.  It checks the
-CRC, reads every column with `np.frombuffer`, checks each level with
-vectorized tests (increasing z, extents inside the array, a leaf's extent
-that of its chunk, counts of 1 to the extent's cells, increasing bin
-boundaries per segment, a binned leaf's amin and amax its first and last
-boundary), checks each level against the one above it (every node has its
-parent, whose child mask holds exactly the slots of its children) and
-builds every node eagerly.
+CRC, reads every column with `np.frombuffer`, checks each level's own
+columns, then each level against the one below it (`Index._check_links`:
+a parent's child mask, count, value range, extent, bins and range tables
+are what its children give), and builds every node eagerly, checking each
+leaf's extent against its chunk's and every node's bin boundaries.  A file
+left inconsistent by a wrong writer or a hand edit fails with DataError.
 """
 
 from __future__ import annotations
@@ -319,8 +318,7 @@ def _slot_masks(hit: np.ndarray, slots: np.ndarray, total: int) -> list:
     `slots[i]` set where column i is."""
     dense = np.zeros((hit.shape[0], total), bool)
     dense[:, slots] = hit
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _masks(_packed(dense), -(-total // 8))
 
 
 def build_internal_node(
@@ -399,13 +397,11 @@ class Index:
     def root(self):
         return self.levels[-1].get(0) if self.levels else None
 
-    def fetch(self, level: int, z: int, stats=None, trace=None):
+    def fetch(self, level: int, z: int, stats=None):
+        """The node at (level, z) or None, each found one counted in `stats`."""
         node = self.levels[level].get(z)
-        if node is not None:
-            if stats is not None:
-                stats.nodes_fetched += 1
-            if trace is not None:
-                trace.append((self.depth - level, z))
+        if node is not None and stats is not None:
+            stats.nodes_fetched += 1
         return node
 
     def node_count(self) -> int:
@@ -659,10 +655,15 @@ class Index:
         _require(not (cols["amin"] > cols["amax"]).any(), where, "amin above amax")
 
     def _check_links(self, columns: list) -> None:
-        """Checks of each level against the one above it: every node has its
-        parent there, and each parent's child mask holds exactly the slots
-        of its children."""
-        bits, mb = self.fanout.slot_bits, self._mask_bytes()
+        """Checks of each level against the one below it, before any node is
+        built: every node below the root has its parent, every parent a
+        child, and each parent is what :func:`build_internal_node` derives
+        from its children (child mask, count, value range, extent, at most
+        `bins` bins, sp and al tables).  Z increases, so each parent's
+        children are one run of the level below; all levels' parents are
+        checked in one pass over their columns laid end to end."""
+        bits, total, mb = self.fanout.slot_bits, self.fanout.total, self._mask_bytes()
+        ats, ends = [], [0]  # each child's parent in the parents laid end to end
         for level in range(1, len(columns)):
             z, pz = columns[level - 1]["z"], columns[level]["z"]
             up = z >> bits
@@ -672,13 +673,75 @@ class Index:
                 i = orphan[0]
                 raise DataError(f"level {level - 1}: node {z[i]} has no parent {up[i]} "
                                 f"at level {level}")
-            slot = (z & ((1 << bits) - 1)).astype(np.int64)
-            want = np.zeros((pz.size, mb), np.uint8)
-            np.bitwise_or.at(want, (at, slot >> 3), (1 << (slot & 7)).astype(np.uint8))
-            bad = np.flatnonzero((want != columns[level]["child"].reshape(-1, mb)).any(axis=1))
-            if bad.size:
-                raise DataError(f"level {level}: node {pz[bad[0]]} has a child mask other "
-                                f"than the slots of its children")
+            ats.append(at + ends[-1])
+            ends.append(ends[-1] + pz.size)
+        if not ats:
+            return
+        parents = columns[1:]
+        kids = {name: np.concatenate([c[name] for c in columns[:-1]])
+                for name in ("z", "count", "amin", "amax", "extent")}
+        cols = {name: np.concatenate([c[name] for c in parents])
+                for name in ("z", "count", "amin", "amax", "extent", "sizes", "child", "bounds")}
+        pz, at = cols["z"], np.concatenate(ats)
+
+        def check(bad, what):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataError(f"level {np.searchsorted(ends, i, side='right')}: "
+                                f"node {pz[i]} has {what}")
+
+        n = np.bincount(at, minlength=pz.size)
+        check(n == 0, "no children")
+        first = np.cumsum(n) - n
+        cell = at * total + (kids["z"] & ((1 << bits) - 1)).astype(np.intp)  # (parent, slot)
+        child = np.zeros(pz.size * total, bool)
+        child[cell] = True
+        check((_packed(child.reshape(pz.size, total)) != cols["child"].reshape(-1, mb))
+              .any(axis=1), "a child mask other than the slots of its children")
+        check(np.add.reduceat(kids["count"], first) != cols["count"],
+              "a count other than the sum of its children's")
+        check((np.minimum.reduceat(kids["amin"], first) != cols["amin"])
+              | (np.maximum.reduceat(kids["amax"], first) != cols["amax"]),
+              "a value range other than its children's")
+        ext, span = kids["extent"], cols["extent"]
+        check((np.minimum.reduceat(ext, first)[:, :, 0] != span[:, :, 0]).any(axis=1)
+              | (np.maximum.reduceat(ext, first)[:, :, 1] != span[:, :, 1]).any(axis=1),
+              "an extent other than the span of its children's")
+        # the range tables as `_range_table` derives them, sp then al: per
+        # parent a row of child-slot bits per boundary, less rows equal to
+        # the one above.  A child is in the sp rows from p, the count of
+        # boundaries below its amin, and in the al rows before q, the count
+        # at or below its amax; so a parent's rows change only at a p or q.
+        sizes = cols["sizes"].astype(np.intp)
+        check(sizes[:, 0] > self.bins, f"more than {self.bins} bins")  # sizes what follows
+        nb = sizes[:, 0] + 1
+        width = int(nb.max())
+        small = np.min_scalar_type(-width - 1)
+        valid = np.arange(width) < nb[:, None]
+        bounds = np.full(valid.shape, np.nan)  # past a parent's last, below no value
+        bounds[valid] = cols["bounds"]
+        below = np.repeat(bounds.T, n, axis=1)  # each child's parent's, as a column
+        p = (below < kids["amin"]).sum(axis=0, dtype=small)
+        q = (below <= kids["amax"]).sum(axis=0, dtype=small)
+        keep = np.zeros((2, pz.size, width + 1), bool)
+        keep[0, at, p] = keep[1, at, q] = keep[:, :, 0] = True
+        keep = keep[:, :, :width] & valid
+        bad = keep.sum(axis=2) != sizes[:, 1:].T
+        if not bad.any():
+            edge = np.full((2, pz.size * total), [[width], [0]], small)  # no child: no row
+            edge[0, cell], edge[1, cell] = p, q
+            row = np.arange(width, dtype=small)[:, None]
+            masks = _packed((row >= edge.reshape(2, pz.size, 1, total))
+                            ^ np.array([False, True])[:, None, None, None])
+            # the saved tables in the same order: every level's sp rows, then al rows
+            saved = [np.concatenate([c[name] for name in names for c in parents])
+                     for names in (("sp_bounds", "al_bounds"), ("sp", "al"))]
+            wrong = ((np.repeat(bounds[None], 2, axis=0)[keep] != saved[0])
+                     | (masks[keep] != saved[1]).any(axis=1))
+            if wrong.any():
+                bad[tuple(i[wrong] for i in np.nonzero(keep)[:2])] = True
+        check(bad[0], "sp masks other than its children's amin give")
+        check(bad[1], "al masks other than its children's amax give")
 
     def _leaves(self, cols: dict, depth: int) -> dict:
         """The leaf level."""
@@ -690,7 +753,7 @@ class Index:
                  "level 0", "a leaf's extent is not its chunk's")
         binned = nbins > 0
         k = nbins[binned].astype(np.int64)
-        bounds, weights = _split(cols["floats"], k + 1, k)
+        bounds, weights = cols["bounds"], cols["weights"]
         bo, wo = np.cumsum(k + 1) - (k + 1), np.cumsum(k) - k
         _require(_segments_increase(bounds, k + 1, k > 1), "level 0",
                  "bin boundaries do not increase")
@@ -711,20 +774,20 @@ class Index:
         where = f"level {level}"
         nb, nsp, nal = (col.astype(np.int64) for col in cols["sizes"].T)
         _require((nb > 0).all() and (nsp > 0).all() and (nal > 0).all(), where, "empty table")
-        bounds, weights, sp_bounds, al_bounds = _split(cols["floats"], nb + 1, nb, nsp, nal)
-        _require(_segments_increase(bounds, nb + 1, nb > 1)
-                 and _segments_increase(sp_bounds, nsp, nsp > 0)
-                 and _segments_increase(al_bounds, nal, nal > 0), where,
+        bounds, weights = cols["bounds"], cols["weights"]
+        sp_bounds, al_bounds = cols["sp_bounds"], cols["al_bounds"]
+        _require(_segments_increase(bounds, nb + 1, nb > 1), where,  # sp, al bounds: some of these
                  "bin boundaries do not increase")
+        bo, wo = np.cumsum(nb + 1) - (nb + 1), np.cumsum(nb) - nb
+        _require((cols["amin"] == bounds[bo]).all() and (cols["amax"] == bounds[bo + nb]).all(),
+                 where, "amin or amax is not that of the bins")
         mb = self._mask_bytes()
         child = _masks(cols["child"], mb)
-        masks = _masks(cols["masks"], mb)
-        sp_masks, al_masks = masks[: int(nsp.sum())], masks[int(nsp.sum()) :]
+        sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
         z = cols["z"].tolist()
         coords = map(tuple, zorder_decode_many(cols["z"], self.schema.ndim,
                                                self.fanout.bits * (depth - level)).tolist())
         ext = (tuple(map(tuple, e)) for e in cols["extent"].tolist())
-        bo, wo = np.cumsum(nb + 1) - (nb + 1), np.cumsum(nb) - nb
         so, ao = np.cumsum(nsp) - nsp, np.cumsum(nal) - nal
         nodes = {}
         for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
@@ -746,13 +809,10 @@ def _require(ok, where: str, what: str) -> None:
         raise DataError(f"{where}: {what}")
 
 
-def _split(values: np.ndarray, *sizes) -> list:
-    """`values` cut into consecutive parts holding sizes[0].sum(),
-    sizes[1].sum(), ... values; DataError if they do not add up."""
-    ends = np.cumsum([int(s.sum()) for s in sizes])
-    if ends[-1] != values.size:
-        raise DataError(f"{values.size} bin floats where the bin counts give {ends[-1]}")
-    return np.split(values, ends[:-1])
+def _packed(hit: np.ndarray) -> np.ndarray:
+    """Each row of F booleans along the last axis as a saved child-slot
+    mask: ceil(F/8) little-endian bytes."""
+    return np.packbits(hit, axis=-1, bitorder="little")
 
 
 def _segments_increase(values: np.ndarray, sizes: np.ndarray, strict: np.ndarray) -> bool:
@@ -890,16 +950,20 @@ def _read_tables(buf: bytes) -> tuple:
             "amax": cur.take("<f8", n),
             "count": cur.take("<u8", n),
         }
-        if level == 0:
+        if level == 0:  # parts of one f8 column need no padding between them
             cols["nbins"] = cur.take("<u4", n)
             k = cols["nbins"].astype(np.int64)
-            cols["floats"] = cur.take("<f8", 2 * int(k.sum()) + int(np.count_nonzero(k)))
+            cols["bounds"] = cur.take("<f8", int(k.sum()) + int(np.count_nonzero(k)))
+            cols["weights"] = cur.take("<f8", int(k.sum()))
         else:
             cols["sizes"] = cur.take("<u4", 3 * n).reshape(n, 3)
             nb, nsp, nal = (int(c.astype(np.int64).sum()) for c in cols["sizes"].T)
             cols["child"] = cur.take("u1", n * mb)
-            cols["floats"] = cur.take("<f8", 2 * nb + n + nsp + nal)
-            cols["masks"] = cur.take("u1", (nsp + nal) * mb)
+            cols["bounds"] = cur.take("<f8", nb + n)
+            cols["weights"] = cur.take("<f8", nb)
+            cols["sp_bounds"], cols["al_bounds"] = cur.take("<f8", nsp), cur.take("<f8", nal)
+            masks = cur.take("u1", (nsp + nal) * mb).reshape(-1, mb)
+            cols["sp"], cols["al"] = masks[:nsp], masks[nsp:]
         cur.done()
         columns.append(cols)
     return meta, columns

@@ -1,33 +1,25 @@
-"""Query normalization, per-node match evaluation and breadth-first
-traversal with exact leaf resolution, cardinality estimation and
-membership queries.
-
-A query is answered in a single descent: at every node the children are
-matched as partial or complete for the attribute and for the dimensions,
-and the two combine into the children to take whole and those to descend.
-Complete children are taken whole without touching cell data; partial
-children are descended down to the leaves.  The partial leaves are then
-resolved exactly, straight into one boolean answer over the chunk-aligned
-cover of the query's box (per dimension from the first run's low to the
-last run's high end, clipped to the array), which holds every complete
-region too.  They are resolved in one batch per block of their chunks
-(`chunkstore.leaf_query`): the rows to scan are gathered and matched in
-one pass by the query's one matcher (`chunkstore.run_matcher`), masked by
-the dimension runs, and written into the answer in one assignment.
-Leaves hold no bitmaps, since every chunk is resident, and on the
-4096-cell chunks of the benchmark the scan costs less than decoding one
-bitmap would.  Cell ids crop the answer to the box once; row-major order
-in it is global order, so they need no sort.  Internal nodes are matched
-from their child-slot bitmaps.
+"""Query normalization, per-node match evaluation and the one descent
+behind range, membership, dimension-set and estimate queries.
 
 The attribute constraint is a list of sorted, disjoint value runs: a range
-query is one run, a membership query one run per value (consecutive
-integers of an integer attribute coalesce).  Each dimension's constraint
-is likewise a tuple of sorted, disjoint integer index runs: a range is one
-run, a dimension value set such as `d1 in {2, 5}` one run per stretch of
-consecutive indices.  Range, membership, dimension-set and estimate
-queries all share the same descent over those runs, and their cells come
-out in global row-major order.
+query is one run, a value set one run per value (consecutive integers of
+an integer attribute coalesce), and an empty value set none.  Each
+dimension's constraint is likewise a tuple of sorted, disjoint index runs:
+a range is one run, a set such as `d1 in {2, 5}` one run per stretch of
+consecutive indices.
+
+Every query is one breadth-first descent over those runs (`_descend`): at
+each node the children are matched, from its child-slot bitmaps, as
+partial or complete for the attribute and for the dimensions.  Complete
+children are taken whole without reading a cell; partial ones are
+descended to the leaves, or to an estimate's level budget.  `execute`,
+which is also `membership`, then resolves the partial leaves exactly in
+one batch per block of their chunks (`chunkstore.leaf_query`), straight
+into the answer over the chunk-aligned cover of the query's box, which
+holds the complete nodes too.  Leaves hold no bitmaps, since every chunk
+is resident: on the benchmark's 4096-cell chunks the scan costs less than
+decoding one bitmap would.  Cell ids crop the answer to the box once;
+row-major order in it is global order, so they need no sort.
 """
 
 from __future__ import annotations
@@ -42,8 +34,8 @@ import numpy as np
 from .chunkstore import (
     ArraySchema,
     ChunkStore,
+    Cover,
     QueryStats,
-    chunks_cover,
     leaf_query,
     put_chunks,
     query_box,
@@ -58,7 +50,6 @@ __all__ = [
     "RawQuery",
     "Query",
     "ResultSet",
-    "CompleteRegion",
     "normalize",
     "value_runs",
     "attribute_runs",
@@ -99,69 +90,54 @@ class Query:
     values: tuple | None = None
 
 
-@dataclass(frozen=True)
-class CompleteRegion:
-    """A subtree whose every non-empty cell satisfies the query."""
-
-    level: int
-    z: int
-    extent: tuple
-    count: int
-
-
+@dataclass(frozen=True, eq=False)
 class ResultSet:
-    """Complete regions, plus the partial leaves' hits in one boolean
-    answer array.
+    """The answer of one descent.
 
-    `answer` covers the chunk-aligned cover of the query's box at `origin`
-    (see :func:`_resolve`), and leaf resolution wrote each leaf's hits into
-    it; it is None when no leaf was resolved.  `box` is the query's box,
-    (lo, hi) per dimension, which holds every match; None for the whole
-    answer.  `partial` maps the coordinates of each partial chunk with at
-    least one hit to its hit count.
+    `complete` holds the nodes it took whole, every non-empty cell under
+    them a match.  `partial` maps each partial chunk with a hit to its hit
+    count.  `cover` (:func:`query_cover`) holds the partial leaves' hits,
+    and :meth:`cell_ids` adds the complete nodes' cells.  `box`, (lo, hi)
+    per dimension, holds every match; None for the whole cover.  Both are
+    None when the descent stopped at no node.
     """
 
-    def __init__(self, schema: ArraySchema):
-        self.schema = schema
-        self.complete: list[CompleteRegion] = []
-        self.partial: dict = {}  # chunk coords -> hit count
-        self.origin: tuple | None = None
-        self.answer: np.ndarray | None = None
-        self.box: tuple | None = None
+    schema: ArraySchema
+    complete: list = field(default_factory=list)
+    partial: dict = field(default_factory=dict)  # chunk coords -> hit count
+    cover: Cover | None = None
+    box: tuple | None = None
 
     @property
     def count(self) -> int:
-        return sum(r.count for r in self.complete) + sum(self.partial.values())
+        return sum(node.count for node in self.complete) + sum(self.partial.values())
 
     def cell_ids(self, store: ChunkStore) -> np.ndarray:
         """All matching cells as global row-major ids, strictly increasing.
 
-        The non-empty rows of the chunks under the complete regions are
-        written into the answer, which covers them all (or into one over
-        those chunks' tiles when no leaf was resolved), one assignment per
-        block.  The answer is cropped to the box once; row-major order in
-        it is global order, so one `np.flatnonzero` and no sort.
+        The non-empty rows of the chunks under the complete nodes are
+        written into the cover's answer, which holds them all, one
+        assignment per block.  The answer is cropped to the box once;
+        row-major order in it is global order, so one `np.flatnonzero` and
+        no sort.
         """
-        cs = self.schema.chunk_shape
+        cover = self.cover
+        if cover is None:
+            return np.empty(0, np.int64)
+        cs = cover.chunk_shape
         chunks = []
-        for region in self.complete:
-            grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(region.extent, cs))
+        for node in self.complete:
+            grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(node.extent, cs))
             for coords in itertools.product(*grid):
                 chunk = store.chunks.get(coords)
                 if chunk is not None:
                     chunks.append(chunk)
-        origin, answer = self.origin, self.answer
-        if answer is None:
-            if not chunks:
-                return np.empty(0, np.int64)
-            cover = chunks_cover(chunks, cs)
-            origin, answer = cover.origin, cover.answer
-        put_chunks(answer, cs, origin, chunks)
-        box, lo = answer, origin
+        put_chunks(cover, chunks)
+        box, lo = cover.answer, cover.origin
         if self.box is not None:
-            lo = [max(a, o) for (a, _), o in zip(self.box, origin)]
-            box = answer[tuple(slice(a - o, b + 1 - o)
-                               for a, (_, b), o in zip(lo, self.box, origin))]
+            at = [max(a, o) for (a, _), o in zip(self.box, lo)]
+            box = box[tuple(slice(a - o, b + 1 - o) for a, (_, b), o in zip(at, self.box, lo))]
+            lo = at
         ids = np.flatnonzero(box)
         shape = self.schema.shape
         for d in reversed(range(len(shape) - 1)):
@@ -378,25 +354,15 @@ def _prepare(index: Index, query) -> Query:
     return query
 
 
-def _resolve(index: Index, query: Query, runs, leaves: list, stats) -> tuple:
-    """Resolve the partial `leaves` into one boolean answer over the
-    chunk-aligned cover of the query's box: per dimension the tiles from
-    the one holding the first run's low end to the one holding the last
-    run's high end, clipped to the array.  Returns (origin, answer, hit
-    count per chunk with a hit).
-
-    The cover holds every complete region, whose extent some run covers
-    per dimension.  The leaves are resolved in one batch per block of
-    their chunks (:func:`leaf_query`), each masked by the query's
-    dimension runs, so the answer holds no cell outside them.  The
-    attribute runs are matched by one matcher for all the leaves, sized by
-    their chunks' cells.
-    """
+def _resolve(index: Index, runs, leaves: list, cover: Cover, stats) -> dict:
+    """Resolve the partial `leaves` into `cover.answer` in one batch per
+    block of their chunks (:func:`leaf_query`), masked by the cover's
+    dimension windows, with one attribute matcher for all of them; returns
+    the hit count per chunk with a hit."""
     store = index.store
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
     schema = index.schema
-    cover = query_cover(query.dim_ranges, schema.shape, schema.chunk_shape)
     root = index.root
     match = run_matcher(runs, schema.attr_type(index.attribute) == "int64", root.amin,
                         root.amax, len(leaves) * prod(schema.chunk_shape))
@@ -408,67 +374,61 @@ def _resolve(index: Index, query: Query, runs, leaves: list, stats) -> tuple:
         for leaf, n in zip(batch, counts.tolist()):
             if n:
                 hits[leaf.coords] = n
-    return cover.origin, cover.answer, hits
+    return hits
 
 
-def _descend(index: Index, query: Query, runs, budget: int, stats=None, trace=None):
-    """The one breadth-first descent behind :func:`execute` and :func:`estimate`.
+def _descend(index: Index, query: Query, runs, budget: int, stats=None) -> tuple:
+    """The one breadth-first descent behind every query kind.
 
-    Yields (kind, level, z, node) for every node the descent stops at, in
-    strict (level, z) order: "complete" subtrees, partial "leaf" entries to
-    resolve exactly, and "frontier" nodes left partial by the level budget.
-    Internal nodes are evaluated down to depth `budget` - 1 and leaves are
-    resolved when they lie at depth <= `budget`.
+    Returns the nodes it stops at, as lists in (level, z) order: the
+    complete subtrees, the partial leaves to resolve exactly, and the
+    frontier left partial by the level budget.  Internal nodes are
+    evaluated down to depth `budget` - 1 and leaves are resolved when they
+    lie at depth <= `budget`.  A query whose attribute runs, or the runs of
+    some dimension, miss the root stops at no node: an empty value set has
+    no runs.
     """
+    complete, leaves, frontier = [], [], []
     root = index.root
     if root is None or _node_disjoint(root, query, runs):
-        return
+        return complete, leaves, frontier
     depth = index.depth
     slot_bits = index.fanout.slot_bits
     queue = deque([(depth, 0, _node_complete(root, query, runs))])
     while queue:
         level, z, is_complete = queue.popleft()
-        node = index.fetch(level, z, stats, trace)
+        node = index.fetch(level, z, stats)
         d = depth - level
         if is_complete:
-            yield "complete", level, z, node
-        elif level == 0:
-            yield ("leaf" if d <= budget else "frontier"), level, z, node
-        elif d >= budget:
-            yield "frontier", level, z, node
+            complete.append(node)
+        elif level == 0 and d <= budget:
+            leaves.append(node)
+        elif level == 0 or d >= budget:
+            frontier.append(node)
         else:
             p_star, c_star = eval_node(node, query, index, runs, stats)
             base = z << slot_bits
             for slot in _iter_slots(p_star | c_star):
                 queue.append((level - 1, base | slot, bool(c_star >> slot & 1)))
+    return complete, leaves, frontier
 
 
-def execute(index: Index, query, stats: QueryStats | None = None,
-            trace: list | None = None) -> ResultSet:
-    """Answer a range or membership query with one breadth-first traversal."""
+def execute(index: Index, query, stats: QueryStats | None = None) -> ResultSet:
+    """Answer a range, membership or dimension-set query with one
+    breadth-first descent."""
     query = _prepare(index, query)
     runs = attribute_runs(index, query)
-    rs = ResultSet(index.schema)
-    leaves = []
-    for kind, level, z, node in _descend(index, query, runs, index.depth, stats, trace):
-        if kind == "complete":
-            rs.complete.append(CompleteRegion(level, z, node.extent, node.count))
-        else:
-            leaves.append(node)
-    if leaves:
-        rs.origin, rs.answer, rs.partial = _resolve(index, query, runs, leaves, stats)
-    if rs.complete or leaves:
-        rs.box = query_box(query.dim_ranges, index.schema.shape)
-    return rs
-
-
-def membership(index: Index, query, stats: QueryStats | None = None,
-               trace: list | None = None) -> ResultSet:
-    """Answer a value-set query; the same single descent as :func:`execute`."""
-    query = _prepare(index, query)
-    if not query.values:
+    complete, leaves, _ = _descend(index, query, runs, index.depth, stats)
+    if not (complete or leaves):
         return ResultSet(index.schema)
-    return execute(index, query, stats, trace)
+    schema = index.schema
+    cover = query_cover(query.dim_ranges, schema.shape, schema.chunk_shape)
+    partial = _resolve(index, runs, leaves, cover, stats) if leaves else {}
+    return ResultSet(schema, complete, partial, cover, query_box(query.dim_ranges, schema.shape))
+
+
+# a value set is one attribute run per stretch of values: the same descent
+membership = execute
 
 
 def estimate(index: Index, query, level_budget: int,
@@ -483,15 +443,9 @@ def estimate(index: Index, query, level_budget: int,
         raise InputError("level budget must be >= 0")
     query = _prepare(index, query)
     runs = attribute_runs(index, query)
-    lo = frontier = 0
-    leaves = []
-    for kind, _, _, node in _descend(index, query, runs, level_budget, stats):
-        if kind == "complete":
-            lo += node.count
-        elif kind == "leaf":
-            leaves.append(node)
-        else:
-            frontier += node.count
+    complete, leaves, frontier = _descend(index, query, runs, level_budget, stats)
+    lo = sum(node.count for node in complete)
     if leaves:
-        lo += sum(_resolve(index, query, runs, leaves, stats)[2].values())
-    return lo, lo + frontier
+        cover = query_cover(query.dim_ranges, index.schema.shape, index.schema.chunk_shape)
+        lo += sum(_resolve(index, runs, leaves, cover, stats).values())
+    return lo, lo + sum(node.count for node in frontier)

@@ -18,14 +18,13 @@ from arraybit.datagen import SumGaussSpec, generate_dense
 from arraybit.hierindex import build_index
 from arraybit.query import (
     RawQuery,
-    ResultSet,
     attribute_runs,
     estimate,
     eval_node,
     execute,
     normalize,
 )
-from testutil import bitvector_of_bytes, random_raw_query
+from testutil import bitvector_of_bytes, complete_ids, random_raw_query, record_fetches
 
 RNG_SEED = 20240
 MIXED_PER_ARRAY = 36
@@ -101,15 +100,13 @@ def workload():
 
         for raw in queries:
             q = normalize(raw, schema, (root.amin, root.amax))
-            trace = []
             stats = QueryStats()
-            rs = execute(idx, q, stats, trace)
+            with pytest.MonkeyPatch.context() as mp:
+                trace = record_fetches(mp)
+                rs = execute(idx, q, stats)
             got = rs.cell_ids(store)
             want = full_scan(store, "a", q)
             dims_got = dims.query(q)
-            only_complete = ResultSet(schema)
-            only_complete.complete = rs.complete
-            complete_ids = only_complete.cell_ids(store)
             est = [estimate(idx, q, b) for b in range(idx.depth + 1)]
             records.append(
                 dict(
@@ -118,7 +115,7 @@ def workload():
                     exact=int(want.size),
                     tree_ok=bool(np.array_equal(got, want)),
                     dims_ok=bool(np.array_equal(dims_got, want)),
-                    complete_sound=_sorted_subset(complete_ids, want),
+                    complete_sound=_sorted_subset(complete_ids(store, rs), want),
                     n_complete=len(rs.complete),
                     trace=trace,
                     estimates=est,
@@ -257,7 +254,7 @@ def test_algorithm1_quality():
         assert np.isin(out.boundaries, src.boundaries).all(), i
         if src.nbins > bins:
             start = trace[0]
-            final = wsse(out, src.weights.sum(), bins)
+            final = wsse(out)
             assert final <= start + 1e-9, i
             assert all(b < a for a, b in zip(trace, trace[1:])), i
             assert len(trace) - 1 <= 10 * src.nbins, i

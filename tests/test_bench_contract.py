@@ -58,9 +58,8 @@ def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
         # whether the batch hit: query.leaves_resolved and
         # query.leaf_yield_ratio count batches, not leaves
         q = query.normalize(raw, idx.schema, (root.amin, root.amax))
-        blocks = {id(store.chunks[node.coords].block)
-                  for kind, _, _, node in query._descend(idx, q, query.attribute_runs(idx, q),
-                                                         idx.depth) if kind == "leaf"}
+        leaves = query._descend(idx, q, query.attribute_runs(idx, q), idx.depth)[1]
+        blocks = {id(store.chunks[leaf.coords].block) for leaf in leaves}
         leaf = table.select("chunkstore.leaf_query", [qid])
         assert leaf.sum() == len(blocks), qid
         assert set(table.work[leaf].tolist()) <= {0, 1}
@@ -139,6 +138,24 @@ def test_appended_workload_trees_match_a_full_build(monkeypatch):
         z, leaf = next(iter(leaves.items()))
         leaves[z] = leaf._replace(amin=leaf.amin - 1.0)
         assert "leaf bytes differ" in checks.tree_difference(appended, full), name
+
+
+def test_a_quarter_scale_round_of_every_workload_is_correct(monkeypatch, tmp_path):
+    # the benchmark's own untraced round through the query API it calls:
+    # every operation of every kind answers right, dimension sets included,
+    # and the appended tree matches a full build
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    runner = importlib.import_module("runner")
+    kinds = {}
+    for name, spec in workloads.SPECS.items():
+        res = runner.run_untraced(workloads.scaled(spec, 4), 1, 0.0, tmp_path / name)
+        run = res["run"]
+        assert run.correct and not run.errors, (name, run.errors[:2])
+        assert res["tree_problem"] is None, name
+        assert not any(run.failed.values()), (name, dict(run.failed))
+        kinds[name] = {kind for kind, n in run.attempted.items() if n}
+    assert kinds["member-3d"] == {"member", "estimate", "dimset"}, kinds
 
 
 def test_names_the_runner_reads_outside_the_tracer():

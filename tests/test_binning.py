@@ -158,8 +158,7 @@ def test_wsse_values():
     b = Binning(np.array([0.0, 1.0, 2.0]), np.array([2.0, 2.0]))
     assert wsse(b) == 0.0
     c = Binning(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0]))
-    assert wsse(c, target_total=4.0, bins=2) == pytest.approx(2.0)
-    assert wsse(c) == wsse(c)
+    assert wsse(c) == pytest.approx(2.0)
 
 
 def test_merge_identity_when_small():
@@ -191,7 +190,7 @@ def test_merge_improves_on_equi_width_start():
         assert out.nbins == min(8, b.nbins)
         assert trace == sorted(trace, reverse=True)
         assert all(x > y for x, y in zip(trace, trace[1:]))
-        assert wsse(out, b.weights.sum(), 8) <= trace[0] + 1e-9
+        assert wsse(out) <= trace[0] + 1e-9
         assert len(trace) - 1 <= 10 * b.nbins
 
 

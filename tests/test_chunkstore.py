@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ def test_equality_bitmaps_partition_the_chunk():
     nonempty = chunk.nonempty.reshape(-1)
     idx = BinnedBitmapIndex.build(chunk.values_flat("a"), nonempty, 8, "equality")
     assert idx.nbins == 8
-    union = BitVector.zeros(chunk.cell_count)
+    union = BitVector.zeros(math.prod(chunk.shape))
     running = 0
     for bm in idx.bitmaps:
         assert (bm & union).count_ones() == 0  # pairwise disjoint

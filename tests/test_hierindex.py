@@ -1,3 +1,4 @@
+import math
 import struct
 import warnings
 import zlib
@@ -22,7 +23,13 @@ from arraybit.hierindex import (
     zorder_encode_many,
 )
 from arraybit.query import RawQuery, execute
-from testutil import lone_chunk, reference_spread_weights, zorder_decode, zorder_encode
+from testutil import (
+    lone_chunk,
+    record_fetches,
+    reference_spread_weights,
+    zorder_decode,
+    zorder_encode,
+)
 
 
 @pytest.fixture
@@ -278,19 +285,22 @@ def test_clipped_extents():
     assert idx.depth == 2
 
 
-def test_fetch_trace_and_nodes_fetched():
+def test_fetch_trace_and_nodes_fetched(monkeypatch):
     store = grid_store((64, 64), (8, 8))
     idx = build_index(store, fanout=64)
     stats = QueryStats()
-    trace = []
-    root = idx.fetch(1, 0, stats, trace)
+    root = idx.fetch(1, 0, stats)
     assert root is idx.root
-    assert trace == [(0, 0)]
     assert stats.nodes_fetched == 1
-    idx.fetch(1, 0, stats, trace)
+    idx.fetch(1, 0, stats)
     assert stats.nodes_fetched == 2  # every fetch counts
-    assert idx.fetch(0, 64, stats, trace) is None  # no such node: not counted
-    assert stats.nodes_fetched == 2 and len(trace) == 2
+    assert idx.fetch(0, 64, stats) is None  # no such node: not counted
+    assert stats.nodes_fetched == 2
+    # a query's descent reads every node through fetch, the root first
+    trace = record_fetches(monkeypatch)
+    stats = QueryStats()
+    execute(idx, RawQuery(attr_lo=root.amin, attr_hi=root.amax, dims={"d0": (3, 40)}), stats)
+    assert trace[0] == (0, 0) and len(trace) == stats.nodes_fetched > 1
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -575,7 +585,7 @@ def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
     n = len(idx.levels[0])
     count_at = start + 8 * n + 32 * n + 16 * n  # after z, extent, amin and amax
     entry = next(iter(idx.levels[0].values()))
-    cells = store.chunks[entry.coords].cell_count
+    cells = math.prod(store.chunks[entry.coords].shape)
     assert struct.unpack_from("<Q", raw, count_at)[0] == entry.count == cells == 64
     for bad, ok in ((64, True), (65, False)):
         path = tmp_path / f"count-{bad}.abix"

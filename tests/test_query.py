@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arraybit.baseline import DimsAttsIndex, full_scan
-from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
+from arraybit.chunkstore import ArraySchema, ChunkStore, Cover, QueryStats
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import Index, build_index
 from arraybit.query import (
@@ -23,11 +23,13 @@ from arraybit.query import (
 from arraybit.query import _descend
 from testutil import (
     assert_strictly_increasing,
+    complete_ids,
     lone_chunk,
     random_dim_set,
     random_index,
     random_raw_query,
     random_store,
+    record_fetches,
     reference_leaf_stats,
     region_cells_satisfy,
 )
@@ -91,7 +93,7 @@ def test_fractional_dimension_bounds_round_inwards(schema2d):
     assert normalize(RawQuery(dim_values={"d0": {2.5}}), schema2d).dim_ranges[0] == ()
 
 
-def test_one_descent_equals_the_union_of_the_box_queries():
+def test_one_descent_equals_the_union_of_the_box_queries(monkeypatch):
     store, idx = make_index(seed=3, fanout=64)
     root = idx.root
     mid = (root.amin + root.amax) / 2
@@ -99,8 +101,8 @@ def test_one_descent_equals_the_union_of_the_box_queries():
                    dims={"d0": (5, 27)})
     q = normalize(raw, store.schema)
     assert q.dim_ranges[1] == ((2, 4), (9, 9), (30, 30))
-    trace = []
-    got = execute(idx, q, trace=trace).cell_ids(store)
+    trace = record_fetches(monkeypatch)
+    got = execute(idx, q).cell_ids(store)
     assert trace[0] == (0, 0)
     assert_strictly_increasing(trace)  # one traversal
     parts = [
@@ -330,14 +332,15 @@ def test_complete_regions_are_sound():
             assert region_cells_satisfy(store, "a", region, q)
 
 
-def test_trace_single_traversal():
+def test_trace_single_traversal(monkeypatch):
     rng = np.random.default_rng(6)
     store, idx = random_index(rng, (40, 40), (4, 4), 0.2, fanout=16)
     root = idx.root
+    trace = record_fetches(monkeypatch)
     for _ in range(30):
         raw = random_raw_query(rng, store.schema, root.amin, root.amax)
-        trace = []
-        execute(idx, raw, trace=trace)
+        trace.clear()
+        execute(idx, raw)
         assert_strictly_increasing(trace)
 
 
@@ -402,14 +405,15 @@ def _random_membership(rng, store, root, kmin=2):
     return normalize(raw, store.schema, (root.amin, root.amax))
 
 
-def test_membership_single_traversal():
+def test_membership_single_traversal(monkeypatch):
     rng = np.random.default_rng(14)
     store, idx = random_index(rng, (40, 40), (4, 4), 0.2, fanout=16)
     root = idx.root
+    trace = record_fetches(monkeypatch)
     for _ in range(20):
         q = _random_membership(rng, store, root)
-        trace = []
-        rs = membership(idx, q, trace=trace)
+        trace.clear()
+        rs = membership(idx, q)
         assert trace[0] == (0, 0)
         assert_strictly_increasing(trace)
         assert np.array_equal(rs.cell_ids(store), full_scan(store, "a", q))
@@ -594,30 +598,20 @@ def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, emp
 
 
 
-def _complete_ids(store, rs):
-    """Ids of the non-empty cells inside the complete regions, from a mask
-    over the dense array."""
-    inside = np.zeros(store.schema.shape, bool)
-    for region in rs.complete:
-        inside[tuple(slice(lo, hi + 1) for lo, hi in region.extent)] = True
-    return np.flatnonzero(inside & store.nonempty_dense())
-
-
 def test_cell_ids_place_an_answer_box_anywhere_in_the_array():
     # the id arithmetic alone: a random answer box at a random origin of a
     # 1-4 dimensional array, against the ids of the same cells set in a
-    # whole-array mask
+    # whole-array mask; a cover in tiles of one cell starts anywhere
     rng = np.random.default_rng(0)
     for _ in range(300):
         shape = tuple(int(e) for e in rng.integers(1, 7, int(rng.integers(1, 5))))
         origin = tuple(int(rng.integers(0, e)) for e in shape)
         sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)),
                           (("a", "float64"),), shape)
-        rs = ResultSet(sch)
-        rs.origin = origin
-        rs.answer = rng.random([int(rng.integers(1, e - o + 1)) for e, o in zip(shape, origin)]) < 0.4
+        answer = rng.random([int(rng.integers(1, e - o + 1)) for e, o in zip(shape, origin)]) < 0.4
+        rs = ResultSet(sch, cover=Cover(answer, (1,) * len(shape), origin, (None,) * len(shape)))
         whole = np.zeros(shape, bool)
-        whole[tuple(slice(o, o + n) for o, n in zip(origin, rs.answer.shape))] = rs.answer
+        whole[tuple(slice(o, o + n) for o, n in zip(origin, answer.shape))] = answer
         assert np.array_equal(rs.cell_ids(ChunkStore(sch, {})), np.flatnonzero(whole))
 
 
@@ -659,14 +653,12 @@ def test_answer_box_matches_full_scan(appended):
         assert np.array_equal(ids, want), raw
         assert rs.count == ids.size
         assert np.array_equal(rs.cell_ids(store), want)  # a second call gives the same
-        only = ResultSet(sch)
-        only.complete = rs.complete
-        assert np.array_equal(only.cell_ids(store), _complete_ids(store, rs)), raw
+        done = complete_ids(store, rs)
+        assert np.isin(done, want).all() and done.size == sum(n.count for n in rs.complete), raw
     # the first query: complete regions, and partial leaves (0, 1) without a
     # hit and (1, 1) with some
     q = normalize(raws[0], sch)
-    resolved = {node.coords for kind, _, _, node in _descend(idx, q, attribute_runs(idx, q),
-                                                             idx.depth) if kind == "leaf"}
+    resolved = {leaf.coords for leaf in _descend(idx, q, attribute_runs(idx, q), idx.depth)[1]}
     rs = execute(idx, q)
     assert rs.complete and {(0, 1), (1, 1)} <= resolved
     assert (0, 1) not in rs.partial and rs.partial[(1, 1)] == 10
@@ -797,11 +789,8 @@ def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout):
         rs = execute(idx, q)
         assert np.array_equal(rs.cell_ids(queried), want), raw
         assert rs.count == want.size
-        only = ResultSet(sch)
-        only.complete = rs.complete
-        for box in (None, rs.box):
-            only.box = box
-            assert np.array_equal(only.cell_ids(queried), _complete_ids(store, rs)), raw
+        done = complete_ids(store, rs)
+        assert np.isin(done, want).all() and done.size == sum(n.count for n in rs.complete), raw
 
 
 def test_query_stats_keep_their_per_leaf_definitions():
@@ -864,9 +853,6 @@ def test_a_round_of_every_query_kind_leaves_blocks_and_views_unchanged():
         q = normalize(raw, sch, (root.amin, root.amax))
         rs = (membership if q.values else execute)(idx, q)
         rs.cell_ids(mixed)
-        only = ResultSet(sch)
-        only.complete = rs.complete
-        only.cell_ids(mixed)
         for budget in range(idx.depth + 1):
             estimate(idx, q, budget)
     assert digest() == before

@@ -6,9 +6,10 @@ single saved byte fails here.  A deliberate format change updates the
 digests together with `_VERSION` in `hierindex`.
 
 Only version 3 is read.  A file of another version, and a file whose
-levels disagree with each other (a node without its parent, a child mask
-other than the slots of its children), fail at load with DataError and,
-through the CLI, with exit status 2.
+levels disagree with each other (a node without its parent, or a parent
+whose child mask, count, value range, extent or range masks are not what
+its children give), fail at load with DataError and, through the CLI,
+with exit status 2.
 """
 
 import hashlib
@@ -18,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arraybit.binning import Binning
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, ChunkStore, load_store, write_raw
+from arraybit.chunkstore import ArraySchema, ChunkStore, Leaf, load_store, write_raw
 from arraybit.cli import main
 from arraybit.errors import DataError
 from arraybit.hierindex import Fanout, Index, build_index
@@ -168,7 +170,56 @@ def _drop_a_node(idx):
     return "level 0: node 0 has no parent 0 at level 1"
 
 
-@pytest.mark.parametrize("tamper", [_leave_out_a_leaf, _drop_a_leaf, _drop_a_node])
+def _drop_every_child(idx):
+    # a level-1 node whose leaves are none of them saved
+    z = next(iter(idx.levels[1]))
+    for leaf_z in [c for c in idx.levels[0] if c >> idx.fanout.slot_bits == z]:
+        del idx.levels[0][leaf_z]
+    return f"level 1: node {z} has no children"
+
+
+def _more_bins_than_the_index_has(idx):
+    # the build merges a node's bins down to the index's `bins` (8)
+    z, node = next(iter(idx.levels[1].items()))
+    node.binning = Binning(np.linspace(node.amin, node.amax, 11), np.ones(10))
+    return f"level 1: node {z} has more than 8 bins"
+
+
+def _count_five_less(idx):
+    z, node = next(iter(idx.levels[1].items()))
+    node.count -= 5
+    return f"level 1: node {z} has a count other than the sum of its children's"
+
+
+def _lower_amax(idx):
+    z, node = next(iter(idx.levels[1].items()))
+    node.amax = (node.amin + node.amax) / 2
+    return f"level 1: node {z} has a value range other than its children's"
+
+
+def _raise_amin(idx):
+    z, node = next(iter(idx.levels[1].items()))
+    node.amin = (node.amin + node.amax) / 2
+    return f"level 1: node {z} has a value range other than its children's"
+
+
+def _drop_a_child_from_the_sp_masks(idx):
+    z, node = next(iter(idx.levels[1].items()))
+    node.sp_masks = [m & ~(node.child_mask & -node.child_mask) for m in node.sp_masks]
+    return f"level 1: node {z} has sp masks other than its children's amin give"
+
+
+def _drop_a_child_from_the_al_masks(idx):
+    z, node = next(iter(idx.levels[1].items()))
+    node.al_masks = [m & ~(node.child_mask & -node.child_mask) for m in node.al_masks]
+    return f"level 1: node {z} has al masks other than its children's amax give"
+
+
+@pytest.mark.parametrize("tamper", [_leave_out_a_leaf, _drop_a_leaf, _drop_a_node,
+                                    _drop_every_child, _more_bins_than_the_index_has,
+                                    _count_five_less, _lower_amax, _raise_amin,
+                                    _drop_a_child_from_the_sp_masks,
+                                    _drop_a_child_from_the_al_masks])
 def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
     idx = _probe_index()
     assert idx.depth == 3
@@ -186,17 +237,44 @@ def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
 _PROBE = _probe_index().serialize()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_one_flipped_child_bit_or_dropped_node_fails_at_load(data):
+def test_one_changed_cross_level_field_fails_at_load(data):
+    # a node below the root dropped, or one field that a node and its
+    # children must agree on changed: a child bit, a count, an amin or
+    # amax, an extent bound, or a bit of an sp or al mask
     idx = Index._parse(_PROBE)
-    level = data.draw(st.integers(0, idx.depth - 1))  # below the root
+    change = data.draw(st.sampled_from(
+        ["drop", "child", "count", "amin", "amax", "extent", "sp_masks", "al_masks"]))
+    internal = change in ("child", "sp_masks", "al_masks")
+    level = data.draw(st.integers(int(internal), idx.depth - (change == "drop")))
     nodes = idx.levels[level]
     z = data.draw(st.sampled_from(sorted(nodes)))
-    if level == 0 or data.draw(st.booleans()):
+    node = nodes[z]
+    slot = data.draw(st.integers(0, idx.fanout.total - 1))
+    if change == "drop":
         del nodes[z]
+        fields = {}
+    elif change == "child":
+        fields = {"child_mask": node.child_mask ^ 1 << slot}
+    elif change == "count":
+        fields = {"count": node.count + data.draw(st.sampled_from([-1, 1]))}
+    elif change in ("amin", "amax"):
+        fields = {change: getattr(node, change) + data.draw(st.sampled_from([-0.5, 0.5]))}
+    elif change == "extent":
+        d, side = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        ext = [list(e) for e in node.extent]
+        ext[d][side] += 1 - 2 * side  # a low bound up or a high bound down
+        fields = {"extent": tuple(map(tuple, ext))}
     else:
-        nodes[z].child_mask ^= 1 << data.draw(st.integers(0, idx.fanout.total - 1))
+        table = list(getattr(node, change))
+        table[data.draw(st.integers(0, len(table) - 1))] ^= 1 << slot
+        fields = {change: table}
+    if isinstance(node, Leaf):
+        nodes[z] = node._replace(**fields)
+    else:
+        for name, value in fields.items():
+            setattr(node, name, value)
     with pytest.raises(DataError, match="level"):
         Index._parse(idx.serialize())
 

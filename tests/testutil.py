@@ -1,5 +1,6 @@
 """Shared helpers for building randomized stores, indexes and queries."""
 
+import math
 import struct
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from arraybit.chunkstore import (
     run_matcher,
 )
 from arraybit.errors import DataError, InputError
-from arraybit.hierindex import build_index
+from arraybit.hierindex import Index, build_index
 from arraybit.query import RawQuery, _descend, attribute_runs
 
 
@@ -168,6 +169,29 @@ def region_cells_satisfy(store, attribute, region, query):
                 if outside.any():
                     return False
     return True
+
+
+def complete_ids(store, rs):
+    """Ids of the non-empty cells inside the complete nodes of a result
+    set, from a mask over the dense array."""
+    inside = np.zeros(store.schema.shape, bool)
+    for node in rs.complete:
+        inside[tuple(slice(lo, hi + 1) for lo, hi in node.extent)] = True
+    return np.flatnonzero(inside & store.nonempty_dense())
+
+
+def record_fetches(monkeypatch) -> list:
+    """Wrap `Index.fetch` as the benchmark's tracer does; the returned list
+    gets (depth - level, z) of every fetch, in order."""
+    fetched = []
+    fetch = Index.fetch
+
+    def recorded(self, level, z, stats=None):
+        fetched.append((self.depth - level, z))
+        return fetch(self, level, z, stats)
+
+    monkeypatch.setattr(Index, "fetch", recorded)
+    return fetched
 
 
 def assert_strictly_increasing(trace):
@@ -396,7 +420,7 @@ def resolve_leaf(chunk, leaf, attr: str, runs, dim_runs, stats=None, match=None)
         return np.zeros(chunk.nonempty[box].shape, bool)
     if match is None:
         match = run_matcher(runs, chunk.values_flat(attr).dtype.kind == "i", leaf.amin,
-                            leaf.amax, chunk.cell_count)
+                            leaf.amax, math.prod(chunk.shape))
     # the chunk as an array of one tile
     cover = query_cover(local, chunk.shape, chunk.shape)
     at = tuple(np.zeros(1, np.intp) for _ in chunk.shape)
@@ -412,10 +436,9 @@ def reference_leaf_stats(index, query) -> tuple:
     dimension runs."""
     runs = attribute_runs(index, query)
     scanned = checks = 0
-    for kind, _, _, leaf in _descend(index, query, runs, index.depth):
+    for leaf in _descend(index, query, runs, index.depth)[1]:
         meets = [(lo, hi) for lo, hi in runs if hi >= leaf.amin and lo <= leaf.amax]
-        if kind != "leaf" or not meets or any(lo <= leaf.amin and leaf.amax <= hi
-                                              for lo, hi in meets):
+        if not meets or any(lo <= leaf.amin and leaf.amax <= hi for lo, hi in meets):
             continue
         chunk = index.store.chunks[leaf.coords]
         inside = chunk.nonempty.copy()
