@@ -12,7 +12,11 @@ level is one dict {z: node}.
 A tree is only ever grown: `Index._grow` adds the leaves of some chunks and
 rebuilds their ancestors, or every level when the tree got deeper.
 `build_index` grows an empty tree by every chunk of a store, and
-`Index.append` grows a tree by the chunks it is given.
+`Index.append` grows a tree by the chunks it is given.  A level is built in
+one pass: `build_internal_node` merges each parent's bins, the one heuristic
+part of a node; `_derive_parents` derives everything else its children fix,
+for all the level's parents at once, in the saved columns; and
+`Index._nodes` makes the nodes from those columns, as a load does.
 
 Saved format, version 3.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
@@ -42,11 +46,13 @@ coordinates come from z.
 `Index.load` reads version 3 only: a file of another version fails with
 DataError, and is rebuilt from its data by `arraybit build`.  It checks the
 CRC, reads every column with `np.frombuffer`, checks each level's own
-columns, then each level against the one below it (`Index._check_links`:
-a parent's child mask, count, value range, extent, bins and range tables
-are what its children give), and builds every node eagerly, checking each
-leaf's extent against its chunk's and every node's bin boundaries.  A file
-left inconsistent by a wrong writer or a hand edit fails with DataError.
+columns, then each level against the one below it (`Index._check_links`):
+every parent's child mask, count, value range, extent and range tables
+must be what `_derive_parents`, the derivation the build makes each level
+with, gives from its children and its own bins.  It then checks each
+leaf's extent against its chunk's and every node's bin boundaries, and
+builds every node eagerly through `Index._nodes`.  A file left
+inconsistent by a wrong writer or a hand edit fails with DataError.
 """
 
 from __future__ import annotations
@@ -145,12 +151,11 @@ class DimensionBitmaps:
     def __init__(self, fanout: Fanout):
         self.fanout = fanout
         fd, n, total = fanout.per_dim, fanout.ndim, fanout.total
-        slots = np.arange(total)
-        coords = zorder_decode_many(slots, n, fanout.bits)
-        b = np.arange(fd)[:, None]
-        self.partial = [_slot_masks(coords[:, d] == b, slots, total) for d in range(n)]
-        self.begin = [_slot_masks(coords[:, d] >= b, slots, total) for d in range(n)]
-        self.end = [_slot_masks(coords[:, d] <= b, slots, total) for d in range(n)]
+        coords = zorder_decode_many(np.arange(total), n, fanout.bits)
+        b, mb = np.arange(fd)[:, None], -(-total // 8)
+        self.partial = [_masks(_packed(coords[:, d] == b), mb) for d in range(n)]
+        self.begin = [_masks(_packed(coords[:, d] >= b), mb) for d in range(n)]
+        self.end = [_masks(_packed(coords[:, d] <= b), mb) for d in range(n)]
 
     def bucket_range(self, d: int, lo: int, hi: int) -> int:
         """Mask of children whose d-bucket lies in [lo, hi]."""
@@ -305,66 +310,70 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
     return np.bincount(slot, weights=term, minlength=bounds.size - 1)
 
 
-def _range_table(rb: np.ndarray, hit: np.ndarray, slots: np.ndarray, total: int):
-    """Boundaries where the set of hit children changes, with those sets as
-    child-slot masks; hit is (boundaries, children)."""
-    keep = np.ones(rb.size, bool)
-    keep[1:] = (hit[1:] != hit[:-1]).any(axis=1)
-    return rb[keep], _slot_masks(hit[keep], slots, total)
-
-
-def _slot_masks(hit: np.ndarray, slots: np.ndarray, total: int) -> list:
-    """Each row of a (rows, children) boolean array as an int with bit
-    `slots[i]` set where column i is."""
-    dense = np.zeros((hit.shape[0], total), bool)
-    dense[:, slots] = hit
-    return _masks(_packed(dense), -(-total // 8))
-
-
-def build_internal_node(
-    children: list, level: int, coords: tuple, fanout: Fanout, bins: int
-) -> TreeNode:
-    """Aggregate up to F child summaries into one internal node.
-
-    children is a list of (slot, child) where child exposes extent, amin,
-    amax, count and optionally a binning with weight estimates.
-    """
-    if not children:
-        raise InputError("an internal node needs at least one child")
-    slots = np.array([s for s, _ in children])
-    nodes = [c for _, c in children]
-    mins = np.array([c.amin for c in nodes])
-    maxs = np.array([c.amax for c in nodes])
-    flat = itertools.chain.from_iterable
-    ext = np.fromiter(flat(flat(c.extent for c in nodes)), np.int64,
-                      len(nodes) * fanout.ndim * 2).reshape(len(nodes), fanout.ndim, 2)
-    extent = tuple(zip(ext[:, :, 0].min(axis=0).tolist(), ext[:, :, 1].max(axis=0).tolist()))
-    count = int(sum(c.count for c in nodes))
-
-    bounds = np.unique(np.concatenate((mins, maxs)))
+def build_internal_node(nodes: list, bins: int) -> Binning:
+    """The bins of an internal node: its children's weights (`nodes` expose
+    amin, amax, count and a binning or None) spread over their minima and
+    maxima, merged down to at most `bins` bins."""
+    bounds = np.unique(np.array([c.amin for c in nodes] + [c.amax for c in nodes]))
     if bounds.size == 1:
-        binning = Binning(np.array([bounds[0], bounds[0]]), np.array([float(count)]))
-    else:
-        binning = merge_bins_iterative(Binning(bounds, _spread_weights(bounds, nodes)), bins)
+        return Binning(np.array([bounds[0], bounds[0]]),
+                       np.array([float(sum(c.count for c in nodes))]))
+    return merge_bins_iterative(Binning(bounds, _spread_weights(bounds, nodes)), bins)
 
-    rb = binning.boundaries
-    sp_bounds, sp_masks = _range_table(rb, mins[None, :] <= rb[:, None], slots, fanout.total)
-    al_bounds, al_masks = _range_table(rb, maxs[None, :] >= rb[:, None], slots, fanout.total)
-    return TreeNode(
-        level=level,
-        z=0,  # assigned by the builder, which knows the level's bit width
-        coords=tuple(coords),
-        extent=extent,
-        amin=float(mins.min()),
-        amax=float(maxs.max()),
-        count=count,
-        child_mask=_slot_masks(np.ones((1, slots.size), bool), slots, fanout.total)[0],
-        binning=binning,
-        sp_bounds=sp_bounds,
-        sp_masks=sp_masks,
-        al_bounds=al_bounds,
-        al_masks=al_masks,
-    )
+
+def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.ndarray,
+                    fanout: Fanout) -> dict:
+    """What their children fix about internal nodes, of one level or more
+    laid end to end, as their saved columns: child masks, counts, value
+    ranges, extents, sizes, and the sp and al tables over each node's own
+    bins.  `kids` holds the children's z, extent, amin, amax and count
+    columns; `at[i]` is child i's parent, nondecreasing, and every parent
+    has a child; parent j has `nbins[j]` bins, its boundaries back to back
+    in `bounds`.
+
+    A child is in its parent's sp rows from p, the count of the parent's
+    boundaries below its amin, and in its al rows before q, the count at or
+    below its amax.  A table keeps its first row and each row some p (or q)
+    names, where its set of children changes."""
+    total, npar = fanout.total, nbins.size
+    n = np.bincount(at, minlength=npar)
+    first = np.cumsum(n) - n
+    cell = at * total + (kids["z"] & ((1 << fanout.slot_bits) - 1)).astype(np.intp)
+    child = np.zeros(npar * total, bool)
+    child[cell] = True
+    ext = kids["extent"]
+    out = {
+        "child": _packed(child.reshape(npar, total)),
+        "count": np.add.reduceat(kids["count"], first),
+        "amin": np.minimum.reduceat(kids["amin"], first),
+        "amax": np.maximum.reduceat(kids["amax"], first),
+        "extent": np.where([True, False], np.minimum.reduceat(ext, first),
+                           np.maximum.reduceat(ext, first)),  # least lo, greatest hi
+    }
+    nb = nbins.astype(np.intp) + 1
+    width = int(nb.max())
+    small = np.min_scalar_type(-width - 1)
+    valid = np.arange(width) < nb[:, None]
+    padded = np.full(valid.shape, np.nan)  # past a parent's last, below no value
+    padded[valid] = bounds
+    below = np.repeat(padded.T, n, axis=1)  # each child's parent's, as a column
+    # each child's p and q; the kept rows of table t (0 sp, 1 al) of each parent
+    edge = np.empty((2, at.size), small)
+    (below < kids["amin"]).sum(axis=0, out=edge[0])
+    (below <= kids["amax"]).sum(axis=0, out=edge[1])
+    keep = np.zeros((2, npar, width + 1), bool)
+    keep[0, at, edge[0]] = keep[1, at, edge[1]] = keep[:, :, 0] = True
+    t, kp, kr = np.nonzero(keep[:, :, :width] & valid)
+    slots = np.full((2, npar * total), [[width], [0]], small)  # no child: in no row
+    slots[:, cell] = edge
+    # row r of sp holds the children with p <= r, row r of al those with q > r
+    masks = _packed((kr.astype(small)[:, None] >= slots.reshape(2, npar, total)[t, kp])
+                    ^ t.astype(bool)[:, None])
+    rows = np.bincount(t * npar + kp, minlength=2 * npar).reshape(2, npar)
+    kept, sp = padded[kp, kr], int(rows[0].sum())
+    out.update(sizes=np.concatenate((nbins[None], rows)).T, sp_bounds=kept[:sp],
+               al_bounds=kept[sp:], sp=masks[:sp], al=masks[sp:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,36 +468,35 @@ class Index:
 
     def _build_level(self, level: int, depth: int, below: dict, parents=None) -> dict:
         """The level-`level` parents of the nodes in `below`, the level under
-        them: all of them, or only those whose z is in `parents`."""
-        fo = self.fanout
-        bits = fo.slot_bits
-        slot = (1 << bits) - 1
-        groups: dict = {}
-        for z, node in sorted(below.items()):  # children in z order
-            pz = z >> bits
-            if parents is None or pz in parents:
-                groups.setdefault(pz, []).append((z & slot, node))
-        coords = zorder_decode_many(np.fromiter(groups, np.int64, len(groups)), fo.ndim,
-                                    fo.bits * (depth - level))
-        out = {}
-        for (pz, members), c in zip(groups.items(), map(tuple, coords.tolist())):
-            node = build_internal_node(members, level, c, fo, self.bins)
-            node.z = pz
-            out[pz] = node
-        return out
+        them: all of them, or only those whose z is in `parents`, made in
+        the one pass of the module docstring."""
+        bits = self.fanout.slot_bits
+        items = [(z, node) for z, node in sorted(below.items())  # children in z order
+                 if parents is None or z >> bits in parents]
+        if not items:
+            return {}
+        kids = dict(zip(_COMMON, _common_columns(items, self.fanout.ndim)))
+        pz, first, at = np.unique(kids["z"] >> bits, return_index=True, return_inverse=True)
+        nodes = [node for _, node in items]
+        binnings = [build_internal_node(nodes[a:b], self.bins)
+                    for a, b in zip(first.tolist(), first[1:].tolist() + [len(nodes)])]
+        bounds = _floats([b.boundaries for b in binnings])
+        cols = _derive_parents(kids, at, np.array([b.nbins for b in binnings]), bounds,
+                               self.fanout)
+        cols.update(z=pz, bounds=bounds, weights=_floats([b.weights for b in binnings]))
+        return self._nodes(level, cols, depth)
 
     # -- appending --------------------------------------------------------
 
     def append(self, additions: ChunkStore) -> None:
-        """Grow the tree by grid-aligned new chunks (see :meth:`_grow`); an
-        attached store takes them in too."""
+        """Grow the tree by grid-aligned new chunks (see :meth:`_grow`) and
+        its extents to theirs, even where no added chunk holds a non-empty
+        cell; an attached store takes them in too."""
         new_schema = additions.schema
         if new_schema.chunk_shape != self.schema.chunk_shape:
             raise InputError("appended data must use the same chunk shape")
         if new_schema.attributes != self.schema.attributes:
             raise InputError("appended data must use the same attributes")
-        if not additions.chunks:
-            return
         for (old_name, old_e), (new_name, new_e), cs in zip(
             self.schema.dims, new_schema.dims, self.schema.chunk_shape
         ):
@@ -628,41 +636,49 @@ class Index:
         for level, cols in enumerate(columns):
             idx._check_common(level, depth, cols)
         idx._check_links(columns)
-        idx.levels = [
-            idx._leaves(cols, depth) if level == 0 else idx._nodes(level, cols, depth)
-            for level, cols in enumerate(columns)
-        ]
+        for level, cols in enumerate(columns):
+            if level:
+                _require((cols["sizes"] > 0).all(), f"level {level}", "empty table")
+                _check_bins(level, cols["sizes"][:, 0], cols["bounds"], cols["amin"], cols["amax"])
+            idx.levels.append(idx._nodes(level, cols, depth) if level else idx._leaves(cols, depth))
         return idx
 
     # -- building the levels of a saved index from their columns ----------
 
     def _check_common(self, level: int, depth: int, cols: dict) -> None:
-        """Checks of the columns every level has."""
+        """Checks of the columns every level has, each naming the first node
+        that fails it."""
         z, ext, count = cols["z"], cols["extent"], cols["count"]
         where = f"level {level}"
         lo, hi = ext[:, :, 0], ext[:, :, 1]
         _require(z.size > 0, where, "has no nodes")
-        _require(not (z[1:] <= z[:-1]).any(), where, "z-indices do not increase")
-        _require(int(z[-1]) < self.fanout.total ** (depth - level), where, "z-index out of range")
-        _require(not (lo > hi).any() and not (hi >= np.array(self.schema.shape)).any(), where,
-                 "extent outside the array")
+        back = np.flatnonzero(z[1:] <= z[:-1])
+        if back.size:
+            i = back[0] + 1
+            raise DataError(f"{where}: node {z[i]} follows node {z[i - 1]}: "
+                            f"z-indices do not increase")
+        _require_each(z >= self.fanout.total ** (depth - level), where, z,
+                      "has a z-index out of range")
+        _require_each((lo > hi).any(axis=1) | (hi >= np.array(self.schema.shape)).any(axis=1),
+                      where, z, "has an extent outside the array")
         cells = np.prod(hi - lo + 1, axis=1)
         bad = np.flatnonzero((count < 1) | (count > cells))
         if bad.size:
             i = bad[0]
             raise DataError(f"{where}: node {z[i]} counts {count[i]} cells in a "
                             f"{cells[i]}-cell extent")
-        _require(not (cols["amin"] > cols["amax"]).any(), where, "amin above amax")
+        _require_each(cols["amin"] > cols["amax"], where, z, "has amin above amax")
 
     def _check_links(self, columns: list) -> None:
         """Checks of each level against the one below it, before any node is
         built: every node below the root has its parent, every parent a
-        child, and each parent is what :func:`build_internal_node` derives
-        from its children (child mask, count, value range, extent, at most
-        `bins` bins, sp and al tables).  Z increases, so each parent's
-        children are one run of the level below; all levels' parents are
-        checked in one pass over their columns laid end to end."""
-        bits, total, mb = self.fanout.slot_bits, self.fanout.total, self._mask_bytes()
+        child and at most `bins` bins, and each parent is what the build
+        makes of its children (:func:`_derive_parents`: child mask, count,
+        value range, extent, sp and al tables over its own boundaries).  Z
+        increases, so each parent's children are one run of the level
+        below; the parents of all levels are derived and compared in one
+        pass over their columns laid end to end."""
+        bits, mb = self.fanout.slot_bits, self._mask_bytes()
         ats, ends = [], [0]  # each child's parent in the parents laid end to end
         for level in range(1, len(columns)):
             z, pz = columns[level - 1]["z"], columns[level]["z"]
@@ -677,12 +693,11 @@ class Index:
             ends.append(ends[-1] + pz.size)
         if not ats:
             return
-        parents = columns[1:]
-        kids = {name: np.concatenate([c[name] for c in columns[:-1]])
-                for name in ("z", "count", "amin", "amax", "extent")}
-        cols = {name: np.concatenate([c[name] for c in parents])
-                for name in ("z", "count", "amin", "amax", "extent", "sizes", "child", "bounds")}
-        pz, at = cols["z"], np.concatenate(ats)
+        kids = {name: np.concatenate([c[name] for c in columns[:-1]]) for name in _COMMON}
+        cols = {name: np.concatenate([c[name] for c in columns[1:]])
+                for name in _COMMON + ("sizes", "child", "bounds", "sp_bounds", "al_bounds",
+                                       "sp", "al")}
+        pz, at, sizes = cols["z"], np.concatenate(ats), cols["sizes"]
 
         def check(bad, what):
             if bad.any():
@@ -690,58 +705,25 @@ class Index:
                 raise DataError(f"level {np.searchsorted(ends, i, side='right')}: "
                                 f"node {pz[i]} has {what}")
 
-        n = np.bincount(at, minlength=pz.size)
-        check(n == 0, "no children")
-        first = np.cumsum(n) - n
-        cell = at * total + (kids["z"] & ((1 << bits) - 1)).astype(np.intp)  # (parent, slot)
-        child = np.zeros(pz.size * total, bool)
-        child[cell] = True
-        check((_packed(child.reshape(pz.size, total)) != cols["child"].reshape(-1, mb))
-              .any(axis=1), "a child mask other than the slots of its children")
-        check(np.add.reduceat(kids["count"], first) != cols["count"],
-              "a count other than the sum of its children's")
-        check((np.minimum.reduceat(kids["amin"], first) != cols["amin"])
-              | (np.maximum.reduceat(kids["amax"], first) != cols["amax"]),
-              "a value range other than its children's")
-        ext, span = kids["extent"], cols["extent"]
-        check((np.minimum.reduceat(ext, first)[:, :, 0] != span[:, :, 0]).any(axis=1)
-              | (np.maximum.reduceat(ext, first)[:, :, 1] != span[:, :, 1]).any(axis=1),
-              "an extent other than the span of its children's")
-        # the range tables as `_range_table` derives them, sp then al: per
-        # parent a row of child-slot bits per boundary, less rows equal to
-        # the one above.  A child is in the sp rows from p, the count of
-        # boundaries below its amin, and in the al rows before q, the count
-        # at or below its amax; so a parent's rows change only at a p or q.
-        sizes = cols["sizes"].astype(np.intp)
+        check(np.bincount(at, minlength=pz.size) == 0, "no children")
         check(sizes[:, 0] > self.bins, f"more than {self.bins} bins")  # sizes what follows
-        nb = sizes[:, 0] + 1
-        width = int(nb.max())
-        small = np.min_scalar_type(-width - 1)
-        valid = np.arange(width) < nb[:, None]
-        bounds = np.full(valid.shape, np.nan)  # past a parent's last, below no value
-        bounds[valid] = cols["bounds"]
-        below = np.repeat(bounds.T, n, axis=1)  # each child's parent's, as a column
-        p = (below < kids["amin"]).sum(axis=0, dtype=small)
-        q = (below <= kids["amax"]).sum(axis=0, dtype=small)
-        keep = np.zeros((2, pz.size, width + 1), bool)
-        keep[0, at, p] = keep[1, at, q] = keep[:, :, 0] = True
-        keep = keep[:, :, :width] & valid
-        bad = keep.sum(axis=2) != sizes[:, 1:].T
-        if not bad.any():
-            edge = np.full((2, pz.size * total), [[width], [0]], small)  # no child: no row
-            edge[0, cell], edge[1, cell] = p, q
-            row = np.arange(width, dtype=small)[:, None]
-            masks = _packed((row >= edge.reshape(2, pz.size, 1, total))
-                            ^ np.array([False, True])[:, None, None, None])
-            # the saved tables in the same order: every level's sp rows, then al rows
-            saved = [np.concatenate([c[name] for name in names for c in parents])
-                     for names in (("sp_bounds", "al_bounds"), ("sp", "al"))]
-            wrong = ((np.repeat(bounds[None], 2, axis=0)[keep] != saved[0])
-                     | (masks[keep] != saved[1]).any(axis=1))
-            if wrong.any():
-                bad[tuple(i[wrong] for i in np.nonzero(keep)[:2])] = True
-        check(bad[0], "sp masks other than its children's amin give")
-        check(bad[1], "al masks other than its children's amax give")
+        got = _derive_parents(kids, at, sizes[:, 0], cols["bounds"], self.fanout)
+        check((got["child"] != cols["child"].reshape(-1, mb)).any(axis=1),
+              "a child mask other than the slots of its children")
+        check(got["count"] != cols["count"], "a count other than the sum of its children's")
+        check((got["amin"] != cols["amin"]) | (got["amax"] != cols["amax"]),
+              "a value range other than its children's")
+        check((got["extent"] != cols["extent"]).any(axis=(1, 2)),
+              "an extent other than the span of its children's")
+        rows = got["sizes"][:, 1:]
+        bad = rows != sizes[:, 1:]  # per parent, sp and al
+        if not bad.any():  # the rows line up: compare them one by one
+            for k, table in enumerate(("sp", "al")):
+                wrong = ((got[table + "_bounds"] != cols[table + "_bounds"])
+                         | (got[table] != cols[table]).any(axis=1))
+                bad[np.repeat(np.arange(pz.size), rows[:, k])[wrong], k] = True
+        check(bad[:, 0], "sp masks other than its children's amin give")
+        check(bad[:, 1], "al masks other than its children's amax give")
 
     def _leaves(self, cols: dict, depth: int) -> dict:
         """The leaf level."""
@@ -751,16 +733,10 @@ class Index:
         _require((ext[:, :, 0] == coords * cs).all()
                  and (ext[:, :, 1] == np.minimum(coords * cs + cs, shape) - 1).all(),
                  "level 0", "a leaf's extent is not its chunk's")
-        binned = nbins > 0
-        k = nbins[binned].astype(np.int64)
         bounds, weights = cols["bounds"], cols["weights"]
+        _check_bins(0, nbins, bounds, cols["amin"], cols["amax"])
+        k = nbins[nbins > 0].astype(np.int64)
         bo, wo = np.cumsum(k + 1) - (k + 1), np.cumsum(k) - k
-        _require(_segments_increase(bounds, k + 1, k > 1), "level 0",
-                 "bin boundaries do not increase")
-        _require((cols["amin"][binned] == bounds[bo]).all()
-                 and (cols["amax"][binned] == bounds[bo + k]).all(),
-                 "level 0", "amin or amax is not that of the bins")
-
         binnings = iter([Binning.prevalidated(bounds[b : b + n + 1], weights[w : w + n])
                          for b, w, n in zip(bo.tolist(), wo.tolist(), k.tolist())])
         return {zi: Leaf(c, e, lo, hi, n, next(binnings) if nb else None)
@@ -770,36 +746,32 @@ class Index:
                     cols["amax"].tolist(), cols["count"].tolist())}
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
-        """Internal level `level`."""
-        where = f"level {level}"
-        nb, nsp, nal = (col.astype(np.int64) for col in cols["sizes"].T)
-        _require((nb > 0).all() and (nsp > 0).all() and (nal > 0).all(), where, "empty table")
+        """Internal level `level` from its columns, checked or just derived:
+        the one place a `TreeNode` is made."""
+        nb, nsp, nal = cols["sizes"].astype(np.int64).T
+        # where each node's part of each column starts, and the next's
+        bo, wo, so, ao = (np.concatenate(([0], np.cumsum(k))).tolist()
+                          for k in (nb + 1, nb, nsp, nal))
         bounds, weights = cols["bounds"], cols["weights"]
         sp_bounds, al_bounds = cols["sp_bounds"], cols["al_bounds"]
-        _require(_segments_increase(bounds, nb + 1, nb > 1), where,  # sp, al bounds: some of these
-                 "bin boundaries do not increase")
-        bo, wo = np.cumsum(nb + 1) - (nb + 1), np.cumsum(nb) - nb
-        _require((cols["amin"] == bounds[bo]).all() and (cols["amax"] == bounds[bo + nb]).all(),
-                 where, "amin or amax is not that of the bins")
         mb = self._mask_bytes()
         child = _masks(cols["child"], mb)
         sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
         z = cols["z"].tolist()
-        coords = map(tuple, zorder_decode_many(cols["z"], self.schema.ndim,
+        coords = map(tuple, zorder_decode_many(cols["z"], self.fanout.ndim,
                                                self.fanout.bits * (depth - level)).tolist())
         ext = (tuple(map(tuple, e)) for e in cols["extent"].tolist())
-        so, ao = np.cumsum(nsp) - nsp, np.cumsum(nal) - nal
         nodes = {}
         for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
                                                       cols["amax"].tolist(),
                                                       cols["count"].tolist())):
-            b, w, s, a = int(bo[i]), int(wo[i]), int(so[i]), int(ao[i])
+            s, a = slice(so[i], so[i + 1]), slice(ao[i], ao[i + 1])
             nodes[zi] = TreeNode(
                 level=level, z=zi, coords=c, extent=e, amin=lo, amax=hi, count=n,
                 child_mask=child[i],
-                binning=Binning.prevalidated(bounds[b : b + nb[i] + 1], weights[w : w + nb[i]]),
-                sp_bounds=sp_bounds[s : s + nsp[i]], sp_masks=sp_masks[s : s + nsp[i]],
-                al_bounds=al_bounds[a : a + nal[i]], al_masks=al_masks[a : a + nal[i]],
+                binning=Binning.prevalidated(bounds[bo[i] : bo[i + 1]], weights[wo[i] : wo[i + 1]]),
+                sp_bounds=sp_bounds[s], sp_masks=sp_masks[s],
+                al_bounds=al_bounds[a], al_masks=al_masks[a],
             )
         return nodes
 
@@ -807,6 +779,26 @@ class Index:
 def _require(ok, where: str, what: str) -> None:
     if not ok:
         raise DataError(f"{where}: {what}")
+
+
+def _require_each(bad: np.ndarray, where: str, z: np.ndarray, what: str) -> None:
+    """DataError naming the first node, of z-indices `z`, that is `bad`."""
+    if bad.any():
+        raise DataError(f"{where}: node {z[int(np.argmax(bad))]} {what}")
+
+
+def _check_bins(level: int, nbins: np.ndarray, bounds: np.ndarray, amin: np.ndarray,
+                amax: np.ndarray) -> None:
+    """DataError unless the bin boundaries of each node of a level, nbins + 1
+    of them back to back in `bounds` (none for a node of 0 bins), increase
+    (strictly for two or more bins) and run from its amin to its amax."""
+    where, binned = f"level {level}", nbins > 0
+    k = nbins[binned].astype(np.int64)
+    _require(_segments_increase(bounds, k + 1, k > 1), where,  # sp, al bounds: some of these
+             "bin boundaries do not increase")
+    first = np.cumsum(k + 1) - (k + 1)
+    _require((amin[binned] == bounds[first]).all() and (amax[binned] == bounds[first + k]).all(),
+             where, "amin or amax is not that of the bins")
 
 
 def _packed(hit: np.ndarray) -> np.ndarray:
@@ -844,10 +836,15 @@ def _columns(*arrays) -> bytes:
     return bytes(out)
 
 
+_COMMON = ("z", "extent", "amin", "amax", "count")  # the columns of `_common_columns`
+
+
 def _common_columns(items: list, ndim: int) -> list:
+    flat = itertools.chain.from_iterable  # half the time of np.array over the tuples
     return [
         np.array([z for z, _ in items], "<u8"),
-        np.array([n.extent for _, n in items], "<u8").reshape(len(items), ndim, 2),
+        np.fromiter(flat(flat(n.extent for _, n in items)), "<u8",
+                    len(items) * ndim * 2).reshape(len(items), ndim, 2),
         np.array([n.amin for _, n in items], "<f8"),
         np.array([n.amax for _, n in items], "<f8"),
         np.array([n.count for _, n in items], "<u8"),

@@ -18,12 +18,12 @@ from arraybit.hierindex import (
     Index,
     _spread_weights,
     build_index,
-    build_internal_node,
     zorder_decode_many,
     zorder_encode_many,
 )
 from arraybit.query import RawQuery, execute
 from testutil import (
+    build_parent,
     lone_chunk,
     record_fetches,
     reference_spread_weights,
@@ -134,7 +134,7 @@ def test_double_range_encoding_reference_layout(dummy_children):
         (2, Child(2.0, 3.0, 20)),
         (3, Child(5.0, 8.0, 20)),
     ]
-    node = build_internal_node(children, 1, (0,), Fanout(4, 1), bins=3)
+    node = build_parent(children, Fanout(4, 1), bins=3)
     rb = node.binning.boundaries
     assert np.array_equal(rb, [1.0, 3.0, 6.0, 8.0])
     # started table: the first child at 1, then the third in [1,3), the
@@ -153,7 +153,7 @@ def test_double_range_encoding_reference_layout(dummy_children):
 
 def test_single_child_node(dummy_children):
     Child = dummy_children
-    node = build_internal_node([(0, Child(2.0, 5.0, 7))], 1, (0,), Fanout(4, 1), 4)
+    node = build_parent([(0, Child(2.0, 5.0, 7))], Fanout(4, 1), bins=4)
     assert node.child_mask == 0b0001
     assert len(node.sp_masks) == 1 and node.sp_masks[0] == 0b0001
     assert len(node.al_masks) == 1 and node.al_masks[0] == 0b0001
@@ -169,7 +169,7 @@ def test_retained_masks_are_distinct(dummy_children):
         for s in range(k):
             lo, hi = np.sort(rng.integers(0, 20, size=2).astype(float))
             children.append((s, Child(lo, hi, int(rng.integers(1, 9)))))
-        node = build_internal_node(children, 1, (0,), Fanout(16, 1), bins=4)
+        node = build_parent(children, Fanout(16, 1), bins=4)
         assert len(set(node.sp_masks)) == len(node.sp_masks)
         assert len(set(node.al_masks)) == len(node.al_masks)
 
@@ -195,7 +195,7 @@ def test_conservative_decoding(seed):
         mins.append(lo)
         maxs.append(hi)
         children.append((s, Child(lo, hi, 1)))
-    node = build_internal_node(children, 1, (0,), Fanout(16, 1), bins=4)
+    node = build_parent(children, Fanout(16, 1), bins=4)
     mins = np.array(mins)
     maxs = np.array(maxs)
     for _ in range(20):
@@ -335,6 +335,24 @@ def test_append_zero_chunks_is_noop():
     assert idx.node_count() == before
 
 
+def test_appending_an_all_empty_slab_grows_the_extents(tmp_path):
+    # the slab's chunks hold no non-empty cell, so the store keeps none of
+    # them; the index must still take in the slab's extents
+    vals = np.random.default_rng(0).random((16, 8))
+    vals[8:] = np.nan
+    sch = ArraySchema((("d0", 16), ("d1", 8)), (("a", "float64"),), (4, 4))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    first = ChunkStore(sch.with_extents((8, 8)), dict(store.chunks))
+    rest = ChunkStore(sch, {})
+    assert len(first.chunks) == len(store.chunks)
+    idx = build_index(first, fanout=4)
+    idx.append(rest)
+    assert idx.schema.shape == (16, 8) and idx.store.schema.shape == (16, 8)
+    assert idx.serialize() == build_index(store, fanout=4).serialize()
+    idx.save(tmp_path / "grown.abix")
+    assert Index.load(tmp_path / "grown.abix", store=store).node_count() == idx.node_count()
+
+
 def test_append_one_chunk_to_empty_equals_build():
     sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))
     empty = ChunkStore.from_dense(sch, {"a": np.full((8, 8), np.nan)})
@@ -469,7 +487,7 @@ def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
     narrow = dummy_children(0.0, 1.0, 240)
     narrow.binning = Binning(np.array([0.0, 5e-320, 1e-310, 1.0]), np.array([208.0, 16.0, 16.0]))
     other = dummy_children(2e-320, 2.0, 8)
-    node = build_internal_node([(0, narrow), (1, other)], 1, (0,), Fanout(2, 1), bins=16)
+    node = build_parent([(0, narrow), (1, other)], Fanout(2, 1), bins=16)
     assert np.isfinite(node.binning.weights).all()
     assert node.binning.weights.sum() == pytest.approx(248.0)
 

@@ -215,11 +215,30 @@ def _drop_a_child_from_the_al_masks(idx):
     return f"level 1: node {z} has al masks other than its children's amax give"
 
 
+def _amin_above_amax(idx):
+    z, node = list(idx.levels[1].items())[5]
+    node.amin = node.amax + 1.0
+    return f"level 1: node {z} has amin above amax"
+
+
+def _extent_past_the_array(idx):
+    z, node = list(idx.levels[1].items())[-1]
+    node.extent = tuple((lo, hi + 1) for lo, hi in node.extent)
+    return f"level 1: node {z} has an extent outside the array"
+
+
+def _first_node_saved_last(idx):
+    nodes = idx.levels[1]
+    nodes[0] = nodes.pop(0)
+    return "level 1: node 0 follows node 15: z-indices do not increase"
+
+
 @pytest.mark.parametrize("tamper", [_leave_out_a_leaf, _drop_a_leaf, _drop_a_node,
                                     _drop_every_child, _more_bins_than_the_index_has,
                                     _count_five_less, _lower_amax, _raise_amin,
                                     _drop_a_child_from_the_sp_masks,
-                                    _drop_a_child_from_the_al_masks])
+                                    _drop_a_child_from_the_al_masks, _amin_above_amax,
+                                    _extent_past_the_array, _first_node_saved_last])
 def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
     idx = _probe_index()
     assert idx.depth == 3
@@ -270,13 +289,44 @@ def test_one_changed_cross_level_field_fails_at_load(data):
         table = list(getattr(node, change))
         table[data.draw(st.integers(0, len(table) - 1))] ^= 1 << slot
         fields = {change: table}
-    if isinstance(node, Leaf):
+    if isinstance(node, Leaf) and fields:  # a dropped leaf stays dropped
         nodes[z] = node._replace(**fields)
     else:
         for name, value in fields.items():
             setattr(node, name, value)
     with pytest.raises(DataError, match="level"):
         Index._parse(idx.serialize())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_build_saves_only_what_its_load_reads(data):
+    # small arrays of 1 to 4 dimensions under any fanout, bins and e, with
+    # any share of empty cells: the saved bytes load and save again
+    # unchanged, and a tree grown by an append saves the full build's bytes
+    ndim = data.draw(st.integers(1, 4), label="ndim")
+    chunk = tuple(data.draw(st.integers(1, 4)) for _ in range(ndim))
+    grid = tuple(data.draw(st.integers(1, (40, 8, 4, 3)[ndim - 1])) for _ in range(ndim))
+    shape = tuple(g * c - data.draw(st.integers(0, c - 1)) for g, c in zip(grid, chunk))
+    fanout = data.draw(st.sampled_from([2, 4]), label="fanout per dimension") ** ndim
+    bins, e = data.draw(st.integers(1, 9), label="bins"), data.draw(st.integers(1, 5), label="e")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vals = {"normal": lambda: rng.normal(size=shape) * 50.0,
+            "few": lambda: rng.integers(0, 4, size=shape).astype(float),
+            "constant": lambda: np.full(shape, 2.5)}[
+        data.draw(st.sampled_from(["normal", "few", "constant"]), label="values")]()
+    vals[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 0.9]), label="empty")] = np.nan
+    store = ChunkStore.from_dense(_schema(shape, chunk), {"a": vals})
+    buf = build_index(store, fanout=fanout, bins=bins, e=e).serialize()
+    assert Index._parse(buf).serialize() == buf
+    if grid[0] > 1 and data.draw(st.booleans(), label="append"):
+        cut = data.draw(st.integers(1, grid[0] - 1), label="first slab, in chunks")
+        first = ChunkStore(store.schema.with_extents((cut * chunk[0],) + shape[1:]),
+                           {c: ch for c, ch in store.chunks.items() if c[0] < cut})
+        grown = build_index(first, fanout=fanout, bins=bins, e=e)
+        grown.append(ChunkStore(store.schema,
+                                {c: ch for c, ch in store.chunks.items() if c[0] >= cut}))
+        assert grown.serialize() == buf
 
 
 @pytest.mark.parametrize("field, value", [

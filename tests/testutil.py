@@ -21,7 +21,7 @@ from arraybit.chunkstore import (
     run_matcher,
 )
 from arraybit.errors import DataError, InputError
-from arraybit.hierindex import Index, build_index
+from arraybit.hierindex import Fanout, Index, build_index
 from arraybit.query import RawQuery, _descend, attribute_runs
 
 
@@ -192,6 +192,15 @@ def record_fetches(monkeypatch) -> list:
 
     monkeypatch.setattr(Index, "fetch", recorded)
     return fetched
+
+
+def build_parent(children, fanout: Fanout, bins: int):
+    """The one internal node over `(slot, child)` pairs, made by the tree's
+    own level build (`Index._build_level`) with the children as the leaves
+    of a depth-1 tree.  A child exposes extent, amin, amax, count and
+    binning (None for a plain child)."""
+    idx = Index(None, None, "a", fanout, bins, 4, [])
+    return idx._build_level(1, 1, dict(children))[0]
 
 
 def assert_strictly_increasing(trace):
