@@ -7,13 +7,14 @@ one non-empty mask of the same shape beside them.  A `Chunk` is a
 read-only view of its row, and a store made from the chunks of others
 shares their blocks.
 
-A chunk's leaf is the index tree's level-0 node: the chunk's coordinates
-and extent, its value range, its non-empty count and, above a size
-threshold, the equi-depth binning of its values, which feeds its parent's
-merged bins.  Unlike the source paper's leaves it holds no bitmaps: the
-paper's leaf bitmaps spare reading cell values from disk, while here every
-chunk is resident and the partial leaves of a query are resolved by one
-batched scan of their rows per block (:func:`leaf_query`).
+A chunk's leaf is the index tree's level-0 node: a row of the leaf
+table, which holds per leaf the chunk's extent, its value range, its
+non-empty count and, above a size threshold, the equi-depth bins of its
+values, which feed its parent's merged bins (:func:`build_leaf_index`).
+Unlike the source paper's leaves it holds no bitmaps: the paper's leaf
+bitmaps spare reading cell values from disk, while here every chunk is
+resident and the partial leaves of a query are resolved by one batched
+scan of their rows per block (:func:`leaf_query`).
 
 Cells are laid out row-major inside each chunk; boundary chunks are clipped
 by the global shape.  Empty cells are NaN for float attributes and a
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binning import Binning, equi_depth_exact
+from .binning import equi_depth_exact
 from .errors import DataError, InputError
 
 _DTYPES = {"float64": np.float64, "int64": np.int64}
@@ -178,9 +179,6 @@ class Chunk:
     def extent(self) -> tuple:
         return tuple((o, o + s - 1) for o, s in zip(self.offsets, self.shape))
 
-    def values_flat(self, attr: str) -> np.ndarray:
-        return self.block.values[attr][self.row]
-
 
 class ChunkStore:
     """All non-empty chunks of one array, keyed by grid coordinates.
@@ -304,23 +302,6 @@ def _nonempty_mask(block, typ, sentinel):
 _BATCH_CELLS = 1 << 20
 
 
-class Leaf(NamedTuple):
-    """One chunk's leaf, the level-0 node of the index tree: the chunk's
-    grid coordinates and global cell extent ((lo, hi) per dimension), the
-    least and greatest non-empty value, the non-empty cell count, and the
-    equi-depth binning of the values, None for a plain leaf.  The binning's
-    bins and weights feed the parent's merged bins; the leaf keeps no
-    bitmaps, since a query scans the resident chunk itself
-    (:func:`leaf_query`)."""
-
-    coords: tuple
-    extent: tuple
-    amin: float
-    amax: float
-    count: int
-    binning: Binning | None = None
-
-
 def _bin_rows(ordered: np.ndarray, live: np.ndarray, bins: int) -> tuple:
     """:func:`equi_depth_exact` of each row of a (rows, cells) array sorted
     along its rows, whose empty cells are NaN (they sort last); `live`
@@ -332,22 +313,25 @@ def _bin_rows(ordered: np.ndarray, live: np.ndarray, bins: int) -> tuple:
     return equi_depth_exact(ordered, live, bins)
 
 
-def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
-    """The leaf of each chunk, in order: None for a chunk with no non-empty
-    cell, a plain `Leaf` below e*bins non-empty cells, else a `Leaf` with
-    the equi-depth binning of its values (integers binned as float64).
-    The binned chunks of one block are binned together: one copy of their
-    rows (:func:`_copy_rows`) and one sort per pass of up to _BATCH_CELLS
-    cells."""
-    leaves = [None] * len(chunks)
+def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> dict:
+    """The leaf table rows of the non-empty `chunks`, in order: the leaf
+    table's columns but z (extent, as (leaves, ndim, 2) for one leaf or
+    more, amin, amax, count and nbins), and each binned leaf's k + 1 bin
+    boundaries and k weights back to back in `bounds` and `weights`.  A leaf below e*bins non-empty cells is plain,
+    nbins 0 and no bins; the others get the equi-depth binning of their
+    values (integers binned as float64).  The binned chunks of one block
+    are binned together: one copy of their rows (:func:`_copy_rows`) and
+    one sort per pass of up to _BATCH_CELLS cells."""
+    chunks = [chunk for chunk in chunks if chunk.nonempty_count]
+    n = len(chunks)
+    amin, amax, nbins = np.empty(n), np.empty(n), np.zeros(n, "<u4")
+    bounds, weights = [np.empty(0)] * n, [np.empty(0)] * n
     binned = []
     for i, chunk in enumerate(chunks):
-        n = chunk.nonempty_count
-        if n == 0:
-            continue
-        if n < e * bins:
-            live = chunk.values_flat(attr)[chunk.block.nonempty[chunk.row]]
-            leaves[i] = Leaf(chunk.coords, chunk.extent, float(live.min()), float(live.max()), n)
+        if chunk.nonempty_count < e * bins:
+            row = chunk.block.nonempty[chunk.row]
+            live = chunk.block.values[attr][chunk.row][row]
+            amin[i], amax[i] = live.min(), live.max()
         else:
             binned.append(i)
     for block, members, rows, _ in tile_batches([chunks[i] for i in binned], 0):
@@ -363,10 +347,18 @@ def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> list:
             cells.sort(axis=1)
             binnings, _, _ = _bin_rows(cells, block.counts[at], bins)
             for i, binning in zip(members[a : a + step], binnings):
-                c, bounds = chunks[i], binning.boundaries
-                leaves[i] = Leaf(c.coords, c.extent, float(bounds[0]), float(bounds[-1]),
-                                 c.nonempty_count, binning)
-    return leaves
+                bounds[i], weights[i] = binning.boundaries, binning.weights
+                nbins[i] = binning.nbins
+                amin[i], amax[i] = bounds[i][0], bounds[i][-1]
+    return {
+        "extent": np.array([chunk.extent for chunk in chunks], "<u8"),
+        "amin": amin,
+        "amax": amax,
+        "count": np.array([chunk.nonempty_count for chunk in chunks], "<u8"),
+        "nbins": nbins,
+        "bounds": np.concatenate([np.empty(0), *bounds]),
+        "weights": np.concatenate([np.empty(0), *weights]),
+    }
 
 
 def _copy_rows(arr: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
@@ -546,6 +538,8 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
     """Resolve a batch of partial leaves whose chunks are the `rows` of one
     block, at tile positions `at` of the cover (one index array per
     dimension), into `cover.answer`; returns each leaf's hit count.
+    `leaves` holds the batch's rows of the leaf table, in the same order:
+    at least its amin and amax columns.
 
     runs are the attribute constraint as sorted, disjoint inclusive
     (lo, hi) value runs, matched by `match` (:func:`run_matcher`).  A leaf
@@ -569,13 +563,12 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
     """
     los = np.array([lo for lo, _ in runs])[:, None]
     his = np.array([hi for _, hi in runs])[:, None]
-    amin = np.array([leaf.amin for leaf in leaves])
-    amax = np.array([leaf.amax for leaf in leaves])
+    amin, amax = leaves["amin"], leaves["amax"]
     covered = ((los <= amin) & (amax <= his)).any(axis=0)
     scanned = ((his >= amin) & (los <= amax)).any(axis=0) & ~covered
     scan = np.flatnonzero(scanned)
     keep = np.concatenate([scan, np.flatnonzero(covered)])
-    counts = np.zeros(len(leaves), np.int64)
+    counts = np.zeros(amin.size, np.int64)
     if not keep.size:
         return counts
     take = rows[keep]

@@ -214,7 +214,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_append(args) -> int:
     idx = Index.load(args.index)
     store = load_store(args.data, chunk_shape=idx.schema.chunk_shape)
-    existing = {entry.coords for entry in idx.levels[0].values()} if idx.levels else set()
+    existing = set(idx.leaf_coords())
     missing = existing - set(store.chunks)
     if missing:
         raise DataError(f"data no longer covers indexed chunks: {sorted(missing)[:3]}")

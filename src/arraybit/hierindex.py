@@ -2,21 +2,24 @@
 internal nodes, precomputed dimension bitmaps, persistence and appending.
 
 Node-level bitmaps have exactly F bits (one per child slot) and are kept
-uncompressed as plain integers.  A leaf is its chunk's `chunkstore.Leaf`
-itself: coordinates, extent, value range, count and equi-depth binning.  It
-holds no bitmaps over cells, since every chunk is resident and a query
-scans it (`chunkstore.leaf_query`).  Node identity is (level, z-index);
-parent and child indices are pure bit arithmetic on the z-index.  Each
-level is one dict {z: node}.
+uncompressed as plain integers.  Each level is one column table, the
+columns it is saved as plus `nbins` (`Index.tables`).  A leaf is a row of
+the leaf table: its chunk's extent, value range, count and equi-depth bins
+(`chunkstore.build_leaf_index`); it holds no bitmaps over cells, since
+every chunk is resident and a query scans it (`chunkstore.leaf_query`).
+Node identity is (level, z-index); parent and child indices are pure bit
+arithmetic on the z-index.  `Index.levels[l]` finds a level's nodes by z
+for the descent: a leaf's row, or the `TreeNode` that `Index._nodes` makes
+from an internal node's row, whose int masks the descent tests.
 
-A tree is only ever grown: `Index._grow` adds the leaves of some chunks and
-rebuilds their ancestors, or every level when the tree got deeper.
-`build_index` grows an empty tree by every chunk of a store, and
-`Index.append` grows a tree by the chunks it is given.  A level is built in
-one pass: `build_internal_node` merges each parent's bins, the one heuristic
-part of a node; `_derive_parents` derives everything else its children fix,
-for all the level's parents at once, in the saved columns; and
-`Index._nodes` makes the nodes from those columns, as a load does.
+A tree is only ever grown: `Index._grow` merges the leaf rows of some
+chunks into the leaf table by z and derives each level above whole from
+the one below.  `build_index` grows an empty tree by every chunk of a
+store, `Index.append` a tree by the chunks it is given.  A level is made
+in one pass: `build_internal_node` merges the bins of each parent whose
+children changed, the one heuristic part of a node; `_derive_parents`
+derives everything else its children fix, for all the level's parents at
+once; and `serialize` writes the tables as they are (`_table_bytes`).
 
 Saved format, version 3.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
@@ -50,14 +53,14 @@ columns, then each level against the one below it (`Index._check_links`):
 every parent's child mask, count, value range, extent and range tables
 must be what `_derive_parents`, the derivation the build makes each level
 with, gives from its children and its own bins.  It then checks each
-leaf's extent against its chunk's and every node's bin boundaries, and
-builds every node eagerly through `Index._nodes`.  A file left
-inconsistent by a wrong writer or a hand edit fails with DataError.
+leaf's extent against its chunk's and every node's bin boundaries, keeps
+the checked columns as the index's tables and makes every internal node
+eagerly through `Index._nodes`.  A file left inconsistent by a wrong
+writer or a hand edit fails with DataError.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 import zlib
@@ -67,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import Binning, merge_bins_iterative
-from .chunkstore import ArraySchema, ChunkStore, Leaf, build_leaf_index
+from .chunkstore import ArraySchema, ChunkStore, build_leaf_index
 from .errors import DataError, InputError, InternalError
 
 _MAGIC = b"ABIX"
@@ -215,10 +218,12 @@ class TreeNode:
         return self.child_mask if a >= self.amax else self.child_mask & ~self.alive_over(a)
 
 
-def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
+def _spread_weights(bounds: np.ndarray, kids: dict) -> np.ndarray:
     """Bin weights over `bounds`: each child's bin weights spread evenly
     over its bins (a point-mass child's weight lands in the one bin holding
-    it), summed per bin in child order.
+    it), summed per bin in child order.  `kids` holds the children's
+    columns (amin, amax, count, nbins, bounds and weights, laid out as in
+    the leaf table); a plain child is one bin [amin, amax] of weight count.
 
     A child's cumulative weight at a bound is `np.interp` over its bin
     edges, evaluated for every (child, bound) pair at once with the same
@@ -233,20 +238,17 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
     summed per bin by `np.bincount`, one at a time in child order as
     ``np.add.at`` would, so appended and full builds sum alike.
     """
-    edges, wts = [], []
-    for c in nodes:
-        cb = getattr(c, "binning", None)
-        if cb is None:
-            edges.append(np.array([c.amin, c.amax]))
-            wts.append(np.array([float(c.count)]))
-        else:
-            edges.append(cb.boundaries)
-            wts.append(cb.weights)
-    sizes = np.array([w.size for w in wts])
-    xp = np.concatenate(edges)
+    k = kids["nbins"].astype(np.intp)
+    plain = k == 0
+    sizes = np.where(plain, 1, k)
     xoff = np.cumsum(sizes + 1) - (sizes + 1)
     woff = xoff - np.arange(sizes.size)
-    w = np.concatenate(wts)
+    xp = np.empty(int(xoff[-1] + sizes[-1] + 1))
+    xp[np.repeat(~plain, sizes + 1)] = kids["bounds"]
+    xp[xoff[plain]], xp[xoff[plain] + 1] = kids["amin"][plain], kids["amax"][plain]
+    w = np.empty(int(sizes.sum()))
+    w[np.repeat(~plain, sizes)] = kids["weights"]
+    w[woff[plain]] = kids["count"][plain]
     padded = np.zeros((sizes.size, sizes.max()))
     padded[np.arange(sizes.max()) < sizes[:, None]] = w
     fp = np.zeros((sizes.size, sizes.max() + 1))
@@ -303,22 +305,40 @@ def _spread_weights(bounds: np.ndarray, nodes: list) -> np.ndarray:
         child = np.concatenate((child, mass))
         slot = np.concatenate((slot, np.minimum(
             np.searchsorted(bounds, lo[mass], side="right") - 1, bounds.size - 2)))
-        term = np.concatenate((term, [float(wts[c].sum()) for c in mass.tolist()]))
+        term = np.concatenate((term, w[woff[mass]]))  # a point mass has one bin
         order = np.argsort(child, kind="stable")
         slot, term = slot[order], term[order]
     # one term at a time, in child order
     return np.bincount(slot, weights=term, minlength=bounds.size - 1)
 
 
-def build_internal_node(nodes: list, bins: int) -> Binning:
-    """The bins of an internal node: its children's weights (`nodes` expose
-    amin, amax, count and a binning or None) spread over their minima and
-    maxima, merged down to at most `bins` bins."""
-    bounds = np.unique(np.array([c.amin for c in nodes] + [c.amax for c in nodes]))
+def build_internal_node(kids: dict, bins: int) -> Binning:
+    """The bins of an internal node: its children's weights (`kids` holds
+    their rows of the level below) spread over their minima and maxima,
+    merged down to at most `bins` bins."""
+    bounds = np.unique(np.concatenate((kids["amin"], kids["amax"])))
     if bounds.size == 1:
-        return Binning(np.array([bounds[0], bounds[0]]),
-                       np.array([float(sum(c.count for c in nodes))]))
-    return merge_bins_iterative(Binning(bounds, _spread_weights(bounds, nodes)), bins)
+        return Binning(np.array([bounds[0], bounds[0]]), np.array([float(kids["count"].sum())]))
+    return merge_bins_iterative(Binning(bounds, _spread_weights(bounds, kids)), bins)
+
+
+def _take(cols: dict, rows) -> dict:
+    """Rows `rows` of a level's table, in that order: the one-per-node
+    columns indexed, and each node's run of the others moved along with
+    it: its k + 1 boundaries (none for a plain leaf) and k weights, and
+    above the leaves its sp and al rows."""
+    k = cols["nbins"].astype(np.intp)
+    runs = {"bounds": k + (k > 0), "weights": k}
+    if "sizes" in cols:
+        _, nsp, nal = cols["sizes"].astype(np.intp).T
+        runs.update(sp_bounds=nsp, sp=nsp, al_bounds=nal, al=nal)
+    rows = np.asarray(rows, np.intp)
+    out = {name: col[rows] for name, col in cols.items() if name not in runs}
+    for name, n in runs.items():
+        size, start = n[rows], np.cumsum(n) - n
+        out[name] = cols[name][np.repeat(start[rows] - (np.cumsum(size) - size), size)
+                               + np.arange(size.sum())]
+    return out
 
 
 def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.ndarray,
@@ -371,7 +391,7 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
                     ^ t.astype(bool)[:, None])
     rows = np.bincount(t * npar + kp, minlength=2 * npar).reshape(2, npar)
     kept, sp = padded[kp, kr], int(rows[0].sum())
-    out.update(sizes=np.concatenate((nbins[None], rows)).T, sp_bounds=kept[:sp],
+    out.update(sizes=np.concatenate((nbins[None], rows)).T.astype("<u4"), sp_bounds=kept[:sp],
                al_bounds=kept[sp:], sp=masks[:sp], al=masks[sp:])
     return out
 
@@ -383,19 +403,27 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
 class Index:
     """A built tree over a chunk store, navigable by (level, z-index).
 
-    `levels[l]` holds the level-l nodes as a dict {z: node} in increasing
-    z: `Leaf` records at level 0, `TreeNode`s above.
+    `tables[l]` is level l's column table in increasing z, and `levels[l]`
+    finds its nodes by z: at level 0 a leaf's row, above it a `TreeNode`.
     """
 
-    def __init__(self, schema, store, attribute, fanout, bins, e, levels):
+    def __init__(self, schema, store, attribute, fanout, bins, e, tables):
         self.schema = schema
         self.store = store
         self.attribute = attribute
         self.fanout = fanout
         self.bins = bins
         self.e = e
-        self.levels = levels
         self.dimbitmaps = DimensionBitmaps(fanout)
+        self._use(tables)
+
+    def _use(self, tables: list) -> None:
+        """Hold `tables`, checked or just derived, and look their nodes up."""
+        self.tables = tables
+        depth = len(tables) - 1
+        self.levels = [dict(zip(cols["z"].tolist(), range(cols["z"].size))) if level == 0
+                       else self._nodes(level, cols, depth)
+                       for level, cols in enumerate(tables)]
 
     @property
     def depth(self) -> int:
@@ -439,52 +467,53 @@ class Index:
 
     def _grow(self, chunks: list, schema: ArraySchema) -> None:
         """Add the leaves of `chunks`, none of them in the tree yet, under
-        `schema`, which covers them and the tree, then rebuild their
-        ancestors, or every level above the old root's when the tree got
-        deeper.  On an empty tree this is the whole build."""
+        `schema`, which covers them and the tree, then derive every level
+        above the leaves again (:meth:`_level_above`): parents keep their
+        bins unless their children changed, or the level is above the old
+        root's.  On an empty tree this is the whole build."""
         fo = self.fanout
-        leaves = [leaf for leaf in build_leaf_index(chunks, self.attribute, self.bins, self.e)
-                  if leaf is not None]
+        new = build_leaf_index(chunks, self.attribute, self.bins, self.e)
         self.schema = schema
-        old_depth, depth = self.depth, self._tree_depth()
-        coords = np.array([leaf.coords for leaf in leaves], np.int64).reshape(-1, fo.ndim)
-        z = zorder_encode_many(coords, fo.bits * depth).tolist()
-        levels = [dict(nodes) for nodes in self.levels]
-        levels += [{} for _ in range(depth + 1 - len(levels))]
-        levels[0].update(zip(z, leaves))
-        if not levels[0]:
-            self.levels = []
+        old, old_depth, depth = self.tables, self.depth, self._tree_depth()
+        new["extent"] = new["extent"].reshape(-1, fo.ndim, 2)
+        coords = new["extent"][:, :, 0].astype(np.int64) // np.array(schema.chunk_shape)
+        new["z"] = added = zorder_encode_many(coords, fo.bits * depth).astype("<u8")
+        if old:
+            new = {name: np.concatenate((old[0][name], new[name])) for name in old[0]}
+        if not new["z"].size:
+            self._use([])
             return
-        bits = fo.slot_bits
-        affected = {zi >> bits for zi in z}
+        tables = [_take(new, np.argsort(new["z"], kind="stable"))]
         for level in range(1, depth + 1):
-            rebuilt = self._build_level(level, depth, levels[level - 1],
-                                        None if level > old_depth else affected)
-            levels[level].update(rebuilt)
-            affected = {pz >> bits for pz in rebuilt}
-        if len(levels[depth]) != 1:
+            added = added >> fo.slot_bits
+            tables.append(self._level_above(tables[-1], old[level] if level <= old_depth else None,
+                                            added))
+        if tables[-1]["z"].size != 1:
             raise InternalError("the tree did not converge to a single root")
-        self.levels = [dict(sorted(nodes.items())) for nodes in levels]
+        self._use(tables)
 
-    def _build_level(self, level: int, depth: int, below: dict, parents=None) -> dict:
-        """The level-`level` parents of the nodes in `below`, the level under
-        them: all of them, or only those whose z is in `parents`, made in
-        the one pass of the module docstring."""
-        bits = self.fanout.slot_bits
-        items = [(z, node) for z, node in sorted(below.items())  # children in z order
-                 if parents is None or z >> bits in parents]
-        if not items:
-            return {}
-        kids = dict(zip(_COMMON, _common_columns(items, self.fanout.ndim)))
-        pz, first, at = np.unique(kids["z"] >> bits, return_index=True, return_inverse=True)
-        nodes = [node for _, node in items]
-        binnings = [build_internal_node(nodes[a:b], self.bins)
-                    for a, b in zip(first.tolist(), first[1:].tolist() + [len(nodes)])]
-        bounds = _floats([b.boundaries for b in binnings])
-        cols = _derive_parents(kids, at, np.array([b.nbins for b in binnings]), bounds,
-                               self.fanout)
-        cols.update(z=pz, bounds=bounds, weights=_floats([b.weights for b in binnings]))
-        return self._nodes(level, cols, depth)
+    def _level_above(self, below: dict, old: dict | None, changed: np.ndarray) -> dict:
+        """The table of the parents of the nodes of `below`, made in the one
+        pass of the module docstring.  A parent keeps its bins from `old`,
+        the level's table before a change, unless its z is in `changed`;
+        with no `old` every parent's bins are merged anew."""
+        up = below["z"] >> self.fanout.slot_bits
+        pz, first, at = np.unique(up, return_index=True, return_inverse=True)
+        redo = np.ones(pz.size, bool) if old is None else np.isin(pz, changed)
+        ends = np.append(first[1:], up.size)
+        merged = [build_internal_node(_take(below, np.arange(a, b)), self.bins)
+                  for a, b in zip(first[redo].tolist(), ends[redo].tolist())]
+        bins = {"nbins": np.array([b.nbins for b in merged], "<u4"),
+                "bounds": np.concatenate([np.empty(0), *(b.boundaries for b in merged)]),
+                "weights": np.concatenate([np.empty(0), *(b.weights for b in merged)])}
+        if old is not None:  # each parent's bins: its old row, or merged after them
+            src = np.searchsorted(old["z"], pz)
+            src[redo] = old["z"].size + np.arange(len(merged))
+            bins = _take({name: np.concatenate((old[name], col)) for name, col in bins.items()},
+                         src)
+        cols = _derive_parents(below, at, bins["nbins"], bins["bounds"], self.fanout)
+        cols.update(z=pz, **bins)
+        return cols
 
     # -- appending --------------------------------------------------------
 
@@ -508,7 +537,7 @@ class Index:
                 raise InputError(
                     f"extension along {old_name!r} is not aligned to the chunk grid"
                 )
-        have = {leaf.coords for leaf in self.levels[0].values()} if self.levels else set()
+        have = set(self.leaf_coords())
         overlap = sorted(c for c in additions.chunks if c in have)
         if overlap:
             raise InputError(f"appended chunks collide with existing ones: {overlap[:3]}")
@@ -523,9 +552,6 @@ class Index:
 
     def save(self, path) -> None:
         Path(path).write_bytes(self.serialize())
-
-    def _mask_bytes(self) -> int:
-        return -(-self.fanout.total // 8)
 
     def serialize(self) -> bytes:
         """The index in the saved format of version 3 (module docstring)."""
@@ -549,15 +575,12 @@ class Index:
             },
         }
         meta_b = json.dumps(meta).encode()
-        ndim = self.schema.ndim
-        tables = [_leaf_tables(list(nodes.items()), ndim) if level == 0
-                  else _node_tables(list(nodes.items()), ndim, self._mask_bytes())
-                  for level, nodes in enumerate(self.levels)]
+        tables = [_table_bytes(cols) for cols in self.tables]
         head = _PREAMBLE.size + _DIRECTORY.size * len(tables) + len(meta_b)
         offset = head + -head % 8
         directory = bytearray()
-        for nodes, table in zip(self.levels, tables):
-            directory += _DIRECTORY.pack(len(nodes), offset, len(table))
+        for cols, table in zip(self.tables, tables):
+            directory += _DIRECTORY.pack(cols["z"].size, offset, len(table))
             offset += len(table)
         rest = struct.pack("<IQ", len(tables), len(meta_b)) + directory + meta_b + bytes(-head % 8)
         lead = _MAGIC + struct.pack("<I", _VERSION)
@@ -566,10 +589,18 @@ class Index:
             crc = zlib.crc32(table, crc)
         return b"".join([lead, struct.pack("<I", crc), rest, *tables])
 
-    @staticmethod
-    def _pack_leaf(z, leaf: Leaf, ndim) -> bytes:
-        """Canonical bytes of one leaf: its saved tables as a one-leaf level."""
-        return _leaf_tables([(z, leaf)], ndim)
+    def _pack_leaf(self, z, row: int, ndim) -> bytes:
+        """Canonical bytes of the leaf at `row` of the leaf table, of z-index
+        `z`: its saved tables as a one-leaf level."""
+        return _table_bytes(_take(self.tables[0], [row]))
+
+    def leaf_coords(self, rows=slice(None)) -> list:
+        """The grid coordinates of the chunks of the leaves at `rows` of the
+        leaf table, all of them by default, as tuples."""
+        if not self.tables:
+            return []
+        lo = self.tables[0]["extent"][rows, :, 0].astype(np.int64)
+        return list(zip(*(lo // np.array(self.schema.chunk_shape)).T.tolist()))
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
@@ -592,21 +623,19 @@ class Index:
         index's and its non-empty chunks, with their non-empty cell counts,
         are exactly the leaves' coordinates and counts: data that changed
         since the index was built would give wrong answers.  Each leaf looks
-        up its chunk: building a dict of chunk counts per side instead left
-        the range-2d queries after a load 3-5% slower (paired perfbench
-        runs on a shared 2-CPU x86-64 host)."""
+        its chunk up by its coordinates."""
         if store.schema.shape != self.schema.shape:
             raise DataError("store shape does not match the index schema")
-        chunks = store.chunks
-        leaves = self.levels[0].values() if self.levels else ()
+        chunks, coords = store.chunks, self.leaf_coords()
         live = sum(1 for chunk in chunks.values() if chunk.nonempty_count)
         # as many non-empty chunks as leaves, each leaf's among them
-        if live != len(leaves) or not all(
-                leaf.coords in chunks and chunks[leaf.coords].nonempty_count for leaf in leaves):
+        if live != len(coords) or not all(c in chunks and chunks[c].nonempty_count
+                                          for c in coords):
             raise DataError(f"the data's {live} non-empty chunks are not the "
-                            f"index's {len(leaves)} leaves")
-        bad = [(leaf.coords, chunks[leaf.coords].nonempty_count, leaf.count) for leaf in leaves
-               if chunks[leaf.coords].nonempty_count != leaf.count]
+                            f"index's {len(coords)} leaves")
+        counts = self.tables[0]["count"].tolist() if coords else []
+        bad = [(c, chunks[c].nonempty_count, n) for c, n in zip(coords, counts)
+               if chunks[c].nonempty_count != n]
         if bad:
             at, have, want = min(bad)
             raise DataError(f"chunk {at} has {have} non-empty cells, its leaf {want}")
@@ -639,8 +668,10 @@ class Index:
         for level, cols in enumerate(columns):
             if level:
                 _require((cols["sizes"] > 0).all(), f"level {level}", "empty table")
-                _check_bins(level, cols["sizes"][:, 0], cols["bounds"], cols["amin"], cols["amax"])
-            idx.levels.append(idx._nodes(level, cols, depth) if level else idx._leaves(cols, depth))
+            else:
+                idx._check_leaf_extents(cols, depth)
+            _check_bins(level, cols["nbins"], cols["bounds"], cols["amin"], cols["amax"])
+        idx._use(columns)
         return idx
 
     # -- building the levels of a saved index from their columns ----------
@@ -678,7 +709,7 @@ class Index:
         increases, so each parent's children are one run of the level
         below; the parents of all levels are derived and compared in one
         pass over their columns laid end to end."""
-        bits, mb = self.fanout.slot_bits, self._mask_bytes()
+        bits = self.fanout.slot_bits
         ats, ends = [], [0]  # each child's parent in the parents laid end to end
         for level in range(1, len(columns)):
             z, pz = columns[level - 1]["z"], columns[level]["z"]
@@ -693,10 +724,9 @@ class Index:
             ends.append(ends[-1] + pz.size)
         if not ats:
             return
-        kids = {name: np.concatenate([c[name] for c in columns[:-1]]) for name in _COMMON}
-        cols = {name: np.concatenate([c[name] for c in columns[1:]])
-                for name in _COMMON + ("sizes", "child", "bounds", "sp_bounds", "al_bounds",
-                                       "sp", "al")}
+        kids = {name: np.concatenate([c[name] for c in columns[:-1]])
+                for name in ("z", "extent", "amin", "amax", "count")}
+        cols = {name: np.concatenate([c[name] for c in columns[1:]]) for name in columns[1]}
         pz, at, sizes = cols["z"], np.concatenate(ats), cols["sizes"]
 
         def check(bad, what):
@@ -708,7 +738,7 @@ class Index:
         check(np.bincount(at, minlength=pz.size) == 0, "no children")
         check(sizes[:, 0] > self.bins, f"more than {self.bins} bins")  # sizes what follows
         got = _derive_parents(kids, at, sizes[:, 0], cols["bounds"], self.fanout)
-        check((got["child"] != cols["child"].reshape(-1, mb)).any(axis=1),
+        check((got["child"] != cols["child"]).any(axis=1),
               "a child mask other than the slots of its children")
         check(got["count"] != cols["count"], "a count other than the sum of its children's")
         check((got["amin"] != cols["amin"]) | (got["amax"] != cols["amax"]),
@@ -725,25 +755,14 @@ class Index:
         check(bad[:, 0], "sp masks other than its children's amin give")
         check(bad[:, 1], "al masks other than its children's amax give")
 
-    def _leaves(self, cols: dict, depth: int) -> dict:
-        """The leaf level."""
-        z, ext, nbins = cols["z"], cols["extent"], cols["nbins"]
-        coords = zorder_decode_many(z, self.schema.ndim, self.fanout.bits * depth)
+    def _check_leaf_extents(self, cols: dict, depth: int) -> None:
+        """DataError unless each leaf's extent is its chunk's."""
+        ext = cols["extent"]
+        coords = zorder_decode_many(cols["z"], self.schema.ndim, self.fanout.bits * depth)
         cs, shape = np.array(self.schema.chunk_shape), np.array(self.schema.shape)
         _require((ext[:, :, 0] == coords * cs).all()
                  and (ext[:, :, 1] == np.minimum(coords * cs + cs, shape) - 1).all(),
                  "level 0", "a leaf's extent is not its chunk's")
-        bounds, weights = cols["bounds"], cols["weights"]
-        _check_bins(0, nbins, bounds, cols["amin"], cols["amax"])
-        k = nbins[nbins > 0].astype(np.int64)
-        bo, wo = np.cumsum(k + 1) - (k + 1), np.cumsum(k) - k
-        binnings = iter([Binning.prevalidated(bounds[b : b + n + 1], weights[w : w + n])
-                         for b, w, n in zip(bo.tolist(), wo.tolist(), k.tolist())])
-        return {zi: Leaf(c, e, lo, hi, n, next(binnings) if nb else None)
-                for zi, nb, c, e, lo, hi, n in zip(
-                    z.tolist(), nbins.tolist(), map(tuple, coords.tolist()),
-                    (tuple(map(tuple, e)) for e in ext.tolist()), cols["amin"].tolist(),
-                    cols["amax"].tolist(), cols["count"].tolist())}
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
         """Internal level `level` from its columns, checked or just derived:
@@ -754,7 +773,7 @@ class Index:
                           for k in (nb + 1, nb, nsp, nal))
         bounds, weights = cols["bounds"], cols["weights"]
         sp_bounds, al_bounds = cols["sp_bounds"], cols["al_bounds"]
-        mb = self._mask_bytes()
+        mb = -(-self.fanout.total // 8)
         child = _masks(cols["child"], mb)
         sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
         z = cols["z"].tolist()
@@ -827,56 +846,20 @@ def _masks(raw: np.ndarray, mb: int) -> list:
 # saved format: writing
 
 
-def _columns(*arrays) -> bytes:
-    """Arrays back to back, each padded to a multiple of 8 bytes."""
+def _table_bytes(cols: dict) -> bytes:
+    """A level's table in the saved layout (module docstring), its columns
+    written as they are, each padded to a multiple of 8 bytes: the bin
+    floats, and the sp and al masks, are each one column."""
+    if "sizes" in cols:
+        rest = (cols["sizes"], cols["child"], cols["bounds"], cols["weights"], cols["sp_bounds"],
+                cols["al_bounds"], np.concatenate((cols["sp"], cols["al"])))
+    else:
+        rest = (cols["nbins"], cols["bounds"], cols["weights"])
     out = bytearray()
-    for a in arrays:
+    for a in (cols["z"], cols["extent"], cols["amin"], cols["amax"], cols["count"], *rest):
         out += np.ascontiguousarray(a).tobytes()
         out += bytes(-len(out) % 8)
     return bytes(out)
-
-
-_COMMON = ("z", "extent", "amin", "amax", "count")  # the columns of `_common_columns`
-
-
-def _common_columns(items: list, ndim: int) -> list:
-    flat = itertools.chain.from_iterable  # half the time of np.array over the tuples
-    return [
-        np.array([z for z, _ in items], "<u8"),
-        np.fromiter(flat(flat(n.extent for _, n in items)), "<u8",
-                    len(items) * ndim * 2).reshape(len(items), ndim, 2),
-        np.array([n.amin for _, n in items], "<f8"),
-        np.array([n.amax for _, n in items], "<f8"),
-        np.array([n.count for _, n in items], "<u8"),
-    ]
-
-
-def _floats(*parts) -> np.ndarray:
-    """Lists of float arrays joined in order as one float64 column."""
-    return np.concatenate([np.empty(0)] + [a for part in parts for a in part]).astype("<f8")
-
-
-def _leaf_tables(items: list, ndim: int) -> bytes:
-    """The tables of a leaf level."""
-    binnings = [leaf.binning for _, leaf in items if leaf.binning is not None]
-    nbins = np.array([0 if leaf.binning is None else leaf.binning.nbins for _, leaf in items],
-                     "<u4")
-    return _columns(*_common_columns(items, ndim), nbins,
-                    _floats([b.boundaries for b in binnings], [b.weights for b in binnings]))
-
-
-def _node_tables(items: list, ndim: int, mb: int) -> bytes:
-    """The tables of an internal level."""
-    sizes = np.array([(n.binning.nbins, len(n.sp_masks), len(n.al_masks)) for _, n in items],
-                     "<u4")
-    child = b"".join(n.child_mask.to_bytes(mb, "little") for _, n in items)
-    masks = b"".join(m.to_bytes(mb, "little") for table in ("sp_masks", "al_masks")
-                     for _, n in items for m in getattr(n, table))
-    floats = _floats([n.binning.boundaries for _, n in items],
-                     [n.binning.weights for _, n in items],
-                     [n.sp_bounds for _, n in items], [n.al_bounds for _, n in items])
-    return _columns(*_common_columns(items, ndim), sizes, np.frombuffer(child, "u1"), floats,
-                    np.frombuffer(masks, "u1"))
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +937,9 @@ def _read_tables(buf: bytes) -> tuple:
             cols["weights"] = cur.take("<f8", int(k.sum()))
         else:
             cols["sizes"] = cur.take("<u4", 3 * n).reshape(n, 3)
+            cols["nbins"] = cols["sizes"][:, 0]
             nb, nsp, nal = (int(c.astype(np.int64).sum()) for c in cols["sizes"].T)
-            cols["child"] = cur.take("u1", n * mb)
+            cols["child"] = cur.take("u1", n * mb).reshape(n, mb)
             cols["bounds"] = cur.take("<f8", nb + n)
             cols["weights"] = cur.take("<f8", nb)
             cols["sp_bounds"], cols["al_bounds"] = cur.take("<f8", nsp), cur.take("<f8", nal)

@@ -12,12 +12,14 @@ Every query is one breadth-first descent over those runs (`_descend`): at
 each node the children are matched, from its child-slot bitmaps, as
 partial or complete for the attribute and for the dimensions.  Complete
 children are taken whole without reading a cell; partial ones are
-descended to the leaves, or to an estimate's level budget.  `execute`,
-which is also `membership`, then resolves the partial leaves exactly in
-one batch per block of their chunks (`chunkstore.leaf_query`), straight
-into the answer over the chunk-aligned cover of the query's box, which
-holds the complete nodes too.  Leaves hold no bitmaps, since every chunk
-is resident: on the benchmark's 4096-cell chunks the scan costs less than
+descended to the leaves, or to an estimate's level budget.  A leaf the
+descent reaches is its row of the index's leaf table: its count, value
+range and chunk are read from the table's columns.  `execute`, which is
+also `membership`, then resolves the partial leaves exactly in one batch
+per block of their chunks (`chunkstore.leaf_query`), straight into the
+answer over the chunk-aligned cover of the query's box, which holds the
+complete nodes too.  Leaves hold no bitmaps, since every chunk is
+resident: on the benchmark's 4096-cell chunks the scan costs less than
 decoding one bitmap would.  Cell ids crop the answer to the box once;
 row-major order in it is global order, so they need no sort.
 """
@@ -95,11 +97,12 @@ class ResultSet:
     """The answer of one descent.
 
     `complete` holds the nodes it took whole, every non-empty cell under
-    them a match.  `partial` maps each partial chunk with a hit to its hit
-    count.  `cover` (:func:`query_cover`) holds the partial leaves' hits,
-    and :meth:`cell_ids` adds the complete nodes' cells.  `box`, (lo, hi)
-    per dimension, holds every match; None for the whole cover.  Both are
-    None when the descent stopped at no node.
+    them a match: internal nodes, and leaves as their rows of `leaves`,
+    the index's leaf table.  `partial` maps each partial chunk with a hit
+    to its hit count.  `cover` (:func:`query_cover`) holds the partial
+    leaves' hits, and :meth:`cell_ids` adds the complete nodes' cells.
+    `box`, (lo, hi) per dimension, holds every match.  Both are None when
+    the descent stopped at no node.
     """
 
     schema: ArraySchema
@@ -107,10 +110,11 @@ class ResultSet:
     partial: dict = field(default_factory=dict)  # chunk coords -> hit count
     cover: Cover | None = None
     box: tuple | None = None
+    leaves: dict | None = None
 
     @property
     def count(self) -> int:
-        return sum(node.count for node in self.complete) + sum(self.partial.values())
+        return _cells(self.complete, self.leaves) + sum(self.partial.values())
 
     def cell_ids(self, store: ChunkStore) -> np.ndarray:
         """All matching cells as global row-major ids, strictly increasing.
@@ -127,17 +131,16 @@ class ResultSet:
         cs = cover.chunk_shape
         chunks = []
         for node in self.complete:
-            grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(node.extent, cs))
+            extent = node.extent if type(node) is not int else self.leaves["extent"][node].tolist()
+            grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(extent, cs))
             for coords in itertools.product(*grid):
                 chunk = store.chunks.get(coords)
                 if chunk is not None:
                     chunks.append(chunk)
         put_chunks(cover, chunks)
-        box, lo = cover.answer, cover.origin
-        if self.box is not None:
-            at = [max(a, o) for (a, _), o in zip(self.box, lo)]
-            box = box[tuple(slice(a - o, b + 1 - o) for a, (_, b), o in zip(at, self.box, lo))]
-            lo = at
+        lo = [max(a, o) for (a, _), o in zip(self.box, cover.origin)]
+        box = cover.answer[tuple(slice(a - o, b + 1 - o)
+                                 for a, (_, b), o in zip(lo, self.box, cover.origin))]
         ids = np.flatnonzero(box)
         shape = self.schema.shape
         for d in reversed(range(len(shape) - 1)):
@@ -354,11 +357,20 @@ def _prepare(index: Index, query) -> Query:
     return query
 
 
+def _cells(nodes: list, leaves: dict | None) -> int:
+    """The non-empty cells under nodes of the descent, a leaf being its row
+    of `leaves`, the leaf table."""
+    rows = [node for node in nodes if type(node) is int]
+    cells = int(leaves["count"][rows].sum()) if rows else 0
+    return cells + sum(node.count for node in nodes if type(node) is not int)
+
+
 def _resolve(index: Index, runs, leaves: list, cover: Cover, stats) -> dict:
-    """Resolve the partial `leaves` into `cover.answer` in one batch per
-    block of their chunks (:func:`leaf_query`), masked by the cover's
-    dimension windows, with one attribute matcher for all of them; returns
-    the hit count per chunk with a hit."""
+    """Resolve the partial `leaves`, rows of the leaf table, into
+    `cover.answer` in one batch per block of their chunks
+    (:func:`leaf_query`), masked by the cover's dimension windows, with one
+    attribute matcher for all of them; returns the hit count per chunk
+    with a hit."""
     store = index.store
     if store is None:
         raise DataError("index has no attached data store for leaf resolution")
@@ -366,14 +378,17 @@ def _resolve(index: Index, runs, leaves: list, cover: Cover, stats) -> dict:
     root = index.root
     match = run_matcher(runs, schema.attr_type(index.attribute) == "int64", root.amin,
                         root.amax, len(leaves) * prod(schema.chunk_shape))
-    chunks = [store.chunks[leaf.coords] for leaf in leaves]
+    coords = index.leaf_coords(leaves)
+    chunks = [store.chunks[c] for c in coords]
+    table = index.tables[0]
+    amin, amax = table["amin"][leaves], table["amax"][leaves]
     hits = {}
     for block, members, rows, at in tile_batches(chunks, cover.first):
-        batch = [leaves[i] for i in members]
+        batch = {"amin": amin[members], "amax": amax[members]}
         counts = leaf_query(block, rows, at, batch, index.attribute, runs, match, cover, stats)
-        for leaf, n in zip(batch, counts.tolist()):
+        for i, n in zip(members, counts.tolist()):
             if n:
-                hits[leaf.coords] = n
+                hits[coords[i]] = n
     return hits
 
 
@@ -382,11 +397,12 @@ def _descend(index: Index, query: Query, runs, budget: int, stats=None) -> tuple
 
     Returns the nodes it stops at, as lists in (level, z) order: the
     complete subtrees, the partial leaves to resolve exactly, and the
-    frontier left partial by the level budget.  Internal nodes are
-    evaluated down to depth `budget` - 1 and leaves are resolved when they
-    lie at depth <= `budget`.  A query whose attribute runs, or the runs of
-    some dimension, miss the root stops at no node: an empty value set has
-    no runs.
+    frontier left partial by the level budget.  A leaf is its row of the
+    leaf table (`Index.levels`).  Internal nodes are evaluated down to
+    depth `budget` - 1 and leaves are resolved when they lie at depth <=
+    `budget`.  A query whose attribute runs, or the runs of some
+    dimension, miss the root stops at no node: an empty value set has no
+    runs.
     """
     complete, leaves, frontier = [], [], []
     root = index.root
@@ -424,7 +440,8 @@ def execute(index: Index, query, stats: QueryStats | None = None) -> ResultSet:
     schema = index.schema
     cover = query_cover(query.dim_ranges, schema.shape, schema.chunk_shape)
     partial = _resolve(index, runs, leaves, cover, stats) if leaves else {}
-    return ResultSet(schema, complete, partial, cover, query_box(query.dim_ranges, schema.shape))
+    return ResultSet(schema, complete, partial, cover, query_box(query.dim_ranges, schema.shape),
+                     index.tables[0])
 
 
 # a value set is one attribute run per stretch of values: the same descent
@@ -437,15 +454,18 @@ def estimate(index: Index, query, level_budget: int,
 
     The minimum counts complete subtrees found so far; the maximum adds the
     still-unresolved partial frontier.  With a budget reaching the leaves
-    the frontier resolves exactly and both bounds meet.
+    the frontier resolves exactly and both bounds meet.  Complete leaves
+    count from the leaf table's count column, so only partial leaves need
+    the data store.
     """
     if level_budget < 0:
         raise InputError("level budget must be >= 0")
     query = _prepare(index, query)
     runs = attribute_runs(index, query)
     complete, leaves, frontier = _descend(index, query, runs, level_budget, stats)
-    lo = sum(node.count for node in complete)
+    table = index.tables[0] if index.tables else None
+    lo = _cells(complete, table)
     if leaves:
         cover = query_cover(query.dim_ranges, index.schema.shape, index.schema.chunk_shape)
         lo += sum(_resolve(index, runs, leaves, cover, stats).values())
-    return lo, lo + sum(node.count for node in frontier)
+    return lo, lo + _cells(frontier, table)

@@ -59,7 +59,7 @@ def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
         # query.leaf_yield_ratio count batches, not leaves
         q = query.normalize(raw, idx.schema, (root.amin, root.amax))
         leaves = query._descend(idx, q, query.attribute_runs(idx, q), idx.depth)[1]
-        blocks = {id(store.chunks[leaf.coords].block) for leaf in leaves}
+        blocks = {id(store.chunks[coords].block) for coords in idx.leaf_coords(leaves)}
         leaf = table.select("chunkstore.leaf_query", [qid])
         assert leaf.sum() == len(blocks), qid
         assert set(table.work[leaf].tolist()) <= {0, 1}
@@ -117,7 +117,7 @@ def test_build_and_append_record_a_span_in_every_write_layer(monkeypatch):
 def test_appended_workload_trees_match_a_full_build(monkeypatch):
     # every workload scaled small, built with the set-up's own keywords
     # (leaf_encoding included); the comparison packs every leaf with
-    # Index._pack_leaf(z, leaf, ndim)
+    # Index._pack_leaf(z, row, ndim)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     checks = importlib.import_module("checks")
@@ -134,9 +134,10 @@ def test_appended_workload_trees_match_a_full_build(monkeypatch):
         full = hierindex.build_index(store, **params)
         assert checks.tree_difference(appended, full) is None, name
         # and the packed leaves tell one moved leaf minimum apart
-        leaves = appended.levels[0]
-        z, leaf = next(iter(leaves.items()))
-        leaves[z] = leaf._replace(amin=leaf.amin - 1.0)
+        leaves = appended.tables[0]
+        amin = leaves["amin"].copy()
+        amin[0] -= 1.0
+        leaves["amin"] = amin
         assert "leaf bytes differ" in checks.tree_difference(appended, full), name
 
 

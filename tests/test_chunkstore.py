@@ -8,7 +8,6 @@ from arraybit.bitvec import BitVector
 from arraybit.chunkstore import (
     ArraySchema,
     ChunkStore,
-    Leaf,
     QueryStats,
     build_leaf_index,
     load_store,
@@ -92,7 +91,7 @@ def test_chunk_arrays_are_read_only_and_owned():
     source[:] = 0.0  # the store holds copies of its input
     assert np.array_equal(store.dense("a"), vals, equal_nan=True)
     for chunk in store.chunks.values():
-        for arr in (chunk.values["a"], chunk.nonempty, chunk.values_flat("a"),
+        for arr in (chunk.values["a"], chunk.nonempty, chunk.block.values["a"][chunk.row],
                     chunk.nonempty.reshape(-1)):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -107,7 +106,7 @@ def test_chunk_arrays_are_read_only_and_owned():
     idx = build_index(first, fanout=4, bins=4, e=1)
     idx.append(ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[0] >= 2}))
     # plain and binned leaves
-    assert {e.binning is None for _, e in idx.levels[0].items()} == {True, False}
+    assert set((idx.tables[0]["nbins"] == 0).tolist()) == {True, False}
     live = vals[~np.isnan(vals)]
     raws = [
         RawQuery(attr_lo=-5.0, attr_hi=8.0, dims={"d0": (1, 13)}),
@@ -168,21 +167,26 @@ def test_build_leaf_index_threshold():
     vals = np.full((4, 4), np.nan)
     vals[0, :3] = [1.0, 2.0, 3.0]
     store = store_from(vals)
-    leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, e=4)[0]
-    assert leaf == Leaf((0, 0), ((0, 3), (0, 3)), 1.0, 3.0, 3) and leaf.binning is None
+    leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, e=4)
+    assert leaf["extent"].tolist() == [[[0, 3], [0, 3]]]
+    assert (leaf["amin"].tolist(), leaf["amax"].tolist(), leaf["count"].tolist()) == (
+        [1.0], [3.0], [3])
+    assert leaf["nbins"].tolist() == [0] and leaf["bounds"].size == leaf["weights"].size == 0
 
 
 def test_build_leaf_index_constant_chunk():
     vals = np.full((4, 4), 7.0)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", bins=8, e=1)[0]
-    assert (leaf.amin, leaf.amax, leaf.count) == (7.0, 7.0, 16)
-    assert leaf.binning.boundaries.tolist() == [7.0, 7.0]
-    assert leaf.binning.weights.tolist() == [16.0]
+    leaf = build_leaf_index([chunk], "a", bins=8, e=1)
+    assert (leaf["amin"].tolist(), leaf["amax"].tolist(), leaf["count"].tolist()) == (
+        [7.0], [7.0], [16])
+    assert leaf["nbins"].tolist() == [1]
+    assert leaf["bounds"].tolist() == [7.0, 7.0]
+    assert leaf["weights"].tolist() == [16.0]
     # the baseline's bitmaps of a constant column: one window, every cell
     nonempty = chunk.nonempty.reshape(-1)
-    idx = BinnedBitmapIndex.build(chunk.values_flat("a"), nonempty, 8, "interval")
+    idx = BinnedBitmapIndex.build(chunk.values["a"].reshape(-1), nonempty, 8, "interval")
     assert idx.nbins == 1
     assert idx.bitmaps == [BitVector.from_dense(nonempty)]
 
@@ -194,7 +198,7 @@ def test_equality_bitmaps_partition_the_chunk():
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
     nonempty = chunk.nonempty.reshape(-1)
-    idx = BinnedBitmapIndex.build(chunk.values_flat("a"), nonempty, 8, "equality")
+    idx = BinnedBitmapIndex.build(chunk.values["a"].reshape(-1), nonempty, 8, "equality")
     assert idx.nbins == 8
     union = BitVector.zeros(math.prod(chunk.shape))
     running = 0
@@ -223,8 +227,8 @@ def test_leaf_query_matches_bruteforce(encoding):
         if not store.chunks:
             continue
         chunk = store.chunks[(0, 0)]
-        leaf = build_leaf_index([chunk], "a", bins=4, e=1)[0]
-        assert leaf.binning is not None
+        leaf = build_leaf_index([chunk], "a", bins=4, e=1)
+        assert leaf["nbins"][0] > 0
         lo, hi = np.sort(rng.normal(size=2) * 10)
         dims = []
         for d in range(2):
@@ -259,9 +263,10 @@ def test_leaf_query_full_range_returns_empty_mask():
     vals[0, 0] = np.nan
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 8, e=1)[0]
+    leaf = build_leaf_index([chunk], "a", 8, e=1)
     stats = QueryStats()
-    got = resolve_leaf(chunk, leaf, "a", [(leaf.amin, leaf.amax)], [None, None], stats)
+    got = resolve_leaf(chunk, leaf, "a", [(leaf["amin"][0], leaf["amax"][0])], [None, None],
+                       stats)
     assert np.array_equal(got, chunk.nonempty)
     assert stats == QueryStats()  # a covering run compares no value
 
@@ -270,7 +275,7 @@ def test_leaf_query_disjoint_range():
     vals = np.arange(16.0).reshape(4, 4)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 4, e=1)[0]
+    leaf = build_leaf_index([chunk], "a", 4, e=1)
     got = resolve_leaf(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
     assert np.array_equal(got, np.zeros(chunk.shape, bool))
 

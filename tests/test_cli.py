@@ -105,6 +105,24 @@ def test_gen_build_query_estimate(tmp_path, capsys):
     assert lo <= count <= hi
 
 
+def test_estimate_of_complete_leaves_needs_no_data(tmp_path, capsys):
+    # one whole chunk of a 64x64 array in 8x8 chunks under fanout 4, at the
+    # full level budget: the descent takes that chunk's leaf complete, and a
+    # complete leaf counts from the index's leaf table, so no --data is read
+    schema = ArraySchema((("d0", 64), ("d1", 64)), (("a", "float64"),), (8, 8))
+    head = tmp_path / "arr.json"
+    write_raw(head, schema, {"a": np.random.default_rng(3).random((64, 64))})
+    idx = tmp_path / "arr.abix"
+    assert main(["build", "--data", str(head), "--index", str(idx),
+                 "--params", "fanout=4", "bins=8"]) == 0
+    depth = Index.load(idx).depth
+    assert depth == 3
+    capsys.readouterr()
+    assert main(["estimate", "--index", str(idx), "--levels", str(depth),
+                 "--where", "d0 in [0, 7] and d1 in [0, 7]"]) == 0
+    assert capsys.readouterr().out.split() == ["min", "64", "max", "64"]
+
+
 def test_query_stats_line_reports_the_counters_of_execute(tmp_path, capsys):
     head = _gen(tmp_path)
     idx = tmp_path / "arr.abix"

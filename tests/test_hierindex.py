@@ -24,23 +24,14 @@ from arraybit.hierindex import (
 from arraybit.query import RawQuery, execute
 from testutil import (
     build_parent,
+    leaf_binning,
+    leaf_table,
     lone_chunk,
     record_fetches,
     reference_spread_weights,
     zorder_decode,
     zorder_encode,
 )
-
-
-@pytest.fixture
-def dummy_children():
-    class Child:
-        def __init__(self, amin, amax, count):
-            self.amin, self.amax, self.count = amin, amax, count
-            self.extent = ((0, 0),)
-            self.binning = None
-
-    return Child
 
 
 def test_fanout_defaults():
@@ -123,16 +114,15 @@ def test_dimension_bitmaps_counts_and_consistency():
             assert dbm.begin[d][b] & dbm.end[d][b] == dbm.partial[d][b]
 
 
-def test_double_range_encoding_reference_layout(dummy_children):
+def test_double_range_encoding_reference_layout():
     # four children over boundaries 1..8 merging to {1,3,6,8}: additions
     # happen in [1,3) and [3,6), removals in (3,6] and (6,8], and the
     # started mask at 3 flags exactly the first and third child
-    Child = dummy_children
     children = [
-        (0, Child(1.0, 7.0, 20)),
-        (1, Child(4.0, 6.0, 20)),
-        (2, Child(2.0, 3.0, 20)),
-        (3, Child(5.0, 8.0, 20)),
+        (0, (1.0, 7.0, 20)),
+        (1, (4.0, 6.0, 20)),
+        (2, (2.0, 3.0, 20)),
+        (3, (5.0, 8.0, 20)),
     ]
     node = build_parent(children, Fanout(4, 1), bins=3)
     rb = node.binning.boundaries
@@ -151,24 +141,22 @@ def test_double_range_encoding_reference_layout(dummy_children):
     assert list(zip(prev, node.al_bounds[1:])) == [(3.0, 6.0), (6.0, 8.0)]
 
 
-def test_single_child_node(dummy_children):
-    Child = dummy_children
-    node = build_parent([(0, Child(2.0, 5.0, 7))], Fanout(4, 1), bins=4)
+def test_single_child_node():
+    node = build_parent([(0, (2.0, 5.0, 7))], Fanout(4, 1), bins=4)
     assert node.child_mask == 0b0001
     assert len(node.sp_masks) == 1 and node.sp_masks[0] == 0b0001
     assert len(node.al_masks) == 1 and node.al_masks[0] == 0b0001
     assert node.count == 7
 
 
-def test_retained_masks_are_distinct(dummy_children):
-    Child = dummy_children
+def test_retained_masks_are_distinct():
     rng = np.random.default_rng(0)
     for _ in range(30):
         k = int(rng.integers(1, 17))
         children = []
         for s in range(k):
             lo, hi = np.sort(rng.integers(0, 20, size=2).astype(float))
-            children.append((s, Child(lo, hi, int(rng.integers(1, 9)))))
+            children.append((s, (lo, hi, int(rng.integers(1, 9)))))
         node = build_parent(children, Fanout(16, 1), bins=4)
         assert len(set(node.sp_masks)) == len(node.sp_masks)
         assert len(set(node.al_masks)) == len(node.al_masks)
@@ -181,20 +169,13 @@ def test_conservative_decoding(seed):
     # the truth computed straight from the child min/max intervals
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 17))
-
-    class Child:
-        def __init__(self, lo, hi, count):
-            self.amin, self.amax, self.count = lo, hi, count
-            self.extent = ((0, 0),)
-            self.binning = None
-
     mins, maxs = [], []
     children = []
     for s in range(k):
         lo, hi = np.sort(np.round(rng.random(2) * 10, 1))
         mins.append(lo)
         maxs.append(hi)
-        children.append((s, Child(lo, hi, 1)))
+        children.append((s, (lo, hi, 1)))
     node = build_parent(children, Fanout(16, 1), bins=4)
     mins = np.array(mins)
     maxs = np.array(maxs)
@@ -320,10 +301,8 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(r1.sp_bounds, r2.sp_bounds)
     assert r1.sp_masks == r2.sp_masks
     assert r1.al_masks == r2.al_masks
-    for (z1, l1), (z2, l2) in zip(idx.levels[0].items(), loaded.levels[0].items()):
-        assert z1 == z2
-        assert type(l1) is type(l2)
-        assert l1.extent == l2.extent
+    assert list(idx.levels[0].items()) == list(loaded.levels[0].items())  # z -> row
+    assert np.array_equal(idx.tables[0]["extent"], loaded.tables[0]["extent"])
 
 
 def test_append_zero_chunks_is_noop():
@@ -475,7 +454,9 @@ def test_subnormal_bin_widths_give_finite_node_weights():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         idx = build_index(store)
-    widths = [np.diff(e.binning.boundaries) for _, e in idx.levels[0].items() if e.binning]
+    leaves = idx.tables[0]
+    widths = [np.diff(leaf_binning(leaves, i).boundaries)
+              for i in np.flatnonzero(leaves["nbins"]).tolist()]
     assert min(w.min() for w in widths) < np.finfo(float).tiny  # the pathology is present
     for level in idx.levels[1:]:
         for _, node in level.items():
@@ -483,10 +464,10 @@ def test_subnormal_bin_widths_give_finite_node_weights():
             assert node.binning.weights.sum() == pytest.approx(node.count)
 
 
-def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
-    narrow = dummy_children(0.0, 1.0, 240)
-    narrow.binning = Binning(np.array([0.0, 5e-320, 1e-310, 1.0]), np.array([208.0, 16.0, 16.0]))
-    other = dummy_children(2e-320, 2.0, 8)
+def test_child_with_subnormal_bins_spreads_its_weight():
+    narrow = (0.0, 1.0, 240,
+              Binning(np.array([0.0, 5e-320, 1e-310, 1.0]), np.array([208.0, 16.0, 16.0])))
+    other = (2e-320, 2.0, 8)
     node = build_parent([(0, narrow), (1, other)], Fanout(2, 1), bins=16)
     assert np.isfinite(node.binning.weights).all()
     assert node.binning.weights.sum() == pytest.approx(248.0)
@@ -498,38 +479,30 @@ def test_child_with_subnormal_bins_spreads_its_weight(dummy_children):
 def test_spread_weights_match_child_by_child_reference(seed, nchildren, scale):
     """Every (child, bound) pair at once gives the bytes of one np.interp
     per child added in child order, point masses and subnormal bins too."""
-
-    class Child:
-        def __init__(self, amin, amax, count):
-            self.amin, self.amax, self.count = amin, amax, count
-            self.binning = None
-
     rng = np.random.default_rng(seed)
     children = []
     for _ in range(nchildren):
         kind = int(rng.integers(0, 3))
         lo = float(rng.normal() * scale)
         if kind == 0:  # a point mass
-            children.append(Child(lo, lo, int(rng.integers(1, 50))))
+            children.append((lo, lo, int(rng.integers(1, 50))))
             continue
         edges = np.unique(lo + np.abs(rng.normal(size=int(rng.integers(2, 18)))) * scale)
         if edges.size < 2:
             edges = np.array([lo, np.nextafter(lo, np.inf)])
-        child = Child(float(edges[0]), float(edges[-1]), 0)
         if kind == 2:  # a binned child
             w = rng.integers(0, 30, size=edges.size - 1).astype(float)
-            child.binning = Binning(edges, w)
-            child.count = int(w.sum())
+            children.append((float(edges[0]), float(edges[-1]), int(w.sum()), Binning(edges, w)))
         else:  # a plain child, one bin [min, max]
-            child.count = int(rng.integers(1, 50))
-        children.append(child)
-    bounds = np.unique([v for c in children for v in (c.amin, c.amax)])
+            children.append((float(edges[0]), float(edges[-1]), int(rng.integers(1, 50))))
+    bounds = np.unique([v for c in children for v in c[:2]])
     if bounds.size < 2:
         return
+    kids = leaf_table(list(enumerate(children)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference's own fallback
-        want = reference_spread_weights(bounds, children)
-    got = _spread_weights(bounds, children)
+        want = reference_spread_weights(bounds, kids)
+    got = _spread_weights(bounds, kids)
     assert got.tobytes() == want.tobytes()
 
 
@@ -602,9 +575,8 @@ def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
     start, _ = _sections(raw)["level 0 tables"]
     n = len(idx.levels[0])
     count_at = start + 8 * n + 32 * n + 16 * n  # after z, extent, amin and amax
-    entry = next(iter(idx.levels[0].values()))
-    cells = math.prod(store.chunks[entry.coords].shape)
-    assert struct.unpack_from("<Q", raw, count_at)[0] == entry.count == cells == 64
+    cells = math.prod(store.chunks[idx.leaf_coords([0])[0]].shape)
+    assert struct.unpack_from("<Q", raw, count_at)[0] == idx.tables[0]["count"][0] == cells == 64
     for bad, ok in ((64, True), (65, False)):
         path = tmp_path / f"count-{bad}.abix"
         path.write_bytes(_with_crc(raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]))

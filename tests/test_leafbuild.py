@@ -1,8 +1,8 @@
 """The batched leaf builder against the per-chunk reference in testutil,
 and the baseline's one-column bitmap encoder against its reference.
 
-Every leaf `build_leaf_index` returns must serialize to the same bytes as
-the leaf the reference builds from that chunk alone.  Stores mix clipped
+Every leaf row `build_leaf_index` returns must equal, and serialize to
+the same bytes as, the leaf the reference builds from that chunk alone.  Stores mix clipped
 edge chunks, empty cells, constant chunks, low-cardinality chunks and
 values that stress the cuts: adjacent floats (whose midpoint rounds onto
 one of them), subnormals and a live infinity.  Zero is drawn only as +0.0:
@@ -18,7 +18,7 @@ from arraybit import chunkstore
 from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore, build_leaf_index
-from arraybit.hierindex import Index
+from arraybit.hierindex import _table_bytes, _take
 from testutil import reference_binned, reference_leaf, value_pool
 
 
@@ -56,12 +56,13 @@ def test_batched_leaves_match_per_chunk_reference(store, bins, e, batch):
     chunks = list(store.iter_chunks())
     with mock.patch.object(chunkstore, "_BATCH_CELLS", batch):
         leaves = build_leaf_index(chunks, "a", bins, e)
-    assert len(leaves) == len(chunks)
-    ndim = store.schema.ndim
-    for chunk, leaf in zip(chunks, leaves):
-        want = reference_leaf(chunk, "a", bins, e)
-        assert leaf == want, chunk.coords
-        assert Index._pack_leaf(0, leaf, ndim) == Index._pack_leaf(0, want, ndim), chunk.coords
+    assert leaves["count"].size == len(chunks)
+    z = {"z": np.zeros(1, "<u8")}
+    for i, chunk in enumerate(chunks):
+        leaf, want = _take(leaves, [i]), reference_leaf(chunk, "a", bins, e)
+        assert leaf.keys() == want.keys(), chunk.coords
+        assert all(np.array_equal(leaf[name], want[name]) for name in want), chunk.coords
+        assert _table_bytes({**leaf, **z}) == _table_bytes({**want, **z}), chunk.coords
 
 
 def test_one_column_build_matches_reference():

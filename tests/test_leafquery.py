@@ -14,6 +14,7 @@ from arraybit.chunkstore import (
     build_leaf_index,
     run_matcher,
 )
+from arraybit.hierindex import _take
 from arraybit.query import value_runs
 from testutil import resolve_leaf
 
@@ -137,7 +138,8 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
     # e large enough makes every leaf plain
     leaves = build_leaf_index(chunks, "a", bins, e=10**6 if plain else 1)
     every = np.concatenate([c.values["a"][c.nonempty] for c in chunks])
-    for chunk, leaf in zip(chunks, leaves):
+    for i, chunk in enumerate(chunks):
+        leaf = _take(leaves, [i])
         live = chunk.values["a"][chunk.nonempty]
         for _ in range(4):
             runs = _runs(rng, live, dtype, kind)
@@ -166,8 +168,8 @@ def _float_chunk(shape, seed=0):
 
 def test_leaf_query_scans_without_reading_bitmaps():
     store, chunk = _float_chunk((16, 16, 16))
-    leaf = build_leaf_index([chunk], "a", 16)[0]
-    runs = [(leaf.amin, float(leaf.binning.boundaries[4]))]  # the lowest four bins
+    leaf = build_leaf_index([chunk], "a", 16)
+    runs = [(leaf["amin"][0], float(leaf["bounds"][4]))]  # the lowest four bins
     stats = QueryStats()
     got = resolve_leaf(chunk, leaf, "a", runs, [None] * 3, stats)
     assert stats.leaves_scanned == 1
@@ -179,11 +181,12 @@ def test_leaf_query_scans_without_reading_bitmaps():
 
 def test_covering_and_missing_runs_read_nothing():
     store, chunk = _float_chunk((64, 64))
-    leaf = build_leaf_index([chunk], "a", 16)[0]
+    leaf = build_leaf_index([chunk], "a", 16)
+    amin, amax = leaf["amin"][0], leaf["amax"][0]
     box = [((3, 40),), ((10, 70),)]
     for runs, want in [
-        ([(leaf.amin - 1.0, leaf.amax)], _brute(chunk, [(-np.inf, np.inf)], box)[3:41, 10:]),
-        ([(leaf.amax + 1.0, leaf.amax + 2.0)], np.zeros((38, 54), bool)),
+        ([(amin - 1.0, amax)], _brute(chunk, [(-np.inf, np.inf)], box)[3:41, 10:]),
+        ([(amax + 1.0, amax + 2.0)], np.zeros((38, 54), bool)),
     ]:
         stats = QueryStats()
         assert np.array_equal(resolve_leaf(chunk, leaf, "a", runs, box, stats), want)
@@ -196,8 +199,8 @@ def test_plain_leaf_scans_its_box():
     sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (8, 8))
     store = ChunkStore.from_dense(sch, {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 4)[0]
-    assert leaf.binning is None
+    leaf = build_leaf_index([chunk], "a", 4)
+    assert leaf["nbins"].tolist() == [0]
     runs = [(1.0, 2.0), (5.0, 6.0)]
     box = [((2, 7),), None]
     stats = QueryStats()

@@ -25,6 +25,8 @@ from testutil import (
     assert_strictly_increasing,
     complete_ids,
     lone_chunk,
+    node_count,
+    node_extent,
     random_dim_set,
     random_index,
     random_raw_query,
@@ -235,10 +237,11 @@ def test_dimension_match_against_child_extents():
                     if not (node.child_mask >> slot) & 1:
                         continue
                     child = idx.fetch(level - 1, (z << slot_bits) | slot)
-                    inter = _meets(q.dim_ranges, child.extent)
+                    extent = node_extent(idx.tables[0], child)
+                    inter = _meets(q.dim_ranges, extent)
                     inside = all(
                         any(qlo <= lo and hi <= qhi for qlo, qhi in runs)
-                        for runs, (lo, hi) in zip(q.dim_ranges, child.extent)
+                        for runs, (lo, hi) in zip(q.dim_ranges, extent)
                     )
                     got_c = bool((c >> slot) & 1)
                     got_p = bool((p >> slot) & 1)
@@ -329,7 +332,7 @@ def test_complete_regions_are_sound():
         q = normalize(raw, store.schema, (root.amin, root.amax))
         rs = execute(idx, q)
         for region in rs.complete:
-            assert region_cells_satisfy(store, "a", region, q)
+            assert region_cells_satisfy(store, "a", node_extent(rs.leaves, region), q)
 
 
 def test_trace_single_traversal(monkeypatch):
@@ -469,7 +472,7 @@ def test_queries_never_write_to_the_store(encoding):
     rng = np.random.default_rng(16)
     store = _frozen_store(rng)
     idx = build_index(store, fanout=16, bins=16)
-    assert {entry.binning is None for _, entry in idx.levels[0].items()} == {True, False}
+    assert set((idx.tables[0]["nbins"] == 0).tolist()) == {True, False}
     dims = DimsAttsIndex(store, "a", bins=16, encoding=encoding)
     total = store.nonempty_total()
     root = idx.root
@@ -576,8 +579,7 @@ def test_cell_ids_and_full_depth_estimate_match_full_scan(seed, ndim, dtype, emp
     root = idx.root
     if root is None:
         return
-    live = np.concatenate([c.values_flat("a")[c.nonempty.reshape(-1)]
-                           for c in store.chunks.values()])
+    live = np.concatenate([c.values["a"][c.nonempty] for c in store.chunks.values()])
     # whole chunks before a cut through the second chunk along d0: complete
     # regions next to partial chunks
     mixed = RawQuery(dims={"d0": (0, sch.chunk_shape[0])})
@@ -609,7 +611,8 @@ def test_cell_ids_place_an_answer_box_anywhere_in_the_array():
         sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)),
                           (("a", "float64"),), shape)
         answer = rng.random([int(rng.integers(1, e - o + 1)) for e, o in zip(shape, origin)]) < 0.4
-        rs = ResultSet(sch, cover=Cover(answer, (1,) * len(shape), origin, (None,) * len(shape)))
+        rs = ResultSet(sch, cover=Cover(answer, (1,) * len(shape), origin, (None,) * len(shape)),
+                       box=tuple((o, o + n - 1) for o, n in zip(origin, answer.shape)))
         whole = np.zeros(shape, bool)
         whole[tuple(slice(o, o + n) for o, n in zip(origin, answer.shape))] = answer
         assert np.array_equal(rs.cell_ids(ChunkStore(sch, {})), np.flatnonzero(whole))
@@ -654,11 +657,11 @@ def test_answer_box_matches_full_scan(appended):
         assert rs.count == ids.size
         assert np.array_equal(rs.cell_ids(store), want)  # a second call gives the same
         done = complete_ids(store, rs)
-        assert np.isin(done, want).all() and done.size == sum(n.count for n in rs.complete), raw
+        assert np.isin(done, want).all() and done.size == sum(node_count(rs.leaves, n) for n in rs.complete), raw
     # the first query: complete regions, and partial leaves (0, 1) without a
     # hit and (1, 1) with some
     q = normalize(raws[0], sch)
-    resolved = {leaf.coords for leaf in _descend(idx, q, attribute_runs(idx, q), idx.depth)[1]}
+    resolved = set(idx.leaf_coords(_descend(idx, q, attribute_runs(idx, q), idx.depth)[1]))
     rs = execute(idx, q)
     assert rs.complete and {(0, 1), (1, 1)} <= resolved
     assert (0, 1) not in rs.partial and rs.partial[(1, 1)] == 10
@@ -790,7 +793,7 @@ def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout):
         assert np.array_equal(rs.cell_ids(queried), want), raw
         assert rs.count == want.size
         done = complete_ids(store, rs)
-        assert np.isin(done, want).all() and done.size == sum(n.count for n in rs.complete), raw
+        assert np.isin(done, want).all() and done.size == sum(node_count(rs.leaves, n) for n in rs.complete), raw
 
 
 def test_query_stats_keep_their_per_leaf_definitions():
@@ -835,7 +838,8 @@ def test_a_round_of_every_query_kind_leaves_blocks_and_views_unchanged():
         for block in blocks.values():
             yield from (*block.values.values(), block.nonempty, block.counts)
         for chunk in mixed.chunks.values():
-            yield from (*chunk.values.values(), chunk.nonempty, chunk.values_flat("a"))
+            yield from (*chunk.values.values(), chunk.nonempty,
+                        chunk.block.values["a"][chunk.row])
 
     def digest():
         return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays()]

@@ -21,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from arraybit.binning import Binning
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, ChunkStore, Leaf, load_store, write_raw
+from arraybit.chunkstore import ArraySchema, ChunkStore, load_store, write_raw
 from arraybit.cli import main
 from arraybit.errors import DataError
-from arraybit.hierindex import Fanout, Index, build_index
+from arraybit.hierindex import Fanout, Index, _take, build_index
 from arraybit.query import RawQuery, estimate, execute, membership
 
 
@@ -120,10 +120,28 @@ def test_load_builds_no_bitvector_and_saves_the_same_bytes(make, tmp_path, monke
         made.append(1)
         init(self, *args)
 
+    # a binning is made by its constructor or, over checked arrays, by
+    # Binning.prevalidated
+    binnings = []
+    binning_init, prevalidated = Binning.__init__, Binning.prevalidated.__func__
+
+    def counted_binning(self, *args):
+        binnings.append(1)
+        binning_init(self, *args)
+
+    def counted_prevalidated(cls, *args):
+        binnings.append(1)
+        return prevalidated(cls, *args)
+
     monkeypatch.setattr(BitVector, "__init__", counted)
+    monkeypatch.setattr(Binning, "__init__", counted_binning)
+    monkeypatch.setattr(Binning, "prevalidated", classmethod(counted_prevalidated))
     loaded = Index.load(path, store=fresh.store)
     assert loaded.serialize() == path.read_bytes()
     assert not made
+    # the leaves stay rows of their table: at most one binning per
+    # internal node, none per leaf
+    assert 0 < len(binnings) <= fresh.node_count() - len(fresh.levels[0])
     _answers_like(loaded, fresh)
 
 
@@ -148,88 +166,127 @@ def _probe_index():
                        fanout=4, bins=8)
 
 
+def _set(cols, name, row, value):
+    """Row `row` of column `name` of a level's table set to `value`, in a
+    copy of the column."""
+    col = cols[name].copy()
+    col[row] = value
+    cols[name] = col
+
+
+def _flip(cols, name, row, slot):
+    """Child slot `slot` flipped in row `row` of a mask column."""
+    col = cols[name].copy()
+    col[row, slot // 8] ^= np.uint8(1 << slot % 8)
+    cols[name] = col
+
+
+def _mask_rows(cols, table, i):
+    """The rows of node i's sp (table 1) or al (table 2) masks."""
+    sizes = cols["sizes"].astype(int)
+    start = int(sizes[:i, table].sum())
+    return range(start, start + int(sizes[i, table]))
+
+
+def _lowest_child(cols, i):
+    return int(np.flatnonzero(np.unpackbits(cols["child"][i], bitorder="little"))[0])
+
+
 def _leave_out_a_leaf(idx):
     # a level-1 node's child mask and range masks leave out a leaf that is saved
-    z, node = next(iter(idx.levels[1].items()))
-    low = node.child_mask & -node.child_mask
-    node.child_mask &= ~low
-    node.sp_masks = [m & ~low for m in node.sp_masks]
-    node.al_masks = [m & ~low for m in node.al_masks]
-    return f"level 1: node {z} has a child mask"
+    cols = idx.tables[1]
+    low = _lowest_child(cols, 0)
+    _flip(cols, "child", 0, low)
+    for table, name in ((1, "sp"), (2, "al")):
+        for row in _mask_rows(cols, table, 0):
+            if cols[name][row, low // 8] >> low % 8 & 1:
+                _flip(cols, name, row, low)
+    return f"level 1: node {cols['z'][0]} has a child mask"
 
 
 def _drop_a_leaf(idx):
     # a level-1 node keeps the slot of a leaf that is not saved
-    del idx.levels[0][next(iter(idx.levels[0]))]
+    idx.tables[0] = _take(idx.tables[0], np.arange(1, idx.tables[0]["z"].size))
     return "level 1: node 0 has a child mask"
 
 
 def _drop_a_node(idx):
     # the leaves of a level-1 node that is not saved have no parent
-    del idx.levels[1][0]
+    idx.tables[1] = _take(idx.tables[1], np.arange(1, idx.tables[1]["z"].size))
     return "level 0: node 0 has no parent 0 at level 1"
 
 
 def _drop_every_child(idx):
     # a level-1 node whose leaves are none of them saved
-    z = next(iter(idx.levels[1]))
-    for leaf_z in [c for c in idx.levels[0] if c >> idx.fanout.slot_bits == z]:
-        del idx.levels[0][leaf_z]
+    z = idx.tables[1]["z"][0]
+    leaves = idx.tables[0]
+    idx.tables[0] = _take(leaves, np.flatnonzero(leaves["z"] >> idx.fanout.slot_bits != z))
     return f"level 1: node {z} has no children"
 
 
 def _more_bins_than_the_index_has(idx):
     # the build merges a node's bins down to the index's `bins` (8)
-    z, node = next(iter(idx.levels[1].items()))
-    node.binning = Binning(np.linspace(node.amin, node.amax, 11), np.ones(10))
-    return f"level 1: node {z} has more than 8 bins"
+    cols = idx.tables[1]
+    k = int(cols["sizes"][0, 0])
+    cols["bounds"] = np.concatenate((np.linspace(cols["amin"][0], cols["amax"][0], 11),
+                                     cols["bounds"][k + 1:]))
+    cols["weights"] = np.concatenate((np.ones(10), cols["weights"][k:]))
+    _set(cols, "sizes", (0, 0), 10)
+    _set(cols, "nbins", 0, 10)
+    return f"level 1: node {cols['z'][0]} has more than 8 bins"
 
 
 def _count_five_less(idx):
-    z, node = next(iter(idx.levels[1].items()))
-    node.count -= 5
-    return f"level 1: node {z} has a count other than the sum of its children's"
+    cols = idx.tables[1]
+    _set(cols, "count", 0, cols["count"][0] - 5)
+    return f"level 1: node {cols['z'][0]} has a count other than the sum of its children's"
 
 
 def _lower_amax(idx):
-    z, node = next(iter(idx.levels[1].items()))
-    node.amax = (node.amin + node.amax) / 2
-    return f"level 1: node {z} has a value range other than its children's"
+    cols = idx.tables[1]
+    _set(cols, "amax", 0, (cols["amin"][0] + cols["amax"][0]) / 2)
+    return f"level 1: node {cols['z'][0]} has a value range other than its children's"
 
 
 def _raise_amin(idx):
-    z, node = next(iter(idx.levels[1].items()))
-    node.amin = (node.amin + node.amax) / 2
-    return f"level 1: node {z} has a value range other than its children's"
+    cols = idx.tables[1]
+    _set(cols, "amin", 0, (cols["amin"][0] + cols["amax"][0]) / 2)
+    return f"level 1: node {cols['z'][0]} has a value range other than its children's"
 
 
 def _drop_a_child_from_the_sp_masks(idx):
-    z, node = next(iter(idx.levels[1].items()))
-    node.sp_masks = [m & ~(node.child_mask & -node.child_mask) for m in node.sp_masks]
-    return f"level 1: node {z} has sp masks other than its children's amin give"
+    cols = idx.tables[1]
+    low = _lowest_child(cols, 0)
+    for row in _mask_rows(cols, 1, 0):
+        if cols["sp"][row, low // 8] >> low % 8 & 1:
+            _flip(cols, "sp", row, low)
+    return f"level 1: node {cols['z'][0]} has sp masks other than its children's amin give"
 
 
 def _drop_a_child_from_the_al_masks(idx):
-    z, node = next(iter(idx.levels[1].items()))
-    node.al_masks = [m & ~(node.child_mask & -node.child_mask) for m in node.al_masks]
-    return f"level 1: node {z} has al masks other than its children's amax give"
+    cols = idx.tables[1]
+    low = _lowest_child(cols, 0)
+    for row in _mask_rows(cols, 2, 0):
+        if cols["al"][row, low // 8] >> low % 8 & 1:
+            _flip(cols, "al", row, low)
+    return f"level 1: node {cols['z'][0]} has al masks other than its children's amax give"
 
 
 def _amin_above_amax(idx):
-    z, node = list(idx.levels[1].items())[5]
-    node.amin = node.amax + 1.0
-    return f"level 1: node {z} has amin above amax"
+    cols = idx.tables[1]
+    _set(cols, "amin", 5, cols["amax"][5] + 1.0)
+    return f"level 1: node {cols['z'][5]} has amin above amax"
 
 
 def _extent_past_the_array(idx):
-    z, node = list(idx.levels[1].items())[-1]
-    node.extent = tuple((lo, hi + 1) for lo, hi in node.extent)
-    return f"level 1: node {z} has an extent outside the array"
+    cols = idx.tables[1]
+    _set(cols, "extent", (-1, slice(None), 1), cols["extent"][-1, :, 1] + 1)
+    return f"level 1: node {cols['z'][-1]} has an extent outside the array"
 
 
 def _first_node_saved_last(idx):
-    nodes = idx.levels[1]
-    nodes[0] = nodes.pop(0)
+    n = idx.tables[1]["z"].size
+    idx.tables[1] = _take(idx.tables[1], np.roll(np.arange(n), -1))
     return "level 1: node 0 follows node 15: z-indices do not increase"
 
 
@@ -264,36 +321,29 @@ def test_one_changed_cross_level_field_fails_at_load(data):
     # amax, an extent bound, or a bit of an sp or al mask
     idx = Index._parse(_PROBE)
     change = data.draw(st.sampled_from(
-        ["drop", "child", "count", "amin", "amax", "extent", "sp_masks", "al_masks"]))
-    internal = change in ("child", "sp_masks", "al_masks")
+        ["drop", "child", "count", "amin", "amax", "extent", "sp", "al"]))
+    internal = change in ("child", "sp", "al")
     level = data.draw(st.integers(int(internal), idx.depth - (change == "drop")))
-    nodes = idx.levels[level]
-    z = data.draw(st.sampled_from(sorted(nodes)))
-    node = nodes[z]
+    cols = idx.tables[level] = dict(idx.tables[level])
+    n = cols["z"].size
+    i = data.draw(st.integers(0, n - 1))
     slot = data.draw(st.integers(0, idx.fanout.total - 1))
     if change == "drop":
-        del nodes[z]
-        fields = {}
+        idx.tables[level] = _take(cols, np.delete(np.arange(n), i))
     elif change == "child":
-        fields = {"child_mask": node.child_mask ^ 1 << slot}
+        _flip(cols, "child", i, slot)
     elif change == "count":
-        fields = {"count": node.count + data.draw(st.sampled_from([-1, 1]))}
+        _set(cols, "count", i, cols["count"][i] + np.uint64(1) - data.draw(st.sampled_from(
+            [np.uint64(0), np.uint64(2)])))
     elif change in ("amin", "amax"):
-        fields = {change: getattr(node, change) + data.draw(st.sampled_from([-0.5, 0.5]))}
+        _set(cols, change, i, cols[change][i] + data.draw(st.sampled_from([-0.5, 0.5])))
     elif change == "extent":
         d, side = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
-        ext = [list(e) for e in node.extent]
-        ext[d][side] += 1 - 2 * side  # a low bound up or a high bound down
-        fields = {"extent": tuple(map(tuple, ext))}
+        # a low bound up or a high bound down
+        _set(cols, "extent", (i, d, side), cols["extent"][i, d, side] + 1 - 2 * side)
     else:
-        table = list(getattr(node, change))
-        table[data.draw(st.integers(0, len(table) - 1))] ^= 1 << slot
-        fields = {change: table}
-    if isinstance(node, Leaf) and fields:  # a dropped leaf stays dropped
-        nodes[z] = node._replace(**fields)
-    else:
-        for name, value in fields.items():
-            setattr(node, name, value)
+        rows = _mask_rows(cols, 1 if change == "sp" else 2, i)
+        _flip(cols, change, rows[data.draw(st.integers(0, len(rows) - 1))], slot)
     with pytest.raises(DataError, match="level"):
         Index._parse(idx.serialize())
 

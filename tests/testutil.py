@@ -15,7 +15,6 @@ from arraybit.chunkstore import (
     Block,
     Chunk,
     ChunkStore,
-    Leaf,
     leaf_query,
     query_cover,
     run_matcher,
@@ -138,12 +137,13 @@ def random_raw_query(rng, schema, amin, amax, kind="mixed"):
     return raw
 
 
-def region_cells_satisfy(store, attribute, region, query):
-    """Oracle check that every non-empty cell in a complete region matches."""
+def region_cells_satisfy(store, attribute, extent, query):
+    """Oracle check that every non-empty cell in a complete region, of
+    `extent`, matches."""
     import itertools
 
     cs = store.schema.chunk_shape
-    ranges = [range(lo // c, hi // c + 1) for (lo, hi), c in zip(region.extent, cs)]
+    ranges = [range(lo // c, hi // c + 1) for (lo, hi), c in zip(extent, cs)]
     for coords in itertools.product(*ranges):
         chunk = store.chunks.get(coords)
         if chunk is None:
@@ -176,8 +176,21 @@ def complete_ids(store, rs):
     set, from a mask over the dense array."""
     inside = np.zeros(store.schema.shape, bool)
     for node in rs.complete:
-        inside[tuple(slice(lo, hi + 1) for lo, hi in node.extent)] = True
+        inside[tuple(slice(lo, hi + 1) for lo, hi in node_extent(rs.leaves, node))] = True
     return np.flatnonzero(inside & store.nonempty_dense())
+
+
+def node_extent(leaves, node) -> tuple:
+    """The extent of a node of the descent: an internal node's own, or a
+    leaf's, given as its row of the leaf table `leaves`."""
+    if type(node) is int:
+        return tuple(map(tuple, leaves["extent"][node].tolist()))
+    return node.extent
+
+
+def node_count(leaves, node) -> int:
+    """The non-empty count of a node of the descent (see `node_extent`)."""
+    return int(leaves["count"][node]) if type(node) is int else node.count
 
 
 def record_fetches(monkeypatch) -> list:
@@ -194,13 +207,31 @@ def record_fetches(monkeypatch) -> list:
     return fetched
 
 
+def leaf_table(children) -> dict:
+    """A leaf table of `(slot, child)` pairs in slot order: z is the slot,
+    the extent ((0, 0),), and a child is (amin, amax, count), a plain leaf,
+    or (amin, amax, count, binning)."""
+    binnings = [c[3] if len(c) > 3 else None for _, c in children]
+    binned = [b for b in binnings if b is not None]
+    return {
+        "z": np.array([slot for slot, _ in children], "<u8"),
+        "extent": np.zeros((len(children), 1, 2), "<u8"),
+        "amin": np.array([c[0] for _, c in children], float),
+        "amax": np.array([c[1] for _, c in children], float),
+        "count": np.array([c[2] for _, c in children], "<u8"),
+        "nbins": np.array([0 if b is None else b.nbins for b in binnings], "<u4"),
+        "bounds": np.concatenate([np.empty(0)] + [b.boundaries for b in binned]),
+        "weights": np.concatenate([np.empty(0)] + [b.weights for b in binned]),
+    }
+
+
 def build_parent(children, fanout: Fanout, bins: int):
-    """The one internal node over `(slot, child)` pairs, made by the tree's
-    own level build (`Index._build_level`) with the children as the leaves
-    of a depth-1 tree.  A child exposes extent, amin, amax, count and
-    binning (None for a plain child)."""
+    """The one internal node over `(slot, child)` pairs (`leaf_table`),
+    made by the tree's own level build (`Index._level_above`) with the
+    children as the leaves of a depth-1 tree."""
     idx = Index(None, None, "a", fanout, bins, 4, [])
-    return idx._build_level(1, 1, dict(children))[0]
+    cols = idx._level_above(leaf_table(children), None, np.empty(0, "<u8"))
+    return idx._nodes(1, cols, 1)[0]
 
 
 def assert_strictly_increasing(trace):
@@ -397,27 +428,47 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
 
 
 def reference_leaf(chunk, attr: str, bins: int, e: int = 4):
-    """The leaf of one chunk: None when empty, a plain `Leaf` below e*bins
-    non-empty cells, else a `Leaf` with the reference binning, its amin and
+    """The leaf of one chunk as a one-row leaf table without z (the layout
+    of `build_leaf_index`): None when empty, a plain leaf below e*bins
+    non-empty cells, else a leaf with the reference binning, its amin and
     amax the least and greatest value of its bins."""
     if chunk.nonempty_count == 0:
         return None
-    live = chunk.values_flat(attr)[chunk.nonempty.reshape(-1)]
+    live = chunk.values[attr][chunk.nonempty]
     if chunk.nonempty_count < e * bins:
-        return Leaf(chunk.coords, chunk.extent, float(live.min()), float(live.max()),
-                    chunk.nonempty_count)
-    binning, span_lo, span_hi = reference_bins(live, bins)
-    return Leaf(chunk.coords, chunk.extent, float(span_lo[0]), float(span_hi[-1]),
-                chunk.nonempty_count, binning)
+        amin, amax, binning = float(live.min()), float(live.max()), None
+    else:
+        binning, span_lo, span_hi = reference_bins(live, bins)
+        amin, amax = float(span_lo[0]), float(span_hi[-1])
+    return {
+        "extent": np.array([chunk.extent], "<u8"),
+        "amin": np.array([amin]),
+        "amax": np.array([amax]),
+        "count": np.array([chunk.nonempty_count], "<u8"),
+        "nbins": np.array([0 if binning is None else binning.nbins], "<u4"),
+        "bounds": np.empty(0) if binning is None else binning.boundaries,
+        "weights": np.empty(0) if binning is None else binning.weights,
+    }
+
+
+def leaf_binning(leaves, row: int):
+    """The bins of the leaf at `row` of a leaf table as a Binning, None for
+    a plain leaf."""
+    k = leaves["nbins"].astype(int)
+    if not k[row]:
+        return None
+    b = int((k[:row] + (k[:row] > 0)).sum())
+    w = int(k[:row].sum())
+    return Binning(leaves["bounds"][b : b + k[row] + 1], leaves["weights"][w : w + k[row]])
 
 
 def resolve_leaf(chunk, leaf, attr: str, runs, dim_runs, stats=None, match=None):
-    """One leaf resolved alone by the batched `leaf_query`: the chunk's hits
-    inside the query's box (per dimension from the first run's low to the
-    last run's high end, clipped to the chunk), as an array of the box's
-    shape.  `dim_runs` are in array coordinates, None for the chunk's whole
-    extent.  The default matcher is the query's over the leaf's own value
-    range and cells."""
+    """One leaf, a one-row leaf table, resolved alone by the batched
+    `leaf_query`: the chunk's hits inside the query's box (per dimension
+    from the first run's low to the last run's high end, clipped to the
+    chunk), as an array of the box's shape.  `dim_runs` are in array
+    coordinates, None for the chunk's whole extent.  The default matcher
+    is the query's over the leaf's own value range and cells."""
     local, box = [], []
     for r, o, s in zip(dim_runs, chunk.offsets, chunk.shape):
         r = ((0, s - 1),) if r is None else tuple((a - o, b - o) for a, b in r)
@@ -428,12 +479,12 @@ def resolve_leaf(chunk, leaf, attr: str, runs, dim_runs, stats=None, match=None)
     if not all(local):
         return np.zeros(chunk.nonempty[box].shape, bool)
     if match is None:
-        match = run_matcher(runs, chunk.values_flat(attr).dtype.kind == "i", leaf.amin,
-                            leaf.amax, math.prod(chunk.shape))
+        match = run_matcher(runs, chunk.values[attr].dtype.kind == "i", float(leaf["amin"][0]),
+                            float(leaf["amax"][0]), math.prod(chunk.shape))
     # the chunk as an array of one tile
     cover = query_cover(local, chunk.shape, chunk.shape)
     at = tuple(np.zeros(1, np.intp) for _ in chunk.shape)
-    leaf_query(chunk.block, np.array([chunk.row]), at, [leaf], attr, runs, match, cover, stats)
+    leaf_query(chunk.block, np.array([chunk.row]), at, leaf, attr, runs, match, cover, stats)
     return cover.answer[box]
 
 
@@ -444,12 +495,14 @@ def reference_leaf_stats(index, query) -> tuple:
     candidates are its chunk's non-empty cells inside the query's
     dimension runs."""
     runs = attribute_runs(index, query)
+    leaves = index.tables[0]
     scanned = checks = 0
-    for leaf in _descend(index, query, runs, index.depth)[1]:
-        meets = [(lo, hi) for lo, hi in runs if hi >= leaf.amin and lo <= leaf.amax]
-        if not meets or any(lo <= leaf.amin and leaf.amax <= hi for lo, hi in meets):
+    for row in _descend(index, query, runs, index.depth)[1]:
+        amin, amax = leaves["amin"][row], leaves["amax"][row]
+        meets = [(lo, hi) for lo, hi in runs if hi >= amin and lo <= amax]
+        if not meets or any(lo <= amin and amax <= hi for lo, hi in meets):
             continue
-        chunk = index.store.chunks[leaf.coords]
+        chunk = index.store.chunks[index.leaf_coords([row])[0]]
         inside = chunk.nonempty.copy()
         for d, dim_runs in enumerate(query.dim_ranges):
             at = np.arange(chunk.shape[d]) + chunk.offsets[d]
@@ -554,16 +607,18 @@ def reference_merge_bins_iterative(source: Binning, bins: int, trace: list | Non
     return Binning(bounds[sel], sel_weights(sel))
 
 
-def reference_spread_weights(bounds, children) -> np.ndarray:
+def reference_spread_weights(bounds, kids) -> np.ndarray:
     """Internal-node bin weights over `bounds`, child by child: np.interp of
     each child's cumulative bin weights (non-finite points placed by their
     fraction of the bin), added in child order; a point-mass child adds its
-    weight to the one bin holding it."""
+    weight to the one bin holding it.  `kids` is the children's leaf
+    table; a plain child is one bin [amin, amax] of weight count."""
     weights = np.zeros(bounds.size - 1)
-    for child in children:
-        cb = getattr(child, "binning", None)
+    for i in range(kids["amin"].size):
+        cb = leaf_binning(kids, i)
         if cb is None:
-            cb = Binning(np.array([child.amin, child.amax]), np.array([float(child.count)]))
+            cb = Binning(np.array([kids["amin"][i], kids["amax"][i]]),
+                         np.array([float(kids["count"][i])]))
         if cb.boundaries[0] == cb.boundaries[-1]:
             j = min(int(np.searchsorted(bounds, cb.boundaries[0], side="right")) - 1,
                     bounds.size - 2)
