@@ -12,16 +12,17 @@ leaf bitmaps with a bitmap index.
 
 This module owns that bitmap index (:class:`BinnedBitmapIndex`, with its
 three encodings); it and `bitvec` are the only code that knows the bitmap
-encoding.  Its binning goes through `chunkstore._bin_rows`, the leaf
-builder's, so both bin alike.
+encoding.  It bins a column by `binning.equi_depth_exact`, as the leaf
+builder bins a chunk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .binning import Binning, equi_depth_exact
 from .bitvec import BitVector
-from .chunkstore import ArraySchema, ChunkStore, QueryStats, _bin_rows, in_runs
+from .chunkstore import ArraySchema, ChunkStore, QueryStats, in_runs
 from .errors import InputError
 from .query import Query, value_runs
 
@@ -124,8 +125,11 @@ class BinnedBitmapIndex:
         bin range compared with that and encoded on its own.
         """
         cells = np.where(nonempty, values, np.nan)
-        (binning,), span_lo, span_hi = _bin_rows(
-            np.sort(cells)[None], np.array([np.count_nonzero(nonempty)]), bins)
+        live, ordered = np.count_nonzero(nonempty), np.sort(cells)
+        if not live or np.isnan(ordered[live - 1]):  # NaN sorts last
+            raise InputError("cannot index NaN values" if live else "cannot index an empty column")
+        _, bounds, weights, span_lo, span_hi = equi_depth_exact(ordered[None], [live], bins)
+        binning = Binning(bounds, weights)
         at = np.searchsorted(binning.boundaries[1:-1], cells, side="right")
         at[~nonempty] = -1
         windows = _windows(encoding, binning.nbins)

@@ -78,8 +78,9 @@ def _bisect(flat: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
 def equi_depth_exact(ordered: np.ndarray, live: np.ndarray, k: int) -> tuple:
     """Equi-depth bins of each row of `ordered`, whose first live[r] cells
     hold row r's values in ascending order; the cells after them are
-    ignored.  Returns one Binning per row, and the least and greatest value
-    of every bin of every row in order: (inf, -inf) for an empty bin.
+    ignored.  Returns the bins as columns, row after row: bin counts k,
+    k + 1 boundaries and k weights per row, and the least and greatest
+    value of every bin: (inf, -inf) for an empty bin.
 
     A row of at most k distinct values gets one bin per distinct value.
     Otherwise cut j of k - 1 falls after the run of equal values holding
@@ -90,7 +91,8 @@ def equi_depth_exact(ordered: np.ndarray, live: np.ndarray, k: int) -> tuple:
     split.  Midpoints of adjacent floats can round onto an endpoint: equal
     ones are kept once, ones not strictly inside the row's range are
     dropped, and a value equal to a midpoint belongs to the bin above it,
-    which can leave the bin below it empty.  Weights are cell counts.
+    which can leave the bin below it empty.  Weights are cell counts.  The
+    last boundary is the first cell of the row's last run.
 
     Passes: the run end of every target, and the start of every row's last
     run, come from one batched bisection over the sorted rows, about
@@ -171,11 +173,7 @@ def equi_depth_exact(ordered: np.ndarray, live: np.ndarray, k: int) -> tuple:
     zero = np.flatnonzero(filled & (span_hi == 0))
     if zero.size:
         span_hi[zero] = flat[_bisect(flat, lo[zero], hi[zero] - 1, span_hi[zero], right=False)]
-    binnings = [
-        Binning.prevalidated(bounds[a : a + n + 1], weights[b : b + n])
-        for a, b, n in zip(lead.tolist(), first_bin.tolist(), nbins.tolist())
-    ]
-    return binnings, span_lo, span_hi
+    return nbins, bounds, weights, span_lo, span_hi
 
 
 def wsse(binning: Binning) -> float:

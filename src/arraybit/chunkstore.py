@@ -8,9 +8,11 @@ read-only view of its row, and a store made from the chunks of others
 shares their blocks.
 
 A chunk's leaf is the index tree's level-0 node: a row of the leaf
-table, which holds per leaf the chunk's extent, its value range, its
-non-empty count and, above a size threshold, the equi-depth bins of its
-values, which feed its parent's merged bins (:func:`build_leaf_index`).
+table, which holds per leaf the chunk's value range, its non-empty count
+and, above a size threshold, the equi-depth bins of its values, which
+feed its parent's merged bins.  :func:`build_leaf_index` makes the rows
+of a block's chunks together, as columns, keyed by their chunks' grid
+coordinates; the tree adds z and the extent.
 Unlike the source paper's leaves it holds no bitmaps: the paper's leaf
 bitmaps spare reading cell values from disk, while here every chunk is
 resident and the partial leaves of a query are resolved by one batched
@@ -175,10 +177,6 @@ class Chunk:
     def nonempty(self) -> np.ndarray:
         return self.block.nonempty[self.row].reshape(self.shape)
 
-    @property
-    def extent(self) -> tuple:
-        return tuple((o, o + s - 1) for o, s in zip(self.offsets, self.shape))
-
 
 class ChunkStore:
     """All non-empty chunks of one array, keyed by grid coordinates.
@@ -302,63 +300,46 @@ def _nonempty_mask(block, typ, sentinel):
 _BATCH_CELLS = 1 << 20
 
 
-def _bin_rows(ordered: np.ndarray, live: np.ndarray, bins: int) -> tuple:
-    """:func:`equi_depth_exact` of each row of a (rows, cells) array sorted
-    along its rows, whose empty cells are NaN (they sort last); `live`
-    counts each row's non-empty cells."""
-    if not live.all():
-        raise InputError("cannot index an all-empty column")
-    if np.isnan(ordered[np.arange(live.size), live - 1]).any():
-        raise InputError("cannot index NaN values")
-    return equi_depth_exact(ordered, live, bins)
-
-
 def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> dict:
-    """The leaf table rows of the non-empty `chunks`, in order: the leaf
-    table's columns but z (extent, as (leaves, ndim, 2) for one leaf or
-    more, amin, amax, count and nbins), and each binned leaf's k + 1 bin
-    boundaries and k weights back to back in `bounds` and `weights`.  A leaf below e*bins non-empty cells is plain,
-    nbins 0 and no bins; the others get the equi-depth binning of their
-    values (integers binned as float64).  The binned chunks of one block
-    are binned together: one copy of their rows (:func:`_copy_rows`) and
-    one sort per pass of up to _BATCH_CELLS cells."""
-    chunks = [chunk for chunk in chunks if chunk.nonempty_count]
-    n = len(chunks)
-    amin, amax, nbins = np.empty(n), np.empty(n), np.zeros(n, "<u4")
-    bounds, weights = [np.empty(0)] * n, [np.empty(0)] * n
-    binned = []
-    for i, chunk in enumerate(chunks):
-        if chunk.nonempty_count < e * bins:
-            row = chunk.block.nonempty[chunk.row]
-            live = chunk.block.values[attr][chunk.row][row]
-            amin[i], amax[i] = live.min(), live.max()
-        else:
-            binned.append(i)
-    for block, members, rows, _ in tile_batches([chunks[i] for i in binned], 0):
-        members = [binned[j] for j in members]
+    """The leaf table rows of the non-empty `chunks`, block by block: the
+    leaf table's columns but z and extent, and the chunks' grid
+    coordinates as `coords`, (leaves, ndim) for one leaf or more.  A leaf
+    below e*bins non-empty cells is plain, nbins 0 and no bins; the others
+    get the equi-depth binning of their values (integers binned as
+    float64): k + 1 boundaries and k weights back to back in `bounds` and
+    `weights`, the last boundary their amax.  InputError for a NaN value.
+    The chunks of one block are built together, binned ones first, in
+    passes of up to _BATCH_CELLS cells: one copy of their rows
+    (:func:`_copy_rows`) and one sort give each leaf its count, amin and
+    amax, and one :func:`equi_depth_exact` call the bins."""
+    parts = []
+    for block, _, rows, at in tile_batches([c for c in chunks if c.nonempty_count], 0):
+        counts = block.counts[rows]
+        order = np.argsort(counts < e * bins, kind="stable")
+        rows, counts, coords = rows[order], counts[order], np.stack(at, axis=1)[order]
         step = max(1, _BATCH_CELLS // block.nonempty.shape[1])
-        for a in range(0, len(members), step):
-            at = rows[a : a + step]
+        for a in range(0, rows.size, step):
+            take, live = rows[a : a + step], counts[a : a + step]
             # the batch's one copy, emptied to NaN and sorted in place
-            cells = _copy_rows(block.values[attr], at, np.float64)
-            empty = block.nonempty[at]
+            cells = _copy_rows(block.values[attr], take, np.float64)
+            empty = block.nonempty[take]
             np.logical_not(empty, out=empty)
             np.copyto(cells, np.nan, where=empty)
             cells.sort(axis=1)
-            binnings, _, _ = _bin_rows(cells, block.counts[at], bins)
-            for i, binning in zip(members[a : a + step], binnings):
-                bounds[i], weights[i] = binning.boundaries, binning.weights
-                nbins[i] = binning.nbins
-                amin[i], amax[i] = bounds[i][0], bounds[i][-1]
-    return {
-        "extent": np.array([chunk.extent for chunk in chunks], "<u8"),
-        "amin": amin,
-        "amax": amax,
-        "count": np.array([chunk.nonempty_count for chunk in chunks], "<u8"),
-        "nbins": nbins,
-        "bounds": np.concatenate([np.empty(0), *bounds]),
-        "weights": np.concatenate([np.empty(0), *weights]),
-    }
+            amax = cells[np.arange(live.size), live - 1]
+            if np.isnan(amax).any():  # NaN sorts last
+                raise InputError("cannot index NaN values")
+            nbins, bounds, weights = np.zeros(live.size, "<u4"), np.empty(0), np.empty(0)
+            binned = int(np.count_nonzero(live >= e * bins))
+            if binned:
+                k, bounds, weights, _, _ = equi_depth_exact(cells[:binned], live[:binned], bins)
+                nbins[:binned], amax[:binned] = k, bounds[np.cumsum(k + 1) - 1]
+            parts.append((coords[a : a + step], cells[:, 0], amax, live.astype("<u8"), nbins,
+                          bounds, weights))
+    cols = zip(*parts or [(np.empty((0, 0), np.int64), np.empty(0), np.empty(0),
+                           np.empty(0, "<u8"), np.empty(0, "<u4"), np.empty(0), np.empty(0))])
+    return dict(zip(("coords", "amin", "amax", "count", "nbins", "bounds", "weights"),
+                    map(np.concatenate, cols)))
 
 
 def _copy_rows(arr: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:

@@ -4,9 +4,10 @@ internal nodes, precomputed dimension bitmaps, persistence and appending.
 Node-level bitmaps have exactly F bits (one per child slot) and are kept
 uncompressed as plain integers.  Each level is one column table, the
 columns it is saved as plus `nbins` (`Index.tables`).  A leaf is a row of
-the leaf table: its chunk's extent, value range, count and equi-depth bins
-(`chunkstore.build_leaf_index`); it holds no bitmaps over cells, since
-every chunk is resident and a query scans it (`chunkstore.leaf_query`).
+the leaf table: its chunk's z, extent, value range, count and equi-depth
+bins, all but z and extent from `chunkstore.build_leaf_index`.  It holds
+no bitmaps over cells, since every chunk is resident and a query scans it
+(`chunkstore.leaf_query`).
 Node identity is (level, z-index); parent and child indices are pure bit
 arithmetic on the z-index.  `Index.levels[l]` finds a level's nodes by z
 for the descent: a leaf's row, or the `TreeNode` that `Index._nodes` makes
@@ -53,10 +54,11 @@ columns, then each level against the one below it (`Index._check_links`):
 every parent's child mask, count, value range, extent and range tables
 must be what `_derive_parents`, the derivation the build makes each level
 with, gives from its children and its own bins.  It then checks each
-leaf's extent against its chunk's and every node's bin boundaries, keeps
-the checked columns as the index's tables and makes every internal node
-eagerly through `Index._nodes`.  A file left inconsistent by a wrong
-writer or a hand edit fails with DataError.
+leaf's extent against its chunk's (`_chunk_extents`, as a build gives
+it) and every node's bin boundaries, keeps the checked columns as the
+index's tables and makes every internal node eagerly through
+`Index._nodes`.  A file left inconsistent by a wrong writer or a hand
+edit fails with DataError.
 """
 
 from __future__ import annotations
@@ -322,6 +324,14 @@ def build_internal_node(kids: dict, bins: int) -> Binning:
     return merge_bins_iterative(Binning(bounds, _spread_weights(bounds, kids)), bins)
 
 
+def _chunk_extents(coords: np.ndarray, schema: ArraySchema) -> np.ndarray:
+    """The saved extents, (n, ndim, 2) u64 inclusive lo and hi, of the chunks
+    at (n, ndim) grid coordinates `coords`: the array's edge clips them."""
+    cs = np.array(schema.chunk_shape)
+    lo = coords * cs
+    return np.stack((lo, np.minimum(lo + cs, schema.shape) - 1), axis=-1).astype("<u8")
+
+
 def _take(cols: dict, rows) -> dict:
     """Rows `rows` of a level's table, in that order: the one-per-node
     columns indexed, and each node's run of the others moved along with
@@ -470,13 +480,14 @@ class Index:
         `schema`, which covers them and the tree, then derive every level
         above the leaves again (:meth:`_level_above`): parents keep their
         bins unless their children changed, or the level is above the old
-        root's.  On an empty tree this is the whole build."""
+        root's.  A leaf's z and extent come from its chunk's coordinates
+        (:func:`_chunk_extents`).  On an empty tree this is the whole build."""
         fo = self.fanout
         new = build_leaf_index(chunks, self.attribute, self.bins, self.e)
         self.schema = schema
         old, old_depth, depth = self.tables, self.depth, self._tree_depth()
-        new["extent"] = new["extent"].reshape(-1, fo.ndim, 2)
-        coords = new["extent"][:, :, 0].astype(np.int64) // np.array(schema.chunk_shape)
+        coords = new.pop("coords").reshape(-1, fo.ndim)
+        new["extent"] = _chunk_extents(coords, schema)
         new["z"] = added = zorder_encode_many(coords, fo.bits * depth).astype("<u8")
         if old:
             new = {name: np.concatenate((old[0][name], new[name])) for name in old[0]}
@@ -501,8 +512,14 @@ class Index:
         pz, first, at = np.unique(up, return_index=True, return_inverse=True)
         redo = np.ones(pz.size, bool) if old is None else np.isin(pz, changed)
         ends = np.append(first[1:], up.size)
-        merged = [build_internal_node(_take(below, np.arange(a, b)), self.bins)
-                  for a, b in zip(first[redo].tolist(), ends[redo].tolist())]
+        # a parent's children are one run of rows, and of each bin column
+        k, bounds, weights = below["nbins"].astype(np.intp), below["bounds"], below["weights"]
+        bo, wo = (np.concatenate(([0], np.cumsum(n))) for n in (k + (k > 0), k))
+        merged = []
+        for a, b in zip(first[redo].tolist(), ends[redo].tolist()):
+            kids = {n: below[n][a:b] for n in ("amin", "amax", "count", "nbins")}
+            kids.update(bounds=bounds[bo[a] : bo[b]], weights=weights[wo[a] : wo[b]])
+            merged.append(build_internal_node(kids, self.bins))
         bins = {"nbins": np.array([b.nbins for b in merged], "<u4"),
                 "bounds": np.concatenate([np.empty(0), *(b.boundaries for b in merged)]),
                 "weights": np.concatenate([np.empty(0), *(b.weights for b in merged)])}
@@ -619,13 +636,19 @@ class Index:
         return idx
 
     def attach(self, store: ChunkStore) -> None:
-        """Answer queries from `store`.  DataError unless its shape is the
-        index's and its non-empty chunks, with their non-empty cell counts,
+        """Answer queries from `store`.  DataError, naming what differs,
+        unless its shape, chunk shape and indexed attribute's type are the
+        index's, and its non-empty chunks, with their non-empty cell counts,
         are exactly the leaves' coordinates and counts: data that changed
         since the index was built would give wrong answers.  Each leaf looks
         its chunk up by its coordinates."""
-        if store.schema.shape != self.schema.shape:
-            raise DataError("store shape does not match the index schema")
+        data, own, attr = store.schema, self.schema, self.attribute
+        for what, got, need in (("shape", data.shape, own.shape),
+                                ("chunk shape", data.chunk_shape, own.chunk_shape),
+                                (f"attribute {attr!r}", dict(data.attributes).get(attr, "missing"),
+                                 own.attr_type(attr))):
+            if got != need:
+                raise DataError(f"the data's {what} is {got}, not the index's {need}")
         chunks, coords = store.chunks, self.leaf_coords()
         live = sum(1 for chunk in chunks.values() if chunk.nonempty_count)
         # as many non-empty chunks as leaves, each leaf's among them
@@ -668,8 +691,10 @@ class Index:
         for level, cols in enumerate(columns):
             if level:
                 _require((cols["sizes"] > 0).all(), f"level {level}", "empty table")
-            else:
-                idx._check_leaf_extents(cols, depth)
+            else:  # each leaf's extent is its chunk's
+                coords = zorder_decode_many(cols["z"], schema.ndim, idx.fanout.bits * depth)
+                _require((cols["extent"] == _chunk_extents(coords, schema)).all(), "level 0",
+                         "a leaf's extent is not its chunk's")
             _check_bins(level, cols["nbins"], cols["bounds"], cols["amin"], cols["amax"])
         idx._use(columns)
         return idx
@@ -754,15 +779,6 @@ class Index:
                 bad[np.repeat(np.arange(pz.size), rows[:, k])[wrong], k] = True
         check(bad[:, 0], "sp masks other than its children's amin give")
         check(bad[:, 1], "al masks other than its children's amax give")
-
-    def _check_leaf_extents(self, cols: dict, depth: int) -> None:
-        """DataError unless each leaf's extent is its chunk's."""
-        ext = cols["extent"]
-        coords = zorder_decode_many(cols["z"], self.schema.ndim, self.fanout.bits * depth)
-        cs, shape = np.array(self.schema.chunk_shape), np.array(self.schema.shape)
-        _require((ext[:, :, 0] == coords * cs).all()
-                 and (ext[:, :, 1] == np.minimum(coords * cs + cs, shape) - 1).all(),
-                 "level 0", "a leaf's extent is not its chunk's")
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
         """Internal level `level` from its columns, checked or just derived:

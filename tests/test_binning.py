@@ -16,6 +16,7 @@ from arraybit.query import RawQuery, estimate, execute, normalize
 from testutil import (
     bin_of,
     equi_width,
+    leaf_binning,
     merged_weight,
     reference_bins,
     reference_merge_bins_iterative,
@@ -101,22 +102,31 @@ def _cells(values, counts) -> np.ndarray:
     return np.repeat(np.asarray(values, np.float64), np.asarray(counts, np.int64))
 
 
+def _one_row(cells, k) -> tuple:
+    """`equi_depth_exact` of one sorted row of live cells: its bins as a
+    Binning, and its spans."""
+    nbins, bounds, weights, span_lo, span_hi = equi_depth_exact(cells[None], [cells.size], k)
+    assert nbins.size == 1
+    cols = {"nbins": nbins, "bounds": bounds, "weights": weights}
+    return leaf_binning(cols, 0), span_lo, span_hi
+
+
 def test_equi_depth_uniform():
     cells = _cells(np.arange(16.0), np.full(16, 3))
-    (b,), _, _ = equi_depth_exact(cells[None], [cells.size], 4)
+    b, _, _ = _one_row(cells, 4)
     assert b.nbins == 4
     assert np.allclose(b.weights, 12.0)
 
 
 def test_equi_depth_single_value():
-    (b,), _, _ = equi_depth_exact(_cells([5.0], [9])[None], [9], 8)
+    b, _, _ = _one_row(_cells([5.0], [9]), 8)
     assert b.nbins == 1
     assert b.boundaries[0] == b.boundaries[-1] == 5.0
     assert b.weights.sum() == 9.0
 
 
 def test_equi_depth_low_cardinality():
-    (b,), span_lo, span_hi = equi_depth_exact(_cells([1.0, 2.0, 5.0], [4, 4, 4])[None], [12], 8)
+    b, span_lo, span_hi = _one_row(_cells([1.0, 2.0, 5.0], [4, 4, 4]), 8)
     assert b.nbins == 3
     assert np.array_equal(bin_of(b, [1.0, 2.0, 5.0]), [0, 1, 2])
     assert np.array_equal(b.weights, [4, 4, 4])
@@ -128,7 +138,7 @@ def test_equi_depth_zipf_balance():
     values = np.arange(1.0, 10_001.0)
     counts = np.floor(10_000.0 / values) + rng.integers(0, 3, size=10_000)
     cells = _cells(values, counts)
-    (b,), _, _ = equi_depth_exact(cells[None], [cells.size], 16)
+    b, _, _ = _one_row(cells, 16)
     assert np.array_equal(np.repeat(np.arange(b.nbins), b.weights.astype(np.int64)),
                           bin_of(b, cells))
     quota = counts.sum() / 16
@@ -234,9 +244,13 @@ def _sorted_rows(rows) -> tuple:
 
 
 def _assert_cuts_match_reference(rows, k):
-    binnings, span_lo, span_hi = equi_depth_exact(*_sorted_rows(rows), k)
+    nbins, bounds, weights, span_lo, span_hi = equi_depth_exact(*_sorted_rows(rows), k)
+    assert nbins.size == len(rows)
+    assert bounds.size == weights.size + len(rows) and weights.size == nbins.sum()
+    cols = {"nbins": nbins, "bounds": bounds, "weights": weights}
     at = 0
-    for row, got in zip(rows, binnings):
+    for i, row in enumerate(rows):
+        got = leaf_binning(cols, i)
         want, lo, hi = reference_bins(np.asarray(row, np.float64), k)
         n = got.nbins
         assert got.boundaries.tobytes() == want.boundaries.tobytes(), (row, k)
@@ -268,7 +282,7 @@ def test_span_ends_at_the_first_cell_of_the_last_run():
     # -0.0 equals 0.0 and a sort keeps either first: the span takes the
     # first, as the per-value histogram did
     ordered = np.array([[-1.0, 0.0, -0.0], [-1.0, -0.0, 0.0]])
-    _, _, span_hi = equi_depth_exact(ordered, [3, 3], 4)
+    *_, span_hi = equi_depth_exact(ordered, [3, 3], 4)
     assert np.signbit(span_hi).tolist() == [True, False, True, True]
 
 

@@ -14,6 +14,7 @@ from arraybit.chunkstore import (
     write_raw,
 )
 from arraybit.errors import DataError, InputError
+from arraybit.hierindex import _chunk_extents
 from testutil import bin_of, ingest_csv, resolve_leaf
 
 
@@ -168,7 +169,8 @@ def test_build_leaf_index_threshold():
     vals[0, :3] = [1.0, 2.0, 3.0]
     store = store_from(vals)
     leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, e=4)
-    assert leaf["extent"].tolist() == [[[0, 3], [0, 3]]]
+    assert leaf["coords"].tolist() == [[0, 0]]
+    assert _chunk_extents(leaf["coords"], store.schema).tolist() == [[[0, 3], [0, 3]]]
     assert (leaf["amin"].tolist(), leaf["amax"].tolist(), leaf["count"].tolist()) == (
         [1.0], [3.0], [3])
     assert leaf["nbins"].tolist() == [0] and leaf["bounds"].size == leaf["weights"].size == 0

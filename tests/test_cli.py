@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from arraybit.chunkstore import ArraySchema, QueryStats, load_store, write_raw
+from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, write_raw
 from arraybit.cli import main, parse_query_text
 from arraybit.errors import InputError
-from arraybit.hierindex import Index
+from arraybit.hierindex import Index, build_index
 from arraybit.query import execute, normalize
 
 
@@ -267,6 +267,43 @@ def test_query_and_append_refuse_stale_data(tmp_path, capsys):
     assert main(["query", "--index", str(idx), "--data", str(stale)]) == 2
     assert "chunk (1, 1) has 15 non-empty cells, its leaf 16" in capsys.readouterr().err
     assert main(["append", "--index", str(idx), "--data", str(stale)]) == 2
+
+
+def test_query_and_estimate_refuse_data_without_the_indexed_attribute(tmp_path, capsys):
+    vals = np.random.default_rng(5).random((16, 16))
+    heads = {}
+    for attr in ("a", "b"):
+        sch = ArraySchema((("d0", 16), ("d1", 16)), ((attr, "float64"),), (4, 4))
+        heads[attr] = tmp_path / f"{attr.upper()}.json"
+        write_raw(heads[attr], sch, {attr: vals})
+    idx = tmp_path / "A.abix"
+    assert main(["build", "--data", str(heads["a"]), "--index", str(idx),
+                 "--params", "fanout=4", "bins=4"]) == 0
+    where = "a in [0, 1] and d0 in [1, 6]"
+    for args in (["query"], ["estimate", "--levels", "2"]):
+        capsys.readouterr()
+        assert main([*args, "--index", str(idx), "--data", str(heads["b"]), "--where", where]) == 2
+        err = capsys.readouterr().err
+        assert "the data's attribute 'a' is missing, not the index's float64" in err
+        assert "Traceback" not in err
+        assert main([*args, "--index", str(idx), "--data", str(heads["a"]), "--where", where]) == 0
+
+
+@pytest.mark.parametrize("e", [1, 64])  # the chunk holding the NaN binned, or plain
+def test_build_refuses_a_nan_beside_a_declared_float_sentinel(tmp_path, capsys, e):
+    vals = np.random.default_rng(6).random((8, 8))
+    vals[0, 0] = -1.0  # empty
+    vals[5, 6] = np.nan  # a value, since the sentinel is -1.0
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4), {"a": -1.0})
+    with pytest.raises(InputError, match="cannot index NaN values"):
+        build_index(ChunkStore.from_dense(sch, {"a": vals}), fanout=4, bins=4, e=e)
+    head = tmp_path / "arr.json"
+    write_raw(head, sch, {"a": vals})
+    capsys.readouterr()
+    assert main(["build", "--data", str(head), "--index", str(tmp_path / "arr.abix"),
+                 "--params", "fanout=4", "bins=4", f"e={e}"]) == 1
+    err = capsys.readouterr().err
+    assert "cannot index NaN values" in err and "Traceback" not in err
 
 
 def test_bench_writes_csv_with_agreement(tmp_path):

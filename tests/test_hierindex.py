@@ -614,6 +614,28 @@ def test_stale_data_is_refused(tmp_path):
     assert Index.load(path, store=store).node_count() == idx.node_count()
 
 
+def test_data_of_another_layout_is_refused(tmp_path):
+    # data chunked otherwise, or without the indexed attribute as indexed,
+    # fails at attach, not in a query's leaf scan
+    store, idx, _ = _index_file(tmp_path)
+    path = tmp_path / "whole.abix"
+    vals, dims = store.dense("a"), store.schema.dims
+    for schema, data, message in [
+        (ArraySchema(dims, (("a", "float64"),), (4, 8)), {"a": vals},
+         r"whole.abix: the data's chunk shape is \(4, 8\), not the index's \(8, 8\)"),
+        (ArraySchema(dims, (("b", "float64"),), (8, 8)), {"b": vals},
+         "the data's attribute 'a' is missing, not the index's float64"),
+        (ArraySchema(dims, (("a", "int64"),), (8, 8), {"a": -1}), {"a": vals.astype(np.int64)},
+         "the data's attribute 'a' is int64, not the index's float64"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            Index.load(path, store=ChunkStore.from_dense(schema, data))
+    # another attribute beside the indexed one is no difference
+    both = ArraySchema(dims, (("b", "int64"), ("a", "float64")), (8, 8), {"b": -1})
+    wider = ChunkStore.from_dense(both, {"a": vals, "b": vals.astype(np.int64)})
+    assert Index.load(path, store=wider).serialize() == idx.serialize()
+
+
 def test_infinite_cell_gives_finite_root_weights():
     # the equal-width start of the root's bin merge runs between its finite
     # source boundaries; a live +inf is the last boundary, not a target

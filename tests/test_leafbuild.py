@@ -1,8 +1,10 @@
 """The batched leaf builder against the per-chunk reference in testutil,
 and the baseline's one-column bitmap encoder against its reference.
 
-Every leaf row `build_leaf_index` returns must equal, and serialize to
-the same bytes as, the leaf the reference builds from that chunk alone.  Stores mix clipped
+Every leaf row `build_leaf_index` returns, found by its chunk's
+coordinates and given the extent the tree derives from them, must equal,
+and serialize to the same bytes as, the leaf the reference builds from
+that chunk alone.  Stores mix clipped
 edge chunks, empty cells, constant chunks, low-cardinality chunks and
 values that stress the cuts: adjacent floats (whose midpoint rounds onto
 one of them), subnormals and a live infinity.  Zero is drawn only as +0.0:
@@ -18,8 +20,8 @@ from arraybit import chunkstore
 from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore, build_leaf_index
-from arraybit.hierindex import _table_bytes, _take
-from testutil import reference_binned, reference_leaf, value_pool
+from arraybit.hierindex import _chunk_extents, _table_bytes, _take
+from testutil import leaf_row, reference_binned, reference_leaf, value_pool
 
 
 @st.composite
@@ -58,8 +60,10 @@ def test_batched_leaves_match_per_chunk_reference(store, bins, e, batch):
         leaves = build_leaf_index(chunks, "a", bins, e)
     assert leaves["count"].size == len(chunks)
     z = {"z": np.zeros(1, "<u8")}
-    for i, chunk in enumerate(chunks):
-        leaf, want = _take(leaves, [i]), reference_leaf(chunk, "a", bins, e)
+    for chunk in chunks:
+        leaf = _take(leaves, [leaf_row(leaves, chunk)])
+        leaf["extent"] = _chunk_extents(leaf.pop("coords"), store.schema)
+        want = reference_leaf(chunk, "a", bins, e)
         assert leaf.keys() == want.keys(), chunk.coords
         assert all(np.array_equal(leaf[name], want[name]) for name in want), chunk.coords
         assert _table_bytes({**leaf, **z}) == _table_bytes({**want, **z}), chunk.coords

@@ -16,7 +16,7 @@ from arraybit.chunkstore import (
 )
 from arraybit.hierindex import _take
 from arraybit.query import value_runs
-from testutil import resolve_leaf
+from testutil import leaf_row, resolve_leaf
 
 SENTINEL = 7  # the int64 empty value; "narrow" data has live values either side
 
@@ -138,8 +138,8 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
     # e large enough makes every leaf plain
     leaves = build_leaf_index(chunks, "a", bins, e=10**6 if plain else 1)
     every = np.concatenate([c.values["a"][c.nonempty] for c in chunks])
-    for i, chunk in enumerate(chunks):
-        leaf = _take(leaves, [i])
+    for chunk in chunks:
+        leaf = _take(leaves, [leaf_row(leaves, chunk)])
         live = chunk.values["a"][chunk.nonempty]
         for _ in range(4):
             runs = _runs(rng, live, dtype, kind)

@@ -24,6 +24,7 @@ from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore, load_store, write_raw
 from arraybit.cli import main
 from arraybit.errors import DataError
+from arraybit import hierindex
 from arraybit.hierindex import Fanout, Index, _take, build_index
 from arraybit.query import RawQuery, estimate, execute, membership
 
@@ -143,6 +144,40 @@ def test_load_builds_no_bitvector_and_saves_the_same_bytes(make, tmp_path, monke
     # internal node, none per leaf
     assert 0 < len(binnings) <= fresh.node_count() - len(fresh.levels[0])
     _answers_like(loaded, fresh)
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_leaf_build_makes_no_binning(make, monkeypatch):
+    # the build side of the load test above: the leaves of a build and of
+    # each append are made as columns, and only internal nodes get a Binning
+    made, inside, calls = [], [False], []
+    build_leaf_index = hierindex.build_leaf_index
+    binning_init, prevalidated = Binning.__init__, Binning.prevalidated.__func__
+
+    def counted_leaves(*args):
+        calls.append(1)
+        inside[0] = True
+        try:
+            return build_leaf_index(*args)
+        finally:
+            inside[0] = False
+
+    def counted_binning(self, *args):
+        made.append(inside[0])
+        binning_init(self, *args)
+
+    def counted_prevalidated(cls, *args):
+        made.append(inside[0])
+        return prevalidated(cls, *args)
+
+    monkeypatch.setattr(hierindex, "build_leaf_index", counted_leaves)
+    monkeypatch.setattr(Binning, "__init__", counted_binning)
+    monkeypatch.setattr(Binning, "prevalidated", classmethod(counted_prevalidated))
+    idx = make()
+    assert len(calls) == (3 if make is interval_4d_appended else 1)  # a build, two appends
+    assert made and not any(made)
+    monkeypatch.undo()
+    assert hashlib.sha256(idx.serialize()).hexdigest() == PINS[make]
 
 
 @pytest.mark.parametrize("version", [1, 2, 4])

@@ -427,11 +427,25 @@ def reference_binned(values, nonempty, bins: int, encoding: str) -> BinnedBitmap
                              bitmaps)
 
 
+def chunk_extent(chunk) -> tuple:
+    """The inclusive (lo, hi) cells of a chunk per dimension, from its
+    offsets and its clipped shape."""
+    return tuple((o, o + s - 1) for o, s in zip(chunk.offsets, chunk.shape))
+
+
+def leaf_row(leaves, chunk) -> int:
+    """The row of `chunk`'s leaf in the rows `build_leaf_index` returns,
+    found by its coordinates; exactly one row must hold them."""
+    rows = np.flatnonzero((leaves["coords"] == chunk.coords).all(axis=1))
+    assert rows.size == 1, chunk.coords
+    return int(rows[0])
+
+
 def reference_leaf(chunk, attr: str, bins: int, e: int = 4):
-    """The leaf of one chunk as a one-row leaf table without z (the layout
-    of `build_leaf_index`): None when empty, a plain leaf below e*bins
-    non-empty cells, else a leaf with the reference binning, its amin and
-    amax the least and greatest value of its bins."""
+    """The leaf of one chunk as a one-row leaf table without z: None when
+    empty, a plain leaf below e*bins non-empty cells, else a leaf with the
+    reference binning, its amin and amax the least and greatest value of
+    its bins."""
     if chunk.nonempty_count == 0:
         return None
     live = chunk.values[attr][chunk.nonempty]
@@ -441,7 +455,7 @@ def reference_leaf(chunk, attr: str, bins: int, e: int = 4):
         binning, span_lo, span_hi = reference_bins(live, bins)
         amin, amax = float(span_lo[0]), float(span_hi[-1])
     return {
-        "extent": np.array([chunk.extent], "<u8"),
+        "extent": np.array([chunk_extent(chunk)], "<u8"),
         "amin": np.array([amin]),
         "amax": np.array([amax]),
         "count": np.array([chunk.nonempty_count], "<u8"),
