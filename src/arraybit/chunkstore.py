@@ -136,6 +136,57 @@ class ArraySchema:
         dims = tuple((n, e) for (n, _), e in zip(self.dims, extents))
         return ArraySchema(dims, self.attributes, self.chunk_shape, dict(self.empty_values))
 
+    def to_json(self) -> dict:
+        """The saved form of the schema, in an index's metadata and a raw
+        header: each field as it is, and each attribute's empty sentinel,
+        null for NaN."""
+        empty = ((n, self.empty_value(n)) for n, _ in self.attributes)
+        return {"dims": [list(d) for d in self.dims],
+                "attributes": [list(a) for a in self.attributes],
+                "chunk_shape": list(self.chunk_shape),
+                "empty": {n: None if isinstance(v, float) and np.isnan(v) else v
+                          for n, v in empty}}
+
+    @classmethod
+    def from_json(cls, obj, where: str) -> "ArraySchema":
+        """The schema of a saved form (:meth:`to_json`) read from a file.
+        DataError, `where` leading and naming the field, for a field that
+        is missing or of the wrong form, or a schema the fields do not
+        make."""
+        for key, ok, form in _SCHEMA_FIELDS:
+            if not isinstance(obj, dict) or key not in obj:
+                raise DataError(f"{where} field {key!r} is missing")
+            if not ok(obj[key]):
+                raise DataError(f"{where} field {key!r} is not {form}")
+        try:
+            return cls(tuple(map(tuple, obj["dims"])), tuple(map(tuple, obj["attributes"])),
+                       tuple(obj["chunk_shape"]),
+                       {k: float("nan") if v is None else v for k, v in obj["empty"].items()})
+        except InputError as exc:
+            raise DataError(f"{where} schema: {exc}") from None
+
+
+def _ints(value, n: int | None = None) -> bool:
+    """Whether a JSON value is a list of integers (of length n if given)."""
+    return (isinstance(value, list) and (n is None or len(value) == n)
+            and all(type(v) is int for v in value))
+
+
+def _pairs(value, second: type) -> bool:
+    """Whether a JSON value is a list of [name, value] pairs."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is second
+        for p in value)
+
+
+_SCHEMA_FIELDS = (
+    ("dims", lambda v: _pairs(v, int), "a list of [name, extent] pairs"),
+    ("attributes", lambda v: _pairs(v, str), "a list of [name, type] pairs"),
+    ("chunk_shape", _ints, "a list of integers"),
+    ("empty", lambda v: isinstance(v, dict) and all(
+        x is None or type(x) in (int, float) for x in v.values()), "a map to numbers or null"),
+)
+
 
 class Block:
     """Chunks of one shape stored as rows: per attribute one (rows, cells)
@@ -293,7 +344,7 @@ def _nonempty_mask(block, typ, sentinel):
 
 
 # ---------------------------------------------------------------------------
-# chunk leaves, and the binned bitmap index of the linearized baseline
+# chunk leaves, and the batched resolution of partial leaves
 
 # one pass of the leaf builder sorts at most this many cells; a single row
 # may exceed it
@@ -578,11 +629,11 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
 def write_raw(header_path, schema: ArraySchema, data: dict, origin=None) -> None:
     """Write one block of dense row-major data plus its sidecar header.
 
-    If the header already exists, the block is appended and extents grow to
-    cover it; otherwise a fresh single-block header is written.  InputError,
-    before any file is written, for a header of other dimensions or
-    attributes, or a block at an origin the header already lists, whose
-    files it would overwrite.
+    If the header already exists, the block joins the blocks it lists and
+    its extents grow to cover it; otherwise a fresh single-block header of
+    `schema` is written.  InputError, before any file is written, for a
+    header of other dimensions, attributes or empty sentinels, or a block
+    at an origin the header already lists, whose files it would overwrite.
     """
     header_path = Path(header_path)
     origin = tuple(int(o) for o in (origin or (0,) * schema.ndim))
@@ -591,69 +642,35 @@ def write_raw(header_path, schema: ArraySchema, data: dict, origin=None) -> None
     shape = next(iter(arrays.values())).shape
     if any(arr.shape != shape for arr in arrays.values()):
         raise InputError("all attribute blocks must share one shape")
-    head = None
+    blocks = []
     if header_path.exists():
         held, blocks = read_header(header_path)
-        if held.dim_names != schema.dim_names or held.attributes != schema.attributes:
-            raise InputError(f"{header_path} holds an array of other dimensions or attributes")
+        if ((held.dim_names, held.attributes, held.to_json()["empty"])
+                != (schema.dim_names, schema.attributes, schema.to_json()["empty"])):
+            raise InputError(f"{header_path} holds an array of other dimensions or attributes, "
+                             "or other empty sentinels")
         if any(tuple(b["origin"]) == origin for b in blocks):
             raise InputError(f"{header_path} already holds a block at origin {list(origin)}")
-        head = json.loads(header_path.read_text())
+        schema = held
     stem = header_path.stem + "".join(f"_{o}" for o in origin)
     files = {}
     for name, typ in schema.attributes:
-        fname = f"{stem}.{name}.bin"
+        files[name] = f"{stem}.{name}.bin"
         arr = arrays[name].astype("<f8" if typ == "float64" else "<i8")
-        arr.tofile(header_path.parent / fname)
-        files[name] = fname
-    block = {"origin": list(origin), "shape": list(shape), "files": files}
-    if head is not None:
-        head["blocks"].append(block)
-        head["dims"] = [[n, max(e, o + s)] for (n, e), o, s in zip(head["dims"], origin, shape)]
-    else:
-        empty = {
-            name: (None if typ == "float64" and np.isnan(schema.empty_value(name))
-                   else schema.empty_value(name))
-            for name, typ in schema.attributes
-        }
-        head = {
-            "format": "arraybit-raw-v1",
-            "dims": [[n, max(e, o + s)] for (n, e), o, s in zip(schema.dims, origin, shape)],
-            "attributes": [list(a) for a in schema.attributes],
-            "empty": empty,
-            "chunk_shape": list(schema.chunk_shape),
-            "blocks": [block],
-        }
+        arr.tofile(header_path.parent / files[name])
+    blocks.append({"origin": list(origin), "shape": list(shape), "files": files})
+    schema = schema.with_extents([max(e, o + s) for e, o, s in zip(schema.shape, origin, shape)])
+    head = {"format": "arraybit-raw-v1", **schema.to_json(), "blocks": blocks}
     header_path.write_text(json.dumps(head, indent=1))
-
-
-def _ints(value, n: int | None = None) -> bool:
-    """Whether a JSON value is a list of integers (of length n if given)."""
-    return (isinstance(value, list) and (n is None or len(value) == n)
-            and all(type(v) is int for v in value))
-
-
-def _pairs(value, second: type) -> bool:
-    """Whether a JSON value is a list of [name, value] pairs."""
-    return isinstance(value, list) and all(
-        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is second
-        for p in value)
-
-
-_HEADER_FIELDS = (
-    ("dims", lambda v: _pairs(v, int), "a list of [name, extent] pairs"),
-    ("attributes", lambda v: _pairs(v, str), "a list of [name, type] pairs"),
-    ("chunk_shape", _ints, "a list of integers"),
-    ("blocks", lambda v: isinstance(v, list) and all(isinstance(b, dict) for b in v),
-     "a list of blocks"),
-)
 
 
 def read_header(header_path) -> tuple:
     """Parse a sidecar header; returns (schema, blocks), every block with
-    its origin.  DataError, naming the field, for a field that is missing
-    or of the wrong form, a schema the fields do not make, or a block whose
-    rank is not the array's or that reaches past its extents."""
+    its origin.  DataError, naming the field, for a schema field that is
+    missing or of the wrong form, or a schema the fields do not make
+    (:meth:`ArraySchema.from_json`), a missing or malformed block list, or
+    a block whose rank is not the array's or that reaches past its
+    extents."""
     header_path = Path(header_path)
     try:
         head = json.loads(header_path.read_text())
@@ -661,24 +678,11 @@ def read_header(header_path) -> tuple:
         raise DataError(f"cannot read header {header_path}: {exc}") from exc
     if not isinstance(head, dict) or head.get("format") != "arraybit-raw-v1":
         raise DataError(f"{header_path} is not an arraybit raw header")
-    for key, ok, form in _HEADER_FIELDS:
-        if key not in head:
-            raise DataError(f"{header_path}: header field {key!r} is missing")
-        if not ok(head[key]):
-            raise DataError(f"{header_path}: header field {key!r} is not {form}")
-    empty = head.get("empty", {})
-    if not isinstance(empty, dict) or not all(
-            v is None or type(v) in (int, float) for v in empty.values()):
-        raise DataError(f"{header_path}: header field 'empty' is not a map to numbers or null")
-    try:
-        schema = ArraySchema(
-            tuple(map(tuple, head["dims"])),
-            tuple(map(tuple, head["attributes"])),
-            tuple(head["chunk_shape"]),
-            {k: (float("nan") if v is None else v) for k, v in empty.items()},
-        )
-    except InputError as exc:
-        raise DataError(f"{header_path}: header schema: {exc}") from None
+    schema = ArraySchema.from_json(head, f"{header_path}: header")
+    if not isinstance(head.get("blocks"), list) or not all(
+            isinstance(b, dict) for b in head["blocks"]):
+        raise DataError(f"{header_path}: header field 'blocks' is missing or not a list of "
+                        "blocks")
     blocks = []
     for i, block in enumerate(head["blocks"]):
         origin, shape = block.get("origin", [0] * schema.ndim), block.get("shape")

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, datagen
-from .chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, read_header
+from .chunkstore import ArraySchema, ChunkStore, QueryStats, load_store
 from .errors import ArrayBitError, DataError, InputError, InternalError
 from .hierindex import Index, build_index
 from .query import RawQuery, estimate, execute, normalize
@@ -221,7 +221,8 @@ def _cmd_append(args) -> int:
     additions = ChunkStore(
         store.schema, {c: ch for c, ch in store.chunks.items() if c not in existing}
     )
-    idx.attach(ChunkStore(idx.schema, {c: store.chunks[c] for c in existing}))
+    idx.attach(ChunkStore(store.schema.with_extents(idx.schema.shape),
+                          {c: store.chunks[c] for c in existing}))
     idx.append(additions)
     out = args.out or args.index
     idx.save(out)

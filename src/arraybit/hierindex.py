@@ -29,7 +29,8 @@ table column starts on a multiple of 8 bytes.
              u64 metadata length
   directory  per level, leaves first: u64 nodes, u64 table offset,
              u64 table size
-  metadata   JSON: the schema and the build parameters
+  metadata   JSON: the schema (`ArraySchema.to_json`) and the build
+             parameters
   tables     one run of columns per level, n rows each:
                every level   z u64[n], extent u64[n, ndim, 2] (inclusive
                              lo, hi per dimension), amin f64[n],
@@ -80,6 +81,9 @@ _VERSION = 3
 # magic, version, crc, levels, metadata length
 _PREAMBLE = struct.Struct("<4sIIIQ")
 _DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
+# int64 values are queried and saved as float64, exact below 2**53; 2**53
+# itself is refused too, as a query value 2**53 + 1 rounds onto it
+_INT_BOUND = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +485,12 @@ class Index:
         above the leaves again (:meth:`_level_above`): parents keep their
         bins unless their children changed, or the level is above the old
         root's.  A leaf's z and extent come from its chunk's coordinates
-        (:func:`_chunk_extents`).  On an empty tree this is the whole build."""
+        (:func:`_chunk_extents`).  On an empty tree this is the whole build.
+        InputError, the tree unchanged, for an int64 value past ±(2**53 - 1)."""
         fo = self.fanout
         new = build_leaf_index(chunks, self.attribute, self.bins, self.e)
+        if schema.attr_type(self.attribute) == "int64" and _inexact(new):
+            raise InputError(f"int64 attribute {self.attribute!r} holds a value past ±(2**53 - 1)")
         self.schema = schema
         old, old_depth, depth = self.tables, self.depth, self._tree_depth()
         coords = new.pop("coords").reshape(-1, fo.ndim)
@@ -573,17 +580,7 @@ class Index:
     def serialize(self) -> bytes:
         """The index in the saved format of version 3 (module docstring)."""
         meta = {
-            "schema": {
-                "dims": [list(d) for d in self.schema.dims],
-                "attributes": [list(a) for a in self.schema.attributes],
-                "chunk_shape": list(self.schema.chunk_shape),
-                "empty": {
-                    k: (None if isinstance(v, float) and np.isnan(v) else v)
-                    for k, v in (
-                        (n, self.schema.empty_value(n)) for n, _ in self.schema.attributes
-                    )
-                },
-            },
+            "schema": self.schema.to_json(),
             "params": {
                 "attribute": self.attribute,
                 "bins": self.bins,
@@ -672,16 +669,7 @@ class Index:
         if version != _VERSION:
             raise DataError(f"index version {version} is not read, only version {_VERSION}: "
                             f"rebuild the index with `arraybit build`")
-        meta, columns = _read_tables(buf)
-        sch = meta["schema"]
-        empty = {k: (float("nan") if v is None else v) for k, v in sch["empty"].items()}
-        schema = ArraySchema(
-            tuple((n, e) for n, e in sch["dims"]),
-            tuple((n, t) for n, t in sch["attributes"]),
-            tuple(sch["chunk_shape"]),
-            empty,
-        )
-        params = meta["params"]
+        schema, params, columns = _read_tables(buf)
         idx = cls(schema, None, params["attribute"], Fanout(params["fanout_per_dim"], schema.ndim),
                   params["bins"], params["e"], [])
         depth = len(columns) - 1
@@ -696,6 +684,8 @@ class Index:
                 _require((cols["extent"] == _chunk_extents(coords, schema)).all(), "level 0",
                          "a leaf's extent is not its chunk's")
             _check_bins(level, cols["nbins"], cols["bounds"], cols["amin"], cols["amax"])
+        if columns and schema.attr_type(idx.attribute) == "int64":
+            _require(not _inexact(columns[-1]), "root", "int64 values reach ±2**53")
         idx._use(columns)
         return idx
 
@@ -811,6 +801,11 @@ class Index:
         return nodes
 
 
+def _inexact(cols: dict) -> bool:
+    """Whether the value range of a level's nodes reaches ±_INT_BOUND."""
+    return bool(cols["amin"].size) and max(-cols["amin"].min(), cols["amax"].max()) >= _INT_BOUND
+
+
 def _require(ok, where: str, what: str) -> None:
     if not ok:
         raise DataError(f"{where}: {what}")
@@ -901,13 +896,14 @@ class _Cursor:
         _require(self.pos == self.end, self.where, f"tables end at byte {self.pos}, not {self.end}")
 
 
-def _read_meta(raw: bytes) -> dict:
-    """The metadata JSON of a saved index; DataError unless the indexed
-    attribute is one of the schema's, fanout_per_dim a power of two >= 2,
-    and bins and e integers >= 1."""
+def _read_meta(raw: bytes) -> tuple:
+    """The schema and build parameters in the metadata JSON of a saved
+    index; DataError for a schema :meth:`ArraySchema.from_json` refuses,
+    and unless the indexed attribute is one of the schema's,
+    fanout_per_dim a power of two >= 2, and bins and e integers >= 1."""
     meta = json.loads(raw)
-    params = meta["params"]
-    _require(params["attribute"] in [n for n, _ in meta["schema"]["attributes"]], "metadata",
+    schema, params = ArraySchema.from_json(meta["schema"], "metadata"), meta["params"]
+    _require(params["attribute"] in dict(schema.attributes), "metadata",
              f"attribute {params['attribute']!r} is not in the schema")
     fd = params["fanout_per_dim"]
     _require(type(fd) is int and fd >= 2 and fd & (fd - 1) == 0, "metadata",
@@ -915,7 +911,7 @@ def _read_meta(raw: bytes) -> dict:
     for key in ("bins", "e"):
         _require(_count_param(params[key]), "metadata",
                  f"{key} {params[key]!r} is not an integer >= 1")
-    return meta
+    return schema, params
 
 
 def _count_param(value) -> bool:
@@ -924,7 +920,7 @@ def _count_param(value) -> bool:
 
 
 def _read_tables(buf: bytes) -> tuple:
-    """(metadata, columns per level) of a saved index."""
+    """(schema, build parameters, columns per level) of a saved index."""
     _, _, crc, nlevels, meta_len = _PREAMBLE.unpack_from(buf)
     head = _PREAMBLE.size
     view = memoryview(buf)
@@ -932,9 +928,8 @@ def _read_tables(buf: bytes) -> tuple:
         raise DataError("header or tables fail their CRC32")
     pos = head + _DIRECTORY.size * nlevels
     directory = [_DIRECTORY.unpack_from(buf, head + _DIRECTORY.size * i) for i in range(nlevels)]
-    meta = _read_meta(bytes(view[pos : pos + meta_len]))
-    ndim = len(meta["schema"]["dims"])
-    fd = meta["params"]["fanout_per_dim"]
+    schema, params = _read_meta(bytes(view[pos : pos + meta_len]))
+    ndim, fd = schema.ndim, params["fanout_per_dim"]
     mb = -(-(fd**ndim) // 8)
     columns = []
     for level, (n, start, size) in enumerate(directory):
@@ -963,7 +958,7 @@ def _read_tables(buf: bytes) -> tuple:
             cols["sp"], cols["al"] = masks[:nsp], masks[nsp:]
         cur.done()
         columns.append(cols)
-    return meta, columns
+    return schema, params, columns
 
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
@@ -305,6 +307,55 @@ def test_raw_append_block(tmp_path):
     assert store.schema.shape == (4, 8)
     dense = store.dense("a")
     assert (dense[:, :4] == 1).all() and (dense[:, 4:] == 2).all()
+
+
+@pytest.mark.parametrize("typ, held, other", [("int64", -1, -9), ("float64", None, -9.0),
+                                               ("float64", -1.0, None)])
+def test_raw_append_of_other_empty_sentinels_is_refused(tmp_path, typ, held, other):
+    # appended under the header's sentinel, such a block's 15 empty cells
+    # loaded as values: 17 non-empty cells where 2 were written
+    def block(empty):
+        vals = np.full((4, 4), np.nan if empty is None else empty, typ)
+        vals[1, 2] = 5
+        return {"a": vals}
+
+    def schema(empty):
+        return ArraySchema((("y", 4), ("x", 4)), (("a", typ),), (2, 2),
+                           {} if empty is None else {"a": empty})
+
+    head = tmp_path / "arr.json"
+    write_raw(head, schema(held), block(held))
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    with pytest.raises(InputError, match="other empty sentinels"):
+        write_raw(head, schema(other), block(other), origin=(0, 4))
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    assert load_store(head).nonempty_total() == 1
+    write_raw(head, schema(held), block(held), origin=(0, 4))
+    assert load_store(head).nonempty_total() == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_schema_json_round_trips(data):
+    # 1-4 dimensions; float attributes with NaN, a numeric sentinel or
+    # none, int64 attributes with theirs
+    ndim = data.draw(st.integers(1, 4), label="ndim")
+    dims = tuple((data.draw(st.text(min_size=1, max_size=4)), data.draw(st.integers(1, 2**40)))
+                 for _ in range(ndim))
+    chunk = tuple(data.draw(st.integers(1, 2**20)) for _ in range(ndim))
+    names = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    attributes, empty = [], {}
+    for name in names:
+        typ = data.draw(st.sampled_from(["float64", "int64"]), label=f"type of {name!r}")
+        sentinel = (st.integers(-2**63, 2**63 - 1) if typ == "int64" else st.one_of(
+            st.none(), st.just(float("nan")), st.floats(allow_nan=False, allow_infinity=False)))
+        value = data.draw(sentinel, label=f"sentinel of {name!r}")
+        if value is not None:
+            empty[name] = value
+        attributes.append((name, typ))
+    schema = ArraySchema(dims, tuple(attributes), chunk, empty)
+    saved = json.loads(json.dumps(schema.to_json()))
+    assert ArraySchema.from_json(saved, "header") == schema
 
 
 def test_load_missing_file_raises(tmp_path):

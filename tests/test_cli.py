@@ -279,14 +279,15 @@ def test_query_and_estimate_refuse_data_without_the_indexed_attribute(tmp_path, 
     idx = tmp_path / "A.abix"
     assert main(["build", "--data", str(heads["a"]), "--index", str(idx),
                  "--params", "fanout=4", "bins=4"]) == 0
-    where = "a in [0, 1] and d0 in [1, 6]"
-    for args in (["query"], ["estimate", "--levels", "2"]):
+    where = ["--where", "a in [0, 1] and d0 in [1, 6]"]
+    for args in (["query", *where], ["estimate", "--levels", "2", *where],
+                 ["append", "--out", str(tmp_path / "out.abix")]):
         capsys.readouterr()
-        assert main([*args, "--index", str(idx), "--data", str(heads["b"]), "--where", where]) == 2
+        assert main([*args, "--index", str(idx), "--data", str(heads["b"])]) == 2
         err = capsys.readouterr().err
         assert "the data's attribute 'a' is missing, not the index's float64" in err
         assert "Traceback" not in err
-        assert main([*args, "--index", str(idx), "--data", str(heads["a"]), "--where", where]) == 0
+        assert main([*args, "--index", str(idx), "--data", str(heads["a"])]) == 0
 
 
 @pytest.mark.parametrize("e", [1, 64])  # the chunk holding the NaN binned, or plain

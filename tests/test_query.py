@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arraybit.baseline import DimsAttsIndex, full_scan
-from arraybit.chunkstore import ArraySchema, ChunkStore, Cover, QueryStats
+from arraybit import hierindex
+from arraybit.chunkstore import ArraySchema, ChunkStore, Cover, QueryStats, write_raw
+from arraybit.cli import main
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import Index, build_index
 from arraybit.query import (
@@ -864,3 +866,77 @@ def test_a_round_of_every_query_kind_leaves_blocks_and_views_unchanged():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.reshape(-1)[:1] = 0
+
+
+# int64 values are queried as float64, exact below 2**53 in magnitude
+
+def _int_store(vals, empty=-1):
+    dims = tuple((f"d{i}", e) for i, e in enumerate(vals.shape))
+    return ChunkStore.from_dense(ArraySchema(dims, (("a", "int64"),), (4, 4), {"a": empty}),
+                                 {"a": vals})
+
+
+def test_int64_values_from_2_53_on_are_refused(tmp_path, capsys, monkeypatch):
+    # the probe: 2**53 + 0..63, where values=(2**53 + 1,) matched cells 0
+    # and 1 (2**53 and 2**53 + 1), and full_scan agreed
+    probe = 2**53 + np.arange(64, dtype=np.int64).reshape(8, 8)
+    refused = r"int64 attribute 'a' holds a value past ±\(2\*\*53 - 1\)"
+    with pytest.raises(InputError, match=refused):
+        build_index(_int_store(probe), fanout=4, bins=4, e=1)
+    head = tmp_path / "probe.json"
+    write_raw(head, _int_store(probe).schema, {"a": probe})
+    capsys.readouterr()
+    assert main(["build", "--data", str(head), "--index", str(tmp_path / "p.abix"),
+                 "--params", "fanout=4", "bins=4", "e=1"]) == 1
+    err = capsys.readouterr().err
+    assert "'a'" in err and "2**53" in err and "Traceback" not in err
+    assert not (tmp_path / "p.abix").exists()
+    # 2**53 - 1 is the last value in; an append of one past it, of either
+    # sign, is refused and leaves the tree as it was
+    exact = 2**53 - 64 + np.arange(64, dtype=np.int64).reshape(8, 8)
+    build_index(_int_store(exact), fanout=4, bins=4, e=1)
+    for bad in (2**53, -2**53, 2**53 + 1, -2**63):
+        vals = exact.copy()
+        vals[6, 5] = bad
+        store = _int_store(vals)
+        grown = build_index(ChunkStore(store.schema.with_extents((4, 8)),
+                                       {c: ch for c, ch in store.chunks.items() if c[0] == 0}),
+                            fanout=4, bins=4, e=1)
+        before = grown.serialize()
+        with pytest.raises(InputError, match=refused):
+            grown.append(ChunkStore(store.schema,
+                                    {c: ch for c, ch in store.chunks.items() if c[0] == 1}))
+        assert grown.serialize() == before
+    # a saved tree that reaches 2**53 fails its load
+    monkeypatch.setattr(hierindex, "_INT_BOUND", 2**62)
+    buf = build_index(_int_store(probe), fanout=4, bins=4, e=1).serialize()
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="int64 values reach"):
+        Index._parse(buf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_int64_answers_near_2_53_are_exact(data):
+    # values within 5 of ±(2**53 - 1), or within 4 past it, queried by sets
+    # and ranges that reach past them: a tree holding a value past it is
+    # refused, any other answers exactly as the integers compare
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    past = data.draw(st.booleans(), label="values past 2**53 - 1")
+    near = [s * (2**53 - 1 - k) for s in (1, -1) for k in range(-4 * past, 6)]
+    vals = rng.choice(np.array(near, np.int64), size=(12, 10))
+    vals[rng.random(vals.shape) < 0.2] = 0
+    live = vals != 0
+    store = _int_store(vals, empty=0)
+    if (np.abs(vals[live]) >= 2**53).any():
+        with pytest.raises(InputError, match="2\\*\\*53"):
+            build_index(store, fanout=4, bins=4, e=1)
+        return
+    idx = build_index(store, fanout=4, bins=4, e=1)
+    pool = st.sampled_from([*near, 2**53, 2**53 + 1, 2**53 + 2, -2**53, -2**53 - 1, 0, 7])
+    values = data.draw(st.lists(pool, min_size=1, max_size=5), label="values")
+    want = np.flatnonzero(np.isin(vals, values) & live)
+    assert np.array_equal(execute(idx, RawQuery(values=tuple(values))).cell_ids(store), want)
+    lo, hi = sorted((data.draw(pool, label="lo"), data.draw(pool, label="hi")))
+    want = np.flatnonzero((vals >= lo) & (vals <= hi) & live)
+    assert np.array_equal(execute(idx, RawQuery(attr_lo=lo, attr_hi=hi)).cell_ids(store), want)

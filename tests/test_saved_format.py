@@ -414,21 +414,41 @@ def test_a_build_saves_only_what_its_load_reads(data):
         assert grown.serialize() == buf
 
 
+def _load_fails_on_metadata(tmp_path, capsys, change, field):
+    # an index saved after `change(idx)` holds the bad field under a valid
+    # CRC: its load, and a query through the CLI, fail naming the field
+    vals = np.random.default_rng(5).random((16, 8))
+    head = tmp_path / "arr.json"
+    write_raw(head, _schema(vals.shape, (4, 4)), {"a": vals})
+    idx = build_index(load_store(head), fanout=4, bins=4)
+    change(idx)
+    path = tmp_path / "bad.abix"
+    path.write_bytes(idx.serialize())  # the CRC covers the bad field
+    with pytest.raises(DataError, match=f"metadata.*{field}"):
+        Index.load(path)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--data", str(head), "--where", "b >= 0"]) == 2
+    err = capsys.readouterr().err
+    assert "metadata" in err and field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("attribute", "b"), ("fanout", -2), ("fanout", 3), ("fanout", 1), ("bins", "x"),
     ("bins", 0), ("bins", 2.5), ("e", 0), ("e", True),
 ])
 def test_bad_metadata_under_a_valid_crc_fails_with_data_error(field, value, tmp_path, capsys):
-    vals = np.random.default_rng(5).random((16, 8))
-    schema = _schema(vals.shape, (4, 4))
-    head = tmp_path / "arr.json"
-    write_raw(head, schema, {"a": vals})
-    idx = build_index(load_store(head), fanout=4, bins=4)
-    setattr(idx, field, Fanout(value, schema.ndim) if field == "fanout" else value)
-    path = tmp_path / "bad.abix"
-    path.write_bytes(idx.serialize())  # the CRC covers the bad field
-    with pytest.raises(DataError, match="metadata"):
-        Index.load(path)
-    capsys.readouterr()
-    assert main(["query", "--index", str(path), "--data", str(head), "--where", "b >= 0"]) == 2
-    assert "metadata" in capsys.readouterr().err
+    _load_fails_on_metadata(tmp_path, capsys, lambda idx: setattr(
+        idx, field, Fanout(value, 2) if field == "fanout" else value), field)
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("dims", (("d0", 16.7), ("d1", 8)), "'dims'"),
+    ("dims", (("d0", "16"), ("d1", 8)), "'dims'"),
+    ("chunk_shape", (4.5, 4), "'chunk_shape'"),
+    ("empty_values", {"a": "x"}, "'empty'"),
+])
+def test_a_schema_field_of_the_wrong_form_fails_the_load(field, value, key, tmp_path, capsys):
+    # the saved schema writes each field as it is: once truncated to 16 or
+    # 4, or a sentinel "x" kept, these loaded silently
+    _load_fails_on_metadata(tmp_path, capsys,
+                            lambda idx: object.__setattr__(idx.schema, field, value), key)
