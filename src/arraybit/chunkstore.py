@@ -103,6 +103,9 @@ class ArraySchema:
                 raise InputError(f"unsupported attribute type {typ!r}")
             if typ == "int64" and name not in self.empty_values:
                 raise InputError(f"integer attribute {name!r} needs an empty sentinel")
+            if typ == "int64" and not _int64_value(self.empty_values[name]):
+                raise InputError(f"empty sentinel {self.empty_values[name]!r} of integer "
+                                 f"attribute {name!r} is not an int64 value")
 
     @property
     def ndim(self) -> int:
@@ -164,6 +167,17 @@ class ArraySchema:
                        {k: float("nan") if v is None else v for k, v in obj["empty"].items()})
         except InputError as exc:
             raise DataError(f"{where} schema: {exc}") from None
+
+
+def _int64_value(value) -> bool:
+    """Whether a sentinel is an integral number an int64 array holds: NaN,
+    a fraction or a number past the int64 range would fill no cell exactly."""
+    if isinstance(value, (float, np.floating)):
+        if not float(value).is_integer():
+            return False
+    elif not isinstance(value, (int, np.integer)):
+        return False
+    return -(2**63) <= int(value) < 2**63
 
 
 def _ints(value, n: int | None = None) -> bool:

@@ -17,10 +17,12 @@ A tree is only ever grown: `Index._grow` merges the leaf rows of some
 chunks into the leaf table by z and derives each level above whole from
 the one below.  `build_index` grows an empty tree by every chunk of a
 store, `Index.append` a tree by the chunks it is given.  A level is made
-in one pass: `build_internal_node` merges the bins of each parent whose
-children changed, the one heuristic part of a node; `_derive_parents`
-derives everything else its children fix, for all the level's parents at
-once; and `serialize` writes the tables as they are (`_table_bytes`).
+in one pass: one `build_internal_node` call makes the bins of every parent
+whose children changed, the one heuristic part of a node, by one
+`_spread_weights` over all their children and then a merge per parent;
+`_derive_parents` derives everything else its children fix, for all the
+level's parents at once; and `serialize` writes the tables as they are
+(`_table_bytes`).
 
 Saved format, version 3.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
@@ -224,12 +226,16 @@ class TreeNode:
         return self.child_mask if a >= self.amax else self.child_mask & ~self.alive_over(a)
 
 
-def _spread_weights(bounds: np.ndarray, kids: dict) -> np.ndarray:
-    """Bin weights over `bounds`: each child's bin weights spread evenly
-    over its bins (a point-mass child's weight lands in the one bin holding
-    it), summed per bin in child order.  `kids` holds the children's
-    columns (amin, amax, count, nbins, bounds and weights, laid out as in
-    the leaf table); a plain child is one bin [amin, amax] of weight count.
+def _spread_weights(bounds: np.ndarray, nb: np.ndarray, kids: dict, at: np.ndarray) -> np.ndarray:
+    """Bin weights of the parents of one level over their bounds: each
+    child's bin weights spread evenly over its bins (a point-mass child's
+    weight lands in the one bin holding it), summed per bin in child order.
+    Parent p has `nb[p]` bounds, back to back in `bounds`, among them every
+    amin and amax of its children, and gets `nb[p] - 1` weights, back to
+    back in the result.  `kids` holds the children's columns (amin, amax,
+    count, nbins, bounds and weights, laid out as in the leaf table); a
+    plain child is one bin [amin, amax] of weight count.  `at[i]` is child
+    i's parent, nondecreasing.
 
     A child's cumulative weight at a bound is `np.interp` over its bin
     edges, evaluated for every (child, bound) pair at once with the same
@@ -239,93 +245,119 @@ def _spread_weights(bounds: np.ndarray, kids: dict) -> np.ndarray:
     move its cumulative weight; every other term is an exact zero and is
     skipped, which leaves each sum unchanged.
 
-    Passes: one search places every child's edges among the bounds, and
-    one more finds each pair's bin among its child's edges; the terms are
-    summed per bin by `np.bincount`, one at a time in child order as
-    ``np.add.at`` would, so appended and full builds sum alike.
+    Passes: one search places every child's edges among its parent's
+    bounds, keyed by parent; a count of those edges over the pair slots
+    gives each pair's bin, whose slope is computed once per bin.  The
+    retries and fixes run only on the pairs that need them.  A point mass
+    has one pair, whose term is its weight, so the terms lie in child
+    order; `np.bincount` sums them per bin one at a time in that order, as
+    ``np.add.at`` would, so appended and full builds sum alike.  A spread
+    child's first term is +0.0, which changes no sum.
     """
     k = kids["nbins"].astype(np.intp)
     plain = k == 0
     sizes = np.where(plain, 1, k)
     xoff = np.cumsum(sizes + 1) - (sizes + 1)
-    woff = xoff - np.arange(sizes.size)
     xp = np.empty(int(xoff[-1] + sizes[-1] + 1))
     xp[np.repeat(~plain, sizes + 1)] = kids["bounds"]
     xp[xoff[plain]], xp[xoff[plain] + 1] = kids["amin"][plain], kids["amax"][plain]
     w = np.empty(int(sizes.sum()))
     w[np.repeat(~plain, sizes)] = kids["weights"]
-    w[woff[plain]] = kids["count"][plain]
+    w[(xoff - np.arange(sizes.size))[plain]] = kids["count"][plain]
     padded = np.zeros((sizes.size, sizes.max()))
     padded[np.arange(sizes.max()) < sizes[:, None]] = w
     fp = np.zeros((sizes.size, sizes.max() + 1))
     np.cumsum(padded, axis=1, out=fp[:, 1:])  # each child's own running sum
     fp = fp[np.arange(sizes.max() + 1) <= sizes[:, None]]
-    lo, hi = xp[xoff], xp[xoff + sizes]
-    point = lo == hi
 
-    # (child, bound) pairs from the last bound <= the child's min to the
-    # first bound >= its max
-    spread = np.flatnonzero(~point)
-    i0 = np.maximum(np.searchsorted(bounds, lo[spread], side="right") - 1, 0)
-    i1 = np.minimum(np.searchsorted(bounds, hi[spread], side="left"), bounds.size - 1)
-    n = i1 - i0 + 1
-    last = np.cumsum(n) - 1
-    pc = np.repeat(spread, n)
-    pi = np.arange(n.sum()) - np.repeat(last + 1 - n - i0, n)
-    x = bounds[pi]
-    # each pair's bin j in its child: the child's edges at or below bound i
-    # are those whose first bound at or above them is at most i, counted by
-    # one search over every child's edges, keyed by child
-    stride = bounds.size + 1
-    owner = np.repeat(np.arange(sizes.size), sizes + 1)
-    keys = owner * stride + np.searchsorted(bounds, xp)
-    at = np.searchsorted(keys, pc * stride + pi, side="right") - xoff[pc]
-    j = np.minimum(np.maximum(at - 1, 0), sizes[pc] - 1)
-    g = xoff[pc] + j
-    xj, xj1 = xp[g], xp[g + 1]
-    yj, yj1 = fp[g], fp[g + 1]
+    # each edge's rank among its parent's bounds: one search over
+    # (parent, value) keys, which complex numbers order lexicographically
+    start = np.cumsum(nb) - nb
+    key = np.empty(bounds.size, complex)
+    key.real, key.imag = np.repeat(np.arange(nb.size), nb), bounds
+    parent = np.repeat(at, sizes + 1)
+    edge = np.empty(xp.size, complex)
+    edge.real, edge.imag = parent, xp
+    rank = np.searchsorted(key, edge) - start[parent]
+    i0, i1 = rank[xoff], rank[xoff + sizes]  # each child's amin and amax
+
+    # (child, bound) pairs from its amin to its amax; one for a point mass,
+    # none under a parent of one bound, which has no bins
+    spread = i1 > i0
+    n = np.where(spread, i1 - i0 + 1, nb[at] > 1).astype(np.intp)
+    first = np.cumsum(n) - n
+    shift = first - i0  # a bound's pair slot in its child, less its rank
+    pc = np.repeat(np.arange(sizes.size), n)
+    bi = np.arange(pc.size) + (start[at] - shift)[pc]  # each pair's bound
+    x = bounds[bi]
+    # each pair's bin b, its index in w: the child's bins whose lower edge
+    # is at or below its bound, counted over the pair slots.  A child's
+    # lower edges fall in its own slots (with no pairs, in the next child's
+    # first), so the count runs on from the bins of the children before it
+    lower = np.ones(xp.size, bool)
+    lower[xoff + sizes] = False
+    b = np.cumsum(np.bincount(np.repeat(shift, sizes) + rank[lower], minlength=pc.size + 1)
+                  [: pc.size]) - 1
+    g = b + pc  # its lower edge in xp
+    xj, yj = xp[g], fp[g]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # np.interp's steps: the slope form, its retries when that is NaN,
         # then exact values at an edge and outside the child's range, which
         # only a child's first and last pair are
-        slope = (yj1 - yj) / (xj1 - xj)
-        cdf = slope * (x - xj) + yj
-        retry = np.isnan(cdf)
-        cdf[retry] = (slope * (x - xj1) + yj1)[retry]
-        flat = np.isnan(cdf) & (yj == yj1)
+        slope = np.diff(fp) / np.diff(xp)  # per lower edge (and, unused, per last edge)
+        cdf = slope[g] * (x - xj) + yj
+        nan = np.flatnonzero(np.isnan(cdf))
+        gn = g[nan]
+        cdf[nan] = slope[gn] * (x[nan] - xp[gn + 1]) + fp[gn + 1]
+        flat = nan[np.isnan(cdf[nan]) & (fp[gn] == fp[gn + 1])]
         cdf[flat] = yj[flat]
         cdf = np.where(x == xj, yj, cdf)
-        cdf[last + 1 - n] = 0.0
-        cdf[last] = fp[xoff[spread] + sizes[spread]]
-        bad = ~np.isfinite(cdf)
-        if bad.any():
-            frac = np.clip((x[bad] - xj[bad]) / (xj1[bad] - xj[bad]), 0.0, 1.0)
-            cdf[bad] = yj[bad] + w[woff[pc[bad]] + j[bad]] * frac
-    same = pc[1:] == pc[:-1]
-    child = pc[:-1][same]
-    slot = pi[:-1][same]
-    term = (cdf[1:] - cdf[:-1])[same]
-
-    mass = np.flatnonzero(point)
-    if mass.size:
-        child = np.concatenate((child, mass))
-        slot = np.concatenate((slot, np.minimum(
-            np.searchsorted(bounds, lo[mass], side="right") - 1, bounds.size - 2)))
-        term = np.concatenate((term, w[woff[mass]]))  # a point mass has one bin
-        order = np.argsort(child, kind="stable")
-        slot, term = slot[order], term[order]
-    # one term at a time, in child order
-    return np.bincount(slot, weights=term, minlength=bounds.size - 1)
+        has = n > 0
+        ends = first[has]
+        cdf[ends] = 0.0
+        cdf[ends + n[has] - 1] = fp[(xoff + sizes)[has]]
+        bad = np.flatnonzero(~np.isfinite(cdf))
+        gb = g[bad]
+        frac = np.clip((x[bad] - xp[gb]) / (xp[gb + 1] - xp[gb]), 0.0, 1.0)
+        cdf[bad] = yj[bad] + w[b[bad]] * frac
+    # a pair's term is its rise from the pair before, into the bin below
+    # its bound.  A child's first is its rise from 0: +0.0 for a spread
+    # child, into any bin (slot 0, dropped, if it has none below), and for a
+    # point mass its weight, into the bin from its value (the last bin at
+    # the last bound).  A slot is a bin's index in the result, plus one
+    prev = np.empty_like(cdf)
+    prev[1:] = cdf[:-1]
+    prev[ends] = 0.0
+    slot = bi + (np.where(spread, 0, i0 < nb[at] - 1) - at)[pc]
+    return np.bincount(slot, weights=cdf - prev, minlength=int((nb - 1).sum()) + 1)[1:]
 
 
-def build_internal_node(kids: dict, bins: int) -> Binning:
-    """The bins of an internal node: its children's weights (`kids` holds
-    their rows of the level below) spread over their minima and maxima,
-    merged down to at most `bins` bins."""
-    bounds = np.unique(np.concatenate((kids["amin"], kids["amax"])))
-    if bounds.size == 1:
-        return Binning(np.array([bounds[0], bounds[0]]), np.array([float(kids["count"].sum())]))
-    return merge_bins_iterative(Binning(bounds, _spread_weights(bounds, kids)), bins)
+def build_internal_node(kids: dict, at: np.ndarray, bins: int) -> list:
+    """The bins of the internal nodes of one level, a Binning each.  `kids`
+    holds their children's rows of the level below, and `at[i]` is child
+    i's node, nondecreasing from 0.  A node's bounds are its children's
+    minima and maxima; one :func:`_spread_weights` spreads the children's
+    weights over the bounds of every node of the level, and each node's
+    bins are then merged down to at most `bins`.  A node whose children
+    all hold one value gets one bin [v, v] of their count."""
+    cut = np.searchsorted(at, np.arange(int(at[-1]) + 2)).tolist()
+    runs = list(zip(cut[:-1], cut[1:]))  # each node's children
+    # which of -0.0 and +0.0 np.unique keeps depends on the values it is
+    # given, so each node's bounds come from its own children alone, alike
+    # in a build and an append
+    own = [np.unique(np.concatenate((kids["amin"][a:b], kids["amax"][a:b]))) for a, b in runs]
+    nb = np.array([bounds.size for bounds in own])
+    weights = _spread_weights(np.concatenate(own), nb, kids, at)
+    out, w = [], 0
+    for bounds, (a, b) in zip(own, runs):
+        if bounds.size == 1:
+            out.append(Binning(np.array([bounds[0], bounds[0]]),
+                               np.array([float(kids["count"][a:b].sum())])))
+        else:
+            out.append(merge_bins_iterative(Binning(bounds, weights[w : w + bounds.size - 1]),
+                                            bins))
+        w += bounds.size - 1
+    return out
 
 
 def _chunk_extents(coords: np.ndarray, schema: ArraySchema) -> np.ndarray:
@@ -516,17 +548,14 @@ class Index:
         the level's table before a change, unless its z is in `changed`;
         with no `old` every parent's bins are merged anew."""
         up = below["z"] >> self.fanout.slot_bits
-        pz, first, at = np.unique(up, return_index=True, return_inverse=True)
+        pz, at = np.unique(up, return_inverse=True)
         redo = np.ones(pz.size, bool) if old is None else np.isin(pz, changed)
-        ends = np.append(first[1:], up.size)
-        # a parent's children are one run of rows, and of each bin column
-        k, bounds, weights = below["nbins"].astype(np.intp), below["bounds"], below["weights"]
-        bo, wo = (np.concatenate(([0], np.cumsum(n))) for n in (k + (k > 0), k))
-        merged = []
-        for a, b in zip(first[redo].tolist(), ends[redo].tolist()):
-            kids = {n: below[n][a:b] for n in ("amin", "amax", "count", "nbins")}
-            kids.update(bounds=bounds[bo[a] : bo[b]], weights=weights[wo[a] : wo[b]])
-            merged.append(build_internal_node(kids, self.bins))
+        kids = {n: below[n] for n in ("amin", "amax", "count", "nbins", "bounds", "weights")}
+        rows = np.flatnonzero(redo[at])  # the children of the parents merged anew
+        if rows.size < at.size:
+            kids = _take(kids, rows)
+        merged = build_internal_node(kids, (np.cumsum(redo) - 1)[at[rows]],
+                                     self.bins) if rows.size else []
         bins = {"nbins": np.array([b.nbins for b in merged], "<u4"),
                 "bounds": np.concatenate([np.empty(0), *(b.boundaries for b in merged)]),
                 "weights": np.concatenate([np.empty(0), *(b.weights for b in merged)])}
@@ -561,10 +590,15 @@ class Index:
                 raise InputError(
                     f"extension along {old_name!r} is not aligned to the chunk grid"
                 )
-        have = set(self.leaf_coords())
-        overlap = sorted(c for c in additions.chunks if c in have)
-        if overlap:
-            raise InputError(f"appended chunks collide with existing ones: {overlap[:3]}")
+        if self.tables:  # an added chunk's z among the leaves' (none fits past the tree)
+            bits, leaves = self.fanout.bits * self.depth, self.tables[0]["z"]
+            coords = np.array(sorted(additions.chunks), np.int64).reshape(-1, self.fanout.ndim)
+            coords = coords[(coords < 1 << bits).all(axis=1)]
+            z = zorder_encode_many(coords, bits).astype("<u8")
+            overlap = coords[leaves[np.minimum(np.searchsorted(leaves, z), leaves.size - 1)] == z]
+            if overlap.size:
+                raise InputError(f"appended chunks collide with existing ones: "
+                                 f"{list(map(tuple, overlap[:3].tolist()))}")
 
         merged_extents = tuple(max(a, b) for (_, a), (_, b) in zip(self.schema.dims, new_schema.dims))
         self._grow([additions.chunks[c] for c in sorted(additions.chunks)],

@@ -334,6 +334,21 @@ def test_raw_append_of_other_empty_sentinels_is_refused(tmp_path, typ, held, oth
     assert load_store(head).nonempty_total() == 2
 
 
+@pytest.mark.parametrize("empty", [float("nan"), 0.5, float("inf"), 2**63, -(2.0**64)])
+def test_int64_sentinel_must_be_an_int64_value(empty):
+    # a NaN sentinel matched no cell: from_dense counted all 64 as non-empty
+    with pytest.raises(InputError, match="not an int64 value"):
+        ArraySchema((("y", 8), ("x", 8)), (("a", "int64"),), (4, 4), {"a": empty})
+    with pytest.raises(DataError, match="header schema: empty sentinel"):
+        ArraySchema.from_json({"dims": [["y", 8], ["x", 8]], "attributes": [["a", "int64"]],
+                               "chunk_shape": [4, 4], "empty": {"a": empty}}, "h: header")
+    for ok in (-1, -1.0, 2**63 - 1, -(2**63)):
+        vals = np.full((8, 8), ok, np.int64)
+        vals[2, 3] = 5
+        schema = ArraySchema((("y", 8), ("x", 8)), (("a", "int64"),), (4, 4), {"a": ok})
+        assert ChunkStore.from_dense(schema, {"a": vals}).nonempty_total() == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_schema_json_round_trips(data):

@@ -423,6 +423,31 @@ def test_build_refuses_a_malformed_raw_header(tmp_path, capsys, change, field):
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("empty", [None, 0.5, 1e300])
+def test_build_refuses_a_non_integral_int64_sentinel(tmp_path, capsys, empty):
+    # a NaN (null) sentinel filled no int64 cell: all 64 cells built as
+    # non-empty, after a RuntimeWarning from the cast
+    head = tmp_path / "arr.json"
+    vals = np.full((8, 8), -1, np.int64)
+    vals[2, 3] = 5
+    write_raw(head, ArraySchema((("y", 8), ("x", 8)), (("a", "int64"),), (4, 4), {"a": -1}),
+              {"a": vals})
+    raw = json.loads(head.read_text())
+    raw["empty"]["a"] = empty
+    head.write_text(json.dumps(raw))
+    before = _files(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = main(["build", "--data", str(head), "--index", str(tmp_path / "x.abix")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arraybit: ") and "header schema" in err and "sentinel" in err
+    assert "Traceback" not in err
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert _files(tmp_path) == before
+
+
 @pytest.mark.parametrize("param", ["e=0", "e=-3", "bins=0", "bins=abc", "fanout=x", "e=1.5"])
 def test_build_refuses_parameters_a_load_refuses(tmp_path, capsys, param):
     head = _gen(tmp_path)

@@ -18,6 +18,7 @@ from arraybit.hierindex import (
     Index,
     _spread_weights,
     build_index,
+    build_internal_node,
     zorder_decode_many,
     zorder_encode_many,
 )
@@ -380,15 +381,20 @@ def _slabs(store, rows):
 
 
 @pytest.mark.parametrize(
-    "shape, chunk, rows, fanout",
+    "shape, chunk, rows, fanout, zeros",
     [
-        ((64, 48), (4, 4), 16, 16),
-        ((16, 8, 8, 8), (2, 2, 2, 2), 4, 16),
+        ((64, 48), (4, 4), 16, 16, False),
+        ((16, 8, 8, 8), (2, 2, 2, 2), 4, 16, False),
+        # many -0.0 and +0.0: np.unique keeps one of the two by its input
+        ((64, 48), (4, 4), 16, 16, True),
     ],
+    ids=["shape0-chunk0-16-16", "shape1-chunk1-4-16", "signed-zeros"],
 )
-def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fanout):
+def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fanout, zeros):
     rng = np.random.default_rng(17)
     vals = rng.gamma(2.0, 10.0, size=shape)
+    if zeros:
+        vals = np.round(rng.normal(size=shape) * 0.01, 1)
     vals[rng.random(shape) < 0.2] = np.nan
     sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", "float64"),), chunk)
     store = ChunkStore.from_dense(sch, {"a": vals})
@@ -473,28 +479,47 @@ def test_child_with_subnormal_bins_spreads_its_weight():
     assert node.binning.weights.sum() == pytest.approx(248.0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), nchildren=st.integers(1, 40),
-       scale=st.sampled_from([1.0, 1e-3, 1e6, 1e-318]))
-def test_spread_weights_match_child_by_child_reference(seed, nchildren, scale):
-    """Every (child, bound) pair at once gives the bytes of one np.interp
-    per child added in child order, point masses and subnormal bins too."""
-    rng = np.random.default_rng(seed)
+def _random_children(rng, count: int, scale: float, extremes: bool = False) -> list:
+    """`count` random children as `leaf_table` takes them: point masses,
+    plain children and binned ones, their values about `scale` apart.
+    With `extremes`, some binned children also hold a subnormally narrow
+    bin at 0, and some children end at -inf or +inf (a bin of weight from
+    -inf to +inf has no defined spread, so none is made)."""
     children = []
-    for _ in range(nchildren):
+    for _ in range(count):
         kind = int(rng.integers(0, 3))
         lo = float(rng.normal() * scale)
         if kind == 0:  # a point mass
             children.append((lo, lo, int(rng.integers(1, 50))))
             continue
         edges = np.unique(lo + np.abs(rng.normal(size=int(rng.integers(2, 18)))) * scale)
+        if extremes and kind == 2 and rng.random() < 0.3:  # a subnormally narrow bin
+            edges = np.unique(np.concatenate((edges, [0.0, 5e-324 * int(rng.integers(1, 100))])))
         if edges.size < 2:
             edges = np.array([lo, np.nextafter(lo, np.inf)])
+        if extremes and rng.random() < 0.25:  # one end infinite, or both over two bins
+            end = int(rng.integers(0, 3))
+            if end != 1:
+                edges[0] = -np.inf
+            if end != 0 and (edges.size > 2 or end == 1):
+                edges[-1] = np.inf
         if kind == 2:  # a binned child
             w = rng.integers(0, 30, size=edges.size - 1).astype(float)
             children.append((float(edges[0]), float(edges[-1]), int(w.sum()), Binning(edges, w)))
         else:  # a plain child, one bin [min, max]
             children.append((float(edges[0]), float(edges[-1]), int(rng.integers(1, 50))))
+    return children
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nchildren=st.integers(1, 40),
+       scale=st.sampled_from([1.0, 1e-3, 1e6, 1e-318]))
+def test_spread_weights_match_child_by_child_reference(seed, nchildren, scale):
+    """Every (child, bound) pair at once gives the bytes of one np.interp
+    per child added in child order, point masses and subnormal bins too:
+    the level kernel over a level of one parent."""
+    rng = np.random.default_rng(seed)
+    children = _random_children(rng, nchildren, scale)
     bounds = np.unique([v for c in children for v in c[:2]])
     if bounds.size < 2:
         return
@@ -502,8 +527,49 @@ def test_spread_weights_match_child_by_child_reference(seed, nchildren, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference's own fallback
         want = reference_spread_weights(bounds, kids)
-    got = _spread_weights(bounds, kids)
+    got = _spread_weights(bounds, np.array([bounds.size]), kids, np.zeros(nchildren, np.intp))
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       scale=st.sampled_from([1e-318, 1e-300, 1e-3, 1.0, 1e6]))
+def test_level_spread_matches_the_reference_per_parent(seed, sizes, scale):
+    """One kernel call over the children of 1-6 parents, laid end to end,
+    gives each parent the bytes of the child-by-child reference over its
+    own bounds.  A parent whose children all hold one value has a single
+    bound, and no bin to spread into; the build gives it one bin of their
+    count."""
+    rng = np.random.default_rng(seed)
+    parents = []
+    for count in sizes:
+        if rng.random() < 0.2:  # one value
+            v = float(rng.choice([0.0, rng.normal() * scale, np.inf, -np.inf]))
+            parents.append([(v, v, int(rng.integers(1, 50))) for _ in range(count)])
+        else:
+            parents.append(_random_children(rng, count, scale, extremes=True))
+    kids = leaf_table(list(enumerate(c for p in parents for c in p)))
+    at = np.repeat(np.arange(len(sizes)), sizes)
+    per = [np.unique([v for c in p for v in c[:2]]) for p in parents]
+    nb = np.array([b.size for b in per])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _spread_weights(np.concatenate(per), nb, kids, at)
+        nodes = build_internal_node(kids, at, bins=4)
+    assert got.size == (nb - 1).sum()
+    for p, (bounds, part) in enumerate(zip(per, np.split(got, np.cumsum(nb - 1)[:-1]))):
+        if bounds.size == 1:
+            assert part.size == 0
+            total = float(sum(c[2] for c in parents[p]))
+            assert nodes[p] == Binning(np.array([bounds[0], bounds[0]]), np.array([total]))
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference's own fallback
+            want = reference_spread_weights(bounds, leaf_table(list(enumerate(parents[p]))))
+        assert part.tobytes() == want.tobytes(), p
+        assert np.isin(nodes[p].boundaries, bounds).all()
+        assert nodes[p].boundaries[[0, -1]].tolist() == bounds[[0, -1]].tolist()
 
 
 def _index_file(tmp_path):

@@ -180,6 +180,32 @@ def test_leaf_build_makes_no_binning(make, monkeypatch):
     assert hashlib.sha256(idx.serialize()).hexdigest() == PINS[make]
 
 
+@pytest.mark.parametrize("make", CASES)
+def test_each_level_spreads_its_weights_in_one_call(make, monkeypatch):
+    # the internal-node side of the test above: a build and each append
+    # spread the weights of every parent a level merges anew in one call.
+    # Every level above the leaves merges one parent anew or more, so that
+    # is one call per level (range_2d's build merges 4 parents at level 1)
+    spread, grow, calls, per_grow = hierindex._spread_weights, Index._grow, [], []
+
+    def counted_spread(*args):
+        calls.append(1)
+        return spread(*args)
+
+    def counted_grow(self, *args):
+        calls.clear()
+        grow(self, *args)
+        per_grow.append((len(calls), self.depth))
+
+    monkeypatch.setattr(hierindex, "_spread_weights", counted_spread)
+    monkeypatch.setattr(Index, "_grow", counted_grow)
+    idx = make()
+    assert len(per_grow) == (3 if make is interval_4d_appended else 1)  # a build, two appends
+    assert all(n == depth for n, depth in per_grow), per_grow
+    monkeypatch.undo()
+    assert hashlib.sha256(idx.serialize()).hexdigest() == PINS[make]
+
+
 @pytest.mark.parametrize("version", [1, 2, 4])
 def test_other_versions_fail_with_data_error(version, tmp_path, capsys):
     raw = bytearray(range_2d().serialize())
