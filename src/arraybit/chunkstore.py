@@ -92,6 +92,11 @@ class ArraySchema:
         object.__setattr__(self, "empty_values", cleaned)
         if not self.dims or not self.attributes:
             raise InputError("schema needs at least one dimension and one attribute")
+        names = [n for n, _ in self.dims + self.attributes]
+        for i, name in enumerate(names):  # a query term names one of them
+            if name in names[:i]:
+                raise InputError(f"name {name!r} is repeated: each dimension and attribute "
+                                 f"needs its own")
         if any(e < 1 for _, e in self.dims):
             raise InputError("dimension extents must be >= 1")
         if len(self.chunk_shape) != len(self.dims):

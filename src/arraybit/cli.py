@@ -62,11 +62,11 @@ def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery
             if isinstance(values, tuple):  # [lo, hi]
                 lo, hi = values
                 _narrow(raw, name, is_dim, lo, hi)
-            elif is_dim:
-                raw.dim_values.setdefault(name, set()).update(values)
+            elif is_dim:  # terms are a conjunction: a repeated set narrows the earlier one
+                raw.dim_values[name] = raw.dim_values.get(name, set(values)) & set(values)
             else:
-                had = set(raw.values or ())
-                raw.values = tuple(sorted(had | set(values)))
+                had = set(values) if raw.values is None else set(raw.values)
+                raw.values = tuple(sorted(had & set(values)))
             continue
         try:
             num = float(rhs)

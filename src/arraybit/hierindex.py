@@ -2,10 +2,11 @@
 internal nodes, precomputed dimension bitmaps, persistence and appending.
 
 Node-level bitmaps have exactly F bits (one per child slot) and are kept
-uncompressed as plain integers.  Each level is one column table, the
-columns it is saved as plus `nbins` (`Index.tables`).  A leaf is a row of
-the leaf table: its chunk's z, extent, value range, count and equi-depth
-bins, all but z and extent from `chunkstore.build_leaf_index`.  It holds
+uncompressed as plain integers.  Each level is one column table
+(`Index.tables`): the columns it is saved as, and those a load derives
+from them.  A leaf is a row of the leaf table: its chunk's z, extent,
+value range, count and equi-depth bins, all but z and extent from
+`chunkstore.build_leaf_index`.  It holds
 no bitmaps over cells, since every chunk is resident and a query scans it
 (`chunkstore.leaf_query`).
 Node identity is (level, z-index); parent and child indices are pure bit
@@ -21,10 +22,10 @@ in one pass: one `build_internal_node` call makes the bins of every parent
 whose children changed, the one heuristic part of a node, by one
 `_spread_weights` over all their children and then a merge per parent;
 `_derive_parents` derives everything else its children fix, for all the
-level's parents at once; and `serialize` writes the tables as they are
-(`_table_bytes`).
+level's parents at once; and `serialize` writes of each table the columns
+no other column gives (`_table_bytes`).
 
-Saved format, version 3.  Integers and floats are little-endian; every
+Saved format, version 4.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
 
   preamble   24 bytes: b"ABIX", u32 version, u32 crc, u32 levels,
@@ -33,35 +34,28 @@ table column starts on a multiple of 8 bytes.
              u64 table size
   metadata   JSON: the schema (`ArraySchema.to_json`) and the build
              parameters
-  tables     one run of columns per level, n rows each:
-               every level   z u64[n], extent u64[n, ndim, 2] (inclusive
-                             lo, hi per dimension), amin f64[n],
-                             amax f64[n], count u64[n]
-               leaves        bins u32[n] (k, 0 for a plain leaf), bin
-                             floats f64: every binned leaf's k + 1
+  tables     one run of columns per level, n rows each in z order:
+               leaves        z u64[n], amin f64[n], amax f64[n],
+                             count u64[n], then the bins below
+               every level   bins u32[n] (k, 0 for a plain leaf), bin
+                             floats f64: every binned node's k + 1
                              boundaries, then their k weights
-               internal      sizes u32[n, 3] (bins, sp rows, al rows; see
-                             `TreeNode`), child masks u8[n, ceil(F/8)],
-                             bin floats f64: boundaries, weights,
-                             sp_bounds, al_bounds; range masks
-                             u8[rows, ceil(F/8)]: every sp mask, then every al
-                             mask
 
-crc is the CRC32 of bytes 0-7 and of bytes 12 to the end of the file.  Leaf
-coordinates come from z.
+crc is the CRC32 of bytes 0-7 and of bytes 12 to the end of the file.
 
-`Index.load` reads version 3 only: a file of another version fails with
-DataError, and is rebuilt from its data by `arraybit build`.  It checks the
-CRC, reads every column with `np.frombuffer`, checks each level's own
-columns, then each level against the one below it (`Index._check_links`):
-every parent's child mask, count, value range, extent and range tables
-must be what `_derive_parents`, the derivation the build makes each level
-with, gives from its children and its own bins.  It then checks each
-leaf's extent against its chunk's (`_chunk_extents`, as a build gives
-it) and every node's bin boundaries, keeps the checked columns as the
-index's tables and makes every internal node eagerly through
-`Index._nodes`.  A file left inconsistent by a wrong writer or a hand
-edit fails with DataError.
+A file holds each fact once.  `Index.load` reads version 4 only: a file of
+another version fails with DataError, and is rebuilt from its data by
+`arraybit build`.  It checks the CRC, reads every column with
+`np.frombuffer` and checks the leaves: z increasing and inside the tree,
+each leaf's chunk (`_chunk_extents` of its z, its extent) inside the
+array, a count the chunk can hold, and amin <= amax.  It then makes each
+level from the one below, as the build does: the parents are the distinct
+z >> slot bits of the level below, one saved row each, and everything but
+their bins comes from `_derive_parents`.  Every node's bins must number 1
+to `bins` above the leaves, and run increasing from its amin to its amax.
+The checked and derived columns are the index's tables, and every internal
+node is made eagerly through `Index._nodes`.  A file left inconsistent by
+a wrong writer or a hand edit fails with DataError naming the node.
 """
 
 from __future__ import annotations
@@ -79,7 +73,7 @@ from .chunkstore import ArraySchema, ChunkStore, build_leaf_index
 from .errors import DataError, InputError, InternalError
 
 _MAGIC = b"ABIX"
-_VERSION = 3
+_VERSION = 4
 # magic, version, crc, levels, metadata length
 _PREAMBLE = struct.Struct("<4sIIIQ")
 _DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
@@ -361,7 +355,7 @@ def build_internal_node(kids: dict, at: np.ndarray, bins: int) -> list:
 
 
 def _chunk_extents(coords: np.ndarray, schema: ArraySchema) -> np.ndarray:
-    """The saved extents, (n, ndim, 2) u64 inclusive lo and hi, of the chunks
+    """The extents, (n, ndim, 2) u64 inclusive lo and hi, of the chunks
     at (n, ndim) grid coordinates `coords`: the array's edge clips them."""
     cs = np.array(schema.chunk_shape)
     lo = coords * cs
@@ -390,7 +384,7 @@ def _take(cols: dict, rows) -> dict:
 def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.ndarray,
                     fanout: Fanout) -> dict:
     """What their children fix about internal nodes, of one level or more
-    laid end to end, as their saved columns: child masks, counts, value
+    laid end to end, as their table's columns: child masks, counts, value
     ranges, extents, sizes, and the sp and al tables over each node's own
     bins.  `kids` holds the children's z, extent, amin, amax and count
     columns; `at[i]` is child i's parent, nondecreasing, and every parent
@@ -612,7 +606,7 @@ class Index:
         Path(path).write_bytes(self.serialize())
 
     def serialize(self) -> bytes:
-        """The index in the saved format of version 3 (module docstring)."""
+        """The index in the saved format of version 4 (module docstring)."""
         meta = {
             "schema": self.schema.to_json(),
             "params": {
@@ -652,7 +646,7 @@ class Index:
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
-        """Read a saved index (version 3 only), then :meth:`attach` `store`."""
+        """Read a saved index (version 4 only), then :meth:`attach` `store`."""
         buf = Path(path).read_bytes()
         try:
             idx = cls._parse(buf)
@@ -706,41 +700,38 @@ class Index:
         schema, params, columns = _read_tables(buf)
         idx = cls(schema, None, params["attribute"], Fanout(params["fanout_per_dim"], schema.ndim),
                   params["bins"], params["e"], [])
-        depth = len(columns) - 1
-        for level, cols in enumerate(columns):
-            idx._check_common(level, depth, cols)
-        idx._check_links(columns)
-        for level, cols in enumerate(columns):
-            if level:
-                _require((cols["sizes"] > 0).all(), f"level {level}", "empty table")
-            else:  # each leaf's extent is its chunk's
-                coords = zorder_decode_many(cols["z"], schema.ndim, idx.fanout.bits * depth)
-                _require((cols["extent"] == _chunk_extents(coords, schema)).all(), "level 0",
-                         "a leaf's extent is not its chunk's")
-            _check_bins(level, cols["nbins"], cols["bounds"], cols["amin"], cols["amax"])
-        if columns and schema.attr_type(idx.attribute) == "int64":
-            _require(not _inexact(columns[-1]), "root", "int64 values reach ±2**53")
-        idx._use(columns)
+        tables = columns[:1]
+        if tables:  # a tree of the array's depth: one root, over the leaves
+            depth = idx._tree_depth()
+            _require(len(columns) == depth + 1, "directory",
+                     f"the array's tree has {depth + 1} levels, the file {len(columns)}")
+            idx._check_leaves(tables[0], depth)
+        for level, saved in enumerate(columns[1:], 1):
+            tables.append(idx._saved_level(level, tables[-1], saved))
+        if tables and schema.attr_type(idx.attribute) == "int64":
+            _require(not _inexact(tables[-1]), "root", "int64 values reach ±2**53")
+        idx._use(tables)
         return idx
 
     # -- building the levels of a saved index from their columns ----------
 
-    def _check_common(self, level: int, depth: int, cols: dict) -> None:
-        """Checks of the columns every level has, each naming the first node
-        that fails it."""
-        z, ext, count = cols["z"], cols["extent"], cols["count"]
-        where = f"level {level}"
-        lo, hi = ext[:, :, 0], ext[:, :, 1]
+    def _check_leaves(self, cols: dict, depth: int) -> None:
+        """Checks of the saved leaf table, each naming the first leaf that
+        fails it; the table then holds each leaf's extent, its chunk's
+        (:func:`_chunk_extents`)."""
+        z, count = cols["z"], cols["count"]
+        where = "level 0"
         _require(z.size > 0, where, "has no nodes")
         back = np.flatnonzero(z[1:] <= z[:-1])
         if back.size:
             i = back[0] + 1
             raise DataError(f"{where}: node {z[i]} follows node {z[i - 1]}: "
                             f"z-indices do not increase")
-        _require_each(z >= self.fanout.total ** (depth - level), where, z,
-                      "has a z-index out of range")
-        _require_each((lo > hi).any(axis=1) | (hi >= np.array(self.schema.shape)).any(axis=1),
-                      where, z, "has an extent outside the array")
+        _require_each(z >= self.fanout.total**depth, where, z, "has a z-index out of range")
+        coords = zorder_decode_many(z, self.fanout.ndim, self.fanout.bits * depth)
+        cols["extent"] = ext = _chunk_extents(coords, self.schema)
+        lo, hi = ext[:, :, 0], ext[:, :, 1]
+        _require_each((lo > hi).any(axis=1), where, z, "has a chunk outside the array")
         cells = np.prod(hi - lo + 1, axis=1)
         bad = np.flatnonzero((count < 1) | (count > cells))
         if bad.size:
@@ -748,61 +739,23 @@ class Index:
             raise DataError(f"{where}: node {z[i]} counts {count[i]} cells in a "
                             f"{cells[i]}-cell extent")
         _require_each(cols["amin"] > cols["amax"], where, z, "has amin above amax")
+        _check_bins(0, cols)
 
-    def _check_links(self, columns: list) -> None:
-        """Checks of each level against the one below it, before any node is
-        built: every node below the root has its parent, every parent a
-        child and at most `bins` bins, and each parent is what the build
-        makes of its children (:func:`_derive_parents`: child mask, count,
-        value range, extent, sp and al tables over its own boundaries).  Z
-        increases, so each parent's children are one run of the level
-        below; the parents of all levels are derived and compared in one
-        pass over their columns laid end to end."""
-        bits = self.fanout.slot_bits
-        ats, ends = [], [0]  # each child's parent in the parents laid end to end
-        for level in range(1, len(columns)):
-            z, pz = columns[level - 1]["z"], columns[level]["z"]
-            up = z >> bits
-            at = np.minimum(np.searchsorted(pz, up), pz.size - 1)
-            orphan = np.flatnonzero(pz[at] != up)
-            if orphan.size:
-                i = orphan[0]
-                raise DataError(f"level {level - 1}: node {z[i]} has no parent {up[i]} "
-                                f"at level {level}")
-            ats.append(at + ends[-1])
-            ends.append(ends[-1] + pz.size)
-        if not ats:
-            return
-        kids = {name: np.concatenate([c[name] for c in columns[:-1]])
-                for name in ("z", "extent", "amin", "amax", "count")}
-        cols = {name: np.concatenate([c[name] for c in columns[1:]]) for name in columns[1]}
-        pz, at, sizes = cols["z"], np.concatenate(ats), cols["sizes"]
-
-        def check(bad, what):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DataError(f"level {np.searchsorted(ends, i, side='right')}: "
-                                f"node {pz[i]} has {what}")
-
-        check(np.bincount(at, minlength=pz.size) == 0, "no children")
-        check(sizes[:, 0] > self.bins, f"more than {self.bins} bins")  # sizes what follows
-        got = _derive_parents(kids, at, sizes[:, 0], cols["bounds"], self.fanout)
-        check((got["child"] != cols["child"]).any(axis=1),
-              "a child mask other than the slots of its children")
-        check(got["count"] != cols["count"], "a count other than the sum of its children's")
-        check((got["amin"] != cols["amin"]) | (got["amax"] != cols["amax"]),
-              "a value range other than its children's")
-        check((got["extent"] != cols["extent"]).any(axis=(1, 2)),
-              "an extent other than the span of its children's")
-        rows = got["sizes"][:, 1:]
-        bad = rows != sizes[:, 1:]  # per parent, sp and al
-        if not bad.any():  # the rows line up: compare them one by one
-            for k, table in enumerate(("sp", "al")):
-                wrong = ((got[table + "_bounds"] != cols[table + "_bounds"])
-                         | (got[table] != cols[table]).any(axis=1))
-                bad[np.repeat(np.arange(pz.size), rows[:, k])[wrong], k] = True
-        check(bad[:, 0], "sp masks other than its children's amin give")
-        check(bad[:, 1], "al masks other than its children's amax give")
+    def _saved_level(self, level: int, below: dict, saved: dict) -> dict:
+        """Internal level `level` of a saved index from the checked level
+        below it and its own saved bins, one row per parent of the nodes
+        below in z order: everything else is derived as the build derives
+        it (:func:`_derive_parents`)."""
+        pz, at = np.unique(below["z"] >> self.fanout.slot_bits, return_inverse=True)
+        where, nbins = f"level {level}", saved["nbins"]
+        _require(nbins.size == pz.size, where,
+                 f"holds {nbins.size} nodes, not the {pz.size} parents of level {level - 1}")
+        _require_each(nbins < 1, where, pz, "has no bins")
+        _require_each(nbins > self.bins, where, pz, f"has more than {self.bins} bins")
+        cols = _derive_parents(below, at, nbins, saved["bounds"], self.fanout)
+        cols.update(z=pz, **saved)
+        _check_bins(level, cols)
+        return cols
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
         """Internal level `level` from its columns, checked or just derived:
@@ -851,34 +804,31 @@ def _require_each(bad: np.ndarray, where: str, z: np.ndarray, what: str) -> None
         raise DataError(f"{where}: node {z[int(np.argmax(bad))]} {what}")
 
 
-def _check_bins(level: int, nbins: np.ndarray, bounds: np.ndarray, amin: np.ndarray,
-                amax: np.ndarray) -> None:
-    """DataError unless the bin boundaries of each node of a level, nbins + 1
-    of them back to back in `bounds` (none for a node of 0 bins), increase
-    (strictly for two or more bins) and run from its amin to its amax."""
-    where, binned = f"level {level}", nbins > 0
-    k = nbins[binned].astype(np.int64)
-    _require(_segments_increase(bounds, k + 1, k > 1), where,  # sp, al bounds: some of these
-             "bin boundaries do not increase")
-    first = np.cumsum(k + 1) - (k + 1)
-    _require((amin[binned] == bounds[first]).all() and (amax[binned] == bounds[first + k]).all(),
-             where, "amin or amax is not that of the bins")
+def _check_bins(level: int, cols: dict) -> None:
+    """DataError naming the first node of a level's table whose bin
+    boundaries, nbins + 1 of them back to back in `bounds` (none for a node
+    of 0 bins), do not increase (strictly for two or more bins; NaN fails
+    both) or do not run from its amin to its amax.  A node's sp and al
+    bounds are some of its boundaries, so they increase too."""
+    where, z, bounds = f"level {level}", cols["z"], cols["bounds"]
+    k = cols["nbins"].astype(np.intp)
+    size, binned = k + (k > 0), k > 0
+    owner = np.repeat(np.arange(k.size), size)
+    inner = owner[1:] == owner[:-1]
+    a, b, node = bounds[:-1][inner], bounds[1:][inner], owner[1:][inner]
+    bad = np.zeros(k.size, bool)
+    bad[node[~np.where(k[node] > 1, b > a, b >= a)]] = True
+    _require_each(bad, where, z, "has bin boundaries that do not increase")
+    first = (np.cumsum(size) - size)[binned]
+    bad[binned] = ((cols["amin"][binned] != bounds[first])
+                   | (cols["amax"][binned] != bounds[first + k[binned]]))
+    _require_each(bad, where, z, "has bins that do not run from its amin to its amax")
 
 
 def _packed(hit: np.ndarray) -> np.ndarray:
-    """Each row of F booleans along the last axis as a saved child-slot
+    """Each row of F booleans along the last axis as a child-slot
     mask: ceil(F/8) little-endian bytes."""
     return np.packbits(hit, axis=-1, bitorder="little")
-
-
-def _segments_increase(values: np.ndarray, sizes: np.ndarray, strict: np.ndarray) -> bool:
-    """Whether each of the back-to-back segments of `values`, of lengths
-    `sizes`, increases: strictly where `strict`, else never decreasing.
-    NaN fails both."""
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    inner = owner[1:] == owner[:-1]
-    a, b = values[:-1][inner], values[1:][inner]
-    return bool(np.where(strict[owner[1:][inner]], b > a, b >= a).all())
 
 
 def _masks(raw: np.ndarray, mb: int) -> list:
@@ -892,17 +842,15 @@ def _masks(raw: np.ndarray, mb: int) -> list:
 
 
 def _table_bytes(cols: dict) -> bytes:
-    """A level's table in the saved layout (module docstring), its columns
-    written as they are, each padded to a multiple of 8 bytes: the bin
-    floats, and the sp and al masks, are each one column."""
-    if "sizes" in cols:
-        rest = (cols["sizes"], cols["child"], cols["bounds"], cols["weights"], cols["sp_bounds"],
-                cols["al_bounds"], np.concatenate((cols["sp"], cols["al"])))
-    else:
-        rest = (cols["nbins"], cols["bounds"], cols["weights"])
+    """A level's table in the saved layout (module docstring): the columns
+    no other column gives, written as they are, each padded to a multiple
+    of 8 bytes."""
+    names = ("nbins", "bounds", "weights")
+    if "child" not in cols:  # the leaves
+        names = ("z", "amin", "amax", "count") + names
     out = bytearray()
-    for a in (cols["z"], cols["extent"], cols["amin"], cols["amax"], cols["count"], *rest):
-        out += np.ascontiguousarray(a).tobytes()
+    for name in names:
+        out += np.ascontiguousarray(cols[name]).tobytes()
         out += bytes(-len(out) % 8)
     return bytes(out)
 
@@ -963,33 +911,15 @@ def _read_tables(buf: bytes) -> tuple:
     pos = head + _DIRECTORY.size * nlevels
     directory = [_DIRECTORY.unpack_from(buf, head + _DIRECTORY.size * i) for i in range(nlevels)]
     schema, params = _read_meta(bytes(view[pos : pos + meta_len]))
-    ndim, fd = schema.ndim, params["fanout_per_dim"]
-    mb = -(-(fd**ndim) // 8)
     columns = []
     for level, (n, start, size) in enumerate(directory):
         cur = _Cursor(buf, start, min(start + size, len(buf)), f"level {level}")
-        cols = {
-            "z": cur.take("<u8", n),
-            "extent": cur.take("<u8", n * ndim * 2).reshape(n, ndim, 2),
-            "amin": cur.take("<f8", n),
-            "amax": cur.take("<f8", n),
-            "count": cur.take("<u8", n),
-        }
-        if level == 0:  # parts of one f8 column need no padding between them
-            cols["nbins"] = cur.take("<u4", n)
-            k = cols["nbins"].astype(np.int64)
-            cols["bounds"] = cur.take("<f8", int(k.sum()) + int(np.count_nonzero(k)))
-            cols["weights"] = cur.take("<f8", int(k.sum()))
-        else:
-            cols["sizes"] = cur.take("<u4", 3 * n).reshape(n, 3)
-            cols["nbins"] = cols["sizes"][:, 0]
-            nb, nsp, nal = (int(c.astype(np.int64).sum()) for c in cols["sizes"].T)
-            cols["child"] = cur.take("u1", n * mb).reshape(n, mb)
-            cols["bounds"] = cur.take("<f8", nb + n)
-            cols["weights"] = cur.take("<f8", nb)
-            cols["sp_bounds"], cols["al_bounds"] = cur.take("<f8", nsp), cur.take("<f8", nal)
-            masks = cur.take("u1", (nsp + nal) * mb).reshape(-1, mb)
-            cols["sp"], cols["al"] = masks[:nsp], masks[nsp:]
+        cols = {} if level else {"z": cur.take("<u8", n), "amin": cur.take("<f8", n),
+                                 "amax": cur.take("<f8", n), "count": cur.take("<u8", n)}
+        cols["nbins"] = cur.take("<u4", n)
+        k = cols["nbins"].astype(np.int64)  # parts of one f8 column need no padding between them
+        cols["bounds"] = cur.take("<f8", int(k.sum()) + int(np.count_nonzero(k)))
+        cols["weights"] = cur.take("<f8", int(k.sum()))
         cur.done()
         columns.append(cols)
     return schema, params, columns

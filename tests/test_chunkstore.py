@@ -349,16 +349,35 @@ def test_int64_sentinel_must_be_an_int64_value(empty):
         assert ChunkStore.from_dense(schema, {"a": vals}).nonempty_total() == 1
 
 
+@pytest.mark.parametrize("dims, attributes", [
+    ((("d0", 8), ("d0", 8)), (("a", "float64"),)),
+    ((("d0", 8), ("d1", 8)), (("a", "float64"), ("a", "int64"))),
+    ((("d0", 8), ("a", 8)), (("a", "float64"),)),
+])
+def test_schema_refuses_a_repeated_name(dims, attributes):
+    # a query term names a dimension or the attribute: on dims (d0, d0),
+    # d0 <= 3 bounded both, and an index of attributes (a float64, a int64)
+    # refused to load with its own data
+    with pytest.raises(InputError, match="name '.*' is repeated"):
+        ArraySchema(dims, attributes, (4, 4), {"a": -1})
+    with pytest.raises(DataError, match="h: header schema: name '.*' is repeated"):
+        ArraySchema.from_json({"dims": [list(d) for d in dims],
+                               "attributes": [list(a) for a in attributes],
+                               "chunk_shape": [4, 4], "empty": {"a": -1}}, "h: header")
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_schema_json_round_trips(data):
     # 1-4 dimensions; float attributes with NaN, a numeric sentinel or
-    # none, int64 attributes with theirs
+    # none, int64 attributes with theirs; every name its own
     ndim = data.draw(st.integers(1, 4), label="ndim")
-    dims = tuple((data.draw(st.text(min_size=1, max_size=4)), data.draw(st.integers(1, 2**40)))
-                 for _ in range(ndim))
+    dim_names = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=ndim, max_size=ndim,
+                                   unique=True))
+    dims = tuple((name, data.draw(st.integers(1, 2**40))) for name in dim_names)
     chunk = tuple(data.draw(st.integers(1, 2**20)) for _ in range(ndim))
-    names = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    names = data.draw(st.lists(st.text(max_size=4).filter(lambda n: n not in dim_names),
+                               min_size=1, max_size=3, unique=True))
     attributes, empty = [], {}
     for name in names:
         typ = data.draw(st.sampled_from(["float64", "int64"]), label=f"type of {name!r}")

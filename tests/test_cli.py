@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from arraybit.baseline import full_scan
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, write_raw
 from arraybit.cli import main, parse_query_text
 from arraybit.errors import InputError
@@ -51,6 +52,24 @@ def test_parse_rejects_junk(schema):
         parse_query_text("a >= fast", schema, "a")
     with pytest.raises(InputError):
         parse_query_text("a like 3", schema, "a")
+
+
+@pytest.mark.parametrize("where, want", [
+    ("a in {1} and a in {2}", 0), ("a in {1, 2} and a in {2, 3}", 16),
+    ("d1 in {1, 2} and d1 in {2, 3}", 8), ("d0 in {1} and d0 in {2}", 0),
+])
+def test_a_repeated_set_on_one_name_narrows_the_query(tmp_path, capsys, where, want):
+    # the terms are a conjunction: a second set on a name intersects the
+    # first (once their union: counts 32, 48, 24 and 16)
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "int64"),), (4, 4), {"a": -1})
+    head, idx = tmp_path / "arr.json", tmp_path / "arr.abix"
+    write_raw(head, sch, {"a": np.arange(64).reshape(8, 8) % 4})
+    assert main(["build", "--data", str(head), "--index", str(idx), "--params", "fanout=4"]) == 0
+    scan = full_scan(load_store(head), "a", normalize(parse_query_text(where, sch, "a"), sch))
+    assert scan.size == want
+    capsys.readouterr()
+    assert main(["query", "--index", str(idx), "--data", str(head), "--where", where]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"count {want}"
 
 
 def _gen(tmp_path, shape="32x32", seed=3, threshold="0.00001"):
@@ -409,6 +428,8 @@ def _put(value, *keys):
     (_put([20, 0], "blocks", 0, "origin"), "blocks[0]"),
     (_put([8], "chunk_shape"), "chunk_shape"),
     (_put([["a", "float32"]], "attributes"), "attribute type"),
+    (_put([["d0", 32], ["d0", 32]], "dims"), "name 'd0' is repeated"),
+    (_put([["a", "float64"], ["d1", "float64"]], "attributes"), "name 'd1' is repeated"),
 ])
 def test_build_refuses_a_malformed_raw_header(tmp_path, capsys, change, field):
     head = _gen(tmp_path)

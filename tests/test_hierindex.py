@@ -581,9 +581,9 @@ def _index_file(tmp_path):
 
 
 def _sections(raw: bytes) -> dict:
-    """(start, end) of each section of a version-3 index file."""
+    """(start, end) of each section of a version-4 index file."""
     _, version, _, nlevels, meta_len = struct.unpack_from("<4sIIIQ", raw)
-    assert version == 3
+    assert version == 4
     meta_at = 24 + 24 * nlevels
     out = {"preamble": (0, 24), "directory": (24, meta_at),
            "metadata": (meta_at, meta_at + meta_len)}
@@ -636,18 +636,23 @@ def test_flipped_byte_fails_with_data_error(tmp_path):
 
 def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
     # a leaf's non-empty count comes from the file; a count the chunk
-    # cannot hold is refused
+    # cannot hold is refused.  One it can hold loads, and only the data,
+    # once attached, tells it apart
     store, idx, raw = _index_file(tmp_path)
     start, _ = _sections(raw)["level 0 tables"]
     n = len(idx.levels[0])
-    count_at = start + 8 * n + 32 * n + 16 * n  # after z, extent, amin and amax
+    count_at = start + 8 * n + 16 * n  # after z, amin and amax
     cells = math.prod(store.chunks[idx.leaf_coords([0])[0]].shape)
     assert struct.unpack_from("<Q", raw, count_at)[0] == idx.tables[0]["count"][0] == cells == 64
-    for bad, ok in ((64, True), (65, False)):
+    for bad in (64, 63, 65):
         path = tmp_path / f"count-{bad}.abix"
         path.write_bytes(_with_crc(raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]))
-        if ok:
+        if bad == 64:
             assert Index.load(path, store=store).serialize() == raw
+        elif bad == 63:
+            assert Index.load(path).tables[-1]["count"][0] == idx.root.count - 1
+            with pytest.raises(DataError, match=r"\(0, 0\) has 64 non-empty cells, its leaf 63"):
+                Index.load(path, store=store)
         else:
             with pytest.raises(DataError, match="counts 65 cells"):
                 Index.load(path)

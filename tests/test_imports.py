@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+private name it defines is read somewhere.
 
-A name counts as used when the module reads it, or lists it in `__all__`
-for others to import; `from __future__` imports are skipped.
+An imported name counts as used when the module reads it, or lists it in
+`__all__` for others to import; `from __future__` imports are skipped.  A
+private name (`_name`) that a module defines, at its top level or in a
+class body, counts as read when a module of the package or of `perfbench/`
+reads it as a name or an attribute.
 """
 
 import ast
@@ -12,6 +16,7 @@ import pytest
 import arraybit
 
 MODULES = sorted(Path(arraybit.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +45,41 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(defining: dict, reading: list) -> list:
+    """(module, name) of each private name that a source of `defining`
+    (module -> source) defines and no source of `reading` reads."""
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    out = []
+    for module, source in defining.items():
+        body = list(ast.parse(source).body)
+        while body:
+            node = body.pop(0)
+            names = [getattr(node, "name", None)]
+            if isinstance(node, ast.ClassDef):
+                body += node.body
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            out += [(module, name) for name in names if name and name.startswith("_")
+                    and not name.startswith("__") and name != "_" and name not in read]
+    return out
+
+
+def test_no_module_defines_a_private_name_nothing_reads():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert PERFBENCH
+    reading = [*sources.values(), *(path.read_text() for path in PERFBENCH)]
+    assert unread_private_names(sources, reading) == []
+    # the check finds a helper left behind, and one a class keeps
+    planted = {"m.py": "_KEPT = 1\ndef _left():\n    pass\nclass C:\n    def _old(self):\n"
+                       "        return _KEPT\n"}
+    assert unread_private_names(planted, reading + list(planted.values())) == [
+        ("m.py", "_left"), ("m.py", "_old")]

@@ -5,11 +5,14 @@ Each case builds a small seeded index and compares the SHA-256 of
 single saved byte fails here.  A deliberate format change updates the
 digests together with `_VERSION` in `hierindex`.
 
-Only version 3 is read.  A file of another version, and a file whose
-levels disagree with each other (a node without its parent, or a parent
-whose child mask, count, value range, extent or range masks are not what
-its children give), fail at load with DataError and, through the CLI,
-with exit status 2.
+Only version 4 is read.  A file saves the leaves' z, value ranges, counts
+and bins, and each internal node's bins; the load derives everything else,
+so no fact is saved twice.  A file of another version, and a file whose
+saved columns break a rule (leaves out of z order or outside the array, a
+count the chunk cannot hold, another number of internal rows than the
+level below has parents, bins that do not increase, exceed the index's
+`bins` or do not span the node's values), fail at load with DataError
+naming the node and, through the CLI, with exit status 2.
 """
 
 import hashlib
@@ -73,9 +76,9 @@ CASES = [range_2d, equality_3d_int, interval_4d_appended]
 
 
 PINS = {
-    range_2d: "de33e23fa6d9969dc0fd629797d0391cccfa728145e680ca92fe7ff23fafd857",
-    equality_3d_int: "8bf5b920925744c3e911ba72df3ee596ab37e8f758651820720e2cf98a14451a",
-    interval_4d_appended: "1160aa91ab34ac06ddcb9f8ef81b3f738f790c0d7e2f3030fca7e804ae973be2",
+    range_2d: "6d42d3fea58ffa46698e4d94b0bb63a776eb1be95ab1b8d7720eb40ac3350a0b",
+    equality_3d_int: "5ac3bec8a52694d0abea7c1f87f34bd50d2bd803a71c144add2f9d3b027704fc",
+    interval_4d_appended: "1dce9d4b13b3c7c5a29aaedf0e7077a099237ccbb55f976e2b6e87949dd37678",
 }
 
 
@@ -206,7 +209,7 @@ def test_each_level_spreads_its_weights_in_one_call(make, monkeypatch):
     assert hashlib.sha256(idx.serialize()).hexdigest() == PINS[make]
 
 
-@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 5])
 def test_other_versions_fail_with_data_error(version, tmp_path, capsys):
     raw = bytearray(range_2d().serialize())
     struct.pack_into("<I", raw, 4, version)
@@ -235,46 +238,20 @@ def _set(cols, name, row, value):
     cols[name] = col
 
 
-def _flip(cols, name, row, slot):
-    """Child slot `slot` flipped in row `row` of a mask column."""
-    col = cols[name].copy()
-    col[row, slot // 8] ^= np.uint8(1 << slot % 8)
-    cols[name] = col
-
-
-def _mask_rows(cols, table, i):
-    """The rows of node i's sp (table 1) or al (table 2) masks."""
-    sizes = cols["sizes"].astype(int)
-    start = int(sizes[:i, table].sum())
-    return range(start, start + int(sizes[i, table]))
-
-
-def _lowest_child(cols, i):
-    return int(np.flatnonzero(np.unpackbits(cols["child"][i], bitorder="little"))[0])
-
-
-def _leave_out_a_leaf(idx):
-    # a level-1 node's child mask and range masks leave out a leaf that is saved
-    cols = idx.tables[1]
-    low = _lowest_child(cols, 0)
-    _flip(cols, "child", 0, low)
-    for table, name in ((1, "sp"), (2, "al")):
-        for row in _mask_rows(cols, table, 0):
-            if cols[name][row, low // 8] >> low % 8 & 1:
-                _flip(cols, name, row, low)
-    return f"level 1: node {cols['z'][0]} has a child mask"
-
-
 def _drop_a_leaf(idx):
-    # a level-1 node keeps the slot of a leaf that is not saved
-    idx.tables[0] = _take(idx.tables[0], np.arange(1, idx.tables[0]["z"].size))
-    return "level 1: node 0 has a child mask"
+    # the leaf holding a level-1 node's least value is not saved: the node's
+    # saved bins no longer span its children's values
+    leaves, node = idx.tables[0], idx.tables[1]
+    kids = np.flatnonzero(leaves["z"] >> idx.fanout.slot_bits == node["z"][0])
+    low = kids[np.argmin(leaves["amin"][kids])]
+    idx.tables[0] = _take(leaves, np.delete(np.arange(leaves["z"].size), low))
+    return f"level 1: node {node['z'][0]} has bins that do not run from its amin to its amax"
 
 
 def _drop_a_node(idx):
-    # the leaves of a level-1 node that is not saved have no parent
+    # the leaves of a level-1 node that is not saved still have a parent
     idx.tables[1] = _take(idx.tables[1], np.arange(1, idx.tables[1]["z"].size))
-    return "level 0: node 0 has no parent 0 at level 1"
+    return "level 1: holds 15 nodes, not the 16 parents of level 0"
 
 
 def _drop_every_child(idx):
@@ -282,81 +259,79 @@ def _drop_every_child(idx):
     z = idx.tables[1]["z"][0]
     leaves = idx.tables[0]
     idx.tables[0] = _take(leaves, np.flatnonzero(leaves["z"] >> idx.fanout.slot_bits != z))
-    return f"level 1: node {z} has no children"
+    return "level 1: holds 16 nodes, not the 15 parents of level 0"
 
 
 def _more_bins_than_the_index_has(idx):
     # the build merges a node's bins down to the index's `bins` (8)
     cols = idx.tables[1]
-    k = int(cols["sizes"][0, 0])
+    k = int(cols["nbins"][0])
     cols["bounds"] = np.concatenate((np.linspace(cols["amin"][0], cols["amax"][0], 11),
                                      cols["bounds"][k + 1:]))
     cols["weights"] = np.concatenate((np.ones(10), cols["weights"][k:]))
-    _set(cols, "sizes", (0, 0), 10)
     _set(cols, "nbins", 0, 10)
     return f"level 1: node {cols['z'][0]} has more than 8 bins"
 
 
-def _count_five_less(idx):
+def _no_bins(idx):
     cols = idx.tables[1]
-    _set(cols, "count", 0, cols["count"][0] - 5)
-    return f"level 1: node {cols['z'][0]} has a count other than the sum of its children's"
+    k = int(cols["nbins"][0])
+    cols["bounds"], cols["weights"] = cols["bounds"][k + 1:], cols["weights"][k:]
+    _set(cols, "nbins", 0, 0)
+    return f"level 1: node {cols['z'][0]} has no bins"
 
 
 def _lower_amax(idx):
-    cols = idx.tables[1]
+    cols = idx.tables[0]
     _set(cols, "amax", 0, (cols["amin"][0] + cols["amax"][0]) / 2)
-    return f"level 1: node {cols['z'][0]} has a value range other than its children's"
+    return f"level 0: node {cols['z'][0]} has bins that do not run from its amin to its amax"
 
 
 def _raise_amin(idx):
-    cols = idx.tables[1]
+    cols = idx.tables[0]
     _set(cols, "amin", 0, (cols["amin"][0] + cols["amax"][0]) / 2)
-    return f"level 1: node {cols['z'][0]} has a value range other than its children's"
-
-
-def _drop_a_child_from_the_sp_masks(idx):
-    cols = idx.tables[1]
-    low = _lowest_child(cols, 0)
-    for row in _mask_rows(cols, 1, 0):
-        if cols["sp"][row, low // 8] >> low % 8 & 1:
-            _flip(cols, "sp", row, low)
-    return f"level 1: node {cols['z'][0]} has sp masks other than its children's amin give"
-
-
-def _drop_a_child_from_the_al_masks(idx):
-    cols = idx.tables[1]
-    low = _lowest_child(cols, 0)
-    for row in _mask_rows(cols, 2, 0):
-        if cols["al"][row, low // 8] >> low % 8 & 1:
-            _flip(cols, "al", row, low)
-    return f"level 1: node {cols['z'][0]} has al masks other than its children's amax give"
+    return f"level 0: node {cols['z'][0]} has bins that do not run from its amin to its amax"
 
 
 def _amin_above_amax(idx):
-    cols = idx.tables[1]
+    cols = idx.tables[0]
     _set(cols, "amin", 5, cols["amax"][5] + 1.0)
-    return f"level 1: node {cols['z'][5]} has amin above amax"
+    return f"level 0: node {cols['z'][5]} has amin above amax"
+
+
+def _leaf_past_the_tree(idx):
+    # depth 3 of 2x2 children: leaf z-indices run below 4**3
+    _set(idx.tables[0], "z", -1, 64)
+    return "level 0: node 64 has a z-index out of range"
 
 
 def _extent_past_the_array(idx):
-    cols = idx.tables[1]
-    _set(cols, "extent", (-1, slice(None), 1), cols["extent"][-1, :, 1] + 1)
-    return f"level 1: node {cols['z'][-1]} has an extent outside the array"
+    # the leaves of the last row of 8x8 chunks, from z 21 on, now have
+    # extents past the array
+    idx.schema = idx.schema.with_extents((56, 64))
+    return "level 0: node 21 has a chunk outside the array"
+
+
+def _root_not_saved(idx):
+    # once, a file of the leaves alone loaded, and a query failed with a
+    # traceback on a root that was a leaf
+    idx.tables = idx.tables[:-1]
+    return "directory: the array's tree has 4 levels, the file 3"
 
 
 def _first_node_saved_last(idx):
-    n = idx.tables[1]["z"].size
-    idx.tables[1] = _take(idx.tables[1], np.roll(np.arange(n), -1))
-    return "level 1: node 0 follows node 15: z-indices do not increase"
+    n = idx.tables[0]["z"].size
+    idx.tables[0] = _take(idx.tables[0], np.roll(np.arange(n), -1))
+    return "level 0: node 0 follows node 63: z-indices do not increase"
 
 
-@pytest.mark.parametrize("tamper", [_leave_out_a_leaf, _drop_a_leaf, _drop_a_node,
-                                    _drop_every_child, _more_bins_than_the_index_has,
-                                    _count_five_less, _lower_amax, _raise_amin,
-                                    _drop_a_child_from_the_sp_masks,
-                                    _drop_a_child_from_the_al_masks, _amin_above_amax,
-                                    _extent_past_the_array, _first_node_saved_last])
+# the saved columns of a level and of the level below must agree as the
+# build makes them; each case names the first node that breaks a rule
+@pytest.mark.parametrize("tamper", [_drop_a_leaf, _drop_a_node, _drop_every_child,
+                                    _more_bins_than_the_index_has, _no_bins, _lower_amax,
+                                    _raise_amin, _amin_above_amax, _leaf_past_the_tree,
+                                    _extent_past_the_array, _root_not_saved,
+                                    _first_node_saved_last])
 def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
     idx = _probe_index()
     assert idx.depth == 3
@@ -371,42 +346,15 @@ def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
     assert where in err and "Traceback" not in err
 
 
-_PROBE = _probe_index().serialize()
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_one_changed_cross_level_field_fails_at_load(data):
-    # a node below the root dropped, or one field that a node and its
-    # children must agree on changed: a child bit, a count, an amin or
-    # amax, an extent bound, or a bit of an sp or al mask
-    idx = Index._parse(_PROBE)
-    change = data.draw(st.sampled_from(
-        ["drop", "child", "count", "amin", "amax", "extent", "sp", "al"]))
-    internal = change in ("child", "sp", "al")
-    level = data.draw(st.integers(int(internal), idx.depth - (change == "drop")))
-    cols = idx.tables[level] = dict(idx.tables[level])
-    n = cols["z"].size
-    i = data.draw(st.integers(0, n - 1))
-    slot = data.draw(st.integers(0, idx.fanout.total - 1))
-    if change == "drop":
-        idx.tables[level] = _take(cols, np.delete(np.arange(n), i))
-    elif change == "child":
-        _flip(cols, "child", i, slot)
-    elif change == "count":
-        _set(cols, "count", i, cols["count"][i] + np.uint64(1) - data.draw(st.sampled_from(
-            [np.uint64(0), np.uint64(2)])))
-    elif change in ("amin", "amax"):
-        _set(cols, change, i, cols[change][i] + data.draw(st.sampled_from([-0.5, 0.5])))
-    elif change == "extent":
-        d, side = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
-        # a low bound up or a high bound down
-        _set(cols, "extent", (i, d, side), cols["extent"][i, d, side] + 1 - 2 * side)
-    else:
-        rows = _mask_rows(cols, 1 if change == "sp" else 2, i)
-        _flip(cols, change, rows[data.draw(st.integers(0, len(rows) - 1))], slot)
-    with pytest.raises(DataError, match="level"):
-        Index._parse(idx.serialize())
+def _same_tables(loaded, built):
+    """Every column of every level of `loaded`, the saved ones and those a
+    load derives, is `built`'s: its type, shape and bytes."""
+    assert len(loaded.tables) == len(built.tables)
+    for got, want in zip(loaded.tables, built.tables):
+        assert got.keys() == want.keys()
+        for name, col in want.items():
+            assert (got[name].dtype, got[name].shape) == (col.dtype, col.shape), name
+            assert got[name].tobytes() == col.tobytes(), name
 
 
 @settings(max_examples=100, deadline=None)
@@ -428,8 +376,12 @@ def test_a_build_saves_only_what_its_load_reads(data):
         data.draw(st.sampled_from(["normal", "few", "constant"]), label="values")]()
     vals[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 0.9]), label="empty")] = np.nan
     store = ChunkStore.from_dense(_schema(shape, chunk), {"a": vals})
-    buf = build_index(store, fanout=fanout, bins=bins, e=e).serialize()
-    assert Index._parse(buf).serialize() == buf
+    built = build_index(store, fanout=fanout, bins=bins, e=e)
+    buf = built.serialize()
+    loaded = Index._parse(buf)
+    assert loaded.serialize() == buf
+    # z, extent, amin, amax, count, sizes, child, sp and al: as the build made them
+    _same_tables(loaded, built)
     if grid[0] > 1 and data.draw(st.booleans(), label="append"):
         cut = data.draw(st.integers(1, grid[0] - 1), label="first slab, in chunks")
         first = ChunkStore(store.schema.with_extents((cut * chunk[0],) + shape[1:]),
@@ -438,6 +390,7 @@ def test_a_build_saves_only_what_its_load_reads(data):
         grown.append(ChunkStore(store.schema,
                                 {c: ch for c, ch in store.chunks.items() if c[0] >= cut}))
         assert grown.serialize() == buf
+        _same_tables(loaded, grown)
 
 
 def _load_fails_on_metadata(tmp_path, capsys, change, field):
