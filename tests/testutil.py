@@ -316,7 +316,8 @@ def value_pool(draw, integer: bool):
     for v in base:
         pool.append(v)
         for _ in range(draw(st.integers(0, 3))):  # a run of adjacent floats
-            pool.append(float(np.nextafter(pool[-1], np.inf)))
+            # + 0.0: the float after -5e-324 is -0.0, drawn as +0.0 like `_finite`'s
+            pool.append(float(np.nextafter(pool[-1], np.inf)) + 0.0)
     if draw(st.booleans()):
         pool.append(draw(st.sampled_from([np.inf, -np.inf])))
     return np.array(pool)
