@@ -24,34 +24,31 @@ from .binning import Binning, equi_depth_exact
 from .bitvec import BitVector
 from .chunkstore import ArraySchema, ChunkStore, QueryStats, in_runs
 from .errors import InputError
-from .query import Query, value_runs
+from .query import Query
 
 __all__ = ["full_scan", "DimsAttsIndex", "dimension_column"]
 
 
 def full_scan(store: ChunkStore, attribute: str, query: Query) -> np.ndarray:
-    """Reference answer: test every non-empty cell against all constraints.
+    """Reference answer: test every non-empty cell against all constraints,
+    comparing it with each run of each axis.
 
     Returns sorted global row-major cell ids.
     """
     schema = store.schema
-    values = None if query.values is None else np.asarray(query.values)
     parts = []
     for chunk in store.iter_chunks():
         vals = chunk.values[attribute]
-        mask = chunk.nonempty.copy()
-        if values is not None:
-            mask &= np.isin(vals, values)
-        else:
-            mask &= (vals >= query.attr_lo) & (vals <= query.attr_hi)
+        mask = np.zeros(vals.shape, bool)
+        for lo, hi in query.attr_runs:
+            mask |= (vals >= lo) & (vals <= hi)
+        mask &= chunk.nonempty
         for d, runs in enumerate(query.dim_ranges):
             idx = np.arange(chunk.shape[d]) + chunk.offsets[d]
             keep = np.zeros(idx.size, bool)
             for qlo, qhi in runs:
                 keep |= (idx >= qlo) & (idx <= qhi)
-            shape = [1] * schema.ndim
-            shape[d] = -1
-            mask &= keep.reshape(shape)
+            mask &= keep.reshape([-1 if i == d else 1 for i in range(schema.ndim)])
         pos = np.flatnonzero(mask.reshape(-1))
         if pos.size:
             local = np.unravel_index(pos, chunk.shape)
@@ -229,7 +226,6 @@ class DimsAttsIndex:
     def __init__(self, store: ChunkStore, attribute: str | None = None,
                  bins: int = 32, encoding: str = "range"):
         schema = store.schema
-        self.schema = schema
         self.attribute = attribute or schema.attributes[0][0]
         self.bins = bins
         self.encoding = encoding
@@ -262,11 +258,7 @@ class DimsAttsIndex:
         one `range_query` each, and the constraints are ANDed.  Cells that
         are possible but not certain are checked against the stored values.
         """
-        if query.values is None:
-            attr_runs = ((query.attr_lo, query.attr_hi),)
-        else:
-            attr_runs = value_runs(query.values, self.schema.attr_type(self.attribute) == "int64")
-        constraints = [(self.attr_index, attr_runs, self.values)]
+        constraints = [(self.attr_index, query.attr_runs, self.values)]
         constraints += zip(self.dim_indexes, query.dim_ranges, self.dim_columns)
         if not all(runs for _, runs, _ in constraints):  # a constraint meets no cell
             return np.empty(0, np.int64)

@@ -4,14 +4,17 @@ Query text is a conjunction of constraints over the attribute and named
 dimensions:
 
     where a >= 30 and d0 in [50, 60] and d1 < 14 and a in {1.5, 2.5}
+    where a in {1, 2, 40} and a < 30 and d1 in {0, 3, 4}
 
 Supported forms per term: `name op number` with op in  <=, >=, <, >, =, ==;
 `name in [lo, hi]` for inclusive ranges; `name in {v1, v2, ...}` for
 membership.  Bounds are inclusive; strict < and > are converted at the
-parser by one float ulp.  Dimension bounds round inwards to whole indices
-and a dimension set keeps its integral members (`query.normalize`).  A
-query, dimension sets included, is answered by one descent of the index,
-and `query --expand` prints the matching cells in global row-major order.
+parser by one float ulp.  Terms on one name intersect: a set with a range
+keeps its members inside the range (none in the first query above).
+Dimension bounds round inwards to whole indices; a set on a dimension or
+an int64 attribute keeps its integral members (`query.normalize`).  One
+descent of the index answers a query, and `query --expand` prints the
+matching cells in global row-major order.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 internal invariant
 violation.
@@ -58,7 +61,7 @@ def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery
         if not is_dim and name != attribute:
             raise InputError(f"unknown name {name!r} (not a dimension or the attribute)")
         if op == "in":
-            values = _parse_set_or_range(rhs)
+            values = _parse_set_or_range(rhs, term)
             if isinstance(values, tuple):  # [lo, hi]
                 lo, hi = values
                 _narrow(raw, name, is_dim, lo, hi)
@@ -68,10 +71,7 @@ def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery
                 had = set(values) if raw.values is None else set(raw.values)
                 raw.values = tuple(sorted(had & set(values)))
             continue
-        try:
-            num = float(rhs)
-        except ValueError:
-            raise InputError(f"expected a number in {term!r}") from None
+        num = _number(rhs, term)
         if op in ("=", "=="):
             _narrow(raw, name, is_dim, num, num)
         elif op == "<=":
@@ -85,18 +85,25 @@ def parse_query_text(text: str, schema: ArraySchema, attribute: str) -> RawQuery
     return raw
 
 
-def _parse_set_or_range(rhs: str):
+def _number(text: str, term: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"expected a number in {term!r}") from None
+
+
+def _parse_set_or_range(rhs: str, term: str):
     rhs = rhs.strip()
     if rhs.startswith("[") and rhs.endswith("]"):
         parts = [p for p in rhs[1:-1].split(",") if p.strip()]
         if len(parts) != 2:
             raise InputError(f"range needs two bounds: {rhs!r}")
-        return float(parts[0]), float(parts[1])
+        return _number(parts[0], term), _number(parts[1], term)
     if rhs.startswith("{") and rhs.endswith("}"):
         parts = [p for p in rhs[1:-1].split(",") if p.strip()]
         if not parts:
             raise InputError("empty membership set")
-        return [float(p) for p in parts]
+        return [_number(p, term) for p in parts]
     raise InputError(f"expected [lo, hi] or {{v1, v2, ...}}: {rhs!r}")
 
 
@@ -235,6 +242,8 @@ def _cmd_bench(args) -> int:
     unknown = set(engines) - {"arraybit", "dimsatts", "fullscan"}
     if unknown:
         raise InputError(f"unknown engines: {sorted(unknown)}")
+    if not engines:
+        raise InputError(f"--engines names no engine: {args.engines!r}")
     if args.repeat < 1:
         raise InputError(f"--repeat must be at least 1, got {args.repeat}")
     params = _parse_params(args.params)
@@ -263,7 +272,8 @@ def _cmd_bench(args) -> int:
 
     rows = []
     for text in queries:
-        q = normalize(parse_query_text(text, store.schema, attribute), store.schema)
+        q = normalize(parse_query_text(text, store.schema, attribute), store.schema,
+                      attribute=attribute)
         for engine in engines:
             start = time.perf_counter()
             for _ in range(args.repeat):

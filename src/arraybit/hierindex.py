@@ -80,6 +80,7 @@ _DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
 # int64 values are queried and saved as float64, exact below 2**53; 2**53
 # itself is refused too, as a query value 2**53 + 1 rounds onto it
 _INT_BOUND = 2**53
+_MAX_FANOUT = 4096  # children per node; DimensionBitmaps holds F_d x F bits a dimension
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +364,12 @@ def _chunk_extents(coords: np.ndarray, schema: ArraySchema) -> np.ndarray:
 
 
 def _take(cols: dict, rows) -> dict:
-    """Rows `rows` of a level's table, in that order: the one-per-node
-    columns indexed, and each node's run of the others moved along with
-    it: its k + 1 boundaries (none for a plain leaf) and k weights, and
-    above the leaves its sp and al rows."""
+    """Rows `rows` of the leaf table, or of bin columns, in that order: the
+    one-per-node columns indexed, and each node's run of the others moved
+    along with it: its k + 1 boundaries (none for a plain leaf) and k
+    weights."""
     k = cols["nbins"].astype(np.intp)
     runs = {"bounds": k + (k > 0), "weights": k}
-    if "sizes" in cols:
-        _, nsp, nal = cols["sizes"].astype(np.intp).T
-        runs.update(sp_bounds=nsp, sp=nsp, al_bounds=nal, al=nal)
     rows = np.asarray(rows, np.intp)
     out = {name: col[rows] for name, col in cols.items() if name not in runs}
     for name, n in runs.items():
@@ -882,7 +880,8 @@ def _read_meta(raw: bytes) -> tuple:
     """The schema and build parameters in the metadata JSON of a saved
     index; DataError for a schema :meth:`ArraySchema.from_json` refuses,
     and unless the indexed attribute is one of the schema's,
-    fanout_per_dim a power of two >= 2, and bins and e integers >= 1."""
+    fanout_per_dim a power of two >= 2 giving at most 4096 children per
+    node, and bins and e integers >= 1."""
     meta = json.loads(raw)
     schema, params = ArraySchema.from_json(meta["schema"], "metadata"), meta["params"]
     _require(params["attribute"] in dict(schema.attributes), "metadata",
@@ -890,6 +889,8 @@ def _read_meta(raw: bytes) -> tuple:
     fd = params["fanout_per_dim"]
     _require(type(fd) is int and fd >= 2 and fd & (fd - 1) == 0, "metadata",
              f"fanout_per_dim {fd!r} is not a power of two >= 2")
+    _require(fd <= _MAX_FANOUT and fd**schema.ndim <= _MAX_FANOUT, "metadata",
+             f"fanout_per_dim {fd} gives more than {_MAX_FANOUT} children per node")
     for key in ("bins", "e"):
         _require(_count_param(params[key]), "metadata",
                  f"{key} {params[key]!r} is not an integer >= 1")
@@ -932,7 +933,8 @@ def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | N
     64 up to three dimensions and 256 above.  `leaf_encoding` is ignored:
     leaves hold no bitmaps, so no encoding shapes the tree; it is accepted
     for callers written when it did.  InputError unless `bins` and `e` are
-    ints >= 1 (bools refused), the rule a load applies to saved ones."""
+    ints >= 1 (bools refused), the rule a load applies to saved ones, and
+    `fanout` at most 4096."""
     schema = store.schema
     attribute = attribute or schema.attributes[0][0]
     schema.attr_type(attribute)  # validate
@@ -941,6 +943,8 @@ def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | N
             raise InputError(f"{key} {value!r} is not an integer >= 1")
     if fanout is None:
         fanout = 64 if schema.ndim <= 3 else 256
+    if fanout > _MAX_FANOUT:
+        raise InputError(f"fanout {fanout} is above {_MAX_FANOUT} children per node")
     idx = Index(schema, store, attribute, Fanout.from_total(fanout, schema.ndim), bins, e, [])
     idx._grow(list(store.iter_chunks()), schema)
     return idx

@@ -1,12 +1,12 @@
 """Query normalization, per-node match evaluation and the one descent
 behind range, membership, dimension-set and estimate queries.
 
-The attribute constraint is a list of sorted, disjoint value runs: a range
-query is one run, a value set one run per value (consecutive integers of
-an integer attribute coalesce), and an empty value set none.  Each
-dimension's constraint is likewise a tuple of sorted, disjoint index runs:
-a range is one run, a set such as `d1 in {2, 5}` one run per stretch of
-consecutive indices.
+A normalized query holds one constraint form per axis, the attribute and
+each dimension: a tuple of sorted, disjoint inclusive runs.  A range is
+one run.  A set keeps its members inside the axis's range, one run per
+member, or per stretch of consecutive integers on an integer axis (an
+int64 attribute, or a dimension such as `d1 in {2, 5}`); a set left with
+no member has no run and matches no cell.
 
 Every query is one breadth-first descent over those runs (`_descend`): at
 each node the children are matched, from its child-slot bitmaps, as
@@ -54,7 +54,6 @@ __all__ = [
     "ResultSet",
     "normalize",
     "value_runs",
-    "attribute_runs",
     "attribute_match",
     "runs_match",
     "dimension_match",
@@ -79,17 +78,15 @@ class RawQuery:
 
 @dataclass(frozen=True)
 class Query:
-    """A complete query: every dimension constrained, inclusive bounds.
+    """A complete query: one tuple of sorted, disjoint inclusive (lo, hi)
+    runs per axis, and an axis with no run matches no cell.
 
-    dim_ranges holds, per dimension in schema order, a tuple of sorted,
-    disjoint and non-adjacent inclusive integer (lo, hi) runs; a dimension
-    with no run matches no cell.
+    attr_runs are the attribute's value runs, as floats; dim_ranges holds,
+    per dimension in schema order, its non-adjacent integer index runs.
     """
 
-    attr_lo: float
-    attr_hi: float
+    attr_runs: tuple  # ((lo, hi), ...)
     dim_ranges: tuple  # (((lo, hi), ...), ...) in schema dimension order
-    values: tuple | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,45 +158,50 @@ class ResultSet:
 # normalization
 
 
-def normalize(raw: RawQuery, schema: ArraySchema, attr_bounds=None) -> Query:
-    """Fill missing constraints to a complete query over all dimensions.
+def normalize(raw: RawQuery, schema: ArraySchema, attr_bounds=None,
+              attribute: str | None = None) -> Query:
+    """Fill missing constraints to a complete query over all axes.
 
-    A dimension's bounds round inwards to whole indices (a low bound up, a
-    high bound down) and clip to its extent; a value set keeps its integral
-    members within those bounds, consecutive ones coalesced into runs.  A
-    dimension left with no index has no runs, and the query matches no
-    cell.
+    The attribute's range keeps its bounds, by default `attr_bounds`, else
+    unbounded; InputError when it is inverted.  A dimension's bounds round
+    inwards to whole indices (a low bound up, a high bound down) and clip
+    to its extent.  On either axis a value set keeps its members inside the
+    range, only integral ones on a dimension or an int64 attribute, as
+    :func:`value_runs`; `attribute`, by default the schema's first, names
+    the attribute queried.  An axis left with no value has no runs, and the
+    query matches no cell.
     """
     names = schema.dim_names
     for name in itertools.chain(raw.dims, raw.dim_values):
         if name not in names:
             raise InputError(f"unknown dimension {name!r}")
-    lo_default = attr_bounds[0] if attr_bounds else -np.inf
-    hi_default = attr_bounds[1] if attr_bounds else np.inf
-    values = None
+    lo, hi = attr_bounds if attr_bounds else (-np.inf, np.inf)
+    lo = lo if raw.attr_lo is None else float(raw.attr_lo)
+    hi = hi if raw.attr_hi is None else float(raw.attr_hi)
+    if lo > hi:
+        raise InputError(f"inverted attribute range [{lo}, {hi}]")
+    attr_runs = ((lo, hi),)
     if raw.values is not None:
-        if raw.attr_lo is not None or raw.attr_hi is not None:
-            raise InputError("attribute membership and range cannot be combined")
-        values = tuple(sorted(set(float(v) for v in raw.values)))
-        attr_lo = min(values) if values else lo_default
-        attr_hi = max(values) if values else hi_default
-    else:
-        attr_lo = lo_default if raw.attr_lo is None else float(raw.attr_lo)
-        attr_hi = hi_default if raw.attr_hi is None else float(raw.attr_hi)
-        if attr_lo > attr_hi:
-            raise InputError(f"inverted attribute range [{attr_lo}, {attr_hi}]")
+        integral = schema.attr_type(attribute or schema.attributes[0][0]) == "int64"
+        attr_runs = _set_runs(raw.values, lo, hi, integral)
     ranges = []
     for name, extent in schema.dims:
         lo, hi = raw.dims.get(name, (None, None))
         lo = 0 if lo is None else max(lo, 0)  # a NaN bound stays NaN and meets no index
         hi = extent - 1 if hi is None else min(hi, extent - 1)
         if name in raw.dim_values:
-            members = [v for v in raw.dim_values[name] if lo <= v <= hi and float(v).is_integer()]
-            runs = tuple((int(a), int(b)) for a, b in value_runs(members, True))
+            runs = tuple((int(a), int(b)) for a, b in _set_runs(raw.dim_values[name], lo, hi, True))
         else:
             runs = ((ceil(lo), floor(hi)),) if lo <= hi else ()
         ranges.append(runs if runs and runs[0][0] <= runs[0][1] else ())
-    return Query(attr_lo, attr_hi, tuple(ranges), values)
+    return Query(attr_runs, tuple(ranges))
+
+
+def _set_runs(values, lo, hi, integral: bool) -> tuple:
+    """:func:`value_runs` of the members of a set inside [lo, hi], with
+    `integral` only of its integral members."""
+    return value_runs([v for v in values if lo <= v <= hi
+                       and (not integral or float(v).is_integer())], integral)
 
 
 def value_runs(values, integral: bool) -> tuple:
@@ -217,13 +219,6 @@ def value_runs(values, integral: bool) -> tuple:
         else:
             runs.append((v, v))
     return tuple(runs)
-
-
-def attribute_runs(index: Index, query: Query) -> tuple:
-    """The query's attribute constraint as value runs over the index attribute."""
-    if query.values is None:
-        return ((query.attr_lo, query.attr_hi),)
-    return value_runs(query.values, index.schema.attr_type(index.attribute) == "int64")
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +289,18 @@ def dimension_match(node, query: Query, dimbm, index: Index) -> tuple:
     return p, c
 
 
-def eval_node(node, query: Query, index: Index, runs,
-              stats: QueryStats | None = None) -> tuple:
+def eval_node(node, query: Query, index: Index, stats: QueryStats | None = None) -> tuple:
     """Combined (partial, complete) child masks for one node: complete
     children are complete for the attribute and the dimensions, partial
     ones overlap both and are not complete.
 
-    `runs` are the query's attribute runs (:func:`attribute_runs`), derived
-    once per query.  A node that no run, or no run of some dimension,
-    meets gets (0, 0): :func:`runs_match` then keeps no child, or
+    A node that no attribute run, or no run of some dimension, meets gets
+    (0, 0): :func:`runs_match` then keeps no child, or
     :func:`dimension_match` none along that dimension.
     """
     if stats is not None:
         stats.nodes_evaluated += 1
-    p, c = runs_match(node, runs)
+    p, c = runs_match(node, query.attr_runs)
     p_dim, c_dim = dimension_match(node, query, index.dimbitmaps, index)
     c_star = c & c_dim & node.child_mask
     p_star = (p | c) & (p_dim | c_dim) & ~c_star & node.child_mask
@@ -318,26 +311,27 @@ def eval_node(node, query: Query, index: Index, runs,
 # traversal
 
 
-def _node_disjoint(node, query: Query, runs) -> bool:
-    if not any(hi >= node.amin and lo <= node.amax for lo, hi in runs):
-        return True
-    for dim_runs, (dlo, dhi) in zip(query.dim_ranges, node.extent):
-        for qlo, qhi in dim_runs:
-            if qhi >= dlo and qlo <= dhi:
+def _axes(node, query: Query):
+    """(runs, the node's (lo, hi)) of the attribute, then of each dimension."""
+    return zip((query.attr_runs, *query.dim_ranges), ((node.amin, node.amax), *node.extent))
+
+
+def _node_disjoint(node, query: Query) -> bool:
+    for runs, (lo, hi) in _axes(node, query):
+        for qlo, qhi in runs:
+            if qhi >= lo and qlo <= hi:
                 break
-        else:  # no run of this dimension meets the node
+        else:  # no run of this axis meets the node
             return True
     return False
 
 
-def _node_complete(node, query: Query, runs) -> bool:
-    if not any(lo <= node.amin and node.amax <= hi for lo, hi in runs):
-        return False
-    for dim_runs, (dlo, dhi) in zip(query.dim_ranges, node.extent):
-        for qlo, qhi in dim_runs:
-            if qlo <= dlo and dhi <= qhi:
+def _node_complete(node, query: Query) -> bool:
+    for runs, (lo, hi) in _axes(node, query):
+        for qlo, qhi in runs:
+            if qlo <= lo and hi <= qhi:
                 break
-        else:  # no run of this dimension covers the node
+        else:  # no run of this axis covers the node
             return False
     return True
 
@@ -353,7 +347,7 @@ def _prepare(index: Index, query) -> Query:
     if isinstance(query, RawQuery):
         root = index.root
         bounds = (root.amin, root.amax) if root is not None else None
-        query = normalize(query, index.schema, bounds)
+        query = normalize(query, index.schema, bounds, index.attribute)
     return query
 
 
@@ -392,7 +386,7 @@ def _resolve(index: Index, runs, leaves: list, cover: Cover, stats) -> dict:
     return hits
 
 
-def _descend(index: Index, query: Query, runs, budget: int, stats=None) -> tuple:
+def _descend(index: Index, query: Query, budget: int, stats=None) -> tuple:
     """The one breadth-first descent behind every query kind.
 
     Returns the nodes it stops at, as lists in (level, z) order: the
@@ -406,11 +400,11 @@ def _descend(index: Index, query: Query, runs, budget: int, stats=None) -> tuple
     """
     complete, leaves, frontier = [], [], []
     root = index.root
-    if root is None or _node_disjoint(root, query, runs):
+    if root is None or _node_disjoint(root, query):
         return complete, leaves, frontier
     depth = index.depth
     slot_bits = index.fanout.slot_bits
-    queue = deque([(depth, 0, _node_complete(root, query, runs))])
+    queue = deque([(depth, 0, _node_complete(root, query))])
     while queue:
         level, z, is_complete = queue.popleft()
         node = index.fetch(level, z, stats)
@@ -422,7 +416,7 @@ def _descend(index: Index, query: Query, runs, budget: int, stats=None) -> tuple
         elif level == 0 or d >= budget:
             frontier.append(node)
         else:
-            p_star, c_star = eval_node(node, query, index, runs, stats)
+            p_star, c_star = eval_node(node, query, index, stats)
             base = z << slot_bits
             for slot in _iter_slots(p_star | c_star):
                 queue.append((level - 1, base | slot, bool(c_star >> slot & 1)))
@@ -433,13 +427,12 @@ def execute(index: Index, query, stats: QueryStats | None = None) -> ResultSet:
     """Answer a range, membership or dimension-set query with one
     breadth-first descent."""
     query = _prepare(index, query)
-    runs = attribute_runs(index, query)
-    complete, leaves, _ = _descend(index, query, runs, index.depth, stats)
+    complete, leaves, _ = _descend(index, query, index.depth, stats)
     if not (complete or leaves):
         return ResultSet(index.schema)
     schema = index.schema
     cover = query_cover(query.dim_ranges, schema.shape, schema.chunk_shape)
-    partial = _resolve(index, runs, leaves, cover, stats) if leaves else {}
+    partial = _resolve(index, query.attr_runs, leaves, cover, stats) if leaves else {}
     return ResultSet(schema, complete, partial, cover, query_box(query.dim_ranges, schema.shape),
                      index.tables[0])
 
@@ -461,11 +454,10 @@ def estimate(index: Index, query, level_budget: int,
     if level_budget < 0:
         raise InputError("level budget must be >= 0")
     query = _prepare(index, query)
-    runs = attribute_runs(index, query)
-    complete, leaves, frontier = _descend(index, query, runs, level_budget, stats)
+    complete, leaves, frontier = _descend(index, query, level_budget, stats)
     table = index.tables[0] if index.tables else None
     lo = _cells(complete, table)
     if leaves:
         cover = query_cover(query.dim_ranges, index.schema.shape, index.schema.chunk_shape)
-        lo += sum(_resolve(index, runs, leaves, cover, stats).values())
+        lo += sum(_resolve(index, query.attr_runs, leaves, cover, stats).values())
     return lo, lo + _cells(frontier, table)

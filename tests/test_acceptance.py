@@ -18,7 +18,6 @@ from arraybit.datagen import SumGaussSpec, generate_dense
 from arraybit.hierindex import build_index
 from arraybit.query import (
     RawQuery,
-    attribute_runs,
     estimate,
     eval_node,
     execute,
@@ -111,7 +110,7 @@ def workload():
             records.append(
                 dict(
                     array=key,
-                    membership=q.values is not None,
+                    membership=raw.values is not None,
                     exact=int(want.size),
                     tree_ok=bool(np.array_equal(got, want)),
                     dims_ok=bool(np.array_equal(dims_got, want)),
@@ -403,7 +402,7 @@ def test_dimension_pathology_branch_touch(bench128):
     while queue:
         level, z = queue.pop()
         node = idx.fetch(level, z)
-        p_star, c_star = eval_node(node, q, idx, attribute_runs(idx, q))
+        p_star, c_star = eval_node(node, q, idx)
         branches = bin(p_star | c_star).count("1")
         touched_max = max(touched_max, branches)
         assert branches <= fd, f"level {level} node {z} touched {branches} > {fd}"

@@ -12,9 +12,9 @@ from testutil import random_index, random_raw_query, random_store
 def test_full_scan_trivials():
     rng = np.random.default_rng(0)
     store = random_store(rng, (16, 16), (4, 4), sparsity=0.3)
-    empty = Query(1.0, 0.5, (((0, 15),), ((0, 15),)))
+    empty = Query(((1.0, 0.5),), (((0, 15),), ((0, 15),)))
     assert full_scan(store, "a", empty).size == 0
-    full = Query(-np.inf, np.inf, (((0, 15),), ((0, 15),)))
+    full = Query(((-np.inf, np.inf),), (((0, 15),), ((0, 15),)))
     assert full_scan(store, "a", full).size == store.nonempty_total()
 
 
@@ -33,10 +33,10 @@ def test_dimsatts_single_cell_equality():
     idx = DimsAttsIndex(store, "a", bins=8)
     chunk = store.chunks[(0, 0)]
     v = float(chunk.values["a"][1, 2])
-    q = Query(v, v, (((1, 1),), ((2, 2),)))
+    q = Query(((v, v),), (((1, 1),), ((2, 2),)))
     got = idx.query(q)
     assert np.array_equal(got, [1 * 8 + 2])
-    miss = Query(v + 1e-9, v + 1e-9, (((1, 1),), ((2, 2),)))
+    miss = Query(((v + 1e-9, v + 1e-9),), (((1, 1),), ((2, 2),)))
     assert idx.query(miss).size == 0
 
 
@@ -44,7 +44,7 @@ def test_dimsatts_full_domain():
     rng = np.random.default_rng(2)
     store = random_store(rng, (12, 9), (4, 4), sparsity=0.4)
     idx = DimsAttsIndex(store, "a")
-    q = Query(-np.inf, np.inf, (((0, 11),), ((0, 8),)))
+    q = Query(((-np.inf, np.inf),), (((0, 11),), ((0, 8),)))
     assert idx.query(q).size == store.nonempty_total()
 
 

@@ -58,7 +58,7 @@ def test_tracer_targets_resolve_and_leaf_spans_record_a_hit_flag(monkeypatch):
         # whether the batch hit: query.leaves_resolved and
         # query.leaf_yield_ratio count batches, not leaves
         q = query.normalize(raw, idx.schema, (root.amin, root.amax))
-        leaves = query._descend(idx, q, query.attribute_runs(idx, q), idx.depth)[1]
+        leaves = query._descend(idx, q, idx.depth)[1]
         blocks = {id(store.chunks[coords].block) for coords in idx.leaf_coords(leaves)}
         leaf = table.select("chunkstore.leaf_query", [qid])
         assert leaf.sum() == len(blocks), qid

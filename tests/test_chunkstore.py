@@ -119,7 +119,7 @@ def test_chunk_arrays_are_read_only_and_owned():
     for raw in raws:
         q = normalize(raw, sch, (idx.root.amin, idx.root.amax))
         want = full_scan(store, "a", q)
-        run = membership if q.values else execute
+        run = membership if raw.values else execute
         assert np.array_equal(run(idx, q).cell_ids(store), want)
         assert estimate(idx, q, idx.depth) == (want.size, want.size)
         lo, hi = estimate(idx, q, 0)

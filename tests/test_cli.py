@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from arraybit.baseline import full_scan
+from arraybit import cli
+from arraybit.baseline import DimsAttsIndex, full_scan
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, write_raw
 from arraybit.cli import main, parse_query_text
 from arraybit.errors import InputError
 from arraybit.hierindex import Index, build_index
-from arraybit.query import execute, normalize
+from arraybit.query import estimate, execute, normalize
 
 
 @pytest.fixture
@@ -70,6 +71,55 @@ def test_a_repeated_set_on_one_name_narrows_the_query(tmp_path, capsys, where, w
     capsys.readouterr()
     assert main(["query", "--index", str(idx), "--data", str(head), "--where", where]) == 0
     assert capsys.readouterr().out.splitlines()[0] == f"count {want}"
+
+
+@pytest.mark.parametrize("where", ["a in {1, 2} and a >= 2", "a >= 2 and a in {1, 2}"])
+def test_an_attribute_set_with_a_range_keeps_the_members_inside_it(tmp_path, capsys, where):
+    # once refused: "attribute membership and range cannot be combined"
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "int64"),), (4, 4), {"a": -1})
+    head, path = tmp_path / "arr.json", tmp_path / "arr.abix"
+    write_raw(head, sch, {"a": np.arange(64).reshape(8, 8) % 4})
+    store = load_store(head)
+    idx = build_index(store, fanout=4, bins=4, e=1)
+    raw = parse_query_text(where, sch, "a")
+    q = normalize(raw, sch, (idx.root.amin, idx.root.amax), "a")
+    assert q.attr_runs == ((2.0, 2.0),)
+    want = full_scan(store, "a", q)
+    assert want.size == 16
+    assert np.array_equal(execute(idx, raw).cell_ids(store), want)
+    assert estimate(idx, raw, idx.depth) == (16, 16)
+    assert np.array_equal(DimsAttsIndex(store, "a", bins=4).query(q), want)
+    idx.save(path)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--data", str(head), "--where", where]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count 16"
+
+
+def test_the_queries_of_the_cli_docstring_run(tmp_path, capsys):
+    examples = [line.strip() for line in cli.__doc__.splitlines()
+                if line.strip().startswith("where ")]
+    assert examples
+    sch = ArraySchema((("d0", 64), ("d1", 16)), (("a", "float64"),), (8, 8))
+    head, path = tmp_path / "arr.json", tmp_path / "arr.abix"
+    write_raw(head, sch, {"a": (np.arange(64 * 16).reshape(64, 16) % 45).astype(float)})
+    assert main(["build", "--data", str(head), "--index", str(path)]) == 0
+    store = load_store(head)
+    for where in examples:
+        want = full_scan(store, "a", normalize(parse_query_text(where, sch, "a"), sch)).size
+        capsys.readouterr()
+        assert main(["query", "--index", str(path), "--data", str(head), "--where", where]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"count {want}", where
+
+
+@pytest.mark.parametrize("where", ["a in [x, 3]", "a in [1, x]", "a in {x}", "d0 in {1, y}"])
+def test_a_bound_or_member_that_is_no_number_is_a_usage_error(tmp_path, capsys, where):
+    head = _gen(tmp_path, shape="16x16")
+    path = tmp_path / "x.abix"
+    assert main(["build", "--data", str(head), "--index", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--where", where]) == 1
+    err = capsys.readouterr().err
+    assert f"expected a number in {where!r}" in err and "Traceback" not in err
 
 
 def _gen(tmp_path, shape="32x32", seed=3, threshold="0.00001"):
@@ -371,6 +421,20 @@ def test_bench_rejects_a_repeat_below_one(tmp_path, capsys, repeat):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("engines", [",", "", " , "])
+def test_bench_refuses_an_engine_list_naming_no_engine(tmp_path, capsys, engines):
+    # once an IndexError in the CSV writer; refused before the data is read
+    workload = tmp_path / "queries.txt"
+    workload.write_text("a >= 0.001\n")
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--data", str(tmp_path / "missing.json"), "--workload", str(workload),
+               "--out", str(out), "--engines", engines])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--engines names no engine" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["query"]) == 1  # missing required args
     assert main(["query", "--index", str(tmp_path / "missing.abix")]) == 2
@@ -469,7 +533,8 @@ def test_build_refuses_a_non_integral_int64_sentinel(tmp_path, capsys, empty):
     assert _files(tmp_path) == before
 
 
-@pytest.mark.parametrize("param", ["e=0", "e=-3", "bins=0", "bins=abc", "fanout=x", "e=1.5"])
+@pytest.mark.parametrize("param", ["e=0", "e=-3", "bins=0", "bins=abc", "fanout=x", "e=1.5",
+                                   "fanout=8192", "fanout=100000000000000000000"])
 def test_build_refuses_parameters_a_load_refuses(tmp_path, capsys, param):
     head = _gen(tmp_path)
     before = _files(tmp_path)

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in it, and every
-private name it defines is read somewhere.
+"""Every name a module of the package imports is used in it, every name
+it lists in `__all__` it defines, and every private name it defines is
+read somewhere.
 
 An imported name counts as used when the module reads it, or lists it in
 `__all__` for others to import; `from __future__` imports are skipped.  A
@@ -45,6 +46,35 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source: str) -> list:
+    """The names `source` lists in `__all__` and does not bind at its top
+    level, by a definition, an assignment or an import."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_the_check_finds_a_listed_name_left_undefined():
+    source = ("from x import a\nimport os.path\n__all__ = ['a', 'os', 'b', 'C', 'f', 'gone']\n"
+              "b: int = 1\nclass C:\n    pass\ndef f():\n    gone = 2\n")
+    assert undefined_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_a_module_exports_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 def unread_private_names(defining: dict, reading: list) -> list:

@@ -14,7 +14,6 @@ from arraybit.query import (
     Query,
     RawQuery,
     ResultSet,
-    attribute_runs,
     dimension_match,
     estimate,
     eval_node,
@@ -51,14 +50,14 @@ def test_normalize_fills_dims(schema2d):
 
 def test_normalize_one_sided(schema2d):
     q = normalize(RawQuery(attr_hi=45.0), schema2d, attr_bounds=(-3.0, 90.0))
-    assert q.attr_lo == -3.0 and q.attr_hi == 45.0
+    assert q.attr_runs == ((-3.0, 45.0),)
     q = normalize(RawQuery(attr_lo=1.0), schema2d)
-    assert q.attr_hi == np.inf
+    assert q.attr_runs == ((1.0, np.inf),)
 
 
 def test_normalize_membership(schema2d):
     q = normalize(RawQuery(values=(4.0, 2.0, 4.0)), schema2d)
-    assert q.values == (2.0, 4.0)
+    assert q.attr_runs == ((2.0, 2.0), (4.0, 4.0))
 
 
 def test_normalize_unknown_dim(schema2d):
@@ -150,8 +149,8 @@ def make_index(seed=0, shape=(32, 32), chunk=(4, 4), sparsity=0.0, **kw):
 def test_eval_node_query_covering_everything():
     store, idx = make_index(fanout=64)
     root = idx.root
-    q = Query(root.amin, root.amax, (((0, 31),), ((0, 31),)))
-    p_star, c_star = eval_node(root, q, idx, attribute_runs(idx, q))
+    q = Query(((root.amin, root.amax),), (((0, 31),), ((0, 31),)))
+    p_star, c_star = eval_node(root, q, idx)
     assert c_star == root.child_mask
     assert p_star == 0
 
@@ -159,8 +158,8 @@ def test_eval_node_query_covering_everything():
 def test_eval_node_disjoint_attr():
     store, idx = make_index(fanout=64)
     root = idx.root
-    q = Query(root.amax + 1, root.amax + 2, (((0, 31),), ((0, 31),)))
-    assert eval_node(root, q, idx, attribute_runs(idx, q)) == (0, 0)
+    q = Query(((root.amax + 1, root.amax + 2),), (((0, 31),), ((0, 31),)))
+    assert eval_node(root, q, idx) == (0, 0)
 
 
 def test_eval_node_disjoint_dimension():
@@ -168,8 +167,8 @@ def test_eval_node_disjoint_dimension():
     store, idx = make_index(fanout=64)
     root = idx.root
     for d1 in (((40, 50),), ((-9, -1), (32, 40)), ()):
-        q = Query(root.amin, root.amax, (((0, 31),), d1))
-        assert eval_node(root, q, idx, attribute_runs(idx, q)) == (0, 0)
+        q = Query(((root.amin, root.amax),), (((0, 31),), d1))
+        assert eval_node(root, q, idx) == (0, 0)
 
 
 def test_eval_node_masks_disjoint():
@@ -179,17 +178,17 @@ def test_eval_node_masks_disjoint():
     for _ in range(50):
         raw = random_raw_query(rng, store.schema, root.amin, root.amax)
         q = normalize(raw, store.schema, (root.amin, root.amax))
-        p_star, c_star = eval_node(root, q, idx, attribute_runs(idx, q))
+        p_star, c_star = eval_node(root, q, idx)
         assert p_star & c_star == 0
 
 
 def test_dimension_match_full_cover_and_single_child():
     store, idx = make_index(fanout=64)  # 8x8 chunk grid, one root, F_d = 8
     root = idx.root
-    full = Query(root.amin, root.amax, (((0, 31),), ((0, 31),)))
+    full = Query(((root.amin, root.amax),), (((0, 31),), ((0, 31),)))
     p, c = dimension_match(root, full, idx.dimbitmaps, idx)
     assert p == 0 and c == root.child_mask
-    one = Query(root.amin, root.amax, (((4, 7),), ((8, 11),)))  # exactly chunk (1, 2)
+    one = Query(((root.amin, root.amax),), (((4, 7),), ((8, 11),)))  # exactly chunk (1, 2)
     p, c = dimension_match(root, one, idx.dimbitmaps, idx)
     assert p == 0
     from testutil import zorder_encode
@@ -209,7 +208,7 @@ def test_dimension_match_known_false_negative():
     store = ChunkStore.from_dense(sch, {"a": vals})
     idx = build_index(store, fanout=16)
     root = idx.root
-    q = Query(root.amin, root.amax, (((0, 7),), ((0, 7),)))
+    q = Query(((root.amin, root.amax),), (((0, 7),), ((0, 7),)))
     p, c = dimension_match(root, q, idx.dimbitmaps, idx)
     assert p & 0b01  # slot (0, 0): fully covered yet flagged partial
     assert not (c & 0b01)
@@ -255,7 +254,7 @@ def test_dimension_match_against_child_extents():
 
 def test_execute_empty_result():
     store, idx = make_index(fanout=64)
-    q = Query(idx.root.amax + 10, idx.root.amax + 20, (((0, 31),), ((0, 31),)))
+    q = Query(((idx.root.amax + 10, idx.root.amax + 20),), (((0, 31),), ((0, 31),)))
     rs = execute(idx, q)
     assert rs.count == 0
     assert rs.cell_ids(store).size == 0
@@ -396,7 +395,7 @@ def test_membership_matches_oracle():
 
 def test_membership_empty_set():
     store, idx = make_index(fanout=16)
-    assert membership(idx, Query(0.0, 0.0, (((0, 31),), ((0, 31),)), ())).count == 0
+    assert membership(idx, Query((), (((0, 31),), ((0, 31),)))).count == 0
 
 
 def _live_values(store):
@@ -419,7 +418,10 @@ def test_membership_single_traversal(monkeypatch):
         q = _random_membership(rng, store, root)
         trace.clear()
         rs = membership(idx, q)
-        assert trace[0] == (0, 0)
+        # a set left with no member inside its range, or the root's, fetches
+        # no node
+        meets = any(hi >= root.amin and lo <= root.amax for lo, hi in q.attr_runs)
+        assert trace[:1] == ([(0, 0)] if meets else [])
         assert_strictly_increasing(trace)
         assert np.array_equal(rs.cell_ids(store), full_scan(store, "a", q))
 
@@ -519,7 +521,7 @@ def test_estimate_sandwich_and_monotone():
 def test_estimate_budget_zero_partial_root():
     store, idx = make_index(seed=12, fanout=64)
     root = idx.root
-    q = Query(root.amin, (root.amin + root.amax) / 2, (((0, 31),), ((0, 31),)))
+    q = Query(((root.amin, (root.amin + root.amax) / 2),), (((0, 31),), ((0, 31),)))
     lo, hi = estimate(idx, q, 0)
     assert lo == 0 and hi == root.count
 
@@ -663,7 +665,7 @@ def test_answer_box_matches_full_scan(appended):
     # the first query: complete regions, and partial leaves (0, 1) without a
     # hit and (1, 1) with some
     q = normalize(raws[0], sch)
-    resolved = set(idx.leaf_coords(_descend(idx, q, attribute_runs(idx, q), idx.depth)[1]))
+    resolved = set(idx.leaf_coords(_descend(idx, q, idx.depth)[1]))
     rs = execute(idx, q)
     assert rs.complete and {(0, 1), (1, 1)} <= resolved
     assert (0, 1) not in rs.partial and rs.partial[(1, 1)] == 10
@@ -676,11 +678,10 @@ def _numpy_ids(store, raw):
     mask = store.nonempty_dense()
     if raw.values is not None:
         mask &= np.isin(vals, np.asarray(raw.values))
-    else:
-        if raw.attr_lo is not None:
-            mask &= vals >= raw.attr_lo
-        if raw.attr_hi is not None:
-            mask &= vals <= raw.attr_hi
+    if raw.attr_lo is not None:
+        mask &= vals >= raw.attr_lo
+    if raw.attr_hi is not None:
+        mask &= vals <= raw.attr_hi
     for d, (name, extent) in enumerate(store.schema.dims):
         at = np.arange(extent).reshape([-1 if i == d else 1 for i in range(vals.ndim)])
         lo, hi = raw.dims.get(name, (None, None))
@@ -857,7 +858,7 @@ def test_a_round_of_every_query_kind_leaves_blocks_and_views_unchanged():
     ]
     for raw in raws:
         q = normalize(raw, sch, (root.amin, root.amax))
-        rs = (membership if q.values else execute)(idx, q)
+        rs = (membership if raw.values else execute)(idx, q)
         rs.cell_ids(mixed)
         for budget in range(idx.depth + 1):
             estimate(idx, q, budget)

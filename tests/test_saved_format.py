@@ -249,8 +249,12 @@ def _drop_a_leaf(idx):
 
 
 def _drop_a_node(idx):
-    # the leaves of a level-1 node that is not saved still have a parent
-    idx.tables[1] = _take(idx.tables[1], np.arange(1, idx.tables[1]["z"].size))
+    # the leaves of a level-1 node that is not saved still have a parent:
+    # the saved columns lose its row, the first
+    cols = idx.tables[1]
+    k = int(cols["nbins"][0])
+    idx.tables[1] = {**cols, "z": cols["z"][1:], "nbins": cols["nbins"][1:],
+                     "bounds": cols["bounds"][k + 1:], "weights": cols["weights"][k:]}
     return "level 1: holds 15 nodes, not the 16 parents of level 0"
 
 
@@ -412,7 +416,8 @@ def _load_fails_on_metadata(tmp_path, capsys, change, field):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("attribute", "b"), ("fanout", -2), ("fanout", 3), ("fanout", 1), ("bins", "x"),
+    ("attribute", "b"), ("fanout", -2), ("fanout", 3), ("fanout", 1), ("fanout", 128),
+    ("bins", "x"),
     ("bins", 0), ("bins", 2.5), ("e", 0), ("e", True),
 ])
 def test_bad_metadata_under_a_valid_crc_fails_with_data_error(field, value, tmp_path, capsys):

@@ -21,7 +21,7 @@ from arraybit.chunkstore import (
 )
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import Fanout, Index, build_index
-from arraybit.query import RawQuery, _descend, attribute_runs
+from arraybit.query import RawQuery, _descend
 
 
 def bin_of(binning: Binning, values) -> np.ndarray:
@@ -109,13 +109,14 @@ def random_dim_set(rng, extent):
 
 def random_raw_query(rng, schema, amin, amax, kind="mixed"):
     """A plausible query; `kind` picks range / one-sided / membership for
-    the attribute.  A dimension gets a range, a value set or nothing."""
+    the attribute, a membership set about half the time with a range or one
+    side of one too.  A dimension gets a range, a value set or nothing."""
     raw = RawQuery()
     span = amax - amin
     if kind == "membership":
         k = int(rng.integers(1, 6))
         raw.values = tuple(float(amin + span * rng.random()) for _ in range(k))
-    else:
+    if kind != "membership" or rng.random() < 0.5:
         style = int(rng.integers(0, 4))
         lo = amin + span * rng.random() * 0.8
         hi = lo + span * rng.random() * 0.6
@@ -151,10 +152,10 @@ def region_cells_satisfy(store, attribute, extent, query):
         vals = chunk.values[attribute][chunk.nonempty]
         if vals.size == 0:
             continue
-        if query.values is not None:
-            if not np.isin(vals, np.asarray(query.values)).all():
-                return False
-        elif not ((vals >= query.attr_lo) & (vals <= query.attr_hi)).all():
+        hit = np.zeros(vals.shape, bool)
+        for lo, hi in query.attr_runs:
+            hit |= (vals >= lo) & (vals <= hi)
+        if not hit.all():
             return False
         for d, runs in enumerate(query.dim_ranges):
             idx = np.arange(chunk.shape[d]) + chunk.offsets[d]
@@ -509,10 +510,10 @@ def reference_leaf_stats(index, query) -> tuple:
     meets its [amin, amax] and none covers it, and a scanned leaf's
     candidates are its chunk's non-empty cells inside the query's
     dimension runs."""
-    runs = attribute_runs(index, query)
+    runs = query.attr_runs
     leaves = index.tables[0]
     scanned = checks = 0
-    for row in _descend(index, query, runs, index.depth)[1]:
+    for row in _descend(index, query, index.depth)[1]:
         amin, amax = leaves["amin"][row], leaves["amax"][row]
         meets = [(lo, hi) for lo, hi in runs if hi >= amin and lo <= amax]
         if not meets or any(lo <= amin and amax <= hi for lo, hi in meets):
