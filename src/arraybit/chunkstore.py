@@ -418,10 +418,15 @@ def _copy_rows(arr: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
     cast on the way: gathering its rows first made a member-3d build touch
     about 850 more fresh pages (a 2-CPU x86-64 host), 26% of its time."""
     out = np.empty((len(rows), arr.shape[1]), dtype)
-    cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in _row_runs(rows):
         out[a:b] = arr[rows[a] : rows[b - 1] + 1]
     return out
+
+
+def _row_runs(rows: np.ndarray) -> list:
+    """(a, b) per run of consecutive values in `rows[a:b]`, in order."""
+    cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def in_runs(vals: np.ndarray, runs) -> np.ndarray:
@@ -459,7 +464,7 @@ def _lut(spans, size: int) -> np.ndarray:
     return lut
 
 
-def run_matcher(runs, integral: bool, amin: float, amax: float, cells: int):
+def run_matcher(runs, integral: bool, amin: float, amax: float, cells: int, empty=None):
     """How one query matches values against its runs: a function of a
     value array giving a fresh mask, exact for the values of a column whose
     non-empty values lie in [amin, amax] (others, empty cells, may match).
@@ -469,8 +474,14 @@ def run_matcher(runs, integral: bool, amin: float, amax: float, cells: int):
     are not converted to float.  More runs on an integer column take one
     lookup table over [amin, amax], built here once, when
     :func:`_int_base` allows one for `cells`, the cells the query scans at
-    most; every batch then matches with one `take`.  Otherwise they are
+    most; every batch then matches with one lookup.  Otherwise they are
     matched by :func:`in_runs`.
+
+    The lookup indexes the table with the values themselves where `empty`,
+    the column's empty value, indexes it too, as a non-negative or a
+    negative index: that reads a read-only block in place, where `take`
+    first copies it (half the lookup's time on member-3d's 4096-cell
+    chunks).  Else it is a clipped `take`.
     """
     runs = [(lo, hi) for lo, hi in runs if hi >= amin and lo <= amax]
     if not runs:
@@ -481,9 +492,11 @@ def run_matcher(runs, integral: bool, amin: float, amax: float, cells: int):
             return lambda vals: (vals >= a) & (vals <= b)
         base = _int_base(amin, amax, cells)
         if base is not None:
+            lut = _lut(_spans(runs, amin, amax, base), int(amax) - base + 1)
+            if base == 0 and empty is not None and -lut.size <= empty < lut.size:
+                return lut.__getitem__
             # an index past the table (an empty cell's sentinel) reads its
             # first or last entry
-            lut = _lut(_spans(runs, amin, amax, base), int(amax) - base + 1)
             return lambda vals: lut.take(vals - base if base else vals, mode="clip")
     if len(runs) == 1:
         (lo, hi), = runs
@@ -596,8 +609,9 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
     (lo, hi) value runs, matched by `match` (:func:`run_matcher`).  A leaf
     that no run meets ([amin, amax] of the leaf) is left out and reads
     nothing.  A leaf that a run covers takes its row's non-empty cells,
-    reading no value.  The others are scanned: their rows are gathered in
-    one call and matched in one pass.  The cover's windows are applied to
+    reading no value.  The others are scanned in place: ordered by block
+    row, each run of consecutive rows is matched as one slice of the block,
+    a view, so no value is copied.  The cover's windows are applied to
     each row, so a leaf's hits and count are those inside the query's
     dimension runs; the non-empty cells of the scanned rows inside them
     count as `candidate_checks`, and each scanned leaf in
@@ -606,11 +620,14 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
 
     Leaves hold no bitmaps to resolve from: the source paper's leaf
     bitmaps spare reading cell values from disk, and here every chunk is
-    resident.  A batch costs a fixed few numpy calls plus a few passes per
-    cell: on member-3d at seed 101 (about 157 partial leaves of 4096 cells
-    a value set, one block; a shared 2-CPU x86-64 host, one traced run) a
-    query's batches took 2.5 ms, writes into the answer included, where
-    one call per leaf had taken 3.6 ms without those writes.
+    resident.  A batch costs a fixed few numpy calls, one match per run of
+    consecutive scanned rows and a few passes per cell.  At seed 101 a main
+    query's batches took 1.28 / 1.34 / 0.65 ms on range-2d / member-3d /
+    ingest-4d, writes into the answer included, where gathering the
+    scanned values first took 1.64 / 1.85 / 0.73 ms (one process on a
+    shared 2-CPU x86-64 host, the mean over the queries of each one's
+    median of 15 rounds).  Their scanned rows, 109 / 155 / 50 a batch,
+    fall in about 47 / 13 / 23 runs.
     """
     los = np.array([lo for lo, _ in runs])[:, None]
     his = np.array([hi for _, hi in runs])[:, None]
@@ -618,6 +635,7 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
     covered = ((los <= amin) & (amax <= his)).any(axis=0)
     scanned = ((his >= amin) & (los <= amax)).any(axis=0) & ~covered
     scan = np.flatnonzero(scanned)
+    scan = scan[np.argsort(rows[scan])]
     keep = np.concatenate([scan, np.flatnonzero(covered)])
     counts = np.zeros(amin.size, np.int64)
     if not keep.size:
@@ -632,7 +650,9 @@ def leaf_query(block: Block, rows: np.ndarray, at: tuple, leaves, attr: str, run
         if stats is not None:
             stats.leaves_scanned += n
             stats.candidate_checks += int(np.count_nonzero(hits[:n]))
-        hits[:n] &= match(block.values[attr][take[:n]])
+        vals = block.values[attr]
+        for a, b in _row_runs(take[:n]):
+            hits[a:b] &= match(vals[take[a] : take[b - 1] + 1])
     counts[keep] = found = _row_counts(hits)
     hit = np.flatnonzero(found)
     if hit.size < keep.size:

@@ -10,7 +10,7 @@ from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, load_store,
 from arraybit.cli import main, parse_query_text
 from arraybit.errors import InputError
 from arraybit.hierindex import Index, build_index
-from arraybit.query import estimate, execute, normalize
+from arraybit.query import RawQuery, estimate, execute, normalize
 
 
 @pytest.fixture
@@ -93,6 +93,47 @@ def test_an_attribute_set_with_a_range_keeps_the_members_inside_it(tmp_path, cap
     capsys.readouterr()
     assert main(["query", "--index", str(path), "--data", str(head), "--where", where]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "count 16"
+
+
+@pytest.mark.parametrize("where, raw", [
+    ("a <= -5", RawQuery(attr_hi=-5.0)),
+    ("a >= 100", RawQuery(attr_lo=100.0)),
+    ("a >= 100 and a in {1, 2}", RawQuery(attr_lo=100.0, values=(1.0, 2.0))),
+])
+def test_a_one_sided_bound_past_the_data_counts_no_cell(tmp_path, capsys, where, raw):
+    # once refused: the missing bound took the root's amin or amax, so
+    # `a <= -5` on values 0..63 became the inverted range [0.0, -5.0]
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))
+    head, path = tmp_path / "arr.json", tmp_path / "arr.abix"
+    write_raw(head, sch, {"a": np.arange(64.0).reshape(8, 8)})
+    store = load_store(head)
+    idx = build_index(store, fanout=4, bins=4, e=1)
+    assert parse_query_text(where, sch, "a") == raw
+    q = normalize(raw, sch, (idx.root.amin, idx.root.amax), "a")
+    assert q.attr_runs == ()
+    rs = execute(idx, raw)
+    assert rs.count == 0 and rs.cell_ids(store).size == 0
+    for budget in range(idx.depth + 1):
+        assert estimate(idx, raw, budget) == (0, 0)
+    assert full_scan(store, "a", q).size == 0
+    assert DimsAttsIndex(store, "a", bins=4).query(q).size == 0
+    idx.save(path)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--data", str(head), "--where", where]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count 0"
+    assert main(["estimate", "--index", str(path), "--where", where]) == 0
+    assert capsys.readouterr().out.split() == ["min", "0", "max", "0"]
+
+
+def test_bounds_the_query_gives_both_are_still_checked_for_inversion():
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))
+    idx = build_index(ChunkStore.from_dense(sch, {"a": np.arange(64.0).reshape(8, 8)}),
+                      fanout=4, bins=4, e=1)
+    for raw in (RawQuery(attr_lo=5.0, attr_hi=1.0), RawQuery(attr_lo=100.0, attr_hi=-5.0)):
+        with pytest.raises(InputError, match="inverted attribute range"):
+            execute(idx, raw)
+        with pytest.raises(InputError, match="inverted attribute range"):
+            estimate(idx, raw, 0)
 
 
 def test_the_queries_of_the_cli_docstring_run(tmp_path, capsys):

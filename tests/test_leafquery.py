@@ -4,7 +4,10 @@ whole chunk.  The leaf's hits are those inside the query's dimension runs,
 read back from the box they span, clipped to the chunk; the brute force
 finds no hit outside it."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arraybit.chunkstore import (
@@ -12,7 +15,10 @@ from arraybit.chunkstore import (
     ChunkStore,
     QueryStats,
     build_leaf_index,
+    leaf_query,
+    query_cover,
     run_matcher,
+    tile_batches,
 )
 from arraybit.hierindex import _take
 from arraybit.query import value_runs
@@ -151,11 +157,30 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
             assert np.array_equal(got, want)
             assert stats.bitmap_fetches == stats.candidate_bitmap_fetches == 0
             # one matcher for a whole query over the store, with the store's
-            # value range and a table size limit both below and above it
-            for cells in (1, 10**7):
+            # value range, a table size limit both below and above it, and
+            # with or without the column's empty value
+            for cells, empty in itertools.product((1, 10**7), (None, SENTINEL)):
                 match = run_matcher(runs, dtype == "int64", float(every.min()),
-                                    float(every.max()), cells)
+                                    float(every.max()), cells, empty)
                 assert np.array_equal(resolve_leaf(chunk, leaf, "a", runs, box, None, match), want)
+
+
+@pytest.mark.parametrize("empty", [-1, -10, -11, 9, 10, 11, -2**63, 2**63 - 1])
+def test_a_lookup_table_takes_any_empty_value(empty):
+    # a value set over levels 0-9 is matched by a table of 10 entries; an
+    # empty value that indexes it (from -10 to 9) is looked up in place,
+    # any other through a clipped `take`, and both match every live value
+    # exactly on a read-only block
+    vals = np.random.default_rng(4).integers(0, 10, size=(6, 64))
+    vals[:, ::3] = empty
+    vals.flags.writeable = False
+    live = vals != empty
+    runs = value_runs([1, 3, 5, 6, 12], True)
+    match = run_matcher(runs, True, 0.0, 9.0, vals.size, empty)
+    got = match(vals)
+    assert got.shape == vals.shape
+    assert np.array_equal(got & live, np.isin(vals, [1, 3, 5, 6]) & live)
+    assert np.array_equal(match(vals[2:5]) & live[2:5], got[2:5] & live[2:5])
 
 
 def _float_chunk(shape, seed=0):
@@ -210,3 +235,60 @@ def test_plain_leaf_scans_its_box():
     assert int(got.sum()) == 2  # 5.0 and 6.0 in row 2
     assert stats.leaves_scanned == 1 and stats.candidate_checks == 4  # the box's live cells
 
+
+
+def test_a_batch_answers_alike_in_any_order_of_its_rows():
+    # the scan matches runs of consecutive block rows in place, after
+    # ordering the scanned rows; a batch's counts, answer and stats must not
+    # depend on the order its rows come in.  The whole tiles' block scans
+    # rows 0-10 (a long run), 14, 17, 19-21, 30 and 33; row 11 is covered
+    # by a run and row 22 meets none.  The clipped edges are three more
+    # blocks.
+    rng = np.random.default_rng(5)
+    shape, tile = (70, 45), (8, 8)
+    vals = rng.normal(size=shape)
+    vals[rng.random(shape) < 0.2] = np.nan
+    vals[16:24, 8:16] = 100.0  # tile (2, 1), row 11
+    vals[32:40, 16:24] = -100.0  # tile (4, 2), row 22
+    sch = ArraySchema((("d0", 70), ("d1", 45)), (("a", "float64"),), tile)
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    picked = {*range(12), 14, 17, 19, 20, 21, 22, 30, 33}
+    chunks = [c for c in store.iter_chunks() if c.block.shape != tile or c.row in picked]
+    assert len({id(c.block) for c in chunks}) == 4
+    amin = np.array([np.min(c.values["a"][c.nonempty]) for c in chunks])
+    amax = np.array([np.max(c.values["a"][c.nonempty]) for c in chunks])
+    runs = [(-0.5, 0.5), (99.0, 101.0)]
+    dims = (((3, 66),), ((2, 20), (25, 43)))
+    match = run_matcher(runs, False, float(amin.min()), float(amax.max()), 70 * 45)
+
+    def resolve(order):
+        cover = query_cover(dims, shape, tile)
+        stats = QueryStats()
+        counts = np.zeros(len(chunks), np.int64)
+        for block, members, rows, at in tile_batches(chunks, cover.first):
+            m = np.array(members)[order(len(members))]
+            at = tuple(np.array([chunks[i].coords[d] - cover.first[d] for i in m])
+                       for d in range(2))
+            counts[m] = leaf_query(block, np.array([chunks[i].row for i in m]), at,
+                                   {"amin": amin[m], "amax": amax[m]}, "a", runs, match, cover,
+                                   stats)
+        return counts, cover.answer, stats
+
+    whole = next(b for b, *_ in tile_batches(chunks, (0, 0)) if b.shape == tile)
+    rows = sorted(c.row for c in chunks if c.block is whole)
+    scanned = [r for r in rows if r not in (11, 22)]
+    assert scanned == [*range(11), 14, 17, 19, 20, 21, 30, 33]
+    want = resolve(lambda n: np.arange(n))
+    assert want[2].leaves_scanned == len(scanned) + 14  # and the 14 edge tiles
+    for order in (lambda n: np.arange(n)[::-1], lambda n: rng.permutation(n),
+                  lambda n: np.argsort(np.arange(n) % 3, kind="stable")):
+        counts, answer, stats = resolve(order)
+        assert np.array_equal(counts, want[0])
+        assert np.array_equal(answer, want[1])
+        assert stats == want[2]
+    brute = np.zeros(shape, bool)
+    brute[3:67, 2:21] = brute[3:67, 25:44] = True
+    brute &= ((vals >= -0.5) & (vals <= 0.5)) | ((vals >= 99.0) & (vals <= 101.0))
+    for c, n in zip(chunks, want[0]):
+        sl = tuple(slice(o, o + s) for o, s in zip(c.offsets, c.shape))
+        assert n == np.count_nonzero(brute[sl]), c.coords

@@ -532,13 +532,15 @@ def test_estimate_negative_budget():
         estimate(idx, RawQuery(), -1)
 
 
-def _random_frozen_store(rng, ndim, dtype, empty):
+def _random_frozen_store(rng, ndim, dtype, empty, clipped=True):
     """A small store (read-only, as every store is) whose extents are not
-    multiples of the chunk, so edge chunks are clipped.  `empty` is the
-    share of empty cells, or "chunks" to leave every other chunk of the
-    grid wholly empty."""
+    multiples of the chunk, so edge chunks are clipped, or with `clipped`
+    false are multiples after the first dimension.  `empty` is the share of
+    empty cells, or "chunks" to leave every other chunk of the grid wholly
+    empty."""
     chunk = tuple(int(c) for c in rng.integers(2, 5, ndim))
-    shape = tuple(int(c * rng.integers(2, 5) + rng.integers(1, c)) for c in chunk)
+    shape = tuple(int(c * rng.integers(2, 5) + (rng.integers(1, c) if clipped or d == 0 else 0))
+                  for d, c in enumerate(chunk))
     if dtype == "float64":
         vals, sentinel = rng.normal(size=shape) * 50.0, np.nan
     else:
@@ -750,20 +752,23 @@ def _several_blocks(rng, store, twin):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    ndim=st.integers(1, 3),
+    ndim=st.integers(1, 4),
     dtype=st.sampled_from(["float64", "int64"]),
     empty=st.sampled_from([0.0, 0.4, "chunks"]),
     layout=st.sampled_from(["one", "subset", "appended", "attached"]),
+    clipped=st.booleans(),
 )
-@example(seed=0, ndim=2, dtype="int64", empty=0.4, layout="attached")
-@example(seed=1, ndim=3, dtype="float64", empty="chunks", layout="appended")
-@example(seed=2, ndim=4, dtype="int64", empty=0.0, layout="subset")
-def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout):
-    # clipped edge chunks; stores of one block per chunk shape, of a subset
-    # of another store's chunk views, grown by appends from another
-    # chunking of the data, or attached with chunks from several blocks
+@example(seed=0, ndim=2, dtype="int64", empty=0.4, layout="attached", clipped=True)
+@example(seed=1, ndim=3, dtype="float64", empty="chunks", layout="appended", clipped=True)
+@example(seed=2, ndim=4, dtype="int64", empty=0.0, layout="subset", clipped=False)
+@example(seed=3, ndim=4, dtype="float64", empty=0.4, layout="one", clipped=True)
+def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout, clipped):
+    # clipped edge chunks or trailing extents of whole chunks; stores of one
+    # block per chunk shape, of a subset of another store's chunk views,
+    # grown by appends from another chunking of the data, or attached with
+    # chunks from several blocks
     rng = np.random.default_rng(seed)
-    store = _random_frozen_store(rng, ndim, dtype, empty)
+    store = _random_frozen_store(rng, ndim, dtype, empty, clipped)
     sch = store.schema
     twin = ChunkStore.from_dense(sch, {"a": store.dense("a")})
     kw = dict(fanout=2**ndim, bins=4, e=1)
@@ -789,6 +794,12 @@ def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout):
     picks = tuple(float(v) for v in rng.choice(live, 5))
     raws += [RawQuery(values=picks, dims={"d0": (1, sch.shape[0] - 2)}),
              RawQuery(values=picks, dim_values={n: random_dim_set(rng, e) for n, e in sch.dims})]
+    # boxes that stop short of the array's trailing extents, around many
+    # matches (every value) and few (one live value), so `cell_ids` widens
+    # some answers and not others
+    cut = {n: (int(rng.integers(0, 2)), e - 1 - int(rng.integers(0, 2))) for n, e in sch.dims}
+    one = float(rng.choice(live))
+    raws += [RawQuery(dims=cut), RawQuery(attr_lo=one, attr_hi=one, dims=cut)]
     for raw in raws:
         q = normalize(raw, sch, (root.amin, root.amax))
         want = full_scan(store, "a", q)
@@ -797,6 +808,44 @@ def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout):
         assert rs.count == want.size
         done = complete_ids(store, rs)
         assert np.isin(done, want).all() and done.size == sum(node_count(rs.leaves, n) for n in rs.complete), raw
+
+
+@pytest.mark.parametrize("shape, chunk", [((40, 40), (8, 8)), ((12, 40, 6), (4, 8, 3))])
+def test_cell_ids_widen_the_answer_when_its_matches_are_as_many(monkeypatch, shape, chunk):
+    # `cell_ids` spans the array's trailing extents, with no id arithmetic,
+    # when that adds no more cells than the query matches; the ids are the
+    # same on either side.  A cell's value is its id, so an attribute range
+    # from the box's first cell picks its lowest ids.
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", "float64"),),
+                      chunk)
+    store = ChunkStore.from_dense(sch, {"a": np.arange(float(np.prod(shape))).reshape(shape)})
+    idx = build_index(store, fanout=2 ** len(shape), bins=4, e=1)
+    box = {"d0": (3, 4), sch.dim_names[-1]: (1, shape[-1] - 2)}
+    added = 2 * 2 * int(np.prod(shape[1:-1]))  # two rows, two indices short on the last axis
+    inside = full_scan(store, "a", normalize(RawQuery(dims=box), sch))
+    first = int(inside[0])
+    seen = []
+    flat = np.flatnonzero
+
+    def spy(a):
+        seen.append(a.shape[1:] == shape[1:])
+        return flat(a)
+
+    for raw, wide in [
+        (RawQuery(dims=box), True),
+        (RawQuery(attr_lo=first, attr_hi=int(inside[added - 1]), dims=box), True),
+        (RawQuery(attr_lo=first, attr_hi=int(inside[added - 2]), dims=box), False),
+        (RawQuery(attr_lo=first, attr_hi=first, dims=box), False),
+        (RawQuery(attr_lo=first, attr_hi=first, dims={"d0": (3, 4)}), True),  # spans already
+    ]:
+        q = normalize(raw, sch)
+        rs = execute(idx, q)
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "flatnonzero", spy)
+            ids = rs.cell_ids(store)
+        assert seen == [wide], raw
+        assert np.array_equal(ids, full_scan(store, "a", q)), raw
 
 
 def test_query_stats_keep_their_per_leaf_definitions():
