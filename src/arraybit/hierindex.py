@@ -52,7 +52,8 @@ array, a count the chunk can hold, and amin <= amax.  It then makes each
 level from the one below, as the build does: the parents are the distinct
 z >> slot bits of the level below, one saved row each, and everything but
 their bins comes from `_derive_parents`.  Every node's bins must number 1
-to `bins` above the leaves, and run increasing from its amin to its amax.
+to `bins` above the leaves, run increasing from its amin to its amax, and
+weigh what it counts (`_check_bins`).
 The checked and derived columns are the index's tables, and every internal
 node is made eagerly through `Index._nodes`.  A file left inconsistent by
 a wrong writer or a hand edit fails with DataError naming the node.
@@ -179,9 +180,10 @@ class DimensionBitmaps:
 class TreeNode:
     """Internal node: child occupancy, merged bins and both range tables.
 
-    sp_masks[j] is the exact set of children whose subtree minimum is <=
-    sp_bounds[j]; al_masks[j] the children whose maximum is >= al_bounds[j].
-    Both tables are deduplicated, so consecutive masks always differ.
+    Both tables have a row per bin boundary, and sp_bounds and al_bounds
+    are the boundaries: sp_masks[r] is the exact set of children whose
+    subtree minimum is <= boundary r, al_masks[r] those whose maximum is
+    >= it.
     """
 
     level: int
@@ -197,28 +199,6 @@ class TreeNode:
     sp_masks: list
     al_bounds: np.ndarray
     al_masks: list
-
-    # -- conservative decodings over the merged boundaries ------------
-
-    def started_over(self, a: float) -> int:
-        """Superset of children with min <= a."""
-        j = int(np.searchsorted(self.sp_bounds, a, side="left"))
-        return self.sp_masks[min(j, len(self.sp_masks) - 1)]
-
-    def alive_over(self, a: float) -> int:
-        """Superset of children with max >= a."""
-        j = int(np.searchsorted(self.al_bounds, a, side="right")) - 1
-        return self.child_mask if j < 0 else self.al_masks[j]
-
-    def min_ge_under(self, a: float) -> int:
-        """Subset of children whose min is >= a."""
-        if a <= self.amin:
-            return self.child_mask
-        return self.child_mask & ~self.started_over(a)
-
-    def max_le_under(self, a: float) -> int:
-        """Subset of children whose max is <= a."""
-        return self.child_mask if a >= self.amax else self.child_mask & ~self.alive_over(a)
 
 
 def _spread_weights(bounds: np.ndarray, nb: np.ndarray, kids: dict, at: np.ndarray) -> np.ndarray:
@@ -383,16 +363,16 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
                     fanout: Fanout) -> dict:
     """What their children fix about internal nodes, of one level or more
     laid end to end, as their table's columns: child masks, counts, value
-    ranges, extents, sizes, and the sp and al tables over each node's own
-    bins.  `kids` holds the children's z, extent, amin, amax and count
-    columns; `at[i]` is child i's parent, nondecreasing, and every parent
-    has a child; parent j has `nbins[j]` bins, its boundaries back to back
-    in `bounds`.
+    ranges, extents, and the sp and al tables over each node's own bins.
+    `kids` holds the children's z, extent, amin, amax and count columns;
+    `at[i]` is child i's parent, nondecreasing, and every parent has a
+    child; parent j has `nbins[j]` bins, its boundaries back to back in
+    `bounds`.
 
     A child is in its parent's sp rows from p, the count of the parent's
     boundaries below its amin, and in its al rows before q, the count at or
-    below its amax.  A table keeps its first row and each row some p (or q)
-    names, where its set of children changes."""
+    below its amax.  Both tables have a row per boundary, laid out as
+    `bounds`."""
     total, npar = fanout.total, nbins.size
     n = np.bincount(at, minlength=npar)
     first = np.cumsum(n) - n
@@ -415,22 +395,17 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
     padded = np.full(valid.shape, np.nan)  # past a parent's last, below no value
     padded[valid] = bounds
     below = np.repeat(padded.T, n, axis=1)  # each child's parent's, as a column
-    # each child's p and q; the kept rows of table t (0 sp, 1 al) of each parent
+    # each child's p and q, in table t (0 sp, 1 al)
     edge = np.empty((2, at.size), small)
     (below < kids["amin"]).sum(axis=0, out=edge[0])
     (below <= kids["amax"]).sum(axis=0, out=edge[1])
-    keep = np.zeros((2, npar, width + 1), bool)
-    keep[0, at, edge[0]] = keep[1, at, edge[1]] = keep[:, :, 0] = True
-    t, kp, kr = np.nonzero(keep[:, :, :width] & valid)
     slots = np.full((2, npar * total), [[width], [0]], small)  # no child: in no row
     slots[:, cell] = edge
     # row r of sp holds the children with p <= r, row r of al those with q > r
-    masks = _packed((kr.astype(small)[:, None] >= slots.reshape(2, npar, total)[t, kp])
-                    ^ t.astype(bool)[:, None])
-    rows = np.bincount(t * npar + kp, minlength=2 * npar).reshape(2, npar)
-    kept, sp = padded[kp, kr], int(rows[0].sum())
-    out.update(sizes=np.concatenate((nbins[None], rows)).T.astype("<u4"), sp_bounds=kept[:sp],
-               al_bounds=kept[sp:], sp=masks[:sp], al=masks[sp:])
+    kp, kr = np.nonzero(valid)
+    sp, al = _packed((kr.astype(small)[:, None] >= slots.reshape(2, npar, total)[:, kp])
+                     ^ np.array([False, True])[:, None, None])
+    out.update(sp=sp, al=al)
     return out
 
 
@@ -571,6 +546,8 @@ class Index:
             raise InputError("appended data must use the same chunk shape")
         if new_schema.attributes != self.schema.attributes:
             raise InputError("appended data must use the same attributes")
+        if new_schema.to_json()["empty"] != self.schema.to_json()["empty"]:
+            raise InputError("appended data must use the same empty sentinels")
         for (old_name, old_e), (new_name, new_e), cs in zip(
             self.schema.dims, new_schema.dims, self.schema.chunk_shape
         ):
@@ -660,16 +637,18 @@ class Index:
 
     def attach(self, store: ChunkStore) -> None:
         """Answer queries from `store`.  DataError, naming what differs,
-        unless its shape, chunk shape and indexed attribute's type are the
-        index's, and its non-empty chunks, with their non-empty cell counts,
-        are exactly the leaves' coordinates and counts: data that changed
-        since the index was built would give wrong answers.  Each leaf looks
-        its chunk up by its coordinates."""
+        unless its shape, chunk shape and indexed attribute's type and empty
+        sentinel are the index's, and its non-empty chunks, with their
+        non-empty cell counts, are exactly the leaves' coordinates and
+        counts: data that changed since the index was built would give
+        wrong answers.  Each leaf looks its chunk up by its coordinates."""
         data, own, attr = store.schema, self.schema, self.attribute
         for what, got, need in (("shape", data.shape, own.shape),
                                 ("chunk shape", data.chunk_shape, own.chunk_shape),
                                 (f"attribute {attr!r}", dict(data.attributes).get(attr, "missing"),
-                                 own.attr_type(attr))):
+                                 own.attr_type(attr)),
+                                (f"empty sentinel of {attr!r}", data.to_json()["empty"].get(attr),
+                                 own.to_json()["empty"][attr])):
             if got != need:
                 raise DataError(f"the data's {what} is {got}, not the index's {need}")
         chunks, coords = store.chunks, self.leaf_coords()
@@ -758,12 +737,10 @@ class Index:
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
         """Internal level `level` from its columns, checked or just derived:
         the one place a `TreeNode` is made."""
-        nb, nsp, nal = cols["sizes"].astype(np.int64).T
+        nb = cols["nbins"].astype(np.int64)
         # where each node's part of each column starts, and the next's
-        bo, wo, so, ao = (np.concatenate(([0], np.cumsum(k))).tolist()
-                          for k in (nb + 1, nb, nsp, nal))
+        bo, wo = (np.concatenate(([0], np.cumsum(k))).tolist() for k in (nb + 1, nb))
         bounds, weights = cols["bounds"], cols["weights"]
-        sp_bounds, al_bounds = cols["sp_bounds"], cols["al_bounds"]
         mb = -(-self.fanout.total // 8)
         child = _masks(cols["child"], mb)
         sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
@@ -775,13 +752,12 @@ class Index:
         for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
                                                       cols["amax"].tolist(),
                                                       cols["count"].tolist())):
-            s, a = slice(so[i], so[i + 1]), slice(ao[i], ao[i + 1])
+            r = slice(bo[i], bo[i + 1])
+            b = bounds[r]
             nodes[zi] = TreeNode(
                 level=level, z=zi, coords=c, extent=e, amin=lo, amax=hi, count=n,
-                child_mask=child[i],
-                binning=Binning.prevalidated(bounds[bo[i] : bo[i + 1]], weights[wo[i] : wo[i + 1]]),
-                sp_bounds=sp_bounds[s], sp_masks=sp_masks[s],
-                al_bounds=al_bounds[a], al_masks=al_masks[a],
+                child_mask=child[i], binning=Binning.prevalidated(b, weights[wo[i] : wo[i + 1]]),
+                sp_bounds=b, sp_masks=sp_masks[r], al_bounds=b, al_masks=al_masks[r],
             )
         return nodes
 
@@ -806,8 +782,11 @@ def _check_bins(level: int, cols: dict) -> None:
     """DataError naming the first node of a level's table whose bin
     boundaries, nbins + 1 of them back to back in `bounds` (none for a node
     of 0 bins), do not increase (strictly for two or more bins; NaN fails
-    both) or do not run from its amin to its amax.  A node's sp and al
-    bounds are some of its boundaries, so they increase too."""
+    both) or do not run from its amin to its amax, or whose nbins weights in
+    `weights` do not count its cells: a leaf's are integers >= 0 that sum
+    to its count, an internal node's, spread from its children's, finite,
+    >= 0 and sum to it within a relative 1e-12.  A node's sp and al bounds
+    are its boundaries, so they increase too."""
     where, z, bounds = f"level {level}", cols["z"], cols["bounds"]
     k = cols["nbins"].astype(np.intp)
     size, binned = k + (k > 0), k > 0
@@ -821,6 +800,16 @@ def _check_bins(level: int, cols: dict) -> None:
     bad[binned] = ((cols["amin"][binned] != bounds[first])
                    | (cols["amax"][binned] != bounds[first + k[binned]]))
     _require_each(bad, where, z, "has bins that do not run from its amin to its amax")
+    # bin j of a node spans its boundaries j and j + 1, so `node` names each weight's node
+    w, count = cols["weights"], cols["count"][binned]
+    fine = (w >= 0) & ((np.floor(w) == w) | (level > 0))  # NaN fails; an inf fails the sum
+    if not fine.all():
+        bad[node[~fine]] = True
+        _require_each(bad, where, z, "has a bin weight below 0 or, in a leaf, not whole")
+    with np.errstate(over="ignore"):
+        gap = np.abs(np.add.reduceat(w, first - np.arange(first.size)) - count)
+    bad[binned] = gap > (level > 0) * 1e-12 * count
+    _require_each(bad, where, z, "has bin weights that do not sum to its count")
 
 
 def _packed(hit: np.ndarray) -> np.ndarray:

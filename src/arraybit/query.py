@@ -246,14 +246,23 @@ def value_runs(values, integral: bool) -> tuple:
 def attribute_match(node, a_lo: float, a_hi: float) -> tuple:
     """Child masks (partial, complete) for the attribute range.
 
-    The partial side over-approximates across merged bins and is verified
-    later; the complete side requires the child's whole value range inside
-    the query and never over-approximates.  Four table lookups total.
+    Row r of a node's sp table holds its children whose minimum is <= its
+    boundary r, row r of al those whose maximum is >= it.  The partial side
+    reads sp at the first boundary >= a_hi and al at the last <= a_lo, a
+    superset verified later; the complete side drops the children in sp at
+    the first boundary >= a_lo and in al at the last <= a_hi, and never
+    over-approximates.  One left and one right search of both bounds.
     """
-    mask = node.child_mask
-    c = node.min_ge_under(a_lo) & node.max_le_under(a_hi) & mask
-    p = node.started_over(a_hi) & node.alive_over(a_lo) & mask & ~c
-    return p, c
+    sp, al = node.sp_masks, node.al_masks
+    k = len(sp) - 1
+    (l_lo, l_hi), (r_lo, r_hi) = (np.searchsorted(node.binning.boundaries, (a_lo, a_hi),
+                                                  side).tolist() for side in ("left", "right"))
+    c = node.child_mask
+    if a_lo > node.amin:
+        c &= ~sp[min(l_lo, k)]
+    if a_hi < node.amax:
+        c &= ~al[max(r_hi - 1, 0)]
+    return sp[min(l_hi, k)] & al[max(r_lo - 1, 0)] & ~c, c
 
 
 def runs_match(node, runs) -> tuple:

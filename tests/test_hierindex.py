@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arraybit.binning import Binning
-from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats
+from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, write_raw
 from arraybit.cli import main
 from arraybit.datagen import SumGaussSpec, generate_dense
 from arraybit.errors import DataError, InputError
@@ -22,8 +22,9 @@ from arraybit.hierindex import (
     zorder_decode_many,
     zorder_encode_many,
 )
-from arraybit.query import RawQuery, execute
+from arraybit.query import RawQuery, attribute_match, execute
 from testutil import (
+    assert_weights_are_counts,
     build_parent,
     leaf_binning,
     leaf_table,
@@ -116,41 +117,42 @@ def test_dimension_bitmaps_counts_and_consistency():
 
 
 def test_double_range_encoding_reference_layout():
-    # four children over boundaries 1..8 merging to {1,3,6,8}: additions
-    # happen in [1,3) and [3,6), removals in (3,6] and (6,8], and the
-    # started mask at 3 flags exactly the first and third child
-    children = [
-        (0, (1.0, 7.0, 20)),
-        (1, (4.0, 6.0, 20)),
-        (2, (2.0, 3.0, 20)),
-        (3, (5.0, 8.0, 20)),
+    # each table has one row per boundary of the node's merged bins: row r
+    # of sp holds the children whose min is <= boundary r, row r of al
+    # those whose max is >= it
+    cases = [
+        # four children over boundaries 1..8 merging to {1,3,6,8}: the
+        # third child enters sp at 3, the other two at 6; the third leaves
+        # al after 3, the first two after 6
+        ([(0, (1.0, 7.0, 20)), (1, (4.0, 6.0, 20)), (2, (2.0, 3.0, 20)), (3, (5.0, 8.0, 20))], 3,
+         [1.0, 3.0, 6.0, 8.0], [0b0001, 0b0101, 0b1111, 0b1111], [0b1111, 0b1111, 0b1011, 0b1000]),
+        # no child enters sp at 4, nor leaves al after 9: a table that kept
+        # only the rows where its children change would read sp at 6 for a
+        # value in (2, 4]
+        ([(0, (1.0, 2.0, 20)), (1, (1.0, 9.0, 20)), (2, (2.0, 4.0, 20)), (3, (6.0, 9.0, 20))], 8,
+         [1.0, 2.0, 4.0, 6.0, 9.0], [0b0011, 0b0111, 0b0111, 0b1111, 0b1111],
+         [0b1111, 0b1111, 0b1110, 0b1010, 0b1010]),
     ]
-    node = build_parent(children, Fanout(4, 1), bins=3)
-    rb = node.binning.boundaries
-    assert np.array_equal(rb, [1.0, 3.0, 6.0, 8.0])
-    # started table: the first child at 1, then the third in [1,3), the
-    # other two in [3,6); the merged interval of each entry ends at its bound
-    assert np.array_equal(node.sp_bounds, [1.0, 3.0, 6.0])
-    assert node.sp_masks == [0b0001, 0b0101, 0b1111]
-    prev = rb[np.searchsorted(rb, node.sp_bounds[1:]) - 1]
-    assert list(zip(prev, node.sp_bounds[1:])) == [(1.0, 3.0), (3.0, 6.0)]
-    # alive table: every child at 1, the third (max 3) stops in (3,6], the
-    # first two in (6,8]
-    assert np.array_equal(node.al_bounds, [1.0, 6.0, 8.0])
-    assert node.al_masks == [0b1111, 0b1011, 0b1000]
-    prev = rb[np.searchsorted(rb, node.al_bounds[1:]) - 1]
-    assert list(zip(prev, node.al_bounds[1:])) == [(3.0, 6.0), (6.0, 8.0)]
+    for children, bins, bounds, sp, al in cases:
+        node = build_parent(children, Fanout(4, 1), bins=bins)
+        assert np.array_equal(node.binning.boundaries, bounds)
+        assert np.array_equal(node.sp_bounds, bounds) and np.array_equal(node.al_bounds, bounds)
+        assert node.sp_masks == sp
+        assert node.al_masks == al
+    # every child but the last has a value below 4, the first boundary >= 3
+    assert attribute_match(node, 3.0, 9.0) == (0b0111, 0b1000)
 
 
 def test_single_child_node():
     node = build_parent([(0, (2.0, 5.0, 7))], Fanout(4, 1), bins=4)
     assert node.child_mask == 0b0001
-    assert len(node.sp_masks) == 1 and node.sp_masks[0] == 0b0001
-    assert len(node.al_masks) == 1 and node.al_masks[0] == 0b0001
+    assert np.array_equal(node.binning.boundaries, [2.0, 5.0])
+    assert node.sp_masks == [0b0001, 0b0001]
+    assert node.al_masks == [0b0001, 0b0001]
     assert node.count == 7
 
 
-def test_retained_masks_are_distinct():
+def test_range_tables_have_a_row_per_boundary():
     rng = np.random.default_rng(0)
     for _ in range(30):
         k = int(rng.integers(1, 17))
@@ -159,15 +161,22 @@ def test_retained_masks_are_distinct():
             lo, hi = np.sort(rng.integers(0, 20, size=2).astype(float))
             children.append((s, (lo, hi, int(rng.integers(1, 9)))))
         node = build_parent(children, Fanout(16, 1), bins=4)
-        assert len(set(node.sp_masks)) == len(node.sp_masks)
-        assert len(set(node.al_masks)) == len(node.al_masks)
+        rows = node.binning.nbins + 1
+        assert len(node.sp_masks) == len(node.al_masks) == rows
+        # sp rows grow to every child, al rows shrink from every child
+        assert node.sp_masks[-1] == node.al_masks[0] == node.child_mask
+        for r in range(rows - 1):
+            assert node.sp_masks[r] & ~node.sp_masks[r + 1] == 0
+            assert node.al_masks[r + 1] & ~node.al_masks[r] == 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_conservative_decoding(seed):
-    # partial decodings must be supersets and complete decodings subsets of
-    # the truth computed straight from the child min/max intervals
+    # the partial and complete masks together must be a superset, and the
+    # complete mask a subset, of the truth computed straight from the child
+    # min/max intervals; an unbounded side reads one table exactly at bin
+    # resolution
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 17))
     mins, maxs = [], []
@@ -180,18 +189,25 @@ def test_conservative_decoding(seed):
     node = build_parent(children, Fanout(16, 1), bins=4)
     mins = np.array(mins)
     maxs = np.array(maxs)
+    rb = node.binning.boundaries
+
+    def slots(hit):
+        return int(sum(1 << s for s in range(k) if hit[s]))
+
     for _ in range(20):
-        a = float(np.round(rng.random() * 12 - 1, 2))
-        true_started = int(sum(1 << s for s in range(k) if mins[s] <= a))
-        true_alive = int(sum(1 << s for s in range(k) if maxs[s] >= a))
-        assert node.started_over(a) | true_started == node.started_over(a)
-        assert node.alive_over(a) | true_alive == node.alive_over(a)
-        under_ge = node.min_ge_under(a)
-        true_ge = int(sum(1 << s for s in range(k) if mins[s] >= a))
-        assert under_ge & true_ge == under_ge
-        under_le = node.max_le_under(a)
-        true_le = int(sum(1 << s for s in range(k) if maxs[s] <= a))
-        assert under_le & true_le == under_le
+        a, b = np.sort(np.round(rng.random(2) * 12 - 1, 2)).tolist()
+        p, c = attribute_match(node, a, b)
+        assert p & c == 0
+        assert (p | c) | slots((mins <= b) & (maxs >= a)) == p | c
+        assert c & slots((mins >= a) & (maxs <= b)) == c
+        # started over a: the children whose min is <= the first boundary
+        # >= a; alive over a: those whose max is >= the last boundary <= a
+        up = rb[min(np.searchsorted(rb, a), rb.size - 1)]
+        down = rb[max(np.searchsorted(rb, a, "right") - 1, 0)]
+        p, c = attribute_match(node, -np.inf, a)
+        assert p | c == slots(mins <= up)
+        p, c = attribute_match(node, a, np.inf)
+        assert p | c == slots(maxs >= down)
 
 
 def grid_store(shape, chunk, fill=None, seed=0):
@@ -404,7 +420,9 @@ def test_appended_index_is_byte_identical_to_full_build(shape, chunk, rows, fano
     appended = build_index(first, **kw)
     for slab in rest:
         appended.append(slab)
+        assert_weights_are_counts(appended)
     full = build_index(store, **kw)
+    assert_weights_are_counts(full)
     assert full.depth >= 2
     assert appended.serialize() == full.serialize()
 
@@ -636,26 +654,73 @@ def test_flipped_byte_fails_with_data_error(tmp_path):
 
 def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
     # a leaf's non-empty count comes from the file; a count the chunk
-    # cannot hold is refused.  One it can hold loads, and only the data,
-    # once attached, tells it apart
+    # cannot hold is refused, and so is one its bin weights do not sum to.
+    # One it can hold, with the weights of the leaf and of each node above
+    # it one less, loads, and only the data, once attached, tells it apart
     store, idx, raw = _index_file(tmp_path)
-    start, _ = _sections(raw)["level 0 tables"]
+    sections = _sections(raw)
+    start, _ = sections["level 0 tables"]
     n = len(idx.levels[0])
     count_at = start + 8 * n + 16 * n  # after z, amin and amax
     cells = math.prod(store.chunks[idx.leaf_coords([0])[0]].shape)
     assert struct.unpack_from("<Q", raw, count_at)[0] == idx.tables[0]["count"][0] == cells == 64
+    # the largest weight of the first node of each level, in the last column
+    top = [int(np.argmax(cols["weights"][: cols["nbins"][0]])) for cols in idx.tables]
+    weight_at = [sections[f"level {level} tables"][1] - 8 * (cols["weights"].size - i)
+                 for level, (cols, i) in enumerate(zip(idx.tables, top))]
+    assert [struct.unpack_from("<d", raw, at)[0] for at in weight_at] == \
+        [cols["weights"][i] for cols, i in zip(idx.tables, top)]
     for bad in (64, 63, 65):
         path = tmp_path / f"count-{bad}.abix"
-        path.write_bytes(_with_crc(raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]))
+        edited = raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]
+        path.write_bytes(_with_crc(edited))
         if bad == 64:
             assert Index.load(path, store=store).serialize() == raw
         elif bad == 63:
+            with pytest.raises(DataError, match="level 0: node 0 has bin weights that do not sum"):
+                Index.load(path)
+            for at in weight_at:
+                weight = struct.unpack_from("<d", edited, at)[0]
+                edited = edited[:at] + struct.pack("<d", weight - 1) + edited[at + 8:]
+            path.write_bytes(_with_crc(edited))
             assert Index.load(path).tables[-1]["count"][0] == idx.root.count - 1
             with pytest.raises(DataError, match=r"\(0, 0\) has 64 non-empty cells, its leaf 63"):
                 Index.load(path, store=store)
         else:
             with pytest.raises(DataError, match="counts 65 cells"):
                 Index.load(path)
+
+
+def test_data_of_another_empty_sentinel_is_refused(tmp_path, capsys):
+    # the same cells, empty where the index's data held -1, hold 1000: the
+    # counts agree, but a set query's lookup table would index the 1000s
+    rng = np.random.default_rng(0)
+    vals, empty = rng.integers(0, 10, size=(16, 16)), rng.random((16, 16)) < 0.3
+
+    def data(sentinel):
+        sch = ArraySchema((("d0", 16), ("d1", 16)), (("a", "int64"),), (8, 8), {"a": sentinel})
+        return sch, {"a": np.where(empty, sentinel, vals)}
+
+    sch, cells = data(-1)
+    build_index(ChunkStore.from_dense(sch, cells), fanout=4, bins=4).save(tmp_path / "a.abix")
+    sch, cells = data(1000)
+    other = ChunkStore.from_dense(sch, cells)
+    where = "the data's empty sentinel of 'a' is 1000, not the index's -1"
+    with pytest.raises(DataError, match=where):
+        Index.load(tmp_path / "a.abix", store=other)
+    write_raw(tmp_path / "other.json", sch, cells)
+    capsys.readouterr()
+    assert main(["query", "--index", str(tmp_path / "a.abix"), "--data",
+                 str(tmp_path / "other.json"), "--where", "a in {1, 3, 5}"]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    # an append of the cells below, under the other sentinel
+    idx = Index.load(tmp_path / "a.abix")
+    below = ChunkStore.from_dense(sch.with_extents((32, 16)),
+                                  {"a": np.vstack((np.full((16, 16), 1000), cells["a"]))})
+    assert sorted(below.chunks) == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    with pytest.raises(InputError, match="the same empty sentinels"):
+        idx.append(below)
 
 
 def test_stale_data_is_refused(tmp_path):

@@ -11,8 +11,9 @@ so no fact is saved twice.  A file of another version, and a file whose
 saved columns break a rule (leaves out of z order or outside the array, a
 count the chunk cannot hold, another number of internal rows than the
 level below has parents, bins that do not increase, exceed the index's
-`bins` or do not span the node's values), fail at load with DataError
-naming the node and, through the CLI, with exit status 2.
+`bins` or do not span the node's values, bin weights that are not counts
+of the node's cells), fail at load with DataError naming the node and,
+through the CLI, with exit status 2.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from arraybit.errors import DataError
 from arraybit import hierindex
 from arraybit.hierindex import Fanout, Index, _take, build_index
 from arraybit.query import RawQuery, estimate, execute, membership
+from testutil import assert_weights_are_counts
 
 
 def _schema(shape, chunk, typ="float64", empty=None):
@@ -350,6 +352,53 @@ def test_levels_that_disagree_fail_at_load(tamper, tmp_path, capsys):
     assert where in err and "Traceback" not in err
 
 
+def _top_half():
+    """A 64x64 normal array in 8x8 chunks, indexed over its top half with
+    fanout 16 and 4 bins: three levels."""
+    vals = np.random.default_rng(1).normal(size=(64, 64))
+    store = ChunkStore.from_dense(_schema(vals.shape, (8, 8)), {"a": vals})
+    top = ChunkStore(store.schema.with_extents((32, 64)),
+                     {c: ch for c, ch in store.chunks.items() if c[0] < 4})
+    idx = build_index(top, fanout=16, bins=4)
+    assert idx.depth == 2
+    return idx
+
+
+def _load_fails_naming(idx, level, what, tmp_path, capsys):
+    path = tmp_path / "weight.abix"
+    idx.save(path)  # the CRC covers the edited weights
+    where = f"level {level}: node {idx.tables[level]['z'][0]} {what}"
+    with pytest.raises(DataError, match=where):
+        Index.load(path)
+    capsys.readouterr()
+    assert main(["query", "--index", str(path), "--where", "a in [-0.5, 0.5]"]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", [np.nan, -1e300, 1e300])
+@pytest.mark.parametrize("level", [0, 1])
+def test_a_bin_weight_that_is_no_count_fails_at_load(level, weight, tmp_path, capsys):
+    # only an append's merge reads bin weights: a bad one that loaded would
+    # show one append later, as a tree that no build writes
+    idx = _top_half()
+    _set(idx.tables[level], "weights", 0, weight)
+    what = ("has bin weights that do not sum to its count" if weight > 0
+            else "has a bin weight below 0 or, in a leaf, not whole")
+    _load_fails_naming(idx, level, what, tmp_path, capsys)
+
+
+def test_a_leaf_weight_that_is_not_whole_fails_at_load(tmp_path, capsys):
+    # half a cell moved from one bin of a leaf to the next: the sum holds
+    idx = _top_half()
+    cols = idx.tables[0]
+    assert cols["nbins"][0] >= 2
+    _set(cols, "weights", 0, cols["weights"][0] + 0.5)
+    _set(cols, "weights", 1, cols["weights"][1] - 0.5)
+    _load_fails_naming(idx, 0, "has a bin weight below 0 or, in a leaf, not whole", tmp_path,
+                       capsys)
+
+
 def _same_tables(loaded, built):
     """Every column of every level of `loaded`, the saved ones and those a
     load derives, is `built`'s: its type, shape and bytes."""
@@ -384,8 +433,9 @@ def test_a_build_saves_only_what_its_load_reads(data):
     buf = built.serialize()
     loaded = Index._parse(buf)
     assert loaded.serialize() == buf
-    # z, extent, amin, amax, count, sizes, child, sp and al: as the build made them
+    # z, extent, amin, amax, count, child, sp and al: as the build made them
     _same_tables(loaded, built)
+    assert_weights_are_counts(built)
     if grid[0] > 1 and data.draw(st.booleans(), label="append"):
         cut = data.draw(st.integers(1, grid[0] - 1), label="first slab, in chunks")
         first = ChunkStore(store.schema.with_extents((cut * chunk[0],) + shape[1:]),
@@ -395,6 +445,7 @@ def test_a_build_saves_only_what_its_load_reads(data):
                                 {c: ch for c, ch in store.chunks.items() if c[0] >= cut}))
         assert grown.serialize() == buf
         _same_tables(loaded, grown)
+        assert_weights_are_counts(grown)
 
 
 def _load_fails_on_metadata(tmp_path, capsys, change, field):

@@ -235,6 +235,25 @@ def build_parent(children, fanout: Fanout, bins: int):
     return idx._nodes(1, cols, 1)[0]
 
 
+def assert_weights_are_counts(idx):
+    """The rules a load holds saved bin weights to, node by node: a leaf's
+    are integers >= 0 summing exactly to its count, an internal node's are
+    finite, >= 0 and sum to its count within a relative 1e-12."""
+    for level, cols in enumerate(idx.tables):
+        k = cols["nbins"].astype(int)
+        start = np.cumsum(k) - k
+        for z, n, at, count in zip(cols["z"].tolist(), k.tolist(), start.tolist(),
+                                   cols["count"].tolist()):
+            w = cols["weights"][at : at + n].tolist()
+            where = f"level {level} node {z}"
+            assert all(math.isfinite(x) and x >= 0 for x in w), where
+            if level == 0:
+                assert all(x == int(x) for x in w), where
+                assert not n or sum(int(x) for x in w) == count, where
+            else:
+                assert abs(math.fsum(w) - count) <= 1e-12 * count, where
+
+
 def assert_strictly_increasing(trace):
     for a, b in zip(trace, trace[1:]):
         assert b > a, f"trace not strictly increasing: {a} -> {b}"
