@@ -176,9 +176,14 @@ def _cmd_build(args) -> int:
     idx.save(args.index)
     print(
         f"indexed {store.nonempty_total()} cells in {len(store.chunks)} chunks, "
-        f"{idx.node_count()} nodes, depth {idx.depth}; wrote {args.index}"
+        f"{idx.node_count()} nodes, depth {idx.depth}; wrote {args.index} ({_size(args.index)})"
     )
     return 0
+
+
+def _size(path) -> str:
+    """The size of a file just written, as the file system reports it."""
+    return f"{Path(path).stat().st_size} bytes"
 
 
 def _load_for_query(args) -> Index:
@@ -233,7 +238,8 @@ def _cmd_append(args) -> int:
     idx.append(additions)
     out = args.out or args.index
     idx.save(out)
-    print(f"appended {len(additions.chunks)} chunks; index now {idx.node_count()} nodes; wrote {out}")
+    print(f"appended {len(additions.chunks)} chunks; index now {idx.node_count()} nodes; "
+          f"wrote {out} ({_size(out)})")
     return 0
 
 

@@ -25,7 +25,7 @@ whose children changed, the one heuristic part of a node, by one
 level's parents at once; and `serialize` writes of each table the columns
 no other column gives (`_table_bytes`).
 
-Saved format, version 4.  Integers and floats are little-endian; every
+Saved format, version 5.  Integers and floats are little-endian; every
 table column starts on a multiple of 8 bytes.
 
   preamble   24 bytes: b"ABIX", u32 version, u32 crc, u32 levels,
@@ -35,33 +35,56 @@ table column starts on a multiple of 8 bytes.
   metadata   JSON: the schema (`ArraySchema.to_json`) and the build
              parameters
   tables     one run of columns per level, n rows each in z order:
-               leaves        z u64[n], amin f64[n], amax f64[n],
-                             count u64[n], then the bins below
-               every level   bins u32[n] (k, 0 for a plain leaf), bin
-                             floats f64: every binned node's k + 1
-                             boundaries, then their k weights
+               leaves        z Z[n], amin f64[n], amax f64[n],
+                             count C[n], nbins B[n] (k, 0 for a plain
+                             leaf), then per binned leaf its k - 1 inner
+                             boundaries f64, then its k weights C
+               above them    nbins B[n] (k), then per node its k + 1
+                             boundaries f64, then its k weights f64
+
+Z, C and B are each the narrowest unsigned type (`np.min_scalar_type`)
+that holds the largest value the metadata allows: Z the greatest z-index,
+F**depth - 1 for F children per node; C a chunk's cell count, which bounds
+a leaf's count and each of its weights; B the parameter `bins`.  A leaf's
+first and last boundary are its amin and amax, bit for bit, and are not
+saved; an internal node's are, as its amin and amax, derived from its
+children, may hold the other signed zero.
 
 crc is the CRC32 of bytes 0-7 and of bytes 12 to the end of the file.
 
-A file holds each fact once.  `Index.load` reads version 4 only: a file of
+A file holds each fact once.  `Index.load` reads version 5 only: a file of
 another version fails with DataError, and is rebuilt from its data by
 `arraybit build`.  It checks the CRC, reads every column with
-`np.frombuffer` and checks the leaves: z increasing and inside the tree,
-each leaf's chunk (`_chunk_extents` of its z, its extent) inside the
-array, a count the chunk can hold, and amin <= amax.  It then makes each
-level from the one below, as the build does: the parents are the distinct
-z >> slot bits of the level below, one saved row each, and everything but
-their bins comes from `_derive_parents`.  Every node's bins must number 1
-to `bins` above the leaves, run increasing from its amin to its amax, and
-weigh what it counts (`_check_bins`).
+`np.frombuffer`, widens it to the type the tables hold and checks the
+leaves: z increasing and inside the tree, each leaf's chunk
+(`_chunk_extents` of its z, its extent) inside the array, a count the chunk
+can hold, amin <= amax, and 0 bins below e * bins cells, else 1 to `bins`.
+It then makes each level from the one below, as the build does: the
+parents are the distinct z >> slot bits of the level below, one saved row
+each, and everything but their bins comes from `_derive_parents`.  Every
+node's bins must number 1 to `bins` above the leaves, increase, and weigh
+what it counts; above the leaves each boundary must be the amin or amax of
+one of the node's children, and the first and last its own (`_check_bins`).
+That a leaf's bins run from its amin to its amax, and that its weights are
+whole numbers >= 0, the layout itself holds.
 The checked and derived columns are the index's tables, and every internal
 node is made eagerly through `Index._nodes`.  A file left inconsistent by
 a wrong writer or a hand edit fails with DataError naming the node.
+
+What a file alone cannot prove, and so no load rule checks: a leaf's
+inner bin edges and how its weights split its count, which only its
+chunk's values fix; its count when no data is attached (`attach` compares
+each leaf's count with its chunk's); and a leaf's amin and amax where
+neither is a boundary, amin or amax of its parent.  `attach` does not
+read the chunks' values, so a leaf range saved narrower than its chunk's
+values loads and attaches, and a query that covers the saved range counts
+the chunk's cells outside it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -74,7 +97,7 @@ from .chunkstore import ArraySchema, ChunkStore, build_leaf_index
 from .errors import DataError, InputError, InternalError
 
 _MAGIC = b"ABIX"
-_VERSION = 4
+_VERSION = 5
 # magic, version, crc, levels, metadata length
 _PREAMBLE = struct.Struct("<4sIIIQ")
 _DIRECTORY = struct.Struct("<QQQ")  # nodes, table offset, table size
@@ -372,7 +395,7 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
     A child is in its parent's sp rows from p, the count of the parent's
     boundaries below its amin, and in its al rows before q, the count at or
     below its amax.  Both tables have a row per boundary, laid out as
-    `bounds`."""
+    `bounds`.  Returns the columns and each child's p and q, (2, children)."""
     total, npar = fanout.total, nbins.size
     n = np.bincount(at, minlength=npar)
     first = np.cumsum(n) - n
@@ -406,7 +429,7 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
     sp, al = _packed((kr.astype(small)[:, None] >= slots.reshape(2, npar, total)[:, kp])
                      ^ np.array([False, True])[:, None, None])
     out.update(sp=sp, al=al)
-    return out
+    return out, edge
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +554,7 @@ class Index:
             src[redo] = old["z"].size + np.arange(len(merged))
             bins = _take({name: np.concatenate((old[name], col)) for name, col in bins.items()},
                          src)
-        cols = _derive_parents(below, at, bins["nbins"], bins["bounds"], self.fanout)
+        cols, _ = _derive_parents(below, at, bins["nbins"], bins["bounds"], self.fanout)
         cols.update(z=pz, **bins)
         return cols
 
@@ -581,7 +604,7 @@ class Index:
         Path(path).write_bytes(self.serialize())
 
     def serialize(self) -> bytes:
-        """The index in the saved format of version 4 (module docstring)."""
+        """The index in the saved format of version 5 (module docstring)."""
         meta = {
             "schema": self.schema.to_json(),
             "params": {
@@ -592,7 +615,7 @@ class Index:
             },
         }
         meta_b = json.dumps(meta).encode()
-        tables = [_table_bytes(cols) for cols in self.tables]
+        tables = [_table_bytes(cols, self._int_types(self.depth)) for cols in self.tables]
         head = _PREAMBLE.size + _DIRECTORY.size * len(tables) + len(meta_b)
         offset = head + -head % 8
         directory = bytearray()
@@ -609,7 +632,7 @@ class Index:
     def _pack_leaf(self, z, row: int, ndim) -> bytes:
         """Canonical bytes of the leaf at `row` of the leaf table, of z-index
         `z`: its saved tables as a one-leaf level."""
-        return _table_bytes(_take(self.tables[0], [row]))
+        return _table_bytes(_take(self.tables[0], [row]), self._int_types(self.depth))
 
     def leaf_coords(self, rows=slice(None)) -> list:
         """The grid coordinates of the chunks of the leaves at `rows` of the
@@ -621,7 +644,7 @@ class Index:
 
     @classmethod
     def load(cls, path, store: ChunkStore | None = None) -> "Index":
-        """Read a saved index (version 4 only), then :meth:`attach` `store`."""
+        """Read a saved index (version 5 only), then :meth:`attach` `store`."""
         buf = Path(path).read_bytes()
         try:
             idx = cls._parse(buf)
@@ -656,14 +679,14 @@ class Index:
         # as many non-empty chunks as leaves, each leaf's among them
         if live != len(coords) or not all(c in chunks and chunks[c].nonempty_count
                                           for c in coords):
-            raise DataError(f"the data's {live} non-empty chunks are not the "
+            raise DataError(f"level 0: the data's {live} non-empty chunks are not the "
                             f"index's {len(coords)} leaves")
         counts = self.tables[0]["count"].tolist() if coords else []
         bad = [(c, chunks[c].nonempty_count, n) for c, n in zip(coords, counts)
                if chunks[c].nonempty_count != n]
         if bad:
             at, have, want = min(bad)
-            raise DataError(f"chunk {at} has {have} non-empty cells, its leaf {want}")
+            raise DataError(f"level 0: chunk {at} has {have} non-empty cells, its leaf {want}")
         self.store = store
 
     @classmethod
@@ -674,21 +697,32 @@ class Index:
         if version != _VERSION:
             raise DataError(f"index version {version} is not read, only version {_VERSION}: "
                             f"rebuild the index with `arraybit build`")
-        schema, params, columns = _read_tables(buf)
+        schema, params, directory = _read_head(buf)
         idx = cls(schema, None, params["attribute"], Fanout(params["fanout_per_dim"], schema.ndim),
                   params["bins"], params["e"], [])
-        tables = columns[:1]
-        if tables:  # a tree of the array's depth: one root, over the leaves
+        columns = []
+        if directory:  # a tree of the array's depth: one root, over the leaves
             depth = idx._tree_depth()
-            _require(len(columns) == depth + 1, "directory",
-                     f"the array's tree has {depth + 1} levels, the file {len(columns)}")
-            idx._check_leaves(tables[0], depth)
+            _require(len(directory) == depth + 1, "directory",
+                     f"the array's tree has {depth + 1} levels, the file {len(directory)}")
+            columns = _read_tables(buf, directory, idx._int_types(depth))
+            idx._check_leaves(columns[0], depth)
+        tables = columns[:1]
         for level, saved in enumerate(columns[1:], 1):
             tables.append(idx._saved_level(level, tables[-1], saved))
         if tables and schema.attr_type(idx.attribute) == "int64":
             _require(not _inexact(tables[-1]), "root", "int64 values reach ±2**53")
         idx._use(tables)
         return idx
+
+    def _int_types(self, depth: int) -> dict:
+        """The saved type of each integer column (module docstring) of a
+        tree of `depth` levels below its root.  DataError, naming the
+        metadata, when a value the schema and parameters allow needs more
+        than 64 bits, or a z-index more than 63 (:func:`zorder_encode_many`)."""
+        z = self.fanout.total**depth - 1
+        _require(z < 2**63, "metadata", "the tree's z-indices need more than 63 bits")
+        return _column_types(z, math.prod(self.schema.chunk_shape), self.bins)
 
     # -- building the levels of a saved index from their columns ----------
 
@@ -716,7 +750,16 @@ class Index:
             raise DataError(f"{where}: node {z[i]} counts {count[i]} cells in a "
                             f"{cells[i]}-cell extent")
         _require_each(cols["amin"] > cols["amax"], where, z, "has amin above amax")
-        _check_bins(0, cols)
+        # build_leaf_index bins a leaf of e * bins cells or more, into 1 to
+        # `bins` bins, and no other
+        k, least = cols["nbins"], self.e * self.bins
+        bad = np.flatnonzero((k > 0) == (count < least))
+        if bad.size:
+            i = bad[0]
+            raise DataError(f"{where}: node {z[i]} has {'' if k[i] else 'no '}bins but counts "
+                            f"{count[i]} cells: a leaf of {least} or more, e * bins, has bins")
+        _require_each(k > self.bins, where, z, f"has more than {self.bins} bins")
+        _check_bins(where, cols)
 
     def _saved_level(self, level: int, below: dict, saved: dict) -> dict:
         """Internal level `level` of a saved index from the checked level
@@ -729,9 +772,9 @@ class Index:
                  f"holds {nbins.size} nodes, not the {pz.size} parents of level {level - 1}")
         _require_each(nbins < 1, where, pz, "has no bins")
         _require_each(nbins > self.bins, where, pz, f"has more than {self.bins} bins")
-        cols = _derive_parents(below, at, nbins, saved["bounds"], self.fanout)
+        cols, edge = _derive_parents(below, at, nbins, saved["bounds"], self.fanout)
         cols.update(z=pz, **saved)
-        _check_bins(level, cols)
+        _check_bins(where, cols, (below, at, edge))
         return cols
 
     def _nodes(self, level: int, cols: dict, depth: int) -> dict:
@@ -778,38 +821,69 @@ def _require_each(bad: np.ndarray, where: str, z: np.ndarray, what: str) -> None
         raise DataError(f"{where}: node {z[int(np.argmax(bad))]} {what}")
 
 
-def _check_bins(level: int, cols: dict) -> None:
-    """DataError naming the first node of a level's table whose bin
-    boundaries, nbins + 1 of them back to back in `bounds` (none for a node
-    of 0 bins), do not increase (strictly for two or more bins; NaN fails
-    both) or do not run from its amin to its amax, or whose nbins weights in
-    `weights` do not count its cells: a leaf's are integers >= 0 that sum
-    to its count, an internal node's, spread from its children's, finite,
-    >= 0 and sum to it within a relative 1e-12.  A node's sp and al bounds
-    are its boundaries, so they increase too."""
-    where, z, bounds = f"level {level}", cols["z"], cols["bounds"]
-    k = cols["nbins"].astype(np.intp)
-    size, binned = k + (k > 0), k > 0
-    owner = np.repeat(np.arange(k.size), size)
-    inner = owner[1:] == owner[:-1]
-    a, b, node = bounds[:-1][inner], bounds[1:][inner], owner[1:][inner]
-    bad = np.zeros(k.size, bool)
-    bad[node[~np.where(k[node] > 1, b > a, b >= a)]] = True
-    _require_each(bad, where, z, "has bin boundaries that do not increase")
-    first = (np.cumsum(size) - size)[binned]
-    bad[binned] = ((cols["amin"][binned] != bounds[first])
-                   | (cols["amax"][binned] != bounds[first + k[binned]]))
-    _require_each(bad, where, z, "has bins that do not run from its amin to its amax")
-    # bin j of a node spans its boundaries j and j + 1, so `node` names each weight's node
-    w, count = cols["weights"], cols["count"][binned]
-    fine = (w >= 0) & ((np.floor(w) == w) | (level > 0))  # NaN fails; an inf fails the sum
-    if not fine.all():
-        bad[node[~fine]] = True
-        _require_each(bad, where, z, "has a bin weight below 0 or, in a leaf, not whole")
+def _check_bins(where: str, cols: dict, kids: tuple | None = None) -> None:
+    """DataError naming the first node of a level's table whose bins break
+    a rule of the build.  Every node's nbins + 1 boundaries, back to back
+    in `bounds` (none for a leaf of 0 bins), increase: strictly for two or
+    more bins, and NaN fails both.  Its nbins weights in `weights` sum to
+    its count: exactly in a leaf, whose weights the layout keeps whole and
+    >= 0.  Above the leaves, where `kids` holds the children's rows, each
+    child's node and its p and q (:func:`_derive_parents`): every boundary
+    is the amin or amax of one of the node's children; the first and last
+    are the node's own amin and amax; and its weights, spread from its
+    children's, are finite, >= 0 and sum to its count within a relative
+    1e-12.  A node's sp and al bounds are its boundaries, so they increase
+    too.  Each rule is one pass over a column; only a failure looks up
+    which node the first bad value is in."""
+    z, bounds, w = cols["z"], cols["bounds"], cols["weights"]
+    k = cols["nbins"]
+    rows = np.flatnonzero(k)  # the nodes with bins
+    kb = k[rows].astype(np.intp)
+    first, last = _ends(k)
+    # boundary i and i + 1 of a node: one of two bins or more increases
+    up = bounds[1:] > bounds[:-1]
+    up[last[:-1]] = True  # a node's last and the next node's first
+    one = first[kb == 1]
+    up[one] = bounds[one + 1] >= bounds[one]
+    _require_all(up, where, z, lambda: np.repeat(rows, kb + 1),
+                 "has bin boundaries that do not increase")
+    if kids is not None:
+        # np.unique and the merge keep only values of the children.  Over
+        # increasing boundaries a child's p and q are the ranks of its
+        # amin and amax, so boundary p is its amin if any is, and
+        # boundary q - 1 its amax
+        below, at, (p, q) = kids
+        start = first[at]
+        hit = np.zeros(bounds.size, bool)
+        for rank, value in ((start + p, below["amin"]), (start + q - 1, below["amax"])):
+            ok = (rank >= start) & (rank <= last[at])
+            hit[rank[ok][bounds[rank[ok]] == value[ok]]] = True
+        _require_all(hit, where, z, lambda: np.repeat(rows, kb + 1),
+                     "has a bin boundary that is no child's amin or amax")
+        _require_each((cols["amin"] != bounds[first]) | (cols["amax"] != bounds[last]), where, z,
+                      "has bins that do not run from its amin to its amax")
+        _require_all(w >= 0, where, z, lambda: np.repeat(rows, kb),  # NaN fails; an inf fails the sum
+                     "has a bin weight below 0")
+    count = cols["count"][rows]
     with np.errstate(over="ignore"):
         gap = np.abs(np.add.reduceat(w, first - np.arange(first.size)) - count)
-    bad[binned] = gap > (level > 0) * 1e-12 * count
-    _require_each(bad, where, z, "has bin weights that do not sum to its count")
+    _require_each(gap > (kids is not None) * 1e-12 * count, where, z[rows],
+                  "has bin weights that do not sum to its count")
+
+
+def _require_all(ok: np.ndarray, where: str, z: np.ndarray, owner, what: str) -> None:
+    """DataError naming the node, of z-indices `z`, of the first entry of
+    `ok` that is False: `owner()` gives the row of each entry's node."""
+    if not ok.all():
+        raise DataError(f"{where}: node {z[owner()[int(np.argmin(ok))]]} {what}")
+
+
+def _ends(k: np.ndarray) -> tuple:
+    """Where, in a bounds column of nodes of `k` bins, the first and the
+    last boundary of each node with bins lie."""
+    kb = k[k > 0].astype(np.intp)
+    last = np.cumsum(kb + 1) - 1
+    return last - kb, last
 
 
 def _packed(hit: np.ndarray) -> np.ndarray:
@@ -828,16 +902,32 @@ def _masks(raw: np.ndarray, mb: int) -> list:
 # saved format: writing
 
 
-def _table_bytes(cols: dict) -> bytes:
+def _column_types(z: int, cells: int, bins: int) -> dict:
+    """The saved type of each integer column (module docstring): the
+    narrowest little-endian unsigned type that holds `z`, the greatest
+    z-index, `cells`, a chunk's cell count, or `bins`, the greatest nbins.
+    DataError, naming the metadata, for a value past 64 bits."""
+    most = {"z": z, "count": cells, "nbins": bins}
+    for name, value in most.items():
+        _require(value < 2**64, "metadata", f"a {name} of up to {value} needs more than 64 bits")
+    return {name: np.min_scalar_type(value).newbyteorder("<") for name, value in most.items()}
+
+
+def _table_bytes(cols: dict, types: dict) -> bytes:
     """A level's table in the saved layout (module docstring): the columns
-    no other column gives, written as they are, each padded to a multiple
-    of 8 bytes."""
-    names = ("nbins", "bounds", "weights")
-    if "child" not in cols:  # the leaves
-        names = ("z", "amin", "amax", "count") + names
+    no other column gives, each padded to a multiple of 8 bytes, its
+    integer columns of the saved `types` (:func:`_column_types`)."""
+    nbins = cols["nbins"]
+    if "child" in cols:
+        parts = [nbins.astype(types["nbins"]), cols["bounds"], cols["weights"]]
+    else:  # the leaves: a binned leaf's first and last boundary are its amin and amax
+        parts = [cols["z"].astype(types["z"]), cols["amin"], cols["amax"],
+                 cols["count"].astype(types["count"]), nbins.astype(types["nbins"]),
+                 np.delete(cols["bounds"], np.concatenate(_ends(nbins))),
+                 cols["weights"].astype(types["count"])]
     out = bytearray()
-    for name in names:
-        out += np.ascontiguousarray(cols[name]).tobytes()
+    for col in parts:
+        out += np.ascontiguousarray(col).tobytes()
         out += bytes(-len(out) % 8)
     return bytes(out)
 
@@ -891,8 +981,9 @@ def _count_param(value) -> bool:
     return type(value) is int and value >= 1
 
 
-def _read_tables(buf: bytes) -> tuple:
-    """(schema, build parameters, columns per level) of a saved index."""
+def _read_head(buf: bytes) -> tuple:
+    """(schema, build parameters, directory) of a saved index whose CRC
+    holds: the directory a (nodes, table offset, table size) per level."""
     _, _, crc, nlevels, meta_len = _PREAMBLE.unpack_from(buf)
     head = _PREAMBLE.size
     view = memoryview(buf)
@@ -900,19 +991,39 @@ def _read_tables(buf: bytes) -> tuple:
         raise DataError("header or tables fail their CRC32")
     pos = head + _DIRECTORY.size * nlevels
     directory = [_DIRECTORY.unpack_from(buf, head + _DIRECTORY.size * i) for i in range(nlevels)]
-    schema, params = _read_meta(bytes(view[pos : pos + meta_len]))
+    return (*_read_meta(bytes(view[pos : pos + meta_len])), directory)
+
+
+def _read_tables(buf: bytes, directory: list, types: dict) -> list:
+    """The columns per level of a saved index, of the saved integer
+    `types` (:func:`_column_types`), in the types the tables hold: u64 z
+    and count, u32 nbins and f64 weights, and each binned leaf's bounds
+    from its amin to its amax."""
     columns = []
     for level, (n, start, size) in enumerate(directory):
         cur = _Cursor(buf, start, min(start + size, len(buf)), f"level {level}")
-        cols = {} if level else {"z": cur.take("<u8", n), "amin": cur.take("<f8", n),
-                                 "amax": cur.take("<f8", n), "count": cur.take("<u8", n)}
-        cols["nbins"] = cur.take("<u4", n)
-        k = cols["nbins"].astype(np.int64)  # parts of one f8 column need no padding between them
-        cols["bounds"] = cur.take("<f8", int(k.sum()) + int(np.count_nonzero(k)))
-        cols["weights"] = cur.take("<f8", int(k.sum()))
+        cols = {} if level else {"z": cur.take(types["z"], n), "amin": cur.take("<f8", n),
+                                 "amax": cur.take("<f8", n), "count": cur.take(types["count"], n)}
+        nbins = cur.take(types["nbins"], n)
+        k = nbins.astype(np.int64)  # parts of one column need no padding between them
+        binned = int(np.count_nonzero(k))
+        if level:
+            cols["bounds"] = cur.take("<f8", int(k.sum()) + binned)
+            cols["weights"] = cur.take("<f8", int(k.sum()))
+        else:
+            inner = cur.take("<f8", int(k.sum()) - binned)
+            cols["weights"] = cur.take(types["count"], int(k.sum())).astype(np.float64)
+            cols["z"], cols["count"] = cols["z"].astype("<u8"), cols["count"].astype("<u8")
+            cols["bounds"] = bounds = np.empty(inner.size + 2 * binned)
+            first, last = _ends(k)
+            keep = np.ones(bounds.size, bool)
+            keep[first] = keep[last] = False
+            bounds[keep] = inner
+            bounds[first], bounds[last] = cols["amin"][k > 0], cols["amax"][k > 0]
+        cols["nbins"] = nbins.astype("<u4")
         cur.done()
         columns.append(cols)
-    return schema, params, columns
+    return columns
 
 
 def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | None = None,

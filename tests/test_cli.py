@@ -361,6 +361,22 @@ def test_append_then_query_equals_fresh_build(tmp_path, capsys):
     assert count == 4 * 8  # rows 6..9 over 8 columns, all non-empty
 
 
+def test_build_and_append_print_the_bytes_they_wrote(tmp_path, capsys):
+    # the size is the written file's, as the file system reports it
+    rng = np.random.default_rng(6)
+    sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))
+    head = tmp_path / "grow.json"
+    write_raw(head, sch, {"a": rng.random((8, 8))})
+    idx, out = tmp_path / "grow.abix", tmp_path / "grown.abix"
+    capsys.readouterr()
+    assert main(["build", "--data", str(head), "--index", str(idx)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {idx} ({idx.stat().st_size} bytes)\n")
+    write_raw(head, sch, {"a": rng.random((8, 8))}, origin=(8, 0))
+    assert main(["append", "--index", str(idx), "--data", str(head), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out} ({out.stat().st_size} bytes)\n")
+    assert out.stat().st_size > idx.stat().st_size
+
+
 def test_query_and_append_refuse_stale_data(tmp_path, capsys):
     rng = np.random.default_rng(4)
     sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (4, 4))

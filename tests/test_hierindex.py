@@ -31,6 +31,7 @@ from testutil import (
     lone_chunk,
     record_fetches,
     reference_spread_weights,
+    saved_columns,
     zorder_decode,
     zorder_encode,
 )
@@ -599,9 +600,9 @@ def _index_file(tmp_path):
 
 
 def _sections(raw: bytes) -> dict:
-    """(start, end) of each section of a version-4 index file."""
+    """(start, end) of each section of a version-5 index file."""
     _, version, _, nlevels, meta_len = struct.unpack_from("<4sIIIQ", raw)
-    assert version == 4
+    assert version == 5
     meta_at = 24 + 24 * nlevels
     out = {"preamble": (0, 24), "directory": (24, meta_at),
            "metadata": (meta_at, meta_at + meta_len)}
@@ -658,30 +659,33 @@ def test_leaf_count_past_its_chunk_fails_with_data_error(tmp_path):
     # One it can hold, with the weights of the leaf and of each node above
     # it one less, loads, and only the data, once attached, tells it apart
     store, idx, raw = _index_file(tmp_path)
-    sections = _sections(raw)
-    start, _ = sections["level 0 tables"]
-    n = len(idx.levels[0])
-    count_at = start + 8 * n + 16 * n  # after z, amin and amax
+    columns = saved_columns(raw, idx._int_types(idx.depth))
+    count_at, kind, _ = columns[0]["count"]
     cells = math.prod(store.chunks[idx.leaf_coords([0])[0]].shape)
-    assert struct.unpack_from("<Q", raw, count_at)[0] == idx.tables[0]["count"][0] == cells == 64
-    # the largest weight of the first node of each level, in the last column
+    assert kind == np.uint8  # the narrowest type of a 64-cell chunk
+    assert raw[count_at] == idx.tables[0]["count"][0] == cells == 64
+
+    def put(buf, at, kind, value):
+        return buf[:at] + np.array([value], kind).tobytes() + buf[at + kind.itemsize:]
+
+    # the largest weight of the first node of each level
     top = [int(np.argmax(cols["weights"][: cols["nbins"][0]])) for cols in idx.tables]
-    weight_at = [sections[f"level {level} tables"][1] - 8 * (cols["weights"].size - i)
-                 for level, (cols, i) in enumerate(zip(idx.tables, top))]
-    assert [struct.unpack_from("<d", raw, at)[0] for at in weight_at] == \
+    weight_at = [(cols["weights"][0] + cols["weights"][1].itemsize * i, cols["weights"][1])
+                 for cols, i in zip(columns, top)]
+    assert [np.frombuffer(raw, kind, 1, at)[0] for at, kind in weight_at] == \
         [cols["weights"][i] for cols, i in zip(idx.tables, top)]
     for bad in (64, 63, 65):
         path = tmp_path / f"count-{bad}.abix"
-        edited = raw[:count_at] + struct.pack("<Q", bad) + raw[count_at + 8:]
+        edited = put(raw, count_at, kind, bad)
         path.write_bytes(_with_crc(edited))
         if bad == 64:
             assert Index.load(path, store=store).serialize() == raw
         elif bad == 63:
             with pytest.raises(DataError, match="level 0: node 0 has bin weights that do not sum"):
                 Index.load(path)
-            for at in weight_at:
-                weight = struct.unpack_from("<d", edited, at)[0]
-                edited = edited[:at] + struct.pack("<d", weight - 1) + edited[at + 8:]
+            for at, weight_kind in weight_at:
+                edited = put(edited, at, weight_kind,
+                             np.frombuffer(edited, weight_kind, 1, at)[0] - 1)
             path.write_bytes(_with_crc(edited))
             assert Index.load(path).tables[-1]["count"][0] == idx.root.count - 1
             with pytest.raises(DataError, match=r"\(0, 0\) has 64 non-empty cells, its leaf 63"):
@@ -733,10 +737,10 @@ def test_stale_data_is_refused(tmp_path):
     nonempty[3, 4] = False
     lost = ChunkStore(store.schema, dict(store.chunks))
     lost.chunks[(1, 2)] = lone_chunk(chunk.coords, chunk.offsets, {"a": values}, nonempty)
-    with pytest.raises(DataError, match=r"chunk \(1, 2\) has 63 non-empty cells, its leaf 64"):
+    with pytest.raises(DataError, match=r"level 0: chunk \(1, 2\) has 63 non-empty cells, its leaf 64"):
         Index.load(path, store=lost)
     fewer = ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c != (1, 2)})
-    with pytest.raises(DataError, match="15 non-empty chunks are not the index's 16 leaves"):
+    with pytest.raises(DataError, match="level 0: the data's 15 non-empty chunks are not the index's 16 leaves"):
         Index.load(path, store=fewer)
     moved = dict(store.chunks)
     moved[(9, 9)] = moved.pop((1, 2))

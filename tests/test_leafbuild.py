@@ -11,6 +11,7 @@ one of them), subnormals and a live infinity.  Zero is drawn only as +0.0:
 -0.0 equals it, and which of the two a sort keeps first is not fixed.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from arraybit import chunkstore
 from arraybit.baseline import BinnedBitmapIndex
 from arraybit.bitvec import BitVector
 from arraybit.chunkstore import ArraySchema, ChunkStore, build_leaf_index
-from arraybit.hierindex import _chunk_extents, _table_bytes, _take
+from arraybit.hierindex import _chunk_extents, _column_types, _table_bytes, _take
 from testutil import leaf_row, reference_binned, reference_leaf, value_pool
 
 
@@ -60,13 +61,15 @@ def test_batched_leaves_match_per_chunk_reference(store, bins, e, batch):
         leaves = build_leaf_index(chunks, "a", bins, e)
     assert leaves["count"].size == len(chunks)
     z = {"z": np.zeros(1, "<u8")}
+    types = _column_types(0, math.prod(store.schema.chunk_shape), bins)
     for chunk in chunks:
         leaf = _take(leaves, [leaf_row(leaves, chunk)])
         leaf["extent"] = _chunk_extents(leaf.pop("coords"), store.schema)
         want = reference_leaf(chunk, "a", bins, e)
         assert leaf.keys() == want.keys(), chunk.coords
         assert all(np.array_equal(leaf[name], want[name]) for name in want), chunk.coords
-        assert _table_bytes({**leaf, **z}) == _table_bytes({**want, **z}), chunk.coords
+        assert _table_bytes({**leaf, **z}, types) == _table_bytes({**want, **z}, types), \
+            chunk.coords
 
 
 def test_one_column_build_matches_reference():

@@ -254,6 +254,37 @@ def assert_weights_are_counts(idx):
                 assert abs(math.fsum(w) - count) <= 1e-12 * count, where
 
 
+def saved_columns(raw: bytes, types: dict) -> list:
+    """Where each column of each level of a version-5 index file lies,
+    read by hand from the layout of the `hierindex` module docstring: per
+    level, leaves first, a dict of name -> (byte offset, dtype, length).
+    `types` are the saved integer types (`Index._int_types`).  A leaf's
+    `bounds` are the inner boundaries its file holds."""
+    _, version, _, nlevels, _ = struct.unpack_from("<4sIIIQ", raw)
+    assert version == 5
+    out = []
+    for level in range(nlevels):
+        n, at, size = struct.unpack_from("<QQQ", raw, 24 + 24 * level)
+        cols, end = {}, at + size
+        kinds = {"nbins": types["nbins"], "bounds": "<f8",
+                 "weights": "<f8" if level else types["count"]}
+        if not level:
+            kinds = {"z": types["z"], "amin": "<f8", "amax": "<f8", "count": types["count"],
+                     **kinds}
+        for name, dtype in kinds.items():
+            dtype, length = np.dtype(dtype), n
+            if name in ("bounds", "weights"):
+                k = np.frombuffer(raw, cols["nbins"][1], n, cols["nbins"][0]).astype(int)
+                binned = int(np.count_nonzero(k)) if name == "bounds" else 0
+                length = int(k.sum()) + (binned if level else -binned)
+            cols[name] = (at, dtype, length)
+            at += dtype.itemsize * length
+            at += -at % 8
+        assert at == end, level
+        out.append(cols)
+    return out
+
+
 def assert_strictly_increasing(trace):
     for a, b in zip(trace, trace[1:]):
         assert b > a, f"trace not strictly increasing: {a} -> {b}"
