@@ -5,7 +5,10 @@ A store keeps its chunks in blocks (:class:`Block`): the chunks of one
 shape are rows of one contiguous (chunks, cells) array per attribute, with
 one non-empty mask of the same shape beside them.  A `Chunk` is a
 read-only view of its row, and a store made from the chunks of others
-shares their blocks.
+shares their blocks.  A store also gives its chunks as arrays, each one's
+grid coordinates, block, row and count (:class:`ChunkTable`), which the
+index joins with its leaves by z, so that attaching a store and grouping
+leaves by block take no Python step per chunk.
 
 A chunk's leaf is the index tree's level-0 node: a row of the leaf
 table, which holds per leaf the chunk's value range, its non-empty count
@@ -212,7 +215,9 @@ class Block:
     array of row-major chunk cells, the non-empty mask of the same shape
     beside them, and each row's non-empty count.  Every array is read-only:
     an index and its queries only read them, and a write through any view
-    raises."""
+    raises.  A block does not hold its rows' grid coordinates: a store
+    made from a dict may hold a row at any coordinates, so they are the
+    store's (:meth:`ChunkStore.table`)."""
 
     __slots__ = ("shape", "values", "nonempty", "counts")
 
@@ -252,12 +257,26 @@ class ChunkStore:
     """All non-empty chunks of one array, keyed by grid coordinates.
 
     The chunks are views of blocks (:class:`Block`); a store made from the
-    chunks of other stores shares their blocks and copies nothing.
+    chunks of other stores shares their blocks and copies nothing.  The
+    same chunks as arrays, with each one's coordinates, block, row and
+    count, are its :meth:`table`.  A store's chunks are not changed in
+    place once its table has been read.
     """
 
     def __init__(self, schema: ArraySchema, chunks: dict):
         self.schema = schema
         self.chunks = chunks
+        self._table = None  # (chunks, their ChunkTable)
+
+    def table(self) -> "ChunkTable":
+        """The store's chunks as a :class:`ChunkTable`, each at its key in
+        `chunks`: the one `from_dense` makes with the blocks, or else one
+        made from the chunks on the first call, and again once `chunks` is
+        another dict."""
+        if self._table is None or self._table[0] is not self.chunks:
+            self._table = (self.chunks, ChunkTable.of(list(self.chunks), self.chunks.values(),
+                                                      self.schema.ndim))
+        return self._table[1]
 
     @classmethod
     def from_dense(cls, schema: ArraySchema, data: dict) -> "ChunkStore":
@@ -269,7 +288,8 @@ class ChunkStore:
         of those tiles hold no non-empty cell, the block keeps only the
         others' rows, so the store holds no more than its chunks.  The
         blocks are copies, so later writes to `data` leave the store
-        unchanged.
+        unchanged.  The store's :meth:`table` is made here, from each
+        block's rows, counts and grid coordinates.
         """
         for name, _ in schema.attributes:
             if name not in data:
@@ -283,7 +303,7 @@ class ChunkStore:
         for e, c in zip(schema.shape, cs):
             whole, rest = divmod(e, c)
             parts.append([p for p in ((0, whole, c), (whole, 1, rest)) if p[1] and p[2]])
-        chunks = []
+        chunks, blocks, grids = [], [], []
         for group in itertools.product(*parts):
             first, tiles, shape = zip(*group)
             sl = tuple(slice(g * c, g * c + n * s) for g, n, s, c in zip(first, tiles, shape, cs))
@@ -302,8 +322,17 @@ class ChunkStore:
             grid = np.stack(np.unravel_index(kept, tiles), axis=1) + first
             for row, coords in enumerate(grid.tolist()):
                 chunks.append(Chunk(block, row, coords, [g * c for g, c in zip(coords, cs)]))
+            blocks.append(block)
+            grids.append(grid)
         chunks.sort(key=lambda chunk: chunk.coords)
-        return cls(schema, {chunk.coords: chunk for chunk in chunks})
+        store = cls(schema, {chunk.coords: chunk for chunk in chunks})
+        sizes = [len(b.counts) for b in blocks]
+        store._table = (store.chunks, ChunkTable(
+            tuple(blocks), np.repeat(np.arange(len(blocks)), sizes),
+            np.concatenate([np.arange(n) for n in sizes] or [np.empty(0, np.intp)]),
+            np.concatenate(grids or [np.empty((0, schema.ndim), np.int64)]),
+            np.concatenate([b.counts for b in blocks] or [np.empty(0, np.int64)])))
+        return store
 
     def nonempty_total(self) -> int:
         return sum(c.nonempty_count for c in self.chunks.values())
@@ -329,19 +358,57 @@ class ChunkStore:
         return out
 
 
+class ChunkTable(NamedTuple):
+    """Chunks as arrays, one entry each: `block` indexes `blocks`, the
+    chunk's rows lie at `row` of its block, and `coords` (entries, ndim)
+    and `count` are its grid coordinates and non-empty cells."""
+
+    blocks: tuple
+    block: np.ndarray
+    row: np.ndarray
+    coords: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, coords, chunks, ndim: int) -> "ChunkTable":
+        """The table of `chunks`, at the grid coordinates `coords` in the
+        same order; one pass over the chunks in Python."""
+        ids, blocks, entries = {}, [], []
+        for chunk in chunks:
+            b = ids.setdefault(id(chunk.block), len(blocks))
+            if b == len(blocks):
+                blocks.append(chunk.block)
+            entries.append((b, chunk.row, chunk.nonempty_count))
+        block, row, count = np.array(entries, np.int64).reshape(-1, 3).T
+        return cls(tuple(blocks), block.astype(np.intp), row.astype(np.intp),
+                   np.array(coords, np.int64).reshape(len(entries), ndim), count)
+
+    def take(self, entries) -> "ChunkTable":
+        """The entries at `entries`, in that order."""
+        return self._replace(block=self.block[entries], row=self.row[entries],
+                             coords=self.coords[entries], count=self.count[entries])
+
+    def batches(self, first) -> list:
+        """The entries grouped by their block: per block (block, the
+        entries' positions in the table, increasing, their rows, their tile
+        positions counted from tile `first`, one index array per
+        dimension)."""
+        if not self.block.size:
+            return []
+        at = (self.coords - np.asarray(first, np.int64)).T
+        order = np.argsort(self.block, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.block[order])) + 1
+        return [(self.blocks[self.block[p[0]]], p, self.row[p], tuple(at[:, p]))
+                for p in np.split(order, cuts)]
+
+
 def tile_batches(chunks, first) -> list:
-    """`chunks` grouped by their block, in order of first appearance: per
+    """`chunks` grouped by their block (:meth:`ChunkTable.batches`): per
     block (block, positions in `chunks`, the chunks' rows, their tile
     positions counted from tile `first`, one index array per dimension)."""
-    groups: dict = {}
-    for i, chunk in enumerate(chunks):
-        groups.setdefault(id(chunk.block), (chunk.block, []))[1].append(i)
-    out = []
-    for block, members in groups.values():
-        rows = np.array([chunks[i].row for i in members], np.intp)
-        at = tuple((np.array([chunks[i].coords for i in members]) - first).T)
-        out.append((block, members, rows, at))
-    return out
+    chunks = list(chunks)
+    ndim = len(chunks[0].coords) if chunks else 0
+    return ChunkTable.of([c.coords for c in chunks], chunks, ndim).batches(first)
 
 
 def _tile_rows(arr: np.ndarray, tiles, shape, dtype) -> np.ndarray:
@@ -573,10 +640,10 @@ def put_rows(answer: np.ndarray, chunk_shape, at: tuple, rows: np.ndarray, shape
     tiles[at] = rows.view(item).reshape(-1, *shape[:-1])
 
 
-def put_chunks(cover: Cover, chunks) -> None:
-    """Write the non-empty cells of `chunks` into `cover.answer`, one
-    assignment per block (:func:`put_rows`)."""
-    for block, _, rows, at in tile_batches(chunks, cover.first):
+def put_chunks(cover: Cover, chunks: ChunkTable) -> None:
+    """Write the non-empty cells of `chunks`, a :class:`ChunkTable`, into
+    `cover.answer`, one assignment per block (:func:`put_rows`)."""
+    for block, _, rows, at in chunks.batches(cover.first):
         put_rows(cover.answer, cover.chunk_shape, at, block.nonempty[rows], block.shape)
 
 

@@ -11,8 +11,12 @@ no bitmaps over cells, since every chunk is resident and a query scans it
 (`chunkstore.leaf_query`).
 Node identity is (level, z-index); parent and child indices are pure bit
 arithmetic on the z-index.  `Index.levels[l]` finds a level's nodes by z
-for the descent: a leaf's row, or the `TreeNode` that `Index._nodes` makes
-from an internal node's row, whose int masks the descent tests.
+for the descent: a leaf's row, or an internal node's `TreeNode`, whose int
+masks the descent tests.  A `TreeNode` is made from its row the first time
+the descent fetches it (`Index._maker`), so a load, a build or an append
+makes none; once made, a fetch is one dict lookup.  Leaf resolution finds
+each leaf's chunk through one z join of the leaf table with the store's
+chunk arrays (`Index._join`), which `Index.attach` checks and keeps.
 
 A tree is only ever grown: `Index._grow` merges the leaf rows of some
 chunks into the leaf table by z and derives each level above whole from
@@ -67,9 +71,9 @@ what it counts; above the leaves each boundary must be the amin or amax of
 one of the node's children, and the first and last its own (`_check_bins`).
 That a leaf's bins run from its amin to its amax, and that its weights are
 whole numbers >= 0, the layout itself holds.
-The checked and derived columns are the index's tables, and every internal
-node is made eagerly through `Index._nodes`.  A file left inconsistent by
-a wrong writer or a hand edit fails with DataError naming the node.
+The checked and derived columns are the index's tables; no node object is
+made until a query fetches it.  A file left inconsistent by a wrong writer
+or a hand edit fails with DataError naming the node.
 
 What a file alone cannot prove, and so no load rule checks: a leaf's
 inner bin edges and how its weights split its count, which only its
@@ -83,6 +87,7 @@ the chunk's cells outside it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -93,7 +98,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import Binning, merge_bins_iterative
-from .chunkstore import ArraySchema, ChunkStore, build_leaf_index
+from .chunkstore import ArraySchema, ChunkStore, ChunkTable, build_leaf_index
 from .errors import DataError, InputError, InternalError
 
 _MAGIC = b"ABIX"
@@ -195,6 +200,11 @@ class DimensionBitmaps:
         return self.begin[d][max(lo, 0)] & self.end[d][min(hi, fd - 1)]
 
 
+# the masks depend only on the fanout, so every index of one fanout shares
+# them; a fanout is at most 4096 children, so the cache stays small
+_dimension_bitmaps = functools.cache(DimensionBitmaps)
+
+
 # ---------------------------------------------------------------------------
 # tree nodes
 
@@ -222,6 +232,51 @@ class TreeNode:
     sp_masks: list
     al_bounds: np.ndarray
     al_masks: list
+
+
+class _Level(dict):
+    """One level's nodes by z, for the descent: a node already in the dict
+    costs `Index.fetch` one dict lookup.  The leaves are all in it from the
+    start, each as its row of the leaf table; an internal node's `TreeNode`
+    is made by `make` from its row of the level's table, whose z column is
+    `z`, on its first lookup.  A z of no node looks up None.  `len`, `in`,
+    `get`, `keys`, `values` and `items` answer for every node of the level,
+    made or not, in z order, and make the nodes they return."""
+
+    __slots__ = ("z", "make")
+
+    def __init__(self, z: np.ndarray, make=None, nodes=()):
+        super().__init__(nodes)
+        self.z, self.make = z, make
+
+    def __missing__(self, z):
+        i = int(np.searchsorted(self.z, z))
+        if i == self.z.size or self.z[i] != z:
+            return None
+        node = self[z] = self.make(i)
+        return node
+
+    def __len__(self) -> int:
+        return self.z.size
+
+    def __iter__(self):
+        return iter(self.z.tolist())
+
+    def __contains__(self, z) -> bool:
+        return self[z] is not None
+
+    def get(self, z, default=None):
+        node = self[z]
+        return default if node is None else node
+
+    def keys(self) -> list:
+        return self.z.tolist()
+
+    def values(self) -> list:
+        return [self[z] for z in self.z.tolist()]
+
+    def items(self) -> list:
+        return [(z, self[z]) for z in self.z.tolist()]
 
 
 def _spread_weights(bounds: np.ndarray, nb: np.ndarray, kids: dict, at: np.ndarray) -> np.ndarray:
@@ -440,7 +495,11 @@ class Index:
     """A built tree over a chunk store, navigable by (level, z-index).
 
     `tables[l]` is level l's column table in increasing z, and `levels[l]`
-    finds its nodes by z: at level 0 a leaf's row, above it a `TreeNode`.
+    finds its nodes by z (:class:`_Level`): at level 0 a leaf's row, above
+    it a `TreeNode`, made from its row the first time it is looked up.  A
+    load, a build and an append make no `TreeNode`.  Leaf resolution finds
+    each leaf's chunk through :meth:`leaf_chunks`, the z join that
+    :meth:`attach` checks.
     """
 
     def __init__(self, schema, store, attribute, fanout, bins, e, tables):
@@ -450,15 +509,18 @@ class Index:
         self.fanout = fanout
         self.bins = bins
         self.e = e
-        self.dimbitmaps = DimensionBitmaps(fanout)
+        self.dimbitmaps = _dimension_bitmaps(fanout)
         self._use(tables)
 
     def _use(self, tables: list) -> None:
-        """Hold `tables`, checked or just derived, and look their nodes up."""
+        """Hold `tables`, checked or just derived, and look their nodes up:
+        the leaves' rows by z at once, every internal node on its first
+        lookup."""
         self.tables = tables
+        self._chunks = None  # (store, leaf_chunks(store))
         depth = len(tables) - 1
-        self.levels = [dict(zip(cols["z"].tolist(), range(cols["z"].size))) if level == 0
-                       else self._nodes(level, cols, depth)
+        self.levels = [_Level(cols["z"], self._maker(level, cols, depth)) if level
+                       else _Level(cols["z"], nodes=zip(cols["z"].tolist(), range(cols["z"].size)))
                        for level, cols in enumerate(tables)]
 
     @property
@@ -468,11 +530,11 @@ class Index:
 
     @property
     def root(self):
-        return self.levels[-1].get(0) if self.levels else None
+        return self.levels[-1][0] if self.levels else None
 
     def fetch(self, level: int, z: int, stats=None):
         """The node at (level, z) or None, each found one counted in `stats`."""
-        node = self.levels[level].get(z)
+        node = self.levels[level][z]
         if node is not None and stats is not None:
             stats.nodes_fetched += 1
         return node
@@ -663,8 +725,8 @@ class Index:
         unless its shape, chunk shape and indexed attribute's type and empty
         sentinel are the index's, and its non-empty chunks, with their
         non-empty cell counts, are exactly the leaves' coordinates and
-        counts: data that changed since the index was built would give
-        wrong answers.  Each leaf looks its chunk up by its coordinates."""
+        counts (:meth:`_join`): data that changed since the index was built
+        would give wrong answers."""
         data, own, attr = store.schema, self.schema, self.attribute
         for what, got, need in (("shape", data.shape, own.shape),
                                 ("chunk shape", data.chunk_shape, own.chunk_shape),
@@ -674,20 +736,53 @@ class Index:
                                  own.to_json()["empty"][attr])):
             if got != need:
                 raise DataError(f"the data's {what} is {got}, not the index's {need}")
-        chunks, coords = store.chunks, self.leaf_coords()
-        live = sum(1 for chunk in chunks.values() if chunk.nonempty_count)
-        # as many non-empty chunks as leaves, each leaf's among them
-        if live != len(coords) or not all(c in chunks and chunks[c].nonempty_count
-                                          for c in coords):
-            raise DataError(f"level 0: the data's {live} non-empty chunks are not the "
-                            f"index's {len(coords)} leaves")
-        counts = self.tables[0]["count"].tolist() if coords else []
-        bad = [(c, chunks[c].nonempty_count, n) for c, n in zip(coords, counts)
-               if chunks[c].nonempty_count != n]
-        if bad:
-            at, have, want = min(bad)
-            raise DataError(f"level 0: chunk {at} has {have} non-empty cells, its leaf {want}")
+        chunks = self._join(store)
         self.store = store
+        self._chunks = (store, chunks)
+
+    def leaf_chunks(self, store: ChunkStore | None = None) -> ChunkTable:
+        """The chunk of each leaf in `store`, by default the attached one,
+        as a `ChunkTable` of one entry per row of the leaf table
+        (:meth:`_join`).  It is joined once per store and kept until the
+        next store or change of the tree.  DataError without a store."""
+        store = self.store if store is None else store
+        if store is None:
+            raise DataError("index has no attached data store for leaf resolution")
+        if self._chunks is None or self._chunks[0] is not store:
+            self._chunks = (store, self._join(store))
+        return self._chunks[1]
+
+    def _join(self, store: ChunkStore) -> ChunkTable:
+        """Each leaf's chunk in `store`, in leaf-table order, by one z join
+        of the store's :meth:`ChunkStore.table`: its non-empty chunks' z,
+        sorted, must be the leaves' z, and each chunk's count its leaf's.
+        DataError naming level 0 otherwise: for another number of non-empty
+        chunks or other coordinates, and for the least coordinates whose
+        count differs."""
+        table = store.table()
+        live = np.flatnonzero(table.count)
+        if not self.tables:
+            if live.size:
+                raise DataError(f"level 0: the data's {live.size} non-empty chunks are not the "
+                                f"index's 0 leaves")
+            return table.take(live)
+        leaves, bits = self.tables[0], self.fanout.bits * self.depth
+        coords = table.coords[live]
+        same = live.size == leaves["z"].size and bool(((coords >= 0) & (coords < 1 << bits)).all())
+        if same:  # each non-empty chunk inside the tree: join by z
+            z = zorder_encode_many(coords, bits).astype("<u8")
+            order = np.argsort(z)
+            same, live = np.array_equal(z[order], leaves["z"]), live[order]
+        if not same:
+            raise DataError(f"level 0: the data's {live.size} non-empty chunks are not the "
+                            f"index's {leaves['z'].size} leaves")
+        chunks = table.take(live)
+        bad = np.flatnonzero(chunks.count != leaves["count"])
+        if bad.size:
+            i = bad[np.lexsort(chunks.coords[bad].T[::-1])[0]]  # the least coordinates
+            raise DataError(f"level 0: chunk {tuple(chunks.coords[i].tolist())} has "
+                            f"{chunks.count[i]} non-empty cells, its leaf {leaves['count'][i]}")
+        return chunks
 
     @classmethod
     def _parse(cls, buf: bytes) -> "Index":
@@ -777,32 +872,36 @@ class Index:
         _check_bins(where, cols, (below, at, edge))
         return cols
 
-    def _nodes(self, level: int, cols: dict, depth: int) -> dict:
-        """Internal level `level` from its columns, checked or just derived:
-        the one place a `TreeNode` is made."""
-        nb = cols["nbins"].astype(np.int64)
-        # where each node's part of each column starts, and the next's
-        bo, wo = (np.concatenate(([0], np.cumsum(k))).tolist() for k in (nb + 1, nb))
-        bounds, weights = cols["bounds"], cols["weights"]
+    def _maker(self, level: int, cols: dict, depth: int):
+        """The function that makes the `TreeNode` of row i of internal
+        level `level`'s columns, checked or just derived, in a tree of
+        `depth` levels below the root: the one place a `TreeNode` is made."""
+        nb = cols["nbins"].tolist()
+        bo = np.cumsum(cols["nbins"] + 1, dtype=np.intp).tolist()  # each node's last bound + 1
         mb = -(-self.fanout.total // 8)
-        child = _masks(cols["child"], mb)
-        sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
-        z = cols["z"].tolist()
-        coords = map(tuple, zorder_decode_many(cols["z"], self.fanout.ndim,
-                                               self.fanout.bits * (depth - level)).tolist())
-        ext = (tuple(map(tuple, e)) for e in cols["extent"].tolist())
-        nodes = {}
-        for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
-                                                      cols["amax"].tolist(),
-                                                      cols["count"].tolist())):
-            r = slice(bo[i], bo[i + 1])
-            b = bounds[r]
-            nodes[zi] = TreeNode(
-                level=level, z=zi, coords=c, extent=e, amin=lo, amax=hi, count=n,
-                child_mask=child[i], binning=Binning.prevalidated(b, weights[wo[i] : wo[i + 1]]),
-                sp_bounds=b, sp_masks=sp_masks[r], al_bounds=b, al_masks=al_masks[r],
+        z, extent, amin, amax, count, child, bounds, weights, sp, al = (
+            cols[name] for name in ("z", "extent", "amin", "amax", "count", "child", "bounds",
+                                    "weights", "sp", "al"))
+        coords = []  # every node's, decoded when the level's first node is made
+
+        def make(i: int) -> TreeNode:
+            if not coords:
+                coords.extend(map(tuple, zorder_decode_many(
+                    z, self.fanout.ndim, self.fanout.bits * (depth - level)).tolist()))
+            k = nb[i]
+            b = bo[i] - k - 1
+            w = b - i  # a node's weights start at its bounds' start less one per node before it
+            edges = bounds[b : b + k + 1]
+            return TreeNode(
+                level=level, z=int(z[i]), coords=coords[i],
+                extent=tuple(map(tuple, extent[i].tolist())), amin=float(amin[i]),
+                amax=float(amax[i]), count=int(count[i]), child_mask=_masks(child[i], mb)[0],
+                binning=Binning.prevalidated(edges, weights[w : w + k]),
+                sp_bounds=edges, sp_masks=_masks(sp[b : b + k + 1], mb),
+                al_bounds=edges, al_masks=_masks(al[b : b + k + 1], mb),
             )
-        return nodes
+
+        return make
 
 
 def _inexact(cols: dict) -> bool:

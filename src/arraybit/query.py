@@ -13,20 +13,24 @@ each node the children are matched, from its child-slot bitmaps, as
 partial or complete for the attribute and for the dimensions.  Complete
 children are taken whole without reading a cell; partial ones are
 descended to the leaves, or to an estimate's level budget.  A leaf the
-descent reaches is its row of the index's leaf table: its count, value
-range and chunk are read from the table's columns.  `execute`, which is
+descent reaches is its row of the index's leaf table: its count and value
+range are read from the table's columns, and its chunk's block and row
+from the index's one leaf -> (block, row) map, the join of the leaf table
+with the store's chunk arrays (`Index.leaf_chunks`).  `execute`, which is
 also `membership`, then resolves the partial leaves exactly in one batch
 per block of their chunks (`chunkstore.leaf_query`), straight into the
 answer over the chunk-aligned cover of the query's box, which holds the
-complete nodes too.  A batch matches its scanned chunks in place, one
-slice of the block per run of consecutive rows.  Leaves hold no bitmaps,
-since every chunk is resident: on the benchmark's 4096-cell chunks the
-scan costs less than decoding one bitmap would.  Cell ids crop the answer
-to the box once; row-major order in it is global order, so they need no
-sort.  Where widening the crop to the array's extents after the first
-dimension adds no more cells than the query matches, it is widened, and
-each id is its position plus one constant; else each id is fixed up per
-dimension whose stride differs from the array's.
+complete nodes too: the leaves under a complete node are one run of the
+leaf table's z, found by one search per node.  A batch matches its
+scanned chunks in place, one slice of the block per run of consecutive
+rows.  Leaves hold no bitmaps, since every chunk is resident: on the
+benchmark's 4096-cell chunks the scan costs less than decoding one bitmap
+would.  Cell ids crop the answer to the box once; row-major order in it
+is global order, so they need no sort.  Where widening the crop to the
+array's extents after the first dimension adds no more cells than the
+query matches, it is widened, and each id is its position plus one
+constant; else each id is fixed up per dimension whose stride differs
+from the array's.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from .chunkstore import (
     query_box,
     query_cover,
     run_matcher,
-    tile_batches,
 )
-from .errors import DataError, InputError
+from .errors import InputError
 from .hierindex import Index
 
 __all__ = [
@@ -104,7 +107,7 @@ class ResultSet:
     to its hit count.  `cover` (:func:`query_cover`) holds the partial
     leaves' hits, and :meth:`cell_ids` adds the complete nodes' cells.
     `box`, (lo, hi) per dimension, holds every match.  Both are None when
-    the descent stopped at no node.
+    the descent stopped at no node.  `index` is the index queried.
     """
 
     schema: ArraySchema
@@ -113,6 +116,7 @@ class ResultSet:
     cover: Cover | None = None
     box: tuple | None = None
     leaves: dict | None = None
+    index: Index | None = None
 
     @property
     def count(self) -> int:
@@ -121,11 +125,13 @@ class ResultSet:
     def cell_ids(self, store: ChunkStore) -> np.ndarray:
         """All matching cells as global row-major ids, strictly increasing.
 
-        The non-empty rows of the chunks under the complete nodes are
-        written into the cover's answer, which holds them all, one
-        assignment per block.  The answer is cropped to the box once;
-        row-major order in it is global order, so one `np.flatnonzero` and
-        no sort.  The ids then need, per dimension whose stride differs
+        The leaves under the complete nodes are one run of the leaf table
+        each, found by one search of its z column per node, and their
+        chunks in `store`, which holds the index's chunks, are the index's
+        :meth:`~Index.leaf_chunks`.  Their non-empty rows are written into
+        the cover's answer, which holds them all, one assignment per block.
+        The answer is cropped to the box once; row-major order in it is
+        global order, so one `np.flatnonzero` and no sort.  The ids then need, per dimension whose stride differs
         from the array's, one floor division, a multiply and an add each.
         Where copying the crop into a zeroed answer spanning the array's
         extents after the first dimension adds no more cells than
@@ -137,16 +143,9 @@ class ResultSet:
         cover = self.cover
         if cover is None:
             return np.empty(0, np.int64)
-        cs = cover.chunk_shape
-        chunks = []
-        for node in self.complete:
-            extent = node.extent if type(node) is not int else self.leaves["extent"][node].tolist()
-            grid = (range(lo // c, hi // c + 1) for (lo, hi), c in zip(extent, cs))
-            for coords in itertools.product(*grid):
-                chunk = store.chunks.get(coords)
-                if chunk is not None:
-                    chunks.append(chunk)
-        put_chunks(cover, chunks)
+        if self.complete:
+            rows = _leaf_rows(self.complete, self.leaves["z"], self.index.fanout.slot_bits)
+            put_chunks(cover, self.index.leaf_chunks(store).take(rows))
         lo = [max(a, o) for (a, _), o in zip(self.box, cover.origin)]
         box = cover.answer[tuple(slice(a - o, b + 1 - o)
                                  for a, (_, b), o in zip(lo, self.box, cover.origin))]
@@ -386,31 +385,43 @@ def _cells(nodes: list, leaves: dict | None) -> int:
     return cells + sum(node.count for node in nodes if type(node) is not int)
 
 
+def _leaf_rows(nodes: list, z: np.ndarray, slot_bits: int) -> np.ndarray:
+    """The rows of the leaf table, of z column `z`, under nodes of the
+    descent: a leaf is its row, and an internal node at level l and z-index
+    n the run of leaves whose z lies in [n, n + 1) << (slot_bits * l)."""
+    inner = [node for node in nodes if type(node) is not int]
+    rows = np.array([node for node in nodes if type(node) is int], np.intp)
+    if not inner:
+        return rows
+    ends = np.array([((node.z << slot_bits * node.level), (node.z + 1) << slot_bits * node.level)
+                     for node in inner], np.uint64)
+    a, b = np.searchsorted(z, ends.T)
+    n = b - a
+    return np.concatenate((rows, np.repeat(a - (np.cumsum(n) - n), n) + np.arange(n.sum())))
+
+
 def _resolve(index: Index, runs, leaves: list, cover: Cover, stats) -> dict:
     """Resolve the partial `leaves`, rows of the leaf table, into
     `cover.answer` in one batch per block of their chunks
-    (:func:`leaf_query`), masked by the cover's dimension windows, with one
-    attribute matcher for all of them; returns the hit count per chunk
-    with a hit."""
-    store = index.store
-    if store is None:
-        raise DataError("index has no attached data store for leaf resolution")
+    (:func:`leaf_query`, :meth:`Index.leaf_chunks`), masked by the cover's
+    dimension windows, with one attribute matcher for all of them; returns
+    the hit count per chunk with a hit."""
+    chunks = index.leaf_chunks()
     schema = index.schema
     root = index.root
     match = run_matcher(runs, schema.attr_type(index.attribute) == "int64", root.amin,
                         root.amax, len(leaves) * prod(schema.chunk_shape),
                         schema.empty_value(index.attribute))
-    coords = index.leaf_coords(leaves)
-    chunks = [store.chunks[c] for c in coords]
+    rows = np.array(leaves, np.intp)
+    chunks = chunks.take(rows)
     table = index.tables[0]
-    amin, amax = table["amin"][leaves], table["amax"][leaves]
+    amin, amax = table["amin"][rows], table["amax"][rows]
     hits = {}
-    for block, members, rows, at in tile_batches(chunks, cover.first):
+    for block, members, at_rows, at in chunks.batches(cover.first):
         batch = {"amin": amin[members], "amax": amax[members]}
-        counts = leaf_query(block, rows, at, batch, index.attribute, runs, match, cover, stats)
-        for i, n in zip(members, counts.tolist()):
-            if n:
-                hits[coords[i]] = n
+        counts = leaf_query(block, at_rows, at, batch, index.attribute, runs, match, cover, stats)
+        hit = np.flatnonzero(counts)
+        hits.update(zip(map(tuple, chunks.coords[members[hit]].tolist()), counts[hit].tolist()))
     return hits
 
 
@@ -462,7 +473,7 @@ def execute(index: Index, query, stats: QueryStats | None = None) -> ResultSet:
     cover = query_cover(query.dim_ranges, schema.shape, schema.chunk_shape)
     partial = _resolve(index, query.attr_runs, leaves, cover, stats) if leaves else {}
     return ResultSet(schema, complete, partial, cover, query_box(query.dim_ranges, schema.shape),
-                     index.tables[0])
+                     index.tables[0], index)
 
 
 # a value set is one attribute run per stretch of values: the same descent

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 import zlib
@@ -22,7 +23,8 @@ from arraybit.hierindex import (
     zorder_decode_many,
     zorder_encode_many,
 )
-from arraybit.query import RawQuery, attribute_match, execute
+from arraybit.baseline import full_scan
+from arraybit.query import RawQuery, attribute_match, execute, normalize
 from testutil import (
     assert_weights_are_counts,
     build_parent,
@@ -115,6 +117,24 @@ def test_dimension_bitmaps_counts_and_consistency():
     for d in range(n):
         for b in range(fd):
             assert dbm.begin[d][b] & dbm.end[d][b] == dbm.partial[d][b]
+
+
+@pytest.mark.parametrize("shape, chunk, fanout", [((64,), (4,), 16), ((32, 32), (4, 4), 64),
+                                                   ((16, 16, 16), (4, 4, 4), 64),
+                                                   ((8, 8, 8, 8), (2, 2, 2, 2), 256)])
+def test_loads_of_one_fanout_share_its_dimension_bitmaps(tmp_path, shape, chunk, fanout):
+    # the masks depend on the fanout alone: every index of one fanout holds
+    # the same ones, equal to a fresh build of them
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", "float64"),), chunk)
+    store = ChunkStore.from_dense(sch, {"a": np.random.default_rng(0).random(shape)})
+    build_index(store, fanout=fanout).save(tmp_path / "i.abix")
+    a, b = Index.load(tmp_path / "i.abix"), Index.load(tmp_path / "i.abix", store=store)
+    assert a.fanout == b.fanout == Fanout.from_total(fanout, len(shape))
+    assert a.fanout is not b.fanout and a.dimbitmaps is b.dimbitmaps
+    fresh = DimensionBitmaps(Fanout.from_total(fanout, len(shape)))
+    for name in ("partial", "begin", "end"):
+        assert getattr(a.dimbitmaps, name) == getattr(fresh, name)
+    assert a.dimbitmaps.fanout == fresh.fanout
 
 
 def test_double_range_encoding_reference_layout():
@@ -752,6 +772,95 @@ def test_stale_data_is_refused(tmp_path):
     with pytest.raises(DataError, match="16 non-empty chunks are not the index's 16 leaves"):
         Index.load(path, store=ChunkStore(store.schema, moved))
     assert Index.load(path, store=store).node_count() == idx.node_count()
+
+
+def _edge_clipped(tmp_path):
+    """A 20x20 array in 8x8 chunks, its chunk (0, 1) empty, so its store
+    has four blocks (the whole tiles, two shapes clipped along one
+    dimension and the corner clipped along both), and its index saved."""
+    vals = np.random.default_rng(5).random((20, 20))
+    vals[vals < 0.1] = np.nan
+    vals[0:8, 8:16] = np.nan
+    sch = ArraySchema((("d0", 20), ("d1", 20)), (("a", "float64"),), (8, 8))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    assert len({id(ch.block) for ch in store.chunks.values()}) == 4
+    path = tmp_path / "edge.abix"
+    build_index(store, fanout=4, bins=4).save(path)
+    return store, path
+
+
+def _fewer_cells(chunk, n: int):
+    """A copy of `chunk` in a block of its own, its first `n` non-empty
+    cells emptied."""
+    values, nonempty = chunk.values["a"].copy(), chunk.nonempty.copy()
+    lost = tuple(i[:n] for i in np.nonzero(nonempty))
+    values[lost], nonempty[lost] = np.nan, False
+    return lone_chunk(chunk.coords, chunk.offsets, {"a": values}, nonempty)
+
+
+def test_attach_joins_the_leaves_with_chunks_of_several_blocks(tmp_path):
+    store, path = _edge_clipped(tmp_path)
+    idx = Index.load(path, store=store)
+    chunks, extent = idx.leaf_chunks(), idx.tables[0]["extent"]
+    assert len(chunks.blocks) == 4 and chunks.row.size == len(store.chunks) == 8
+    for i, lo in enumerate(extent[:, :, 0].tolist()):
+        chunk = store.chunks[tuple(c // 8 for c in lo)]
+        assert chunks.blocks[chunks.block[i]] is chunk.block and chunks.row[i] == chunk.row
+        assert tuple(chunks.coords[i].tolist()) == chunk.coords
+        assert chunks.count[i] == chunk.nonempty_count == idx.tables[0]["count"][i]
+    # a store made of the same chunks, as a dict, attaches alike
+    again = Index.load(path, store=ChunkStore(store.schema, dict(store.chunks)))
+    assert all(np.array_equal(a, b) for a, b in zip(again.leaf_chunks()[1:], chunks[1:]))
+
+    def refused(chunks, what):
+        with pytest.raises(DataError, match=re.escape(what)):
+            Index.load(path, store=ChunkStore(store.schema, chunks))
+
+    # sharing the blocks, one chunk short, or one more: a view of another
+    # chunk's row where no leaf is
+    refused({c: ch for c, ch in store.chunks.items() if c != (2, 1)},
+            "level 0: the data's 7 non-empty chunks are not the index's 8 leaves")
+    refused({**store.chunks, (0, 1): store.chunks[(1, 1)]},
+            "level 0: the data's 9 non-empty chunks are not the index's 8 leaves")
+    # as many chunks, one of them moved inside the array to where no leaf is
+    moved = {c: ch for c, ch in store.chunks.items() if c != (2, 1)}
+    refused({**moved, (0, 1): store.chunks[(2, 1)]},
+            "level 0: the data's 8 non-empty chunks are not the index's 8 leaves")
+    # a count that differs in a clipped block; of two, the least
+    # coordinates are named
+    n = store.chunks[(2, 1)].nonempty_count
+    refused({**store.chunks, (2, 1): _fewer_cells(store.chunks[(2, 1)], 1)},
+            f"level 0: chunk (2, 1) has {n - 1} non-empty cells, its leaf {n}")
+    m = store.chunks[(1, 2)].nonempty_count
+    refused({**store.chunks, (2, 1): _fewer_cells(store.chunks[(2, 1)], 1),
+             (1, 2): _fewer_cells(store.chunks[(1, 2)], 2)},
+            f"level 0: chunk (1, 2) has {m - 2} non-empty cells, its leaf {m}")
+    # a row of the same block at another leaf's coordinates
+    swapped = {**store.chunks, (2, 0): store.chunks[(2, 1)], (2, 1): store.chunks[(2, 0)]}
+    counts = [store.chunks[c].nonempty_count for c in ((2, 0), (2, 1))]
+    assert counts[0] != counts[1]
+    refused(swapped, f"level 0: chunk (2, 0) has {counts[1]} non-empty cells, its leaf "
+                     f"{counts[0]}")
+
+
+def test_an_append_joins_its_merged_store_on_first_use(tmp_path):
+    # the store an append leaves holds the chunks of both stores; its
+    # leaves are joined with them when a query first needs them, and a
+    # saved copy of the tree attaches to it
+    store, path = _edge_clipped(tmp_path)
+    first = ChunkStore(store.schema.with_extents((16, 20)),
+                       {c: ch for c, ch in store.chunks.items() if c[0] < 2})
+    idx = build_index(first, fanout=4, bins=4)
+    q = RawQuery(attr_lo=0.3, attr_hi=0.8)
+    before = execute(idx, q).count
+    idx.append(ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c[0] == 2}))
+    assert idx.serialize() == path.read_bytes() and idx.store is not first
+    assert set(idx.store.chunks) == set(store.chunks)
+    rs = execute(idx, q)
+    want = full_scan(store, "a", normalize(q, store.schema, (idx.root.amin, idx.root.amax)))
+    assert np.array_equal(rs.cell_ids(idx.store), want) and rs.count == want.size > before
+    assert len(idx.leaf_chunks().blocks) == 4
+    assert Index.load(path, store=idx.store).node_count() == idx.node_count()
 
 
 def test_data_of_another_layout_is_refused(tmp_path):

@@ -810,6 +810,89 @@ def test_batched_resolution_matches_full_scan(seed, ndim, dtype, empty, layout, 
         assert np.isin(done, want).all() and done.size == sum(node_count(rs.leaves, n) for n in rs.complete), raw
 
 
+def _store_of_depth(rng, ndim: int, depth: int, dtype: str):
+    """A store whose tree, of 2 children per dimension, is `depth` levels
+    deep: d0 spans 2**(depth - 1) + 1 to 2**depth chunks, the others up to
+    2**depth.  Every extent may clip its last chunks, so the store has up
+    to 2**ndim blocks, and about a fifth of the chunks hold no value."""
+    chunk = tuple(int(c) for c in rng.integers(2, 4, ndim))
+    grid = [int(rng.integers(2 ** (depth - 1) + 1, 2**depth + 1))]
+    grid += [int(rng.integers(1, 2**depth + 1)) for _ in range(ndim - 1)]
+    shape = tuple(g * c - int(rng.integers(0, c)) for g, c in zip(grid, chunk))
+    if dtype == "float64":
+        vals, sentinel = rng.normal(size=shape) * 50.0, np.nan
+    else:
+        vals, sentinel = rng.integers(0, 12, size=shape), -1
+    vals[rng.random(shape) < 0.3] = sentinel
+    tiles = np.indices(shape) // np.reshape(chunk, (-1,) + (1,) * ndim)
+    blank = rng.random(grid) < 0.2
+    vals[blank[tuple(tiles)]] = sentinel
+    sch = ArraySchema(tuple((f"d{i}", e) for i, e in enumerate(shape)), (("a", dtype),),
+                      chunk, {} if dtype == "float64" else {"a": -1})
+    return ChunkStore.from_dense(sch, {"a": vals})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(1, 3),
+    depth=st.sampled_from([2, 3]),
+    dtype=st.sampled_from(["float64", "int64"]),
+    layout=st.sampled_from(["loaded", "shared", "merged", "subset"]),
+)
+@example(seed=0, ndim=2, depth=3, dtype="float64", layout="shared")
+@example(seed=1, ndim=3, depth=2, dtype="int64", layout="subset")
+def test_joined_leaves_answer_like_full_scan_on_stores_of_several_blocks(seed, ndim, depth, dtype,
+                                                                           layout):
+    # leaf resolution and the complete nodes' chunks come from the leaves'
+    # join with the store: a saved index loaded onto its store, or onto a
+    # dict of the same chunks from several blocks; a tree grown by an append
+    # with the store it merges; and `arraybit append`'s way, a loaded first
+    # slab attached to the subset of the whole store it indexes, then grown
+    rng = np.random.default_rng(seed)
+    store = _store_of_depth(rng, ndim, depth, dtype)
+    sch = store.schema
+    twin = ChunkStore.from_dense(sch, {"a": store.dense("a")})
+    kw = dict(fanout=2**ndim, bins=4, e=1)
+    rows = int(rng.integers(1, sch.chunk_grid[0])) * sch.chunk_shape[0]
+    if layout in ("loaded", "shared"):
+        idx = Index._parse(build_index(store, **kw).serialize())
+        idx.attach(store if layout == "loaded" else _several_blocks(rng, store, twin))
+        stages = [(idx, store)]
+    elif layout == "merged":
+        idx = build_index(_slab_store(store, rows), **kw)
+        idx.append(ChunkStore(sch, {c: ch for c, ch in twin.chunks.items()
+                                    if c[0] * sch.chunk_shape[0] >= rows}))
+        stages = [(idx, store)]
+    else:
+        first = _slab_store(store, rows)
+        idx = Index._parse(build_index(first, **kw).serialize())
+        existing = set(idx.leaf_coords())
+        idx.attach(ChunkStore(first.schema, {c: twin.chunks[c] for c in existing}))
+        stages = [(idx, first)]
+        idx = Index._parse(idx.serialize())
+        idx.attach(ChunkStore(first.schema, {c: twin.chunks[c] for c in existing}))
+        idx.append(ChunkStore(sch, {c: ch for c, ch in twin.chunks.items() if c not in existing}))
+        stages.append((idx, store))
+    for idx, truth in stages:
+        root = idx.root
+        if root is None:
+            continue
+        if truth is store:
+            assert idx.depth == depth
+        live = _live_values(truth)
+        raws = [RawQuery(), RawQuery(dims={n: (1, e - 2) for n, e in truth.schema.dims})]
+        raws += [random_raw_query(rng, truth.schema, root.amin, root.amax) for _ in range(4)]
+        raws += [RawQuery(values=tuple(float(v) for v in rng.choice(live, 4)))]
+        for raw in raws:
+            q = normalize(raw, truth.schema, (root.amin, root.amax))
+            want = full_scan(truth, "a", q)
+            rs = execute(idx, q)
+            assert np.array_equal(rs.cell_ids(idx.store), want), raw
+            assert rs.count == want.size
+            assert estimate(idx, q, idx.depth) == (want.size, want.size)
+
+
 @pytest.mark.parametrize("shape, chunk", [((40, 40), (8, 8)), ((12, 40, 6), (4, 8, 3))])
 def test_cell_ids_widen_the_answer_when_its_matches_are_as_many(monkeypatch, shape, chunk):
     # `cell_ids` spans the array's trailing extents, with no id arithmetic,

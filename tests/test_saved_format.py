@@ -25,6 +25,7 @@ its level, or changes no answer, but for a leaf's range made narrower,
 which only its chunk's values refute.
 """
 
+import dataclasses
 import hashlib
 import re
 import struct
@@ -38,13 +39,13 @@ from hypothesis import assume, given, settings, strategies as st
 from arraybit.baseline import full_scan
 from arraybit.binning import Binning
 from arraybit.bitvec import BitVector
-from arraybit.chunkstore import ArraySchema, ChunkStore, load_store, write_raw
+from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, write_raw
 from arraybit.cli import main
 from arraybit.errors import DataError
 from arraybit import hierindex
-from arraybit.hierindex import Fanout, Index, _take, build_index
+from arraybit.hierindex import Fanout, Index, TreeNode, _take, build_index
 from arraybit.query import RawQuery, estimate, execute, membership, normalize
-from testutil import assert_weights_are_counts, saved_columns
+from testutil import assert_weights_are_counts, reference_nodes, saved_columns
 
 
 def _schema(shape, chunk, typ="float64", empty=None):
@@ -158,9 +159,12 @@ def test_load_builds_no_bitvector_and_saves_the_same_bytes(make, tmp_path, monke
     loaded = Index.load(path, store=fresh.store)
     assert loaded.serialize() == path.read_bytes()
     assert not made
-    # the leaves stay rows of their table: at most one binning per
-    # internal node, none per leaf
-    assert 0 < len(binnings) <= fresh.node_count() - len(fresh.levels[0])
+    # a load makes no node: the leaves stay rows of their table, and an
+    # internal node gets its one binning when it is first looked up
+    assert not binnings
+    for level in loaded.levels[1:]:
+        level.items()
+    assert len(binnings) == fresh.node_count() - len(fresh.levels[0]) > 0
     _answers_like(loaded, fresh)
 
 
@@ -483,13 +487,11 @@ def _same_tables(loaded, built):
             assert got[name].tobytes() == col.tobytes(), name
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_a_build_saves_only_what_its_load_reads(data):
-    # small arrays of 1 to 4 dimensions under any fanout, bins and e, with
-    # any share of empty cells, zeros of both signs among them: the saved
-    # bytes load, under every rule of the load, and save again unchanged,
-    # and a tree grown by an append saves the full build's bytes
+def _drawn_tree(data):
+    """A drawn small array of 1 to 4 dimensions under any fanout, bins and
+    e, with any share of empty cells, zeros of both signs among them:
+    (its store, the build's keywords, and its first slab and the rest when
+    an append is drawn, else None)."""
     ndim = data.draw(st.integers(1, 4), label="ndim")
     chunk = tuple(data.draw(st.integers(1, 4)) for _ in range(ndim))
     grid = tuple(data.draw(st.integers(1, (40, 8, 4, 3)[ndim - 1])) for _ in range(ndim))
@@ -504,23 +506,106 @@ def test_a_build_saves_only_what_its_load_reads(data):
         data.draw(st.sampled_from(["normal", "few", "constant", "signed zeros"]), label="values")]()
     vals[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 0.9]), label="empty")] = np.nan
     store = ChunkStore.from_dense(_schema(shape, chunk), {"a": vals})
-    built = build_index(store, fanout=fanout, bins=bins, e=e)
+    slabs = None
+    if grid[0] > 1 and data.draw(st.booleans(), label="append"):
+        cut = data.draw(st.integers(1, grid[0] - 1), label="first slab, in chunks")
+        slabs = (ChunkStore(store.schema.with_extents((cut * chunk[0],) + shape[1:]),
+                            {c: ch for c, ch in store.chunks.items() if c[0] < cut}),
+                 ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c[0] >= cut}))
+    return store, dict(fanout=fanout, bins=bins, e=e), slabs
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_build_saves_only_what_its_load_reads(data):
+    # the saved bytes load, under every rule of the load, and save again
+    # unchanged, and a tree grown by an append saves the full build's bytes
+    store, kw, slabs = _drawn_tree(data)
+    built = build_index(store, **kw)
     buf = built.serialize()
     loaded = Index._parse(buf)
     assert loaded.serialize() == buf
     # z, extent, amin, amax, count, child, sp and al: as the build made them
     _same_tables(loaded, built)
     assert_weights_are_counts(built)
-    if grid[0] > 1 and data.draw(st.booleans(), label="append"):
-        cut = data.draw(st.integers(1, grid[0] - 1), label="first slab, in chunks")
-        first = ChunkStore(store.schema.with_extents((cut * chunk[0],) + shape[1:]),
-                           {c: ch for c, ch in store.chunks.items() if c[0] < cut})
-        grown = build_index(first, fanout=fanout, bins=bins, e=e)
-        grown.append(ChunkStore(store.schema,
-                                {c: ch for c, ch in store.chunks.items() if c[0] >= cut}))
+    if slabs is not None:
+        grown = build_index(slabs[0], **kw)
+        grown.append(slabs[1])
         assert grown.serialize() == buf
         _same_tables(loaded, grown)
         assert_weights_are_counts(grown)
+
+
+def _same_node(got, want) -> None:
+    """`got` is `want`, a `TreeNode`, field for field: of the same types,
+    floats and arrays bit for bit, so signed zeros too."""
+    for f in dataclasses.fields(TreeNode):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, Binning):
+            a, b = (a.boundaries, a.weights), (b.boundaries, b.weights)
+        elif isinstance(b, np.ndarray):
+            a, b = (a,), (b,)
+        else:
+            assert a == b and repr(a) == repr(b), f.name  # repr tells -0.0 from 0.0
+            continue
+        for x, y in zip(a, b):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+def _made(idx) -> list:
+    """The number of nodes made so far on each internal level of `idx`."""
+    return [dict.__len__(level) for level in idx.levels[1:]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nodes_are_made_on_first_fetch_as_the_reference_makes_them(data):
+    # a build, a load and an append make no node above the leaves; each
+    # one `fetch` makes, in any order, is the reference's from the same
+    # row, and a second fetch returns it unmade.  The level lookups answer
+    # for every node, made or not
+    store, kw, slabs = _drawn_tree(data)
+    built = build_index(store, **kw)
+    trees = [built, Index._parse(built.serialize())]
+    if slabs is not None:
+        grown = build_index(slabs[0], **kw)
+        grown.root  # made before the append, and dropped by it
+        grown.append(slabs[1])
+        trees.append(grown)
+    for idx in trees:
+        if not idx.tables:  # every cell empty
+            assert idx.levels == [] and idx.root is None and idx.node_count() == 0
+            continue
+        assert _made(idx) == [0] * idx.depth
+        depth = idx.depth
+        ref = [None] + [reference_nodes(idx, level, idx.tables[level], depth)
+                        for level in range(1, depth + 1)]
+        wanted = [(level, z) for level in range(1, depth + 1) for z in ref[level]]
+        order = data.draw(st.permutations(range(len(wanted))), label="fetch order")
+        stats = QueryStats()
+        for i in order:
+            level, z = wanted[i]
+            node = idx.fetch(level, z, stats)
+            _same_node(node, ref[level][z])
+            assert idx.fetch(level, z, stats) is node
+        assert stats.nodes_fetched == 2 * len(wanted)
+        assert idx.fetch(1, 1 << 62) is None and sum(_made(idx)) == len(wanted)
+        assert idx.node_count() == sum(cols["z"].size for cols in idx.tables)
+        for level in range(1, depth + 1):
+            nodes = idx.levels[level]
+            assert len(nodes) == len(ref[level]) == idx.tables[level]["z"].size
+            assert list(nodes) == list(ref[level]) == idx.tables[level]["z"].tolist()
+            assert [z for z, _ in nodes.items()] == list(ref[level])
+            assert all(nodes.get(z) is node and z in nodes for z, node in nodes.items())
+        assert idx.root is idx.levels[-1][0] and idx.root.count == store.nonempty_total()
+        assert list(idx.levels[0].items()) == [(z, i) for i, z in
+                                               enumerate(idx.tables[0]["z"].tolist())]
+    # levels[l].items() makes the nodes it returns, on a fresh tree too
+    fresh = Index._parse(built.serialize())
+    for level in range(1, fresh.depth + 1):
+        for z, node in fresh.levels[level].items():
+            _same_node(node, built.levels[level][z])
 
 
 def _edited_value(data, col, row):

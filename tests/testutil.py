@@ -20,7 +20,8 @@ from arraybit.chunkstore import (
     run_matcher,
 )
 from arraybit.errors import DataError, InputError
-from arraybit.hierindex import Fanout, Index, build_index
+from arraybit.hierindex import (Fanout, Index, TreeNode, _masks, build_index,
+                                zorder_decode_many)
 from arraybit.query import RawQuery, _descend
 
 
@@ -231,8 +232,39 @@ def build_parent(children, fanout: Fanout, bins: int):
     made by the tree's own level build (`Index._level_above`) with the
     children as the leaves of a depth-1 tree."""
     idx = Index(None, None, "a", fanout, bins, 4, [])
-    cols = idx._level_above(leaf_table(children), None, np.empty(0, "<u8"))
-    return idx._nodes(1, cols, 1)[0]
+    leaves = leaf_table(children)
+    idx._use([leaves, idx._level_above(leaves, None, np.empty(0, "<u8"))])
+    return idx.root  # made on this first lookup
+
+
+def reference_nodes(idx, level: int, cols: dict, depth: int) -> dict:
+    """Every `TreeNode` of internal level `level` of `idx` by z, made at
+    once from the level's columns in a tree of `depth` levels below the
+    root: the reference the nodes the index makes on first lookup are
+    compared with."""
+    nb = cols["nbins"].astype(np.int64)
+    # where each node's part of each column starts, and the next's
+    bo, wo = (np.concatenate(([0], np.cumsum(k))).tolist() for k in (nb + 1, nb))
+    bounds, weights = cols["bounds"], cols["weights"]
+    mb = -(-idx.fanout.total // 8)
+    child = _masks(cols["child"], mb)
+    sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
+    z = cols["z"].tolist()
+    coords = map(tuple, zorder_decode_many(cols["z"], idx.fanout.ndim,
+                                           idx.fanout.bits * (depth - level)).tolist())
+    ext = (tuple(map(tuple, e)) for e in cols["extent"].tolist())
+    nodes = {}
+    for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
+                                                  cols["amax"].tolist(),
+                                                  cols["count"].tolist())):
+        r = slice(bo[i], bo[i + 1])
+        b = bounds[r]
+        nodes[zi] = TreeNode(
+            level=level, z=zi, coords=c, extent=e, amin=lo, amax=hi, count=n,
+            child_mask=child[i], binning=Binning.prevalidated(b, weights[wo[i] : wo[i + 1]]),
+            sp_bounds=b, sp_masks=sp_masks[r], al_bounds=b, al_masks=al_masks[r],
+        )
+    return nodes
 
 
 def assert_weights_are_counts(idx):
