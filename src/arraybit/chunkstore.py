@@ -15,7 +15,17 @@ table, which holds per leaf the chunk's value range, its non-empty count
 and, above a size threshold, the equi-depth bins of its values, which
 feed its parent's merged bins.  :func:`build_leaf_index` makes the rows
 of a block's chunks together, as columns, keyed by their chunks' grid
-coordinates; the tree adds z and the extent.
+coordinates; the tree adds z and the extent.  Each leaf depends on its
+own chunk alone, so the build sorts its batches of rows on a pool of one
+thread per CPU the process may run on: the copy of a batch's rows, its
+empty cells set to NaN and the sort of each row run on the workers, as
+numpy releases the interpreter lock for them.  The NaN check, the bins
+(`binning.equi_depth_exact`) and the concatenation stay on the calling
+thread, which takes the batches in order, so the rows are the same on
+any number of workers, and a tracer that wraps those functions keeps its
+one span stack.  A batch holds at most 8 MB of sorted values (unless one
+chunk holds more), and at most one batch per worker is in flight beside
+the one being binned.
 Unlike the source paper's leaves it holds no bitmaps: the paper's leaf
 bitmaps spare reading cell values from disk, while here every chunk is
 resident and the partial leaves of a query are resolved by one batched
@@ -29,9 +39,13 @@ mask is authoritative.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -334,6 +348,16 @@ class ChunkStore:
             np.concatenate([b.counts for b in blocks] or [np.empty(0, np.int64)])))
         return store
 
+    def merged(self, other: "ChunkStore", schema: ArraySchema) -> "ChunkStore":
+        """A store of `schema` holding this store's chunks and `other`'s,
+        `other`'s where both hold the same coordinates.  Where none are in
+        both, its table is the two tables joined (:meth:`ChunkTable.joined`),
+        with no step per chunk; else it is made on first use."""
+        store = ChunkStore(schema, {**self.chunks, **other.chunks})
+        if len(store.chunks) == len(self.chunks) + len(other.chunks):
+            store._table = (store.chunks, self.table().joined(other.table()))
+        return store
+
     def nonempty_total(self) -> int:
         return sum(c.nonempty_count for c in self.chunks.values())
 
@@ -383,6 +407,20 @@ class ChunkTable(NamedTuple):
         return cls(tuple(blocks), block.astype(np.intp), row.astype(np.intp),
                    np.array(coords, np.int64).reshape(len(entries), ndim), count)
 
+    def joined(self, other: "ChunkTable") -> "ChunkTable":
+        """This table's entries, then `other`'s; a block of both tables is
+        listed once, found by identity as :meth:`of` finds it."""
+        blocks, ids = list(self.blocks), {id(b): i for i, b in enumerate(self.blocks)}
+        for b in other.blocks:
+            if id(b) not in ids:
+                ids[id(b)] = len(blocks)
+                blocks.append(b)
+        at = np.array([ids[id(b)] for b in other.blocks], np.intp)
+        return ChunkTable(tuple(blocks), np.concatenate((self.block, at[other.block])),
+                          np.concatenate((self.row, other.row)),
+                          np.concatenate((self.coords, other.coords)),
+                          np.concatenate((self.count, other.count)))
+
     def take(self, entries) -> "ChunkTable":
         """The entries at `entries`, in that order."""
         return self._replace(block=self.block[entries], row=self.row[entries],
@@ -400,15 +438,6 @@ class ChunkTable(NamedTuple):
         cuts = np.flatnonzero(np.diff(self.block[order])) + 1
         return [(self.blocks[self.block[p[0]]], p, self.row[p], tuple(at[:, p]))
                 for p in np.split(order, cuts)]
-
-
-def tile_batches(chunks, first) -> list:
-    """`chunks` grouped by their block (:meth:`ChunkTable.batches`): per
-    block (block, positions in `chunks`, the chunks' rows, their tile
-    positions counted from tile `first`, one index array per dimension)."""
-    chunks = list(chunks)
-    ndim = len(chunks[0].coords) if chunks else 0
-    return ChunkTable.of([c.coords for c in chunks], chunks, ndim).batches(first)
 
 
 def _tile_rows(arr: np.ndarray, tiles, shape, dtype) -> np.ndarray:
@@ -432,51 +461,108 @@ def _nonempty_mask(block, typ, sentinel):
 # ---------------------------------------------------------------------------
 # chunk leaves, and the batched resolution of partial leaves
 
-# one pass of the leaf builder sorts at most this many cells; a single row
-# may exceed it
+# one batch of the leaf build sorts at most this many cells (8 MB of
+# float64); a single row may exceed it
 _BATCH_CELLS = 1 << 20
 
 
-def build_leaf_index(chunks, attr: str, bins: int, e: int = 4) -> dict:
-    """The leaf table rows of the non-empty `chunks`, block by block: the
-    leaf table's columns but z and extent, and the chunks' grid
-    coordinates as `coords`, (leaves, ndim) for one leaf or more.  A leaf
-    below e*bins non-empty cells is plain, nbins 0 and no bins; the others
-    get the equi-depth binning of their values (integers binned as
-    float64): k + 1 boundaries and k weights back to back in `bounds` and
-    `weights`, the last boundary their amax.  InputError for a NaN value.
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The leaf build's pool of `workers` threads, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="arraybit-leaves")
+
+
+def build_leaf_index(chunks: ChunkTable, attr: str, bins: int, e: int = 4) -> dict:
+    """The leaf table rows of the non-empty chunks of `chunks`, a
+    :class:`ChunkTable`, block by block: the leaf table's columns but z
+    and extent, and the chunks' grid coordinates as `coords`, (leaves,
+    ndim).  A leaf below e*bins non-empty cells is plain, nbins 0 and no
+    bins; the others get the equi-depth binning of their values (integers
+    binned as float64): k + 1 boundaries and k weights back to back in
+    `bounds` and `weights`, the last boundary their amax.  InputError for
+    a NaN value.
+
     The chunks of one block are built together, binned ones first, in
-    passes of up to _BATCH_CELLS cells: one copy of their rows
-    (:func:`_copy_rows`) and one sort give each leaf its count, amin and
-    amax, and one :func:`equi_depth_exact` call the bins."""
-    parts = []
-    for block, _, rows, at in tile_batches([c for c in chunks if c.nonempty_count], 0):
+    batches of at most _BATCH_CELLS cells, and in at least one batch per
+    worker where the block has that many rows.  A batch's copy of its rows
+    (:func:`_copy_rows`), emptied to NaN and sorted row by row, is made on
+    a pool of one thread per CPU the process may run on (:func:`_cpus`):
+    numpy releases the interpreter lock for the copy, the fill and the
+    sort, which are most of a leaf's cost, and each batch reads only its
+    own rows.  The calling thread takes the sorted batches in batch order,
+    so the rows come out in the same order on any number of workers, and
+    does the rest: the NaN check, each leaf's count, amin and amax, one
+    :func:`equi_depth_exact` call for the bins and the concatenation.
+    Those stay on one thread because a tracer that wraps a function keeps
+    one span stack per process.  At most one batch per worker is in flight
+    while the calling thread bins another, so the sorted copies take at
+    most (workers + 1) * 8 MB at a time."""
+    chunks = chunks.take(np.flatnonzero(chunks.count))
+    workers = _cpus()
+    jobs = []
+    for block, entries, rows, _ in chunks.batches(0):
         counts = block.counts[rows]
         order = np.argsort(counts < e * bins, kind="stable")
-        rows, counts, coords = rows[order], counts[order], np.stack(at, axis=1)[order]
-        step = max(1, _BATCH_CELLS // block.nonempty.shape[1])
-        for a in range(0, rows.size, step):
-            take, live = rows[a : a + step], counts[a : a + step]
-            # the batch's one copy, emptied to NaN and sorted in place
-            cells = _copy_rows(block.values[attr], take, np.float64)
-            empty = block.nonempty[take]
-            np.logical_not(empty, out=empty)
-            np.copyto(cells, np.nan, where=empty)
-            cells.sort(axis=1)
-            amax = cells[np.arange(live.size), live - 1]
-            if np.isnan(amax).any():  # NaN sorts last
-                raise InputError("cannot index NaN values")
-            nbins, bounds, weights = np.zeros(live.size, "<u4"), np.empty(0), np.empty(0)
-            binned = int(np.count_nonzero(live >= e * bins))
-            if binned:
-                k, bounds, weights, _, _ = equi_depth_exact(cells[:binned], live[:binned], bins)
-                nbins[:binned], amax[:binned] = k, bounds[np.cumsum(k + 1) - 1]
-            parts.append((coords[a : a + step], cells[:, 0], amax, live.astype("<u8"), nbins,
-                          bounds, weights))
+        rows, counts, coords = rows[order], counts[order], chunks.coords[entries[order]]
+        cap = max(1, _BATCH_CELLS // block.nonempty.shape[1])
+        n = max(-(-rows.size // cap), min(workers, rows.size))
+        cuts = rows.size * np.arange(n + 1) // n
+        jobs += [(block, rows[a:b], coords[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])]
+    sorted_cells = _in_order(_pool(workers), workers,
+                             ((_sorted_rows, block, attr, rows) for block, rows, _, _ in jobs))
+    parts = []
+    for (_, _, coords, live), cells in zip(jobs, sorted_cells):
+        amax = cells[np.arange(live.size), live - 1]
+        if np.isnan(amax).any():  # NaN sorts last
+            raise InputError("cannot index NaN values")
+        nbins, bounds, weights = np.zeros(live.size, "<u4"), np.empty(0), np.empty(0)
+        binned = int(np.count_nonzero(live >= e * bins))
+        if binned:
+            k, bounds, weights, _, _ = equi_depth_exact(cells[:binned], live[:binned], bins)
+            nbins[:binned], amax[:binned] = k, bounds[np.cumsum(k + 1) - 1]
+        parts.append((coords, cells[:, 0].copy(), amax, live.astype("<u8"), nbins, bounds,
+                      weights))
     cols = zip(*parts or [(np.empty((0, 0), np.int64), np.empty(0), np.empty(0),
                            np.empty(0, "<u8"), np.empty(0, "<u4"), np.empty(0), np.empty(0))])
     return dict(zip(("coords", "amin", "amax", "count", "nbins", "bounds", "weights"),
                     map(np.concatenate, cols)))
+
+
+def _sorted_rows(block: Block, attr: str, rows: np.ndarray) -> np.ndarray:
+    """The values of `attr` in `rows` of `block` as float64, their empty
+    cells NaN, each row sorted: a fresh array, so a worker of the leaf
+    build makes it alone."""
+    cells = _copy_rows(block.values[attr], rows, np.float64)
+    empty = block.nonempty[rows]
+    np.logical_not(empty, out=empty)
+    np.copyto(cells, np.nan, where=empty)
+    cells.sort(axis=1)
+    return cells
+
+
+def _in_order(pool: ThreadPoolExecutor, ahead: int, calls):
+    """The result of each (function, *args) of `calls`, in order, run on
+    `pool` with at most `ahead` calls submitted beyond the one whose result
+    is being read.  Calls not yet run when the reader stops are cancelled."""
+    futures = collections.deque()
+    try:
+        for fn, *args in calls:
+            futures.append(pool.submit(fn, *args))
+            if len(futures) > ahead:
+                yield futures.popleft().result()
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def _copy_rows(arr: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:

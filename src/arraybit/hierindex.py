@@ -157,11 +157,23 @@ def zorder_encode_many(coords: np.ndarray, bits: int) -> np.ndarray:
     bad = (coords < 0) | (coords >= 1 << bits)
     if bad.any():
         raise InputError(f"coordinate {int(coords[bad][0])} does not fit in {bits} bits")
+    spread = _spread(ndim, min(bits, 8))
     z = np.zeros(coords.shape[0], np.int64)
-    for t in range(bits):
-        for d in range(ndim):
-            z |= (coords[:, d] >> t & 1) << (t * ndim + d)
+    for d in range(ndim):
+        for t in range(0, bits, 8):  # one gather per byte of the coordinate
+            z |= spread[coords[:, d] >> t & 255] << (t * ndim + d)
     return z
+
+
+@functools.cache
+def _spread(ndim: int, bits: int) -> np.ndarray:
+    """Each value of `bits` bits (8 at most) with its bits spread `ndim`
+    apart, bit t moved to bit t * ndim, as int64: a read-only table."""
+    values, table = np.arange(1 << bits), np.zeros(1 << bits, np.int64)
+    for t in range(bits):
+        table |= (values >> t & 1) << (t * ndim)
+    table.flags.writeable = False
+    return table
 
 
 def zorder_decode_many(z: np.ndarray, ndim: int, bits: int) -> np.ndarray:
@@ -563,8 +575,9 @@ class Index:
             depth += 1
         return depth
 
-    def _grow(self, chunks: list, schema: ArraySchema) -> None:
-        """Add the leaves of `chunks`, none of them in the tree yet, under
+    def _grow(self, chunks: ChunkTable, schema: ArraySchema) -> None:
+        """Add the leaves of the chunks of `chunks`, a :class:`ChunkTable`,
+        none of them in the tree yet, under
         `schema`, which covers them and the tree, then derive every level
         above the leaves again (:meth:`_level_above`): parents keep their
         bins unless their children changed, or the level is above the old
@@ -644,21 +657,21 @@ class Index:
                 raise InputError(
                     f"extension along {old_name!r} is not aligned to the chunk grid"
                 )
+        added = additions.table()
         if self.tables:  # an added chunk's z among the leaves' (none fits past the tree)
             bits, leaves = self.fanout.bits * self.depth, self.tables[0]["z"]
-            coords = np.array(sorted(additions.chunks), np.int64).reshape(-1, self.fanout.ndim)
-            coords = coords[(coords < 1 << bits).all(axis=1)]
+            coords = added.coords[(added.coords < 1 << bits).all(axis=1)]
             z = zorder_encode_many(coords, bits).astype("<u8")
             overlap = coords[leaves[np.minimum(np.searchsorted(leaves, z), leaves.size - 1)] == z]
             if overlap.size:
+                overlap = overlap[np.lexsort(overlap.T[::-1])]  # the least coordinates first
                 raise InputError(f"appended chunks collide with existing ones: "
                                  f"{list(map(tuple, overlap[:3].tolist()))}")
 
         merged_extents = tuple(max(a, b) for (_, a), (_, b) in zip(self.schema.dims, new_schema.dims))
-        self._grow([additions.chunks[c] for c in sorted(additions.chunks)],
-                   self.schema.with_extents(merged_extents))
+        self._grow(added, self.schema.with_extents(merged_extents))
         if self.store is not None:
-            self.store = ChunkStore(self.schema, {**self.store.chunks, **additions.chunks})
+            self.store = self.store.merged(additions, self.schema)
 
     # -- persistence -------------------------------------------------------
 
@@ -1145,5 +1158,5 @@ def build_index(store: ChunkStore, attribute: str | None = None, fanout: int | N
     if fanout > _MAX_FANOUT:
         raise InputError(f"fanout {fanout} is above {_MAX_FANOUT} children per node")
     idx = Index(schema, store, attribute, Fanout.from_total(fanout, schema.ndim), bins, e, [])
-    idx._grow(list(store.iter_chunks()), schema)
+    idx._grow(store.table(), schema)
     return idx

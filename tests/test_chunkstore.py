@@ -10,6 +10,7 @@ from arraybit.bitvec import BitVector
 from arraybit.chunkstore import (
     ArraySchema,
     ChunkStore,
+    ChunkTable,
     QueryStats,
     build_leaf_index,
     load_store,
@@ -17,7 +18,7 @@ from arraybit.chunkstore import (
 )
 from arraybit.errors import DataError, InputError
 from arraybit.hierindex import _chunk_extents
-from testutil import bin_of, ingest_csv, resolve_leaf
+from testutil import bin_of, chunk_table, ingest_csv, resolve_leaf, table_entries
 
 
 def schema_2d(extents=(8, 8), chunk=(4, 4)):
@@ -71,6 +72,28 @@ def test_from_dense_blocks_keep_only_the_rows_of_non_empty_chunks():
     for chunk in store.chunks.values():
         assert chunk.block.counts[chunk.row] == chunk.nonempty_count == 1
     assert np.array_equal(store.dense("a"), vals)
+
+
+def test_a_merged_store_has_the_table_its_chunks_give():
+    # stores of one array's chunks split by d1, sharing the whole tiles'
+    # block: merged, their table lists that block once and is the one the
+    # merged chunks give; where both hold the same coordinates the second
+    # store's chunk is the merged store's
+    rng = np.random.default_rng(6)
+    vals = rng.random((20, 20))
+    vals[vals < 0.1] = np.nan
+    sch = ArraySchema((("d0", 20), ("d1", 20)), (("a", "float64"),), (8, 8))
+    store = ChunkStore.from_dense(sch, {"a": vals})
+    left = ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[1] == 0})
+    right = ChunkStore(sch, {c: ch for c, ch in store.chunks.items() if c[1] > 0})
+    moved = ChunkStore(sch, {(0, 0): store.chunks[(2, 2)]})
+    for a, b in [(left, right), (right, left), (left, store), (store, moved), (moved, left)]:
+        merged = a.merged(b, sch)
+        assert merged.chunks == {**a.chunks, **b.chunks}
+        got = merged.table()
+        want = ChunkTable.of(list(merged.chunks), merged.chunks.values(), 2)
+        assert len(got.blocks) == len({id(bl) for bl in got.blocks}) == len(want.blocks)
+        assert table_entries(got) == table_entries(want)
 
 
 def test_clipped_boundary_chunks():
@@ -170,7 +193,7 @@ def test_build_leaf_index_threshold():
     vals = np.full((4, 4), np.nan)
     vals[0, :3] = [1.0, 2.0, 3.0]
     store = store_from(vals)
-    leaf = build_leaf_index([store.chunks[(0, 0)]], "a", bins=4, e=4)
+    leaf = build_leaf_index(chunk_table([store.chunks[(0, 0)]]), "a", bins=4, e=4)
     assert leaf["coords"].tolist() == [[0, 0]]
     assert _chunk_extents(leaf["coords"], store.schema).tolist() == [[[0, 3], [0, 3]]]
     assert (leaf["amin"].tolist(), leaf["amax"].tolist(), leaf["count"].tolist()) == (
@@ -182,7 +205,7 @@ def test_build_leaf_index_constant_chunk():
     vals = np.full((4, 4), 7.0)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", bins=8, e=1)
+    leaf = build_leaf_index(chunk_table([chunk]), "a", bins=8, e=1)
     assert (leaf["amin"].tolist(), leaf["amax"].tolist(), leaf["count"].tolist()) == (
         [7.0], [7.0], [16])
     assert leaf["nbins"].tolist() == [1]
@@ -231,7 +254,7 @@ def test_leaf_query_matches_bruteforce(encoding):
         if not store.chunks:
             continue
         chunk = store.chunks[(0, 0)]
-        leaf = build_leaf_index([chunk], "a", bins=4, e=1)
+        leaf = build_leaf_index(chunk_table([chunk]), "a", bins=4, e=1)
         assert leaf["nbins"][0] > 0
         lo, hi = np.sort(rng.normal(size=2) * 10)
         dims = []
@@ -267,7 +290,7 @@ def test_leaf_query_full_range_returns_empty_mask():
     vals[0, 0] = np.nan
     store = ChunkStore.from_dense(schema_2d(chunk=(8, 8)), {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 8, e=1)
+    leaf = build_leaf_index(chunk_table([chunk]), "a", 8, e=1)
     stats = QueryStats()
     got = resolve_leaf(chunk, leaf, "a", [(leaf["amin"][0], leaf["amax"][0])], [None, None],
                        stats)
@@ -279,7 +302,7 @@ def test_leaf_query_disjoint_range():
     vals = np.arange(16.0).reshape(4, 4)
     store = store_from(vals)
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 4, e=1)
+    leaf = build_leaf_index(chunk_table([chunk]), "a", 4, e=1)
     got = resolve_leaf(chunk, leaf, "a", [(100.0, 200.0)], [None, None])
     assert np.array_equal(got, np.zeros(chunk.shape, bool))
 

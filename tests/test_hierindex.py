@@ -7,9 +7,10 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arraybit.binning import Binning
-from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, write_raw
+from arraybit.chunkstore import ArraySchema, ChunkStore, ChunkTable, QueryStats, write_raw
 from arraybit.cli import main
 from arraybit.datagen import SumGaussSpec, generate_dense
 from arraybit.errors import DataError, InputError
@@ -33,7 +34,9 @@ from testutil import (
     lone_chunk,
     record_fetches,
     reference_spread_weights,
+    reference_zorder_encode_many,
     saved_columns,
+    table_entries,
     zorder_decode,
     zorder_encode,
 )
@@ -64,11 +67,27 @@ def test_zorder_2d_convention():
 def test_zorder_overflow():
     with pytest.raises(InputError):
         zorder_encode((8,), 3)
-    for bad in ([[8]], [[-1]], [[0, 0], [3, 8]]):
-        with pytest.raises(InputError):
+    for bad, c in (([[8]], 8), ([[-1]], -1), ([[0, 0], [3, 8]], 8)):
+        with pytest.raises(InputError, match=f"^coordinate {c} does not fit in 3 bits$"):
             zorder_encode_many(np.array(bad), 3)
-    with pytest.raises(InputError):  # more than 63 bits of z-index
+    with pytest.raises(InputError, match="^8 coordinates of 8 bits exceed a 63-bit z-index$"):
         zorder_encode_many(np.zeros((1, 8), np.int64), 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ndim=st.integers(1, 63))
+def test_zorder_array_codec_matches_the_bit_loop(data, ndim):
+    # the encoder's table of spread bits against one pass per bit of each
+    # dimension, up to z-indexes of 63 bits, and decoded back
+    bits = data.draw(st.integers(1, 63 // ndim), label="bits")
+    top = (1 << bits) - 1
+    coords = np.vstack((data.draw(arrays(np.int64, (data.draw(st.integers(0, 12)), ndim),
+                                         elements=st.integers(0, top)), label="coords"),
+                        np.zeros((1, ndim), np.int64), np.full((1, ndim), top)))
+    z = zorder_encode_many(coords, bits)
+    assert z.dtype == np.int64
+    assert np.array_equal(z, reference_zorder_encode_many(coords, bits))
+    assert np.array_equal(zorder_decode_many(z, ndim, bits), coords)
 
 
 @settings(max_examples=80, deadline=None)
@@ -843,7 +862,7 @@ def test_attach_joins_the_leaves_with_chunks_of_several_blocks(tmp_path):
                      f"{counts[0]}")
 
 
-def test_an_append_joins_its_merged_store_on_first_use(tmp_path):
+def test_an_append_joins_its_merged_store_on_first_use(tmp_path, monkeypatch):
     # the store an append leaves holds the chunks of both stores; its
     # leaves are joined with them when a query first needs them, and a
     # saved copy of the tree attaches to it
@@ -856,7 +875,17 @@ def test_an_append_joins_its_merged_store_on_first_use(tmp_path):
     idx.append(ChunkStore(store.schema, {c: ch for c, ch in store.chunks.items() if c[0] == 2}))
     assert idx.serialize() == path.read_bytes() and idx.store is not first
     assert set(idx.store.chunks) == set(store.chunks)
+    # the merged store's table is the two stores' tables joined, the one
+    # its chunks give, and the first query makes none chunk by chunk
+    made, of = [], ChunkTable.of.__func__
+    monkeypatch.setattr(ChunkTable, "of", classmethod(lambda *a: made.append(1) or of(*a)))
     rs = execute(idx, q)
+    assert not made
+    monkeypatch.undo()
+    got, want = idx.store.table(), ChunkTable.of(list(idx.store.chunks),
+                                                 idx.store.chunks.values(), 2)
+    assert len(got.blocks) == len(want.blocks) == 4
+    assert table_entries(got) == table_entries(want)
     want = full_scan(store, "a", normalize(q, store.schema, (idx.root.amin, idx.root.amax)))
     assert np.array_equal(rs.cell_ids(idx.store), want) and rs.count == want.size > before
     assert len(idx.leaf_chunks().blocks) == 4

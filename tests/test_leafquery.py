@@ -18,11 +18,10 @@ from arraybit.chunkstore import (
     leaf_query,
     query_cover,
     run_matcher,
-    tile_batches,
 )
 from arraybit.hierindex import _take
 from arraybit.query import value_runs
-from testutil import leaf_row, resolve_leaf
+from testutil import chunk_table, leaf_row, resolve_leaf
 
 SENTINEL = 7  # the int64 empty value; "narrow" data has live values either side
 
@@ -142,7 +141,7 @@ def test_resolvers_match_brute_force(seed, ndim, dtype, values, bins, kind, plai
     if not chunks:  # every cell empty (a 3-cell array at seed 82549979): no leaf
         return
     # e large enough makes every leaf plain
-    leaves = build_leaf_index(chunks, "a", bins, e=10**6 if plain else 1)
+    leaves = build_leaf_index(chunk_table(chunks), "a", bins, e=10**6 if plain else 1)
     every = np.concatenate([c.values["a"][c.nonempty] for c in chunks])
     for chunk in chunks:
         leaf = _take(leaves, [leaf_row(leaves, chunk)])
@@ -193,7 +192,7 @@ def _float_chunk(shape, seed=0):
 
 def test_leaf_query_scans_without_reading_bitmaps():
     store, chunk = _float_chunk((16, 16, 16))
-    leaf = build_leaf_index([chunk], "a", 16)
+    leaf = build_leaf_index(chunk_table([chunk]), "a", 16)
     runs = [(leaf["amin"][0], float(leaf["bounds"][4]))]  # the lowest four bins
     stats = QueryStats()
     got = resolve_leaf(chunk, leaf, "a", runs, [None] * 3, stats)
@@ -206,7 +205,7 @@ def test_leaf_query_scans_without_reading_bitmaps():
 
 def test_covering_and_missing_runs_read_nothing():
     store, chunk = _float_chunk((64, 64))
-    leaf = build_leaf_index([chunk], "a", 16)
+    leaf = build_leaf_index(chunk_table([chunk]), "a", 16)
     amin, amax = leaf["amin"][0], leaf["amax"][0]
     box = [((3, 40),), ((10, 70),)]
     for runs, want in [
@@ -224,7 +223,7 @@ def test_plain_leaf_scans_its_box():
     sch = ArraySchema((("d0", 8), ("d1", 8)), (("a", "float64"),), (8, 8))
     store = ChunkStore.from_dense(sch, {"a": vals})
     chunk = store.chunks[(0, 0)]
-    leaf = build_leaf_index([chunk], "a", 4)
+    leaf = build_leaf_index(chunk_table([chunk]), "a", 4)
     assert leaf["nbins"].tolist() == [0]
     runs = [(1.0, 2.0), (5.0, 6.0)]
     box = [((2, 7),), None]
@@ -265,7 +264,7 @@ def test_a_batch_answers_alike_in_any_order_of_its_rows():
         cover = query_cover(dims, shape, tile)
         stats = QueryStats()
         counts = np.zeros(len(chunks), np.int64)
-        for block, members, rows, at in tile_batches(chunks, cover.first):
+        for block, members, rows, at in chunk_table(chunks).batches(cover.first):
             m = np.array(members)[order(len(members))]
             at = tuple(np.array([chunks[i].coords[d] - cover.first[d] for i in m])
                        for d in range(2))
@@ -274,7 +273,7 @@ def test_a_batch_answers_alike_in_any_order_of_its_rows():
                                    stats)
         return counts, cover.answer, stats
 
-    whole = next(b for b, *_ in tile_batches(chunks, (0, 0)) if b.shape == tile)
+    whole = next(b for b, *_ in chunk_table(chunks).batches((0, 0)) if b.shape == tile)
     rows = sorted(c.row for c in chunks if c.block is whole)
     scanned = [r for r in rows if r not in (11, 22)]
     assert scanned == [*range(11), 14, 17, 19, 20, 21, 30, 33]

@@ -39,6 +39,7 @@ from hypothesis import assume, given, settings, strategies as st
 from arraybit.baseline import full_scan
 from arraybit.binning import Binning
 from arraybit.bitvec import BitVector
+from arraybit import chunkstore
 from arraybit.chunkstore import ArraySchema, ChunkStore, QueryStats, load_store, write_raw
 from arraybit.cli import main
 from arraybit.errors import DataError
@@ -101,6 +102,21 @@ PINS = {
 @pytest.mark.parametrize("make", CASES)
 def test_serialized_bytes_are_pinned(make):
     assert hashlib.sha256(make().serialize()).hexdigest() == PINS[make]
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_any_number_of_leaf_workers_saves_the_pinned_bytes(make):
+    # the leaf build sorts its batches on a pool of one thread per CPU:
+    # one, two or three workers, in batches of the default size or of 50
+    # cells, build the same leaf table and save the pinned bytes
+    want = None
+    for workers, batch in [(1, 1 << 20), (2, 1 << 20), (3, 1 << 20), (3, 50), (1, 50)]:
+        with mock.patch.object(chunkstore, "_BATCH_CELLS", batch), \
+                mock.patch.object(chunkstore, "_cpus", lambda: workers):
+            idx = make()
+        want = idx.tables[0] if want is None else want
+        assert all(np.array_equal(idx.tables[0][n], want[n]) for n in want), (workers, batch)
+        assert hashlib.sha256(idx.serialize()).hexdigest() == PINS[make], (workers, batch)
 
 
 def _queries(idx):

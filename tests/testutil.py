@@ -15,6 +15,7 @@ from arraybit.chunkstore import (
     Block,
     Chunk,
     ChunkStore,
+    ChunkTable,
     leaf_query,
     query_cover,
     run_matcher,
@@ -356,7 +357,19 @@ def reference_bitvector_bytes(bits) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference of the array Z-order codec
+# references of the array Z-order codec
+
+
+def reference_zorder_encode_many(coords, bits: int) -> np.ndarray:
+    """`hierindex.zorder_encode_many` of coordinates that fit, one numpy
+    pass per bit of each dimension."""
+    coords = np.asarray(coords, np.int64)
+    ndim = coords.shape[1]
+    z = np.zeros(coords.shape[0], np.int64)
+    for t in range(bits):
+        for d in range(ndim):
+            z |= (coords[:, d] >> t & 1) << (t * ndim + d)
+    return z
 
 
 def zorder_encode(coords, bits: int) -> int:
@@ -515,6 +528,18 @@ def chunk_extent(chunk) -> tuple:
     """The inclusive (lo, hi) cells of a chunk per dimension, from its
     offsets and its clipped shape."""
     return tuple((o, o + s - 1) for o, s in zip(chunk.offsets, chunk.shape))
+
+
+def chunk_table(chunks) -> ChunkTable:
+    """The :class:`ChunkTable` of a list of chunks, at their coordinates."""
+    return ChunkTable.of([c.coords for c in chunks], chunks, len(chunks[0].coords))
+
+
+def table_entries(table: ChunkTable) -> dict:
+    """A chunk table as a map of coordinates to (block, row, count)."""
+    return {tuple(c): (table.blocks[b], r, n) for c, b, r, n in
+            zip(table.coords.tolist(), table.block.tolist(), table.row.tolist(),
+                table.count.tolist())}
 
 
 def leaf_row(leaves, chunk) -> int:
