@@ -132,13 +132,12 @@ def test_a_nan_in_any_batch_fails_alike(workers):
     # non-empty and cannot be indexed, whichever batch and worker holds it
     vals = np.arange(12 * 12, dtype=np.float64).reshape(12, 12)
     sch = ArraySchema((("d0", 12), ("d1", 12)), (("a", "float64"),), (2, 12), {"a": -1.0})
-    for row in range(6):
+    assert _built(ChunkStore.from_dense(sch, {"a": vals}), workers, batch=24)[1] == [1] * 6
+    for row in range(6):  # one chunk of 24 cells a batch
         bad = vals.copy()
         bad[2 * row + 1, 5] = np.nan
-        store = ChunkStore.from_dense(sch, {"a": bad})
         with pytest.raises(InputError, match="^cannot index NaN values$"):
-            _built(store, workers, batch=24)
-        _built(ChunkStore.from_dense(sch, {"a": vals}), workers, batch=24)
+            _built(ChunkStore.from_dense(sch, {"a": bad}), workers, batch=24)
 
 
 def test_one_column_build_matches_reference():
