@@ -9,14 +9,19 @@ value range, count and equi-depth bins, all but z and extent from
 `chunkstore.build_leaf_index`.  It holds
 no bitmaps over cells, since every chunk is resident and a query scans it
 (`chunkstore.leaf_query`).
-Node identity is (level, z-index); parent and child indices are pure bit
-arithmetic on the z-index.  `Index.levels[l]` finds a level's nodes by z
-for the descent: a leaf's row, or an internal node's `TreeNode`, whose int
-masks the descent tests.  A `TreeNode` is made from its row the first time
-the descent fetches it (`Index._maker`), so a load, a build or an append
-makes none; once made, a fetch is one dict lookup.  Leaf resolution finds
-each leaf's chunk through one z join of the leaf table with the store's
-chunk arrays (`Index._join`), which `Index.attach` checks and keeps.
+A node is addressed by (level, row) in its level's table, whose rows lie
+in z order; a parent's z is its children's z >> slot bits.  The descent
+fetches each node by row (`Index.fetch`): a leaf's row, or an internal
+node's `TreeNode`, whose int masks it tests.  An internal node's children
+are one run of rows of the level below, from its `first` (a column derived
+with the others, never saved), in slot order, so the child in slot s is
+row `first` plus the number of children in the slots below s.  A
+`TreeNode` is made from its row the first time it is fetched
+(`Index._maker`) and kept in its level's row-indexed cache, so a load, a
+build or an append makes none; once made, a fetch is one list lookup.
+Leaf resolution finds each leaf's chunk through one z join of the leaf
+table with the store's chunk arrays (`Index._join`), which `Index.attach`
+checks and keeps.
 
 A tree is only ever grown: `Index._grow` merges the leaf rows of some
 chunks into the leaf table by z and derives each level above whole from
@@ -228,12 +233,13 @@ class TreeNode:
     Both tables have a row per bin boundary, and sp_bounds and al_bounds
     are the boundaries: sp_masks[r] is the exact set of children whose
     subtree minimum is <= boundary r, al_masks[r] those whose maximum is
-    >= it.
+    >= it.  `first` is the row of its first child in the level below; the
+    child in slot s is row first + (child_mask & ((1 << s) - 1)).bit_count().
     """
 
     level: int
     z: int
-    coords: tuple
+    first: int
     extent: tuple  # ((lo, hi), ...) global cells
     amin: float
     amax: float
@@ -244,51 +250,6 @@ class TreeNode:
     sp_masks: list
     al_bounds: np.ndarray
     al_masks: list
-
-
-class _Level(dict):
-    """One level's nodes by z, for the descent: a node already in the dict
-    costs `Index.fetch` one dict lookup.  The leaves are all in it from the
-    start, each as its row of the leaf table; an internal node's `TreeNode`
-    is made by `make` from its row of the level's table, whose z column is
-    `z`, on its first lookup.  A z of no node looks up None.  `len`, `in`,
-    `get`, `keys`, `values` and `items` answer for every node of the level,
-    made or not, in z order, and make the nodes they return."""
-
-    __slots__ = ("z", "make")
-
-    def __init__(self, z: np.ndarray, make=None, nodes=()):
-        super().__init__(nodes)
-        self.z, self.make = z, make
-
-    def __missing__(self, z):
-        i = int(np.searchsorted(self.z, z))
-        if i == self.z.size or self.z[i] != z:
-            return None
-        node = self[z] = self.make(i)
-        return node
-
-    def __len__(self) -> int:
-        return self.z.size
-
-    def __iter__(self):
-        return iter(self.z.tolist())
-
-    def __contains__(self, z) -> bool:
-        return self[z] is not None
-
-    def get(self, z, default=None):
-        node = self[z]
-        return default if node is None else node
-
-    def keys(self) -> list:
-        return self.z.tolist()
-
-    def values(self) -> list:
-        return [self[z] for z in self.z.tolist()]
-
-    def items(self) -> list:
-        return [(z, self[z]) for z in self.z.tolist()]
 
 
 def _spread_weights(bounds: np.ndarray, nb: np.ndarray, kids: dict, at: np.ndarray) -> np.ndarray:
@@ -452,8 +413,9 @@ def _take(cols: dict, rows) -> dict:
 def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.ndarray,
                     fanout: Fanout) -> dict:
     """What their children fix about internal nodes, of one level or more
-    laid end to end, as their table's columns: child masks, counts, value
-    ranges, extents, and the sp and al tables over each node's own bins.
+    laid end to end, as their table's columns: child masks, each node's
+    first child's row in `kids` (`first`), counts, value ranges, extents,
+    and the sp and al tables over each node's own bins.
     `kids` holds the children's z, extent, amin, amax and count columns;
     `at[i]` is child i's parent, nondecreasing, and every parent has a
     child; parent j has `nbins[j]` bins, its boundaries back to back in
@@ -472,6 +434,7 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
     ext = kids["extent"]
     out = {
         "child": _packed(child.reshape(npar, total)),
+        "first": first,
         "count": np.add.reduceat(kids["count"], first),
         "amin": np.minimum.reduceat(kids["amin"], first),
         "amax": np.maximum.reduceat(kids["amax"], first),
@@ -504,14 +467,14 @@ def _derive_parents(kids: dict, at: np.ndarray, nbins: np.ndarray, bounds: np.nd
 
 
 class Index:
-    """A built tree over a chunk store, navigable by (level, z-index).
+    """A built tree over a chunk store, navigable by (level, row).
 
-    `tables[l]` is level l's column table in increasing z, and `levels[l]`
-    finds its nodes by z (:class:`_Level`): at level 0 a leaf's row, above
-    it a `TreeNode`, made from its row the first time it is looked up.  A
-    load, a build and an append make no `TreeNode`.  Leaf resolution finds
-    each leaf's chunk through :meth:`leaf_chunks`, the z join that
-    :meth:`attach` checks.
+    `tables[l]` is level l's column table in increasing z, and
+    :meth:`fetch` gives the node at a row of it: at level 0 the row
+    itself, above it a `TreeNode`, made from its row the first time it is
+    fetched.  A load, a build and an append make no `TreeNode`.  Leaf
+    resolution finds each leaf's chunk through :meth:`leaf_chunks`, the z
+    join that :meth:`attach` checks.
     """
 
     def __init__(self, schema, store, attribute, fanout, bins, e, tables):
@@ -525,45 +488,66 @@ class Index:
         self._use(tables)
 
     def _use(self, tables: list) -> None:
-        """Hold `tables`, checked or just derived, and look their nodes up:
-        the leaves' rows by z at once, every internal node on its first
-        lookup."""
+        """Hold `tables`, checked or just derived, with each level's nodes
+        by row: the leaves' rows themselves, and a cache of None per
+        internal node, each filled by its level's maker on first fetch."""
         self.tables = tables
         self._chunks = None  # (store, leaf_chunks(store))
-        depth = len(tables) - 1
-        self.levels = [_Level(cols["z"], self._maker(level, cols, depth)) if level
-                       else _Level(cols["z"], nodes=zip(cols["z"].tolist(), range(cols["z"].size)))
+        self._nodes = [[None] * cols["z"].size if level else range(cols["z"].size)
                        for level, cols in enumerate(tables)]
+        self._make = [self._maker(level, cols) if level else None
+                      for level, cols in enumerate(tables)]
 
     @property
     def depth(self) -> int:
         """Number of levels below the root (0 for an empty index)."""
-        return max(len(self.levels) - 1, 0)
+        return max(len(self.tables) - 1, 0)
 
     @property
     def root(self):
-        return self.levels[-1][0] if self.levels else None
+        """The root's `TreeNode`, None for an empty index: read from the
+        cache as :meth:`fetch` reads it, but not counted as a fetch."""
+        return self._node(self.depth, 0) if self.tables else None
 
-    def fetch(self, level: int, z: int, stats=None):
-        """The node at (level, z) or None, each found one counted in `stats`."""
-        node = self.levels[level][z]
-        if node is not None and stats is not None:
+    def fetch(self, level: int, row: int, stats=None):
+        """The node at row `row` of level `level`'s table, counted in
+        `stats`: a leaf's row, or an internal node's `TreeNode`, made on
+        its first fetch."""
+        if stats is not None:
             stats.nodes_fetched += 1
-        return node
+        # :meth:`_node` inline: the descent calls this once per node
+        node = self._nodes[level][row]
+        return self._make[level](row) if node is None else node
+
+    def _node(self, level: int, row: int):
+        """:meth:`fetch` without counting it."""
+        node = self._nodes[level][row]
+        return self._make[level](row) if node is None else node
+
+    @property
+    def levels(self) -> list:
+        """Each level's nodes by z, in z order: a leaf's row, or an
+        internal node's `TreeNode`, every one made.  A new dict per level on
+        each call, for checks over whole trees; the descent fetches by row."""
+        return [{z: self._node(level, row) for row, z in enumerate(cols["z"].tolist())}
+                for level, cols in enumerate(self.tables)]
 
     def node_count(self) -> int:
-        return sum(len(nodes) for nodes in self.levels)
+        return sum(cols["z"].size for cols in self.tables)
 
     def child_span(self, level: int) -> tuple:
         """Cell extent per dimension of one child of a level-`level` node."""
         fd = self.fanout.per_dim
         return tuple(cs * fd ** (level - 1) for cs in self.schema.chunk_shape)
 
-    def node_origin(self, level: int, coords) -> tuple:
+    def node_origin(self, level: int, extent) -> tuple:
+        """The first cell, per dimension, of the region of a level-`level`
+        node of `extent`, ((lo, hi), ...): the region spans chunk * F_d**level
+        cells along each dimension and holds the node's cells, so it starts
+        at lo rounded down to a multiple of that."""
         fd = self.fanout.per_dim
-        return tuple(
-            c * cs * fd**level for c, cs in zip(coords, self.schema.chunk_shape)
-        )
+        return tuple(lo - lo % (cs * fd**level)
+                     for (lo, _), cs in zip(extent, self.schema.chunk_shape))
 
     # -- construction ---------------------------------------------------
 
@@ -885,34 +869,32 @@ class Index:
         _check_bins(where, cols, (below, at, edge))
         return cols
 
-    def _maker(self, level: int, cols: dict, depth: int):
+    def _maker(self, level: int, cols: dict):
         """The function that makes the `TreeNode` of row i of internal
-        level `level`'s columns, checked or just derived, in a tree of
-        `depth` levels below the root: the one place a `TreeNode` is made."""
+        level `level`'s columns, checked or just derived, and keeps it in
+        the level's cache: the one place a `TreeNode` is made."""
         nb = cols["nbins"].tolist()
         bo = np.cumsum(cols["nbins"] + 1, dtype=np.intp).tolist()  # each node's last bound + 1
         mb = -(-self.fanout.total // 8)
-        z, extent, amin, amax, count, child, bounds, weights, sp, al = (
-            cols[name] for name in ("z", "extent", "amin", "amax", "count", "child", "bounds",
-                                    "weights", "sp", "al"))
-        coords = []  # every node's, decoded when the level's first node is made
+        z, first, extent, amin, amax, count, child, bounds, weights, sp, al = (
+            cols[name] for name in ("z", "first", "extent", "amin", "amax", "count", "child",
+                                    "bounds", "weights", "sp", "al"))
+        nodes = self._nodes[level]
 
         def make(i: int) -> TreeNode:
-            if not coords:
-                coords.extend(map(tuple, zorder_decode_many(
-                    z, self.fanout.ndim, self.fanout.bits * (depth - level)).tolist()))
             k = nb[i]
             b = bo[i] - k - 1
             w = b - i  # a node's weights start at its bounds' start less one per node before it
             edges = bounds[b : b + k + 1]
-            return TreeNode(
-                level=level, z=int(z[i]), coords=coords[i],
+            node = nodes[i] = TreeNode(
+                level=level, z=int(z[i]), first=int(first[i]),
                 extent=tuple(map(tuple, extent[i].tolist())), amin=float(amin[i]),
                 amax=float(amax[i]), count=int(count[i]), child_mask=_masks(child[i], mb)[0],
                 binning=Binning.prevalidated(edges, weights[w : w + k]),
                 sp_bounds=edges, sp_masks=_masks(sp[b : b + k + 1], mb),
                 al_bounds=edges, al_masks=_masks(al[b : b + k + 1], mb),
             )
+            return node
 
         return make
 

@@ -293,7 +293,7 @@ def dimension_match(node, query: Query, dimbm, index: Index) -> tuple:
     downstream.
     """
     span = index.child_span(node.level)
-    origin = index.node_origin(node.level, node.coords)
+    origin = index.node_origin(node.level, node.extent)
     p = 0
     c = node.child_mask
     for d, runs in enumerate(query.dim_ranges):
@@ -362,13 +362,6 @@ def _node_complete(node, query: Query) -> bool:
     return True
 
 
-def _iter_slots(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _prepare(index: Index, query) -> Query:
     if isinstance(query, RawQuery):
         root = index.root
@@ -430,8 +423,10 @@ def _descend(index: Index, query: Query, budget: int, stats=None) -> tuple:
 
     Returns the nodes it stops at, as lists in (level, z) order: the
     complete subtrees, the partial leaves to resolve exactly, and the
-    frontier left partial by the level budget.  A leaf is its row of the
-    leaf table (`Index.levels`).  Internal nodes are evaluated down to
+    frontier left partial by the level budget.  Each node is fetched by its
+    row of its level's table (`Index.fetch`), so a leaf is its row of the
+    leaf table, and a kept child's row is its parent's `first` plus the
+    children in the slots below it.  Internal nodes are evaluated down to
     depth `budget` - 1 and leaves are resolved when they lie at depth <=
     `budget`.  A query whose attribute runs, or the runs of some
     dimension, miss the root stops at no node: an empty value set has no
@@ -442,11 +437,10 @@ def _descend(index: Index, query: Query, budget: int, stats=None) -> tuple:
     if root is None or _node_disjoint(root, query):
         return complete, leaves, frontier
     depth = index.depth
-    slot_bits = index.fanout.slot_bits
     queue = deque([(depth, 0, _node_complete(root, query))])
     while queue:
-        level, z, is_complete = queue.popleft()
-        node = index.fetch(level, z, stats)
+        level, row, is_complete = queue.popleft()
+        node = index.fetch(level, row, stats)
         d = depth - level
         if is_complete:
             complete.append(node)
@@ -456,9 +450,12 @@ def _descend(index: Index, query: Query, budget: int, stats=None) -> tuple:
             frontier.append(node)
         else:
             p_star, c_star = eval_node(node, query, index, stats)
-            base = z << slot_bits
-            for slot in _iter_slots(p_star | c_star):
-                queue.append((level - 1, base | slot, bool(c_star >> slot & 1)))
+            first, child, kept = node.first, node.child_mask, p_star | c_star
+            while kept:  # each kept slot's bit, lowest first
+                low = kept & -kept
+                kept ^= low
+                row = first + (child & (low - 1)).bit_count()  # first + the children below
+                queue.append((level - 1, row, bool(c_star & low)))
     return complete, leaves, frontier
 
 

@@ -400,16 +400,17 @@ def test_dimension_pathology_branch_touch(bench128):
     touched_max = 0
     queue = [(idx.depth, 0)]
     while queue:
-        level, z = queue.pop()
-        node = idx.fetch(level, z)
+        level, row = queue.pop()
+        node = idx.fetch(level, row)
         p_star, c_star = eval_node(node, q, idx)
         branches = bin(p_star | c_star).count("1")
         touched_max = max(touched_max, branches)
-        assert branches <= fd, f"level {level} node {z} touched {branches} > {fd}"
+        assert branches <= fd, f"level {level} node {node.z} touched {branches} > {fd}"
         if level > 1:
             for slot in range(idx.fanout.total):
                 if (p_star | c_star) >> slot & 1:
-                    queue.append((level - 1, (z << idx.fanout.slot_bits) | slot))
+                    below = node.child_mask & ((1 << slot) - 1)
+                    queue.append((level - 1, node.first + below.bit_count()))
     _report(
         "dimension-pathology-branch-touch", True,
         f"(max {touched_max} of {fd} branches per node)",

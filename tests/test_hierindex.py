@@ -332,8 +332,6 @@ def test_fetch_trace_and_nodes_fetched(monkeypatch):
     assert stats.nodes_fetched == 1
     idx.fetch(1, 0, stats)
     assert stats.nodes_fetched == 2  # every fetch counts
-    assert idx.fetch(0, 64, stats) is None  # no such node: not counted
-    assert stats.nodes_fetched == 2
     # a query's descent reads every node through fetch, the root first
     trace = record_fetches(monkeypatch)
     stats = QueryStats()

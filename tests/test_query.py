@@ -226,18 +226,20 @@ def test_dimension_match_against_child_extents():
     rng = np.random.default_rng(7)
     store, idx = make_index(seed=8, shape=(40, 24), chunk=(4, 4), sparsity=0.3, fanout=16)
     for level in range(1, idx.depth + 1):
-        for z, node in idx.levels[level].items():
+        for row in range(idx.tables[level]["z"].size):
+            node = idx.fetch(level, row)
             for _ in range(10):
                 raw = random_raw_query(rng, store.schema, node.amin, node.amax)
                 q = normalize(raw, store.schema)
                 if not _meets(q.dim_ranges, node.extent):
                     continue
                 p, c = dimension_match(node, q, idx.dimbitmaps, idx)
-                slot_bits = idx.fanout.slot_bits
-                for slot in range(idx.fanout.total):
-                    if not (node.child_mask >> slot) & 1:
-                        continue
-                    child = idx.fetch(level - 1, (z << slot_bits) | slot)
+                children = range(node.first, node.first + node.child_mask.bit_count())
+                slots = [s for s in range(idx.fanout.total) if node.child_mask >> s & 1]
+                for slot, child_row in zip(slots, children):
+                    child_z = idx.tables[level - 1]["z"][child_row]
+                    assert child_z == (node.z << idx.fanout.slot_bits) | slot
+                    child = idx.fetch(level - 1, child_row)
                     extent = node_extent(idx.tables[0], child)
                     inter = _meets(q.dim_ranges, extent)
                     inside = all(

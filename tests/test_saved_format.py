@@ -45,8 +45,9 @@ from arraybit.cli import main
 from arraybit.errors import DataError
 from arraybit import hierindex
 from arraybit.hierindex import Fanout, Index, TreeNode, _take, build_index
-from arraybit.query import RawQuery, estimate, execute, membership, normalize
-from testutil import assert_weights_are_counts, reference_nodes, saved_columns
+from arraybit.query import RawQuery, dimension_match, estimate, execute, membership, normalize
+from testutil import (assert_weights_are_counts, record_fetches, reference_nodes, saved_columns,
+                      zorder_decode)
 
 
 def _schema(shape, chunk, typ="float64", empty=None):
@@ -176,10 +177,9 @@ def test_load_builds_no_bitvector_and_saves_the_same_bytes(make, tmp_path, monke
     assert loaded.serialize() == path.read_bytes()
     assert not made
     # a load makes no node: the leaves stay rows of their table, and an
-    # internal node gets its one binning when it is first looked up
+    # internal node gets its one binning when it is first fetched
     assert not binnings
-    for level in loaded.levels[1:]:
-        level.items()
+    loaded.levels  # makes every node
     assert len(binnings) == fresh.node_count() - len(fresh.levels[0]) > 0
     _answers_like(loaded, fresh)
 
@@ -571,7 +571,7 @@ def _same_node(got, want) -> None:
 
 def _made(idx) -> list:
     """The number of nodes made so far on each internal level of `idx`."""
-    return [dict.__len__(level) for level in idx.levels[1:]]
+    return [sum(node is not None for node in nodes) for nodes in idx._nodes[1:]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,8 +579,8 @@ def _made(idx) -> list:
 def test_nodes_are_made_on_first_fetch_as_the_reference_makes_them(data):
     # a build, a load and an append make no node above the leaves; each
     # one `fetch` makes, in any order, is the reference's from the same
-    # row, and a second fetch returns it unmade.  The level lookups answer
-    # for every node, made or not
+    # row, and a second fetch returns it unmade.  `levels` holds every
+    # node of a level in z order, made or not
     store, kw, slabs = _drawn_tree(data)
     built = build_index(store, **kw)
     trees = [built, Index._parse(built.serialize())]
@@ -595,33 +595,87 @@ def test_nodes_are_made_on_first_fetch_as_the_reference_makes_them(data):
             continue
         assert _made(idx) == [0] * idx.depth
         depth = idx.depth
-        ref = [None] + [reference_nodes(idx, level, idx.tables[level], depth)
+        ref = [None] + [list(reference_nodes(idx, level, idx.tables[level]).values())
                         for level in range(1, depth + 1)]
-        wanted = [(level, z) for level in range(1, depth + 1) for z in ref[level]]
+        wanted = [(level, row) for level in range(1, depth + 1) for row in range(len(ref[level]))]
         order = data.draw(st.permutations(range(len(wanted))), label="fetch order")
         stats = QueryStats()
         for i in order:
-            level, z = wanted[i]
-            node = idx.fetch(level, z, stats)
-            _same_node(node, ref[level][z])
-            assert idx.fetch(level, z, stats) is node
+            level, row = wanted[i]
+            node = idx.fetch(level, row, stats)
+            _same_node(node, ref[level][row])
+            assert idx.fetch(level, row, stats) is node
         assert stats.nodes_fetched == 2 * len(wanted)
-        assert idx.fetch(1, 1 << 62) is None and sum(_made(idx)) == len(wanted)
+        assert sum(_made(idx)) == len(wanted)
         assert idx.node_count() == sum(cols["z"].size for cols in idx.tables)
+        levels = idx.levels
         for level in range(1, depth + 1):
-            nodes = idx.levels[level]
-            assert len(nodes) == len(ref[level]) == idx.tables[level]["z"].size
-            assert list(nodes) == list(ref[level]) == idx.tables[level]["z"].tolist()
-            assert [z for z, _ in nodes.items()] == list(ref[level])
-            assert all(nodes.get(z) is node and z in nodes for z, node in nodes.items())
-        assert idx.root is idx.levels[-1][0] and idx.root.count == store.nonempty_total()
-        assert list(idx.levels[0].items()) == [(z, i) for i, z in
-                                               enumerate(idx.tables[0]["z"].tolist())]
-    # levels[l].items() makes the nodes it returns, on a fresh tree too
+            nodes = levels[level]
+            assert list(nodes) == [node.z for node in ref[level]] == idx.tables[level]["z"].tolist()
+            assert all(node is idx.fetch(level, row) for row, node in enumerate(nodes.values()))
+        assert idx.root is levels[-1][0] and idx.root.count == store.nonempty_total()
+        assert list(levels[0].items()) == [(z, i) for i, z in
+                                           enumerate(idx.tables[0]["z"].tolist())]
+    # levels makes the nodes it returns, on a fresh tree too
     fresh = Index._parse(built.serialize())
-    for level in range(1, fresh.depth + 1):
-        for z, node in fresh.levels[level].items():
+    for level, nodes in enumerate(fresh.levels[1:], 1):
+        for z, node in nodes.items():
             _same_node(node, built.levels[level][z])
+
+
+def test_a_query_on_a_fresh_load_makes_exactly_the_nodes_it_fetches(tmp_path, monkeypatch):
+    # the internal nodes a query makes are the ones its descent fetches;
+    # `levels` makes the rest, and a second call returns the same objects
+    store = ChunkStore.from_dense(_schema((64, 64), (4, 4)),
+                                  {"a": np.random.default_rng(3).random((64, 64)) * 100})
+    path = tmp_path / "grid.abix"
+    build_index(store, fanout=16, bins=4).save(path)
+    idx = Index.load(path, store=store)
+    assert idx.depth == 2 and _made(idx) == [0, 0]
+    fetched = record_fetches(monkeypatch)
+    execute(idx, RawQuery(dims={"d0": (5, 20), "d1": (0, 9)}))
+    made = {(level, node.z) for level, nodes in enumerate(idx._nodes[1:], 1)
+            for node in nodes if node is not None}
+    assert made == {(idx.depth - d, z) for d, z in fetched if d < idx.depth}
+    assert 1 < len(made) < idx.node_count() - idx.tables[0]["z"].size
+    levels = idx.levels
+    assert _made(idx) == [cols["z"].size for cols in idx.tables[1:]]
+    again = idx.levels
+    for level in range(1, idx.depth + 1):
+        made = idx._nodes[level]
+        assert len(levels[level]) == len(again[level]) == len(made)
+        assert all(a is b is c for a, b, c in zip(levels[level].values(), again[level].values(),
+                                                  made))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_node_origin_from_the_extent_is_the_origin_of_the_z(data):
+    # over full, loaded and appended trees, clipped at the array's edge and
+    # with empty chunks: each internal node's origin from its extent is the
+    # one its z decodes to, and the dimension masks read the same from both
+    store, kw, slabs = _drawn_tree(data)
+    built = build_index(store, **kw)
+    trees = [built, Index._parse(built.serialize())]
+    if slabs is not None:
+        grown = build_index(slabs[0], **kw)
+        grown.append(slabs[1])
+        trees.append(grown)
+    schema = store.schema
+    dims = {name: tuple(sorted(data.draw(st.integers(-1, n), label=name) for _ in range(2)))
+            for name, n in schema.dims}
+    q = normalize(RawQuery(dims=dims), schema, (0.0, 0.0))
+    for idx in trees:
+        fo = idx.fanout
+        for level, nodes in enumerate(idx.levels[1:], 1):
+            for z, node in nodes.items():
+                coords = zorder_decode(z, fo.ndim, fo.bits * (idx.depth - level))
+                decoded = tuple(c * cs * fo.per_dim**level
+                                for c, cs in zip(coords, schema.chunk_shape))
+                assert idx.node_origin(level, node.extent) == decoded
+                masks = dimension_match(node, q, idx.dimbitmaps, idx)
+                with mock.patch.object(idx, "node_origin", lambda *_: decoded):
+                    assert dimension_match(node, q, idx.dimbitmaps, idx) == masks
 
 
 def _edited_value(data, col, row):

@@ -21,8 +21,7 @@ from arraybit.chunkstore import (
     run_matcher,
 )
 from arraybit.errors import DataError, InputError
-from arraybit.hierindex import (Fanout, Index, TreeNode, _masks, build_index,
-                                zorder_decode_many)
+from arraybit.hierindex import Fanout, Index, TreeNode, _masks, build_index
 from arraybit.query import RawQuery, _descend
 
 
@@ -198,13 +197,14 @@ def node_count(leaves, node) -> int:
 
 def record_fetches(monkeypatch) -> list:
     """Wrap `Index.fetch` as the benchmark's tracer does; the returned list
-    gets (depth - level, z) of every fetch, in order."""
+    gets (depth - level, z) of every fetch, in order, the z read from the
+    row fetched."""
     fetched = []
     fetch = Index.fetch
 
-    def recorded(self, level, z, stats=None):
-        fetched.append((self.depth - level, z))
-        return fetch(self, level, z, stats)
+    def recorded(self, level, row, stats=None):
+        fetched.append((self.depth - level, int(self.tables[level]["z"][row])))
+        return fetch(self, level, row, stats)
 
     monkeypatch.setattr(Index, "fetch", recorded)
     return fetched
@@ -235,14 +235,14 @@ def build_parent(children, fanout: Fanout, bins: int):
     idx = Index(None, None, "a", fanout, bins, 4, [])
     leaves = leaf_table(children)
     idx._use([leaves, idx._level_above(leaves, None, np.empty(0, "<u8"))])
-    return idx.root  # made on this first lookup
+    return idx.root  # made on this first read
 
 
-def reference_nodes(idx, level: int, cols: dict, depth: int) -> dict:
+def reference_nodes(idx, level: int, cols: dict) -> dict:
     """Every `TreeNode` of internal level `level` of `idx` by z, made at
-    once from the level's columns in a tree of `depth` levels below the
-    root: the reference the nodes the index makes on first lookup are
-    compared with."""
+    once from the level's columns: the reference the nodes the index makes
+    on first fetch are compared with.  A node's `first` is found by its z:
+    the row of the first z of the level below at or past z << slot bits."""
     nb = cols["nbins"].astype(np.int64)
     # where each node's part of each column starts, and the next's
     bo, wo = (np.concatenate(([0], np.cumsum(k))).tolist() for k in (nb + 1, nb))
@@ -251,17 +251,16 @@ def reference_nodes(idx, level: int, cols: dict, depth: int) -> dict:
     child = _masks(cols["child"], mb)
     sp_masks, al_masks = _masks(cols["sp"], mb), _masks(cols["al"], mb)
     z = cols["z"].tolist()
-    coords = map(tuple, zorder_decode_many(cols["z"], idx.fanout.ndim,
-                                           idx.fanout.bits * (depth - level)).tolist())
+    first = np.searchsorted(idx.tables[level - 1]["z"], cols["z"] << idx.fanout.slot_bits)
     ext = (tuple(map(tuple, e)) for e in cols["extent"].tolist())
     nodes = {}
-    for i, (zi, c, e, lo, hi, n) in enumerate(zip(z, coords, ext, cols["amin"].tolist(),
-                                                  cols["amax"].tolist(),
+    for i, (zi, f, e, lo, hi, n) in enumerate(zip(z, first.tolist(), ext,
+                                                  cols["amin"].tolist(), cols["amax"].tolist(),
                                                   cols["count"].tolist())):
         r = slice(bo[i], bo[i + 1])
         b = bounds[r]
         nodes[zi] = TreeNode(
-            level=level, z=zi, coords=c, extent=e, amin=lo, amax=hi, count=n,
+            level=level, z=zi, first=f, extent=e, amin=lo, amax=hi, count=n,
             child_mask=child[i], binning=Binning.prevalidated(b, weights[wo[i] : wo[i + 1]]),
             sp_bounds=b, sp_masks=sp_masks[r], al_bounds=b, al_masks=al_masks[r],
         )
